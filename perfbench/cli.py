@@ -1,4 +1,4 @@
-"""Command line: run one workload (the driver contract) or all of them.
+"""Command line: run one workload (as BENCHMARK.json names it) or all of them.
 
 ``run.py --workload NAME --seed N --seconds S --trace 0|1`` prints a
 human-readable report and, as the last line of standard output, one JSON
@@ -56,33 +56,30 @@ def _run(name: str, seed: int, seconds: float, trace: bool,
     from perfbench.workloads import WORKLOADS
 
     generated = spec.make_inputs(name, seed, directory)
-
-    serve_line = None
-    if name.startswith("serve-"):
-        from repro.trace import read_trace
-        from repro.trace.formats import format_event
-
-        first = next(iter(generated.files.values()))[0]
-        serve_line = format_event(read_trace(first)[0])
-    setup_s, setup_samples = common.measure_setup(serve_line)
-
     workload = WORKLOADS[name](generated, Session, directory)
     workload.prepare()
 
     record: Dict[str, Any] = {
         "provenance": common.provenance(name, seed, trace,
                                         generated.digests),
-        "setup_samples_s": setup_samples,
     }
     if not trace:
-        measured = workload.measure(seconds)
+        serve = name.startswith("serve-")
+        probes = common.SetupProbes(
+            _first_line(generated) if serve else None, seconds)
+        measured = workload.measure(seconds, between=probes.between)
+        setup_s = probes.finish()
+        record["setup_samples_s"] = probes.samples
+        # The serve workers (or server process) are the workload's own
+        # children; analyze and watch have none.
+        peak_rss_mb = common.peak_rss_mb(probes.children_kb if serve else 0)
         latencies = measured.latencies_ms
         tail = common.tail_percentile(len(latencies))
         values = {
             "setup_s": setup_s,
-            "events_per_s": common.median(measured.pass_rates),
-            "latency_p50_ms": common.median(latencies),
-            "peak_rss_mb": common.peak_rss_mb(),
+            "events_per_s": measured.rate,
+            "latency_p50_ms": measured.latency_ms,
+            "peak_rss_mb": peak_rss_mb,
         }
         record["metrics"] = {key: (value, END_TO_END_UNITS[key])
                              for key, value in values.items()}
@@ -96,7 +93,7 @@ def _run(name: str, seed: int, seconds: float, trace: bool,
         })
         if name == "serve-paced":
             record["report"]["serve_finding_latency_p50_ms"] = \
-                values["latency_p50_ms"]
+                measured.latency_ms
             record["report"][f"serve_finding_latency_p{tail:g}_ms"] = \
                 common.percentile(latencies, tail)
     else:
@@ -104,6 +101,7 @@ def _run(name: str, seed: int, seconds: float, trace: bool,
         record["metrics"] = {key: (value, layers.METRICS[key][0])
                              for key, value in values.items()}
         record["layer_self_s"] = layers.layer_self_seconds(stats)
+        record["layer_detail_self_s"] = dict(stats.self_s)
         record["layer_total_s"] = dict(stats.total_s)
         record["traced_wall_s"] = measured.wall_s
     record.update({
@@ -113,6 +111,15 @@ def _run(name: str, seed: int, seconds: float, trace: bool,
         "failures": measured.failures,
     })
     return record
+
+
+def _first_line(generated: spec.Inputs) -> str:
+    """The wire text of the first event of the first input file."""
+    from repro.trace import read_trace
+    from repro.trace.formats import format_event
+
+    first = next(iter(generated.files.values()))[0]
+    return format_event(read_trace(first)[0])
 
 
 def _traced(name: str, workload, seconds: float
@@ -151,7 +158,8 @@ def _traced(name: str, workload, seconds: float
             if entry["name"] == "serve_backpressure_waits_total")
 
     metrics = layers.layer_metrics(
-        recorder, measured.wall_s, serve_wall_s=measured.serve_wall_s,
+        recorder, measured.wall_s, measured.events,
+        serve_wall_s=measured.serve_wall_s,
         backpressure_waits=measured.backpressure_waits,
         merged_findings=measured.merged_findings,
         emitted_findings=measured.emitted_findings)

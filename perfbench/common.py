@@ -10,6 +10,7 @@ import resource
 import statistics
 import subprocess
 import sys
+import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 #: The checkout root (the directory holding ``perfbench/``).
@@ -17,7 +18,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 
 #: Set-up probes per run; ``setup_s`` is their median.
-SETUP_PROBES = 5
+SETUP_PROBES = 9
 
 
 class BenchError(RuntimeError):
@@ -97,33 +98,74 @@ def percentile(values: Sequence[float], pct: float) -> float:
     return float(ordered[rank - 1])
 
 
-def peak_rss_mb() -> float:
-    """Peak resident set of this process plus the largest child it has
-    waited for (serve workers and server processes included)."""
+def peak_rss_mb(children_kb: int = 0) -> float:
+    """Peak resident set of this process plus ``children_kb``."""
     own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    children = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-    return (own + children) / 1024.0
+    return (own + children_kb) / 1024.0
+
+
+def children_peak_kb() -> int:
+    """Peak resident set of the largest child this process has waited
+    for (a serve worker, a server process), in KiB."""
+    return resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+
+
+def cpu_seconds() -> float:
+    """CPU seconds of this process and of every child it has waited for."""
+    total = 0.0
+    for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN):
+        usage = resource.getrusage(who)
+        total += usage.ru_utime + usage.ru_stime
+    return total
 
 
 # --------------------------------------------------------------------------- #
 # Set-up time
 # --------------------------------------------------------------------------- #
-def measure_setup(serve_line: Optional[str] = None
-                  ) -> Tuple[float, List[float]]:
-    """Median seconds for a fresh process to ``import repro`` and build a
-    ``Session`` -- plus, with ``serve_line``, to start the service with
-    one worker and have that event line accepted."""
-    command = [sys.executable, "-m", "perfbench.probe"]
-    if serve_line is not None:
-        command += ["--serve-line", serve_line]
-    samples: List[float] = []
-    for _ in range(SETUP_PROBES):
-        out = subprocess.run(command, cwd=ROOT, env=child_env(),
+class SetupProbes:
+    """The set-up probes of one run, spread over its measured loop.
+
+    Each probe is a fresh process timing ``import repro`` and building a
+    ``Session`` -- plus, with ``serve_line``, starting the service with
+    one worker and having that event line accepted.  The loop calls
+    :meth:`between` after every pass, which runs the next probe once the
+    loop has reached that probe's share of the run: on a shared host the
+    speed drifts within seconds, and probes taken back to back all catch
+    the same moment.  The first call also reads the peak memory of the
+    workload's own children, before any probe process can be the largest.
+    """
+
+    def __init__(self, serve_line: Optional[str], seconds: float) -> None:
+        self.command = [sys.executable, "-m", "perfbench.probe"]
+        if serve_line is not None:
+            self.command += ["--serve-line", serve_line]
+        self.seconds = seconds
+        self.samples: List[float] = []
+        self.children_kb: Optional[int] = None
+        self.start = time.perf_counter()
+
+    def between(self) -> None:
+        if self.children_kb is None:
+            self.children_kb = children_peak_kb()
+        due = len(self.samples) * self.seconds / SETUP_PROBES
+        if len(self.samples) < SETUP_PROBES and \
+                time.perf_counter() - self.start >= due:
+            self._probe()
+
+    def finish(self) -> float:
+        """Run the probes still owed; returns their median."""
+        if self.children_kb is None:
+            self.children_kb = children_peak_kb()
+        while len(self.samples) < SETUP_PROBES:
+            self._probe()
+        return median(self.samples)
+
+    def _probe(self) -> None:
+        out = subprocess.run(self.command, cwd=ROOT, env=child_env(),
                              capture_output=True, text=True, timeout=60)
         if out.returncode != 0:
             raise BenchError(f"set-up probe failed: {out.stderr.strip()}")
-        samples.append(float(out.stdout.strip().splitlines()[-1]))
-    return median(samples), samples
+        self.samples.append(float(out.stdout.strip().splitlines()[-1]))
 
 
 def result_line(correct: bool, attempted: int, failed: int,

@@ -367,40 +367,43 @@ def _count_rerun(recorder: Recorder, result, args) -> None:
 # --------------------------------------------------------------------------- #
 # Per-layer metrics
 # --------------------------------------------------------------------------- #
-#: Per-layer metric -> (unit, better direction).  BENCHMARK.json lists the
-#: same metrics except ``bench.generator_lag_p99_ms``, which only the
-#: ``serve-paced`` workload (not a driver workload) reports.
+#: Per-layer metric -> (unit, better direction).  Seconds, calls and
+#: counts are per event the measured loop processed, so a faster program
+#: running more passes in the same time does not read as doing more
+#: work.  BENCHMARK.json lists the same metrics except
+#: ``bench.generator_lag_p99_ms``, which only the ``serve-paced`` workload
+#: (not listed in BENCHMARK.json) reports.
 METRICS: Dict[str, Tuple[str, str]] = {
-    "trace.load_s": ("s", "lower"),
-    "trace.columns_s": ("s", "lower"),
-    "trace.parse_line_s": ("s", "lower"),
-    "trace.format_event_s": ("s", "lower"),
-    "trace.events": ("count", "higher"),
-    "core.insert_s": ("s", "lower"),
-    "core.insert_calls": ("count", "lower"),
-    "core.query_s": ("s", "lower"),
-    "core.query_calls": ("count", "lower"),
-    "core.delete_s": ("s", "lower"),
-    "core.delete_calls": ("count", "lower"),
-    "core.build_s": ("s", "lower"),
-    "tune.select_s": ("s", "lower"),
-    "tune.picks": ("count", "lower"),
-    "analyses.self_s": ("s", "lower"),
-    "analyses.runs": ("count", "lower"),
-    "analyses.findings": ("count", "higher"),
-    "stream.feed_s": ("s", "lower"),
-    "stream.flush_s": ("s", "lower"),
-    "stream.flushes": ("count", "lower"),
-    "stream.checkpoint_s": ("s", "lower"),
-    "stream.checkpoints": ("count", "lower"),
-    "stream.checkpoint_bytes": ("bytes", "lower"),
+    "trace.load_s": ("s/event", "lower"),
+    "trace.columns_s": ("s/event", "lower"),
+    "trace.parse_line_s": ("s/event", "lower"),
+    "trace.format_event_s": ("s/event", "lower"),
+    "trace.events": ("count/event", "lower"),
+    "core.insert_s": ("s/event", "lower"),
+    "core.insert_calls": ("count/event", "lower"),
+    "core.query_s": ("s/event", "lower"),
+    "core.query_calls": ("count/event", "lower"),
+    "core.delete_s": ("s/event", "lower"),
+    "core.delete_calls": ("count/event", "lower"),
+    "core.build_s": ("s/event", "lower"),
+    "tune.select_s": ("s/event", "lower"),
+    "tune.picks": ("count/event", "lower"),
+    "analyses.self_s": ("s/event", "lower"),
+    "analyses.runs": ("count/event", "lower"),
+    "analyses.findings": ("count/event", "lower"),
+    "stream.feed_s": ("s/event", "lower"),
+    "stream.flush_s": ("s/event", "lower"),
+    "stream.flushes": ("count/event", "lower"),
+    "stream.checkpoint_s": ("s/event", "lower"),
+    "stream.checkpoints": ("count/event", "lower"),
+    "stream.checkpoint_bytes": ("bytes/event", "lower"),
     "stream.rerun_ratio": ("ratio", "lower"),
-    "serve.ingest_s": ("s", "lower"),
-    "serve.ingest_calls": ("count", "higher"),
-    "serve.backpressure_waits": ("count", "lower"),
-    "serve.wire_parse_s": ("s", "lower"),
-    "serve.lifecycle_s": ("s", "lower"),
-    "serve.shard_feed_s": ("s", "lower"),
+    "serve.ingest_s": ("s/event", "lower"),
+    "serve.ingest_calls": ("count/event", "lower"),
+    "serve.backpressure_waits": ("count/event", "lower"),
+    "serve.wire_parse_s": ("s/event", "lower"),
+    "serve.lifecycle_s": ("s/event", "lower"),
+    "serve.shard_feed_s": ("s/event", "lower"),
     "serve.worker_busy_ratio": ("ratio", "lower"),
     "serve.findings_merged_ratio": ("ratio", "higher"),
     "bench.attributed_ratio": ("ratio", "higher"),
@@ -412,7 +415,7 @@ METRICS: Dict[str, Tuple[str, str]] = {
 LAYERS = ("trace", "core", "tune", "analyses", "stream", "serve")
 
 
-def layer_metrics(recorder: Recorder, wall_s: float,
+def layer_metrics(recorder: Recorder, wall_s: float, events: int,
                   serve_wall_s: float = 0.0,
                   backpressure_waits: float = 0.0,
                   merged_findings: int = 0,
@@ -420,15 +423,16 @@ def layer_metrics(recorder: Recorder, wall_s: float,
     """The per-layer metric values from one traced run.
 
     ``wall_s`` is the traced wall time of the measured region in the
-    measuring process; ``serve_wall_s`` the part of it the service was
-    live (the worker's busy ratio is taken against it).
+    measuring process and ``events`` the events it processed;
+    ``serve_wall_s`` the part of it the service was live (the worker's
+    busy ratio is taken against it).
     """
     stats = recorder.local.merged(recorder.remote)
     s, t, c, n = stats.self_s, stats.total_s, stats.calls, stats.counts
     analyses_self = s["analyses.run"] + s["analyses.feed"] \
         + s["analyses.flush"]
     feeds = c["stream.feed"]
-    metrics = {
+    totals = {
         "trace.load_s": s["trace.load"],
         "trace.columns_s": s["trace.columns"],
         "trace.parse_line_s": s["trace.parse_line"],
@@ -452,22 +456,26 @@ def layer_metrics(recorder: Recorder, wall_s: float,
         "stream.checkpoint_s": s["stream.checkpoint"],
         "stream.checkpoints": c["stream.checkpoint"],
         "stream.checkpoint_bytes": n["stream.checkpoint_bytes"],
-        "stream.rerun_ratio": (n["stream.rerun_events"] / feeds
-                               if feeds else 0.0),
         "serve.ingest_s": s["serve.ingest"],
         "serve.ingest_calls": c["serve.ingest"],
         "serve.backpressure_waits": backpressure_waits,
         "serve.wire_parse_s": s["serve.wire_parse"],
         "serve.lifecycle_s": s["serve.lifecycle"],
         "serve.shard_feed_s": s["serve.shard_feed"],
+    }
+    metrics = {name: value / events if events else 0.0
+               for name, value in totals.items()}
+    metrics.update({
+        "stream.rerun_ratio": (n["stream.rerun_events"] / feeds
+                               if feeds else 0.0),
         "serve.worker_busy_ratio": (t["serve.shard_feed"] / serve_wall_s
                                     if serve_wall_s else 0.0),
         "serve.findings_merged_ratio": (merged_findings / emitted_findings
                                         if emitted_findings else 0.0),
-    }
-    metrics["bench.attributed_ratio"] = (
-        attributed_seconds(recorder) / wall_s if wall_s else 0.0)
-    return metrics
+        "bench.attributed_ratio": (attributed_seconds(recorder) / wall_s
+                                   if wall_s else 0.0),
+    })
+    return {name: metrics[name] for name in METRICS if name in metrics}
 
 
 def layer_self_seconds(stats: Stats) -> Dict[str, float]:

@@ -80,8 +80,8 @@ def targeting(traced: Dict[str, Dict[str, Any]]
     checks.append((nonzero == ["analyze"],
                    f"core.delete_calls is non-zero only on analyze "
                    f"(non-zero on: {', '.join(nonzero) or 'none'})"))
-    analyze_query = _layer_share(traced["analyze"], "core.query_s")
-    serve_query = _layer_share(traced["serve-saturate"], "core.query_s")
+    analyze_query = _layer_share(traced["analyze"], "core.query")
+    serve_query = _layer_share(traced["serve-saturate"], "core.query")
     checks.append((analyze_query > serve_query,
                    f"core.query_s is a larger share of self time on "
                    f"analyze ({analyze_query:.1%}) than on serve-saturate "
@@ -104,9 +104,10 @@ def _rerun_share(record: Dict[str, Any]) -> float:
     return busy / wall if wall else 0.0
 
 
-def _layer_share(record: Dict[str, Any], metric: str) -> float:
+def _layer_share(record: Dict[str, Any], layer: str) -> float:
     total = sum(record["layer_self_s"].values())
-    return _metric(record, metric) / total if total else 0.0
+    return (record["layer_detail_self_s"].get(layer, 0.0) / total
+            if total else 0.0)
 
 
 def render_all(records: Dict[Tuple[str, bool], Dict[str, Any]],

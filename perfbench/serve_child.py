@@ -16,17 +16,8 @@ the checkout root on ``PYTHONPATH``.
 import argparse
 import contextlib
 import json
-import resource
 import signal
 import time
-
-
-def _cpu_seconds() -> float:
-    total = 0.0
-    for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN):
-        usage = resource.getrusage(who)
-        total += usage.ru_utime + usage.ru_stime
-    return total
 
 
 def _stats_document(stats) -> dict:
@@ -44,6 +35,7 @@ def main() -> None:
     signal.signal(signal.SIGINT, signal.default_int_handler)
 
     from perfbench import inputs as spec
+    from perfbench.common import cpu_seconds
     from repro.obs import metrics as obs_metrics
     from repro.serve.service import run_serve
 
@@ -86,7 +78,7 @@ def main() -> None:
         "errors": outcome.errors,
         "first_ingest": marks.get("first", 0.0),
         "last_summary": marks.get("last", 0.0),
-        "cpu_s": _cpu_seconds(),
+        "cpu_s": cpu_seconds(),
     }
     if recorder is not None:
         snapshot = registry.snapshot()

@@ -216,7 +216,7 @@ def test_per_layer_metrics_match_the_manifest():
     expected = dict(layers.METRICS)
     del expected["bench.generator_lag_p99_ms"]   # serve-paced only
     assert listed == expected
-    metrics = layers.layer_metrics(layers.Recorder(), wall_s=1.0)
+    metrics = layers.layer_metrics(layers.Recorder(), wall_s=1.0, events=1)
     metrics["bench.trace_overhead_ratio"] = 1.0
     assert sorted(metrics) == sorted(listed)
 
@@ -226,3 +226,15 @@ def test_iterate_times_each_step():
     assert list(recorder.iterate("trace.load", iter([1, 2, 3]))) == [1, 2, 3]
     assert recorder.local.calls["trace.load"] == 4  # three items + the end
 
+
+
+def test_layer_figures_are_per_event():
+    recorder = layers.Recorder()
+    recorder.add("core.query", 2.0, 2.0, calls=400)
+    recorder.count("stream.checkpoint_bytes", 1000)
+    metrics = layers.layer_metrics(recorder, wall_s=4.0, events=100)
+    assert metrics["core.query_s"] == pytest.approx(0.02)
+    assert metrics["core.query_calls"] == pytest.approx(4.0)
+    assert metrics["stream.checkpoint_bytes"] == pytest.approx(10.0)
+    # Ratios are not divided.
+    assert metrics["bench.attributed_ratio"] == pytest.approx(0.5)

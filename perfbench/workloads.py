@@ -4,9 +4,11 @@ Each workload is a class with two steps:
 
 * ``prepare()`` -- untimed: compute the reference answers once per
   invocation (a second backend, a batch run, or an inline service run);
-* ``measure(seconds)`` -- drive the public entry point in whole passes
-  over the inputs until ``seconds`` of wall time are spent, checking
-  every output against the reference.  Returns a :class:`Measured`.
+* ``measure(seconds, between)`` -- drive the public entry point in whole
+  passes over the inputs until ``seconds`` of wall time are spent,
+  checking every output against the reference and calling ``between``
+  (if given) between passes, outside every timed operation.  Returns a
+  :class:`Measured`.
 
 A workload knows nothing about tracing; the caller installs the layer
 wrappers (:mod:`perfbench.layers`) around ``measure`` when asked to.
@@ -22,10 +24,11 @@ import subprocess
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from perfbench import inputs as spec
-from perfbench.common import BenchError, ROOT, child_env, median
+from perfbench.common import (BenchError, ROOT, child_env, cpu_seconds,
+                              median)
 
 
 @dataclass
@@ -36,10 +39,11 @@ class Measured:
     failed: int = 0
     failures: List[str] = field(default_factory=list)
     events: int = 0
-    busy_s: float = 0.0          #: the time the events were processed in
-    #: Events per second of each pass; the run reports their median, so
-    #: a burst of load from outside slows one pass, not the figure.
-    pass_rates: List[float] = field(default_factory=list)
+    #: The events per second and the milliseconds per operation the run
+    #: reports (``events_per_s`` and ``latency_p50_ms``).
+    rate: float = 0.0
+    latency_ms: float = 0.0
+    #: Every operation's time, for the report's tail percentile.
     latencies_ms: List[float] = field(default_factory=list)
     passes: int = 0
     wall_s: float = 0.0          #: wall time of the measured region
@@ -67,9 +71,33 @@ def _findings(raw) -> List[str]:
     return sorted(str(finding) for finding in raw.findings)
 
 
+def _answer(analysis: str, raw) -> Tuple[Any, ...]:
+    """What an analyze call must reproduce: its findings, and for
+    linearizability also the verdict and search steps (a ``linearizable``
+    and an ``unknown`` verdict both come with no findings)."""
+    if analysis == "linearizability":
+        return (_findings(raw), raw.details["verdict"],
+                raw.details["steps"])
+    return (_findings(raw),)
+
+
 def _tenant_findings(outcome, tenant: str) -> List[Tuple[str, int, str]]:
     return sorted((item.analysis, item.position, item.finding)
                   for item in outcome.findings_for(tenant))
+
+
+def _typical(out: Measured, events: Dict[Any, int],
+             times: Dict[Any, List[float]]) -> Dict[Any, float]:
+    """Set the run's figures from each operation's median repeat: the
+    events per second of a pass made of those, and their median.  A
+    burst of load from outside slows some repeats of an operation, not
+    its median.  Returns the median time per operation."""
+    typical = {key: median(samples) for key, samples in times.items()}
+    if not typical:               # every operation failed
+        return typical
+    out.rate = sum(events[key] for key in typical) / sum(typical.values())
+    out.latency_ms = median(list(typical.values())) * 1000.0
+    return typical
 
 
 def _without_name(summary: Dict[str, Any]) -> Dict[str, Any]:
@@ -96,7 +124,9 @@ class AnalyzeWorkload:
             for path in generated.files[analysis]:
                 self.plan.append((analysis, path, AnalyzeConfig(
                     analysis=analysis, trace=path, params=params)))
-        self.reference: Dict[Tuple[str, str], List[str]] = {}
+        self.reference: Dict[Tuple[str, str], Tuple[Any, ...]] = {}
+        #: Histories whose reference search hit the step bound.
+        self.unknown = 0
 
     def prepare(self) -> None:
         from repro.api import AnalyzeConfig
@@ -106,18 +136,19 @@ class AnalyzeWorkload:
             raw = session.analyze(AnalyzeConfig(
                 analysis=analysis, trace=path, params=config.params,
                 backend=spec.REFERENCE_BACKEND[analysis])).raw
-            self.reference[(analysis, path)] = _findings(raw)
+            self.reference[(analysis, path)] = _answer(analysis, raw)
+            if raw.details.get("verdict") == "unknown":
+                self.unknown += 1
 
-    def measure(self, seconds: float) -> Measured:
+    def measure(self, seconds: float,
+                between: Optional[Callable[[], None]] = None) -> Measured:
         from repro.errors import ReproError
 
         session = self.session_factory()
         out = Measured()
-        per_pass: Dict[str, List[float]] = {}
+        times: Dict[Tuple[str, str], List[float]] = {}
         start = time.perf_counter()
         while True:
-            spent: Dict[str, List[float]] = {}
-            events, busy = out.events, out.busy_s
             for analysis, path, config in self.plan:
                 out.attempted += 1
                 began = time.perf_counter()
@@ -127,27 +158,28 @@ class AnalyzeWorkload:
                     out.fail(f"{analysis} {path}: {error}")
                     continue
                 elapsed = time.perf_counter() - began
-                if _findings(raw) != self.reference[(analysis, path)]:
-                    out.fail(f"{analysis} {path}: findings differ from "
+                if _answer(analysis, raw) != self.reference[(analysis, path)]:
+                    out.fail(f"{analysis} {path}: result differs from "
                              f"{spec.REFERENCE_BACKEND[analysis]}")
                 out.events += self.inputs.events[path]
-                out.busy_s += elapsed
                 out.latencies_ms.append(elapsed * 1000.0)
-                spent.setdefault(analysis, []).append(elapsed)
-            if out.busy_s > busy:
-                out.pass_rates.append((out.events - events)
-                                      / (out.busy_s - busy))
+                times.setdefault((analysis, path), []).append(elapsed)
             out.passes += 1
-            for analysis, times in spent.items():
-                per_pass.setdefault(analysis, []).append(
-                    sum(times) / len(times))
+            if between is not None:
+                between()
             if time.perf_counter() - start >= seconds:
                 break
         out.wall_s = time.perf_counter() - start
         out.unit_cost = out.wall_s / out.passes
-        for analysis, means in per_pass.items():
-            out.report[f"analyze_s.{analysis}"] = median(means)
-        out.report["analyze_events_per_s"] = median(out.pass_rates)
+        typical = _typical(out, {key: self.inputs.events[key[1]]
+                                 for key in times}, times)
+        for analysis in spec.ANALYZE_CORPUS:
+            calls = [call_s for key, call_s in typical.items()
+                     if key[0] == analysis]
+            if calls:
+                out.report[f"analyze_s.{analysis}"] = sum(calls) / len(calls)
+        out.report["analyze_events_per_s"] = out.rate
+        out.report["linearizability_unknown_files"] = self.unknown
         return out
 
 
@@ -184,16 +216,18 @@ class WatchWorkload:
                                                     trace=path)).raw
                 self.reference[(analysis, path)] = _findings(raw)
 
-    def measure(self, seconds: float) -> Measured:
+    def measure(self, seconds: float,
+                between: Optional[Callable[[], None]] = None) -> Measured:
         from repro.errors import ReproError
 
         session = self.session_factory()
         out = Measured()
         configs = [(path, self._config(path))
                    for path in self.inputs.files["watch"]]
+        times: Dict[str, List[float]] = {}
+        events: Dict[str, int] = {}
         start = time.perf_counter()
         while True:
-            events, busy = out.events, out.busy_s
             for path, config in configs:
                 if os.path.exists(self.checkpoint):
                     os.remove(self.checkpoint)  # a leftover would resume
@@ -215,17 +249,18 @@ class WatchWorkload:
                         out.fail(f"watch {path}: {analysis} final flush "
                                  f"differs from batch analyze")
                 out.events += stream.stats.events
-                out.busy_s += elapsed
                 out.latencies_ms.append(elapsed * 1000.0)
-            if out.busy_s > busy:
-                out.pass_rates.append((out.events - events)
-                                      / (out.busy_s - busy))
+                times.setdefault(path, []).append(elapsed)
+                events[path] = stream.stats.events
             out.passes += 1
+            if between is not None:
+                between()
             if time.perf_counter() - start >= seconds:
                 break
         out.wall_s = time.perf_counter() - start
         out.unit_cost = out.wall_s / out.passes
-        out.report["watch_events_per_s"] = median(out.pass_rates)
+        _typical(out, events, times)
+        out.report["watch_events_per_s"] = out.rate
         return out
 
 
@@ -234,7 +269,13 @@ class WatchWorkload:
 # --------------------------------------------------------------------------- #
 class SaturateWorkload:
     """Closed loop through backpressure: ``Session.serve`` replaying the
-    tenant streams into one worker process, one replay at a time."""
+    tenant streams into one worker process, one replay at a time.
+
+    Its figures are taken over the CPU seconds of the supervisor and the
+    worker, not wall time: the two processes need both cores of a 2-vCPU
+    host, so CPU taken by other tenants of the host stalls the pipeline
+    and moved the wall-clock rate by a quarter between two sets of runs
+    of the same code.  The wall-clock medians go into the report."""
 
     name = "serve-saturate"
 
@@ -255,12 +296,16 @@ class SaturateWorkload:
         self.reference = self.session_factory().serve(
             self._config(workers=0)).outcome
 
-    def measure(self, seconds: float) -> Measured:
+    def measure(self, seconds: float,
+                between: Optional[Callable[[], None]] = None) -> Measured:
         from repro.errors import ReproError
 
         session = self.session_factory()
         config = self._config(workers=1)
         out = Measured()
+        costs: List[float] = []
+        wall_rates: List[float] = []
+        wall_ms: List[float] = []
         start = time.perf_counter()
         while True:
             marks: Dict[str, float] = {}
@@ -274,25 +319,34 @@ class SaturateWorkload:
 
             out.attempted += 1
             out.passes += 1
-            began = time.perf_counter()
+            if between is not None and costs:
+                between()
+            began, cpu = time.perf_counter(), cpu_seconds()
             try:
                 outcome = session.run(config, on_notice=notice).outcome
             except ReproError as error:
                 out.fail(f"serve: {error}")
             else:
                 elapsed = time.perf_counter() - began
+                # The worker has been joined, so its CPU time is counted.
+                cost = cpu_seconds() - cpu
                 self._check(outcome, out)
                 busy = marks["last"] - marks["first"]
                 out.events += outcome.events
-                out.busy_s += busy
-                out.pass_rates.append(outcome.events / busy)
+                costs.append(cost)
+                wall_rates.append(outcome.events / busy)
+                wall_ms.append(elapsed * 1000.0)
                 out.serve_wall_s += elapsed
-                out.latencies_ms.append(elapsed * 1000.0)
             if time.perf_counter() - start >= seconds:
                 break
         out.wall_s = time.perf_counter() - start
         out.unit_cost = out.wall_s / out.passes
-        out.report["serve_events_per_s"] = median(out.pass_rates)
+        out.latencies_ms = [cost * 1000.0 for cost in costs]
+        if costs:
+            _typical(out, {"replay": out.events // len(costs)},
+                     {"replay": costs})
+        out.report["serve_events_per_s"] = median(wall_rates)
+        out.report["serve_replay_wall_ms"] = median(wall_ms)
         return out
 
     def _check(self, outcome, out: Measured) -> None:
@@ -389,7 +443,8 @@ class PacedWorkload:
         out.sort(key=lambda line: line.due)
         return out, tenants
 
-    def measure(self, seconds: float, trace: bool = False) -> Measured:
+    def measure(self, seconds: float, trace: bool = False,
+                between: Optional[Callable[[], None]] = None) -> Measured:
         lines, tenants = self.schedule(seconds)
         out = Measured()
         server = subprocess.Popen(
@@ -474,10 +529,10 @@ class PacedWorkload:
                          f"inline run")
         out.events = sum(1 for line in lines if line.position)
         first_due = start + lines[0].due
-        out.busy_s = document["last_summary"] - first_due
-        out.pass_rates.append(out.events / out.busy_s)
-        out.wall_s = out.busy_s
-        out.serve_wall_s = out.busy_s
+        out.wall_s = document["last_summary"] - first_due
+        out.rate = out.events / out.wall_s
+        out.latency_ms = median(out.latencies_ms)
+        out.serve_wall_s = out.wall_s
         out.passes = 1
         out.unit_cost = document["cpu_s"] / out.events
         out.merged_findings = len(document["findings"])
