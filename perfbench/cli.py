@@ -70,6 +70,7 @@ def _run(name: str, seed: int, seconds: float, trace: bool,
         measured = workload.measure(seconds, between=probes.between)
         setup_s = probes.finish()
         record["setup_samples_s"] = probes.samples
+        record["setup_samples_unscaled_s"] = probes.raw
         # The serve workers (or server process) are the workload's own
         # children; analyze and watch have none.
         peak_rss_mb = common.peak_rss_mb(probes.children_kb if serve else 0)

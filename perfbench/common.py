@@ -18,7 +18,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 
 #: Set-up probes per run; ``setup_s`` is their median.
-SETUP_PROBES = 9
+SETUP_PROBES = 15
 
 
 class BenchError(RuntimeError):
@@ -120,6 +120,105 @@ def cpu_seconds() -> float:
 
 
 # --------------------------------------------------------------------------- #
+# Host speed
+# --------------------------------------------------------------------------- #
+#: Rounds of the calibration loop.
+CALIBRATION_ROUNDS = 10000
+#: CPU seconds of one calibration sample at the reference speed: the
+#: median on the 2-vCPU x86-64 host (CPython 3) the benchmark was tuned on.
+REFERENCE_CALIBRATION_S = 0.002
+#: Samples on each side of an operation that give its local host speed.
+CALIBRATION_WINDOW = 3
+#: How the program's CPU time follows the calibration sample's: over
+#: 3000 analyze and watch operations on that host, while the sample took
+#: 0.8x to 1.9x its median, the operations' times grew as its power
+#: 0.73-0.76 (the calibration loop stays in the core's caches and slows
+#: more when the host is busy).
+SPEED_EXPONENT = 0.75
+#: The same for a serve replay's CPU seconds (supervisor and worker),
+#: against the run's median sample: over 270 replays taken in groups of
+#: 20, the groups' median cost grew as the sample's power 0.45 (r2 0.6).
+#: Replay by replay it hardly follows the sample (power 0.2, r2 0.1).
+SERVE_SPEED_EXPONENT = 0.5
+
+
+def speed_factor(calibration_s: float,
+                 exponent: float = SPEED_EXPONENT) -> float:
+    """What to multiply a CPU time taken at the host speed that gave the
+    calibration sample ``calibration_s`` by, to read it at the reference
+    speed."""
+    return (REFERENCE_CALIBRATION_S / calibration_s) ** exponent
+
+
+def calibration_sample() -> float:
+    """CPU seconds of a fixed piece of interpreter work: dict, list and
+    integer operations in a loop, like the program's own inner loops."""
+    began = time.process_time()
+    table: Dict[int, int] = {}
+    recent: List[int] = []
+    total = 0
+    for step in range(CALIBRATION_ROUNDS):
+        key = step * 7919 % 1021
+        total += table.get(key, step)
+        table[key] = total & 0xFFFF
+        recent.append(key)
+        if len(recent) > 32:
+            del recent[0]
+    return time.process_time() - began
+
+
+class ScaledTimes:
+    """Operation times scaled to the reference host speed.
+
+    The benchmark shares its host, whose speed drifts by half within
+    seconds: the same fixed loop takes 15 ms in one two-second window and
+    22 ms in the next, in CPU time as in wall time.  That drift moved the
+    same code's figures by a quarter between runs.  So the measured loop
+    calls :meth:`calibrate` before every operation, outside its timing,
+    and :meth:`times` scales each operation's CPU seconds by the
+    :func:`speed_factor` of the median of the calibration samples around
+    it.  A change to the program moves its operations and not the
+    calibration loop, so it still shows in full; on a host that runs the
+    loop at the reference speed the scaled times are the measured ones.
+    """
+
+    def __init__(self, exponent: float = SPEED_EXPONENT,
+                 window: Optional[int] = CALIBRATION_WINDOW) -> None:
+        #: ``window`` None scales every operation by the run's median.
+        self.exponent = exponent
+        self.window = window
+        self.samples: List[float] = []
+        #: (key, CPU seconds, index of the calibration sample before it)
+        self.operations: List[Tuple[object, float, int]] = []
+
+    def calibrate(self) -> None:
+        self.samples.append(calibration_sample())
+
+    def record(self, key: object, seconds: float) -> None:
+        if not self.samples:
+            raise ValueError("calibrate() before the first operation")
+        self.operations.append((key, seconds, len(self.samples) - 1))
+
+    def times(self) -> Dict[object, List[float]]:
+        """Every key's scaled times, in the order they were recorded."""
+        if self.operations:
+            self.calibrate()          # the host speed after the last one
+        out: Dict[object, List[float]] = {}
+        for key, seconds, index in self.operations:
+            window = self.samples if self.window is None else \
+                self.samples[max(0, index - self.window + 1):
+                             index + self.window + 1]
+            out.setdefault(key, []).append(
+                seconds * speed_factor(median(window), self.exponent))
+        return out
+
+    def speed(self) -> float:
+        """The run's median host speed, as a share of the reference."""
+        return REFERENCE_CALIBRATION_S / median(self.samples) \
+            if self.samples else 0.0
+
+
+# --------------------------------------------------------------------------- #
 # Set-up time
 # --------------------------------------------------------------------------- #
 class SetupProbes:
@@ -127,11 +226,13 @@ class SetupProbes:
 
     Each probe is a fresh process timing ``import repro`` and building a
     ``Session`` -- plus, with ``serve_line``, starting the service with
-    one worker and having that event line accepted.  The loop calls
-    :meth:`between` after every pass, which runs the next probe once the
-    loop has reached that probe's share of the run: on a shared host the
-    speed drifts within seconds, and probes taken back to back all catch
-    the same moment.  The first call also reads the peak memory of the
+    one worker and having that event line accepted.  Its wall time is
+    scaled to the reference host speed by calibration samples the probe
+    takes right after (as :class:`ScaledTimes` scales operations).  The
+    loop calls :meth:`between` after every pass, which runs the next probe
+    once the loop has reached that probe's share of the run: on a shared
+    host the speed drifts within seconds, and probes taken back to back
+    all catch the same moment.  The first call also reads the peak memory of the
     workload's own children, before any probe process can be the largest.
     """
 
@@ -141,6 +242,7 @@ class SetupProbes:
             self.command += ["--serve-line", serve_line]
         self.seconds = seconds
         self.samples: List[float] = []
+        self.raw: List[float] = []        #: unscaled wall seconds
         self.children_kb: Optional[int] = None
         self.start = time.perf_counter()
 
@@ -165,7 +267,10 @@ class SetupProbes:
                              capture_output=True, text=True, timeout=60)
         if out.returncode != 0:
             raise BenchError(f"set-up probe failed: {out.stderr.strip()}")
-        self.samples.append(float(out.stdout.strip().splitlines()[-1]))
+        elapsed, calibration = map(
+            float, out.stdout.strip().splitlines()[-1].split())
+        self.raw.append(elapsed)
+        self.samples.append(elapsed * speed_factor(calibration))
 
 
 def result_line(correct: bool, attempted: int, failed: int,

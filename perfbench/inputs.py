@@ -17,20 +17,20 @@ from typing import Dict, List, Tuple
 #: Several small files per analysis rather than one big one, so that no
 #: single seed's trace shape dominates a run.
 ANALYZE_CORPUS: Dict[str, Tuple[str, int, int, int]] = {
-    "race-prediction": ("racy", 4, 150, 8),
-    "deadlock-prediction": ("deadlock", 4, 150, 8),
-    "tso-consistency": ("tso", 4, 200, 8),
-    "memory-bugs": ("memory", 8, 500, 8),
-    "use-after-free": ("memory", 8, 500, 8),
-    "c11-races": ("c11", 8, 350, 8),
-    "linearizability": ("history", 3, 6, 8),
+    "race-prediction": ("racy", 4, 150, 12),
+    "deadlock-prediction": ("deadlock", 4, 150, 12),
+    "tso-consistency": ("tso", 4, 200, 12),
+    "memory-bugs": ("memory", 8, 500, 12),
+    "use-after-free": ("memory", 8, 500, 12),
+    "c11-races": ("c11", 8, 350, 12),
+    "linearizability": ("history", 3, 6, 12),
 }
 
 #: Linearizability's commit-order search is exponential in the worst
 #: case: a 4x10 history can take 0.002 s on one seed and 25 s on the
 #: next.  3x6 histories keep every seed's cost in range, and the step
-#: bound -- which no 3x6 history of seeds 1-10 reaches -- keeps an
-#: unlucky seed from stalling a run.  A search that hits it reports the
+#: bound -- which 3 of the 240 3x6 histories of seeds 1-20 reach -- keeps
+#: an unlucky seed from stalling a run.  A search that hits it reports the
 #: ``unknown`` verdict; the run counts those and checks every verdict.
 ANALYZE_PARAMS: Dict[str, Tuple[Tuple[str, object], ...]] = {
     "linearizability": (("max_steps", 2000),),
@@ -41,7 +41,7 @@ REFERENCE_BACKEND = {name: "vc-flat" for name in ANALYZE_CORPUS}
 REFERENCE_BACKEND["linearizability"] = "graph"
 
 WATCH_ANALYSES = ("race-prediction", "c11-races")
-WATCH_STREAMS = 28           #: producer-consumer streams per pass
+WATCH_STREAMS = 56           #: producer-consumer streams per pass
 WATCH_SHAPE = (4, 40)        #: threads, events per thread
 #: The family's knobs, pinned so streams differ by schedule, not shape.
 WATCH_PARAMS = {"queue_capacity": 2, "racy_aggregate_fraction": 0.35,

@@ -1,6 +1,9 @@
 """Set-up probe, run in a fresh process: prints the seconds from before
 ``import repro`` until a ``Session`` exists -- and, with
-``--serve-line LINE``, until a one-worker service has accepted LINE.
+``--serve-line LINE``, until a one-worker service has accepted LINE --
+and then, after a space, the median of a few calibration samples taken
+afterwards (see ``perfbench.common.ScaledTimes``), which give the host
+speed the probe ran at.
 
 Run as ``python3 -m perfbench.probe [--serve-line LINE]`` with ``src``
 and the checkout root on ``PYTHONPATH``.
@@ -23,7 +26,7 @@ def main() -> None:
 
     Session()
     if args.serve_line is None:
-        print(time.perf_counter() - START)
+        report(time.perf_counter() - START)
         return
     from repro.serve.shard import ShardOptions
     from repro.serve.supervisor import Supervisor
@@ -37,7 +40,14 @@ def main() -> None:
         supervisor.drain(timeout=30.0)
     finally:
         supervisor.stop()
-    print(elapsed)
+    report(elapsed)
+
+
+def report(elapsed: float) -> None:
+    from perfbench.common import calibration_sample, median
+
+    calibration = median([calibration_sample() for _ in range(5)])
+    print(elapsed, calibration)
 
 
 if __name__ == "__main__":

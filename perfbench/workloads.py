@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from perfbench import inputs as spec
-from perfbench.common import (BenchError, ROOT, child_env, cpu_seconds,
-                              median)
+from perfbench.common import (BenchError, ROOT, SERVE_SPEED_EXPONENT,
+                              ScaledTimes, child_env, cpu_seconds, median)
 
 
 @dataclass
@@ -100,6 +100,16 @@ def _typical(out: Measured, events: Dict[Any, int],
     return typical
 
 
+def _scaled(out: Measured, clock: ScaledTimes) -> Dict[Any, List[float]]:
+    """The loop's operation times scaled to the reference host speed;
+    every one of them also goes into ``out.latencies_ms``."""
+    times = clock.times()
+    out.latencies_ms = [seconds * 1000.0 for samples in times.values()
+                        for seconds in samples]
+    out.report["host_speed"] = clock.speed()
+    return times
+
+
 def _without_name(summary: Dict[str, Any]) -> Dict[str, Any]:
     return {key: value for key, value in summary.items() if key != "name"}
 
@@ -146,24 +156,23 @@ class AnalyzeWorkload:
 
         session = self.session_factory()
         out = Measured()
-        times: Dict[Tuple[str, str], List[float]] = {}
+        clock = ScaledTimes()
         start = time.perf_counter()
         while True:
             for analysis, path, config in self.plan:
                 out.attempted += 1
-                began = time.perf_counter()
+                clock.calibrate()
+                began = time.process_time()
                 try:
                     raw = session.run(config).raw
                 except ReproError as error:
                     out.fail(f"{analysis} {path}: {error}")
                     continue
-                elapsed = time.perf_counter() - began
+                clock.record((analysis, path), time.process_time() - began)
                 if _answer(analysis, raw) != self.reference[(analysis, path)]:
                     out.fail(f"{analysis} {path}: result differs from "
                              f"{spec.REFERENCE_BACKEND[analysis]}")
                 out.events += self.inputs.events[path]
-                out.latencies_ms.append(elapsed * 1000.0)
-                times.setdefault((analysis, path), []).append(elapsed)
             out.passes += 1
             if between is not None:
                 between()
@@ -171,6 +180,7 @@ class AnalyzeWorkload:
                 break
         out.wall_s = time.perf_counter() - start
         out.unit_cost = out.wall_s / out.passes
+        times = _scaled(out, clock)
         typical = _typical(out, {key: self.inputs.events[key[1]]
                                  for key in times}, times)
         for analysis in spec.ANALYZE_CORPUS:
@@ -224,7 +234,7 @@ class WatchWorkload:
         out = Measured()
         configs = [(path, self._config(path))
                    for path in self.inputs.files["watch"]]
-        times: Dict[str, List[float]] = {}
+        clock = ScaledTimes()
         events: Dict[str, int] = {}
         start = time.perf_counter()
         while True:
@@ -232,13 +242,14 @@ class WatchWorkload:
                 if os.path.exists(self.checkpoint):
                     os.remove(self.checkpoint)  # a leftover would resume
                 out.attempted += 1
-                began = time.perf_counter()
+                clock.calibrate()
+                began = time.process_time()
                 try:
                     result = session.run(config)
                 except ReproError as error:
                     out.fail(f"watch {path}: {error}")
                     continue
-                elapsed = time.perf_counter() - began
+                clock.record(path, time.process_time() - began)
                 stream = result.stream
                 if stream.errors:
                     out.fail(f"watch {path}: {stream.errors}")
@@ -249,8 +260,6 @@ class WatchWorkload:
                         out.fail(f"watch {path}: {analysis} final flush "
                                  f"differs from batch analyze")
                 out.events += stream.stats.events
-                out.latencies_ms.append(elapsed * 1000.0)
-                times.setdefault(path, []).append(elapsed)
                 events[path] = stream.stats.events
             out.passes += 1
             if between is not None:
@@ -259,7 +268,7 @@ class WatchWorkload:
                 break
         out.wall_s = time.perf_counter() - start
         out.unit_cost = out.wall_s / out.passes
-        _typical(out, events, times)
+        _typical(out, events, _scaled(out, clock))
         out.report["watch_events_per_s"] = out.rate
         return out
 
@@ -275,7 +284,9 @@ class SaturateWorkload:
     worker, not wall time: the two processes need both cores of a 2-vCPU
     host, so CPU taken by other tenants of the host stalls the pipeline
     and moved the wall-clock rate by a quarter between two sets of runs
-    of the same code.  The wall-clock medians go into the report."""
+    of the same code.  They are scaled to the reference host speed by the
+    run's median calibration sample (``SERVE_SPEED_EXPONENT``).  The
+    wall-clock and unscaled CPU medians go into the report."""
 
     name = "serve-saturate"
 
@@ -303,6 +314,7 @@ class SaturateWorkload:
         session = self.session_factory()
         config = self._config(workers=1)
         out = Measured()
+        clock = ScaledTimes(SERVE_SPEED_EXPONENT, window=None)
         costs: List[float] = []
         wall_rates: List[float] = []
         wall_ms: List[float] = []
@@ -321,6 +333,7 @@ class SaturateWorkload:
             out.passes += 1
             if between is not None and costs:
                 between()
+            clock.calibrate()
             began, cpu = time.perf_counter(), cpu_seconds()
             try:
                 outcome = session.run(config, on_notice=notice).outcome
@@ -330,6 +343,7 @@ class SaturateWorkload:
                 elapsed = time.perf_counter() - began
                 # The worker has been joined, so its CPU time is counted.
                 cost = cpu_seconds() - cpu
+                clock.record("replay", cost)
                 self._check(outcome, out)
                 busy = marks["last"] - marks["first"]
                 out.events += outcome.events
@@ -341,10 +355,12 @@ class SaturateWorkload:
                 break
         out.wall_s = time.perf_counter() - start
         out.unit_cost = out.wall_s / out.passes
-        out.latencies_ms = [cost * 1000.0 for cost in costs]
+        times = _scaled(out, clock)
         if costs:
-            _typical(out, {"replay": out.events // len(costs)},
-                     {"replay": costs})
+            replay_events = out.events // len(costs)
+            _typical(out, {"replay": replay_events}, times)
+            out.report["serve_cpu_events_per_s"] = \
+                replay_events / median(costs)
         out.report["serve_events_per_s"] = median(wall_rates)
         out.report["serve_replay_wall_ms"] = median(wall_ms)
         return out
