@@ -438,8 +438,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="checkpoint each tenant every N consumed "
                             "events")
     serve.add_argument("--queue-size", type=int, default=256,
-                       help="bounded per-worker command queue; a full "
-                            "queue pushes back on ingest (default: 256)")
+                       help="events that may wait per worker, sent in "
+                            "frames of up to 64; a full queue pushes back "
+                            "on ingest (default: 256)")
     serve.add_argument("--quota-events", type=int, default=None,
                        help="per-tenant event quota; events beyond it are "
                             "rejected with a protocol error")

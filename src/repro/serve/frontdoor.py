@@ -16,6 +16,12 @@ Two ways events reach the :class:`~repro.serve.supervisor.Supervisor`:
   tenants.  This is the testing mode (``repro serve --once``) and also
   the engine behind multi-``--source`` ``repro watch``.
 
+The socket reader works a chunk at a time: it parses every complete
+line already read, hands the chunk's events and ends to the supervisor
+in one executor hop, and flushes the supervisor's partly filled frames
+before awaiting more input.  No timer holds a frame back: when the
+client pauses, its events are already on their way to the workers.
+
 Per-event protocol errors (quota exceeded, malformed line) are reported
 to the client as ``#error|<tenant>|<message>`` response lines and the
 connection stays up -- one misbehaving tenant must not sever a
@@ -36,6 +42,17 @@ from repro.trace.formats import format_event
 
 #: Server -> client per-event rejection line.
 ERROR_PREFIX = "#error|"
+
+#: Most bytes the socket reader takes from a connection per step.
+READ_CHUNK = 64 * 1024
+
+#: Most bytes of one unterminated line the socket reader buffers
+#: (asyncio's default stream limit); past that it answers with an
+#: ``#error`` line and closes the connection.
+MAX_LINE_BYTES = 64 * 1024
+
+#: One parsed wire command: ``(line position, kind, tenant, payload)``.
+_Command = Tuple[int, str, str, Optional[str]]
 
 
 def tenant_for_source(name: str, taken: Iterable[str] = ()) -> str:
@@ -118,41 +135,84 @@ def replay_sources(supervisor: Supervisor, specs: Iterable[str],
 # --------------------------------------------------------------------------- #
 # Socket server
 # --------------------------------------------------------------------------- #
+def _error_reply(tenant: Optional[str], message: object) -> str:
+    return f"{ERROR_PREFIX}{tenant if tenant is not None else '?'}|" \
+        f"{message}\n"
+
+
+def _parse_chunk(lines: List[bytes]
+                 ) -> Tuple[List[_Command], List[Tuple[int, str]], bool]:
+    """Parse one chunk's wire lines.  Returns the commands for the
+    supervisor, the ``#error`` replies for lines that did not parse
+    (each with its line position), and whether ``#bye`` ended the
+    chunk (lines after it are ignored)."""
+    commands: List[_Command] = []
+    replies: List[Tuple[int, str]] = []
+    for position, raw in enumerate(lines):
+        try:
+            kind, tenant, payload = parse_line(raw.decode("utf-8"))
+        except UnicodeDecodeError:
+            replies.append((position,
+                            _error_reply(None, "line is not UTF-8")))
+            continue
+        except ProtocolError as error:
+            replies.append((position, _error_reply(None, error)))
+            continue
+        if kind == "bye":
+            return commands, replies, True
+        if kind != "blank":
+            commands.append((position, kind, tenant, payload))
+    return commands, replies, False
+
+
+def _apply_commands(supervisor: Supervisor, commands: List[_Command]
+                    ) -> List[Tuple[int, str]]:
+    """Feed one chunk's commands to the supervisor, then flush its
+    frames.  Returns the ``#error`` replies of rejected commands, each
+    with its line position.  Runs in an executor thread: ingest blocks
+    under backpressure."""
+    replies: List[Tuple[int, str]] = []
+    try:
+        for position, kind, tenant, payload in commands:
+            try:
+                if kind == "end":
+                    supervisor.end_tenant(tenant)
+                else:  # event
+                    supervisor.ingest_event(tenant, payload)
+            except ProtocolError as error:
+                replies.append((position, _error_reply(tenant, error)))
+    finally:
+        supervisor.flush()
+    return replies
+
+
 async def handle_connection(supervisor: Supervisor,
                             reader: asyncio.StreamReader,
                             writer: asyncio.StreamWriter) -> None:
     """Serve one ingest connection until EOF or ``#bye``."""
     loop = asyncio.get_running_loop()
+    partial = b""
     try:
         while True:
-            raw = await reader.readline()
-            if not raw:
+            chunk = await reader.read(READ_CHUNK)
+            lines = (partial + chunk).split(b"\n")
+            # At EOF the unterminated last line counts too.
+            partial = lines.pop() if chunk else b""
+            commands, replies, bye = _parse_chunk(lines)
+            if commands:
+                replies += await loop.run_in_executor(
+                    None, _apply_commands, supervisor, commands)
+            too_long = not bye and len(partial) > MAX_LINE_BYTES
+            if too_long:
+                replies.append((len(lines), _error_reply(
+                    None, f"line exceeds {MAX_LINE_BYTES} bytes")))
+            if replies:
+                replies.sort(key=lambda reply: reply[0])
+                writer.write("".join(text for _, text in replies)
+                             .encode("utf-8"))
+                await writer.drain()
+            if bye or too_long or not chunk:
                 break
-            try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError:
-                writer.write(f"{ERROR_PREFIX}?|line is not UTF-8\n"
-                             .encode("utf-8"))
-                await writer.drain()
-                continue
-            tenant = None
-            try:
-                kind, tenant, payload = parse_line(line)
-                if kind == "blank":
-                    continue
-                if kind == "bye":
-                    break
-                if kind == "end":
-                    await loop.run_in_executor(
-                        None, supervisor.end_tenant, tenant)
-                else:  # event
-                    await loop.run_in_executor(
-                        None, supervisor.ingest_event, tenant, payload)
-            except ProtocolError as error:
-                label = tenant if tenant is not None else "?"
-                writer.write(f"{ERROR_PREFIX}{label}|{error}\n"
-                             .encode("utf-8"))
-                await writer.drain()
     finally:
         writer.close()
         try:

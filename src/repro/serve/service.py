@@ -114,6 +114,9 @@ class _InlineService:
         for tenant in sorted(self._seq):
             self.end_tenant(tenant)
 
+    def flush(self) -> None:  # nothing is buffered: no-op
+        pass
+
     def drain(self, timeout: float = 0.0) -> None:  # synchronous: no-op
         pass
 

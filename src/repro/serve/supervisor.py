@@ -5,25 +5,36 @@ running :func:`repro.serve.worker.worker_main`), a consistent-hash ring
 pinning every tenant to one worker, and a collector thread draining the
 shared results queue into the merged findings feed.
 
+**Frames.**  Events travel to a worker in *frames*: one command-queue
+message carrying up to :data:`FRAME_EVENTS` ``(tenant, seq, line,
+enqueued_at)`` items.  Accepted events collect in a per-worker buffer
+that is queued as a frame when it fills, before any ``end`` or ``stop``
+for that worker, in :meth:`Supervisor.drain` and on
+:meth:`Supervisor.flush` (which the socket front door calls whenever
+its input runs dry, so a partial frame never waits for more input).
+Workers answer with one results message per frame.
+
 **Delivery and recovery model.**  Every accepted event gets a per-tenant
 sequence number and is appended to that tenant's *journal* before it is
-queued to the worker.  Workers acknowledge each checkpoint they write
+buffered for the worker.  Workers acknowledge each checkpoint they write
 with the engine cursor it covers; the supervisor trims the journal up to
 that cursor.  The journal therefore always holds exactly the events that
 are not yet durably checkpointed -- which is precisely what a respawned
-worker needs.  When a worker dies (detected by liveness checks on the
-ingest path and during drain), the supervisor abandons its command queue
-(anything buffered there is a subset of the journals), spawns a fresh
-process on a fresh queue, and replays the journal of every tenant routed
-to that worker.  The worker's shard restores each tenant from its last
-checkpoint and skips replayed sequence numbers it already consumed, so
-replay is idempotent; findings re-emitted for post-checkpoint events are
-deduplicated here by ``(tenant, analysis, position, text)`` -- positions
+worker needs.  When a worker dies (detected by a liveness check before
+each frame is queued and during drain), the supervisor abandons its
+command queue and its frame buffer (anything in them is a subset of the
+journals), spawns a fresh process on a fresh queue, and replays the
+journal of every tenant routed to that worker, in frames.  The worker's
+shard restores each tenant from its last checkpoint and skips replayed
+sequence numbers it already consumed, so replay is idempotent; findings
+re-emitted for post-checkpoint events are deduplicated here by ``(tenant, analysis, position, text)`` -- positions
 are deterministic cursor counts, so a re-discovered finding collides
 exactly with its first emission.
 
-**Backpressure.**  Worker command queues are bounded; when one is full
-the ingest call blocks (counting ``serve_backpressure_waits_total``),
+**Backpressure.**  Worker command queues are bounded so that at most
+``queue_size`` events wait in frames per worker (the frame size is
+``min(FRAME_EVENTS, queue_size)``); when one is full the ingest call
+that fills a frame blocks (counting ``serve_backpressure_waits_total``),
 which in turn stalls the socket reader coroutine -- pushback reaches the
 client's TCP window instead of growing a buffer.
 
@@ -40,14 +51,14 @@ import queue as queue_module
 import signal
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from collections import deque
 
 from repro.errors import ProtocolError, ServeError
 from repro.obs import metrics as obs_metrics
-from repro.serve.routing import HashRing, validate_tenant
+from repro.serve.routing import HashRing
 from repro.serve.shard import ShardOptions
 from repro.serve.worker import worker_main
 
@@ -57,6 +68,12 @@ RESPAWN_LIMIT = 3
 
 #: Seconds between liveness polls while draining.
 DRAIN_POLL_SECONDS = 0.02
+
+#: Most events one frame (one command-queue message) carries.
+FRAME_EVENTS = 64
+
+#: One frame item: ``(tenant, seq, std_line, enqueued_at)``.
+FrameItem = Tuple[str, int, str, float]
 
 
 @dataclass(frozen=True)
@@ -86,6 +103,11 @@ class _Worker:
     commands: Any = None
     respawns: int = 0
     crash_after: Optional[int] = None  #: fault injection, first spawn only
+    #: Accepted events not yet queued (guarded by the supervisor lock).
+    frame: List[FrameItem] = field(default_factory=list)
+    #: Held while queueing, so frames and commands leave in buffer order
+    #: and a respawn's replay cannot interleave with a send.
+    sending: Any = field(default_factory=threading.RLock)
 
 
 class Supervisor:
@@ -112,6 +134,7 @@ class Supervisor:
         self.shard_options = shard_options
         self.worker_count = workers
         self.queue_size = queue_size
+        self.frame_events = min(FRAME_EVENTS, queue_size)
         self.quota_events = quota_events
         self.on_finding = on_finding
         self.on_notice = on_notice
@@ -128,6 +151,7 @@ class Supervisor:
         self._state: Dict[str, str] = {}  # active | ending | done
         self._seq: Dict[str, int] = {}
         self._journal: Dict[str, Deque[Tuple[int, str]]] = {}
+        self._owner: Dict[str, _Worker] = {}  #: the ring's pick, cached
         self._summaries: Dict[str, Dict[str, Any]] = {}
         self._errors: List[Tuple[str, str]] = []
         self._seen_findings: Set[Tuple[str, str, int, str]] = set()
@@ -171,7 +195,10 @@ class Supervisor:
         if self._started:
             raise ServeError("supervisor already started")
         self._started = True
-        self._results = self._context.Queue()
+        # Workers write results synchronously (no feeder thread), so a
+        # batch put before a checkpoint ack has left the worker before
+        # it can die.
+        self._results = self._context.SimpleQueue()
         for index in range(self.worker_count):
             crash_after = None
             if self._crash_spec is not None and index == self._crash_spec[0]:
@@ -188,7 +215,8 @@ class Supervisor:
 
     def _spawn(self, worker: _Worker,
                crash_after: Optional[int] = None) -> None:
-        worker.commands = self._context.Queue(maxsize=self.queue_size)
+        worker.commands = self._context.Queue(
+            maxsize=max(1, self.queue_size // self.frame_events))
         worker.process = self._context.Process(
             target=worker_main,
             args=(worker.index, worker.commands, self._results,
@@ -220,21 +248,18 @@ class Supervisor:
         """Accept one STD event line for ``tenant``; returns its sequence
         number.  Raises :class:`~repro.errors.ProtocolError` for ended
         tenants and exceeded quotas (the event is NOT accepted)."""
-        validate_tenant(tenant)
         with self._lock:
             state = self._state.get(tenant)
             if state in ("ending", "done"):
                 raise ProtocolError(
                     f"tenant {tenant!r} already ended its feed")
             if state is None:
-                self._state[tenant] = "active"
-                self._seq[tenant] = 0
-                self._journal[tenant] = deque()
+                self._open_tenant(tenant)
                 if self._registry is not None:
                     self._registry.counter("serve_tenants_total").inc()
                 self._notice("info",
                              f"tenant {tenant} -> worker "
-                             f"{self._ring.route(tenant)}")
+                             f"{self._owner[tenant].index}")
             if self.quota_events is not None \
                     and self._seq[tenant] >= self.quota_events:
                 self.rejected += 1
@@ -247,14 +272,30 @@ class Supervisor:
             self._seq[tenant] += 1
             seq = self._seq[tenant]
             self._journal[tenant].append((seq, std_line))
-        self._put(self._ring.route(tenant),
-                  ("event", tenant, seq, std_line, time.time()))
+            worker = self._owner[tenant]
+            worker.frame.append((tenant, seq, std_line, time.time()))
+            full = len(worker.frame) >= self.frame_events
+        if full:
+            self._send(worker)
         return seq
+
+    def _open_tenant(self, tenant: str) -> None:
+        """Start tracking a new tenant (caller holds the lock)."""
+        owner = self._workers[self._ring.route(tenant)]  # validates the id
+        self._state[tenant] = "active"
+        self._seq[tenant] = 0
+        self._journal[tenant] = deque()
+        self._owner[tenant] = owner
+
+    def flush(self) -> None:
+        """Queue every worker's partly filled frame now (the front door
+        calls this whenever its input runs dry)."""
+        for worker in self._workers:
+            self._send(worker)
 
     def end_tenant(self, tenant: str) -> None:
         """Mark ``tenant``'s feed complete; its summary arrives through
         the collector once the worker finishes the final flush."""
-        validate_tenant(tenant)
         with self._lock:
             state = self._state.get(tenant)
             if state == "done" or state == "ending":
@@ -262,11 +303,9 @@ class Supervisor:
             if state is None:
                 # An end before any event: materialize the tenant so it
                 # still produces a (trivial) summary.
-                self._state[tenant] = "active"
-                self._seq[tenant] = 0
-                self._journal[tenant] = deque()
+                self._open_tenant(tenant)
             self._state[tenant] = "ending"
-        self._put(self._ring.route(tenant), ("end", tenant))
+        self._send(self._owner[tenant], ("end", tenant))
 
     def end_all(self) -> None:
         with self._lock:
@@ -275,62 +314,90 @@ class Supervisor:
         for tenant in sorted(active):
             self.end_tenant(tenant)
 
-    def _put(self, index: int, message: Tuple) -> None:
-        """Queue one command, respawning a dead worker and riding out
-        backpressure; never drops an accepted message."""
-        worker = self._workers[index]
+    def _send(self, worker: _Worker, message: Optional[Tuple] = None
+              ) -> None:
+        """Queue the worker's buffered frame, then ``message`` if given."""
+        with worker.sending:
+            with self._lock:
+                frame, worker.frame = worker.frame, []
+            if frame and not self._put(worker, ("frame", frame)):
+                return  # a respawn replayed the frame and any message
+            if message is not None:
+                self._put(worker, message)
+
+    def _put(self, worker: _Worker, message: Tuple) -> bool:
+        """Queue one command, riding out backpressure; never drops an
+        accepted message.  Liveness is checked once per call, i.e. once
+        per frame.  Returns ``False`` when the worker was dead and has
+        been respawned instead: the journal replay then carried every
+        event and ``end`` the message could hold."""
         while True:
             if not worker.process.is_alive():
                 self._respawn(worker)
+                return False
             try:
                 worker.commands.put(message, timeout=0.2)
-                return
+                return True
             except queue_module.Full:
                 if self._registry is not None:
                     self._registry.counter("serve_backpressure_waits_total",
-                                           worker=index).inc()
+                                           worker=worker.index).inc()
 
     # ------------------------------------------------------------------ #
     # Crash recovery
     # ------------------------------------------------------------------ #
     def _respawn(self, worker: _Worker) -> None:
-        with self._lock:
-            if not self._started or self._closing:
-                raise ServeError(
-                    f"worker {worker.index} died during shutdown")
-            if worker.process.is_alive():  # raced with another caller
-                return
-            worker.respawns += 1
-            self.respawns += 1
-            if worker.respawns > RESPAWN_LIMIT:
-                raise ServeError(
-                    f"worker {worker.index} crashed {worker.respawns} "
-                    f"times; giving up (respawn limit {RESPAWN_LIMIT})")
-            exit_code = worker.process.exitcode
-            self._notice("warning",
-                         f"worker {worker.index} died (exit {exit_code}); "
-                         f"respawning and replaying journal")
-            if self._registry is not None:
-                self._registry.counter("serve_worker_respawn_total",
-                                       worker=worker.index).inc()
-            # The old queue's buffered commands are a subset of the
-            # journals -- abandon it wholesale and replay from the
-            # journals instead (fault injection never survives a respawn).
-            self._spawn(worker, crash_after=None)
-            replay: List[Tuple[str, str, List[Tuple[int, str]]]] = []
-            for tenant in sorted(self._state):
-                if self._state[tenant] == "done":
-                    continue
-                if self._ring.route(tenant) != worker.index:
-                    continue
-                replay.append((tenant, self._state[tenant],
-                               list(self._journal[tenant])))
-        for tenant, state, entries in replay:
-            for seq, line in entries:
-                self._replay_put(worker, ("event", tenant, seq, line,
-                                          time.time()))
-            if state == "ending":
-                self._replay_put(worker, ("end", tenant))
+        # ``sending`` is held from the journal snapshot to the end of the
+        # replay, so events accepted meanwhile queue up behind it.
+        with worker.sending:
+            with self._lock:
+                if not self._started or self._closing:
+                    raise ServeError(
+                        f"worker {worker.index} died during shutdown")
+                if worker.process.is_alive():  # raced with another caller
+                    return
+                worker.respawns += 1
+                self.respawns += 1
+                if worker.respawns > RESPAWN_LIMIT:
+                    raise ServeError(
+                        f"worker {worker.index} crashed {worker.respawns} "
+                        f"times; giving up (respawn limit {RESPAWN_LIMIT})")
+                exit_code = worker.process.exitcode
+                self._notice("warning",
+                             f"worker {worker.index} died (exit "
+                             f"{exit_code}); respawning and replaying "
+                             f"journal")
+                if self._registry is not None:
+                    self._registry.counter("serve_worker_respawn_total",
+                                           worker=worker.index).inc()
+                # The old queue's commands and the frame buffer are
+                # subsets of the journals -- abandon both wholesale and
+                # replay from the journals instead (fault injection never
+                # survives a respawn).
+                worker.frame = []
+                self._spawn(worker, crash_after=None)
+                replay: List[Tuple[str, str, List[Tuple[int, str]]]] = []
+                for tenant in sorted(self._state):
+                    if self._state[tenant] == "done":
+                        continue
+                    if self._owner[tenant] is not worker:
+                        continue
+                    replay.append((tenant, self._state[tenant],
+                                   list(self._journal[tenant])))
+            frame: List[FrameItem] = []
+            for tenant, state, entries in replay:
+                for seq, line in entries:
+                    frame.append((tenant, seq, line, time.time()))
+                    if len(frame) >= self.frame_events:
+                        self._replay_put(worker, ("frame", frame))
+                        frame = []
+                if state == "ending":
+                    if frame:
+                        self._replay_put(worker, ("frame", frame))
+                        frame = []
+                    self._replay_put(worker, ("end", tenant))
+            if frame:
+                self._replay_put(worker, ("frame", frame))
 
     def _replay_put(self, worker: _Worker, message: Tuple) -> None:
         """A bounded-queue put targeted at the respawned worker (no
@@ -359,55 +426,56 @@ class Supervisor:
     # ------------------------------------------------------------------ #
     def _collect(self) -> None:
         while True:
-            try:
-                message = self._results.get(timeout=0.1)
-            except queue_module.Empty:
-                if self._closing and not any(
-                        worker.process.is_alive()
-                        for worker in self._workers):
-                    return
-                continue
+            message = self._results.get()
             kind = message[0]
-            if kind == "finding":
-                _, _index, tenant, doc = message
-                key = (tenant, doc["analysis"], doc["position"],
-                       doc["finding"])
-                with self._lock:
-                    if key in self._seen_findings:
-                        continue  # recovery re-emission
-                    self._seen_findings.add(key)
-                    item = TenantFinding(tenant=tenant,
-                                         analysis=doc["analysis"],
-                                         position=doc["position"],
-                                         finding=doc["finding"])
-                    self.findings.append(item)
-                if self.on_finding is not None:
-                    self.on_finding(item)
-            elif kind == "ack":
-                _, _index, tenant, cursor = message
-                with self._lock:
-                    journal = self._journal.get(tenant)
-                    while journal and journal[0][0] <= cursor:
-                        journal.popleft()
-            elif kind == "summary":
-                _, _index, tenant, doc = message
-                with self._lock:
-                    self._summaries[tenant] = doc
-                    self._state[tenant] = "done"
-                    self._journal.pop(tenant, None)
-                self._notice("info",
-                             f"tenant {tenant} done: {doc['events']} "
-                             f"events, {doc['emitted']} findings")
-            elif kind == "error":
-                _, _index, tenant, text = message
-                with self._lock:
-                    self._errors.append((tenant, text))
-                self._notice("warning", f"tenant {tenant}: {text}")
+            if kind == "results":
+                self._merge(message[2])
             elif kind == "telemetry":
                 _, index, snapshot = message
                 self._snapshots[index] = snapshot
             elif kind == "stopped":
                 self._stopped.add(message[1])
+            elif kind == "closed":  # posted by stop() once workers exit
+                return
+
+    def _merge(self, records: List[Tuple]) -> None:
+        """Apply one results message (a frame's findings and acks, or a
+        command's summary/errors) under a single lock acquisition, then
+        run the callbacks outside the lock in record order."""
+        callbacks: List[Tuple[Callable, Tuple]] = []
+        with self._lock:
+            for record in records:
+                kind, tenant = record[0], record[1]
+                if kind == "finding":
+                    _, _, analysis, position, text = record
+                    key = (tenant, analysis, position, text)
+                    if key in self._seen_findings:
+                        continue  # recovery re-emission
+                    self._seen_findings.add(key)
+                    item = TenantFinding(tenant=tenant, analysis=analysis,
+                                         position=position, finding=text)
+                    self.findings.append(item)
+                    if self.on_finding is not None:
+                        callbacks.append((self.on_finding, (item,)))
+                elif kind == "ack":
+                    cursor = record[2]
+                    journal = self._journal.get(tenant)
+                    while journal and journal[0][0] <= cursor:
+                        journal.popleft()
+                elif kind == "summary":
+                    doc = record[2]
+                    self._summaries[tenant] = doc
+                    self._state[tenant] = "done"
+                    self._journal.pop(tenant, None)
+                    callbacks.append((self._notice, (
+                        "info", f"tenant {tenant} done: {doc['events']} "
+                                f"events, {doc['emitted']} findings")))
+                elif kind == "error":
+                    self._errors.append((tenant, record[2]))
+                    callbacks.append((self._notice, (
+                        "warning", f"tenant {tenant}: {record[2]}")))
+        for callback, args in callbacks:
+            callback(*args)
 
     # ------------------------------------------------------------------ #
     # Drain / shutdown
@@ -415,6 +483,7 @@ class Supervisor:
     def drain(self, timeout: float = 60.0) -> None:
         """Block until every ended tenant has reported its summary,
         recovering crashed workers along the way."""
+        self.flush()
         deadline = time.monotonic() + timeout
         while True:
             with self._lock:
@@ -436,9 +505,14 @@ class Supervisor:
             return
         self._closing = True
         for worker in self._workers:
-            if worker.process.is_alive():
+            with self._lock:
+                frame, worker.frame = worker.frame, []
+            messages = [("frame", frame)] if frame else []
+            for message in messages + [("stop",)]:
+                if not worker.process.is_alive():
+                    break
                 try:
-                    worker.commands.put(("stop",), timeout=1.0)
+                    worker.commands.put(message, timeout=1.0)
                 except queue_module.Full:  # pragma: no cover - stuck worker
                     pass
         deadline = time.monotonic() + timeout
@@ -449,6 +523,7 @@ class Supervisor:
                 worker.process.terminate()
                 worker.process.join(timeout=1.0)
         if self._collector is not None:
+            self._results.put(("closed",))
             self._collector.join(timeout=5.0)
         if self._registry is not None:
             from repro.obs.context import merge_snapshot

@@ -3,26 +3,37 @@ a command queue.
 
 Command messages (tuples, first element is the verb):
 
-* ``("event", tenant, seq, std_line, enqueued_at)`` -- feed one event;
-* ``("end", tenant)``                               -- final flush, reply
-  with the tenant's summary;
-* ``("checkpoint", tenant)``                        -- checkpoint now;
-* ``("stop",)``                                     -- drain-free
-  shutdown: ship telemetry, reply ``stopped``, exit.
+* ``("frame", [(tenant, seq, std_line, enqueued_at), ...])`` -- feed each
+  event in order (see :data:`repro.serve.supervisor.FRAME_EVENTS`);
+* ``("end", tenant)``        -- final flush, reply with the tenant's
+  summary;
+* ``("checkpoint", tenant)`` -- checkpoint now;
+* ``("stop",)``              -- drain-free shutdown: ship telemetry,
+  reply ``stopped``, exit.
 
 Result messages (posted to the shared results queue; every message leads
 with the worker index so the collector can attribute it):
 
-* ``("finding", index, tenant, {"analysis", "position", "finding"})``
-* ``("ack", index, tenant, cursor)``   -- checkpoint written;
-* ``("summary", index, tenant, doc)``  -- tenant ended;
-* ``("error", index, tenant, message)`` -- a command failed (the tenant's
-  feed is poisoned; subsequent events for it are dropped and re-reported,
-  but its ``end`` still yields a summary so the supervisor's drain
-  terminates, with the poison recorded under ``errors.ingest``);
-* ``("telemetry", index, snapshot)``   -- the worker registry's snapshot,
+* ``("results", index, records)`` -- everything one command produced, in
+  order, as one message.  A record is one of
+
+  - ``("finding", tenant, analysis, position, text)``;
+  - ``("ack", tenant, cursor)``   -- checkpoint written;
+  - ``("summary", tenant, doc)``  -- tenant ended;
+  - ``("error", tenant, message)`` -- the tenant's input failed (its
+    feed is poisoned; subsequent events for it are dropped and
+    re-reported, but its ``end`` still yields a summary so the
+    supervisor's drain terminates, with the poison recorded under
+    ``errors.ingest``).  Any exception counts, not only
+    :class:`~repro.errors.ReproError`: one tenant's input must not kill
+    the worker hosting the others.
+
+  Records are also sent early, right after a checkpoint ack, so the
+  findings a checkpoint covers have left the process before anything
+  can lose them (a replay would not re-emit them);
+* ``("telemetry", index, snapshot)`` -- the worker registry's snapshot,
   shipped once at shutdown;
-* ``("stopped", index)``               -- clean exit marker.
+* ``("stopped", index)``          -- clean exit marker.
 
 Telemetry: when enabled, the worker installs a fresh registry and runs
 everything under one ``serve_worker`` root span.  Root spans are stamped
@@ -31,18 +42,32 @@ span tree opens its own lane when the supervisor merges snapshots into
 the session timeline.
 
 Fault injection: ``crash_after=N`` makes the worker die via ``os._exit``
-(no cleanup, no queue flush -- as close to ``kill -9`` as cooperating
-code gets) after consuming N event commands.  The supervisor only passes
-it to a worker's *first* incarnation, so a respawned worker survives.
+(no cleanup, unsent records lost -- as close to ``kill -9`` as
+cooperating code gets) after consuming N events, even in the middle of a
+frame.  The supervisor only passes it to a worker's *first* incarnation,
+so a respawned worker survives.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Any, Dict, Optional
+import traceback
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
 from repro.serve.shard import ShardOptions, TenantShard
+
+
+def report_failure(error: Exception) -> str:
+    """The tenant error text for a failed feed: a library error's own
+    message; anything else is a bug rather than bad input, so its
+    traceback also goes to stderr and its text names the type."""
+    text = str(error)
+    if isinstance(error, ReproError):
+        return text
+    traceback.print_exception(type(error), error, error.__traceback__)
+    name = type(error).__name__
+    return f"{name}: {text}" if text else name
 
 
 def worker_main(index: int, commands, results, options: ShardOptions,
@@ -59,55 +84,74 @@ def worker_main(index: int, commands, results, options: ShardOptions,
         root_span = registry.span("serve_worker", worker=index)
         root_span.__enter__()
 
+    records: List[Tuple] = []
+
+    def send() -> None:
+        if records:
+            results.put(("results", index, list(records)))
+            records.clear()
+
     def emit(tenant: str, item: Any) -> None:
-        results.put(("finding", index, tenant,
-                     {"analysis": item.analysis, "position": item.position,
-                      "finding": str(item.finding)}))
+        records.append(("finding", tenant, item.analysis, item.position,
+                        str(item.finding)))
 
     def ack(tenant: str, cursor: int) -> None:
-        results.put(("ack", index, tenant, cursor))
+        records.append(("ack", tenant, cursor))
+        send()
 
     shard = TenantShard(options, on_finding=emit, on_checkpoint=ack)
     #: Tenants whose feed raised: drop their further events, reporting
     #: each drop, instead of cascading one bad line into a crash loop.
     poisoned: Dict[str, str] = {}
-    consumed = 0
 
+    def poison(tenant: str, error: Exception) -> None:
+        poisoned[tenant] = report_failure(error)
+        records.append(("error", tenant, poisoned[tenant]))
+
+    consumed = 0
     while True:
         message = commands.get()
         verb = message[0]
         if verb == "stop":
             break
-        try:
-            if verb == "event":
-                _, tenant, seq, line, enqueued_at = message
+        if verb == "frame":
+            for tenant, seq, line, enqueued_at in message[1]:
                 if tenant in poisoned:
-                    results.put(("error", index, tenant, poisoned[tenant]))
+                    records.append(("error", tenant, poisoned[tenant]))
                     continue
-                shard.feed_line(tenant, seq, line, enqueued_at)
+                try:
+                    shard.feed_line(tenant, seq, line, enqueued_at)
+                except Exception as error:  # noqa: BLE001 - see docstring
+                    poison(tenant, error)
+                    continue
                 consumed += 1
                 if crash_after is not None and consumed >= crash_after:
                     # Simulated hard crash -- see module docstring.
                     os._exit(1)
-            elif verb == "end":
-                _, tenant = message
-                # A poisoned tenant still gets a summary (covering what
-                # it consumed before the bad line) -- the supervisor's
-                # drain must terminate even for broken feeds.
-                error = poisoned.pop(tenant, None)
+        elif verb == "end":
+            _, tenant = message
+            # A poisoned tenant still gets a summary (covering what it
+            # consumed before the bad line) -- the supervisor's drain
+            # must terminate even for broken feeds.
+            error = poisoned.pop(tenant, None)
+            try:
                 doc = shard.end_tenant(tenant)
-                if error is not None:
-                    doc.setdefault("errors", {})["ingest"] = error
-                    results.put(("error", index, tenant, error))
-                results.put(("summary", index, tenant, doc))
-            elif verb == "checkpoint":
-                _, tenant = message
-                if tenant not in poisoned:
+            except Exception as failure:  # noqa: BLE001 - see docstring
+                error = error or report_failure(failure)
+                doc = {"type": "summary", "name": tenant, "events": 0,
+                       "emitted": 0, "final": {}}
+            if error is not None:
+                doc.setdefault("errors", {})["ingest"] = error
+                records.append(("error", tenant, error))
+            records.append(("summary", tenant, doc))
+        elif verb == "checkpoint":
+            _, tenant = message
+            if tenant not in poisoned:
+                try:
                     shard.checkpoint_tenant(tenant)
-        except ReproError as error:
-            tenant = message[1] if len(message) > 1 else "?"
-            poisoned[tenant] = str(error)
-            results.put(("error", index, tenant, str(error)))
+                except Exception as error:  # noqa: BLE001 - see docstring
+                    poison(tenant, error)
+        send()
 
     if root_span is not None:
         root_span.__exit__(None, None, None)

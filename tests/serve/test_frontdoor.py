@@ -68,7 +68,8 @@ class TestSocket:
 
         def body():
             state["outcome"] = run_serve(
-                ANALYSES, host="127.0.0.1", port=0, backend=None,
+                kwargs.pop("analyses", ANALYSES), host="127.0.0.1", port=0,
+                backend=None,
                 stop_after_seconds=kwargs.pop("stop_after", 2.0),
                 on_notice=notice, **kwargs)
 
@@ -109,6 +110,57 @@ class TestSocket:
         assert all(r.startswith(ERROR_PREFIX) for r in responses)
         outcome = state["outcome"]
         assert outcome.summaries["t1"]["events"] == 2
+
+    def test_errors_come_back_in_line_order(self):
+        """Lines rejected while parsing and lines the supervisor rejects
+        are answered in the order they were sent."""
+        thread, state = self.run_server(workers=1, stop_after=2.0,
+                                        quota_events=1)
+        lines = ["t1|0|read|variable=str:x",
+                 "t1|0|read|variable=str:x",   # over quota
+                 "not-an-ingest-line",
+                 "t1|0|read|variable=str:x",   # over quota
+                 "#frobnicate",
+                 "#end|t1",
+                 "t1|0|read|variable=str:x",   # after #end
+                 BYE_LINE]
+        responses = send_lines("127.0.0.1", state["port"], lines)
+        thread.join(timeout=30.0)
+        assert [response.split("|", 2)[2].split(" ", 1)[0]
+                for response in responses] \
+            == ["tenant", "malformed", "tenant", "unknown", "tenant"]
+        assert "quota" in responses[0] and "quota" in responses[2]
+        assert "already ended" in responses[4]
+
+    def test_finding_arrives_without_end_or_bye(self):
+        """No latency traded for throughput: with the connection still
+        open and no #end, the partial frame is flushed once the front
+        door's input runs dry, so the finding reaches on_finding."""
+        import socket
+
+        found = threading.Event()
+        thread, state = self.run_server(
+            workers=1, stop_after=4.0, analyses=("c11-races",),
+            on_finding=lambda item: found.set())
+        with socket.create_connection(("127.0.0.1", state["port"]),
+                                      timeout=10.0) as sock:
+            sock.sendall(b"t1|0|write|variable=str:x|value=int:1\n"
+                         b"t1|1|read|variable=str:x\n")
+            assert found.wait(timeout=3.0), "finding held back"
+        thread.join(timeout=30.0)
+        assert state["outcome"].findings_for("t1")
+
+    def test_unterminated_line_is_bounded(self):
+        import socket
+
+        thread, state = self.run_server(workers=0, stop_after=2.0)
+        with socket.create_connection(("127.0.0.1", state["port"]),
+                                      timeout=10.0) as sock:
+            sock.sendall(b"t1|" + b"x" * 100_000)
+            replies = sock.makefile("r", encoding="utf-8").read()
+        thread.join(timeout=30.0)
+        assert replies.startswith(ERROR_PREFIX + "?|line exceeds")
+        assert replies.count("\n") == 1
 
     def test_quota_rejections_reach_the_client(self):
         thread, state = self.run_server(workers=1, stop_after=2.0,

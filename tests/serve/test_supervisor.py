@@ -8,14 +8,18 @@ uninterrupted run.
 
 import json
 import os
+import queue
+import sys
+import threading
 
 import pytest
 
 from repro.errors import ProtocolError, ServeError
-from repro.serve.frontdoor import replay_sources
+from repro.serve.frontdoor import open_replay, replay_sources
 from repro.serve.service import run_serve
 from repro.serve.shard import ShardOptions
-from repro.serve.supervisor import Supervisor, TenantFinding
+from repro.serve.supervisor import FRAME_EVENTS, Supervisor, TenantFinding
+from repro.serve.worker import worker_main
 
 ANALYSES = ("race-prediction", "deadlock-prediction")
 SOURCES = ["racy:threads=3,events=60,seed=1",
@@ -23,11 +27,12 @@ SOURCES = ["racy:threads=3,events=60,seed=1",
            "deadlock:threads=4,events=50,seed=3"]
 
 
-def findings_by_tenant(outcome):
-    """Tenant-stable ordering: the parity comparison key."""
+def findings_by_tenant(run):
+    """Tenant-stable ordering: the parity comparison key (``run`` is a
+    ``ServeOutcome`` or a stopped ``Supervisor``)."""
     return {tenant: sorted((f.analysis, f.position, f.finding)
-                           for f in outcome.findings_for(tenant))
-            for tenant in outcome.tenants}
+                           for f in run.findings_for(tenant))
+            for tenant in sorted(run.summaries)}
 
 
 def final_documents(outcome):
@@ -95,10 +100,8 @@ class TestCrashRecovery:
             supervisor.stop()
         assert killed, "kill hook never fired"
         assert supervisor.respawns >= 1
-        got = {tenant: sorted((f.analysis, f.position, f.finding)
-                              for f in supervisor.findings_for(tenant))
-               for tenant in sorted(supervisor.summaries)}
-        assert got == findings_by_tenant(baseline)
+        assert findings_by_tenant(supervisor) == \
+            findings_by_tenant(baseline)
 
     def test_crash_without_checkpoints_still_recovers(self, baseline):
         """No checkpoint_dir: the journal holds each tenant's WHOLE feed,
@@ -123,6 +126,198 @@ class TestCrashRecovery:
         names = {item["name"] for item in snapshot["counters"]}
         assert "serve_worker_respawn_total" in names
         assert "serve_events_total" in names
+
+
+class TestFrames:
+    """Events reach workers in frames of FRAME_EVENTS; recovery must not
+    care where in a frame a worker dies."""
+
+    @pytest.mark.parametrize("spec", ["0@40", "0@64", "0@65"])
+    def test_crash_anywhere_in_a_frame_keeps_parity(self, baseline,
+                                                    tmp_path, spec):
+        """0@40 dies mid-frame, 0@64 on the frame boundary, 0@65 on the
+        first event of the next frame."""
+        assert FRAME_EVENTS == 64
+        crashed = run_serve(ANALYSES, sources=SOURCES, workers=2,
+                            backend=None,
+                            checkpoint_dir=str(tmp_path),
+                            checkpoint_every=16,
+                            crash_worker=spec)
+        assert crashed.respawns == 1
+        assert crashed.errors == []
+        assert findings_by_tenant(crashed) == findings_by_tenant(baseline)
+        assert crashed.summaries == baseline.summaries
+
+    def test_queue_size_one_sends_every_event_at_once(self, baseline,
+                                                      tmp_path):
+        supervisor = Supervisor(
+            ShardOptions(analyses=ANALYSES, backend=None,
+                         checkpoint_dir=str(tmp_path),
+                         checkpoint_every=16),
+            workers=2, queue_size=1)
+        assert supervisor.frame_events == 1
+        supervisor.start()
+        # Each command queue holds one one-event frame, and nothing waits
+        # in the supervisor: at most queue_size events per worker.
+        assert [worker.commands._maxsize
+                for worker in supervisor._workers] == [1, 1]
+        buffered = []
+
+        def in_flight(_tenant, _seq):
+            buffered.append(sum(len(worker.frame)
+                                for worker in supervisor._workers))
+
+        try:
+            replay_sources(supervisor, SOURCES, on_sent=in_flight)
+            supervisor.drain(timeout=60.0)
+        finally:
+            supervisor.stop()
+        assert buffered and set(buffered) == {0}
+        assert supervisor.errors == []
+        assert findings_by_tenant(supervisor) == \
+            findings_by_tenant(baseline)
+        assert supervisor.summaries == baseline.summaries
+
+    def test_frame_size_and_queue_depth_follow_queue_size(self):
+        options = ShardOptions(analyses=ANALYSES)
+        assert Supervisor(options, workers=1).frame_events == FRAME_EVENTS
+        assert Supervisor(options, workers=1,
+                          queue_size=10).frame_events == 10
+
+    def test_worker_answers_each_frame_with_one_message(self):
+        """Run the worker loop in-process: one frame in, one results
+        message out, holding every finding in order."""
+        commands, results = queue.Queue(), queue.Queue()
+        lines = ["0|write|variable=str:x|value=int:1",
+                 "1|read|variable=str:x",
+                 "2|read|variable=str:x"]
+        commands.put(("frame", [("t", seq, line, 0.0) for seq, line
+                                in enumerate(lines, start=1)]))
+        commands.put(("end", "t"))
+        commands.put(("stop",))
+        worker_main(0, commands, results,
+                    ShardOptions(analyses=("c11-races",), backend=None))
+        messages = []
+        while not results.empty():
+            messages.append(results.get())
+        assert [message[0] for message in messages] \
+            == ["results", "results", "stopped"]
+        frame_records, end_records = messages[0][2], messages[1][2]
+        assert [record[0] for record in frame_records] \
+            == ["finding", "finding"]
+        assert [record[2] for record in frame_records] == ["c11-races"] * 2
+        assert [record[0] for record in end_records] == ["summary"]
+        assert end_records[0][2]["emitted"] == 2
+
+    def test_checkpoint_ack_sends_the_findings_it_covers(self, tmp_path):
+        """A checkpoint mid-frame ships the records so far at once: a
+        crash later in the frame must not lose findings that a replay
+        from that checkpoint would never re-emit."""
+        commands, results = queue.Queue(), queue.Queue()
+        lines = ["0|write|variable=str:x|value=int:1",
+                 "1|read|variable=str:x",
+                 "2|read|variable=str:x"]
+        commands.put(("frame", [("t", seq, line, 0.0) for seq, line
+                                in enumerate(lines, start=1)]))
+        commands.put(("stop",))
+        worker_main(0, commands, results,
+                    ShardOptions(analyses=("c11-races",), backend=None,
+                                 checkpoint_dir=str(tmp_path),
+                                 checkpoint_every=2))
+        first, second = results.get()[2], results.get()[2]
+        assert [record[0] for record in first] == ["finding", "ack"]
+        assert first[1] == ("ack", "t", 2)
+        assert [record[0] for record in second] == ["finding"]
+        assert results.get() == ("stopped", 0)
+
+    def test_partial_frame_waits_for_flush(self):
+        supervisor = Supervisor(ShardOptions(analyses=ANALYSES,
+                                             backend=None), workers=1)
+        supervisor.start()
+        try:
+            for _ in range(3):
+                supervisor.ingest_event("t", "0|read|variable=str:x")
+            worker = supervisor._workers[0]
+            assert len(worker.frame) == 3
+            supervisor.flush()
+            assert worker.frame == []
+            supervisor.end_tenant("t")
+            supervisor.drain(timeout=30.0)
+        finally:
+            supervisor.stop()
+        assert supervisor.summaries["t"]["events"] == 3
+
+
+class TestConcurrentIngest:
+    def test_threads_sharing_frame_buffers_lose_and_reorder_nothing(self):
+        """Six ingest threads (one tenant each, started together) share
+        three workers' frame buffers and one-frame queues under a tiny
+        switch interval: a lost or reordered event would show as a
+        sequence-gap tenant error or a summary that differs from the
+        inline run."""
+        sources = [f"racy:threads=3,events=100,seed={seed}"
+                   for seed in range(1, 7)]
+        baseline = run_serve(ANALYSES, sources=sources, workers=0,
+                             backend=None)
+        supervisor = Supervisor(ShardOptions(analyses=ANALYSES,
+                                             backend=None),
+                                workers=3, queue_size=2)
+        failures = []
+        start = threading.Barrier(len(sources))
+
+        def feed(tenant, lines):
+            lines = list(lines)
+            start.wait(timeout=30.0)
+            try:
+                for line in lines:
+                    supervisor.ingest_event(tenant, line)
+                supervisor.end_tenant(tenant)
+            except Exception as error:  # noqa: BLE001 - reported below
+                failures.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        supervisor.start()
+        try:
+            threads = [threading.Thread(target=feed, args=feed_args)
+                       for feed_args in open_replay(sources)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+                assert not thread.is_alive()
+            supervisor.drain(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+            supervisor.stop()
+        assert failures == []
+        assert supervisor.errors == []
+        assert supervisor.summaries == baseline.summaries
+        assert findings_by_tenant(supervisor) == \
+            findings_by_tenant(baseline)
+
+
+class TestTenantIsolation:
+    def test_worker_survives_a_tenant_that_exhausts_memory(self, tmp_path):
+        """A thread id of 3,000,000 makes the flat CSST ask for a
+        (2**22)**2 matrix: MemoryError.  It must poison that tenant
+        only, not crash-loop the worker and abort the service."""
+        bad = tmp_path / "bad.std"
+        bad.write_text("0|write|variable=str:x|value=int:1\n"
+                       "3000000|read|variable=str:x\n")
+        good = tmp_path / "good.std"
+        good.write_text("0|write|variable=str:x|value=int:1\n"
+                        "1|read|variable=str:x\n")
+        outcome = run_serve(("c11-races",), sources=[str(bad), str(good)],
+                            workers=1)
+        assert outcome.respawns == 0
+        assert outcome.tenants == ["bad", "good"]
+        assert [tenant for tenant, _ in outcome.errors] == ["bad"]
+        assert "MemoryError" in outcome.errors[0][1]
+        assert "MemoryError" in outcome.summaries["bad"]["errors"]["ingest"]
+        alone = run_serve(("c11-races",), sources=[str(good)], workers=0)
+        assert outcome.summaries["good"] == alone.summaries["good"]
+        assert outcome.findings_for("good") == alone.findings_for("good")
 
 
 class TestQuotas:
