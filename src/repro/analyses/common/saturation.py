@@ -18,6 +18,27 @@ consistency checking, race prediction, and the memory-bug analyses (see the
 citations in Section 1.1 of the paper).  Because the inserted orderings land
 between arbitrary events of the trace, this is the archetypal *non-streaming*
 workload CSSTs were designed for.
+
+Frontier queries
+----------------
+Both rules ask reachability questions between one read ``r``, its writer
+``w`` and each competing write ``w'``.  They are not asked one competitor
+at a time.  For a fixed node ``e`` and a chain ``t``, the nodes of ``t``
+that reach ``e`` form a prefix of ``t`` (program order extends any path
+backwards), and the nodes ``e`` reaches form a suffix.  So the prefix's
+last index, ``predecessor(e, t)``, and the suffix's first index,
+``successor(e, t)``, decide the question for every node of ``t`` by one
+integer comparison: ``w' ->* e`` iff ``index(w') <= predecessor(e, t)``,
+and ``e ->* w'`` iff ``successor(e, t) <= index(w')``.  Four such
+*frontiers* per chain -- ``predecessor(r, t)``, ``predecessor(w, t)``,
+``successor(w, t)`` and ``successor(r, t)`` -- answer both rules for all
+competitors on ``t``; each is queried on first use (the per-chain form of
+the question that CSSTs answer in one ``O(log n)`` suffix-minima lookup).
+The answers are exact, not approximations: a frontier is a fact about the
+current order, and the engine drops every cached frontier whenever it
+inserts an edge.  Every test therefore comes out as a ``reachable`` call
+would answer it at that moment, and the engine inserts the same edges in
+the same order as a loop asking ``reachable`` per competitor.
 """
 
 from __future__ import annotations
@@ -29,6 +50,9 @@ from repro.core.interface import PartialOrder
 from repro.errors import AnalysisError
 from repro.trace.event import Event
 from repro.analyses.common.hb import insert_ordering
+
+#: Frontier value for "``event`` reaches no node of the chain".
+_NO_SUCCESSOR = 1 << 62
 
 
 class CycleDetected(AnalysisError):
@@ -126,36 +150,93 @@ class SaturationEngine:
             (item for item in reads_from.items() if item[1] is not None),
             key=lambda item: (str(item[0].variable), item[0].thread, item[0].index),
         )
+        # The competing writes of each variable, as ``(event, chain,
+        # index)``, built once per call.
+        competitors: Dict[object, List[Tuple[Event, int, int]]] = {}
+        for read, _write in by_location:
+            if read.variable not in competitors:
+                competitors[read.variable] = [
+                    (event, event.thread, event.index)
+                    for event in self._writes_by_variable.get(read.variable, ())
+                    if event.is_write]
         inserted = 0
         for _ in range(max_rounds):
             changed = 0
             for read, write in by_location:
-                changed += self._saturate_read(read, write)
+                changed += self._saturate_read(read, write,
+                                               competitors[read.variable])
             inserted += changed
             if changed == 0:
                 return inserted
         return inserted
 
-    def _saturate_read(self, read: Event, write: Event) -> int:
+    def _saturate_read(self, read: Event, write: Event,
+                       competitors: List[Tuple[Event, int, int]]) -> int:
+        """Apply the rules for one read against every competing write.
+
+        A competitor ``c`` on chain ``t`` reaches ``read`` iff its index is
+        at most ``predecessor(read, t)``, and ``write`` reaches ``c`` iff
+        its index is at least ``successor(write, t)``; likewise for the
+        other two tests.  So four frontiers per chain, each queried on
+        first use, answer every competitor on that chain.  They are exact
+        only for the current order, so every inserted edge drops them.
+        """
         inserted = 0
         if self.add_ordering(write, read):
             inserted += 1
-        for competitor in self._writes_by_variable.get(read.variable, ()):
-            if competitor is write or not competitor.is_write:
+        write_chain, write_index = write.thread, write.index
+        # Per chain: [pred(read), pred(write), succ(write), succ(read)].
+        frontiers: Dict[int, List[Optional[int]]] = {}
+        for competitor, chain, index in competitors:
+            if competitor is write or (chain == write_chain
+                                       and index == write_index):
                 continue
-            if competitor.node == write.node:
-                continue
+            bounds = frontiers.get(chain)
+            if bounds is None:
+                bounds = frontiers[chain] = [None, None, None, None]
             # Competing write already before the read: force it before the writer.
-            if self._reaches(competitor, read) and not self._reaches(competitor, write):
-                if self.add_ordering(competitor, write):
+            bound = bounds[0]
+            if bound is None:
+                bound = self._frontier(bounds, 0, read, chain)
+            if index <= bound:
+                bound = bounds[1]
+                if bound is None:
+                    bound = self._frontier(bounds, 1, write, chain)
+                if index > bound and self.add_ordering(competitor, write):
                     inserted += 1
+                    frontiers.clear()
+                    bounds = frontiers[chain] = [None, None, None, None]
             # Writer already before the competing write: force the read before it.
-            if self._reaches(write, competitor) and not self._reaches(read, competitor):
-                if competitor is not write and self.add_ordering(read, competitor):
+            bound = bounds[2]
+            if bound is None:
+                bound = self._frontier(bounds, 2, write, chain)
+            if index >= bound:
+                bound = bounds[3]
+                if bound is None:
+                    bound = self._frontier(bounds, 3, read, chain)
+                if index < bound and self.add_ordering(read, competitor):
                     inserted += 1
+                    frontiers.clear()
         return inserted
 
-    def _reaches(self, source: Event, target: Event) -> bool:
-        if source.thread == target.thread:
-            return source.index <= target.index
-        return self._order.reachable(source.node, target.node)
+    def _frontier(self, bounds: List[Optional[int]], slot: int,
+                  event: Event, chain: int) -> int:
+        """Query, store and return ``bounds[slot]`` for ``event``.
+
+        Slots 0 and 1 hold the latest index of ``chain`` that reaches
+        ``event`` (``-1`` when none does); slots 2 and 3 the earliest index
+        of ``chain`` that ``event`` reaches (:data:`_NO_SUCCESSOR` when
+        none).  On ``event``'s own chain both are its own index.
+        """
+        if event.thread == chain:
+            bound = event.index
+        elif slot < 2:
+            bound = self._order.predecessor(event.node, chain)
+            if bound is None:
+                bound = -1
+        else:
+            bound = self._order.successor(event.node, chain)
+            if bound is None:
+                bound = _NO_SUCCESSOR
+        bounds[slot] = bound
+        return bound

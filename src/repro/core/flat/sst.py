@@ -18,7 +18,8 @@ through the public :class:`~repro.core.suffix_minima.SuffixMinima` API:
   ``*_int`` variants skip that translation and are what the flat CSSTs call
   in their inner loops.
 * All traversals are iterative (explicit stacks / parent tracking), so no
-  Python frame is created per tree level.
+  Python frame is created per tree level.  ``suffix_min_int`` is the same
+  single root-to-leaf walk as the object SST's ``suffix_min``.
 
 Answers are identical to the object SST on every operation sequence; the
 property tests in ``tests/core`` cross-check both against the naive oracle.
@@ -163,32 +164,24 @@ class FlatSparseSegmentTree(SuffixMinima):
 
     def suffix_min_int(self, index: int) -> int:
         """``min(A[index:])`` with the :data:`INT_INF` empty convention."""
-        root = self._root
-        if root == _NIL:
+        node = self._root
+        if node == _NIL:
             return INT_INF
+        start_a = self._start
         end_a = self._end
-        if index > end_a[root]:
+        if index > end_a[node]:
             return INT_INF
         pos_a = self._pos
         min_a = self._min
-        # Root fast path: most queries on minima-indexed trees resolve at
-        # the root (its entry is the whole array's best); skip the stack
-        # machinery for them.
-        if self._minima_indexing and pos_a[root] >= index \
-                and self._block[root] is None:
-            return min_a[root]
         left_a = self._left
         right_a = self._right
         block_a = self._block
         minima_indexing = self._minima_indexing
+        # One root-to-leaf walk towards ``index`` (same traversal as the
+        # object SST): a right child wholly inside the suffix contributes
+        # its entry, which is its subtree minimum, and is never entered.
         best = INT_INF
-        stack = [root]
-        pop = stack.pop
-        push = stack.append
-        while stack:
-            node = pop()
-            if index > end_a[node]:
-                continue
+        while node != _NIL:
             blk = block_a[node]
             if blk is not None:
                 if pos_a[node] >= index:
@@ -198,27 +191,25 @@ class FlatSparseSegmentTree(SuffixMinima):
                     for pos, value in blk.items():
                         if pos >= index and value < candidate:
                             candidate = value
-                if candidate < best:
-                    best = candidate
-                continue
+                return candidate if candidate < best else best
             node_min = min_a[node]
             if minima_indexing:
-                # The node's entry is the minimum of its whole subtree: a
-                # subtree that cannot beat ``best`` is skipped, and an entry
-                # already inside the suffix resolves immediately.
+                # Minima-indexing early exit: the subtree cannot beat
+                # ``best``, or its minimum already lies in the suffix.
                 if node_min >= best:
-                    continue
+                    return best
                 if pos_a[node] >= index:
-                    best = node_min
-                    continue
+                    return node_min
             elif pos_a[node] >= index and node_min < best:
                 best = node_min
-            child = left_a[node]
-            if child != _NIL:
-                push(child)
-            child = right_a[node]
-            if child != _NIL:
-                push(child)
+            start = start_a[node]
+            if index <= start + (end_a[node] - start) // 2:
+                right = right_a[node]
+                if right != _NIL and min_a[right] < best:
+                    best = min_a[right]
+                node = left_a[node]
+            else:
+                node = right_a[node]
         return best
 
     def argleq_int(self, value) -> int:

@@ -172,16 +172,15 @@ class SparseSegmentTree(SuffixMinima):
 
     def suffix_min(self, index: int) -> Value:
         self._check_index(index)
-        root = self._root
-        if root is None or index > root.end:
+        node = self._root
+        if node is None or index > node.end:
             return INF
+        # One root-to-leaf walk towards ``index``.  Every node's entry is
+        # the minimum of its subtree, so a right child lying wholly inside
+        # the suffix contributes its own entry and is never entered.
         best = INF
         minima_indexing = self._minima_indexing
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            if node is None or index > node.end:
-                continue
+        while node is not None:
             block = node.block
             if block is not None:
                 if node.pos >= index:
@@ -191,23 +190,25 @@ class SparseSegmentTree(SuffixMinima):
                     for pos, value in block.items():
                         if pos >= index and value < candidate:
                             candidate = value
-                if candidate < best:
-                    best = candidate
-                continue
+                return candidate if candidate < best else best
+            node_min = node.min
             if minima_indexing:
-                # The node's entry is the minimum of its whole subtree, so a
-                # subtree that cannot beat the current best is skipped, and a
-                # subtree whose indexed position lies in the suffix resolves
-                # immediately (the minima-indexing early exit).
-                if node.min >= best:
-                    continue
+                # Minima-indexing early exit: the subtree cannot beat
+                # ``best``, or its minimum already lies in the suffix.
+                if node_min >= best:
+                    return best
                 if node.pos >= index:
-                    best = node.min
-                    continue
-            elif node.pos >= index and node.min < best:
-                best = node.min
-            stack.append(node.left)
-            stack.append(node.right)
+                    return node_min
+            elif node.pos >= index and node_min < best:
+                best = node_min
+            start = node.start
+            if index <= start + (node.end - start) // 2:
+                right = node.right
+                if right is not None and right.min < best:
+                    best = right.min
+                node = node.left
+            else:
+                node = node.right
         return best
 
     def argleq(self, value: Value) -> Optional[int]:

@@ -32,6 +32,7 @@ from repro.errors import ServeError
 from repro.serve.frontdoor import replay_sources, serve_socket
 from repro.serve.shard import ShardOptions, TenantShard
 from repro.serve.supervisor import Supervisor, TenantFinding
+from repro.serve.worker import TenantGuard
 
 
 @dataclass
@@ -55,7 +56,9 @@ class _InlineService:
     """The ``workers=0`` path: one shard, no processes, no journals.
 
     Exposes the supervisor's ingest surface so the front door cannot
-    tell the difference.
+    tell the difference, and isolates tenants the way a worker does: a
+    failing tenant is poisoned (:class:`~repro.serve.worker.TenantGuard`)
+    while the others run on.
     """
 
     def __init__(self, shard_options: ShardOptions,
@@ -81,7 +84,13 @@ class _InlineService:
             if on_finding is not None:
                 on_finding(finding)
 
-        self._shard = TenantShard(shard_options, on_finding=emit)
+        def error(tenant: str, text: str) -> None:
+            self.errors.append((tenant, text))
+            if on_notice is not None:
+                on_notice("warning", f"tenant {tenant}: {text}")
+
+        self._guard = TenantGuard(
+            TenantShard(shard_options, on_finding=emit), on_error=error)
 
     def ingest_event(self, tenant: str, std_line: str) -> int:
         from repro.errors import ProtocolError
@@ -96,14 +105,14 @@ class _InlineService:
                 f"({self.quota_events})")
         seq += 1
         self._seq[tenant] = seq
-        self._shard.feed_line(tenant, seq, std_line)
+        self._guard.feed(tenant, seq, std_line)
         return seq
 
     def end_tenant(self, tenant: str) -> None:
         if self._ended.get(tenant):
             return
         self._ended[tenant] = True
-        self.summaries[tenant] = self._shard.end_tenant(tenant)
+        self.summaries[tenant] = self._guard.end(tenant)
         if self._on_notice is not None:
             doc = self.summaries[tenant]
             self._on_notice("info",

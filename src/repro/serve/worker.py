@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import os
 import traceback
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
 from repro.serve.shard import ShardOptions, TenantShard
@@ -68,6 +68,63 @@ def report_failure(error: Exception) -> str:
     traceback.print_exception(type(error), error, error.__traceback__)
     name = type(error).__name__
     return f"{name}: {text}" if text else name
+
+
+class TenantGuard:
+    """Tenant isolation around a :class:`TenantShard`, shared by the
+    worker process and the inline (``workers=0``) service.
+
+    Any exception from one tenant's feed, checkpoint or end poisons that
+    tenant only: ``on_error(tenant, text)`` reports it, and every later
+    event for the tenant is dropped and reported again.  Its ``end``
+    still yields a summary (covering what it consumed before the bad
+    line, or a minimal one if ending itself failed) with the poison
+    recorded under ``errors.ingest``.
+    """
+
+    def __init__(self, shard: TenantShard,
+                 on_error: Callable[[str, str], None]) -> None:
+        self._shard = shard
+        self._on_error = on_error
+        self._poisoned: Dict[str, str] = {}
+
+    def _poison(self, tenant: str, error: Exception) -> None:
+        self._poisoned[tenant] = report_failure(error)
+        self._on_error(tenant, self._poisoned[tenant])
+
+    def feed(self, tenant: str, seq: int, line: str,
+             enqueued_at: Optional[float] = None) -> bool:
+        """Feed one event; ``False`` when the tenant is (now) poisoned."""
+        if tenant in self._poisoned:
+            self._on_error(tenant, self._poisoned[tenant])
+            return False
+        try:
+            self._shard.feed_line(tenant, seq, line, enqueued_at)
+        except Exception as error:  # noqa: BLE001 - see class docstring
+            self._poison(tenant, error)
+            return False
+        return True
+
+    def end(self, tenant: str) -> Dict[str, Any]:
+        """End the tenant's feed and return its summary document."""
+        error = self._poisoned.pop(tenant, None)
+        try:
+            doc = self._shard.end_tenant(tenant)
+        except Exception as failure:  # noqa: BLE001 - see class docstring
+            error = error or report_failure(failure)
+            doc = {"type": "summary", "name": tenant, "events": 0,
+                   "emitted": 0, "final": {}}
+        if error is not None:
+            doc.setdefault("errors", {})["ingest"] = error
+            self._on_error(tenant, error)
+        return doc
+
+    def checkpoint(self, tenant: str) -> None:
+        if tenant not in self._poisoned:
+            try:
+                self._shard.checkpoint_tenant(tenant)
+            except Exception as error:  # noqa: BLE001 - see class docstring
+                self._poison(tenant, error)
 
 
 def worker_main(index: int, commands, results, options: ShardOptions,
@@ -99,14 +156,9 @@ def worker_main(index: int, commands, results, options: ShardOptions,
         records.append(("ack", tenant, cursor))
         send()
 
-    shard = TenantShard(options, on_finding=emit, on_checkpoint=ack)
-    #: Tenants whose feed raised: drop their further events, reporting
-    #: each drop, instead of cascading one bad line into a crash loop.
-    poisoned: Dict[str, str] = {}
-
-    def poison(tenant: str, error: Exception) -> None:
-        poisoned[tenant] = report_failure(error)
-        records.append(("error", tenant, poisoned[tenant]))
+    guard = TenantGuard(
+        TenantShard(options, on_finding=emit, on_checkpoint=ack),
+        on_error=lambda tenant, text: records.append(("error", tenant, text)))
 
     consumed = 0
     while True:
@@ -116,13 +168,7 @@ def worker_main(index: int, commands, results, options: ShardOptions,
             break
         if verb == "frame":
             for tenant, seq, line, enqueued_at in message[1]:
-                if tenant in poisoned:
-                    records.append(("error", tenant, poisoned[tenant]))
-                    continue
-                try:
-                    shard.feed_line(tenant, seq, line, enqueued_at)
-                except Exception as error:  # noqa: BLE001 - see docstring
-                    poison(tenant, error)
+                if not guard.feed(tenant, seq, line, enqueued_at):
                     continue
                 consumed += 1
                 if crash_after is not None and consumed >= crash_after:
@@ -130,27 +176,9 @@ def worker_main(index: int, commands, results, options: ShardOptions,
                     os._exit(1)
         elif verb == "end":
             _, tenant = message
-            # A poisoned tenant still gets a summary (covering what it
-            # consumed before the bad line) -- the supervisor's drain
-            # must terminate even for broken feeds.
-            error = poisoned.pop(tenant, None)
-            try:
-                doc = shard.end_tenant(tenant)
-            except Exception as failure:  # noqa: BLE001 - see docstring
-                error = error or report_failure(failure)
-                doc = {"type": "summary", "name": tenant, "events": 0,
-                       "emitted": 0, "final": {}}
-            if error is not None:
-                doc.setdefault("errors", {})["ingest"] = error
-                records.append(("error", tenant, error))
-            records.append(("summary", tenant, doc))
+            records.append(("summary", tenant, guard.end(tenant)))
         elif verb == "checkpoint":
-            _, tenant = message
-            if tenant not in poisoned:
-                try:
-                    shard.checkpoint_tenant(tenant)
-                except Exception as error:  # noqa: BLE001 - see docstring
-                    poison(tenant, error)
+            guard.checkpoint(tenant=message[1])
         send()
 
     if root_span is not None:

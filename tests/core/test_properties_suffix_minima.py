@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.core import NaiveSuffixMinima, SegmentTree, SparseSegmentTree
+from repro.core.flat import FlatSparseSegmentTree
 from repro.core.interface import INF
 
 CAPACITY = 64
@@ -29,15 +30,27 @@ def _apply(operations_list, *arrays):
 
 
 @settings(max_examples=60, deadline=None)
-@given(operations=operations, query=indexes, block_size=block_sizes)
-def test_suffix_min_agrees_with_oracle(operations, query, block_size):
+@given(operations=operations, query=indexes, block_size=block_sizes,
+       minima_indexing=st.booleans())
+def test_suffix_min_agrees_with_oracle(operations, query, block_size,
+                                       minima_indexing):
+    """Both walks of ``suffix_min`` (with and without the minima-indexing
+    early exit), on the object SST and its flat twin."""
     oracle = NaiveSuffixMinima(CAPACITY)
-    sparse = SparseSegmentTree(CAPACITY, block_size=block_size)
+    sparse = SparseSegmentTree(CAPACITY, block_size=block_size,
+                               minima_indexing=minima_indexing)
+    flat = FlatSparseSegmentTree(CAPACITY, block_size=block_size,
+                                 minima_indexing=minima_indexing)
     dense = SegmentTree(CAPACITY)
-    _apply(operations, oracle, sparse, dense)
+    _apply(operations, oracle, sparse, flat, dense)
     expected = oracle.suffix_min(query)
     assert sparse.suffix_min(query) == expected
+    assert flat.suffix_min(query) == expected
     assert dense.suffix_min(query) == expected
+    for index in range(CAPACITY):
+        expected = oracle.suffix_min(index)
+        assert sparse.suffix_min(index) == expected
+        assert flat.suffix_min(index) == expected
 
 
 @settings(max_examples=60, deadline=None)

@@ -319,6 +319,50 @@ class TestTenantIsolation:
         assert outcome.summaries["good"] == alone.summaries["good"]
         assert outcome.findings_for("good") == alone.findings_for("good")
 
+    def test_inline_service_isolates_tenants_like_a_worker(self, tmp_path):
+        """``workers=0`` (also multi-source ``repro watch``) must poison
+        the failing tenant only, with the same errors, summaries and
+        findings as a worker process."""
+        bad = tmp_path / "bad.std"
+        bad.write_text("0|write|variable=str:x|value=int:1\n"
+                       "3000000|read|variable=str:x\n")
+        good = tmp_path / "good.std"
+        good.write_text("0|write|variable=str:x|value=int:1\n"
+                        "1|read|variable=str:x\n")
+        outcomes = [run_serve(("c11-races",), sources=[str(bad), str(good)],
+                              workers=workers)
+                    for workers in (0, 1)]
+        inline, worker = outcomes
+        assert inline.errors == worker.errors
+        assert [tenant for tenant, _ in inline.errors] == ["bad"]
+        assert inline.summaries == worker.summaries
+        assert inline.findings == worker.findings
+        assert inline.tenants == ["bad", "good"]
+
+    def test_poisoned_tenant_drops_later_events_alike_inline(self, tmp_path):
+        """With a flush per event the bad line fails on feed, so the
+        tenant's later events are dropped and each drop reported, then
+        its end reports the poison again: the same three errors and
+        warnings inline and in a worker."""
+        bad = tmp_path / "bad.std"
+        bad.write_text("0|write|variable=str:x|value=int:1\n"
+                       "3000000|read|variable=str:x\n"
+                       "0|read|variable=str:x\n")
+        outcomes = []
+        for workers in (0, 1):
+            notices = []
+            outcome = run_serve(
+                ("race-prediction",), sources=[str(bad)], workers=workers,
+                flush_every=1,
+                on_notice=lambda level, _text: notices.append(level))
+            outcomes.append((outcome.errors, outcome.summaries,
+                             notices.count("warning")))
+        assert outcomes[0] == outcomes[1]
+        errors, summaries, warnings = outcomes[0]
+        assert [tenant for tenant, _ in errors] == ["bad"] * 3
+        assert "MemoryError" in summaries["bad"]["errors"]["ingest"]
+        assert warnings == 3
+
 
 class TestQuotas:
     def test_quota_rejects_excess_events(self):
