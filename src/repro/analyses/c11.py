@@ -12,6 +12,26 @@ all.  That is why the paper finds plain Vector Clocks competitive here (and
 ahead of tree-based structures on several benchmarks) -- the reproduction
 keeps that behaviour observable by processing events strictly in trace
 order.
+
+Frontier race checks
+--------------------
+For every plain access ``e`` the detector keeps, per other thread ``t``,
+at most two earlier accesses to the same variable (``t``'s latest read and
+latest write), and ``e`` races with one of them when at least one of the
+two writes and the earlier access does not reach ``e``.  These questions
+are not asked one access at a time.  The nodes of chain ``t`` that reach
+``e`` form a prefix of that chain: program order extends any path
+backwards, so if ``(t, i)`` reaches ``e`` then so does every ``(t, i')``
+with ``i' <= i``.  The prefix's last index is ``predecessor(e, t)`` -- the
+``predecessor`` operation of the dynamic-reachability problem
+(Section 2.2), one ``O(log n)`` lookup on a CSST -- so an access
+``(t, i)`` reaches ``e`` iff ``i <= predecessor(e, t)``.  One query per
+other thread, asked only when some retained access of that thread needs
+it, decides both of them exactly as two ``reachable`` calls would: the
+order does not change during the check, because race checks insert no
+edges.  Unless ``report_all`` is set, a thread whose race with ``e``'s
+thread on this variable is already reported is skipped without a query,
+since the detector would drop anything it found there.
 """
 
 from __future__ import annotations
@@ -27,7 +47,7 @@ from repro.core.instrumented import InstrumentedOrder
 from repro.core.interface import PartialOrder
 from repro.errors import AnalysisError
 from repro.trace.columns import ACQUIRE_CODE, RELEASE_CODE
-from repro.trace.event import Event, EventKind
+from repro.trace.event import WRITE_KINDS, Event, EventKind
 from repro.trace.trace import Trace
 
 
@@ -254,24 +274,40 @@ class C11RaceAnalysis(Analysis):
     # ------------------------------------------------------------------ #
     def _check_races(self, order: InstrumentedOrder, state: _DetectorState,
                      event: Event, findings: List[C11Race]) -> None:
-        per_thread = state.last_accesses.setdefault(event.variable, {})
-        for thread, history in per_thread.items():
-            if thread == event.thread:
+        """Race-check one plain access against every other thread's
+        retained accesses, one ``predecessor`` frontier per thread (see the
+        module docstring)."""
+        variable = event.variable
+        thread = event.thread
+        is_write = event.kind in WRITE_KINDS
+        reported = state.reported
+        report_all = self._report_all
+        per_thread = state.last_accesses.setdefault(variable, {})
+        for other, history in per_thread.items():
+            if other == thread:
                 continue
+            key = (variable, other, thread)
+            if not report_all and key in reported:
+                continue
+            frontier = None
             for previous in history:
-                if not (previous.is_write or event.is_write):
+                if not (is_write or previous.kind in WRITE_KINDS):
                     continue
-                if order.reachable(previous.node, event.node):
+                if frontier is None:
+                    frontier = order.predecessor(event.node, other)
+                    if frontier is None:
+                        frontier = -1
+                if previous.index <= frontier:
                     continue
-                key = (event.variable, previous.thread, event.thread)
-                if not self._report_all and key in state.reported:
-                    continue
-                state.reported.add(key)
+                reported.add(key)
                 findings.append(C11Race(previous, event))
-        history = per_thread.setdefault(event.thread, [])
+                if not report_all:
+                    break
         # Keep only the most recent write and the most recent read per thread;
         # earlier ones are subsumed for race-reporting purposes.
-        history[:] = [e for e in history if e.is_write != event.is_write][-1:]
+        history = per_thread.setdefault(thread, [])
+        history[:] = [e for e in history
+                      if (e.kind in WRITE_KINDS) != is_write][-1:]
         history.append(event)
 
 

@@ -4,7 +4,8 @@
 attached analyses.  It maintains, shared across all attachments:
 
 * the growing per-thread chains (a live :class:`~repro.trace.trace.Trace`
-  whose derived indexes advance incrementally with every event), and
+  whose derived indexes catch up with the new events whenever an analysis
+  reads them), and
 * a single shared incremental-CSST partial order holding the stream's sync
   backbone (release->acquire edges per lock, fork/join edges), inserted
   online as the corresponding events arrive.

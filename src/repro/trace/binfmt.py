@@ -757,8 +757,8 @@ class LazyTrace(Trace):
         return event
 
     def _hydrate(self) -> None:
-        """Inflate every event into the full object-level ``Trace``
-        indexes; afterwards the superclass handles everything."""
+        """Inflate every event into the object-level ``Trace`` event list
+        and chains; afterwards the superclass handles everything."""
         if self._hydrated:
             return
         append = Trace._append_existing
@@ -865,7 +865,7 @@ class LazyTrace(Trace):
         return columns.sync()
 
     # -------------------------------------------------------------- #
-    # Hydrating operations (need the object-level indexes)
+    # Hydrating operations (need every Event object)
     # -------------------------------------------------------------- #
     def add(self, event: Event) -> Event:
         self._hydrate()
@@ -875,29 +875,11 @@ class LazyTrace(Trace):
         self._hydrate()
         return super().append(thread, kind, **metadata)
 
-    def accesses_by_variable(self) -> Dict:
+    def _sync_indexes(self) -> None:
+        # Every derived-index accessor of ``Trace`` syncs first, so this
+        # one override hydrates ahead of all of them.
         self._hydrate()
-        return super().accesses_by_variable()
-
-    def writes_by_variable(self) -> Dict:
-        self._hydrate()
-        return super().writes_by_variable()
-
-    def critical_sections(self):
-        self._hydrate()
-        return super().critical_sections()
-
-    def locks_held_at(self, event: Event) -> frozenset:
-        self._hydrate()
-        return super().locks_held_at(event)
-
-    def locks_held_map(self) -> Dict:
-        self._hydrate()
-        return super().locks_held_map()
-
-    def reads_from(self) -> Dict[Event, Optional[Event]]:
-        self._hydrate()
-        return super().reads_from()
+        super()._sync_indexes()
 
     def fork_join_edges(self):
         self._hydrate()

@@ -293,10 +293,14 @@ def load_trace(source: Union[str, Path, TextIO], name: str = "trace") -> Trace:
     next_index: Dict[int, int] = {}
     trace_name = name
     for line_number, raw_line in enumerate(source, start=1):
-        header = parse_header(raw_line)
-        if header is not None:
-            trace_name = header
-            continue
+        # Only a comment line, possibly indented, can be the header; an
+        # event line starts with its thread id.
+        first = raw_line[:1]
+        if first == "#" or first.isspace():
+            header = parse_header(raw_line)
+            if header is not None:
+                trace_name = header
+                continue
         event = parse_trace_line(raw_line, next_index, line_number)
         if event is not None:
             events.append(event)

@@ -6,13 +6,16 @@ sequence ids automatically, and exposes the derived views every analysis
 needs repeatedly: per-thread chains, accesses grouped by variable, critical
 sections per lock, the observed reads-from map, and fork/join edges.
 
-The derived indexes are maintained *incrementally*: every append updates the
-per-variable access lists, the reads-from map, the lock-set map and the
-critical-section list in O(1) amortised time, so a streaming consumer
-(:mod:`repro.stream`) can feed events one at a time and query the indexes
-after every event without re-scanning the trace.  The accessor methods
-return fresh copies, as they always did, so callers can mutate the returned
-containers freely.
+An append stores the event, extends its thread's chain and checks its
+per-thread index; nothing else.  The derived indexes -- the per-variable
+access lists, the reads-from map, the lock-set map and the critical-section
+list -- are built on first read: each accessor first indexes, in one pass,
+the events appended since the previous read.  An analysis that never reads
+them (``c11-races``, ``tso-consistency``, ``linearizability``) never pays
+for them, and a streaming consumer (:mod:`repro.stream`) that interleaves
+appends with reads indexes only the new events at each read, so indexing
+still costs O(1) amortised per event.  The accessor methods return fresh
+copies, so callers can mutate the returned containers freely.
 """
 
 from __future__ import annotations
@@ -22,9 +25,20 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import TraceError
 from repro.trace.columns import TraceColumns
-from repro.trace.event import Event, EventKind
+from repro.trace.event import READ_KINDS, WRITE_KINDS, Event, EventKind
 
 Node = Tuple[int, int]
+
+_READ, _WRITE = 1, 2
+
+#: Read/write flag bits per kind (every access kind reads, writes or both),
+#: so indexing an event is one dict lookup instead of three frozenset
+#: membership tests behind ``Event`` properties.
+_KIND_FLAGS = {
+    kind: (_READ if kind in READ_KINDS else 0)
+    | (_WRITE if kind in WRITE_KINDS else 0)
+    for kind in EventKind
+}
 
 
 class CriticalSection:
@@ -65,7 +79,9 @@ class Trace:
         self._events: List[Event] = []
         self._per_thread: Dict[int, List[Event]] = defaultdict(list)
         self._next_index: Dict[int, int] = defaultdict(int)
-        # Incrementally maintained derived indexes (see class docstring).
+        # Derived indexes, built on first read (see the module docstring):
+        # ``_indexed`` events of ``_events`` are in them.
+        self._indexed = 0
         self._accesses_by_variable: Dict = defaultdict(list)
         self._writes_by_variable: Dict = defaultdict(list)
         self._reads_from: Dict[Event, Optional[Event]] = {}
@@ -92,41 +108,53 @@ class Trace:
         self._events.append(event)
         self._per_thread[event.thread].append(event)
         self._next_index[event.thread] = expected + 1
-        self._index_event(event)
+
+    def _sync_indexes(self) -> None:
+        """Index, in one pass, the events appended since the last index
+        read.  Every derived-index accessor calls this first."""
+        events = self._events
+        if self._indexed == len(events):
+            return
+        index_event = self._index_event
+        for position in range(self._indexed, len(events)):
+            index_event(events[position])
+        self._indexed = len(events)
 
     def _index_event(self, event: Event) -> None:
         """Advance every derived index by one event (O(1) amortised)."""
-        if event.is_access:
-            self._accesses_by_variable[event.variable].append(event)
-        # Reads observe the last write *before* this event, so an RMW (both
-        # read and write) must look up its writer before registering itself.
-        if event.is_read:
-            self._reads_from[event] = self._last_write.get(event.variable)
-        if event.is_write:
-            self._writes_by_variable[event.variable].append(event)
-            self._last_write[event.variable] = event
-        if event.kind is EventKind.ACQUIRE:
-            self._held_now[event.thread] = (
-                self._held_now[event.thread] | {event.variable})
-            section = CriticalSection(event.variable, event.thread, event, None)
-            self._open_sections[(event.thread, event.variable)] = section
+        kind = event.kind
+        thread = event.thread
+        flags = _KIND_FLAGS[kind]
+        if flags:
+            variable = event.variable
+            self._accesses_by_variable[variable].append(event)
+            # Reads observe the last write *before* this event, so an RMW
+            # (both read and write) must look up its writer before
+            # registering itself.
+            if flags & _READ:
+                self._reads_from[event] = self._last_write.get(variable)
+            if flags & _WRITE:
+                self._writes_by_variable[variable].append(event)
+                self._last_write[variable] = event
+        elif kind is EventKind.ACQUIRE:
+            self._held_now[thread] = self._held_now[thread] | {event.variable}
+            section = CriticalSection(event.variable, thread, event, None)
+            self._open_sections[(thread, event.variable)] = section
             self._sections.append(section)
-        elif event.kind is EventKind.RELEASE:
-            self._held_now[event.thread] = (
-                self._held_now[event.thread] - {event.variable})
-            section = self._open_sections.pop(
-                (event.thread, event.variable), None)
+        elif kind is EventKind.RELEASE:
+            self._held_now[thread] = self._held_now[thread] - {event.variable}
+            section = self._open_sections.pop((thread, event.variable), None)
             if section is None:
                 if self._bad_release is None:
                     self._bad_release = event
             else:
                 section.release = event
-        self._held_map[event.node] = self._held_now[event.thread]
+        self._held_map[(thread, event.index)] = self._held_now[thread]
 
     def add(self, event: Event) -> Event:
         """Append a pre-built event (its index must be the next one of its
         thread) and return it.  This is the streaming ingestion entry point:
-        every derived index is advanced incrementally."""
+        the derived indexes catch up with it on their next read."""
         self._append_existing(event)
         return event
 
@@ -238,8 +266,8 @@ class Trace:
         """Return the event identified by a ``(thread, index)`` node."""
         thread, index = node
         try:
-            return self._per_thread[thread][index]
-        except (KeyError, IndexError):
+            return self._per_thread.get(thread, ())[index]
+        except IndexError:
             raise TraceError(f"no event at node {node}") from None
 
     def columns(self) -> TraceColumns:
@@ -261,10 +289,12 @@ class Trace:
     # ------------------------------------------------------------------ #
     def accesses_by_variable(self) -> Dict:
         """Group access events by the variable they touch."""
+        self._sync_indexes()
         return {variable: list(events)
                 for variable, events in self._accesses_by_variable.items()}
 
     def writes_by_variable(self) -> Dict:
+        self._sync_indexes()
         return {variable: list(events)
                 for variable, events in self._writes_by_variable.items()}
 
@@ -278,6 +308,7 @@ class Trace:
             at append time, so a malformed trace can still be built and
             inspected).
         """
+        self._sync_indexes()
         if self._bad_release is not None:
             event = self._bad_release
             raise TraceError(
@@ -294,15 +325,16 @@ class Trace:
     def locks_held_at(self, event: Event) -> frozenset:
         """Set of locks held by ``event.thread`` when ``event`` executes.
 
-        Events of this trace are answered in O(1) from the incrementally
-        maintained lock-set map; an event whose node is not in the trace
-        (e.g. a hypothetical one) falls back to scanning its thread prefix.
+        Events of this trace are answered in O(1) from the lock-set map; an
+        event whose node is not in the trace (e.g. a hypothetical one) falls
+        back to scanning its thread prefix.
         """
+        self._sync_indexes()
         held = self._held_map.get(event.node)
         if held is not None:
             return held
         current = set()
-        for other in self._per_thread[event.thread]:
+        for other in self._per_thread.get(event.thread, ()):
             if other.index > event.index:
                 break
             if other.kind is EventKind.ACQUIRE:
@@ -312,16 +344,18 @@ class Trace:
         return frozenset(current)
 
     def locks_held_map(self) -> Dict[Node, frozenset]:
-        """Locks held at every event (maintained incrementally).
+        """Locks held at every event.
 
         Analyses that query lock sets for many events should use this map
         instead of calling :meth:`locks_held_at` repeatedly.
         """
+        self._sync_indexes()
         return dict(self._held_map)
 
     def reads_from(self) -> Dict[Event, Optional[Event]]:
         """The observed reads-from map: each read maps to the last write to
         the same variable preceding it in the trace order (or ``None``)."""
+        self._sync_indexes()
         return dict(self._reads_from)
 
     def fork_join_edges(self) -> List[Tuple[Node, Node]]:

@@ -181,3 +181,21 @@ class TestDerivedIndexes:
         trace = Trace()
         trace.fork(0, 9)
         assert trace.fork_join_edges() == []
+
+
+class TestReadOnlyQueriesAddNoThreads:
+    """Queries about a thread the trace does not have leave its thread set
+    alone (the chains live in a ``defaultdict``)."""
+
+    def test_unknown_thread_queries_are_side_effect_free(self):
+        trace = Trace()
+        trace.write(0, "x")
+        trace.acquire(0, "l")
+        before = (trace.threads, trace.num_threads, trace.max_thread_length)
+        hypothetical = Event(thread=5, index=0, kind=EventKind.READ,
+                             variable="x")
+        assert trace.locks_held_at(hypothetical) == frozenset()
+        with pytest.raises(TraceError):
+            trace.event_at((9, 0))
+        assert (trace.threads, trace.num_threads,
+                trace.max_thread_length) == before == ([0], 1, 2)
