@@ -243,7 +243,6 @@ class WatchResult(Result):
     """
 
     stream: Any = None
-    backbone: bool = False  #: whether a shared sync backbone was maintained
     cursor: int = 0  #: engine cursor after the run
     checkpoint: Optional[str] = None  #: checkpoint path saved to, if any
     resumed_from: Optional[str] = None  #: checkpoint path resumed from
@@ -265,7 +264,6 @@ class WatchResult(Result):
             "threads": result.stats.threads,
             "flushes": result.stats.flushes,
             "emitted": result.stats.emitted,
-            "backbone_edges": result.stats.backbone_edges,
             "final": {name: [str(finding) for finding in res.findings]
                       for name, res in sorted(result.results.items())},
         }
@@ -277,9 +275,6 @@ class WatchResult(Result):
     def to_table(self) -> str:
         result = self.stream
         lines = [result.summary()]
-        if self.backbone:
-            lines.append(f"  sync backbone: {result.stats.backbone_edges} "
-                         f"edges across {result.stats.threads} threads")
         for name, res in sorted(result.results.items()):
             lines.append(f"  final[{name}]: {res.finding_count} findings "
                          f"({res.operation_count} PO ops, "

@@ -411,7 +411,6 @@ class Session:
         for name, message in sorted(result.errors.items()):
             notice("warning", f"{name}: last flush failed: {message}")
         return WatchResult(warnings=tuple(warnings), stream=result,
-                           backbone=engine.order is not None,
                            cursor=engine.cursor, checkpoint=config.checkpoint,
                            resumed_from=resumed_from, resume_cursor=skip)
 
@@ -656,7 +655,6 @@ class Session:
         from repro.obs import METRIC_CATALOG, SINK_KINDS
         from repro.core.factory import (
             AUTO_BACKEND,
-            FLAT_BACKENDS,
             dynamic_backends,
             incremental_backends,
         )
@@ -695,7 +693,6 @@ class Session:
                     "supports_deletion": bool(cls.supports_deletion),
                     "incremental": name in incremental,
                     "dynamic": name in dynamic,
-                    "flat": name in FLAT_BACKENDS,
                 }
                 for name, cls in sorted(self.registry.backends().items())
             },

@@ -10,17 +10,19 @@ Two kinds of cases:
 
 * **Kernel cases** replay the Figure 11 scalability protocol (insert random
   windowed cross-chain edges between unordered endpoints, then issue batch
-  reachability queries) against paired object/flat backends, plus a raw
-  suffix-minima op mix on the two SST implementations.
+  reachability queries) against the paper's backends, plus a raw
+  suffix-minima op mix on the SST (``sst-ops/flat``, named when the SST
+  still had an object twin, so its trend keeps its history).
 * **Analysis cases** run whole analyses over fixed synthetic workloads on
-  paired backends, so the columnar-trace fast paths are measured end to end.
+  several backends, so the columnar-trace fast paths are measured end to
+  end.
 
 Every case exists in a ``quick`` and a ``full`` size; regression checks only
 compare like with like (the baseline file records both modes).  Absolute
 seconds are machine-dependent -- the committed baseline anchors *this*
 repo's reference machine and CI, and the default threshold (2x) absorbs
-machine-to-machine variance; the ``speedups`` section (flat over object on
-the same machine, same run) is the machine-independent signal.
+machine-to-machine variance; the ``speedups`` section (ratios of two cases
+on the same machine, same run) is the machine-independent signal.
 """
 
 from __future__ import annotations
@@ -59,27 +61,17 @@ class PerfCase:
 
 #: ``(fast case, slow case, label)`` -- pairs reported under ``speedups``.
 SPEEDUP_PAIRS: Sequence[Tuple[str, str, str]] = (
-    ("fig11/csst-flat", "fig11/csst", "csst-flat-over-csst"),
-    ("fig11/incremental-csst-flat", "fig11/incremental-csst",
-     "incremental-csst-flat-over-incremental-csst"),
+    # The two vector-clock representations (the only kept twin).
     ("fig11/vc-flat", "fig11/vc", "vc-flat-over-vc"),
-    ("sst-ops/flat", "sst-ops/object", "flat-sst-over-sst"),
-    ("race-prediction/incremental-csst-flat",
-     "race-prediction/incremental-csst",
-     "race-prediction-flat-over-object"),
     ("c11-races/vc-flat", "c11-races/vc", "c11-flat-over-object"),
-    ("use-after-free/incremental-csst-flat",
-     "use-after-free/incremental-csst", "uaf-flat-over-object"),
-    ("scn-locked-mix/incremental-csst-flat",
-     "scn-locked-mix/incremental-csst", "scn-locked-mix-flat-over-object"),
     ("scn-mpmc-queue/vc-flat", "scn-mpmc-queue/vc",
      "scn-mpmc-flat-over-object"),
     ("trace-load/stc", "trace-load/std", "stc-parse-over-std-parse"),
     # auto over its best static backend: the ratio is the selection
     # overhead of the `auto` pseudo-backend (target: < 1.05x).
-    ("fig11/incremental-csst-flat", "fig11/auto",
+    ("fig11/incremental-csst", "fig11/auto",
      "fig11-auto-over-best-static"),
-    ("race-prediction/incremental-csst-flat", "race-prediction/auto",
+    ("race-prediction/incremental-csst", "race-prediction/auto",
      "race-prediction-auto-over-best-static"),
     ("c11-races/vc-flat", "c11-races/auto", "c11-auto-over-best-static"),
 )
@@ -91,8 +83,7 @@ SPEEDUP_PAIRS: Sequence[Tuple[str, str, str]] = (
 #: Backends the Figure 11 kernel runs on -- also the candidate list the
 #: ``fig11/auto`` case hands its selection policy.
 FIG11_BACKENDS: Sequence[str] = (
-    "csst", "csst-flat", "incremental-csst", "incremental-csst-flat",
-    "vc", "vc-flat")
+    "csst", "incremental-csst", "vc", "vc-flat")
 
 
 def _fig11_protocol(quick: bool):
@@ -176,8 +167,8 @@ def _fig11_auto_kernel() -> Callable[[bool], Callable[[], object]]:
     return setup
 
 
-def _sst_kernel(flat: bool) -> Callable[[bool], Callable[[], object]]:
-    """A scripted update/clear/suffix_min/argleq mix on one SST flavour."""
+def _sst_kernel() -> Callable[[bool], Callable[[], object]]:
+    """A scripted update/clear/suffix_min/argleq mix on the SST."""
 
     def setup(quick: bool) -> Callable[[], object]:
         from repro.core import INF
@@ -200,10 +191,9 @@ def _sst_kernel(flat: bool) -> Callable[[bool], Callable[[], object]]:
                 script.append(("a", rng.randrange(100_000), 0))
 
         def run() -> object:
-            from repro.core import FlatSparseSegmentTree, SparseSegmentTree
+            from repro.core import SparseSegmentTree
 
-            tree = (FlatSparseSegmentTree(1024) if flat
-                    else SparseSegmentTree(1024))
+            tree = SparseSegmentTree(1024)
             checksum = 0
             for op, first, second in script:
                 if op == "u":
@@ -299,11 +289,10 @@ def default_cases() -> List[PerfCase]:
         for backend in FIG11_BACKENDS
     ]
     cases.append(PerfCase("fig11/auto", _fig11_auto_kernel()))
-    cases.append(PerfCase("sst-ops/object", _sst_kernel(flat=False)))
-    cases.append(PerfCase("sst-ops/flat", _sst_kernel(flat=True)))
+    cases.append(PerfCase("sst-ops/flat", _sst_kernel()))
     # "auto" analysis cases resolve the backend inside run(), so their
     # seconds include the per-run feature extraction + policy pick.
-    for backend in ("incremental-csst", "incremental-csst-flat", "auto"):
+    for backend in ("incremental-csst", "auto"):
         cases.append(PerfCase(
             f"race-prediction/{backend}",
             _analysis_case("race-prediction", backend, "racy",
@@ -313,19 +302,17 @@ def default_cases() -> List[PerfCase]:
             f"c11-races/{backend}",
             _analysis_case("c11-races", backend, "c11",
                            num_threads=8, events=500, seed=12)))
-    for backend in ("incremental-csst", "incremental-csst-flat"):
-        cases.append(PerfCase(
-            f"use-after-free/{backend}",
-            _analysis_case("use-after-free", backend, "memory",
-                           num_threads=5, events=400, seed=13)))
+    cases.append(PerfCase(
+        "use-after-free/incremental-csst",
+        _analysis_case("use-after-free", "incremental-csst", "memory",
+                       num_threads=5, events=400, seed=13)))
     # Scenario-program (repro.gen) workloads: schedule-driven interleavings
     # whose cross-chain shape the hand-rolled generators cannot produce.
-    for backend in ("incremental-csst", "incremental-csst-flat"):
-        cases.append(PerfCase(
-            f"scn-locked-mix/{backend}",
-            _analysis_case("race-prediction", backend, "locked-mix",
-                           num_threads=6, events=300, seed=21,
-                           scheduler="adversarial")))
+    cases.append(PerfCase(
+        "scn-locked-mix/incremental-csst",
+        _analysis_case("race-prediction", "incremental-csst", "locked-mix",
+                       num_threads=6, events=300, seed=21,
+                       scheduler="adversarial")))
     for backend in ("vc", "vc-flat"):
         cases.append(PerfCase(
             f"scn-mpmc-queue/{backend}",
@@ -373,8 +360,8 @@ def run_perf(quick: bool = False, repeats: int = DEFAULT_REPEATS,
 
 def compute_speedups(results: Dict[str, Dict[str, object]]) -> Dict[str, float]:
     """Slow-over-fast ratios for every pair present in ``results``:
-    flat over object, ``.stc`` parse over STD parse, and ``auto`` over
-    its best static backend (selection overhead)."""
+    ``vc-flat`` over ``vc``, ``.stc`` parse over STD parse, and ``auto``
+    over its best static backend (selection overhead)."""
     speedups: Dict[str, float] = {}
     for fast, slow, label in SPEEDUP_PAIRS:
         fast_entry = results.get(fast)

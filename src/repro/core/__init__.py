@@ -7,13 +7,19 @@ The package follows the structure of the paper:
 * :mod:`repro.core.segment_tree` -- classic dense segment trees, the "STs"
   building block of [31].
 * :mod:`repro.core.sparse_segment_tree` -- Sparse Segment Trees with minima
-  indexing, sparse representation and block nodes (Section 3.2).
-* :mod:`repro.core.csst` -- fully dynamic CSSTs (Section 3.3, Algorithm 2).
+  indexing, sparse representation and block nodes (Section 3.2), stored as
+  parallel int arrays.
+* :mod:`repro.core.csst` -- the chain-pair matrix shared by every CSST and
+  fully dynamic CSSTs (Section 3.3, Algorithm 2).
 * :mod:`repro.core.incremental_csst` -- incremental CSSTs (Section 4,
   Algorithm 3).
 * :mod:`repro.core.vector_clock`, :mod:`repro.core.graph_po`,
   :mod:`repro.core.st_partial_order` -- the evaluation baselines
-  (Section 5.1).
+  (Section 5.1).  ``st`` is the incremental CSST over dense segment trees;
+  ``vc-flat`` packs the ``vc`` clocks into one int list per chain.
+
+Each structure has one implementation; only the vector clocks come in two
+representations, which answer identically.
 """
 
 from repro.core.csst import CSST
@@ -21,20 +27,12 @@ from repro.core.factory import (
     AUTO_BACKEND,
     BACKENDS,
     DYNAMIC_BACKENDS,
-    FLAT_BACKENDS,
-    FLAT_EQUIVALENTS,
     INCREMENTAL_BACKENDS,
     dynamic_backends,
     incremental_backends,
     make_partial_order,
     register_backend,
     unregister_backend,
-)
-from repro.core.flat import (
-    FlatCSST,
-    FlatIncrementalCSST,
-    FlatSparseSegmentTree,
-    FlatVectorClockOrder,
 )
 from repro.core.graph_po import GraphOrder
 from repro.core.growable import GrowableOrder
@@ -46,7 +44,7 @@ from repro.core.segment_tree import SegmentTree
 from repro.core.sparse_segment_tree import DEFAULT_BLOCK_SIZE, SparseSegmentTree
 from repro.core.st_partial_order import SegmentTreeOrder
 from repro.core.suffix_minima import NaiveSuffixMinima, SuffixMinima
-from repro.core.vector_clock import VectorClockOrder
+from repro.core.vector_clock import FlatVectorClockOrder, VectorClockOrder
 
 __all__ = [
     "AUTO_BACKEND",
@@ -55,11 +53,6 @@ __all__ = [
     "DEFAULT_BLOCK_SIZE",
     "DYNAMIC_BACKENDS",
     "DeletableMinHeap",
-    "FLAT_BACKENDS",
-    "FLAT_EQUIVALENTS",
-    "FlatCSST",
-    "FlatIncrementalCSST",
-    "FlatSparseSegmentTree",
     "FlatVectorClockOrder",
     "GraphOrder",
     "GrowableOrder",

@@ -1,5 +1,14 @@
 """Fully dynamic Collective Sparse Segment Trees (Algorithm 2 of the paper).
 
+Both CSST variants (and the dense Segment Tree baseline) maintain one
+suffix-minima array ``A[t1][t2]`` for every ordered pair of distinct chains
+``t1 != t2``.  :class:`ChainMatrixOrder` holds that ``k x k`` matrix as one
+flat Python list indexed ``t1 * k + t2``, each array created on first
+write, so the memory footprint tracks the chain pairs that actually
+interact (Section 3.3, "Space usage").  The kernels call the arrays'
+integer methods (``suffix_min_int`` / ``argleq_int`` / ``update_int``)
+directly.
+
 The fully dynamic variant supports both edge insertions and deletions.  Each
 suffix-minima array ``A[t1][t2]`` stores only the *direct* edges from chain
 ``t1`` to chain ``t2`` (the earliest target per source node, Lemma 3); the
@@ -7,22 +16,29 @@ full multiset of targets per source node lives in a small deletable min-heap
 so that deleting the current minimum can expose the next one.  Reachability
 queries perform a Bellman-Ford-style closure over the ``k`` chains, which
 costs ``O(k^3 min(log n, d))`` per query but keeps updates at
-``O(max(log δ, min(log n, d)))`` (Theorem 1).
+``O(max(log δ, min(log n, d)))`` (Theorem 1).  Closures run over list
+buffers sized ``k``, and ``reachable`` exits the sweep the moment the
+target chain's bound drops below the queried index (closure values only
+ever decrease, so the early answer is final).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.heap import DeletableMinHeap
-from repro.core.interface import INF, Node
-from repro.core.matrix import ArrayFactory, ChainMatrixOrder
+from repro.core.interface import INF, Node, PartialOrder
 from repro.core.sparse_segment_tree import DEFAULT_BLOCK_SIZE, SparseSegmentTree
+from repro.core.suffix_minima import INT_INF, SuffixMinima
 from repro.errors import InvalidEdgeError
 
+#: A callable building a fresh suffix-minima array with the given capacity.
+ArrayFactory = Callable[[int], SuffixMinima]
 
-class CSST(ChainMatrixOrder):
-    """Fully dynamic CSST: insertions, deletions, and reachability queries.
+
+class ChainMatrixOrder(PartialOrder):
+    """Base class managing the lazily populated matrix of suffix-minima arrays.
 
     Parameters
     ----------
@@ -32,12 +48,64 @@ class CSST(ChainMatrixOrder):
         Expected number of events per chain; arrays grow beyond it
         automatically.
     block_size:
-        Block-node threshold forwarded to the underlying
+        Block-node threshold of the default
         :class:`~repro.core.sparse_segment_tree.SparseSegmentTree` arrays.
     array_factory:
-        Override for the per-chain-pair suffix-minima arrays.  Used by the
-        test-suite to cross-check CSSTs against the naive reference arrays;
-        normal users never need it.
+        Override for the per-chain-pair suffix-minima arrays: the ``st``
+        baseline passes dense segment trees, and the test-suite the naive
+        reference arrays.
+    """
+
+    def __init__(self, num_chains: int, capacity_hint: int = 1024, *,
+                 block_size: int = DEFAULT_BLOCK_SIZE,
+                 array_factory: Optional[ArrayFactory] = None) -> None:
+        super().__init__(num_chains, capacity_hint)
+        if array_factory is None:
+            array_factory = partial(SparseSegmentTree, block_size=block_size)
+        self._array_factory = array_factory
+        self._arrays: List[Optional[SuffixMinima]] = (
+            [None] * (num_chains * num_chains))
+
+    def _array(self, source_chain: int, target_chain: int) -> SuffixMinima:
+        """The array of orderings ``source_chain -> target_chain`` (created
+        on first write)."""
+        slot = source_chain * self._num_chains + target_chain
+        array = self._arrays[slot]
+        if array is None:
+            array = self._array_factory(self._capacity_hint)
+            self._arrays[slot] = array
+        return array
+
+    def _iter_arrays(self) -> Iterator[Tuple[Tuple[int, int], SuffixMinima]]:
+        """The created arrays, keyed by ``(source_chain, target_chain)``."""
+        num_chains = self._num_chains
+        for slot, array in enumerate(self._arrays):
+            if array is not None:
+                yield divmod(slot, num_chains), array
+
+    # ------------------------------------------------------------------ #
+    # Introspection used by benchmarks and tests
+    # ------------------------------------------------------------------ #
+    @property
+    def max_array_density(self) -> int:
+        """Largest density among the suffix-minima arrays (paper's ``q`` is
+        this value normalised by the chain length)."""
+        return max((a.density for _pair, a in self._iter_arrays()), default=0)
+
+    @property
+    def total_entries(self) -> int:
+        """Total number of non-empty entries across every array.
+
+        This is the dominant memory term of the structure and the quantity
+        compared against the ``O(n k)`` footprint of Vector Clocks."""
+        return sum(a.density for _pair, a in self._iter_arrays())
+
+
+class CSST(ChainMatrixOrder):
+    """Fully dynamic CSST: insertions, deletions, and reachability queries.
+
+    Direct edges per source node live in lazily deletable min-heaps;
+    parameters are those of :class:`ChainMatrixOrder`.
     """
 
     supports_deletion = True
@@ -45,12 +113,11 @@ class CSST(ChainMatrixOrder):
     def __init__(self, num_chains: int, capacity_hint: int = 1024, *,
                  block_size: int = DEFAULT_BLOCK_SIZE,
                  array_factory: Optional[ArrayFactory] = None) -> None:
-        if array_factory is None:
-            def array_factory(capacity: int, _b: int = block_size) -> SparseSegmentTree:
-                return SparseSegmentTree(capacity, block_size=_b)
-        super().__init__(num_chains, capacity_hint, array_factory=array_factory)
-        # edge heaps: (t1, t2) -> {j1: multiset of j2 targets}
-        self._heaps: Dict[Tuple[int, int], Dict[int, DeletableMinHeap]] = {}
+        super().__init__(num_chains, capacity_hint, block_size=block_size,
+                         array_factory=array_factory)
+        # slot (t1 * k + t2) -> {j1: multiset of j2 targets}
+        self._heaps: List[Optional[Dict[int, DeletableMinHeap]]] = (
+            [None] * (num_chains * num_chains))
 
     # ------------------------------------------------------------------ #
     # Updates
@@ -58,115 +125,185 @@ class CSST(ChainMatrixOrder):
     def insert_edge(self, source: Node, target: Node) -> None:
         self._check_edge(source, target)
         (t1, j1), (t2, j2) = source, target
-        heap = self._edge_heap(t1, t2, j1)
+        slot = t1 * self._num_chains + t2
+        per_pair = self._heaps[slot]
+        if per_pair is None:
+            per_pair = self._heaps[slot] = {}
+        heap = per_pair.get(j1)
+        if heap is None:
+            heap = per_pair[j1] = DeletableMinHeap()
         if j2 < heap.min():
-            self._array(t1, t2).update(j1, j2)
+            self._array(t1, t2).update_int(j1, j2)
         heap.insert(j2)
 
     def delete_edge(self, source: Node, target: Node) -> None:
         self._check_edge(source, target)
         (t1, j1), (t2, j2) = source, target
-        per_pair = self._heaps.get((t1, t2))
+        per_pair = self._heaps[t1 * self._num_chains + t2]
         heap = per_pair.get(j1) if per_pair else None
         if heap is None or j2 not in heap:
             raise InvalidEdgeError(f"edge {source} -> {target} is not present")
         if j2 == heap.min():
             heap.delete(j2)
-            self._array(t1, t2).update(j1, heap.min())
+            minimum = heap.min()
+            self._array(t1, t2).update_int(
+                j1, INT_INF if minimum == INF else minimum)
         else:
             heap.delete(j2)
 
     # ------------------------------------------------------------------ #
-    # Queries (Algorithm 2)
+    # Queries (Algorithm 2 closures over list buffers)
     # ------------------------------------------------------------------ #
+    def reachable(self, source: Node, target: Node) -> bool:
+        t1, j1 = source
+        t2, j2 = target
+        num_chains = self._num_chains
+        if not (0 <= t1 < num_chains and 0 <= t2 < num_chains
+                and j1 >= 0 and j2 >= 0):
+            self._check_node(source)
+            self._check_node(target)
+        if t1 == t2:
+            return j1 <= j2
+        arrays = self._arrays
+        closure = [INT_INF] * num_chains
+        row = t1 * num_chains
+        seeded = False
+        for chain in range(num_chains):
+            if chain == t1:
+                continue
+            array = arrays[row + chain]
+            if array is not None:
+                value = array.suffix_min_int(j1)
+                if value < INT_INF:
+                    closure[chain] = value
+                    seeded = True
+        if closure[t2] <= j2:
+            return True
+        if not seeded:
+            return False
+        changed = True
+        while changed:
+            changed = False
+            for via in range(num_chains):
+                if via == t1:
+                    continue
+                bound = closure[via]
+                if bound >= INT_INF:
+                    continue
+                via_row = via * num_chains
+                for dest in range(num_chains):
+                    if dest == via or dest == t1:
+                        continue
+                    array = arrays[via_row + dest]
+                    if array is None:
+                        continue
+                    candidate = array.suffix_min_int(bound)
+                    if candidate < closure[dest]:
+                        # Closure values only decrease, so reaching the
+                        # query bound is a final answer.
+                        if dest == t2 and candidate <= j2:
+                            return True
+                        closure[dest] = candidate
+                        changed = True
+        return closure[t2] <= j2
+
     def successor(self, node: Node, chain: int) -> Optional[int]:
         self._check_node(node)
         t1, j1 = node
         if chain == t1:
             return j1
-        closure = self._forward_closure(t1, j1)
-        result = closure[chain]
-        return None if result == INF else int(result)
+        if not 0 <= chain < self._num_chains:
+            return None
+        result = self._forward_closure(t1, j1)[chain]
+        return None if result >= INT_INF else result
 
     def predecessor(self, node: Node, chain: int) -> Optional[int]:
         self._check_node(node)
         t1, j1 = node
         if chain == t1:
             return j1
-        closure = self._backward_closure(t1, j1)
-        result = closure[chain]
-        return None if result < 0 else int(result)
+        if not 0 <= chain < self._num_chains:
+            return None
+        result = self._backward_closure(t1, j1)[chain]
+        return None if result < 0 else result
 
     # ------------------------------------------------------------------ #
     # Closure computations
     # ------------------------------------------------------------------ #
-    def _forward_closure(self, t1: int, j1: int) -> Dict[int, float]:
-        """Earliest node of every other chain reachable from ``(t1, j1)``."""
-        chains = [t for t in range(self._num_chains) if t != t1]
-        closure: Dict[int, float] = {}
-        for chain in chains:
-            closure[chain] = self._suffix_min(t1, chain, j1)
+    def _forward_closure(self, t1: int, j1: int) -> List[int]:
+        """Earliest reachable index per chain (``INT_INF`` = unreachable)."""
+        num_chains = self._num_chains
+        arrays = self._arrays
+        closure = [INT_INF] * num_chains
+        row = t1 * num_chains
+        for chain in range(num_chains):
+            if chain == t1:
+                continue
+            array = arrays[row + chain]
+            if array is not None:
+                closure[chain] = array.suffix_min_int(j1)
         changed = True
         while changed:
             changed = False
-            for dest in chains:
-                for via in chains:
-                    if via == dest or closure[via] == INF:
+            for via in range(num_chains):
+                if via == t1:
+                    continue
+                bound = closure[via]
+                if bound >= INT_INF:
+                    continue
+                via_row = via * num_chains
+                for dest in range(num_chains):
+                    if dest == via or dest == t1:
                         continue
-                    candidate = self._suffix_min(via, dest, int(closure[via]))
+                    array = arrays[via_row + dest]
+                    if array is None:
+                        continue
+                    candidate = array.suffix_min_int(bound)
                     if candidate < closure[dest]:
                         closure[dest] = candidate
                         changed = True
         return closure
 
-    def _backward_closure(self, t1: int, j1: int) -> Dict[int, float]:
-        """Latest node of every other chain that reaches ``(t1, j1)``."""
-        chains = [t for t in range(self._num_chains) if t != t1]
-        closure: Dict[int, float] = {}
-        for chain in chains:
-            closure[chain] = self._argleq(chain, t1, j1)
+    def _backward_closure(self, t1: int, j1: int) -> List[int]:
+        """Latest index per chain that reaches ``(t1, j1)`` (``-1`` = none)."""
+        num_chains = self._num_chains
+        arrays = self._arrays
+        closure = [-1] * num_chains
+        for chain in range(num_chains):
+            if chain == t1:
+                continue
+            array = arrays[chain * num_chains + t1]
+            if array is not None:
+                closure[chain] = array.argleq_int(j1)
         changed = True
         while changed:
             changed = False
-            for dest in chains:
-                for via in chains:
-                    if via == dest or closure[via] < 0:
+            for via in range(num_chains):
+                if via == t1:
+                    continue
+                bound = closure[via]
+                if bound < 0:
+                    continue
+                for dest in range(num_chains):
+                    if dest == via or dest == t1:
                         continue
-                    candidate = self._argleq(dest, via, int(closure[via]))
+                    array = arrays[dest * num_chains + via]
+                    if array is None:
+                        continue
+                    candidate = array.argleq_int(bound)
                     if candidate > closure[dest]:
                         closure[dest] = candidate
                         changed = True
         return closure
 
-    def _suffix_min(self, source_chain: int, target_chain: int, index: int) -> float:
-        array = self._existing_array(source_chain, target_chain)
-        if array is None:
-            return INF
-        return array.suffix_min(index)
-
-    def _argleq(self, source_chain: int, target_chain: int, value: int) -> float:
-        array = self._existing_array(source_chain, target_chain)
-        if array is None:
-            return -1.0
-        result = array.argleq(value)
-        return -1.0 if result is None else float(result)
-
     # ------------------------------------------------------------------ #
-    # Internals
+    # Introspection
     # ------------------------------------------------------------------ #
-    def _edge_heap(self, t1: int, t2: int, j1: int) -> DeletableMinHeap:
-        per_pair = self._heaps.setdefault((t1, t2), {})
-        heap = per_pair.get(j1)
-        if heap is None:
-            heap = DeletableMinHeap()
-            per_pair[j1] = heap
-        return heap
-
     @property
     def edge_count(self) -> int:
         """Number of cross-chain edges currently stored."""
         return sum(
             len(heap)
-            for per_pair in self._heaps.values()
+            for per_pair in self._heaps if per_pair is not None
             for heap in per_pair.values()
         )

@@ -11,24 +11,20 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple, Type
 
 from repro.core.csst import CSST
-from repro.core.flat import FlatCSST, FlatIncrementalCSST, FlatVectorClockOrder
 from repro.core.graph_po import GraphOrder
 from repro.core.incremental_csst import IncrementalCSST
 from repro.core.interface import PartialOrder
 from repro.core.st_partial_order import SegmentTreeOrder
-from repro.core.vector_clock import VectorClockOrder
+from repro.core.vector_clock import FlatVectorClockOrder, VectorClockOrder
 from repro.errors import ReproError
 
 #: Mapping from backend name to implementation class.  The names mirror the
 #: column headers of the paper's tables ("VCs", "STs", "CSSTs", "Graphs");
-#: the ``-flat`` variants are the structure-of-arrays fast paths of
-#: :mod:`repro.core.flat` and answer identically to their object-based
-#: counterparts.
+#: ``vc-flat`` packs the same vector clocks into one int list per chain and
+#: answers identically to ``vc``.
 BACKENDS: Dict[str, Type[PartialOrder]] = {
     "csst": CSST,
-    "csst-flat": FlatCSST,
     "incremental-csst": IncrementalCSST,
-    "incremental-csst-flat": FlatIncrementalCSST,
     "st": SegmentTreeOrder,
     "vc": VectorClockOrder,
     "vc-flat": FlatVectorClockOrder,
@@ -44,22 +40,10 @@ BACKENDS: Dict[str, Type[PartialOrder]] = {
 AUTO_BACKEND = "auto"
 
 #: Backends usable in incremental-only analyses (paper Tables 1-6).
-INCREMENTAL_BACKENDS = ("vc", "st", "incremental-csst", "vc-flat",
-                        "incremental-csst-flat")
+INCREMENTAL_BACKENDS = ("vc", "st", "incremental-csst", "vc-flat")
 
 #: Backends usable in fully dynamic analyses (paper Table 7).
-DYNAMIC_BACKENDS = ("graph", "csst", "csst-flat")
-
-#: The flat (structure-of-arrays) fast-path backends.
-FLAT_BACKENDS = ("csst-flat", "incremental-csst-flat", "vc-flat")
-
-#: Flat backend corresponding to each object backend (and vice versa);
-#: used by the parity tests and the perf harness to pair implementations.
-FLAT_EQUIVALENTS: Dict[str, str] = {
-    "csst": "csst-flat",
-    "incremental-csst": "incremental-csst-flat",
-    "vc": "vc-flat",
-}
+DYNAMIC_BACKENDS = ("graph", "csst")
 
 #: Plugin-registered backend names, partitioned by the analysis families
 #: they can serve.  The built-in tuples above stay immutable (they are

@@ -14,20 +14,20 @@ edge, so the sparse representation keeps paying off.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable, List, Optional, Tuple
 
-from repro.core.interface import INF, Node
-from repro.core.matrix import ArrayFactory, ChainMatrixOrder
-from repro.core.sparse_segment_tree import DEFAULT_BLOCK_SIZE, SparseSegmentTree
+from repro.core.csst import ArrayFactory, ChainMatrixOrder
+from repro.core.interface import Node
+from repro.core.sparse_segment_tree import DEFAULT_BLOCK_SIZE
+from repro.core.suffix_minima import INT_INF
 
 
 class IncrementalCSST(ChainMatrixOrder):
     """Insert-only CSST with eagerly maintained transitive closure.
 
     Edge deletion is not supported; use :class:`~repro.core.csst.CSST` for
-    fully dynamic workloads.
-
-    Parameters mirror :class:`~repro.core.csst.CSST`.
+    fully dynamic workloads.  Parameters are those of
+    :class:`~repro.core.csst.ChainMatrixOrder`.
     """
 
     supports_deletion = False
@@ -35,54 +35,74 @@ class IncrementalCSST(ChainMatrixOrder):
     def __init__(self, num_chains: int, capacity_hint: int = 1024, *,
                  block_size: int = DEFAULT_BLOCK_SIZE,
                  array_factory: Optional[ArrayFactory] = None) -> None:
-        if array_factory is None:
-            def array_factory(capacity: int, _b: int = block_size) -> SparseSegmentTree:
-                return SparseSegmentTree(capacity, block_size=_b)
-        super().__init__(num_chains, capacity_hint, array_factory=array_factory)
+        super().__init__(num_chains, capacity_hint, block_size=block_size,
+                         array_factory=array_factory)
         self._edge_count = 0
 
     # ------------------------------------------------------------------ #
     # Queries (straight suffix-minima lookups)
     # ------------------------------------------------------------------ #
     def reachable(self, source: Node, target: Node) -> bool:
-        # Fast path: a reachability query is a single suffix-minima lookup
-        # on the transitively closed array (Algorithm 3, line 5).
+        # A reachability query is a single suffix-minima lookup on the
+        # transitively closed array (Algorithm 3, line 5).
         t1, j1 = source
         t2, j2 = target
         num_chains = self._num_chains
-        if not (0 <= t1 < num_chains and 0 <= t2 < num_chains and j1 >= 0 and j2 >= 0):
+        if not (0 <= t1 < num_chains and 0 <= t2 < num_chains
+                and j1 >= 0 and j2 >= 0):
             self._check_node(source)
             self._check_node(target)
         if t1 == t2:
             return j1 <= j2
-        array = self._arrays.get((t1, t2))
-        if array is None:
-            return False
-        return array.suffix_min(j1) <= j2
+        array = self._arrays[t1 * num_chains + t2]
+        return array is not None and array.suffix_min_int(j1) <= j2
 
     def successor(self, node: Node, chain: int) -> Optional[int]:
         self._check_node(node)
         t1, j1 = node
         if chain == t1:
             return j1
-        array = self._existing_array(t1, chain)
+        if not 0 <= chain < self._num_chains:
+            return None
+        array = self._arrays[t1 * self._num_chains + chain]
         if array is None:
             return None
-        result = array.suffix_min(j1)
-        return None if result == INF else int(result)
+        result = array.suffix_min_int(j1)
+        return None if result >= INT_INF else result
 
     def predecessor(self, node: Node, chain: int) -> Optional[int]:
         self._check_node(node)
         t1, j1 = node
         if chain == t1:
             return j1
-        array = self._existing_array(chain, t1)
+        if not 0 <= chain < self._num_chains:
+            return None
+        array = self._arrays[chain * self._num_chains + t1]
         if array is None:
             return None
-        return array.argleq(j1)
+        result = array.argleq_int(j1)
+        return None if result < 0 else result
+
+    def query_many(self, pairs: Iterable[Tuple[Node, Node]]) -> List[bool]:
+        # The matrix locals are bound once per batch, not once per pair.
+        num_chains = self._num_chains
+        arrays = self._arrays
+        answers: List[bool] = []
+        append = answers.append
+        for (t1, j1), (t2, j2) in pairs:
+            if not (0 <= t1 < num_chains and 0 <= t2 < num_chains
+                    and j1 >= 0 and j2 >= 0):
+                self._check_node((t1, j1))
+                self._check_node((t2, j2))
+            if t1 == t2:
+                append(j1 <= j2)
+            else:
+                array = arrays[t1 * num_chains + t2]
+                append(array is not None and array.suffix_min_int(j1) <= j2)
+        return answers
 
     # ------------------------------------------------------------------ #
-    # Updates (Algorithm 3)
+    # Updates (Algorithm 3, arrays addressed directly)
     # ------------------------------------------------------------------ #
     def insert_edge(self, source: Node, target: Node) -> None:
         """Insert ``source -> target`` and close the order transitively.
@@ -94,27 +114,34 @@ class IncrementalCSST(ChainMatrixOrder):
         self._check_edge(source, target)
         (t1, j1), (t2, j2) = source, target
         self._edge_count += 1
-        for source_chain in range(self._num_chains):
+        num_chains = self._num_chains
+        arrays = self._arrays
+        for source_chain in range(num_chains):
             if source_chain == t1:
                 source_index = j1
             else:
-                source_index = self.predecessor((t1, j1), source_chain)
-                if source_index is None:
+                array = arrays[source_chain * num_chains + t1]
+                source_index = array.argleq_int(j1) if array is not None else -1
+                if source_index < 0:
                     continue
-            for target_chain in range(self._num_chains):
+            row = source_chain * num_chains
+            for target_chain in range(num_chains):
                 if target_chain == source_chain:
                     continue
                 if target_chain == t2:
                     target_index = j2
                 else:
-                    target_index = self.successor((t2, j2), target_chain)
-                    if target_index is None:
+                    array = arrays[t2 * num_chains + target_chain]
+                    target_index = (array.suffix_min_int(j2)
+                                    if array is not None else INT_INF)
+                    if target_index >= INT_INF:
                         continue
-                current = self.successor((source_chain, source_index), target_chain)
-                if current is None or current > target_index:
-                    self._array(source_chain, target_chain).update(
-                        source_index, target_index
-                    )
+                current_array = arrays[row + target_chain]
+                if current_array is None:
+                    self._array(source_chain, target_chain).update_int(
+                        source_index, target_index)
+                elif current_array.suffix_min_int(source_index) > target_index:
+                    current_array.update_int(source_index, target_index)
 
     @property
     def edge_count(self) -> int:

@@ -146,7 +146,8 @@ class PartialOrder(abc.ABC):
     # The per-operation methods dominate analysis code, but batch-oriented
     # callers (the benchmark kernels, bulk loaders) go through these so that
     # backends can amortize per-call overhead.  The defaults simply loop;
-    # the flat backends override them with locally bound fast paths.
+    # the incremental CSST and ``vc-flat`` override ``query_many`` with
+    # locally bound loops.
     def insert_many(self, edges: Iterable[Tuple[Node, Node]]) -> None:
         """Insert every edge of ``edges`` (batch update API)."""
         for source, target in edges:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.core.interface import INF
-from repro.core.suffix_minima import SuffixMinima, Value
+from repro.core.suffix_minima import INT_INF, SuffixMinima, Value
 from repro.errors import InvalidNodeError
 
 
@@ -30,7 +30,9 @@ class SegmentTree(SuffixMinima):
     The tree is stored implicitly in a flat list of ``2 * capacity`` slots:
     node ``i`` has children ``2i`` and ``2i + 1`` and the leaves occupy
     slots ``capacity .. 2 * capacity - 1``.  Each internal node stores the
-    minimum of its subtree.
+    minimum of its subtree.  Empty entries are
+    :data:`~repro.core.suffix_minima.INT_INF` internally, so the integer
+    methods the CSST kernels call need no translation.
 
     The capacity grows automatically (by doubling and rebuilding the upper
     levels) when an update targets an index beyond the current capacity, so
@@ -41,7 +43,7 @@ class SegmentTree(SuffixMinima):
         if capacity < 1:
             raise InvalidNodeError(f"capacity must be >= 1, got {capacity}")
         self._capacity = _next_power_of_two(capacity)
-        self._tree: List[Value] = [INF] * (2 * self._capacity)
+        self._tree: List[int] = [INT_INF] * (2 * self._capacity)
         self._density = 0
 
     # ------------------------------------------------------------------ #
@@ -57,70 +59,86 @@ class SegmentTree(SuffixMinima):
 
     def update(self, index: int, value: Value) -> None:
         self._check_index(index)
-        if index >= self._capacity:
-            self._grow(index + 1)
-        leaf = self._capacity + index
-        old = self._tree[leaf]
-        if old == value:
-            return
-        if old == INF and value != INF:
-            self._density += 1
-        elif old != INF and value == INF:
-            self._density -= 1
-        self._tree[leaf] = value
-        node = leaf // 2
-        while node >= 1:
-            new_min = min(self._tree[2 * node], self._tree[2 * node + 1])
-            if self._tree[node] == new_min:
-                break
-            self._tree[node] = new_min
-            node //= 2
+        self.update_int(index, INT_INF if value == INF else value)
 
     def get(self, index: int) -> Value:
         self._check_index(index)
         if index >= self._capacity:
             return INF
-        return self._tree[self._capacity + index]
+        value = self._tree[self._capacity + index]
+        return INF if value == INT_INF else value
 
     def suffix_min(self, index: int) -> Value:
         self._check_index(index)
-        if index >= self._capacity:
-            return INF
-        # Standard iterative range-minimum over [index, capacity).
-        result = INF
-        left = self._capacity + index
-        right = 2 * self._capacity
-        while left < right:
-            if left & 1:
-                result = min(result, self._tree[left])
-                left += 1
-            if right & 1:
-                right -= 1
-                result = min(result, self._tree[right])
-            left //= 2
-            right //= 2
-        return result
+        value = self.suffix_min_int(index)
+        return INF if value == INT_INF else value
 
     def argleq(self, value: Value) -> Optional[int]:
-        if self._tree[1] > value:
-            return None
-        # Descend towards the right-most leaf whose value is <= value.
-        node = 1
-        while node < self._capacity:
-            right = 2 * node + 1
-            left = 2 * node
-            if self._tree[right] <= value:
-                node = right
-            else:
-                node = left
-        return node - self._capacity
+        index = self.argleq_int(value)
+        return None if index < 0 else index
 
     def items(self):
         return [
             (i, self._tree[self._capacity + i])
             for i in range(self._capacity)
-            if self._tree[self._capacity + i] != INF
+            if self._tree[self._capacity + i] != INT_INF
         ]
+
+    # ------------------------------------------------------------------ #
+    # Integer API (``INT_INF`` empty, ``-1`` for no index)
+    # ------------------------------------------------------------------ #
+    def update_int(self, index: int, value: int) -> None:
+        if index >= self._capacity:
+            self._grow(index + 1)
+        tree = self._tree
+        leaf = self._capacity + index
+        old = tree[leaf]
+        if old == value:
+            return
+        if old == INT_INF:
+            self._density += 1
+        elif value == INT_INF:
+            self._density -= 1
+        tree[leaf] = value
+        node = leaf // 2
+        while node >= 1:
+            new_min = min(tree[2 * node], tree[2 * node + 1])
+            if tree[node] == new_min:
+                break
+            tree[node] = new_min
+            node //= 2
+
+    def suffix_min_int(self, index: int) -> int:
+        if index >= self._capacity:
+            return INT_INF
+        # Standard iterative range-minimum over [index, capacity).
+        tree = self._tree
+        result = INT_INF
+        left = self._capacity + index
+        right = 2 * self._capacity
+        while left < right:
+            if left & 1:
+                if tree[left] < result:
+                    result = tree[left]
+                left += 1
+            if right & 1:
+                right -= 1
+                if tree[right] < result:
+                    result = tree[right]
+            left //= 2
+            right //= 2
+        return result
+
+    def argleq_int(self, value) -> int:
+        tree = self._tree
+        if tree[1] > value:
+            return -1
+        # Descend towards the right-most leaf whose value is <= value.
+        node = 1
+        while node < self._capacity:
+            right = 2 * node + 1
+            node = right if tree[right] <= value else 2 * node
+        return node - self._capacity
 
     # ------------------------------------------------------------------ #
     # Internals
@@ -129,7 +147,7 @@ class SegmentTree(SuffixMinima):
         new_capacity = self._capacity
         while new_capacity < minimum_capacity:
             new_capacity *= 2
-        new_tree: List[Value] = [INF] * (2 * new_capacity)
+        new_tree: List[int] = [INT_INF] * (2 * new_capacity)
         # Copy the existing leaves and rebuild the internal levels.
         new_tree[new_capacity : new_capacity + self._capacity] = self._tree[
             self._capacity : 2 * self._capacity

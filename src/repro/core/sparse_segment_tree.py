@@ -1,7 +1,7 @@
 """Sparse Segment Trees (SSTs) -- Section 3.2 of the paper.
 
 An SST solves the dynamic suffix-minima problem like a classic segment tree
-but with two key optimizations:
+but with three optimizations:
 
 * **Minima indexing.**  Every tree node stores a single array entry
   ``(pos, min)`` where ``pos`` is the largest index holding the minimum
@@ -20,8 +20,21 @@ but with two key optimizations:
   flattened into small dictionaries that are scanned directly, which keeps
   densely populated but localised regions compact (Figure 7).
 
-Implementation note
--------------------
+Representation
+--------------
+The tree is stored as a structure of arrays: node ``n`` is the ``n``-th
+entry of six parallel int lists (``start``, ``end``, ``pos``, ``min``,
+``left``, ``right``) plus a ``block`` list holding either ``None``
+(regular node) or the block dictionary.  ``-1`` encodes a missing child,
+and removed nodes are pushed on a free list and recycled, so the structure
+stops allocating once it reaches its working-set size.  Empty entries are
+the integer sentinel :data:`~repro.core.suffix_minima.INT_INF` internally,
+so every hot comparison is int-vs-int; the public
+:class:`~repro.core.suffix_minima.SuffixMinima` methods translate to the
+``float('inf')`` convention at the boundary, and the ``*_int`` variants
+that the CSST kernels call skip that translation.  All traversals are
+iterative, so no Python frame is created per tree level.
+
 The paper's pseudocode attaches freshly created nodes at the *lowest common
 ancestor* range of the new entry and the displaced subtree.  We instead
 always give children their canonical half range.  This keeps insertion and
@@ -35,14 +48,17 @@ with the same asymptotic costs, and additionally supports *removing* entries
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.interface import INF
-from repro.core.suffix_minima import SuffixMinima, Value
+from repro.core.suffix_minima import INT_INF, SuffixMinima, Value
 from repro.errors import InvalidNodeError
 
 #: Default block-size threshold ``b``; the paper selects 32 via a stress test.
 DEFAULT_BLOCK_SIZE = 32
+
+#: Missing child / missing node marker in the parallel arrays.
+_NIL = -1
 
 
 def _next_power_of_two(value: int) -> int:
@@ -50,52 +66,6 @@ def _next_power_of_two(value: int) -> int:
     while power < value:
         power *= 2
     return power
-
-
-def _better(value_a: Value, pos_a: int, value_b: Value, pos_b: int) -> bool:
-    """Entry ordering used throughout the tree.
-
-    Entry A is "better" than entry B when it has a strictly smaller value,
-    or an equal value at a larger index (Eq. 2 picks the *largest* index
-    among the minima so that suffix queries can stop as early as possible).
-    """
-    return value_a < value_b or (value_a == value_b and pos_a > pos_b)
-
-
-class _Node:
-    """A node of the sparse segment tree.
-
-    Regular nodes store exactly one array entry ``(pos, min)`` plus optional
-    children covering the canonical halves of their range.  Block nodes
-    (``block is not None``) store a small dictionary of entries instead of
-    children; their ``(pos, min)`` mirrors the best entry of the block.
-    """
-
-    __slots__ = ("start", "end", "pos", "min", "left", "right", "block")
-
-    def __init__(self, start: int, end: int, pos: int, value: Value,
-                 is_block: bool) -> None:
-        self.start = start
-        self.end = end
-        self.pos = pos
-        self.min = value
-        self.left: Optional[_Node] = None
-        self.right: Optional[_Node] = None
-        self.block: Optional[Dict[int, Value]] = {pos: value} if is_block else None
-
-    @property
-    def mid(self) -> int:
-        return self.start + (self.end - self.start) // 2
-
-    def refresh_block_best(self) -> None:
-        """Recompute ``(pos, min)`` from the block dictionary."""
-        best_pos = -1
-        best_value = INF
-        for pos, value in self.block.items():
-            if _better(value, pos, best_value, best_pos):
-                best_pos, best_value = pos, value
-        self.pos = best_pos
-        self.min = best_value
 
 
 class SparseSegmentTree(SuffixMinima):
@@ -115,6 +85,12 @@ class SparseSegmentTree(SuffixMinima):
         answers are unaffected).
     """
 
+    __slots__ = (
+        "_capacity", "_block_size", "_minima_indexing", "_root", "_density",
+        "_start", "_end", "_pos", "_min", "_left", "_right", "_block",
+        "_free",
+    )
+
     def __init__(self, capacity: int = 1, block_size: int = DEFAULT_BLOCK_SIZE,
                  minima_indexing: bool = True) -> None:
         if capacity < 1:
@@ -124,11 +100,20 @@ class SparseSegmentTree(SuffixMinima):
         self._capacity = _next_power_of_two(capacity)
         self._block_size = int(block_size)
         self._minima_indexing = bool(minima_indexing)
-        self._root: Optional[_Node] = None
+        self._root = _NIL
         self._density = 0
+        # Parallel node arrays; slot n is one tree node.
+        self._start: List[int] = []
+        self._end: List[int] = []
+        self._pos: List[int] = []
+        self._min: List[int] = []
+        self._left: List[int] = []
+        self._right: List[int] = []
+        self._block: List[Optional[Dict[int, int]]] = []
+        self._free: List[int] = []
 
     # ------------------------------------------------------------------ #
-    # SuffixMinima interface
+    # SuffixMinima interface (float-INF convention at the boundary)
     # ------------------------------------------------------------------ #
     @property
     def capacity(self) -> int:
@@ -145,188 +130,348 @@ class SparseSegmentTree(SuffixMinima):
 
     def update(self, index: int, value: Value) -> None:
         self._check_index(index)
-        if index >= self._capacity:
-            self._grow(index + 1)
-        current = self.get(index)
-        if current == value:
-            return
-        if current != INF:
-            self._root = self._remove(self._root, index)
-            self._density -= 1
-        if value != INF:
-            self._insert(index, value)
-            self._density += 1
+        self.update_int(index, INT_INF if value == INF else int(value))
 
     def get(self, index: int) -> Value:
         self._check_index(index)
-        if index >= self._capacity:
-            return INF
-        node = self._root
-        while node is not None:
-            if node.block is not None:
-                return node.block.get(index, INF)
-            if node.pos == index:
-                return node.min
-            node = node.left if index <= node.mid else node.right
-        return INF
+        value = self.get_int(index)
+        return INF if value >= INT_INF else value
 
     def suffix_min(self, index: int) -> Value:
         self._check_index(index)
+        value = self.suffix_min_int(index)
+        return INF if value >= INT_INF else value
+
+    def argleq(self, value: Value) -> Optional[int]:
+        best = self.argleq_int(value)
+        return best if best >= 0 else None
+
+    def items(self) -> List[Tuple[int, int]]:
+        return sorted(self._entries())
+
+    # ------------------------------------------------------------------ #
+    # Integer fast-path API (used by the CSST kernels)
+    # ------------------------------------------------------------------ #
+    def update_int(self, index: int, value: int) -> None:
+        """Set ``A[index] = value`` (:data:`INT_INF` clears the entry)."""
+        if index >= self._capacity:
+            self._grow(index + 1)
+        current = self.get_int(index)
+        if current == value:
+            return
+        if current != INT_INF:
+            self._remove_entry(index)
+            self._density -= 1
+        if value != INT_INF:
+            self._insert(index, value)
+            self._density += 1
+
+    def get_int(self, index: int) -> int:
+        """``A[index]`` with the :data:`INT_INF` empty convention."""
+        if index >= self._capacity:
+            return INT_INF
+        pos_a = self._pos
+        min_a = self._min
+        block_a = self._block
+        mid_base = self._start
+        end_a = self._end
+        left_a = self._left
+        right_a = self._right
         node = self._root
-        if node is None or index > node.end:
-            return INF
-        # One root-to-leaf walk towards ``index``.  Every node's entry is
-        # the minimum of its subtree, so a right child lying wholly inside
-        # the suffix contributes its own entry and is never entered.
-        best = INF
+        while node != _NIL:
+            blk = block_a[node]
+            if blk is not None:
+                return blk.get(index, INT_INF)
+            if pos_a[node] == index:
+                return min_a[node]
+            start = mid_base[node]
+            mid = start + (end_a[node] - start) // 2
+            node = left_a[node] if index <= mid else right_a[node]
+        return INT_INF
+
+    def suffix_min_int(self, index: int) -> int:
+        """``min(A[index:])`` with the :data:`INT_INF` empty convention."""
+        node = self._root
+        if node == _NIL:
+            return INT_INF
+        start_a = self._start
+        end_a = self._end
+        if index > end_a[node]:
+            return INT_INF
+        pos_a = self._pos
+        min_a = self._min
+        left_a = self._left
+        right_a = self._right
+        block_a = self._block
         minima_indexing = self._minima_indexing
-        while node is not None:
-            block = node.block
-            if block is not None:
-                if node.pos >= index:
-                    candidate = node.min
+        # One root-to-leaf walk towards ``index``: a right child wholly
+        # inside the suffix contributes its entry, which is its subtree
+        # minimum, and is never entered.
+        best = INT_INF
+        while node != _NIL:
+            blk = block_a[node]
+            if blk is not None:
+                if pos_a[node] >= index:
+                    candidate = min_a[node]
                 else:
-                    candidate = INF
-                    for pos, value in block.items():
+                    candidate = INT_INF
+                    for pos, value in blk.items():
                         if pos >= index and value < candidate:
                             candidate = value
                 return candidate if candidate < best else best
-            node_min = node.min
+            node_min = min_a[node]
             if minima_indexing:
                 # Minima-indexing early exit: the subtree cannot beat
                 # ``best``, or its minimum already lies in the suffix.
                 if node_min >= best:
                     return best
-                if node.pos >= index:
+                if pos_a[node] >= index:
                     return node_min
-            elif node.pos >= index and node_min < best:
+            elif pos_a[node] >= index and node_min < best:
                 best = node_min
-            start = node.start
-            if index <= start + (node.end - start) // 2:
-                right = node.right
-                if right is not None and right.min < best:
-                    best = right.min
-                node = node.left
+            start = start_a[node]
+            if index <= start + (end_a[node] - start) // 2:
+                right = right_a[node]
+                if right != _NIL and min_a[right] < best:
+                    best = min_a[right]
+                node = left_a[node]
             else:
-                node = node.right
+                node = right_a[node]
         return best
 
-    def argleq(self, value: Value) -> Optional[int]:
+    def argleq_int(self, value) -> int:
+        """Largest index with ``A[i] <= value`` (``-1`` when none)."""
+        pos_a = self._pos
+        min_a = self._min
+        left_a = self._left
+        right_a = self._right
+        block_a = self._block
         node = self._root
         best = -1
-        while node is not None:
-            if node.min > value:
+        while node != _NIL:
+            if min_a[node] > value:
                 break
-            block = node.block
-            if block is not None:
-                for pos, entry in block.items():
+            blk = block_a[node]
+            if blk is not None:
+                for pos, entry in blk.items():
                     if entry <= value and pos > best:
                         best = pos
                 break
-            if node.pos > best:
-                best = node.pos
-            right = node.right
-            if right is not None and right.min <= value:
-                # Any qualifying index in the right subtree beats every index
-                # in the left subtree, so the left subtree can be skipped.
+            if pos_a[node] > best:
+                best = pos_a[node]
+            right = right_a[node]
+            if right != _NIL and min_a[right] <= value:
+                # Any qualifying index on the right beats every left index.
                 node = right
             else:
-                node = node.left
-        return best if best >= 0 else None
-
-    def items(self) -> List[Tuple[int, Value]]:
-        return sorted(self._iter_entries(self._root))
+                node = left_a[node]
+        return best
 
     # ------------------------------------------------------------------ #
-    # Structural introspection (used by tests for Lemma 1)
+    # Structural introspection (Lemma 1 checks in tests)
     # ------------------------------------------------------------------ #
     @property
     def height(self) -> int:
-        """Number of nodes on the longest root-to-leaf path (0 when empty)."""
-        return self._height(self._root)
+        """Nodes on the longest root-to-leaf path (0 when empty)."""
+        if self._root == _NIL:
+            return 0
+        left_a, right_a = self._left, self._right
+        best = 0
+        stack = [(self._root, 1)]
+        while stack:
+            node, depth = stack.pop()
+            if depth > best:
+                best = depth
+            left = left_a[node]
+            if left != _NIL:
+                stack.append((left, depth + 1))
+            right = right_a[node]
+            if right != _NIL:
+                stack.append((right, depth + 1))
+        return best
 
     @property
     def node_count(self) -> int:
-        """Total number of allocated tree nodes (block nodes count as one)."""
-        return self._count(self._root)
+        """Live tree nodes (block nodes count as one)."""
+        if self._root == _NIL:
+            return 0
+        left_a, right_a = self._left, self._right
+        count = 0
+        stack = [self._root]
+        while stack:
+            node = stack.pop()
+            count += 1
+            if left_a[node] != _NIL:
+                stack.append(left_a[node])
+            if right_a[node] != _NIL:
+                stack.append(right_a[node])
+        return count
+
+    @property
+    def allocated_slots(self) -> int:
+        """Total node slots ever allocated (live plus free-listed)."""
+        return len(self._start)
 
     # ------------------------------------------------------------------ #
-    # Insertion
+    # Node allocation
     # ------------------------------------------------------------------ #
-    def _insert(self, pos: int, value: Value) -> None:
-        if self._root is None:
-            self._root = self._make_node(0, self._capacity - 1, pos, value)
+    def _alloc(self, start: int, end: int, pos: int, value: int) -> int:
+        is_block = self._block_size > 0 and (end - start + 1) <= self._block_size
+        free = self._free
+        if free:
+            node = free.pop()
+            self._start[node] = start
+            self._end[node] = end
+            self._pos[node] = pos
+            self._min[node] = value
+            self._left[node] = _NIL
+            self._right[node] = _NIL
+            self._block[node] = {pos: value} if is_block else None
+            return node
+        node = len(self._start)
+        self._start.append(start)
+        self._end.append(end)
+        self._pos.append(pos)
+        self._min.append(value)
+        self._left.append(_NIL)
+        self._right.append(_NIL)
+        self._block.append({pos: value} if is_block else None)
+        return node
+
+    # ------------------------------------------------------------------ #
+    # Insertion (push-down: the better entry stays, the other descends)
+    # ------------------------------------------------------------------ #
+    def _insert(self, pos: int, value: int) -> None:
+        if self._root == _NIL:
+            self._root = self._alloc(0, self._capacity - 1, pos, value)
             return
+        start_a = self._start
+        end_a = self._end
+        pos_a = self._pos
+        min_a = self._min
+        left_a = self._left
+        right_a = self._right
+        block_a = self._block
         node = self._root
         while True:
-            if node.block is not None:
-                node.block[pos] = value
-                if _better(value, pos, node.min, node.pos):
-                    node.pos, node.min = pos, value
+            blk = block_a[node]
+            if blk is not None:
+                blk[pos] = value
+                node_min = min_a[node]
+                if value < node_min or (value == node_min and pos > pos_a[node]):
+                    pos_a[node] = pos
+                    min_a[node] = value
                 return
-            if _better(value, pos, node.min, node.pos):
-                node.pos, node.min, pos, value = pos, value, node.pos, node.min
-            mid = node.mid
+            node_min = min_a[node]
+            node_pos = pos_a[node]
+            if value < node_min or (value == node_min and pos > node_pos):
+                # Swap the incoming entry with the node's entry; the
+                # displaced entry keeps descending.
+                pos_a[node] = pos
+                min_a[node] = value
+                pos, value = node_pos, node_min
+            start = start_a[node]
+            mid = start + (end_a[node] - start) // 2
             if pos <= mid:
-                if node.left is None:
-                    node.left = self._make_node(node.start, mid, pos, value)
+                child = left_a[node]
+                if child == _NIL:
+                    left_a[node] = self._alloc(start, mid, pos, value)
                     return
-                node = node.left
             else:
-                if node.right is None:
-                    node.right = self._make_node(mid + 1, node.end, pos, value)
+                child = right_a[node]
+                if child == _NIL:
+                    right_a[node] = self._alloc(mid + 1, end_a[node], pos, value)
                     return
-                node = node.right
-
-    def _make_node(self, start: int, end: int, pos: int, value: Value) -> _Node:
-        is_block = self._block_size > 0 and (end - start + 1) <= self._block_size
-        return _Node(start, end, pos, value, is_block)
+            node = child
 
     # ------------------------------------------------------------------ #
-    # Removal
+    # Removal (iterative descent plus pull-up cascade)
     # ------------------------------------------------------------------ #
-    def _remove(self, node: Optional[_Node], pos: int) -> Optional[_Node]:
-        """Remove the entry at ``pos`` from the subtree rooted at ``node``.
+    def _remove_entry(self, pos: int) -> None:
+        """Remove the entry at ``pos`` (the caller guarantees presence)."""
+        start_a = self._start
+        end_a = self._end
+        pos_a = self._pos
+        left_a = self._left
+        right_a = self._right
+        block_a = self._block
+        node = self._root
+        parent = _NIL
+        from_left = False
+        while True:
+            blk = block_a[node]
+            if blk is not None:
+                blk.pop(pos, None)
+                if not blk:
+                    self._detach(parent, from_left, node)
+                else:
+                    self._refresh_block(node)
+                return
+            if pos_a[node] == pos:
+                break
+            start = start_a[node]
+            mid = start + (end_a[node] - start) // 2
+            parent = node
+            from_left = pos <= mid
+            node = left_a[node] if from_left else right_a[node]
+        self._pull_up(node, parent, from_left)
 
-        Returns the (possibly new) subtree root.  The caller guarantees the
-        entry is present somewhere in the subtree.
-        """
-        if node is None:  # pragma: no cover - guarded by get() in update()
-            return None
-        if node.block is not None:
-            node.block.pop(pos, None)
-            if not node.block:
-                return None
-            node.refresh_block_best()
-            return node
-        if node.pos == pos:
-            return self._pull_up(node)
-        if pos <= node.mid:
-            node.left = self._remove(node.left, pos)
-        else:
-            node.right = self._remove(node.right, pos)
-        return node
+    def _pull_up(self, node: int, parent: int, from_left: bool) -> None:
+        """Refill ``node`` with the best entry of its children, cascading."""
+        pos_a = self._pos
+        min_a = self._min
+        left_a = self._left
+        right_a = self._right
+        block_a = self._block
+        while True:
+            left = left_a[node]
+            right = right_a[node]
+            best = left
+            best_is_left = True
+            if right != _NIL and (
+                best == _NIL
+                or min_a[right] < min_a[best]
+                or (min_a[right] == min_a[best] and pos_a[right] > pos_a[best])
+            ):
+                best = right
+                best_is_left = False
+            if best == _NIL:
+                self._detach(parent, from_left, node)
+                return
+            best_pos = pos_a[best]
+            pos_a[node] = best_pos
+            min_a[node] = min_a[best]
+            blk = block_a[best]
+            if blk is not None:
+                del blk[best_pos]
+                if not blk:
+                    self._detach(node, best_is_left, best)
+                else:
+                    self._refresh_block(best)
+                return
+            parent = node
+            from_left = best_is_left
+            node = best
 
-    def _pull_up(self, node: _Node) -> Optional[_Node]:
-        """Refill ``node`` with the best entry of its children, recursively."""
-        left, right = node.left, node.right
-        best_child = None
-        if left is not None:
-            best_child = left
-        if right is not None and (
-            best_child is None
-            or _better(right.min, right.pos, best_child.min, best_child.pos)
-        ):
-            best_child = right
-        if best_child is None:
-            return None
-        node.pos, node.min = best_child.pos, best_child.min
-        replacement = self._remove(best_child, best_child.pos)
-        if best_child is left:
-            node.left = replacement
+    def _detach(self, parent: int, from_left: bool, node: int) -> None:
+        if parent == _NIL:
+            self._root = _NIL
+        elif from_left:
+            self._left[parent] = _NIL
         else:
-            node.right = replacement
-        return node
+            self._right[parent] = _NIL
+        self._block[node] = None  # release the dict before recycling
+        self._free.append(node)
+
+    def _refresh_block(self, node: int) -> None:
+        """Recompute the mirrored ``(pos, min)`` of a block node."""
+        best_pos = -1
+        best_value = INT_INF
+        for pos, value in self._block[node].items():
+            if value < best_value or (value == best_value and pos > best_pos):
+                best_pos, best_value = pos, value
+        self._pos[node] = best_pos
+        self._min[node] = best_value
 
     # ------------------------------------------------------------------ #
     # Growth
@@ -335,10 +480,18 @@ class SparseSegmentTree(SuffixMinima):
         new_capacity = self._capacity
         while new_capacity < minimum_capacity:
             new_capacity *= 2
-        entries = list(self._iter_entries(self._root))
+        entries = self._entries()
         self._capacity = new_capacity
-        self._root = None
+        self._root = _NIL
         self._density = 0
+        del self._start[:]
+        del self._end[:]
+        del self._pos[:]
+        del self._min[:]
+        del self._left[:]
+        del self._right[:]
+        del self._block[:]
+        del self._free[:]
         for pos, value in entries:
             self._insert(pos, value)
             self._density += 1
@@ -346,28 +499,27 @@ class SparseSegmentTree(SuffixMinima):
     # ------------------------------------------------------------------ #
     # Traversal helpers
     # ------------------------------------------------------------------ #
-    def _iter_entries(self, node: Optional[_Node]) -> Iterator[Tuple[int, Value]]:
-        if node is None:
-            return
-        if node.block is not None:
-            yield from node.block.items()
-            return
-        yield (node.pos, node.min)
-        yield from self._iter_entries(node.left)
-        yield from self._iter_entries(node.right)
-
-    def _height(self, node: Optional[_Node]) -> int:
-        if node is None:
-            return 0
-        return 1 + max(self._height(node.left), self._height(node.right))
-
-    def _count(self, node: Optional[_Node]) -> int:
-        if node is None:
-            return 0
-        return 1 + self._count(node.left) + self._count(node.right)
+    def _entries(self) -> List[Tuple[int, int]]:
+        if self._root == _NIL:
+            return []
+        left_a, right_a, block_a = self._left, self._right, self._block
+        out: List[Tuple[int, int]] = []
+        stack = [self._root]
+        while stack:
+            node = stack.pop()
+            blk = block_a[node]
+            if blk is not None:
+                out.extend(blk.items())
+                continue
+            out.append((self._pos[node], self._min[node]))
+            if left_a[node] != _NIL:
+                stack.append(left_a[node])
+            if right_a[node] != _NIL:
+                stack.append(right_a[node])
+        return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"SparseSegmentTree(capacity={self._capacity}, "
-            f"density={self._density}, height={self.height})"
+            f"density={self._density}, slots={len(self._start)})"
         )

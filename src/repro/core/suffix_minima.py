@@ -22,6 +22,11 @@ from repro.errors import InvalidNodeError
 
 Value = float  # int or float("inf")
 
+#: Integer "empty entry" sentinel of the ``*_int`` fast-path methods.
+#: Strictly larger than any event index the analyses can produce, and
+#: safely summable without overflow surprises.
+INT_INF = 1 << 60
+
 
 class SuffixMinima(abc.ABC):
     """Interface of a dynamic suffix-minima array.
@@ -59,6 +64,23 @@ class SuffixMinima(abc.ABC):
 
         Returns ``None`` when no entry is ``<= value``.
         """
+
+    # Integer fast-path API: ``INT_INF`` for an empty entry, ``-1`` for "no
+    # index".  The CSST kernels call only these.  The defaults translate
+    # to the methods above; array-backed structures override them.
+    def update_int(self, index: int, value: int) -> None:
+        """Set ``A[index] = value`` (:data:`INT_INF` clears the entry)."""
+        self.update(index, INF if value >= INT_INF else value)
+
+    def suffix_min_int(self, index: int) -> int:
+        """``min(A[index:])``, :data:`INT_INF` when the suffix is empty."""
+        value = self.suffix_min(index)
+        return INT_INF if value == INF else value
+
+    def argleq_int(self, value: int) -> int:
+        """Largest index ``i`` with ``A[i] <= value``, ``-1`` when none."""
+        index = self.argleq(value)
+        return -1 if index is None else index
 
     def clear(self, index: int) -> None:
         """Remove the entry at ``index`` (equivalent to ``update(index, INF)``)."""

@@ -4,8 +4,8 @@
 equivalence contracts:
 
 * **backend parity** -- every partial-order backend applicable to an
-  analysis must produce the same findings on the same trace (object vs
-  flat, incremental CSSTs vs segment trees vs vector clocks, graphs vs
+  analysis must produce the same findings on the same trace (incremental
+  CSSTs vs segment trees vs both vector-clock representations, graphs vs
   CSSTs for the deletion-based analyses);
 * **streaming/batch parity** -- the :class:`~repro.stream.engine.
   StreamEngine`'s final flush must equal a batch ``Analysis.run()``;

@@ -231,7 +231,6 @@ class TenantShard:
             "threads": result.stats.threads,
             "flushes": result.stats.flushes,
             "emitted": result.stats.emitted,
-            "backbone_edges": result.stats.backbone_edges,
             "final": {name: [str(finding) for finding in res.findings]
                       for name, res in sorted(result.results.items())},
         }

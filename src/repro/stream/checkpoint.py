@@ -6,8 +6,8 @@ retained *window buffer* (as STD lines, with per-thread index bases), the
 per-analysis *dedup keys* of findings already emitted, and the engine
 configuration (analyses, backend, window policy).
 
-Derived state -- the live trace's indexes, the shared backbone order, and
-every native analysis's internal state -- is deliberately **not** stored:
+Derived state -- the live trace's indexes and every native analysis's
+internal state -- is deliberately **not** stored:
 it is reconstructed deterministically by replaying the buffered events
 through the normal ingestion path on restore.  That keeps checkpoints
 format-stable and independent of backend internals, at the cost of an

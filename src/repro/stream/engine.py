@@ -1,14 +1,12 @@
 """The streaming analysis engine.
 
 :class:`StreamEngine` feeds events one at a time into N concurrently
-attached analyses.  It maintains, shared across all attachments:
-
-* the growing per-thread chains (a live :class:`~repro.trace.trace.Trace`
-  whose derived indexes catch up with the new events whenever an analysis
-  reads them), and
-* a single shared incremental-CSST partial order holding the stream's sync
-  backbone (release->acquire edges per lock, fork/join edges), inserted
-  online as the corresponding events arrive.
+attached analyses.  The one state shared across all attachments is the
+growing per-thread chains: a live :class:`~repro.trace.trace.Trace` whose
+derived indexes catch up with the new events whenever an analysis reads
+them.  Each attached analysis keeps its own partial order -- each
+analysis's edge set is analysis-specific (saturation, atomics, deliberate
+lock-order omission), so a shared order would change their answers.
 
 Analyses consume the stream through the online protocol of
 :class:`~repro.analyses.common.base.Analysis` (``begin``/``feed``/
@@ -21,15 +19,6 @@ exactly once**, the first time some flush discovers it.  (Under
 *overlapping bounded windows*, findings that embed bare node tuples
 instead of events -- see :func:`finding_key` -- can evade the dedup and
 repeat.)
-
-The shared sync order is the stream's own happens-before substrate: it is
-exposed to embedders via :attr:`StreamEngine.order` (and as the
-``backbone_edges`` monitor metric), and it is the seam future
-sharding/async work attaches to.  Attached analyses keep their own orders
--- each analysis's edge set is analysis-specific (saturation, atomics,
-deliberate lock-order omission), so sharing the backbone would change
-their answers.  Pass ``backbone=False`` to skip its maintenance cost when
-neither the metric nor the substrate is wanted.
 
 Exactness contract (unbounded window): the **final flush** sees the whole
 trace, so ``StreamResult.results`` is identical to a batch
@@ -55,19 +44,12 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 
 from repro.analyses.common.base import Analysis, AnalysisResult
 from repro.core.factory import AUTO_BACKEND
-from repro.core.growable import GrowableOrder
 from repro.errors import StreamError
 from repro.obs import metrics as obs_metrics
-from repro.trace.event import Event, EventKind
+from repro.trace.event import Event
 from repro.trace.trace import Trace
 from repro.stream.source import EventSource
 from repro.stream.window import UnboundedWindow, Window
-
-Node = Tuple[int, int]
-
-#: Backend maintaining the shared sync-order backbone.  Incremental CSSTs
-#: are the paper's structure of choice for online insertion workloads.
-BACKBONE_BACKEND = "incremental-csst"
 
 
 # --------------------------------------------------------------------------- #
@@ -154,7 +136,6 @@ class StreamStats:
     flush_errors: int = 0
     emitted: int = 0
     evicted: int = 0
-    backbone_edges: int = 0
     checkpoints: int = 0
 
     def as_dict(self) -> Dict[str, int]:
@@ -272,10 +253,6 @@ class StreamEngine:
         instance, or ``None`` for the tuning layer's default).
     window:
         A :class:`~repro.stream.window.Window` policy (default unbounded).
-    backbone:
-        Maintain the shared sync-order backbone (default: on for unbounded
-        windows, off for bounded ones -- the backbone cannot evict, so it
-        would break the window's memory bound).
     on_finding:
         Callback invoked with each :class:`StreamFinding` as it is emitted.
     """
@@ -287,7 +264,6 @@ class StreamEngine:
                  *, backend: Optional[str] = None,
                  window: Optional[Window] = None,
                  name: str = "stream",
-                 backbone: Optional[bool] = None,
                  on_finding: Optional[Callable[[StreamFinding], None]] = None,
                  policy=None,
                  ) -> None:
@@ -319,20 +295,6 @@ class StreamEngine:
         self._snapshot_cache: Optional[Tuple[int, Trace, Dict[int, int]]] = None
         self._last_flush_cursor: Optional[int] = None
         self._finished = False
-
-        # Shared sync-order backbone.
-        if backbone is None:
-            backbone = not self.window.bounded
-        if backbone and self.window.bounded:
-            raise StreamError(
-                "the shared backbone order cannot evict events; disable it "
-                "(backbone=False) when using a bounded window")
-        self._order: Optional[GrowableOrder] = (
-            GrowableOrder(BACKBONE_BACKEND, num_chains=1, capacity_hint=256)
-            if backbone else None)
-        self._last_release: Dict[object, Event] = {}
-        self._pending_forks: Dict[int, Node] = {}
-        self._last_node: Dict[int, Node] = {}
 
         # Attach analyses.
         self._view = StreamView(self)
@@ -417,11 +379,6 @@ class StreamEngine:
         return self._metrics
 
     @property
-    def order(self) -> Optional[GrowableOrder]:
-        """The shared sync-order backbone (``None`` when disabled)."""
-        return self._order
-
-    @property
     def buffered_events(self) -> int:
         """Events currently retained (window buffer, or the whole history
         under an unbounded window)."""
@@ -437,8 +394,8 @@ class StreamEngine:
     # Ingestion
     # ------------------------------------------------------------------ #
     def feed(self, event: Event) -> None:
-        """Consume one event: index it, maintain the shared state, give it
-        to every native analysis, and flush/evict at window boundaries."""
+        """Consume one event: index it, give it to every native analysis,
+        and flush/evict at window boundaries."""
         if self._finished:
             raise StreamError("stream already finished")
         self._cursor += 1
@@ -470,7 +427,6 @@ class StreamEngine:
         else:
             self._buffer.append(event)
             self._snapshot_cache = None
-        self._maintain_backbone(event)
         for attachment in self._attachments:
             if attachment.native and not attachment.held:
                 if attachment.m_feed is not None:
@@ -485,34 +441,6 @@ class StreamEngine:
                     # were restored, and those must not re-emit.
                     if key not in attachment.emitted:
                         self._emit(attachment, finding, key)
-
-    def _maintain_backbone(self, event: Event) -> None:
-        """Insert the event's sync edges into the shared order, online."""
-        order = self._order
-        if order is None:
-            return
-        # A fork recorded before the child's first event resolves now.
-        pending = self._pending_forks.pop(event.thread, None) \
-            if event.index == 0 else None
-        if pending is not None:
-            order.insert_edge(pending, event.node)
-        if event.kind is EventKind.ACQUIRE:
-            previous = self._last_release.get(event.variable)
-            if previous is not None and previous.thread != event.thread:
-                if not order.reachable(previous.node, event.node):
-                    order.insert_edge(previous.node, event.node)
-        elif event.kind is EventKind.RELEASE:
-            self._last_release[event.variable] = event
-        elif event.kind is EventKind.FORK and event.target is not None:
-            if event.target != event.thread:
-                self._pending_forks[event.target] = event.node
-        elif event.kind is EventKind.JOIN and event.target is not None:
-            last = self._last_node.get(event.target)
-            if last is not None and event.target != event.thread:
-                if not order.reachable(last, event.node):
-                    order.insert_edge(last, event.node)
-        self._last_node[event.thread] = event.node
-        self.stats.backbone_edges = order.edge_count
 
     # ------------------------------------------------------------------ #
     # Auto-backend resolution
@@ -762,7 +690,6 @@ class StreamEngine:
             "cursor": self._cursor,
             "window": self.window.spec(),
             "flush_every": flush_every,
-            "backbone": self._order is not None,
             "backend": self.backend_option,
             "analyses": [
                 {"name": attachment.name,
@@ -787,8 +714,8 @@ class StreamEngine:
         """Rebuild an engine from :meth:`state_dict` output.
 
         The window buffer is replayed through the normal ingestion path, so
-        the live trace, the shared backbone order and every native
-        analysis's state are reconstructed deterministically; the restored
+        the live trace and every native analysis's state are reconstructed
+        deterministically; the restored
         dedup keys suppress re-emission of findings already reported before
         the checkpoint.
 
@@ -814,7 +741,6 @@ class StreamEngine:
             backend=state.get("backend"),
             window=window,
             name=state.get("name", "stream"),
-            backbone=state.get("backbone"),
             on_finding=on_finding,
             policy=policy,
         )

@@ -3,7 +3,7 @@
 Which partial-order backend wins depends on the *shape* of the trace --
 thread count, event mix, contention -- not on the analysis alone (the
 perf baseline shows ``vc-flat`` ahead on atomic-heavy c11 traces while
-``incremental-csst-flat`` wins the lock-structured figure-11 workload).
+``incremental-csst`` wins the lock-structured figure-11 workload).
 :func:`extract_features` distils that shape into a small fixed vector,
 computed entirely from the int-encoded columns of
 :class:`~repro.trace.columns.TraceColumns`.

@@ -5,9 +5,8 @@ Three policies sit behind one :class:`BackendPolicy` protocol:
 * :class:`StaticPolicy` -- always the analysis's default backend
   (exactly the pre-``auto`` behaviour, useful as the control arm);
 * :class:`HeuristicPolicy` -- hand-written rules distilled from
-  ``BENCH_baseline.json``: flat variants dominate their object
-  counterparts, vector clocks win atomic-heavy traces, incremental
-  CSSTs win the rest;
+  ``BENCH_baseline.json``: vector clocks win atomic-heavy traces,
+  incremental CSSTs win the rest;
 * :class:`BanditPolicy` -- epsilon-greedy over observed runtimes, one
   arm per ``(analysis, feature-bucket, backend)``.  Its learned state
   round-trips through JSON (:func:`save_policy_state` /
@@ -91,14 +90,12 @@ class StaticPolicy(BackendPolicy):
 class HeuristicPolicy(BackendPolicy):
     """Fixed rules distilled from the repository perf baseline.
 
-    ``BENCH_baseline.json`` (full mode) shows the flat structure-of-
-    arrays variants beating their object counterparts across the board
-    (fig11: ``incremental-csst-flat`` 0.069s vs ``incremental-csst``
-    0.094s and ``vc`` 0.197s; ``csst-flat`` 0.43s vs ``csst`` 0.70s),
-    while on atomic-heavy C11 traces the vector clocks win
-    (``vc-flat`` 0.043s on c11-races).  Hence: prefer ``csst-flat``
-    for deletion-based analyses, ``vc-flat`` when a meaningful share
-    of events is atomic, and ``incremental-csst-flat`` otherwise.
+    ``BENCH_baseline.json`` (full mode) shows the incremental CSST
+    kernel ahead on the lock-structured figure-11 workload (0.069s vs
+    ``vc`` 0.197s), while on atomic-heavy C11 traces the vector clocks
+    win (``vc-flat`` 0.043s on c11-races).  Hence: prefer ``vc-flat``
+    when a meaningful share of events is atomic, ``incremental-csst``
+    otherwise, and ``csst`` for deletion-based analyses.
     """
 
     name = "heuristic"
@@ -112,8 +109,7 @@ class HeuristicPolicy(BackendPolicy):
         preferences: List[str] = []
         if features.atomic_fraction > self.ATOMIC_THRESHOLD:
             preferences += ["vc-flat", "vc"]
-        preferences += ["incremental-csst-flat", "incremental-csst",
-                        "csst-flat", "csst"]
+        preferences += ["incremental-csst", "csst"]
         for backend in preferences:
             if backend in candidates:
                 return backend

@@ -118,7 +118,7 @@ class TestAnalysisRegistry:
         assert _DeletingAnalysis.default_backend() == "csst"
         assert "vc" in _CountingAnalysis.applicable_backends()
         assert set(_DeletingAnalysis.applicable_backends()) == {
-            "graph", "csst", "csst-flat"}
+            "graph", "csst"}
 
 
 class TestAnalysisResult:

@@ -22,8 +22,8 @@ def _tiny_cases():
             return run
         return perf.PerfCase(name, setup)
 
-    return [make("fig11/csst", 1), make("fig11/csst-flat", 2),
-            make("sst-ops/object", 3), make("sst-ops/flat", 4)]
+    return [make("fig11/vc", 1), make("fig11/vc-flat", 2),
+            make("trace-load/std", 3), make("trace-load/stc", 4)]
 
 
 class TestRunPerf:
@@ -34,12 +34,12 @@ class TestRunPerf:
         assert document["mode"] == "quick"
         assert document["repeats"] == 2
         assert set(document["results"]) == {
-            "fig11/csst", "fig11/csst-flat", "sst-ops/object", "sst-ops/flat"}
+            "fig11/vc", "fig11/vc-flat", "trace-load/std", "trace-load/stc"}
         for entry in document["results"].values():
             assert entry["seconds"] == min(entry["runs"])
             assert len(entry["runs"]) == 2
         assert set(document["speedups"]) == {
-            "csst-flat-over-csst", "flat-sst-over-sst"}
+            "vc-flat-over-vc", "stc-parse-over-std-parse"}
 
     def test_full_mode_flag(self):
         document = perf.run_perf(quick=False, repeats=1, warmup=0,
@@ -144,7 +144,7 @@ class TestBenchCli:
         assert main(["bench", "perf", "--quick", "--repeats", "1"]) == 0
         output = capsys.readouterr().out
         assert "perf[quick]" in output
-        assert "csst-flat-over-csst" in output
+        assert "vc-flat-over-vc" in output
         written = list(tmp_path.glob("BENCH_*.json"))
         assert len(written) == 1
         document = json.loads(written[0].read_text())
@@ -176,7 +176,7 @@ class TestBenchCli:
         baseline = {
             "version": perf.PERF_FORMAT_VERSION,
             "modes": {"quick": {"results": {
-                "fig11/csst": {"seconds": 1e-9}}}},
+                "fig11/vc": {"seconds": 1e-9}}}},
         }
         (tmp_path / perf.BASELINE_FILENAME).write_text(json.dumps(baseline))
         code = main(["bench", "perf", "--quick", "--repeats", "1",

@@ -22,11 +22,12 @@ class TestLazyArrayCreation:
         assert (0, 1) in touched_pairs
         assert all(source != target for source, target in touched_pairs)
 
-    def test_existing_array_returns_none_for_untouched_pair(self):
+    def test_untouched_pair_has_no_array(self):
         order = IncrementalCSST(4, 16)
         order.insert_edge((0, 1), (1, 2))
-        assert order._existing_array(2, 3) is None
-        assert order._existing_array(0, 1) is not None
+        arrays = dict(order._iter_arrays())
+        assert (2, 3) not in arrays
+        assert (0, 1) in arrays
 
     def test_custom_array_factory_is_used(self):
         order = IncrementalCSST(3, 16,

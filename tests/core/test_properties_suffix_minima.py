@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.core import NaiveSuffixMinima, SegmentTree, SparseSegmentTree
-from repro.core.flat import FlatSparseSegmentTree
 from repro.core.interface import INF
 
 CAPACITY = 64
@@ -35,22 +34,22 @@ def _apply(operations_list, *arrays):
 def test_suffix_min_agrees_with_oracle(operations, query, block_size,
                                        minima_indexing):
     """Both walks of ``suffix_min`` (with and without the minima-indexing
-    early exit), on the object SST and its flat twin."""
+    early exit)."""
     oracle = NaiveSuffixMinima(CAPACITY)
     sparse = SparseSegmentTree(CAPACITY, block_size=block_size,
                                minima_indexing=minima_indexing)
-    flat = FlatSparseSegmentTree(CAPACITY, block_size=block_size,
-                                 minima_indexing=minima_indexing)
     dense = SegmentTree(CAPACITY)
-    _apply(operations, oracle, sparse, flat, dense)
+    _apply(operations, oracle, sparse, dense)
     expected = oracle.suffix_min(query)
     assert sparse.suffix_min(query) == expected
-    assert flat.suffix_min(query) == expected
     assert dense.suffix_min(query) == expected
     for index in range(CAPACITY):
         expected = oracle.suffix_min(index)
         assert sparse.suffix_min(index) == expected
-        assert flat.suffix_min(index) == expected
+        # The integer API the CSST kernels call: native on the SST, the
+        # SuffixMinima default translation on the other two.
+        assert sparse.suffix_min_int(index) == dense.suffix_min_int(index) \
+            == oracle.suffix_min_int(index)
 
 
 @settings(max_examples=60, deadline=None)
@@ -65,6 +64,8 @@ def test_argleq_agrees_with_oracle(operations, threshold, block_size):
     expected = oracle.argleq(threshold)
     assert sparse.argleq(threshold) == expected
     assert dense.argleq(threshold) == expected
+    assert sparse.argleq_int(threshold) == dense.argleq_int(threshold) \
+        == oracle.argleq_int(threshold) == (-1 if expected is None else expected)
 
 
 @settings(max_examples=60, deadline=None)

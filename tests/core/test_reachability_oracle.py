@@ -1,0 +1,114 @@
+"""Every backend against a brute-force transitive-closure oracle.
+
+The other cross-validation suites compare backends with each other (and
+with ``GraphOrder``).  Here the reference shares no code with any backend:
+a boolean reachability matrix over every node of a small chain DAG, closed
+by Floyd-Warshall from scratch after every operation.  On random DAGs of at
+most 5 chains and 8 events per chain, every registered backend must answer
+``reachable``, ``successor`` and ``predecessor`` exactly as the matrix does
+after every operation: inserts only for the incremental backends, inserts
+and deletes for the fully dynamic ones.
+"""
+
+import random
+
+import pytest
+
+from repro.core import BACKENDS, make_partial_order
+
+MAX_CHAINS = 5
+MAX_EVENTS = 8
+SEEDS = range(25)
+
+
+class ClosureOracle:
+    """Reachability by Floyd-Warshall over an explicit node set."""
+
+    def __init__(self, num_chains, per_chain):
+        self.num_chains = num_chains
+        self.per_chain = per_chain
+        self.nodes = [(chain, index) for chain in range(num_chains)
+                      for index in range(per_chain)]
+        self.edges = []
+        self.reach = {}
+        self.close()
+
+    def close(self):
+        nodes = self.nodes
+        reach = {u: {v: u == v for v in nodes} for u in nodes}
+        for chain, index in nodes:
+            if index + 1 < self.per_chain:
+                reach[(chain, index)][(chain, index + 1)] = True
+        for source, target in self.edges:
+            reach[source][target] = True
+        for via in nodes:
+            via_row = reach[via]
+            for u in nodes:
+                if reach[u][via]:
+                    row = reach[u]
+                    for v in nodes:
+                        if via_row[v]:
+                            row[v] = True
+        self.reach = reach
+
+    def successor(self, node, chain):
+        found = [index for index in range(self.per_chain)
+                 if self.reach[node][(chain, index)]]
+        return min(found) if found else None
+
+    def predecessor(self, node, chain):
+        found = [index for index in range(self.per_chain)
+                 if self.reach[(chain, index)][node]]
+        return max(found) if found else None
+
+
+def _assert_agrees(order, oracle, context):
+    for u in oracle.nodes:
+        for v in oracle.nodes:
+            assert order.reachable(u, v) == oracle.reach[u][v], \
+                (context, "reachable", u, v)
+        for chain in range(oracle.num_chains):
+            assert order.successor(u, chain) == oracle.successor(u, chain), \
+                (context, "successor", u, chain)
+            assert order.predecessor(u, chain) == \
+                oracle.predecessor(u, chain), (context, "predecessor", u, chain)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+def test_backend_matches_closure_oracle(backend, seed):
+    rng = random.Random(seed)
+    num_chains = rng.randint(2, MAX_CHAINS)
+    per_chain = rng.randint(1, MAX_EVENTS)
+    dynamic = BACKENDS[backend].supports_deletion
+    # A small capacity hint makes every array grow during the run.
+    order = make_partial_order(backend, num_chains, capacity_hint=2)
+    oracle = ClosureOracle(num_chains, per_chain)
+    _assert_agrees(order, oracle, (backend, seed, "empty"))
+    for step in range(3 * per_chain):
+        if dynamic and oracle.edges and rng.random() < 0.35:
+            edge = oracle.edges.pop(rng.randrange(len(oracle.edges)))
+            order.delete_edge(*edge)
+            operation = ("delete", edge)
+        else:
+            source = (rng.randrange(num_chains), rng.randrange(per_chain))
+            target_chain = (source[0] + rng.randrange(1, num_chains)) \
+                % num_chains
+            target = (target_chain, rng.randrange(per_chain))
+            # Skip edges that would close a cycle, and re-insertions of a
+            # live edge (graphs keep a set, CSSTs a multiset).
+            if oracle.reach[target][source] or (source, target) in oracle.edges:
+                continue
+            oracle.edges.append((source, target))
+            order.insert_edge(source, target)
+            operation = ("insert", (source, target))
+        oracle.close()
+        _assert_agrees(order, oracle, (backend, seed, step, operation))
+
+
+def test_oracle_covers_both_families():
+    dynamic = [name for name, cls in BACKENDS.items() if cls.supports_deletion]
+    incremental = [name for name, cls in BACKENDS.items()
+                   if not cls.supports_deletion]
+    assert sorted(dynamic) == ["csst", "graph"]
+    assert sorted(incremental) == ["incremental-csst", "st", "vc", "vc-flat"]

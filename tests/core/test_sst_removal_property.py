@@ -5,19 +5,14 @@ The original property suite exercised updates and queries but never removal
 an edge deletion empties a heap.  These properties drive randomized
 insert/remove/query interleavings against the naive oracle -- including
 block-node boundaries (block sizes around the capacity, 0 disables blocks)
-and the pull-up cascade after removing internal entries.  The flat SST runs
-through the identical machine so both implementations stay pinned.
+and the pull-up cascade after removing internal entries.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.core import (
-    FlatSparseSegmentTree,
-    NaiveSuffixMinima,
-    SparseSegmentTree,
-)
+from repro.core import NaiveSuffixMinima, SparseSegmentTree
 from repro.core.interface import INF
 
 CAPACITY = 64
@@ -57,16 +52,11 @@ def test_interleaved_insert_remove_matches_oracle(operations, query,
                                                   block_size):
     oracle = NaiveSuffixMinima(CAPACITY)
     sparse = SparseSegmentTree(CAPACITY, block_size=block_size)
-    flat = FlatSparseSegmentTree(CAPACITY, block_size=block_size)
-    _apply(operations, oracle, sparse, flat)
+    _apply(operations, oracle, sparse)
     assert sparse.suffix_min(query) == oracle.suffix_min(query)
-    assert flat.suffix_min(query) == oracle.suffix_min(query)
     assert sparse.get(query) == oracle.get(query)
-    assert flat.get(query) == oracle.get(query)
     assert sparse.density == oracle.density
-    assert flat.density == oracle.density
     assert sparse.items() == oracle.items()
-    assert flat.items() == oracle.items()
 
 
 @settings(max_examples=60, deadline=None)
@@ -74,33 +64,25 @@ def test_interleaved_insert_remove_matches_oracle(operations, query,
 def test_argleq_after_removals_matches_oracle(operations, value, block_size):
     oracle = NaiveSuffixMinima(CAPACITY)
     sparse = SparseSegmentTree(CAPACITY, block_size=block_size)
-    flat = FlatSparseSegmentTree(CAPACITY, block_size=block_size)
-    _apply(operations, oracle, sparse, flat)
+    _apply(operations, oracle, sparse)
     assert sparse.argleq(value) == oracle.argleq(value)
-    assert flat.argleq(value) == oracle.argleq(value)
 
 
 @settings(max_examples=40, deadline=None)
 @given(operations=operations, block_size=block_sizes)
 def test_remove_everything_empties_the_tree(operations, block_size):
     sparse = SparseSegmentTree(CAPACITY, block_size=block_size)
-    flat = FlatSparseSegmentTree(CAPACITY, block_size=block_size)
     touched = set()
     for operation in operations:
         if operation[0] == "set":
             _op, index, value = operation
             sparse.update(index, value)
-            flat.update(index, value)
             touched.add(index)
     for index in touched:
         sparse.update(index, INF)
-        flat.update(index, INF)
     assert sparse.density == 0
-    assert flat.density == 0
     assert sparse.node_count == 0
-    assert flat.node_count == 0
     assert sparse.suffix_min(0) == INF
-    assert flat.suffix_min(0) == INF
 
 
 class RemovalMachine(RuleBasedStateMachine):
@@ -110,40 +92,35 @@ class RemovalMachine(RuleBasedStateMachine):
         super().__init__()
         self.oracle = NaiveSuffixMinima(CAPACITY)
         self.sparse = SparseSegmentTree(CAPACITY, block_size=4)
-        self.flat = FlatSparseSegmentTree(CAPACITY, block_size=4)
 
     @rule(index=indexes, value=values)
     def set_entry(self, index, value):
-        for array in (self.oracle, self.sparse, self.flat):
+        for array in (self.oracle, self.sparse):
             array.update(index, value)
 
     @rule(index=indexes)
     def clear_entry(self, index):
-        for array in (self.oracle, self.sparse, self.flat):
+        for array in (self.oracle, self.sparse):
             array.update(index, INF)
 
     @rule(index=indexes)
     def query_suffix(self, index):
         expected = self.oracle.suffix_min(index)
         assert self.sparse.suffix_min(index) == expected
-        assert self.flat.suffix_min(index) == expected
 
     @rule(value=values)
     def query_argleq(self, value):
         expected = self.oracle.argleq(value)
         assert self.sparse.argleq(value) == expected
-        assert self.flat.argleq(value) == expected
 
     @invariant()
     def densities_agree(self):
         assert self.sparse.density == self.oracle.density
-        assert self.flat.density == self.oracle.density
 
     @invariant()
     def entries_agree(self):
         expected = self.oracle.items()
         assert self.sparse.items() == expected
-        assert self.flat.items() == expected
 
 
 TestRemovalMachine = RemovalMachine.TestCase

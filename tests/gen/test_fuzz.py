@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.core import FLAT_EQUIVALENTS
 from repro.errors import FuzzError
 from repro.gen import fuzz as fuzz_module
 from repro.gen.fuzz import (
@@ -63,13 +62,13 @@ class TestPlanning:
 
 
 class TestComparisonPlan:
-    def test_covers_flat_object_pairs(self):
+    def test_covers_every_other_applicable_backend(self):
         plans = comparison_plan("racy")
         pairs = {(left, right) for _a, left, right in plans}
-        # The default backend is incremental-csst; its flat twin must be
-        # among the compared backends.
-        assert ("incremental-csst",
-                FLAT_EQUIVALENTS["incremental-csst"]) in pairs
+        # The default backend is incremental-csst; the baselines and both
+        # vector-clock representations are compared against it.
+        for backend in ("st", "vc", "vc-flat"):
+            assert ("incremental-csst", backend) in pairs
 
     def test_covers_streaming_vs_batch(self):
         plans = comparison_plan("racy")
@@ -80,7 +79,7 @@ class TestComparisonPlan:
     def test_deletion_analyses_compare_dynamic_backends(self):
         plans = comparison_plan("history")
         rights = {right for _a, _l, right in plans}
-        assert "graph" in rights and "csst-flat" in rights
+        assert "graph" in rights and "csst" not in rights
 
     def test_unknown_kind_yields_no_plan(self):
         assert comparison_plan("quantum") == []

@@ -135,7 +135,7 @@ class TestBuilding:
 class TestSweepIntegration:
     def test_corpus_suite_sweeps_clean(self, built):
         result = run_suite("corpus:t", analyses=["race-prediction"],
-                           backends=["vc", "incremental-csst-flat"])
+                           backends=["vc", "vc-flat"])
         assert not result.failures()
         assert len(result.records) == 8  # 4 traces x 2 backends
         # Spec-regenerated traces carry the manifest's trace ids.

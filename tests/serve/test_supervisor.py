@@ -299,7 +299,7 @@ class TestConcurrentIngest:
 
 class TestTenantIsolation:
     def test_worker_survives_a_tenant_that_exhausts_memory(self, tmp_path):
-        """A thread id of 3,000,000 makes the flat CSST ask for a
+        """A thread id of 3,000,000 makes the CSST ask for a
         (2**22)**2 matrix: MemoryError.  It must poison that tenant
         only, not crash-loop the worker and abort the service."""
         bad = tmp_path / "bad.std"

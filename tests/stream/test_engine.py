@@ -1,4 +1,4 @@
-"""StreamEngine: ingestion, shared backbone, windows, emission semantics."""
+"""StreamEngine: ingestion, windows, emission semantics."""
 
 import pytest
 
@@ -9,7 +9,6 @@ from repro.stream.source import TraceSource
 from repro.stream.window import SlidingWindow, TumblingWindow, UnboundedWindow
 from repro.trace.event import Event, EventKind
 from repro.trace.generators import c11_trace, racy_trace
-from repro.trace.trace import Trace
 
 
 class TestConstruction:
@@ -28,11 +27,6 @@ class TestConstruction:
         analysis = Analysis.by_name("race-prediction")(backend)
         with pytest.raises(StreamError):
             StreamEngine([analysis])
-
-    def test_backbone_conflicts_with_bounded_window(self):
-        with pytest.raises(StreamError):
-            StreamEngine(["race-prediction"], window=TumblingWindow(10),
-                         backbone=True)
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(StreamError, match="unknown partial-order"):
@@ -69,46 +63,6 @@ class TestIngestion:
         assert engine.cursor == len(trace)
         assert engine.stats.events == len(trace)
         assert engine.stats.threads == trace.num_threads
-
-
-class TestSharedBackbone:
-    def test_lock_edges_inserted_online(self):
-        trace = Trace()
-        trace.acquire(0, "l")
-        trace.release(0, "l")
-        trace.acquire(1, "l")
-        trace.release(1, "l")
-        engine = StreamEngine(["race-prediction"])
-        engine.run(TraceSource(trace))
-        order = engine.order
-        assert order is not None
-        assert order.edge_count == 1  # release(0) -> acquire(1)
-        assert order.reachable((0, 1), (1, 0))
-
-    def test_fork_join_edges_resolved(self):
-        trace = Trace()
-        trace.fork(0, 1)
-        trace.write(1, "x", value=1)
-        trace.join(0, 1)
-        engine = StreamEngine(["race-prediction"])
-        engine.run(TraceSource(trace))
-        order = engine.order
-        assert order.reachable((0, 0), (1, 0))  # fork -> first child event
-        assert order.reachable((1, 0), (0, 1))  # last child event -> join
-
-    def test_new_thread_grows_backbone(self):
-        trace = Trace()
-        for thread in range(5):
-            trace.acquire(thread, "l")
-            trace.release(thread, "l")
-        engine = StreamEngine(["race-prediction"])
-        engine.run(TraceSource(trace))
-        assert engine.order.num_chains >= 5
-        assert engine.order.edge_count == 4
-
-    def test_bounded_window_disables_backbone(self):
-        engine = StreamEngine(["race-prediction"], window=TumblingWindow(10))
-        assert engine.order is None
 
 
 class TestWindows:

@@ -156,7 +156,7 @@ class TestSweep:
         assert main(["sweep", "--suite", "smoke", "--jobs", "2",
                      "--format", "json"]) == 0
         document = json.loads(capsys.readouterr().out)
-        assert document["jobs"] == 33 and document["failures"] == 0
+        assert document["jobs"] == 26 and document["failures"] == 0
         first = document["records"][0]
         for key in ("backend", "analysis", "trace_id", "kind", "threads",
                     "events", "seed", "elapsed_seconds", "finding_count",
@@ -179,10 +179,10 @@ class TestSweep:
         path = tmp_path / "sweep.csv"
         assert main(["sweep", "--suite", "smoke", "--analyses", "c11-races",
                      "--format", "csv", "--out", str(path)]) == 0
-        assert "wrote 5 records" in capsys.readouterr().out
+        assert "wrote 4 records" in capsys.readouterr().out
         lines = path.read_text().strip().splitlines()
         assert lines[0].startswith("suite,trace_id,kind")
-        assert len(lines) == 6
+        assert len(lines) == 5
 
     def test_sweep_unknown_suite_rejected(self):
         with pytest.raises(SystemExit):

@@ -21,7 +21,7 @@ from repro.tune import (
     save_policy_state,
 )
 
-CANDIDATES = ("incremental-csst", "incremental-csst-flat", "vc", "vc-flat")
+CANDIDATES = ("incremental-csst", "st", "vc", "vc-flat")
 
 
 def racy_features():
@@ -56,16 +56,16 @@ class TestHeuristicPolicy:
         assert features.atomic_fraction > HeuristicPolicy.ATOMIC_THRESHOLD
         assert HeuristicPolicy().choose("a", CANDIDATES, features) == "vc-flat"
 
-    def test_lock_structured_prefers_incremental_flat(self):
+    def test_lock_structured_prefers_incremental_csst(self):
         features = racy_features()
         assert HeuristicPolicy().choose("a", CANDIDATES, features) \
-            == "incremental-csst-flat"
+            == "incremental-csst"
 
     def test_honours_candidate_list(self):
         # Deletion-style analyses only offer csst family backends.
         chosen = HeuristicPolicy().choose(
-            "a", ("csst", "csst-flat", "graph"), racy_features())
-        assert chosen == "csst-flat"
+            "a", ("graph", "csst"), racy_features())
+        assert chosen == "csst"
 
     def test_unmatched_preferences_fall_back(self):
         chosen = HeuristicPolicy().choose("a", ("graph",), racy_features(),
@@ -179,6 +179,37 @@ class TestStateRoundTrip:
         path.write_text("{not json")
         with pytest.raises(TuneError, match="cannot read"):
             make_policy("bandit", state_path=str(path))
+
+    @pytest.mark.parametrize("epsilon", [0.0, 1.0])
+    def test_state_with_a_removed_backend_loads_and_never_picks_it(
+            self, tmp_path, epsilon):
+        """A state saved while ``incremental-csst-flat`` existed: its arm
+        (the fastest on record) is carried along but is never a
+        candidate, so it is never picked."""
+        from repro.analyses.common.base import Analysis
+
+        trace = build_trace("racy", num_threads=3, events=30, seed=1)
+        bucket = extract_features(trace).bucket()
+        arms = {f"race-prediction|{bucket}|{backend}": [3, seconds]
+                for backend, seconds in (("incremental-csst-flat", 0.003),
+                                         ("incremental-csst", 0.3),
+                                         ("st", 0.3), ("vc", 0.6),
+                                         ("vc-flat", 0.6))}
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"version": STATE_VERSION,
+                                    "policy": "bandit", "epsilon": epsilon,
+                                    "seed": 5, "arms": arms}))
+        policy = make_policy(state_path=str(path))
+        assert policy.state_dict()["arms"] == arms
+        candidates = Analysis.by_name("race-prediction").applicable_backends()
+        assert "incremental-csst-flat" not in candidates
+        picks = {policy.choose("race-prediction", candidates,
+                               extract_features(trace))
+                 for _ in range(50)}
+        assert picks and picks <= set(candidates)
+        result = Analysis.by_name("race-prediction")(
+            "auto", policy=policy).run(trace)
+        assert result.details["backend_selected"] in candidates
 
     def test_malformed_arm_rejected(self):
         policy = BanditPolicy()
