@@ -109,7 +109,7 @@ class C11RaceAnalysis(Analysis):
     name = "c11-races"
     streaming_native = True
 
-    def __init__(self, backend="vc", report_all: bool = False,
+    def __init__(self, backend=None, report_all: bool = False,
                  **backend_kwargs) -> None:
         super().__init__(backend, **backend_kwargs)
         self._report_all = report_all
@@ -311,6 +311,6 @@ class C11RaceAnalysis(Analysis):
         history.append(event)
 
 
-def detect_c11_races(trace: Trace, backend="vc", **kwargs) -> AnalysisResult:
+def detect_c11_races(trace: Trace, backend=None, **kwargs) -> AnalysisResult:
     """Convenience wrapper: run C11 race detection over ``trace``."""
     return C11RaceAnalysis(backend, **kwargs).run(trace)

@@ -171,17 +171,13 @@ class Analysis:
         return (dynamic_backends() if cls.requires_deletion
                 else incremental_backends())
 
-    def __init__(self, backend: BackendSpec = "incremental-csst",
-                 policy=None, **backend_kwargs) -> None:
-        self._backend_spec = backend
+    def __init__(self, backend: Optional[BackendSpec] = None,
+                 **backend_kwargs) -> None:
+        self._backend_spec = (type(self).default_backend()
+                              if backend is None else backend)
         self._backend_kwargs = backend_kwargs
         self._stream_view = None
-        #: Selection policy used when ``backend`` is the ``auto``
-        #: pseudo-backend: a policy name, a ``BackendPolicy``, or ``None``
-        #: for the tuning layer's default.  Ignored for concrete backends.
-        self._policy = policy
         self._resolved_backend: Optional[str] = None
-        self._selection_features = None
 
     # ------------------------------------------------------------------ #
     # Public entry point
@@ -198,11 +194,6 @@ class Analysis:
         )
         if self._resolved_backend is not None:
             result.details["backend_selected"] = self._resolved_backend
-            result.details["policy"] = getattr(self._policy, "name",
-                                               str(self._policy))
-            if self._selection_features is not None:
-                result.details["feature_bucket"] = \
-                    self._selection_features.bucket()
         start = time.perf_counter()
         self._run(trace, order, result)
         result.elapsed_seconds = time.perf_counter() - start
@@ -322,21 +313,17 @@ class Analysis:
     def _resolve_auto(self, trace: Trace) -> str:
         """Resolve the ``auto`` pseudo-backend for ``trace``.
 
-        Extracts the trace's shape features and asks the selection
-        policy (:mod:`repro.tune`, imported lazily to keep the analyses
-        importable without the tuning layer in the loop) to pick among
-        :meth:`applicable_backends`.  The pick and its features are kept
-        so :meth:`run` can record them in the result details.
+        Extracts the trace's shape features and applies the ``auto``
+        rule (:mod:`repro.tune`, imported lazily to keep the analyses
+        importable without it) to pick among :meth:`applicable_backends`.
+        The pick is kept so :meth:`run` can record it in the result
+        details.
         """
         from repro import tune
 
-        policy = self._policy
-        if policy is None or isinstance(policy, str):
-            policy = self._policy = tune.make_policy(policy)
-        features = tune.extract_features(trace)
-        chosen = tune.choose_backend(type(self), features, policy)
+        chosen = tune.choose_backend(type(self),
+                                     tune.extract_features(trace))
         self._resolved_backend = chosen
-        self._selection_features = features
         return chosen
 
     def _backend_name(self) -> str:

@@ -69,7 +69,7 @@ class DeadlockPredictionAnalysis(Analysis):
 
     name = "deadlock-prediction"
 
-    def __init__(self, backend="incremental-csst",
+    def __init__(self, backend=None,
                  max_patterns: Optional[int] = None, **backend_kwargs) -> None:
         super().__init__(backend, **backend_kwargs)
         self._max_patterns = max_patterns
@@ -164,7 +164,7 @@ class DeadlockPredictionAnalysis(Analysis):
         return True
 
 
-def predict_deadlocks(trace: Trace, backend="incremental-csst",
+def predict_deadlocks(trace: Trace, backend=None,
                       **kwargs) -> AnalysisResult:
     """Convenience wrapper: run deadlock prediction over ``trace``."""
     return DeadlockPredictionAnalysis(backend, **kwargs).run(trace)

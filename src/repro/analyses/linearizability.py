@@ -214,7 +214,7 @@ class LinearizabilityAnalysis(Analysis):
     name = "linearizability"
     requires_deletion = True
 
-    def __init__(self, backend="csst", spec="set", max_steps: int = 200_000,
+    def __init__(self, backend=None, spec="set", max_steps: int = 200_000,
                  **backend_kwargs) -> None:
         super().__init__(backend, **backend_kwargs)
         if isinstance(spec, str):
@@ -372,7 +372,7 @@ class LinearizabilityAnalysis(Analysis):
         return (operation.thread, operation.ordinal)
 
 
-def check_linearizability(trace: Trace, backend="csst", spec="set",
+def check_linearizability(trace: Trace, backend=None, spec="set",
                           **kwargs) -> AnalysisResult:
     """Convenience wrapper: run the linearizability root-causing analysis."""
     return LinearizabilityAnalysis(backend, spec=spec, **kwargs).run(trace)

@@ -61,7 +61,7 @@ class MemoryBugAnalysis(Analysis):
 
     name = "memory-bugs"
 
-    def __init__(self, backend="incremental-csst",
+    def __init__(self, backend=None,
                  max_candidates: Optional[int] = None,
                  enabling_window: int = 40, **backend_kwargs) -> None:
         super().__init__(backend, **backend_kwargs)
@@ -158,7 +158,7 @@ class MemoryBugAnalysis(Analysis):
         return True
 
 
-def predict_memory_bugs(trace: Trace, backend="incremental-csst",
+def predict_memory_bugs(trace: Trace, backend=None,
                         **kwargs) -> AnalysisResult:
     """Convenience wrapper: run memory-bug prediction over ``trace``."""
     return MemoryBugAnalysis(backend, **kwargs).run(trace)

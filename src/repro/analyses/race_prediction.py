@@ -66,7 +66,7 @@ class RacePredictionAnalysis(Analysis):
 
     name = "race-prediction"
 
-    def __init__(self, backend="incremental-csst",
+    def __init__(self, backend=None,
                  max_candidates: Optional[int] = None,
                  candidate_window: Optional[int] = 25,
                  witness_window: int = 40, **backend_kwargs) -> None:
@@ -183,7 +183,7 @@ class RacePredictionAnalysis(Analysis):
         return event.index <= cone.get(event.thread, -1)
 
 
-def predict_races(trace: Trace, backend="incremental-csst",
+def predict_races(trace: Trace, backend=None,
                   **kwargs) -> AnalysisResult:
     """Convenience wrapper: run race prediction over ``trace``."""
     return RacePredictionAnalysis(backend, **kwargs).run(trace)

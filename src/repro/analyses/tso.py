@@ -62,7 +62,7 @@ class TSOConsistencyAnalysis(Analysis):
 
     name = "tso-consistency"
 
-    def __init__(self, backend="incremental-csst", max_rounds: int = 16,
+    def __init__(self, backend=None, max_rounds: int = 16,
                  **backend_kwargs) -> None:
         super().__init__(backend, **backend_kwargs)
         self._max_rounds = max_rounds
@@ -228,7 +228,7 @@ class TSOConsistencyAnalysis(Analysis):
         return order.reachable(source, target)
 
 
-def check_tso_consistency(trace: Trace, backend="incremental-csst",
+def check_tso_consistency(trace: Trace, backend=None,
                           **kwargs) -> AnalysisResult:
     """Convenience wrapper: run TSO consistency checking over ``trace``."""
     return TSOConsistencyAnalysis(backend, **kwargs).run(trace)

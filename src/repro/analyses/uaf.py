@@ -82,7 +82,7 @@ class UseAfterFreeAnalysis(Analysis):
 
     name = "use-after-free"
 
-    def __init__(self, backend="incremental-csst",
+    def __init__(self, backend=None,
                  max_candidates: Optional[int] = None,
                  cone_window: int = 40, **backend_kwargs) -> None:
         super().__init__(backend, **backend_kwargs)
@@ -206,7 +206,7 @@ class UseAfterFreeAnalysis(Analysis):
         return cone
 
 
-def generate_uaf_queries(trace: Trace, backend="incremental-csst",
+def generate_uaf_queries(trace: Trace, backend=None,
                          **kwargs) -> AnalysisResult:
     """Convenience wrapper: run UFO-style query generation over ``trace``."""
     return UseAfterFreeAnalysis(backend, **kwargs).run(trace)

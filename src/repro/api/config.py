@@ -131,20 +131,6 @@ def _check_timeline_path(value: Optional[str], command: str) -> None:
              f"{command} timeline must be an output path, got {value!r}")
 
 
-def _check_policy(config: "Config", command: str) -> None:
-    """Validate the ``policy``/``policy_state`` pair of tuned requests."""
-    from repro.tune.policy import POLICY_NAMES
-
-    _require(config.policy is None or config.policy in POLICY_NAMES,
-             f"unknown {command} policy {config.policy!r}; "
-             f"known: {', '.join(POLICY_NAMES)}")
-    _require(config.policy_state is None
-             or (isinstance(config.policy_state, str)
-                 and bool(config.policy_state)),
-             f"{command} policy_state must be a file path, "
-             f"got {config.policy_state!r}")
-
-
 @dataclass(frozen=True)
 class Config:
     """Base class: dict round-trip shared by every request config."""
@@ -238,8 +224,6 @@ class AnalyzeConfig(Config):
     max_findings: int = 20
     params: Pairs = ()
     metrics: Optional[str] = None
-    policy: Optional[str] = None
-    policy_state: Optional[str] = None
 
     def __post_init__(self) -> None:
         _require(bool(self.analysis), "analyze config needs an analysis name")
@@ -247,7 +231,6 @@ class AnalyzeConfig(Config):
         _coerce_numbers(self, int, max_findings=self.max_findings)
         _set(self, params=_pairs(self.params, "analyze params"))
         _check_metrics_path(self.metrics, "analyze")
-        _check_policy(self, "analyze")
 
 
 @dataclass(frozen=True)
@@ -301,8 +284,6 @@ class SweepConfig(Config):
     format: str = "table"
     metrics: Optional[str] = None
     timeline: Optional[str] = None
-    policy: Optional[str] = None
-    policy_state: Optional[str] = None
     oracle: bool = False
 
     def __post_init__(self) -> None:
@@ -321,7 +302,6 @@ class SweepConfig(Config):
              backends=_name_tuple(self.backends, "sweep backends"))
         _check_metrics_path(self.metrics, "sweep")
         _check_timeline_path(self.timeline, "sweep")
-        _check_policy(self, "sweep")
         _require(not self.oracle
                  or (self.backends is not None and "auto" in self.backends),
                  "oracle mode validates the 'auto' pseudo-backend; "
@@ -338,12 +318,6 @@ class SweepConfig(Config):
             warnings.append(
                 "timeout only applies to parallel runs; jobs=1 runs "
                 "inline and cannot be interrupted")
-        wants_auto = self.backends is not None and "auto" in self.backends
-        if (self.policy is not None or self.policy_state is not None) \
-                and not wants_auto:
-            warnings.append(
-                "policy/policy_state only apply to the 'auto' "
-                "pseudo-backend; include 'auto' in the sweep backends")
         return tuple(warnings)
 
 
@@ -372,8 +346,6 @@ class WatchConfig(Config):
     max_events: Optional[int] = None
     metrics: Optional[str] = None
     timeline: Optional[str] = None
-    policy: Optional[str] = None
-    policy_state: Optional[str] = None
     #: Additional sources beyond ``source``.  More than one source turns
     #: the watch into a multi-tenant run through the serving code path
     #: (one tenant per source); options that only make sense for a single
@@ -406,7 +378,6 @@ class WatchConfig(Config):
         _set(self, analyses=_name_tuple(self.analyses, "watch analyses"))
         _check_metrics_path(self.metrics, "watch")
         _check_timeline_path(self.timeline, "watch")
-        _check_policy(self, "watch")
 
 
 @dataclass(frozen=True)
@@ -432,8 +403,6 @@ class ServeConfig(Config):
     flush_every: Optional[int] = None
     checkpoint_dir: Optional[str] = None
     checkpoint_every: Optional[int] = None
-    policy: Optional[str] = None
-    policy_state: Optional[str] = None
     queue_size: int = 256
     quota_events: Optional[int] = None
     drain_timeout: float = 60.0
@@ -476,7 +445,6 @@ class ServeConfig(Config):
                  "crash_worker requires worker processes (workers >= 1)")
         _check_metrics_path(self.metrics, "serve")
         _check_timeline_path(self.timeline, "serve")
-        _check_policy(self, "serve")
 
 
 @dataclass(frozen=True)

@@ -201,13 +201,7 @@ class Session:
         backend = config.backend or cls.default_backend()
         if trace is None:
             trace = read_trace(config.trace)
-        kwargs: Dict[str, Any] = dict(config.params)
-        if backend == "auto":
-            from repro.tune import make_policy
-
-            kwargs["policy"] = make_policy(config.policy,
-                                           state_path=config.policy_state)
-        raw = cls(backend, **kwargs).run(trace)
+        raw = cls(backend, **dict(config.params)).run(trace)
         return AnalyzeResult(raw=raw, max_findings=config.max_findings)
 
     def compare(self, config: CompareConfig,
@@ -264,8 +258,6 @@ class Session:
             timeout_seconds=config.timeout,
             repeats=config.repeat,
             seed=config.seed,
-            policy=config.policy,
-            policy_state_path=config.policy_state,
             oracle=config.oracle,
         )
         if config.baseline is not None and config.format != "csv" \
@@ -304,8 +296,6 @@ class Session:
                     window=config.window,
                     flush_every=config.flush_every,
                     checkpoint_every=config.checkpoint_every,
-                    policy=config.policy,
-                    policy_state=config.policy_state,
                 ),
                 on_finding=on_finding, on_notice=on_notice)
         from repro.stream import (
@@ -346,19 +336,10 @@ class Session:
         if not analyses and not resuming:
             raise ReproError("no analyses selected")
 
-        policy = None
-        if config.backend == "auto" or config.policy is not None \
-                or config.policy_state is not None:
-            from repro.tune import make_policy
-
-            policy = make_policy(config.policy,
-                                 state_path=config.policy_state)
-
         skip = 0
         resumed_from = None
         if resuming:
-            engine = restore_engine(config.checkpoint, on_finding=on_finding,
-                                    policy=policy)
+            engine = restore_engine(config.checkpoint, on_finding=on_finding)
             skip = engine.cursor
             resumed_from = config.checkpoint
             # The checkpoint's configuration wins on resume; say so whenever
@@ -397,7 +378,6 @@ class Session:
                                     flush_every=config.flush_every),
                 name=source.name,
                 on_finding=on_finding,
-                policy=policy,
             )
         for item in engine.warnings:
             notice("warning", str(item))
@@ -456,8 +436,6 @@ class Session:
             flush_every=config.flush_every,
             checkpoint_dir=config.checkpoint_dir,
             checkpoint_every=config.checkpoint_every,
-            policy=config.policy,
-            policy_state=config.policy_state,
             queue_size=config.queue_size,
             quota_events=config.quota_events,
             drain_timeout=config.drain_timeout,
@@ -660,12 +638,7 @@ class Session:
         )
         from repro.serve.routing import DEFAULT_VNODES, TENANT_PATTERN
         from repro.serve.supervisor import RESPAWN_LIMIT
-        from repro.tune import (
-            DEFAULT_POLICY,
-            FEATURE_NAMES,
-            POLICY_NAMES,
-            STATE_VERSION,
-        )
+        from repro.tune import FEATURE_NAMES
 
         generators = self.registry.generators()
         fed_by: Dict[str, List[str]] = {}
@@ -727,10 +700,7 @@ class Session:
             },
             "tuning": {
                 "auto_backend": AUTO_BACKEND,
-                "policies": list(POLICY_NAMES),
-                "default_policy": DEFAULT_POLICY,
                 "features": list(FEATURE_NAMES),
-                "state_version": STATE_VERSION,
             },
             "serving": {
                 "protocol": {

@@ -81,9 +81,22 @@ SPEEDUP_PAIRS: Sequence[Tuple[str, str, str]] = (
 # Case builders
 # --------------------------------------------------------------------------- #
 #: Backends the Figure 11 kernel runs on -- also the candidate list the
-#: ``fig11/auto`` case hands its selection policy.
+#: ``fig11/auto`` case hands the ``auto`` rule.
 FIG11_BACKENDS: Sequence[str] = (
     "csst", "incremental-csst", "vc", "vc-flat")
+
+
+class _Fig11Candidates:
+    """The analysis-class surface :func:`repro.tune.choose_backend` reads,
+    offering :data:`FIG11_BACKENDS`."""
+
+    @staticmethod
+    def applicable_backends() -> Sequence[str]:
+        return FIG11_BACKENDS
+
+    @staticmethod
+    def default_backend() -> str:
+        return "incremental-csst"
 
 
 def _fig11_protocol(quick: bool):
@@ -140,26 +153,25 @@ def _fig11_kernel(backend: str) -> Callable[[bool], Callable[[], object]]:
 
 
 def _fig11_auto_kernel() -> Callable[[bool], Callable[[], object]]:
-    """Figure 11 with the backend picked per run by the heuristic policy.
+    """Figure 11 with the backend picked per run by the ``auto`` rule.
 
     A proxy trace of the protocol's shape is generated in setup; the
-    timed region covers feature extraction + the policy pick + the chosen
+    timed region covers feature extraction + the pick + the chosen
     kernel, so the ``*-auto-over-best-static`` speedup pair measures pure
     selection overhead (the pick lands on the best static backend)."""
 
     def setup(quick: bool) -> Callable[[], object]:
+        from repro import tune
         from repro.trace.generators import build_trace
-        from repro.tune import HeuristicPolicy, extract_features
 
         protocol = _fig11_protocol(quick)
         chain_length = protocol[1]
         proxy = build_trace("racy", num_threads=10, events=chain_length,
                             seed=7)
-        policy = HeuristicPolicy()
 
         def run() -> object:
-            features = extract_features(proxy)
-            chosen = policy.choose("fig11", FIG11_BACKENDS, features)
+            chosen = tune.choose_backend(_Fig11Candidates,
+                                         tune.extract_features(proxy))
             return _fig11_run(chosen, protocol)
 
         return run
@@ -291,7 +303,7 @@ def default_cases() -> List[PerfCase]:
     cases.append(PerfCase("fig11/auto", _fig11_auto_kernel()))
     cases.append(PerfCase("sst-ops/flat", _sst_kernel()))
     # "auto" analysis cases resolve the backend inside run(), so their
-    # seconds include the per-run feature extraction + policy pick.
+    # seconds include the per-run feature extraction + pick.
     for backend in ("incremental-csst", "auto"):
         cases.append(PerfCase(
             f"race-prediction/{backend}",

@@ -122,13 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("trace", help="trace file produced by 'generate'")
     analyze.add_argument("--backend", default=None,
                          help="partial-order backend (default depends on the "
-                              "analysis); 'auto' lets a tuning policy pick")
-    analyze.add_argument("--policy", default=None, metavar="NAME",
-                         help="selection policy for --backend auto: static, "
-                              "heuristic (default), or bandit")
-    analyze.add_argument("--policy-state", default=None, metavar="PATH",
-                         help="bandit policy state file (JSON) to warm-start "
-                              "from; see 'repro sweep --policy-state'")
+                              "analysis); 'auto' picks one from the trace's "
+                              "shape")
     analyze.add_argument("--max-findings", type=int, default=20,
                          help="number of findings to print (0 prints none)")
     analyze.add_argument("--format", choices=RESULT_FORMATS, default="text",
@@ -154,18 +149,10 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--backends", default=None,
                        help="comma-separated backend names (default: every "
                             "backend applicable to each analysis); include "
-                            "'auto' to add a policy-picked job per pair")
-    sweep.add_argument("--policy", default=None, metavar="NAME",
-                       help="selection policy for 'auto' jobs: static, "
-                            "heuristic (default), or bandit")
-    sweep.add_argument("--policy-state", default=None, metavar="PATH",
-                       help="policy state file (JSON): loaded before the "
-                            "sweep when it exists, and saved back with the "
-                            "runtimes observed by this sweep (bandit "
-                            "warm-start across runs)")
+                            "'auto' to add an auto-picked job per pair")
     sweep.add_argument("--oracle", action="store_true",
                        help="with 'auto' in --backends: also run every "
-                            "static backend per job and report the policy's "
+                            "static backend per job and report auto's "
                             "regret vs the per-job optimum")
     sweep.add_argument("--analyses", default=None,
                        help="comma-separated analysis names (default: every "
@@ -351,15 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
     watch.add_argument("--backend", default=None,
                        help="partial-order backend forced on every attached "
                             "analysis (default: per-analysis default); "
-                            "'auto' lets a tuning policy pick per analysis "
-                            "from a preamble of streamed events")
-    watch.add_argument("--policy", default=None, metavar="NAME",
-                       help="selection policy for --backend auto: static, "
-                            "heuristic (default), or bandit")
-    watch.add_argument("--policy-state", default=None, metavar="PATH",
-                       help="bandit policy state file (JSON) to warm-start "
-                            "from, e.g. one saved by 'repro sweep "
-                            "--policy-state'")
+                            "'auto' picks one per analysis from the shape of "
+                            "a preamble of streamed events")
     watch.add_argument("--window", default=None,
                        help="event window: 'none' (default, exact), SIZE "
                             "(tumbling), or SIZE/SLIDE (sliding); bounded "
@@ -416,14 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "recovery)")
     serve.add_argument("--backend", default="auto",
                        help="partial-order backend for every engine "
-                            "(default: auto -- a tuning policy picks per "
-                            "tenant and analysis)")
-    serve.add_argument("--policy", default=None, metavar="NAME",
-                       help="selection policy for --backend auto: static, "
-                            "heuristic (default), or bandit")
-    serve.add_argument("--policy-state", default=None, metavar="PATH",
-                       help="bandit policy state file (JSON) to warm-start "
-                            "from")
+                            "(default: auto -- picked per tenant and "
+                            "analysis from the stream's shape)")
     serve.add_argument("--window", default=None,
                        help="event window per tenant engine (see 'repro "
                             "watch --window')")
@@ -591,8 +565,7 @@ def _generate(args: argparse.Namespace) -> int:
 
 def _analyze(args: argparse.Namespace) -> int:
     config = AnalyzeConfig(analysis=args.analysis, trace=args.trace,
-                           backend=args.backend, policy=args.policy,
-                           policy_state=args.policy_state,
+                           backend=args.backend,
                            max_findings=args.max_findings,
                            metrics=args.metrics)
     result = _session().run(config)
@@ -618,7 +591,6 @@ def _sweep(args: argparse.Namespace) -> int:
         return EXIT_OK
     config = SweepConfig(suite=args.suite, corpus=args.corpus, jobs=args.jobs,
                          analyses=args.analyses, backends=args.backends,
-                         policy=args.policy, policy_state=args.policy_state,
                          oracle=args.oracle,
                          baseline=args.baseline, timeout=args.timeout,
                          repeat=args.repeat, seed=args.seed,
@@ -771,8 +743,7 @@ def _watch(args: argparse.Namespace) -> int:
     sources = list(args.source)
     config = WatchConfig(source=sources[0], sources=tuple(sources[1:]),
                          analyses=args.analyses,
-                         backend=args.backend, policy=args.policy,
-                         policy_state=args.policy_state, window=args.window,
+                         backend=args.backend, window=args.window,
                          flush_every=args.flush_every,
                          checkpoint=args.checkpoint,
                          checkpoint_every=args.checkpoint_every,
@@ -805,8 +776,7 @@ def _serve(args: argparse.Namespace) -> int:
     config = ServeConfig(analyses=args.analyses,
                          sources=tuple(args.source or ()),
                          host=host, port=port, workers=args.workers,
-                         backend=args.backend, policy=args.policy,
-                         policy_state=args.policy_state, window=args.window,
+                         backend=args.backend, window=args.window,
                          flush_every=args.flush_every,
                          checkpoint_dir=args.checkpoint_dir,
                          checkpoint_every=args.checkpoint_every,

@@ -31,8 +31,8 @@ BACKENDS: Dict[str, Type[PartialOrder]] = {
     "graph": GraphOrder,
 }
 
-#: Pseudo-backend name resolved to a concrete backend by a selection
-#: policy (:mod:`repro.tune`) from the trace's shape features.  It is not
+#: Pseudo-backend name resolved to a concrete backend by the ``auto``
+#: rule (:mod:`repro.tune`) from the trace's shape features.  It is not
 #: an entry of :data:`BACKENDS` -- there is no class behind it -- so every
 #: front end that accepts it (``Analysis``, the sweep planner, the stream
 #: engine) special-cases the name before reaching
@@ -134,8 +134,9 @@ def make_partial_order(kind: str, num_chains: int, capacity_hint: int = 1024,
     Parameters
     ----------
     kind:
-        One of ``"csst"``, ``"incremental-csst"``, ``"st"``, ``"vc"``,
-        ``"graph"``.
+        A key of :data:`BACKENDS`: ``"csst"``, ``"incremental-csst"``,
+        ``"st"``, ``"vc"``, ``"vc-flat"`` or ``"graph"`` (plus any
+        backend registered at runtime).
     num_chains:
         Number of chains of the maintained chain DAG.
     capacity_hint:

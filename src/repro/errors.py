@@ -126,11 +126,6 @@ class ConfigError(ReproError):
     (unknown keys, out-of-range values, conflicting options)."""
 
 
-class TuneError(ReproError):
-    """Raised by :mod:`repro.tune` (unknown selection policy, malformed
-    or mismatched policy-state files)."""
-
-
 class ObservabilityError(ReproError):
     """Raised by :mod:`repro.obs` (conflicting metric registrations,
     malformed snapshot files, unusable perf-trend inputs)."""

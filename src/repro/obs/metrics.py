@@ -589,11 +589,10 @@ METRIC_CATALOG: Dict[str, Dict[str, str]] = {
         "help": "duration of every finished span (labelled by span name)"},
     "tune_pick_total": {
         "type": "counter",
-        "help": "auto-backend selections made by a tuning policy "
-                "(labelled backend, policy)"},
+        "help": "auto-backend selections (labelled by backend)"},
     "tune_regret_seconds": {
         "type": "gauge",
-        "help": "total policy regret vs the per-job optimum of the last "
+        "help": "total auto regret vs the per-job optimum of the last "
                 "oracle sweep"},
     "serve_events_total": {
         "type": "counter",

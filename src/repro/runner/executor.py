@@ -25,7 +25,6 @@ record-for-record (modulo wall-clock times).
 
 from __future__ import annotations
 
-import json
 import os
 import statistics
 import time
@@ -68,14 +67,6 @@ class SweepJob:
     spec: TraceSpec
     analysis: str
     backend: str
-    #: Selection-policy name for ``auto`` jobs (``None``: layer default).
-    policy: Optional[str] = None
-    #: Warm-start policy state for ``auto`` jobs, as a JSON *string* --
-    #: a string (not a dict) keeps the job hashable and cheap to pickle.
-    policy_state: Optional[str] = None
-    #: Record the trace's feature bucket even for static jobs (oracle
-    #: sweeps do this so static measurements can warm a bandit).
-    tag_features: bool = False
     #: Distributed-tracing context, set by the collector when telemetry is
     #: on: the run-wide trace id plus this job's span id.  A job carrying
     #: a trace id tells a pool worker (which has no registry installed) to
@@ -99,8 +90,6 @@ def analyses_for_kind(kind: str) -> Tuple[str, ...]:
 def plan_jobs(suite: Suite,
               analyses: Optional[Sequence[str]] = None,
               backends: Optional[Sequence[str]] = None,
-              policy: Optional[str] = None,
-              policy_state: Optional[str] = None,
               oracle: bool = False) -> List[SweepJob]:
     """Expand a suite into a deterministic, ordered job list.
 
@@ -114,13 +103,12 @@ def plan_jobs(suite: Suite,
     the suite (no kind feeds it, or no requested backend can serve it) is
     rejected with :class:`ReproError` rather than silently under-measuring.
 
-    The pseudo-backend ``"auto"`` adds one policy-dispatched job per
-    (trace, analysis) after that group's static jobs, carrying ``policy``
-    / ``policy_state`` (a JSON string) so pool workers can rebuild the
-    selection policy locally.  ``oracle`` additionally forces *every*
-    applicable static backend into the plan -- the per-job optimum needs
-    measuring -- and tags static jobs with their trace's feature bucket;
-    it requires ``"auto"`` among the requested backends.
+    The pseudo-backend ``"auto"`` adds one job per (trace, analysis)
+    after that group's static jobs; the worker resolves it with the
+    ``auto`` rule (:mod:`repro.tune`).  ``oracle`` additionally forces
+    *every* applicable static backend into the plan -- the per-job
+    optimum needs measuring; it requires ``"auto"`` among the requested
+    backends.
     """
     registry = Analysis.registered()
     if analyses is not None:
@@ -154,14 +142,11 @@ def plan_jobs(suite: Suite,
                         or oracle]
             for backend in selected:
                 jobs.append(SweepJob(suite=suite.name, spec=spec,
-                                     analysis=analysis_name, backend=backend,
-                                     tag_features=oracle))
+                                     analysis=analysis_name, backend=backend))
             if want_auto:
                 jobs.append(SweepJob(suite=suite.name, spec=spec,
                                      analysis=analysis_name,
-                                     backend=AUTO_BACKEND,
-                                     policy=policy,
-                                     policy_state=policy_state))
+                                     backend=AUTO_BACKEND))
     if suite.specs and not jobs:
         raise ReproError(
             "sweep plan is empty: the requested analyses/backends do not "
@@ -184,20 +169,6 @@ def plan_jobs(suite: Suite,
 _WORKER_CORPUS = TraceCorpus()
 
 
-def _job_policy(job: SweepJob):
-    """Rebuild the selection policy an ``auto`` job describes (worker side)."""
-    from repro.tune import make_policy
-
-    state = json.loads(job.policy_state) if job.policy_state else None
-    name = job.policy
-    if name is None and isinstance(state, dict):
-        name = state.get("policy")
-    policy = make_policy(name)
-    if state is not None:
-        policy.load_state(state)
-    return policy
-
-
 def _job_span_labels(job: SweepJob) -> dict:
     """Labels of a job's ``sweep_job`` span (same set inline and pooled,
     so merged span trees keep one shape regardless of worker count)."""
@@ -207,7 +178,7 @@ def _job_span_labels(job: SweepJob) -> dict:
 
 
 def execute_job(job: SweepJob, corpus: Optional[TraceCorpus] = None,
-                repeats: int = 1, policy=None,
+                repeats: int = 1,
                 capture_telemetry: bool = False) -> SweepRecord:
     """Run one job to completion, capturing any analysis error.
 
@@ -215,10 +186,6 @@ def execute_job(job: SweepJob, corpus: Optional[TraceCorpus] = None,
     (fresh analysis instance per repeat) and reports min/median times, so
     sweep numbers stop being single-shot noise.  Findings and operation
     counts come from the first repeat (they are deterministic per job).
-
-    For ``auto`` jobs ``policy`` is the live policy object of an inline
-    run; pool workers leave it ``None`` and rebuild the policy from the
-    job's ``policy``/``policy_state`` fields instead.
 
     A job carrying a ``trace_id`` runs under a ``sweep_job`` span.  In the
     collector's own process that span simply nests under the open sweep
@@ -237,13 +204,12 @@ def execute_job(job: SweepJob, corpus: Optional[TraceCorpus] = None,
     if capture_telemetry and job.trace_id is not None:
         worker_registry = obs_metrics.MetricsRegistry()
         with obs_metrics.use_registry(worker_registry):
-            record = _execute_spanned(job, corpus, repeats, policy,
-                                      worker_registry)
+            record = _execute_spanned(job, corpus, repeats, worker_registry)
         return replace(record, telemetry=worker_registry.snapshot())
-    return _execute_spanned(job, corpus, repeats, policy, obs_metrics.ACTIVE)
+    return _execute_spanned(job, corpus, repeats, obs_metrics.ACTIVE)
 
 
-def _execute_spanned(job: SweepJob, corpus, repeats, policy,
+def _execute_spanned(job: SweepJob, corpus, repeats,
                      registry) -> SweepRecord:
     """Run a job under its ``sweep_job`` span (when traced), folding any
     failure into an error record *after* the span has seen the exception
@@ -251,8 +217,8 @@ def _execute_spanned(job: SweepJob, corpus, repeats, policy,
     try:
         if registry is not None and job.trace_id is not None:
             with registry.span("sweep_job", **_job_span_labels(job)):
-                return _run_job(job, corpus, repeats, policy)
-        return _run_job(job, corpus, repeats, policy)
+                return _run_job(job, corpus, repeats)
+        return _run_job(job, corpus, repeats)
     except Exception:
         return SweepRecord(status=STATUS_ERROR, error=traceback.format_exc(),
                            **_job_base(job))
@@ -266,35 +232,17 @@ def _job_base(job: SweepJob) -> dict:
 
 
 def _run_job(job: SweepJob, corpus: Optional[TraceCorpus],
-             repeats: int, policy) -> SweepRecord:
+             repeats: int) -> SweepRecord:
     """The actual work of one job; raises on failure (see callers)."""
-    spec = job.spec
-    is_auto = job.backend == AUTO_BACKEND
-    trace = (corpus if corpus is not None else _WORKER_CORPUS).get(spec)
+    trace = (corpus if corpus is not None else _WORKER_CORPUS).get(job.spec)
     analysis_cls = Analysis.by_name(job.analysis)
-    if is_auto and policy is None:
-        policy = _job_policy(job)
     result = None
     times = []
     for _ in range(max(1, repeats)):
-        if is_auto:
-            outcome = analysis_cls(job.backend, policy=policy).run(trace)
-        else:
-            outcome = analysis_cls(job.backend).run(trace)
+        outcome = analysis_cls(job.backend).run(trace)
         times.append(outcome.elapsed_seconds)
         if result is None:
             result = outcome
-    if is_auto:
-        extras = dict(
-            backend_selected=result.details.get("backend_selected", ""),
-            policy=result.details.get("policy"),
-            feature_bucket=result.details.get("feature_bucket"))
-    else:
-        extras = dict(backend_selected=job.backend)
-        if job.tag_features:
-            from repro.tune import extract_features
-
-            extras["feature_bucket"] = extract_features(trace).bucket()
     return SweepRecord(status=STATUS_OK,
                        elapsed_seconds=min(times),
                        elapsed_median_seconds=statistics.median(times),
@@ -303,14 +251,15 @@ def _run_job(job: SweepJob, corpus: Optional[TraceCorpus],
                        insert_count=result.insert_count,
                        delete_count=result.delete_count,
                        query_count=result.query_count,
-                       **extras, **_job_base(job))
+                       backend_selected=result.details.get(
+                           "backend_selected", job.backend),
+                       **_job_base(job))
 
 
 def run_jobs(jobs: Sequence[SweepJob], *, workers: int = 1,
              timeout_seconds: Optional[float] = None,
              suite_name: Optional[str] = None,
-             repeats: int = 1,
-             policy=None) -> SweepResult:
+             repeats: int = 1) -> SweepResult:
     """Execute ``jobs`` and return records in job order.
 
     ``workers=1`` runs inline (sharing one trace corpus cache across jobs);
@@ -322,14 +271,6 @@ def run_jobs(jobs: Sequence[SweepJob], *, workers: int = 1,
     many times and reports min/median (see :func:`execute_job`); note that
     ``timeout_seconds`` bounds the *whole* job -- all of its repeats --
     so callers combining both should scale the budget accordingly.
-
-    ``policy`` is the live selection policy of a tuned sweep.  The
-    collector feeds every measured runtime that carries a feature bucket
-    back into it (:meth:`BackendPolicy.observe`), so inline runs learn
-    job-to-job and pool runs accumulate all observations into the state
-    the caller saves afterwards.  (Pool workers themselves rebuild the
-    policy from the job's warm-start state; live mid-sweep updates do not
-    cross the process boundary.)
     """
     if workers < 1:
         raise ReproError(f"workers must be >= 1, got {workers}")
@@ -361,10 +302,7 @@ def run_jobs(jobs: Sequence[SweepJob], *, workers: int = 1,
         corpus = TraceCorpus()
         with sweep_scope:
             for job in jobs:
-                record = execute_job(job, corpus, repeats, policy=policy)
-                if policy is not None:
-                    _feed_policy(policy, record)
-                result.records.append(record)
+                result.records.append(execute_job(job, corpus, repeats))
         if registry is not None:
             for record in result.records:
                 _observe_record(registry, record)
@@ -374,7 +312,7 @@ def run_jobs(jobs: Sequence[SweepJob], *, workers: int = 1,
     timed_out = False
     try:
         with sweep_scope as sweep_span:
-            futures = [pool.submit(execute_job, job, None, repeats, None,
+            futures = [pool.submit(execute_job, job, None, repeats,
                                    registry is not None)
                        for job in jobs]
             for job, future in zip(jobs, futures):
@@ -420,8 +358,6 @@ def run_jobs(jobs: Sequence[SweepJob], *, workers: int = 1,
                         merge_snapshot(registry, record.telemetry, sweep_span)
                         record = replace(record, telemetry=None)
                     _observe_record(registry, record)
-                if policy is not None:
-                    _feed_policy(policy, record)
                 result.records.append(record)
     finally:
         if timed_out:
@@ -448,8 +384,6 @@ def run_suite(suite_name: str, *, workers: int = 1,
               timeout_seconds: Optional[float] = None,
               repeats: int = 1,
               seed: Optional[int] = None,
-              policy: Optional[str] = None,
-              policy_state_path: Optional[str] = None,
               oracle: bool = False) -> SweepResult:
     """Plan and execute a full sweep of a registered suite.
 
@@ -458,55 +392,24 @@ def run_suite(suite_name: str, *, workers: int = 1,
     each :class:`~repro.runner.results.SweepRecord` (and its CSV/JSON
     exports) either way, so a sweep is always reproducible from its output.
 
-    With ``"auto"`` among ``backends``, ``policy``/``policy_state_path``
-    select and warm-start the backend-selection policy; every measured
-    runtime is fed back into it and, when a state path is given, the
-    accumulated state is saved back to it after the sweep (sweeps
-    warm-start later watch sessions that way).  ``oracle=True`` runs all
-    applicable static backends alongside ``auto`` and attaches the regret
-    report (:meth:`~repro.runner.results.SweepResult.oracle_report`).
+    ``oracle=True`` runs all applicable static backends alongside
+    ``auto`` and attaches the regret report
+    (:meth:`~repro.runner.results.SweepResult.oracle_report`).
     """
     suite = get_suite(suite_name)
     if seed is not None:
         suite = override_seed(suite, seed)
-    want_auto = backends is not None and AUTO_BACKEND in backends
-    policy_obj = None
-    shipped_state = None
-    if want_auto:
-        from repro.tune import make_policy, save_policy_state
-
-        policy_obj = make_policy(policy, state_path=policy_state_path)
-        shipped_state = json.dumps(policy_obj.state_dict())
     jobs = plan_jobs(suite, analyses=analyses, backends=backends,
-                     policy=policy_obj.name if policy_obj else None,
-                     policy_state=shipped_state, oracle=oracle)
+                     oracle=oracle)
     result = run_jobs(jobs, workers=workers, timeout_seconds=timeout_seconds,
-                      suite_name=suite.name, repeats=repeats,
-                      policy=policy_obj)
+                      suite_name=suite.name, repeats=repeats)
     if oracle:
         result.oracle = result.oracle_report()
         registry = obs_metrics.ACTIVE
         if registry is not None and result.oracle is not None:
             registry.gauge("tune_regret_seconds").set(
                 result.oracle["regret_seconds"])
-    if policy_obj is not None and policy_state_path is not None:
-        save_policy_state(policy_obj, policy_state_path)
     return result
-
-
-def _feed_policy(policy, record: SweepRecord) -> None:
-    """Feed one measured runtime back into the selection policy.
-
-    Any successful record carrying a feature bucket counts: ``auto`` jobs
-    teach the policy about its own picks, and oracle-tagged static jobs
-    contribute ground truth for every arm -- which is what makes a
-    warm-started bandit converge after a single oracle sweep.
-    """
-    if not record.ok or not record.feature_bucket:
-        return
-    backend = record.backend_selected or record.backend
-    policy.observe(record.analysis, record.feature_bucket, backend,
-                   record.elapsed_seconds)
 
 
 def _note_timeout(registry, sweep_span, job: SweepJob) -> None:

@@ -33,7 +33,7 @@ CSV_COLUMNS: Tuple[str, ...] = (
     "analysis", "backend", "status", "elapsed_seconds",
     "elapsed_median_seconds", "repeats", "finding_count",
     "insert_count", "delete_count", "query_count", "error",
-    "backend_selected", "policy", "feature_bucket",
+    "backend_selected",
 )
 
 
@@ -69,14 +69,8 @@ class SweepRecord:
     query_count: int = 0
     error: Optional[str] = None
     #: The concrete backend that actually ran.  For ``auto`` jobs this is
-    #: the policy's pick; for static jobs it equals ``backend``.
+    #: the ``auto`` rule's pick; for static jobs it equals ``backend``.
     backend_selected: str = ""
-    #: Selection policy name for ``auto`` jobs (``None`` for static ones).
-    policy: Optional[str] = None
-    #: Coarse trace-shape bucket (see ``TraceFeatures.bucket``); recorded
-    #: for ``auto`` jobs and, in oracle sweeps, for static jobs too so
-    #: their measurements can warm a bandit.
-    feature_bucket: Optional[str] = None
     #: Worker-local telemetry snapshot (metric deltas + finished span
     #: trees) for jobs that ran in a pool worker with tracing on; ``None``
     #: otherwise.  Collector-side transport only: the collector merges it
@@ -119,7 +113,7 @@ class SweepResult:
     suite: str
     records: List[SweepRecord] = field(default_factory=list)
     #: Oracle-validation report (``repro sweep --oracle``): the ``auto``
-    #: policy's total regret vs the per-job best static backend.  ``None``
+    #: rule's total regret vs the per-job best static backend.  ``None``
     #: unless the sweep ran in oracle mode (see :meth:`oracle_report`).
     oracle: Optional[Dict[str, object]] = None
 
@@ -189,9 +183,9 @@ class SweepResult:
         Considers every (trace, analysis) group holding an ``auto``
         record plus at least one static record; the static minimum is the
         per-job oracle.  Returns ``None`` when no group qualifies.
-        ``regret_ratio`` is the fraction by which the policy's total
+        ``regret_ratio`` is the fraction by which the rule's total
         runtime exceeds the oracle's (the acceptance gate of oracle
-        sweeps); ``optimal_picks`` counts jobs where the policy chose the
+        sweeps); ``optimal_picks`` counts jobs where the rule chose the
         oracle's backend outright.
         """
         per_job: List[Dict[str, object]] = []

@@ -162,8 +162,6 @@ def run_serve(analyses: Sequence[str],
               flush_every: Optional[int] = None,
               checkpoint_dir: Optional[str] = None,
               checkpoint_every: Optional[int] = None,
-              policy: Optional[str] = None,
-              policy_state: Optional[str] = None,
               queue_size: int = 256,
               quota_events: Optional[int] = None,
               drain_timeout: float = 60.0,
@@ -192,8 +190,6 @@ def run_serve(analyses: Sequence[str],
         flush_every=flush_every,
         checkpoint_dir=checkpoint_dir,
         checkpoint_every=checkpoint_every,
-        policy=policy,
-        policy_state=policy_state,
     )
     service = _build(workers, shard_options, queue_size, quota_events,
                      on_finding, on_notice, crash_worker)

@@ -54,8 +54,6 @@ class ShardOptions:
     flush_every: Optional[int] = None
     checkpoint_dir: Optional[str] = None
     checkpoint_every: Optional[int] = None
-    policy: Optional[str] = None
-    policy_state: Optional[str] = None
 
 
 @dataclass
@@ -83,8 +81,6 @@ class TenantShard:
         self.on_finding = on_finding
         self.on_checkpoint = on_checkpoint
         self._tenants: Dict[str, _Tenant] = {}
-        self._policy = None
-        self._policy_built = False
         # Bound once at construction, like the engine does.
         self._registry = obs_metrics.ACTIVE
 
@@ -100,25 +96,12 @@ class TenantShard:
             return None
         return Path(self.options.checkpoint_dir) / f"{tenant}.json"
 
-    def _build_policy(self):
-        if not self._policy_built:
-            self._policy_built = True
-            options = self.options
-            if options.backend == "auto" or options.policy is not None \
-                    or options.policy_state is not None:
-                from repro.tune import make_policy
-
-                self._policy = make_policy(options.policy,
-                                           state_path=options.policy_state)
-        return self._policy
-
     def ensure_tenant(self, tenant: str) -> _Tenant:
         """The tenant's entry, creating (or checkpoint-restoring) it."""
         entry = self._tenants.get(tenant)
         if entry is not None:
             return entry
         validate_tenant(tenant)
-        policy = self._build_policy()
 
         def emit(item: StreamFinding, _tenant: str = tenant) -> None:
             if self.on_finding is not None:
@@ -126,7 +109,7 @@ class TenantShard:
 
         path = self._checkpoint_path(tenant)
         if path is not None and os.path.exists(path):
-            engine = restore_engine(path, on_finding=emit, policy=policy)
+            engine = restore_engine(path, on_finding=emit)
             entry = _Tenant(engine=engine,
                             counters=dict(engine._next_index),
                             restored_at=engine.cursor)
@@ -138,7 +121,6 @@ class TenantShard:
                                     flush_every=self.options.flush_every),
                 name=tenant,
                 on_finding=emit,
-                policy=policy,
             )
             entry = _Tenant(engine=engine)
         self._tenants[tenant] = entry

@@ -107,15 +107,12 @@ def load_checkpoint(path: Union[str, Path]) -> Dict[str, Any]:
 
 def restore_engine(path: Union[str, Path],
                    on_finding: Optional[Callable[[StreamFinding], None]]
-                   = None, policy=None) -> StreamEngine:
+                   = None) -> StreamEngine:
     """Rebuild a :class:`StreamEngine` from a checkpoint file.
 
     The returned engine has replayed its buffered events (rebuilding all
     derived state) and resumes consuming a source with
-    ``engine.run(source, skip=engine.cursor)``.  ``policy`` is the
-    backend-selection policy applied if the checkpoint was taken before
-    an ``auto`` pick was resolved (ignored otherwise).
+    ``engine.run(source, skip=engine.cursor)``.
     """
-    state = load_checkpoint(path)
-    return StreamEngine.from_state(state, on_finding=on_finding,
-                                   policy=policy)
+    return StreamEngine.from_state(load_checkpoint(path),
+                                   on_finding=on_finding)

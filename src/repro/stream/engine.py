@@ -243,14 +243,11 @@ class StreamEngine:
     backend:
         Backend name forced on analyses constructed from names (default:
         each analysis's own default backend).  The ``auto`` pseudo-backend
-        defers the choice to a selection policy (:mod:`repro.tune`): the
+        defers the choice to the ``auto`` rule (:mod:`repro.tune`): the
         engine extracts trace-shape features from the stream's preamble
         (the first :data:`AUTO_PREAMBLE_EVENTS` events, or whatever has
         arrived by the first flush) and pins one concrete backend per
         attachment for the rest of the run.
-    policy:
-        Selection policy for ``auto`` (a name, a ``BackendPolicy``
-        instance, or ``None`` for the tuning layer's default).
     window:
         A :class:`~repro.stream.window.Window` policy (default unbounded).
     on_finding:
@@ -265,7 +262,6 @@ class StreamEngine:
                  window: Optional[Window] = None,
                  name: str = "stream",
                  on_finding: Optional[Callable[[StreamFinding], None]] = None,
-                 policy=None,
                  ) -> None:
         if not analyses:
             raise StreamError("StreamEngine needs at least one analysis")
@@ -279,7 +275,6 @@ class StreamEngine:
                     f"known: {known}")
         self.name = name
         self.backend_option = backend
-        self._policy = policy
         self.warnings: List[StreamWarning] = []
         self.backends_selected: Dict[str, str] = {}
         self.window = window if window is not None else UnboundedWindow()
@@ -349,7 +344,7 @@ class StreamEngine:
         cls = Analysis.by_name(spec)
         backend = self.backend_option or cls.default_backend()
         if backend == AUTO_BACKEND:
-            return cls(AUTO_BACKEND, policy=self._policy)
+            return cls(AUTO_BACKEND)
         if backend not in cls.applicable_backends():
             fallback = cls.default_backend()
             self.warnings.append(StreamWarning(
@@ -461,18 +456,14 @@ class StreamEngine:
             return
         from repro import tune
 
-        policy = self._policy
-        if policy is None or isinstance(policy, str):
-            policy = self._policy = tune.make_policy(policy)
         snapshot, _ = self.snapshot()
         features = tune.extract_features(snapshot)
         pending, self._auto_pending = self._auto_pending, []
         for attachment in pending:
             analysis = attachment.analysis
-            chosen = tune.choose_backend(type(analysis), features, policy)
+            chosen = tune.choose_backend(type(analysis), features)
             analysis._backend_spec = chosen
             analysis._resolved_backend = chosen
-            analysis._selection_features = features
             self.backends_selected[attachment.name] = chosen
             if attachment.held:
                 attachment.held = False
@@ -710,7 +701,7 @@ class StreamEngine:
     @classmethod
     def from_state(cls, state: Dict[str, Any],
                    *, on_finding: Optional[Callable[[StreamFinding], None]]
-                   = None, policy=None) -> "StreamEngine":
+                   = None) -> "StreamEngine":
         """Rebuild an engine from :meth:`state_dict` output.
 
         The window buffer is replayed through the normal ingestion path, so
@@ -742,7 +733,6 @@ class StreamEngine:
             window=window,
             name=state.get("name", "stream"),
             on_finding=on_finding,
-            policy=policy,
         )
         for attachment in engine._attachments:
             attachment.emitted = set(

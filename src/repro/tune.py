@@ -1,35 +1,41 @@
-"""Trace-shape feature extraction for backend selection.
+"""The ``auto`` backend rule: the layer between analyses and the factory.
 
-Which partial-order backend wins depends on the *shape* of the trace --
-thread count, event mix, contention -- not on the analysis alone (the
-perf baseline shows ``vc-flat`` ahead on atomic-heavy c11 traces while
-``incremental-csst`` wins the lock-structured figure-11 workload).
-:func:`extract_features` distils that shape into a small fixed vector,
-computed entirely from the int-encoded columns of
-:class:`~repro.trace.columns.TraceColumns`.
+The ``auto`` pseudo-backend (:data:`repro.core.AUTO_BACKEND`) is resolved
+here instead of in :func:`repro.core.make_partial_order`: a caller
+extracts a :class:`TraceFeatures` vector from the trace's columns
+(:func:`extract_features`, zero ``Event`` materialisation even on lazy
+``.stc`` traces) and asks :func:`choose_backend` for one of the
+analysis's applicable backends.
 
-Because the columns of a lazy ``.stc`` trace are decoded straight from
-the file's sections, extraction never materialises a single
-:class:`~repro.trace.event.Event`: the feature vector of a ``Trace``,
-of a ``LazyTrace``, and of a ``.stc`` round-trip of the same trace is
-byte-for-byte identical (property-tested in ``tests/tune``).
-
-:meth:`TraceFeatures.bucket` coarsens the vector into a short string key
-so that online policies can aggregate observations across traces of
-similar shape without learning one arm per trace.
+The rule is fixed: vector clocks (``vc-flat``, then ``vc``) when more
+than :data:`ATOMIC_THRESHOLD` of the events are atomic, the incremental
+CSST otherwise, and ``csst`` for deletion-based analyses.  See
+``docs/tuning.md`` for the evidence and for re-checking it against the
+per-job oracle of ``repro sweep --oracle``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
+from repro.obs import metrics as obs_metrics
 from repro.trace.columns import (
     ACQUIRE_CODE,
     KIND_BY_CODE,
     RELEASE_CODE,
 )
+
+__all__ = [
+    "ATOMIC_THRESHOLD",
+    "FEATURE_NAMES",
+    "TraceFeatures",
+    "choose_backend",
+    "extract_features",
+]
+
+#: Atomic-event fraction above which vector clocks are preferred.
+ATOMIC_THRESHOLD = 0.1
 
 #: Names of the scalar features, in the order :meth:`TraceFeatures.vector`
 #: emits them.  Exposed through ``Session.capabilities()["tuning"]`` so
@@ -84,32 +90,6 @@ class TraceFeatures:
         """The scalar features as a tuple aligned with :data:`FEATURE_NAMES`."""
         return tuple(float(getattr(self, name)) for name in FEATURE_NAMES)
 
-    def bucket(self) -> str:
-        """A coarse shape key for aggregating policy observations.
-
-        Encodes log-scale size (``t`` = log2 threads, ``e`` = log10
-        events) and three ternary regime digits: read/write balance
-        (``rw``: write-heavy / balanced / read-heavy), lock density
-        (``lk``), and hot-variable contention (``c``).  Traces with the
-        same bucket are close enough in shape that one backend choice
-        serves them all.
-        """
-        t = int(math.log2(self.threads)) if self.threads > 0 else 0
-        e = int(math.log10(self.events)) if self.events > 0 else 0
-        rw = _tri(self.read_write_ratio, 0.5, 2.0)
-        lk = _tri(self.lock_density, 0.05, 0.2)
-        c = _tri(self.max_contention, 0.2, 0.5)
-        return f"t{t}e{e}rw{rw}lk{lk}c{c}"
-
-
-def _tri(value: float, low: float, high: float) -> int:
-    """0 below ``low``, 1 in [low, high), 2 at or above ``high``."""
-    if value < low:
-        return 0
-    if value < high:
-        return 1
-    return 2
-
 
 def extract_features(trace) -> TraceFeatures:
     """Compute the :class:`TraceFeatures` of ``trace``.
@@ -163,3 +143,34 @@ def extract_features(trace) -> TraceFeatures:
         max_contention=max_contention,
         mean_contention=mean_contention,
     )
+
+
+def choose_backend(analysis_cls, features: TraceFeatures) -> str:
+    """Pick a concrete backend for ``analysis_cls`` on a trace with
+    ``features``.
+
+    The first of the rule's preferences that
+    ``analysis_cls.applicable_backends()`` offers wins; when none is
+    offered, the class default (or the first candidate).  The result is
+    always a backend the analysis accepts.  Emits
+    ``tune_pick_total{backend=}`` when metrics are active.
+
+    ``BENCH_baseline.json`` (full mode) shows the incremental CSST ahead
+    on the lock-structured figure-11 workload (0.069s vs ``vc`` 0.197s),
+    while on atomic-heavy C11 traces vector clocks win (``vc-flat``
+    0.043s on c11-races).
+    """
+    candidates = analysis_cls.applicable_backends()
+    preferences: List[str] = []
+    if features.atomic_fraction > ATOMIC_THRESHOLD:
+        preferences += ["vc-flat", "vc"]
+    preferences += ["incremental-csst", "csst"]
+    chosen = next((backend for backend in preferences
+                   if backend in candidates), None)
+    if chosen is None:
+        default = analysis_cls.default_backend()
+        chosen = default if default in candidates else candidates[0]
+    registry = obs_metrics.ACTIVE
+    if registry is not None:
+        registry.counter("tune_pick_total", backend=chosen).inc()
+    return chosen

@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro import analyses
 from repro.analyses.common.base import Analysis, AnalysisResult
 from repro.core import CSST, IncrementalCSST, InstrumentedOrder
 from repro.errors import AnalysisError
 from repro.trace import Trace
+from repro.trace.generators import GENERATOR_REGISTRY, build_trace
 
 
 class _CountingAnalysis(Analysis):
@@ -133,3 +135,31 @@ class TestAnalysisResult:
                                 elapsed_seconds=0.5)
         summary = result.summary()
         assert "a[vc]" in summary and "1 findings" in summary
+
+
+#: The module-level convenience wrapper of every registered analysis.
+_WRAPPERS = {
+    "race-prediction": analyses.predict_races,
+    "deadlock-prediction": analyses.predict_deadlocks,
+    "memory-bugs": analyses.predict_memory_bugs,
+    "use-after-free": analyses.generate_uaf_queries,
+    "tso-consistency": analyses.check_tso_consistency,
+    "c11-races": analyses.detect_c11_races,
+    "linearizability": analyses.check_linearizability,
+}
+
+
+class TestDefaultBackend:
+    """Constructor, wrapper and ``default_backend()`` name one default."""
+
+    def test_every_analysis_has_a_wrapper(self):
+        assert set(_WRAPPERS) == set(Analysis.registered())
+
+    @pytest.mark.parametrize("name", sorted(_WRAPPERS))
+    def test_constructor_and_wrapper_use_default_backend(self, name):
+        cls = Analysis.by_name(name)
+        kind = next(kind for kind, entry in sorted(GENERATOR_REGISTRY.items())
+                    if name in entry.analyses)
+        trace = build_trace(kind, num_threads=2, events=4, seed=1)
+        assert cls().run(trace).backend == cls.default_backend()
+        assert _WRAPPERS[name](trace).backend == cls.default_backend()

@@ -1,21 +1,29 @@
 """The ``auto`` pseudo-backend end to end: analysis layer, sweep
-executor (oracle/regret), streaming engine, session facade."""
+executor (oracle/regret), streaming engine, session facade.  Which
+backend ``auto`` picks is pinned by ``test_auto_golden.py``."""
 
 from __future__ import annotations
 
-import json
+import argparse
+import dataclasses
 
 import pytest
 
 from repro.analyses.common.base import Analysis
-from repro.api import AnalyzeConfig, Session, SweepConfig, WatchConfig
+from repro.api import (
+    AnalyzeConfig,
+    ServeConfig,
+    Session,
+    SweepConfig,
+    WatchConfig,
+)
 from repro.core import AUTO_BACKEND, BACKENDS
+from repro.cli import build_parser
 from repro.errors import ConfigError, ReproError
 from repro.runner.executor import plan_jobs, run_suite
 from repro.runner.corpus import SUITES
 from repro.stream.engine import StreamEngine
 from repro.trace.generators import build_trace
-from repro.tune import BanditPolicy, HeuristicPolicy, save_policy_state
 
 
 def write_trace(tmp_path, kind="racy", threads=3, events=40, seed=1):
@@ -37,18 +45,11 @@ class TestAnalysisLayer:
         auto = cls(AUTO_BACKEND).run(trace)
         assert auto.backend in cls.applicable_backends()
         assert auto.details["backend_selected"] == auto.backend
-        assert auto.details["policy"] == "heuristic"
-        assert auto.details["feature_bucket"]
+        assert "policy" not in auto.details
+        assert "feature_bucket" not in auto.details
         static = cls(auto.backend).run(trace)
         assert [str(f) for f in auto.findings] \
             == [str(f) for f in static.findings]
-
-    def test_auto_honours_an_explicit_policy_instance(self):
-        trace = build_trace("c11", num_threads=3, events=30, seed=2)
-        cls = Analysis.by_name("c11-races")
-        result = cls(AUTO_BACKEND, policy=HeuristicPolicy()).run(trace)
-        # Atomic-heavy trace: the heuristic prefers vector clocks.
-        assert result.backend == "vc-flat"
 
     def test_static_backends_record_no_selection(self):
         trace = build_trace("racy", num_threads=3, events=40, seed=1)
@@ -72,8 +73,6 @@ class TestSweepPlanning:
         backends = {job.backend for job in jobs}
         assert AUTO_BACKEND in backends
         assert len(backends) > 1
-        assert all(job.tag_features for job in jobs
-                   if job.backend != AUTO_BACKEND)
 
     def test_oracle_without_auto_rejected(self):
         with pytest.raises(ReproError, match="oracle"):
@@ -93,16 +92,12 @@ class TestSweepExecution:
             assert record.ok
             assert record.backend == AUTO_BACKEND
             assert record.backend_selected in BACKENDS
-            assert record.policy == "heuristic"
-            assert record.feature_bucket
             assert record.display_backend \
                 == f"auto:{record.backend_selected}"
 
-    def test_oracle_report_and_regret(self, tmp_path):
-        state = tmp_path / "state.json"
+    def test_oracle_report_and_regret(self):
         result = run_suite("smoke", backends=[AUTO_BACKEND],
-                           analyses=["race-prediction"], policy="bandit",
-                           policy_state_path=str(state), oracle=True)
+                           analyses=["race-prediction"], oracle=True)
         assert result.oracle is not None
         report = result.oracle
         assert report["jobs"] > 0
@@ -111,10 +106,6 @@ class TestSweepExecution:
             report["auto_seconds"] - report["best_seconds"])
         assert "oracle" in result.to_document()
         assert "oracle:" in result.to_table()
-        # The sweep saved learned state for warm-starting later runs.
-        document = json.loads(state.read_text())
-        assert document["policy"] == "bandit"
-        assert document["arms"]
 
     def test_non_oracle_document_has_no_oracle_key(self):
         result = run_suite("smoke", backends=[AUTO_BACKEND],
@@ -194,38 +185,41 @@ class TestSessionFacade:
         assert document["backends_selected"]["race-prediction"] in BACKENDS
         assert any("auto selected backend" in message for message in notices)
 
-    def test_watch_warm_starts_from_sweep_state(self, tmp_path):
-        state = tmp_path / "state.json"
-        save_policy_state(BanditPolicy(seed=1), str(state))
-        _trace, path = write_trace(tmp_path, events=60)
-        config = WatchConfig(source=str(path), analyses="race-prediction",
-                             backend="auto", policy="bandit",
-                             policy_state=str(state))
-        result = Session().run(config)
-        assert result.to_dict()["backends_selected"]["race-prediction"] \
-            in BACKENDS
-
     def test_capabilities_advertise_tuning(self):
         document = Session().capabilities()
         tuning = document["tuning"]
+        assert set(tuning) == {"auto_backend", "features"}
         assert tuning["auto_backend"] == AUTO_BACKEND
-        assert tuning["default_policy"] in tuning["policies"]
         assert "events" in tuning["features"]
         for entry in document["analyses"].values():
             assert AUTO_BACKEND in entry["backends"]
 
 
 class TestConfigValidation:
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ConfigError):
-            AnalyzeConfig(analysis="race-prediction", trace="t.std",
-                          policy="oracle")
+    @pytest.mark.parametrize("config_cls, base", [
+        (AnalyzeConfig, {"analysis": "race-prediction", "trace": "t.std"}),
+        (SweepConfig, {}),
+        (WatchConfig, {"source": "t.std"}),
+        (ServeConfig, {"analyses": "c11-races", "sources": ["t.std"]}),
+    ])
+    def test_no_selection_policy_config(self, config_cls, base):
+        # A saved config from before the fixed rule fails loudly.
+        assert not [field.name for field in dataclasses.fields(config_cls)
+                    if "policy" in field.name]
+        with pytest.raises(ConfigError, match="unknown"):
+            config_cls.from_dict({**base, "policy": "heuristic"})
 
     def test_oracle_requires_auto(self):
         with pytest.raises(ConfigError):
             SweepConfig(oracle=True, backends="vc")
 
-    def test_policy_without_auto_warns(self):
-        config = SweepConfig(backends="vc", policy="bandit")
-        assert any("auto" in message
-                   for message in config.validation_warnings())
+    @pytest.mark.parametrize("command", ["analyze", "sweep", "watch",
+                                         "serve"])
+    def test_no_selection_policy_flags(self, command):
+        parser = build_parser()
+        (subparsers,) = [action for action in parser._actions
+                         if isinstance(action, argparse._SubParsersAction)]
+        options = [option for action in subparsers.choices[command]._actions
+                   for option in action.option_strings]
+        assert "--backend" in options or "--backends" in options
+        assert not [option for option in options if "policy" in option]

@@ -33,7 +33,6 @@ from repro.trace import (
 )
 from repro.trace.generators import GENERATOR_REGISTRY, build_trace
 from repro.tune import FEATURE_NAMES, TraceFeatures, extract_features
-from repro.tune.features import _tri
 
 #: Event shapes the strategy can emit: (kind, needs_variable_prefix,
 #: needs_memory_order).  Locks get their own namespace so lock_density
@@ -81,7 +80,6 @@ class TestProperties:
         assert first == second
         assert hash(first) == hash(second)
         assert first.vector() == second.vector()
-        assert first.bucket() == second.bucket()
 
     @settings(max_examples=60, deadline=None)
     @given(traces())
@@ -125,7 +123,6 @@ class TestGeneratorKinds:
         assert features.events == 0
         assert features.read_write_ratio == 0.0
         assert features.max_contention == 0.0
-        assert features.bucket() == "t0e0rw0lk0c0"
 
 
 class CountingEvent(Event):
@@ -156,27 +153,3 @@ class TestLaziness:
         assert counting_event.instances == 0
         assert loaded.materialized_count == 0
 
-
-class TestBucket:
-    def test_tri_thresholds(self):
-        assert _tri(0.0, 0.5, 2.0) == 0
-        assert _tri(0.5, 0.5, 2.0) == 1
-        assert _tri(1.99, 0.5, 2.0) == 1
-        assert _tri(2.0, 0.5, 2.0) == 2
-
-    def test_bucket_encodes_log_sizes(self):
-        trace = build_trace("racy", num_threads=4, events=30, seed=1)
-        features = extract_features(trace)
-        bucket = features.bucket()
-        assert bucket.startswith(
-            f"t{int(math.log2(features.threads))}"
-            f"e{int(math.log10(features.events))}rw")
-
-    def test_similar_traces_share_size_digits(self):
-        # Same kind/shape, different seed: the log-scale size digits (and
-        # usually the regime digits) agree, so policies can aggregate.
-        first = extract_features(
-            build_trace("racy", num_threads=4, events=30, seed=1))
-        second = extract_features(
-            build_trace("racy", num_threads=4, events=30, seed=2))
-        assert first.bucket()[:4] == second.bucket()[:4] == "t2e2"
