@@ -3,6 +3,7 @@ saturation, result containers)."""
 
 from repro.analyses.common.base import Analysis, AnalysisResult, BackendSpec
 from repro.analyses.common.hb import (
+    Frontiers,
     build_sync_order,
     conflicting_pairs,
     events_between,
@@ -16,6 +17,7 @@ __all__ = [
     "AnalysisResult",
     "BackendSpec",
     "CycleDetected",
+    "Frontiers",
     "SaturationEngine",
     "build_sync_order",
     "conflicting_pairs",

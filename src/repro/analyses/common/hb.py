@@ -9,11 +9,14 @@ backend, and exposes small helpers for the orderings analyses add on top.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.interface import Node, PartialOrder
-from repro.trace.event import Event, EventKind
+from repro.trace.event import WRITE_KINDS, Event, EventKind
 from repro.trace.trace import Trace
+
+#: Frontier value for "the node reaches no node of the chain".
+NO_SUCCESSOR = 1 << 62
 
 
 def insert_ordering(order: PartialOrder, source: Node, target: Node) -> bool:
@@ -88,20 +91,110 @@ def conflicting_pairs(trace: Trace, max_pairs: Optional[int] = None,
 
     ``same_variable_window`` optionally restricts pairs to accesses that are
     at most that many positions apart in the per-variable access list, which
-    is how practical race detectors bound their candidate set.
+    is how practical race detectors bound their candidate set.  A
+    ``max_pairs`` of zero or less yields no pairs.
     """
     pairs: List[Tuple[Event, Event]] = []
+    if max_pairs is not None and max_pairs <= 0:
+        return pairs
     for accesses in trace.accesses_by_variable().values():
+        # Thread and write flag read once per access, not once per pair.
+        threads = [event.thread for event in accesses]
+        writes = [event.kind in WRITE_KINDS for event in accesses]
+        count = len(accesses)
         for i, first in enumerate(accesses):
-            upper = len(accesses)
+            thread = threads[i]
+            writes_first = writes[i]
+            upper = count
             if same_variable_window is not None:
                 upper = min(upper, i + 1 + same_variable_window)
-            for second in accesses[i + 1 : upper]:
-                if first.conflicts_with(second):
-                    pairs.append((first, second))
+            for j in range(i + 1, upper):
+                if threads[j] != thread and (writes_first or writes[j]):
+                    pairs.append((first, accesses[j]))
                     if max_pairs is not None and len(pairs) >= max_pairs:
                         return pairs
     return pairs
+
+
+class Frontiers:
+    """Per-chain frontiers of a partial order that no longer changes.
+
+    For a node ``e`` and a chain ``t``, the nodes of ``t`` that reach ``e``
+    form a prefix of ``t`` and the nodes ``e`` reaches form a suffix, so
+    ``predecessor(e, t)`` and ``successor(e, t)`` decide every reachability
+    question between ``e`` and ``t`` by an index comparison.  Each frontier
+    is queried on first use and kept, keyed by node and chain.  The memo is
+    exact only while no edge is inserted or deleted, so build one after the
+    last update (race prediction and use-after-free query generation build
+    theirs after saturation).
+    """
+
+    def __init__(self, order: PartialOrder) -> None:
+        self._order = order
+        self._predecessors: Dict[Node, Dict[int, int]] = {}
+        self._successors: Dict[Node, Dict[int, int]] = {}
+
+    def predecessor(self, node: Node, chain: int) -> int:
+        """Latest index of ``chain`` reaching ``node`` (``-1`` if none)."""
+        if chain == node[0]:
+            return node[1]
+        known = self._predecessors.get(node)
+        if known is None:
+            known = self._predecessors[node] = {}
+        value = known.get(chain)
+        if value is None:
+            value = self._order.predecessor(node, chain)
+            if value is None:
+                value = -1
+            known[chain] = value
+        return value
+
+    def successor(self, node: Node, chain: int) -> int:
+        """First index of ``chain`` that ``node`` reaches
+        (:data:`NO_SUCCESSOR` if none)."""
+        if chain == node[0]:
+            return node[1]
+        known = self._successors.get(node)
+        if known is None:
+            known = self._successors[node] = {}
+        value = known.get(chain)
+        if value is None:
+            value = self._order.successor(node, chain)
+            if value is None:
+                value = NO_SUCCESSOR
+            known[chain] = value
+        return value
+
+    def reaches(self, source: Node, target: Node) -> bool:
+        """Whether ``source`` happens before (or is) ``target``."""
+        return source[1] <= self.predecessor(target, source[0])
+
+    def ordered(self, first: Node, second: Node) -> bool:
+        """Whether the two nodes are ordered either way."""
+        return self.reaches(first, second) or self.reaches(second, first)
+
+    def cone(self, anchors: Sequence[Node], threads: Iterable[int],
+             inclusive: bool) -> Dict[int, int]:
+        """Latest index per thread that happens before some anchor.
+
+        On an anchor's own thread the bound is the anchor itself when
+        ``inclusive``, else the event just before it.  Threads with no
+        such event are left out.
+        """
+        own_offset = 0 if inclusive else 1
+        cone: Dict[int, int] = {}
+        for thread in threads:
+            best = -1
+            for anchor in anchors:
+                if thread == anchor[0]:
+                    value = anchor[1] - own_offset
+                else:
+                    value = self.predecessor(anchor, thread)
+                if value > best:
+                    best = value
+            if best >= 0:
+                cone[thread] = best
+        return cone
 
 
 def events_between(trace: Trace, thread: int, start_index: int,

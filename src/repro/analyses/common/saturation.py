@@ -49,10 +49,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 from repro.core.interface import PartialOrder
 from repro.errors import AnalysisError
 from repro.trace.event import Event
-from repro.analyses.common.hb import insert_ordering
-
-#: Frontier value for "``event`` reaches no node of the chain".
-_NO_SUCCESSOR = 1 << 62
+from repro.analyses.common.hb import NO_SUCCESSOR, insert_ordering
 
 
 class CycleDetected(AnalysisError):
@@ -225,7 +222,7 @@ class SaturationEngine:
 
         Slots 0 and 1 hold the latest index of ``chain`` that reaches
         ``event`` (``-1`` when none does); slots 2 and 3 the earliest index
-        of ``chain`` that ``event`` reaches (:data:`_NO_SUCCESSOR` when
+        of ``chain`` that ``event`` reaches (:data:`NO_SUCCESSOR` when
         none).  On ``event``'s own chain both are its own index.
         """
         if event.thread == chain:
@@ -237,6 +234,6 @@ class SaturationEngine:
         else:
             bound = self._order.successor(event.node, chain)
             if bound is None:
-                bound = _NO_SUCCESSOR
+                bound = NO_SUCCESSOR
         bounds[slot] = bound
         return bound

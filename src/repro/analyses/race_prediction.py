@@ -18,10 +18,14 @@ partial-order operations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional, Tuple
 
 from repro.analyses.common.base import Analysis, AnalysisResult
-from repro.analyses.common.hb import build_sync_order, conflicting_pairs
+from repro.analyses.common.hb import (
+    Frontiers,
+    build_sync_order,
+    conflicting_pairs,
+)
 from repro.analyses.common.saturation import CycleDetected, SaturationEngine
 from repro.core.instrumented import InstrumentedOrder
 from repro.trace.event import Event
@@ -92,95 +96,110 @@ class RacePredictionAnalysis(Analysis):
         result.details["sync_edges"] = sync_edges
         result.details["saturation_edges"] = saturation_edges
 
-        # Phase 2: candidate enumeration and witness checks.
+        # Phase 2: candidate enumeration and witness checks.  It inserts no
+        # edges, so every frontier queried from here on stays exact and is
+        # asked at most once.
         candidates = conflicting_pairs(
             trace, max_pairs=self._max_candidates,
             same_variable_window=self._candidate_window,
         )
         result.details["candidates"] = len(candidates)
-        reads_from = trace.reads_from()
-        writes = trace.writes_by_variable()
+        frontiers = Frontiers(order)
+        witness = _WitnessCheck(trace, frontiers, self._witness_window)
         locks_held = trace.locks_held_map()
         checked = 0
         for first, second in candidates:
             checked += 1
             if locks_held[first.node] & locks_held[second.node]:
                 continue
-            if order.ordered(first.node, second.node):
+            if frontiers.ordered(first.node, second.node):
                 continue
-            if self._witness_feasible(trace, order, first, second, reads_from, writes):
+            if witness.feasible(first, second):
                 result.findings.append(Race(first, second))
         result.details["checked"] = checked
 
-    # ------------------------------------------------------------------ #
-    # Witness feasibility
-    # ------------------------------------------------------------------ #
-    def _witness_feasible(self, trace: Trace, order: InstrumentedOrder,
-                          first: Event, second: Event, reads_from, writes) -> bool:
-        """Check that a correct reordering witnessing the race can exist.
 
-        The witness must execute, for every thread, the prefix of events
-        that happen-before either access (its *cone*).  The race is feasible
-        when every read inside the cone can still observe its writer: the
-        writer is inside the cone as well, and no write that overwrites it
-        is forced between the writer and the read.  Every check is a
-        reachability query against the maintained partial order.
+#: Verdict slot not computed yet.
+_UNSEEN = object()
 
-        The per-thread window scan runs over the trace's columnar view:
-        non-read events are skipped on a one-byte flag without touching
-        their :class:`Event` objects.
-        """
-        cone = self._cone(trace, order, first, second)
+
+class _WitnessCheck:
+    """Witness feasibility of candidate pairs over a saturated order.
+
+    The witness must execute, for every thread, the prefix of events that
+    happen-before either access (its *cone*).  The race is feasible when
+    every read inside the cone can still observe its writer: the writer is
+    inside the cone as well, and no write that overwrites it is forced
+    between the writer and the read.
+
+    Whether such a competing write exists depends on the read alone, not
+    on the candidate: a competitor that happens before the read is inside
+    every cone that contains the read.  So each read's verdict -- its
+    writer's node and a *blocked* bit -- is computed once, by index
+    comparisons against the frontiers ``successor(writer, t)`` and
+    ``predecessor(read, t)``, and kept per trace position.  A candidate
+    then costs one cone and a scan of its window.
+    """
+
+    def __init__(self, trace: Trace, frontiers: Frontiers,
+                 window: int) -> None:
         columns = trace.columns()
-        read_flags = columns.read_flags
-        events = columns.events
-        positions_by_thread = columns.thread_positions
+        self._read_flags = columns.read_flags
+        self._events = columns.events
+        self._positions = columns.thread_positions
+        self._threads = trace.threads
+        self._reads_from = trace.reads_from()
+        self._writes = trace.writes_by_variable()
+        self._frontiers = frontiers
+        self._window = window
+        # Per trace position: _UNSEEN, None (no writer) or
+        # (writer thread, writer index, blocked).
+        self._verdicts: List[object] = [_UNSEEN] * len(columns)
+
+    def feasible(self, first: Event, second: Event) -> bool:
+        """Whether a correct reordering can witness ``first || second``."""
+        cone = self._frontiers.cone((first.node, second.node), self._threads,
+                                    inclusive=False)
+        read_flags = self._read_flags
+        events = self._events
+        verdicts = self._verdicts
+        window = self._window
         for thread, limit in cone.items():
-            window_start = max(0, limit + 1 - self._witness_window)
-            positions = positions_by_thread.get(thread, ())
-            for position in positions[window_start : limit + 1]:
+            positions = self._positions.get(thread, ())
+            for position in positions[max(0, limit + 1 - window) : limit + 1]:
+                # Non-reads drop on the one-byte flag, no Event touched.
                 if not read_flags[position]:
                     continue
                 event = events[position]
                 if event is first or event is second:
                     continue
-                writer = reads_from.get(event)
-                if writer is None:
+                verdict = verdicts[position]
+                if verdict is _UNSEEN:
+                    verdict = verdicts[position] = self._verdict(event)
+                if verdict is None:
                     continue
-                if not self._inside_cone(cone, writer):
+                writer_thread, writer_index, blocked = verdict
+                if blocked or writer_index > cone.get(writer_thread, -1):
                     return False
-                for competitor in writes.get(event.variable, ()):
-                    if competitor is writer or not self._inside_cone(cone, competitor):
-                        continue
-                    # A competing write forced between writer and read makes
-                    # the read observe the wrong value in every reordering.
-                    if (
-                        order.reachable(writer.node, competitor.node)
-                        and order.reachable(competitor.node, event.node)
-                    ):
-                        return False
         return True
 
-    def _cone(self, trace: Trace, order: InstrumentedOrder, first: Event,
-              second: Event) -> Dict[int, int]:
-        """Latest event index per thread that must precede either access."""
-        cone: Dict[int, int] = {}
-        for thread in trace.threads:
-            best = -1
-            for anchor in (first, second):
-                if thread == anchor.thread:
-                    best = max(best, anchor.index - 1)
-                    continue
-                predecessor = order.predecessor(anchor.node, thread)
-                if predecessor is not None:
-                    best = max(best, predecessor)
-            if best >= 0:
-                cone[thread] = best
-        return cone
-
-    @staticmethod
-    def _inside_cone(cone: Dict[int, int], event: Event) -> bool:
-        return event.index <= cone.get(event.thread, -1)
+    def _verdict(self, read: Event) -> Optional[Tuple[int, int, bool]]:
+        """The read's writer node and whether a competing write is forced
+        between the writer and the read (``None`` when it has no writer)."""
+        writer = self._reads_from.get(read)
+        if writer is None:
+            return None
+        frontiers = self._frontiers
+        read_node = read.node
+        writer_node = writer.node
+        for competitor in self._writes.get(read.variable, ()):
+            chain, index = competitor.node
+            if (competitor is writer
+                    or index > frontiers.predecessor(read_node, chain)):
+                continue
+            if frontiers.successor(writer_node, chain) <= index:
+                return writer.thread, writer.index, True
+        return writer.thread, writer.index, False
 
 
 def predict_races(trace: Trace, backend=None,

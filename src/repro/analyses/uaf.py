@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.analyses.common.base import Analysis, AnalysisResult
-from repro.analyses.common.hb import build_sync_order
+from repro.analyses.common.hb import Frontiers, build_sync_order
 from repro.analyses.common.saturation import CycleDetected, SaturationEngine
 from repro.core.instrumented import InstrumentedOrder
 from repro.trace.columns import ALLOC_CODE, FREE_CODE
@@ -105,11 +105,13 @@ class UseAfterFreeAnalysis(Analysis):
         candidates = self._candidates(trace)
         result.details["candidates"] = len(candidates)
         reads_from = trace.reads_from()
+        # Query generation inserts no edges: each frontier is asked once.
+        frontiers = Frontiers(order)
         total_constraints = 0
         for free, use in candidates:
             if self._max_candidates is not None and len(result.findings) >= self._max_candidates:
                 break
-            query = self._encode(trace, order, free, use, reads_from)
+            query = self._encode(trace, frontiers, free, use, reads_from)
             if query is not None:
                 total_constraints += query.constraint_count
                 result.findings.append(query)
@@ -151,13 +153,15 @@ class UseAfterFreeAnalysis(Analysis):
     # ------------------------------------------------------------------ #
     # Query encoding
     # ------------------------------------------------------------------ #
-    def _encode(self, trace: Trace, order: InstrumentedOrder, free: Event,
+    def _encode(self, trace: Trace, frontiers: Frontiers, free: Event,
                 use: Event, reads_from) -> Optional[ConstraintQuery]:
         """Encode the candidate as a constraint query, or return ``None`` if
         the partial order already rules the candidate out."""
-        if order.reachable(use.node, free.node):
+        if frontiers.reaches(use.node, free.node):
             return None
-        cone = self._cone(trace, order, free, use)
+        # The witness executes both events themselves, hence ``inclusive``.
+        cone = frontiers.cone((free.node, use.node), trace.threads,
+                              inclusive=True)
         constraints: List[OrderingConstraint] = [
             OrderingConstraint(free.node, use.node, "target order")
         ]
@@ -187,23 +191,6 @@ class UseAfterFreeAnalysis(Analysis):
                     return None
         cone_sizes = tuple(sorted(cone.items()))
         return ConstraintQuery(free, use, cone_sizes, tuple(constraints))
-
-    def _cone(self, trace: Trace, order: InstrumentedOrder, free: Event,
-              use: Event) -> Dict[int, int]:
-        """Latest event index per thread that the witness must execute."""
-        cone: Dict[int, int] = {}
-        for thread in trace.threads:
-            best = -1
-            for anchor in (free, use):
-                if thread == anchor.thread:
-                    best = max(best, anchor.index)
-                    continue
-                predecessor = order.predecessor(anchor.node, thread)
-                if predecessor is not None:
-                    best = max(best, predecessor)
-            if best >= 0:
-                cone[thread] = best
-        return cone
 
 
 def generate_uaf_queries(trace: Trace, backend=None,

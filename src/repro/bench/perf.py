@@ -74,6 +74,15 @@ SPEEDUP_PAIRS: Sequence[Tuple[str, str, str]] = (
     ("race-prediction/incremental-csst", "race-prediction/auto",
      "race-prediction-auto-over-best-static"),
     ("c11-races/vc-flat", "c11-races/auto", "c11-auto-over-best-static"),
+    # The default incremental CSST over vc-flat at 64 threads (target:
+    # < 1.5x).
+    ("tso-consistency-64t/vc-flat", "tso-consistency-64t/incremental-csst",
+     "tso-64t-incremental-csst-over-vc-flat"),
+    ("deadlock-prediction-64t/vc-flat",
+     "deadlock-prediction-64t/incremental-csst",
+     "deadlock-64t-incremental-csst-over-vc-flat"),
+    ("race-prediction-64t/vc-flat", "race-prediction-64t/incremental-csst",
+     "race-64t-incremental-csst-over-vc-flat"),
 )
 
 
@@ -331,6 +340,20 @@ def default_cases() -> List[PerfCase]:
             _analysis_case("c11-races", backend, "mpmc-queue",
                            num_threads=8, events=260, seed=22,
                            scheduler="weighted")))
+    # The many-thread regime, on the default backend and on vc-flat: the
+    # incremental CSST's insert closure and race-prediction's witness
+    # phase are the costs that grow with the chain count.
+    for analysis, generator, shapes in (
+            ("tso-consistency", "tso", ((16, 100), (64, 50))),
+            ("deadlock-prediction", "deadlock", ((16, 100), (64, 50))),
+            ("race-prediction", "racy", ((64, 50),))):
+        for threads, events in shapes:
+            for backend in ("incremental-csst", "vc-flat"):
+                cases.append(PerfCase(
+                    f"{analysis}-{threads}t/{backend}",
+                    _analysis_case(analysis, backend, generator,
+                                   num_threads=threads, events=events,
+                                   seed=1)))
     cases.append(PerfCase("trace-load/std", _trace_load_case()))
     cases.append(PerfCase("trace-load/stc", _stc_load_case()))
     return cases
@@ -372,8 +395,9 @@ def run_perf(quick: bool = False, repeats: int = DEFAULT_REPEATS,
 
 def compute_speedups(results: Dict[str, Dict[str, object]]) -> Dict[str, float]:
     """Slow-over-fast ratios for every pair present in ``results``:
-    ``vc-flat`` over ``vc``, ``.stc`` parse over STD parse, and ``auto``
-    over its best static backend (selection overhead)."""
+    ``vc-flat`` over ``vc``, ``.stc`` parse over STD parse, ``auto`` over
+    its best static backend (selection overhead), and ``incremental-csst``
+    over ``vc-flat`` at 64 threads."""
     speedups: Dict[str, float] = {}
     for fast, slow, label in SPEEDUP_PAIRS:
         fast_entry = results.get(fast)

@@ -2,9 +2,19 @@
 
 Many dynamic analyses only ever *insert* orderings.  The incremental CSST
 exploits this by storing *transitive* reachability in its suffix-minima
-arrays: every insertion eagerly closes the order across all pairs of chains
-(``O(k^2 min(log n, d))`` per update), after which every query is a single
-suffix-minima operation (``O(min(log n, d))`` per query, Theorem 2).
+arrays: every insertion eagerly closes the order, after which every query
+is a single suffix-minima operation (``O(min(log n, d))`` per query,
+Theorem 2).
+
+Closing the order after ``(t1, j1) -> (t2, j2)`` touches, for every source
+chain, the latest node that reaches ``(t1, j1)`` and, for every target
+chain, the first node ``(t2, j2)`` reaches.  The insert reads that target
+*frontier* once (``k`` lookups), then skips every source chain whose node
+already reaches ``(t2, j2)``: by transitivity it already reaches the whole
+frontier.  Only the remaining rows are compared against the frontier, so
+an insert costs ``O(k)`` lookups plus ``k`` per row that actually changes.
+The all-pairs sweep of the paper, ``O(k^2 min(log n, d))`` per update, is
+the worst case, reached when every row changes.
 
 Crucially, the density of each array never exceeds the cross-chain density
 ``d`` of the underlying chain DAG (Lemma 7): transitive entries are only
@@ -116,26 +126,44 @@ class IncrementalCSST(ChainMatrixOrder):
         self._edge_count += 1
         num_chains = self._num_chains
         arrays = self._arrays
+        # The target frontier: per chain, the first node (t2, j2) reaches.
+        # It stays exact for the whole insert because row t2 is never
+        # updated: a source node on chain t2 reaches (t1, j1), so it is at
+        # or before j2 (anything else is a cycle) and is skipped below.
+        frontier: List[Tuple[int, int]] = []
+        row = t2 * num_chains
+        for target_chain in range(num_chains):
+            if target_chain == t2:
+                frontier.append((t2, j2))
+            else:
+                array = arrays[row + target_chain]
+                if array is not None:
+                    target_index = array.suffix_min_int(j2)
+                    if target_index < INT_INF:
+                        frontier.append((target_chain, target_index))
         for source_chain in range(num_chains):
+            row = source_chain * num_chains
             if source_chain == t1:
                 source_index = j1
             else:
-                array = arrays[source_chain * num_chains + t1]
+                array = arrays[row + t1]
                 source_index = array.argleq_int(j1) if array is not None else -1
                 if source_index < 0:
                     continue
-            row = source_chain * num_chains
-            for target_chain in range(num_chains):
+            # A source node that already reaches (t2, j2) already reaches
+            # every node of the frontier (the arrays are transitively
+            # closed), so its row needs no update.
+            if source_chain == t2:
+                if source_index <= j2:
+                    continue
+            else:
+                array = arrays[row + t2]
+                if (array is not None
+                        and array.suffix_min_int(source_index) <= j2):
+                    continue
+            for target_chain, target_index in frontier:
                 if target_chain == source_chain:
                     continue
-                if target_chain == t2:
-                    target_index = j2
-                else:
-                    array = arrays[t2 * num_chains + target_chain]
-                    target_index = (array.suffix_min_int(j2)
-                                    if array is not None else INT_INF)
-                    if target_index >= INT_INF:
-                        continue
                 current_array = arrays[row + target_chain]
                 if current_array is None:
                     self._array(source_chain, target_chain).update_int(

@@ -3,12 +3,15 @@
 import pytest
 
 from repro.analyses.common.hb import (
+    NO_SUCCESSOR,
+    Frontiers,
     build_sync_order,
     conflicting_pairs,
     insert_ordering,
     lock_graph,
 )
 from repro.core import IncrementalCSST
+from repro.core.instrumented import InstrumentedOrder
 from repro.trace import Trace
 
 
@@ -94,6 +97,30 @@ class TestConflictingPairs:
             trace.write(index % 2, "x", value=index)
         assert len(conflicting_pairs(trace, max_pairs=3)) == 3
 
+    @pytest.mark.parametrize("cap", [0, -1, -10])
+    def test_non_positive_cap_yields_no_pairs(self, cap):
+        trace = Trace()
+        for index in range(6):
+            trace.write(index % 2, "x", value=index)
+        assert conflicting_pairs(trace, max_pairs=cap) == []
+
+    def test_pairs_match_conflicts_with(self):
+        trace = Trace()
+        for index in range(12):
+            thread = index % 3
+            if index % 4 == 1:
+                trace.read(thread, "xy"[index % 2])
+            else:
+                trace.write(thread, "xy"[index % 2], value=index)
+        expected = [
+            (first, second)
+            for accesses in trace.accesses_by_variable().values()
+            for i, first in enumerate(accesses)
+            for second in accesses[i + 1 :]
+            if first.conflicts_with(second)
+        ]
+        assert conflicting_pairs(trace) == expected
+
     def test_window_limits_pair_distance(self):
         trace = Trace()
         for index in range(10):
@@ -101,6 +128,44 @@ class TestConflictingPairs:
         windowed = conflicting_pairs(trace, same_variable_window=1)
         unwindowed = conflicting_pairs(trace)
         assert len(windowed) < len(unwindowed)
+
+
+class TestFrontiers:
+    @pytest.fixture
+    def order(self):
+        # (0, 1) -> (1, 2) -> (2, 0); chain 3 is unrelated.
+        order = InstrumentedOrder(IncrementalCSST(4, 8))
+        order.insert_edge((0, 1), (1, 2))
+        order.insert_edge((1, 2), (2, 0))
+        return order
+
+    def test_frontiers_match_the_order(self, order):
+        frontiers = Frontiers(order)
+        assert frontiers.predecessor((2, 0), 0) == 1
+        assert frontiers.predecessor((2, 0), 3) == -1
+        assert frontiers.successor((0, 0), 2) == 0
+        assert frontiers.successor((0, 2), 1) == NO_SUCCESSOR
+        assert frontiers.reaches((0, 1), (2, 0))
+        assert not frontiers.reaches((0, 2), (2, 0))
+        assert frontiers.ordered((2, 0), (0, 0))
+        assert not frontiers.ordered((3, 0), (0, 0))
+
+    def test_each_frontier_is_queried_once(self, order):
+        frontiers = Frontiers(order)
+        for _ in range(3):
+            frontiers.predecessor((2, 0), 0)
+            frontiers.successor((0, 0), 2)
+            frontiers.predecessor((2, 0), 2)   # own chain: no query
+        assert order.query_count == 2
+
+    def test_cone_own_thread_bound(self, order):
+        frontiers = Frontiers(order)
+        anchors = ((2, 0), (3, 4))
+        threads = range(4)
+        assert frontiers.cone(anchors, threads, inclusive=True) == {
+            0: 1, 1: 2, 2: 0, 3: 4}
+        assert frontiers.cone(anchors, threads, inclusive=False) == {
+            0: 1, 1: 2, 3: 3}
 
 
 class TestLockGraph:

@@ -3,8 +3,11 @@ baseline that shares their transitive-closure logic."""
 
 import pytest
 
+from repro.analyses.common.base import Analysis
 from repro.core import GraphOrder, IncrementalCSST, SegmentTreeOrder
+from repro.core.sparse_segment_tree import SparseSegmentTree
 from repro.errors import UnsupportedOperationError
+from repro.trace.generators import build_trace
 
 
 @pytest.fixture(params=["incremental-csst", "segment-tree"])
@@ -108,3 +111,48 @@ class TestSparsity:
         order = IncrementalCSST(3, 4)
         order.insert_edge((0, 100), (1, 200))
         assert order.reachable((0, 50), (1, 300))
+
+
+class TestInsertCost:
+    """The insert closure reads one target frontier per insert and skips
+    source rows that already reach the target; it must still make the
+    updates of the all-pairs sweep, one for one."""
+
+    def test_tso_64_threads_counts(self, monkeypatch):
+        counts = {"update_int": 0, "suffix_min_int": 0}
+        inside = [False]
+
+        def counting(name):
+            method = getattr(SparseSegmentTree, name)
+
+            def wrapper(self, *args):
+                if inside[0]:
+                    counts[name] += 1
+                return method(self, *args)
+
+            return wrapper
+
+        insert_edge = IncrementalCSST.insert_edge
+
+        def counted_insert(self, source, target):
+            inside[0] = True
+            try:
+                insert_edge(self, source, target)
+            finally:
+                inside[0] = False
+
+        trace = build_trace("tso", num_threads=64, events=50, seed=1)
+        analysis_cls = Analysis.by_name("tso-consistency")
+        reference = analysis_cls("vc-flat").run(trace)
+        for name in counts:
+            monkeypatch.setattr(SparseSegmentTree, name, counting(name))
+        monkeypatch.setattr(IncrementalCSST, "insert_edge", counted_insert)
+        result = analysis_cls("incremental-csst").run(trace)
+        # The all-pairs sweep made the same 68,107 updates with 11.83M
+        # suffix-minima lookups.
+        assert counts["update_int"] == 68_107
+        assert counts["suffix_min_int"] <= 600_000
+        assert result.insert_count == reference.insert_count == 2883
+        assert [str(f) for f in result.findings] == \
+            [str(f) for f in reference.findings]
+        assert result.details == reference.details

@@ -8,6 +8,12 @@ most 5 chains and 8 events per chain, every registered backend must answer
 ``reachable``, ``successor`` and ``predecessor`` exactly as the matrix does
 after every operation: inserts only for the incremental backends, inserts
 and deletes for the fully dynamic ones.
+
+A second suite draws wider DAGs (8 and 12 chains) up front and inserts
+their edges in shuffled order, so inserts land between arbitrary nodes
+rather than following a trace, and a later edge often joins two nodes
+that earlier ones already ordered transitively (the rows the incremental
+CSST's insert closure skips).
 """
 
 import random
@@ -104,6 +110,46 @@ def test_backend_matches_closure_oracle(backend, seed):
             operation = ("insert", (source, target))
         oracle.close()
         _assert_agrees(order, oracle, (backend, seed, step, operation))
+
+
+WIDE_SHAPES = [(8, 4), (12, 3)]
+WIDE_SEEDS = range(8)
+
+
+@pytest.mark.parametrize("seed", WIDE_SEEDS)
+@pytest.mark.parametrize("num_chains,per_chain", WIDE_SHAPES)
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+def test_shuffled_inserts_match_closure_oracle(backend, num_chains, per_chain,
+                                               seed):
+    rng = random.Random(seed)
+    # Edges only go forward in one random interleaving of the chains, so
+    # the whole DAG is acyclic in every insertion order.
+    schedule = [chain for chain in range(num_chains)
+                for _index in range(per_chain)]
+    rng.shuffle(schedule)
+    position = {}
+    seen = [0] * num_chains
+    for step, chain in enumerate(schedule):
+        position[(chain, seen[chain])] = step
+        seen[chain] += 1
+    nodes = sorted(position)
+    edges = set()
+    while len(edges) < 2 * num_chains:
+        source, target = rng.sample(nodes, 2)
+        if source[0] == target[0]:
+            continue
+        if position[source] > position[target]:
+            source, target = target, source
+        edges.add((source, target))
+    edges = sorted(edges)
+    rng.shuffle(edges)
+    order = make_partial_order(backend, num_chains, capacity_hint=2)
+    oracle = ClosureOracle(num_chains, per_chain)
+    for step, edge in enumerate(edges):
+        order.insert_edge(*edge)
+        oracle.edges.append(edge)
+        oracle.close()
+        _assert_agrees(order, oracle, (backend, seed, step, edge))
 
 
 def test_oracle_covers_both_families():
