@@ -74,7 +74,7 @@ def test_streaming_c11_native(benchmark, workload):
 
     def run():
         engine = StreamEngine([Analysis.by_name("c11-races")(
-            "vc", **workload.analysis_kwargs)])
+            "vc-flat", **workload.analysis_kwargs)])
         return engine.run(TraceSource(trace))
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -87,7 +87,7 @@ def test_streaming_c11_native(benchmark, workload):
 def test_batch_c11_reference(benchmark, workload):
     """The batch baseline the native streaming run is compared against."""
     trace = build_trace(workload)
-    analysis = Analysis.by_name("c11-races")("vc", **workload.analysis_kwargs)
+    analysis = Analysis.by_name("c11-races")("vc-flat", **workload.analysis_kwargs)
     result = benchmark.pedantic(lambda: analysis.run(trace),
                                 rounds=1, iterations=1)
     benchmark.extra_info["findings"] = result.finding_count

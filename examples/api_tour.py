@@ -52,12 +52,12 @@ def _tour(session: Session, workdir: Path) -> None:
     # 3. Sweep a registered suite; the result aggregates like the paper.
     sweep = session.run(SweepConfig(suite="smoke",
                                     analyses="race-prediction",
-                                    backends="vc,incremental-csst",
-                                    baseline="vc"))
+                                    backends="vc-flat,incremental-csst",
+                                    baseline="vc-flat"))
     assert sweep.exit_code == 0, "sweep reported failures"
     document = sweep.to_dict()
     print(f"sweep: {document['jobs']} jobs, {document['failures']} failures, "
-          f"speedups over vc: {document['speedups']}")
+          f"speedups over vc-flat: {document['speedups']}")
 
     # 4. Watch the same trace as a stream, receiving findings live.
     live = []

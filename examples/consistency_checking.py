@@ -59,7 +59,7 @@ def main() -> None:
     print("\ngenerated store-buffer workload:")
     workload = tso_trace(num_threads=3, events_per_thread=300, num_variables=12,
                          stale_read_fraction=0.0, seed=3, name="generated")
-    for backend in ("vc", "st", "incremental-csst"):
+    for backend in ("vc-flat", "st", "incremental-csst"):
         result = check_tso_consistency(workload, backend=backend)
         print(
             f"  {backend:18s} consistent={result.details['consistent']} "

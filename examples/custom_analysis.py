@@ -57,7 +57,7 @@ def main() -> None:
     print(f"trace: {len(trace)} events, {trace.num_threads} threads")
 
     counts = {}
-    for backend in ("vc", "st", "incremental-csst"):
+    for backend in ("vc-flat", "st", "incremental-csst"):
         races = happens_before_races(trace, backend)
         counts[backend] = len(races)
         print(f"  {backend:18s} {len(races):4d} racy access pairs")

@@ -35,7 +35,7 @@ def main() -> None:
     # example.
     compared = session.compare(
         CompareConfig(analysis="race-prediction", trace=trace.name,
-                      backends="vc,st,incremental-csst",
+                      backends="st,incremental-csst,vc-flat",
                       params={"candidate_window": 10}),
         trace=trace)
     for run in compared.runs:
@@ -52,7 +52,7 @@ def main() -> None:
     # The same request as data: the structured result exports itself.
     document = compared.to_dict()
     assert [row["backend"] for row in document["runs"]] == \
-        ["vc", "st", "incremental-csst"]
+        ["st", "incremental-csst", "vc-flat"]
 
     analyzed = session.analyze(
         AnalyzeConfig(analysis="race-prediction", trace=trace.name,

@@ -46,7 +46,7 @@ from repro.trace.trace import Trace
 
 #: Human-readable labels for backend names (column headers in the paper).
 BACKEND_LABELS = {
-    "vc": "VCs",
+    "vc-flat": "VCs",
     "st": "STs",
     "incremental-csst": "CSSTs",
     "csst": "CSSTs (dyn)",

@@ -160,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--format", choices=SweepConfig.FORMATS,
                        default="table", help="output format (default: table)")
     sweep.add_argument("--baseline", default=None,
-                       help="baseline backend for speedups (default: vc, or "
+                       help="baseline backend for speedups (default: vc-flat, or "
                             "graph for deletion-based analyses)")
     sweep.add_argument("--timeout", type=float, default=None,
                        help="seconds to wait for each job's result when "

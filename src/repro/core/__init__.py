@@ -16,10 +16,9 @@ The package follows the structure of the paper:
 * :mod:`repro.core.vector_clock`, :mod:`repro.core.graph_po`,
   :mod:`repro.core.st_partial_order` -- the evaluation baselines
   (Section 5.1).  ``st`` is the incremental CSST over dense segment trees;
-  ``vc-flat`` packs the ``vc`` clocks into one int list per chain.
+  ``vc-flat`` is the vector clocks, packed into one int list per chain.
 
-Each structure has one implementation; only the vector clocks come in two
-representations, which answer identically.
+Each structure has one implementation.
 """
 
 from repro.core.csst import CSST
@@ -44,7 +43,7 @@ from repro.core.segment_tree import SegmentTree
 from repro.core.sparse_segment_tree import DEFAULT_BLOCK_SIZE, SparseSegmentTree
 from repro.core.st_partial_order import SegmentTreeOrder
 from repro.core.suffix_minima import NaiveSuffixMinima, SuffixMinima
-from repro.core.vector_clock import FlatVectorClockOrder, VectorClockOrder
+from repro.core.vector_clock import VectorClockOrder
 
 __all__ = [
     "AUTO_BACKEND",
@@ -53,7 +52,6 @@ __all__ = [
     "DEFAULT_BLOCK_SIZE",
     "DYNAMIC_BACKENDS",
     "DeletableMinHeap",
-    "FlatVectorClockOrder",
     "GraphOrder",
     "GrowableOrder",
     "INCREMENTAL_BACKENDS",

@@ -15,19 +15,17 @@ from repro.core.graph_po import GraphOrder
 from repro.core.incremental_csst import IncrementalCSST
 from repro.core.interface import PartialOrder
 from repro.core.st_partial_order import SegmentTreeOrder
-from repro.core.vector_clock import FlatVectorClockOrder, VectorClockOrder
+from repro.core.vector_clock import VectorClockOrder
 from repro.errors import ReproError
 
 #: Mapping from backend name to implementation class.  The names mirror the
 #: column headers of the paper's tables ("VCs", "STs", "CSSTs", "Graphs");
-#: ``vc-flat`` packs the same vector clocks into one int list per chain and
-#: answers identically to ``vc``.
+#: ``vc-flat`` is the vector clocks, packed into one int list per chain.
 BACKENDS: Dict[str, Type[PartialOrder]] = {
     "csst": CSST,
     "incremental-csst": IncrementalCSST,
     "st": SegmentTreeOrder,
-    "vc": VectorClockOrder,
-    "vc-flat": FlatVectorClockOrder,
+    "vc-flat": VectorClockOrder,
     "graph": GraphOrder,
 }
 
@@ -40,7 +38,7 @@ BACKENDS: Dict[str, Type[PartialOrder]] = {
 AUTO_BACKEND = "auto"
 
 #: Backends usable in incremental-only analyses (paper Tables 1-6).
-INCREMENTAL_BACKENDS = ("vc", "st", "incremental-csst", "vc-flat")
+INCREMENTAL_BACKENDS = ("st", "incremental-csst", "vc-flat")
 
 #: Backends usable in fully dynamic analyses (paper Table 7).
 DYNAMIC_BACKENDS = ("graph", "csst")
@@ -135,7 +133,7 @@ def make_partial_order(kind: str, num_chains: int, capacity_hint: int = 1024,
     ----------
     kind:
         A key of :data:`BACKENDS`: ``"csst"``, ``"incremental-csst"``,
-        ``"st"``, ``"vc"``, ``"vc-flat"`` or ``"graph"`` (plus any
+        ``"st"``, ``"vc-flat"`` or ``"graph"`` (plus any
         backend registered at runtime).
     num_chains:
         Number of chains of the maintained chain DAG.

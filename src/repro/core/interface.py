@@ -158,11 +158,6 @@ class PartialOrder(abc.ABC):
         query API); results come back in input order."""
         return [self.reachable(source, target) for source, target in pairs]
 
-    def insert_edges(self, edges: Iterable[Tuple[Node, Node]]) -> None:
-        """Insert every edge of ``edges`` (alias of :meth:`insert_many`,
-        kept for backward compatibility)."""
-        self.insert_many(edges)
-
     # ------------------------------------------------------------------ #
     # Validation helpers shared by subclasses
     # ------------------------------------------------------------------ #

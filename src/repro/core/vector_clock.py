@@ -12,9 +12,10 @@ non-streaming analyses (Section 1 of the paper).
 
 The implementation keeps one clock **per event** (events are materialised
 lazily, up to the largest index the analysis has touched in each chain, so
-memory is ``O(n k)`` like the original), and includes the propagation
-optimization described in Section 5.1 of the paper: propagation along a
-chain stops as soon as joining a clock no longer changes it.
+memory is ``O(n k)`` like the original), packed into one int list per
+chain, and includes the propagation optimization described in Section 5.1
+of the paper: propagation along a chain stops as soon as joining a clock
+no longer changes it.
 
 Edge deletion is not supported (there is no efficient way to "un-join"
 vector clocks), matching the paper's characterisation of the structure.
@@ -22,174 +23,18 @@ vector clocks), matching the paper's characterisation of the structure.
 
 from __future__ import annotations
 
-import bisect
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.interface import Node, PartialOrder
 
 
 class VectorClockOrder(PartialOrder):
-    """Partial order maintained with one vector clock per event."""
+    """The ``vc-flat`` backend: one vector clock per event, packed per chain.
 
-    supports_deletion = False
-
-    def __init__(self, num_chains: int, capacity_hint: int = 1024) -> None:
-        super().__init__(num_chains, capacity_hint)
-        # One clock (list of k ints) per materialised event, per chain.
-        self._clocks: List[List[List[int]]] = [[] for _ in range(num_chains)]
-        # Cross-chain adjacency, needed to propagate joins transitively.
-        self._out_edges: Dict[Node, List[Node]] = {}
-        self._edge_count = 0
-
-    # ------------------------------------------------------------------ #
-    # Clock materialisation and access
-    # ------------------------------------------------------------------ #
-    def _ensure(self, chain: int, index: int) -> None:
-        """Materialise clocks for chain ``chain`` up to ``index`` inclusive.
-
-        Every fresh clock starts as a copy of its program-order predecessor
-        (its backward set minus itself) with its own component bumped."""
-        clocks = self._clocks[chain]
-        while len(clocks) <= index:
-            position = len(clocks)
-            if position == 0:
-                clock = [-1] * self._num_chains
-            else:
-                clock = list(clocks[position - 1])
-            clock[chain] = position
-            clocks.append(clock)
-
-    def clock_of(self, node: Node) -> List[int]:
-        """Return a copy of the vector clock of ``node``."""
-        self._check_node(node)
-        chain, index = node
-        self._ensure(chain, index)
-        return list(self._clocks[chain][index])
-
-    # ------------------------------------------------------------------ #
-    # Updates
-    # ------------------------------------------------------------------ #
-    def insert_edge(self, source: Node, target: Node) -> None:
-        self._check_edge(source, target)
-        (t1, j1), (t2, j2) = source, target
-        self._ensure(t1, j1)
-        self._ensure(t2, j2)
-        self._out_edges.setdefault(source, []).append(target)
-        self._edge_count += 1
-        if self._join(t2, j2, self._clocks[t1][j1]):
-            self._propagate(t2, j2)
-
-    def _join(self, chain: int, index: int, incoming: List[int]) -> bool:
-        """Join ``incoming`` into the clock of ``(chain, index)``; return
-        whether the clock changed (the "early stop" test)."""
-        clock = self._clocks[chain][index]
-        changed = False
-        for component in range(self._num_chains):
-            value = incoming[component]
-            if value > clock[component]:
-                clock[component] = value
-                changed = True
-        return changed
-
-    def _propagate(self, chain: int, index: int) -> None:
-        """Push the updated clock of ``(chain, index)`` to its successors:
-        the remaining events of its chain (stopping early when a join makes
-        no difference) and, transitively, the targets of cross edges."""
-        worklist: List[Node] = [(chain, index)]
-        out_edges = self._out_edges
-        while worklist:
-            t, j = worklist.pop()
-            clock = self._clocks[t][j]
-            chain_clocks = self._clocks[t]
-            # Walk the chain suffix event by event until a join is a no-op.
-            position = j + 1
-            while position < len(chain_clocks):
-                if not self._join(t, position, clock):
-                    break
-                for target in out_edges.get((t, position), ()):
-                    if self._join(target[0], target[1], chain_clocks[position]):
-                        worklist.append(target)
-                position += 1
-            for target in out_edges.get((t, j), ()):
-                if self._join(target[0], target[1], clock):
-                    worklist.append(target)
-
-    # ------------------------------------------------------------------ #
-    # Queries
-    # ------------------------------------------------------------------ #
-    def reachable(self, source: Node, target: Node) -> bool:
-        self._check_node(source)
-        self._check_node(target)
-        (t1, j1), (t2, j2) = source, target
-        if t1 == t2:
-            return j1 <= j2
-        clocks = self._clocks[t2]
-        if j2 < len(clocks):
-            return clocks[j2][t1] >= j1
-        # Events past the materialised frontier have no incoming cross edges
-        # yet; they inherit the frontier clock.
-        return bool(clocks) and clocks[-1][t1] >= j1
-
-    def successor(self, node: Node, chain: int) -> Optional[int]:
-        self._check_node(node)
-        t1, j1 = node
-        if chain == t1:
-            return j1
-        clocks = self._clocks[chain]
-        # clock[j][t1] is non-decreasing in j, so binary search for the first
-        # event of the chain whose backward set contains (t1, j1).
-        low, high, answer = 0, len(clocks) - 1, None
-        while low <= high:
-            mid = (low + high) // 2
-            if clocks[mid][t1] >= j1:
-                answer = mid
-                high = mid - 1
-            else:
-                low = mid + 1
-        return answer
-
-    def predecessor(self, node: Node, chain: int) -> Optional[int]:
-        self._check_node(node)
-        t1, j1 = node
-        if chain == t1:
-            return j1
-        clocks = self._clocks[t1]
-        if not clocks:
-            return None
-        index = min(j1, len(clocks) - 1)
-        value = clocks[index][chain]
-        return value if value >= 0 else None
-
-    # ------------------------------------------------------------------ #
-    # Introspection
-    # ------------------------------------------------------------------ #
-    @property
-    def edge_count(self) -> int:
-        """Number of ``insert_edge`` calls performed so far."""
-        return self._edge_count
-
-    @property
-    def materialised_clocks(self) -> int:
-        """Number of stored clocks (memory is this value times ``k``)."""
-        return sum(len(per_chain) for per_chain in self._clocks)
-
-    @property
-    def total_entries(self) -> int:
-        """Total number of stored integers across all clocks."""
-        return self.materialised_clocks * self._num_chains
-
-
-class FlatVectorClockOrder(PartialOrder):
-    """The ``vc-flat`` backend: the same clocks packed per chain.
-
-    Same semantics as :class:`VectorClockOrder` -- one clock per
-    materialised event, early-stopping suffix propagation -- but the clocks
-    of a chain are packed into a single flat int list: event ``j``'s clock
-    occupies the slice ``[j * k, (j + 1) * k)``.  Materialising an event is
-    one ``list.extend`` of the predecessor's slice instead of allocating a
-    fresh list per event, and joins walk the flat buffer with offset
-    arithmetic.  Both are kept: the ``vc`` baseline is the paper's clock
-    representation, and the two cross-check each other.
+    The clocks of a chain are packed into a single flat int list: event
+    ``j``'s clock occupies the slice ``[j * k, (j + 1) * k)``.
+    Materialising an event is one ``list.extend`` of the predecessor's
+    slice, and joins walk the flat buffer with offset arithmetic.
     """
 
     supports_deletion = False

@@ -96,7 +96,7 @@ def plan_jobs(suite: Suite,
     ``analyses`` restricts the fan-out to the named analyses (default: every
     analysis the trace kind feeds); ``backends`` restricts backends (default:
     every backend applicable to the analysis).  Requested backends that an
-    analysis cannot use (e.g. ``vc`` for linearizability, which needs
+    analysis cannot use (e.g. ``vc-flat`` for linearizability, which needs
     deletion support) are skipped for that analysis, mirroring how
     ``repro compare`` scopes its backend list per analysis -- but a request
     that leaves an explicitly named analysis with *zero* jobs anywhere in

@@ -149,7 +149,7 @@ class SweepResult:
 
         A speedup above 1.0 means the backend is faster than the baseline.
         With ``baseline=None`` each (trace, analysis) group picks its own
-        reference: ``"vc"`` when present (the incremental analyses),
+        reference: ``"vc-flat"`` when present (the incremental analyses),
         otherwise ``"graph"`` (the fully dynamic ones) -- the two
         conventional baselines of the paper's tables.
         """
@@ -157,7 +157,7 @@ class SweepResult:
         for per_backend in self._groups().values():
             reference = baseline
             if reference is None:
-                reference = "vc" if "vc" in per_backend else "graph"
+                reference = "vc-flat" if "vc-flat" in per_backend else "graph"
             reference_record = per_backend.get(reference)
             if reference_record is None or reference_record.elapsed_seconds <= 0:
                 continue

@@ -711,10 +711,12 @@ class StreamEngine:
         the checkpoint.
 
         Each analysis is rebuilt from its registry name and the *backend*
-        recorded per attachment.  Extra constructor keyword arguments of a
-        hand-built analysis instance are not captured by a checkpoint --
-        monitors that must survive restarts should attach analyses by name
-        (as the ``watch`` CLI does).
+        recorded per attachment; a backend the analysis cannot run on
+        (e.g. one since removed) raises :class:`CheckpointError`.  Extra
+        constructor keyword arguments of a hand-built analysis instance
+        are not captured by a checkpoint -- monitors that must survive
+        restarts should attach analyses by name (as the ``watch`` CLI
+        does).
         """
         from repro.errors import CheckpointError
         from repro.stream.checkpoint import CHECKPOINT_VERSION
@@ -726,9 +728,19 @@ class StreamEngine:
                 f"unsupported checkpoint version {state.get('version')!r}")
         window = parse_window(state["window"],
                               flush_every=state.get("flush_every"))
+        analyses = []
+        for item in state["analyses"]:
+            analysis_cls = Analysis.by_name(item["name"])
+            backend = item["backend"]
+            applicable = analysis_cls.applicable_backends()
+            if backend != AUTO_BACKEND and backend not in applicable:
+                raise CheckpointError(
+                    f"checkpoint attaches {item['name']!r} on backend "
+                    f"{backend!r}, which it cannot run on; applicable: "
+                    f"{', '.join(applicable)}")
+            analyses.append(analysis_cls(backend))
         engine = cls(
-            analyses=[Analysis.by_name(item["name"])(item["backend"])
-                      for item in state["analyses"]],
+            analyses=analyses,
             backend=state.get("backend"),
             window=window,
             name=state.get("name", "stream"),

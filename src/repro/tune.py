@@ -7,7 +7,7 @@ extracts a :class:`TraceFeatures` vector from the trace's columns
 ``.stc`` traces) and asks :func:`choose_backend` for one of the
 analysis's applicable backends.
 
-The rule is fixed: vector clocks (``vc-flat``, then ``vc``) when more
+The rule is fixed: vector clocks (``vc-flat``) when more
 than :data:`ATOMIC_THRESHOLD` of the events are atomic, the incremental
 CSST otherwise, and ``csst`` for deletion-based analyses.  See
 ``docs/tuning.md`` for the evidence and for re-checking it against the
@@ -156,14 +156,14 @@ def choose_backend(analysis_cls, features: TraceFeatures) -> str:
     ``tune_pick_total{backend=}`` when metrics are active.
 
     ``BENCH_baseline.json`` (full mode) shows the incremental CSST ahead
-    on the lock-structured figure-11 workload (0.069s vs ``vc`` 0.197s),
-    while on atomic-heavy C11 traces vector clocks win (``vc-flat``
-    0.043s on c11-races).
+    on the lock-structured figure-11 workload (0.060s vs ``vc-flat``
+    0.081s), while on atomic-heavy C11 traces vector clocks win
+    (``vc-flat`` 0.031s on c11-races).
     """
     candidates = analysis_cls.applicable_backends()
     preferences: List[str] = []
     if features.atomic_fraction > ATOMIC_THRESHOLD:
-        preferences += ["vc-flat", "vc"]
+        preferences += ["vc-flat"]
     preferences += ["incremental-csst", "csst"]
     chosen = next((backend for backend in preferences
                    if backend in candidates), None)

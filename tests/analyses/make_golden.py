@@ -28,7 +28,7 @@ from repro.trace.generators import build_trace
 GOLDEN_PATH = Path(__file__).resolve().parent / "data" / "golden_parity.json"
 
 #: The backends the golden covers, in rendering order.
-BACKENDS = ("incremental-csst", "csst", "st", "vc", "vc-flat")
+BACKENDS = ("incremental-csst", "csst", "st", "vc-flat")
 
 #: analysis -> (generator kind, [(num_threads, events, seed), ...]).
 CASES: Dict[str, Tuple[str, List[Tuple[int, int, int]]]] = {

@@ -51,8 +51,8 @@ class TestAnalysisRun:
         assert result.elapsed_seconds >= 0
 
     def test_backend_name_recorded_for_string_spec(self, two_thread_trace):
-        result = _CountingAnalysis("vc").run(two_thread_trace)
-        assert result.backend == "vc"
+        result = _CountingAnalysis("vc-flat").run(two_thread_trace)
+        assert result.backend == "vc-flat"
 
     def test_backend_instance_accepted(self, two_thread_trace):
         backend = IncrementalCSST(2, 4)
@@ -68,7 +68,7 @@ class TestAnalysisRun:
 
     def test_deletion_requirement_enforced(self, two_thread_trace):
         with pytest.raises(AnalysisError, match="decremental"):
-            _DeletingAnalysis("vc").run(two_thread_trace)
+            _DeletingAnalysis("vc-flat").run(two_thread_trace)
 
     def test_deletion_requirement_satisfied_by_csst(self, two_thread_trace):
         result = _DeletingAnalysis("csst").run(two_thread_trace)
@@ -118,23 +118,23 @@ class TestAnalysisRegistry:
     def test_backend_capability_classmethods(self):
         assert _CountingAnalysis.default_backend() == "incremental-csst"
         assert _DeletingAnalysis.default_backend() == "csst"
-        assert "vc" in _CountingAnalysis.applicable_backends()
+        assert "vc-flat" in _CountingAnalysis.applicable_backends()
         assert set(_DeletingAnalysis.applicable_backends()) == {
             "graph", "csst"}
 
 
 class TestAnalysisResult:
     def test_operation_count_sums_components(self):
-        result = AnalysisResult("a", "t", 10, 2, "vc",
+        result = AnalysisResult("a", "t", 10, 2, "vc-flat",
                                 insert_count=3, delete_count=1, query_count=5)
         assert result.operation_count == 9
         assert result.finding_count == 0
 
     def test_summary_contains_key_fields(self):
-        result = AnalysisResult("a", "t", 10, 2, "vc", findings=["x"],
+        result = AnalysisResult("a", "t", 10, 2, "vc-flat", findings=["x"],
                                 elapsed_seconds=0.5)
         summary = result.summary()
-        assert "a[vc]" in summary and "1 findings" in summary
+        assert "a[vc-flat]" in summary and "1 findings" in summary
 
 
 #: The module-level convenience wrapper of every registered analysis.

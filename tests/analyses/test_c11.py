@@ -82,10 +82,10 @@ class TestFindings:
 
 
 class TestBackendIndependence:
-    @pytest.mark.parametrize("backend", ["vc", "st", "incremental-csst"])
+    @pytest.mark.parametrize("backend", ["vc-flat", "st", "incremental-csst"])
     def test_findings_are_backend_independent(self, backend):
         trace = c11_trace(num_threads=4, events_per_thread=80, seed=21)
-        reference = detect_c11_races(trace, backend="vc")
+        reference = detect_c11_races(trace, backend="vc-flat")
         result = detect_c11_races(trace, backend=backend)
         assert result.finding_count == reference.finding_count
         assert result.details["sw_edges"] == reference.details["sw_edges"]
@@ -143,8 +143,8 @@ class TestFrontierKernel:
     @pytest.mark.parametrize("report_all", [False, True])
     def test_online_feed_matches_reference(self, report_all):
         trace = build_trace("c11", num_threads=4, events=300, seed=7)
-        reference = _ReachableLoopC11("vc", report_all=report_all).run(trace)
-        analysis = C11RaceAnalysis("vc", report_all=report_all)
+        reference = _ReachableLoopC11("vc-flat", report_all=report_all).run(trace)
+        analysis = C11RaceAnalysis("vc-flat", report_all=report_all)
         analysis.begin(Trace(name=trace.name))
         fed = [race for event in trace for race in analysis.feed(event)]
         result = analysis.flush()

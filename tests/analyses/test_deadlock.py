@@ -76,7 +76,7 @@ class TestFindings:
 
 
 class TestBackendIndependence:
-    @pytest.mark.parametrize("backend", ["vc", "st", "incremental-csst"])
+    @pytest.mark.parametrize("backend", ["vc-flat", "st", "incremental-csst"])
     def test_same_deadlocks_on_every_backend(self, backend):
         trace = deadlock_trace(num_threads=4, events_per_thread=90, seed=11)
         reference = predict_deadlocks(trace, backend="incremental-csst")

@@ -1,8 +1,8 @@
 """Golden analysis results on every paper backend.
 
 Every analysis runs three seeded traces (one with 16 threads) on each
-applicable backend among ``incremental-csst``, ``csst``, ``st``, ``vc``
-and ``vc-flat``.  The findings, ``details`` and operation counts must
+applicable backend among ``incremental-csst``, ``csst``, ``st`` and
+``vc-flat``.  The findings, ``details`` and operation counts must
 render byte-for-byte as the checked-in golden.  See ``make_golden.py``
 for the cases and for how to regenerate the file.
 """

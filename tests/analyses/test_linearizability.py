@@ -178,7 +178,7 @@ class TestVerdicts:
 class TestDynamicBackendRequirement:
     def test_incremental_backend_rejected(self):
         with pytest.raises(AnalysisError, match="decremental"):
-            check_linearizability(_sequential_set_history(), backend="vc")
+            check_linearizability(_sequential_set_history(), backend="vc-flat")
 
     @pytest.mark.parametrize("backend", ["csst", "graph"])
     def test_verdicts_agree_across_dynamic_backends(self, backend):

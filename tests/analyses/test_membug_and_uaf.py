@@ -106,14 +106,14 @@ class TestUafQueries:
 
 
 class TestBackendIndependence:
-    @pytest.mark.parametrize("backend", ["vc", "st", "incremental-csst"])
+    @pytest.mark.parametrize("backend", ["vc-flat", "st", "incremental-csst"])
     def test_membug_findings_backend_independent(self, backend):
         trace = memory_trace(num_threads=3, events_per_thread=80, seed=5)
         reference = predict_memory_bugs(trace, backend="incremental-csst")
         result = predict_memory_bugs(trace, backend=backend)
         assert result.finding_count == reference.finding_count
 
-    @pytest.mark.parametrize("backend", ["vc", "st", "incremental-csst"])
+    @pytest.mark.parametrize("backend", ["vc-flat", "st", "incremental-csst"])
     def test_uaf_queries_backend_independent(self, backend):
         trace = memory_trace(num_threads=3, events_per_thread=80, seed=6)
         reference = generate_uaf_queries(trace, backend="incremental-csst")

@@ -110,7 +110,7 @@ class TestResultMetadata:
 
 
 class TestBackendIndependence:
-    @pytest.mark.parametrize("backend", ["vc", "st", "incremental-csst", "csst"])
+    @pytest.mark.parametrize("backend", ["vc-flat", "st", "incremental-csst", "csst"])
     def test_same_races_on_every_backend(self, backend):
         trace = racy_trace(num_threads=3, events_per_thread=60, seed=7)
         reference = predict_races(trace, backend="incremental-csst")

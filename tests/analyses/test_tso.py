@@ -92,7 +92,7 @@ class TestMechanics:
 
 
 class TestBackendIndependence:
-    @pytest.mark.parametrize("backend", ["vc", "st", "incremental-csst"])
+    @pytest.mark.parametrize("backend", ["vc-flat", "st", "incremental-csst"])
     def test_verdict_is_backend_independent(self, backend):
         trace = tso_trace(num_threads=3, events_per_thread=60,
                           stale_read_fraction=0.2, seed=8)

@@ -94,9 +94,9 @@ class TestAnalyzeParity:
 
 class TestSweepParity:
     ARGS = ["sweep", "--suite", "smoke", "--analyses", "race-prediction",
-            "--backends", "vc,st", "--baseline", "vc"]
+            "--backends", "vc-flat,st", "--baseline", "vc-flat"]
     CONFIG = SweepConfig(suite="smoke", analyses="race-prediction",
-                         backends="vc,st", baseline="vc", format="json")
+                         backends="vc-flat,st", baseline="vc-flat", format="json")
 
     def test_cli_json_is_the_session_result_json(self, spy_run, capsys):
         assert main(self.ARGS + ["--format", "json"]) == 0

@@ -29,12 +29,12 @@ from repro.errors import ConfigError, ReproError
 REPRESENTATIVES = [
     GenerateConfig(kind="racy", threads=3, events=60, seed=5,
                    params={"num_locks": 2}),
-    AnalyzeConfig(analysis="race-prediction", trace="t.std", backend="vc",
+    AnalyzeConfig(analysis="race-prediction", trace="t.std", backend="vc-flat",
                   max_findings=3),
     CompareConfig(analysis="memory-bugs", trace="t.std",
-                  backends="vc,incremental-csst"),
+                  backends="vc-flat,incremental-csst"),
     SweepConfig(suite="smoke", jobs=2, analyses="race-prediction",
-                backends=("vc", "st"), baseline="vc", timeout=4.0,
+                backends=("vc-flat", "st"), baseline="vc-flat", timeout=4.0,
                 repeat=2, seed=7, format="json"),
     WatchConfig(source="t.std", analyses="race_prediction,deadlock",
                 window="50", checkpoint="ck.json", max_events=30),
@@ -48,7 +48,7 @@ REPRESENTATIVES = [
               params={"racy": {"num_locks": 2}}, schedulers=("rr",),
               format="stc"),
     ConvertConfig(source="t.std.gz", out="t.stc", to="stc"),
-    FuzzConfig(seeds=5, quick=True, kinds="racy", backends="vc",
+    FuzzConfig(seeds=5, quick=True, kinds="racy", backends="vc-flat",
                stream=False, seed=2, out="fz", minimize=False,
                max_checks=10),
     BenchConfig(quick=True, repeats=2, out="-", threshold=3.0,

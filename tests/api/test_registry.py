@@ -61,10 +61,10 @@ class TestBackendPlugins:
             # And a sweep can actually run on it.
             result = Session().run(SweepConfig(
                 suite="smoke", analyses="race-prediction",
-                backends=f"vc,{name}"))
+                backends=f"vc-flat,{name}"))
             assert result.exit_code == 0
             assert {record.backend for record in result.records} == \
-                {"vc", name}
+                {"vc-flat", name}
         finally:
             from repro.core import unregister_backend
 
@@ -75,7 +75,7 @@ class TestBackendPlugins:
         from repro.core import unregister_backend
 
         with pytest.raises(ReproError, match="built-in"):
-            unregister_backend("vc")
+            unregister_backend("vc-flat")
 
     def test_builtin_backends_cannot_be_shadowed(self, registry):
         from repro.core import BACKENDS, GraphOrder, incremental_backends

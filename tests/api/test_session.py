@@ -90,21 +90,21 @@ class TestCompare:
         result = session.run(CompareConfig(analysis="memory-bugs",
                                            trace=trace_file))
         backends = [run.backend for run in result.runs]
-        assert "vc" in backends and "incremental-csst" in backends
+        assert "vc-flat" in backends and "incremental-csst" in backends
         findings = {run.finding_count for run in result.runs}
         assert len(findings) == 1  # every backend agrees
 
     def test_compare_backend_filter(self, session, trace_file):
         result = session.run(CompareConfig(analysis="memory-bugs",
                                            trace=trace_file,
-                                           backends="vc,st"))
-        assert [run.backend for run in result.runs] == ["vc", "st"]
+                                           backends="vc-flat,st"))
+        assert [run.backend for run in result.runs] == ["st", "vc-flat"]
 
     def test_compare_inapplicable_filter_is_an_error(self, session,
                                                      trace_file):
         with pytest.raises(ReproError, match="applicable"):
             session.run(CompareConfig(analysis="linearizability",
-                                      trace=trace_file, backends="vc"))
+                                      trace=trace_file, backends="vc-flat"))
 
     def test_compare_rejects_misspelled_backend_even_with_valid_ones(
             self, session, trace_file):
@@ -113,7 +113,7 @@ class TestCompare:
                            match=r"not applicable.*incremental_csst"):
             session.run(CompareConfig(analysis="memory-bugs",
                                       trace=trace_file,
-                                      backends="vc,incremental_csst"))
+                                      backends="vc-flat,incremental_csst"))
 
     def test_compare_rejects_empty_backend_selection(self, session,
                                                      trace_file):
@@ -140,7 +140,7 @@ class TestSweep:
     def test_sweep_returns_structured_records(self, session):
         result = session.run(SweepConfig(suite="smoke",
                                          analyses="race-prediction",
-                                         backends="vc,st"))
+                                         backends="vc-flat,st"))
         assert len(result.records) == 2
         assert result.exit_code == 0
         document = result.to_dict()
@@ -149,15 +149,15 @@ class TestSweep:
     def test_sweep_json_matches_runner_layer(self, session):
         result = session.run(SweepConfig(suite="smoke",
                                          analyses="race-prediction",
-                                         backends="vc", baseline="vc"))
-        assert result.to_json() == result.sweep.to_json(baseline="vc")
-        assert result.to_table() == result.sweep.format_table(baseline="vc")
+                                         backends="vc-flat", baseline="vc-flat"))
+        assert result.to_json() == result.sweep.to_json(baseline="vc-flat")
+        assert result.to_table() == result.sweep.format_table(baseline="vc-flat")
 
     def test_sweep_warnings_are_collected(self, session):
         result = session.run(SweepConfig(suite="smoke",
                                          analyses="c11-races",
-                                         backends="vc", timeout=5,
-                                         baseline="vc", format="csv"))
+                                         backends="vc-flat", timeout=5,
+                                         baseline="vc-flat", format="csv"))
         text = "\n".join(result.warnings)
         assert "timeout only applies to parallel runs" in text
         assert "baseline has no effect with the csv format" in text
@@ -299,8 +299,8 @@ class TestCapabilities:
         assert caps["exit_codes"] == {"ok": 0, "failure": 1, "error": 2,
                                       "interrupt": 130}
         assert caps["backends"]["csst"]["supports_deletion"]
-        assert caps["backends"]["vc"]["incremental"]
-        assert not caps["backends"]["vc"]["dynamic"]
+        assert caps["backends"]["vc-flat"]["incremental"]
+        assert not caps["backends"]["vc-flat"]["dynamic"]
         assert caps["analyses"]["race-prediction"]["fed_by"]
         tuning = caps["tuning"]
         assert set(tuning) == {"auto_backend", "features"}

@@ -19,13 +19,13 @@ from repro.bench.tables import (
 
 
 def _sample_table() -> TableResult:
-    table = TableResult("Table X", backends=["vc", "incremental-csst"])
+    table = TableResult("Table X", backends=["vc-flat", "incremental-csst"])
     table.add_row(BenchmarkRow("alpha", 4, 1000, 0.25,
-                               seconds={"vc": 1.5, "incremental-csst": 0.5},
-                               memory={"vc": 2048, "incremental-csst": 1024}))
+                               seconds={"vc-flat": 1.5, "incremental-csst": 0.5},
+                               memory={"vc-flat": 2048, "incremental-csst": 1024}))
     table.add_row(BenchmarkRow("beta", 2, 500, 0.10,
-                               seconds={"vc": 0.3, "incremental-csst": 0.2},
-                               memory={"vc": 512, "incremental-csst": 512}))
+                               seconds={"vc-flat": 0.3, "incremental-csst": 0.2},
+                               memory={"vc-flat": 512, "incremental-csst": 512}))
     return table
 
 
@@ -41,7 +41,7 @@ class TestTableCsv:
         rows = list(csv.reader(io.StringIO(table_to_csv_string(_sample_table()))))
         header = rows[0]
         total = rows[-1]
-        vc_column = header.index("vc_seconds")
+        vc_column = header.index("vc-flat_seconds")
         assert float(total[vc_column]) == 1.8
 
     def test_write_to_file(self, tmp_path):
@@ -54,7 +54,7 @@ class TestTableCsv:
 class TestFigureCsv:
     def test_figure11_csv(self, tmp_path):
         figure = Figure11Result(points=[
-            ScalabilityPoint("vc", 10, 500, 1e-4, 1e-6, 400, 1000),
+            ScalabilityPoint("vc-flat", 10, 500, 1e-4, 1e-6, 400, 1000),
             ScalabilityPoint("incremental-csst", 10, 500, 5e-5, 2e-6, 400, 1000),
         ])
         path = tmp_path / "fig11.csv"
@@ -65,7 +65,7 @@ class TestFigureCsv:
 
     def test_crossover_csv(self, tmp_path):
         result = CrossoverResult(points=[
-            CrossoverPoint("vc", 800, 1.2, 100, 2000),
+            CrossoverPoint("vc-flat", 800, 1.2, 100, 2000),
             CrossoverPoint("incremental-csst", 800, 0.4, 100, 2000),
         ])
         path = tmp_path / "crossover.csv"

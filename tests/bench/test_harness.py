@@ -49,42 +49,42 @@ class TestGeometricMean:
 
 class TestBenchmarkRow:
     def test_ratio_between_backends(self):
-        row = BenchmarkRow("b", 4, 1000, seconds={"vc": 2.0, "csst": 1.0})
-        assert row.ratio("vc", "csst") == pytest.approx(2.0)
+        row = BenchmarkRow("b", 4, 1000, seconds={"vc-flat": 2.0, "csst": 1.0})
+        assert row.ratio("vc-flat", "csst") == pytest.approx(2.0)
 
     def test_ratio_with_missing_backend_is_none(self):
-        row = BenchmarkRow("b", 4, 1000, seconds={"vc": 2.0})
-        assert row.ratio("vc", "csst") is None
+        row = BenchmarkRow("b", 4, 1000, seconds={"vc-flat": 2.0})
+        assert row.ratio("vc-flat", "csst") is None
 
     def test_memory_ratio(self):
-        row = BenchmarkRow("b", 4, 1000, memory={"vc": 4096, "csst": 1024})
-        assert row.ratio("vc", "csst", metric="memory") == pytest.approx(4.0)
+        row = BenchmarkRow("b", 4, 1000, memory={"vc-flat": 4096, "csst": 1024})
+        assert row.ratio("vc-flat", "csst", metric="memory") == pytest.approx(4.0)
 
 
 class TestTableResult:
     def _table(self):
-        table = TableResult("Table X", backends=["vc", "csst"])
+        table = TableResult("Table X", backends=["vc-flat", "csst"])
         table.add_row(BenchmarkRow("first", 4, 1_000, 0.2,
-                                   seconds={"vc": 2.0, "csst": 1.0},
-                                   memory={"vc": 2048, "csst": 1024}))
+                                   seconds={"vc-flat": 2.0, "csst": 1.0},
+                                   memory={"vc-flat": 2048, "csst": 1024}))
         table.add_row(BenchmarkRow("second", 8, 2_000_000, 0.1,
-                                   seconds={"vc": 8.0, "csst": 1.0},
-                                   memory={"vc": 4096, "csst": 4096}))
+                                   seconds={"vc-flat": 8.0, "csst": 1.0},
+                                   memory={"vc-flat": 4096, "csst": 4096}))
         return table
 
     def test_totals_per_backend(self):
         totals = self._table().totals()
-        assert totals["vc"] == pytest.approx(10.0)
+        assert totals["vc-flat"] == pytest.approx(10.0)
         assert totals["csst"] == pytest.approx(2.0)
 
     def test_mean_ratios_over_reference(self):
         ratios = self._table().mean_ratios("csst")
-        assert ratios["vc"] == pytest.approx(4.0)
+        assert ratios["vc-flat"] == pytest.approx(4.0)
         assert "csst" not in ratios
 
     def test_mean_memory_ratios(self):
         ratios = self._table().mean_ratios("csst", metric="memory")
-        assert ratios["vc"] == pytest.approx(math.sqrt(2.0))
+        assert ratios["vc-flat"] == pytest.approx(math.sqrt(2.0))
 
     def test_format_contains_rows_and_total(self):
         text = self._table().format()

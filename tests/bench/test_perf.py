@@ -10,6 +10,7 @@ import json
 import pytest
 
 from repro.bench import perf
+from repro.bench.harness import MeasuredRun
 from repro.cli import main
 from repro.errors import BenchmarkError
 
@@ -22,7 +23,7 @@ def _tiny_cases():
             return run
         return perf.PerfCase(name, setup)
 
-    return [make("fig11/vc", 1), make("fig11/vc-flat", 2),
+    return [make("fig11/incremental-csst", 1), make("fig11/auto", 2),
             make("trace-load/std", 3), make("trace-load/stc", 4)]
 
 
@@ -34,12 +35,13 @@ class TestRunPerf:
         assert document["mode"] == "quick"
         assert document["repeats"] == 2
         assert set(document["results"]) == {
-            "fig11/vc", "fig11/vc-flat", "trace-load/std", "trace-load/stc"}
+            "fig11/incremental-csst", "fig11/auto", "trace-load/std",
+            "trace-load/stc"}
         for entry in document["results"].values():
             assert entry["seconds"] == min(entry["runs"])
             assert len(entry["runs"]) == 2
         assert set(document["speedups"]) == {
-            "vc-flat-over-vc", "stc-parse-over-std-parse"}
+            "fig11-auto-over-best-static", "stc-parse-over-std-parse"}
 
     def test_full_mode_flag(self):
         document = perf.run_perf(quick=False, repeats=1, warmup=0,
@@ -137,14 +139,21 @@ class TestPersistence:
 class TestBenchCli:
     @pytest.fixture(autouse=True)
     def tiny_suite(self, monkeypatch):
+        # Every sample records the same seconds: a tiny case's real
+        # perf_counter delta is sub-microsecond noise, which the 2x gate
+        # between two runs would judge.
         monkeypatch.setattr(perf, "default_cases", _tiny_cases)
+        monkeypatch.setattr(
+            perf, "measure",
+            lambda func, track_memory=True: MeasuredRun(
+                seconds=0.001, peak_memory_bytes=0, value=func()))
 
     def test_bench_perf_writes_dated_json(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(["bench", "perf", "--quick", "--repeats", "1"]) == 0
         output = capsys.readouterr().out
         assert "perf[quick]" in output
-        assert "vc-flat-over-vc" in output
+        assert "fig11-auto-over-best-static" in output
         written = list(tmp_path.glob("BENCH_*.json"))
         assert len(written) == 1
         document = json.loads(written[0].read_text())
@@ -176,7 +185,7 @@ class TestBenchCli:
         baseline = {
             "version": perf.PERF_FORMAT_VERSION,
             "modes": {"quick": {"results": {
-                "fig11/vc": {"seconds": 1e-9}}}},
+                "fig11/incremental-csst": {"seconds": 1e-9}}}},
         }
         (tmp_path / perf.BASELINE_FILENAME).write_text(json.dumps(baseline))
         code = main(["bench", "perf", "--quick", "--repeats", "1",

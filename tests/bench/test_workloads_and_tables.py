@@ -59,11 +59,11 @@ class TestTableRunners:
     def test_run_analysis_table_produces_rows(self):
         table = run_analysis_table(
             "tiny", TABLE3_MEMORY_BUGS[:2], MemoryBugAnalysis,
-            backends=("vc", "incremental-csst"), scale=TINY, track_memory=False,
+            backends=("vc-flat", "incremental-csst"), scale=TINY, track_memory=False,
         )
         assert len(table.rows) == 2
         for row in table.rows:
-            assert set(row.seconds) == {"vc", "incremental-csst"}
+            assert set(row.seconds) == {"vc-flat", "incremental-csst"}
             assert all(value >= 0 for value in row.seconds.values())
             assert 0 <= row.density <= 1
         assert "tiny" in table.format()
@@ -84,11 +84,11 @@ class TestTableRunners:
     def test_figure10_aggregates_supplied_tables(self):
         table = run_analysis_table(
             "tiny", TABLE3_MEMORY_BUGS[:1], MemoryBugAnalysis,
-            backends=("vc", "incremental-csst"), scale=TINY, track_memory=True,
+            backends=("vc-flat", "incremental-csst"), scale=TINY, track_memory=True,
         )
         figure = run_figure10(tables={"table3": table})
         assert "table3" in figure.time_ratios
-        assert "vc" in figure.time_ratios["table3"]
+        assert "vc-flat" in figure.time_ratios["table3"]
         assert "VCs" in figure.format()
 
     def test_figure11_points_and_series(self):
@@ -101,9 +101,9 @@ class TestTableRunners:
         assert "CSSTs" in figure.format()
 
     def test_crossover_runner(self):
-        result = run_crossover(backends=("vc", "incremental-csst"),
+        result = run_crossover(backends=("vc-flat", "incremental-csst"),
                                events_per_thread=(60, 120), num_threads=3)
         assert len(result.points) == 4
-        series = result.series("vc")
+        series = result.series("vc-flat")
         assert [events for events, _seconds in series] == [60, 120]
         assert "VCs" in result.format()

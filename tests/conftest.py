@@ -16,7 +16,7 @@ from repro.core import (
 
 #: All incremental-capable backends, keyed by their factory name.
 INCREMENTAL_BACKEND_CLASSES = {
-    "vc": VectorClockOrder,
+    "vc-flat": VectorClockOrder,
     "st": SegmentTreeOrder,
     "incremental-csst": IncrementalCSST,
     "csst": CSST,

@@ -22,7 +22,7 @@ class TestFactory:
         ("csst", CSST),
         ("incremental-csst", IncrementalCSST),
         ("st", SegmentTreeOrder),
-        ("vc", VectorClockOrder),
+        ("vc-flat", VectorClockOrder),
         ("graph", GraphOrder),
     ])
     def test_factory_builds_expected_class(self, kind, expected):
@@ -38,6 +38,11 @@ class TestFactory:
         order = make_partial_order("csst", 2, block_size=8)
         order.insert_edge((0, 1), (1, 1))
         assert order.reachable((0, 0), (1, 3))
+
+    def test_one_vector_clock_backend(self):
+        with pytest.raises(ReproError, match="unknown partial-order backend"):
+            make_partial_order("vc", 2)
+        assert INCREMENTAL_BACKENDS == ("st", "incremental-csst", "vc-flat")
 
     def test_backend_name_groups_are_consistent(self):
         assert set(INCREMENTAL_BACKENDS) <= set(BACKENDS)

@@ -31,7 +31,7 @@ class TestGrowth:
                     reference.reachable(source, target), (source, target)
 
     def test_queries_grow_chains_too(self):
-        order = GrowableOrder("vc", num_chains=1)
+        order = GrowableOrder("vc-flat", num_chains=1)
         assert order.successor((0, 0), 9) is None
         assert order.num_chains >= 10
 
@@ -45,7 +45,7 @@ class TestGrowth:
 
 class TestDelegation:
     def test_supports_deletion_follows_backend(self):
-        assert not GrowableOrder("vc").supports_deletion
+        assert not GrowableOrder("vc-flat").supports_deletion
         assert GrowableOrder("csst").supports_deletion
 
     def test_deletion_updates_replay_log(self):
@@ -60,7 +60,7 @@ class TestDelegation:
         assert order.reachable((1, 2), (2, 1))
 
     def test_deletion_unsupported_backend_raises(self):
-        order = GrowableOrder("vc", num_chains=2)
+        order = GrowableOrder("vc-flat", num_chains=2)
         order.insert_edge((0, 1), (1, 1))
         with pytest.raises(UnsupportedOperationError):
             order.delete_edge((0, 1), (1, 1))

@@ -1,6 +1,6 @@
 """The array kernels: SST integer API and slot recycling, the CSSTs'
 ``block_size`` forwarding, the int adapters of the other suffix-minima
-arrays, the packed vector clocks, and the batch APIs of every backend."""
+arrays, and the batch APIs of every backend."""
 
 import random
 
@@ -10,14 +10,12 @@ from repro.core import (
     BACKENDS,
     INF,
     CSST,
-    FlatVectorClockOrder,
     GraphOrder,
     IncrementalCSST,
     InstrumentedOrder,
     NaiveSuffixMinima,
     SegmentTree,
     SparseSegmentTree,
-    VectorClockOrder,
     make_partial_order,
 )
 from repro.core.suffix_minima import INT_INF
@@ -173,26 +171,6 @@ class TestBlockSize:
         assert arrays and all(array.block_size == 4 for array in arrays)
 
 
-class TestPackedVectorClocks:
-    def test_clock_of_matches_vc(self):
-        rng = random.Random(7)
-        num_chains, per_chain = 4, 25
-        clocks = VectorClockOrder(num_chains, 8)
-        packed = FlatVectorClockOrder(num_chains, 8)
-        reference = GraphOrder(num_chains)
-        for _ in range(150):
-            source, target = _random_cross_pair(rng, num_chains, per_chain)
-            if not reference.reachable(target, source):
-                reference.insert_edge(source, target)
-                clocks.insert_edge(source, target)
-                packed.insert_edge(source, target)
-        for _ in range(100):
-            node = (rng.randrange(num_chains), rng.randrange(per_chain))
-            assert packed.clock_of(node) == clocks.clock_of(node)
-        assert packed.materialised_clocks == clocks.materialised_clocks
-        assert packed.total_entries == clocks.total_entries
-
-
 class TestValidationAndErrors:
     @pytest.mark.parametrize("name", sorted(BACKENDS))
     def test_same_chain_edge_rejected(self, name):
@@ -246,11 +224,6 @@ class TestBatchAPIs:
         order = make_partial_order(name, 3)
         with pytest.raises(InvalidNodeError):
             order.query_many([((9, 0), (1, 1))])
-
-    def test_insert_edges_alias_still_works(self):
-        order = IncrementalCSST(3)
-        order.insert_edges([((0, 1), (1, 2)), ((1, 3), (2, 4))])
-        assert order.reachable((0, 0), (2, 5))
 
     def test_instrumented_order_counts_batch_operations(self):
         order = InstrumentedOrder(IncrementalCSST(3))

@@ -85,7 +85,7 @@ class TestSingleEdge:
         assert not any_backend.concurrent((0, 0), (0, 5))
 
     def test_insert_edges_bulk_helper(self, any_backend):
-        any_backend.insert_edges([((0, 1), (1, 1)), ((1, 2), (2, 2))])
+        any_backend.insert_many([((0, 1), (1, 1)), ((1, 2), (2, 2))])
         assert any_backend.reachable((0, 1), (2, 5))
 
 

@@ -9,18 +9,29 @@ most 5 chains and 8 events per chain, every registered backend must answer
 after every operation: inserts only for the incremental backends, inserts
 and deletes for the fully dynamic ones.
 
+The vector clocks are also checked entry by entry on the same DAGs:
+``clock_of(node)[t]`` must be the latest index of chain ``t`` that
+reaches ``node``.
+
+A sparse-query suite runs the same operations but asks only a few random
+queries in between, so state that backends build lazily (the vector
+clocks materialise an event's clock on first touch) is read half-built
+and extended later; after the last operation every answer must match.
+
 A second suite draws wider DAGs (8 and 12 chains) up front and inserts
 their edges in shuffled order, so inserts land between arbitrary nodes
 rather than following a trace, and a later edge often joins two nodes
 that earlier ones already ordered transitively (the rows the incremental
-CSST's insert closure skips).
+CSST's insert closure skips).  The vector clocks are checked entry by
+entry on these DAGs too: there an insert often lands behind clocks that
+are already materialised and must be propagated into them.
 """
 
 import random
 
 import pytest
 
-from repro.core import BACKENDS, make_partial_order
+from repro.core import BACKENDS, VectorClockOrder, make_partial_order
 
 MAX_CHAINS = 5
 MAX_EVENTS = 8
@@ -80,6 +91,38 @@ def _assert_agrees(order, oracle, context):
                 oracle.predecessor(u, chain), (context, "predecessor", u, chain)
 
 
+def _draw_insert(rng, oracle):
+    """A random cross-chain edge, or None when it would close a cycle or
+    re-insert a live edge (graphs keep a set, CSSTs a multiset)."""
+    num_chains, per_chain = oracle.num_chains, oracle.per_chain
+    source = (rng.randrange(num_chains), rng.randrange(per_chain))
+    target_chain = (source[0] + rng.randrange(1, num_chains)) % num_chains
+    target = (target_chain, rng.randrange(per_chain))
+    if oracle.reach[target][source] or (source, target) in oracle.edges:
+        return None
+    return source, target
+
+
+def _random_operations(rng, order, oracle, steps, dynamic):
+    """Apply up to ``steps`` random operations to ``order`` and ``oracle``
+    alike, yielding ``(step, operation)`` after each one: inserts, plus
+    deletes of live edges when ``dynamic``."""
+    for step in range(steps):
+        if dynamic and oracle.edges and rng.random() < 0.35:
+            edge = oracle.edges.pop(rng.randrange(len(oracle.edges)))
+            order.delete_edge(*edge)
+            operation = ("delete", edge)
+        else:
+            edge = _draw_insert(rng, oracle)
+            if edge is None:
+                continue
+            oracle.edges.append(edge)
+            order.insert_edge(*edge)
+            operation = ("insert", edge)
+        oracle.close()
+        yield step, operation
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("backend", sorted(BACKENDS))
 def test_backend_matches_closure_oracle(backend, seed):
@@ -91,36 +134,80 @@ def test_backend_matches_closure_oracle(backend, seed):
     order = make_partial_order(backend, num_chains, capacity_hint=2)
     oracle = ClosureOracle(num_chains, per_chain)
     _assert_agrees(order, oracle, (backend, seed, "empty"))
-    for step in range(3 * per_chain):
-        if dynamic and oracle.edges and rng.random() < 0.35:
-            edge = oracle.edges.pop(rng.randrange(len(oracle.edges)))
-            order.delete_edge(*edge)
-            operation = ("delete", edge)
-        else:
-            source = (rng.randrange(num_chains), rng.randrange(per_chain))
-            target_chain = (source[0] + rng.randrange(1, num_chains)) \
-                % num_chains
-            target = (target_chain, rng.randrange(per_chain))
-            # Skip edges that would close a cycle, and re-insertions of a
-            # live edge (graphs keep a set, CSSTs a multiset).
-            if oracle.reach[target][source] or (source, target) in oracle.edges:
-                continue
-            oracle.edges.append((source, target))
-            order.insert_edge(source, target)
-            operation = ("insert", (source, target))
-        oracle.close()
+    for step, operation in _random_operations(rng, order, oracle,
+                                              3 * per_chain, dynamic):
         _assert_agrees(order, oracle, (backend, seed, step, operation))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+def test_sparse_queries_match_closure_oracle(backend, seed):
+    """A few random queries between operations, then every query at the
+    end: answers read from half-built lazy state must be exact, and so
+    must the state built on top of it later."""
+    rng = random.Random(seed)
+    num_chains = rng.randint(2, MAX_CHAINS)
+    per_chain = rng.randint(1, MAX_EVENTS)
+    dynamic = BACKENDS[backend].supports_deletion
+    order = make_partial_order(backend, num_chains, capacity_hint=2)
+    oracle = ClosureOracle(num_chains, per_chain)
+    for step, operation in _random_operations(rng, order, oracle,
+                                              3 * per_chain, dynamic):
+        context = (backend, seed, step, operation)
+        for _query in range(3):
+            u, v = rng.choice(oracle.nodes), rng.choice(oracle.nodes)
+            chain = rng.randrange(num_chains)
+            assert order.reachable(u, v) == oracle.reach[u][v], \
+                (context, "reachable", u, v)
+            assert order.successor(u, chain) == oracle.successor(u, chain), \
+                (context, "successor", u, chain)
+            assert order.predecessor(v, chain) == \
+                oracle.predecessor(v, chain), (context, "predecessor", v, chain)
+    _assert_agrees(order, oracle, (backend, seed, "final"))
+
+
+def _assert_clocks_agree(order, oracle, context):
+    for node in oracle.nodes:
+        expected = [oracle.predecessor(node, chain)
+                    for chain in range(oracle.num_chains)]
+        expected = [-1 if index is None else index for index in expected]
+        clock = order.clock_of(node)
+        assert clock == expected, (context, node)
+        assert clock[node[0]] == node[1], (context, node)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_vector_clocks_match_closure_oracle(seed):
+    """``clock_of(node)[t]`` is the latest index of chain ``t`` reaching
+    ``node`` (-1 when none does), on the DAGs of the oracle test above."""
+    rng = random.Random(seed)
+    num_chains = rng.randint(2, MAX_CHAINS)
+    per_chain = rng.randint(1, MAX_EVENTS)
+    order = VectorClockOrder(num_chains, capacity_hint=2)
+    oracle = ClosureOracle(num_chains, per_chain)
+    for step in range(3 * per_chain):
+        edge = _draw_insert(rng, oracle)
+        if edge is None:
+            continue
+        oracle.edges.append(edge)
+        order.insert_edge(*edge)
+        oracle.close()
+        # Inserts materialise clocks only up to their endpoints.
+        assert order.total_entries == \
+            order.materialised_clocks * num_chains
+        _assert_clocks_agree(order, oracle, (seed, step, edge))
+        assert order.materialised_clocks == num_chains * per_chain
+        assert order.total_entries == \
+            order.materialised_clocks * num_chains
 
 
 WIDE_SHAPES = [(8, 4), (12, 3)]
 WIDE_SEEDS = range(8)
 
 
-@pytest.mark.parametrize("seed", WIDE_SEEDS)
-@pytest.mark.parametrize("num_chains,per_chain", WIDE_SHAPES)
-@pytest.mark.parametrize("backend", sorted(BACKENDS))
-def test_shuffled_inserts_match_closure_oracle(backend, num_chains, per_chain,
-                                               seed):
+def _shuffled_dag_edges(num_chains, per_chain, seed):
+    """``2 * num_chains`` cross-chain edges of one random acyclic DAG, in
+    shuffled insertion order."""
     rng = random.Random(seed)
     # Edges only go forward in one random interleaving of the chains, so
     # the whole DAG is acyclic in every insertion order.
@@ -143,6 +230,15 @@ def test_shuffled_inserts_match_closure_oracle(backend, num_chains, per_chain,
         edges.add((source, target))
     edges = sorted(edges)
     rng.shuffle(edges)
+    return edges
+
+
+@pytest.mark.parametrize("seed", WIDE_SEEDS)
+@pytest.mark.parametrize("num_chains,per_chain", WIDE_SHAPES)
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+def test_shuffled_inserts_match_closure_oracle(backend, num_chains, per_chain,
+                                               seed):
+    edges = _shuffled_dag_edges(num_chains, per_chain, seed)
     order = make_partial_order(backend, num_chains, capacity_hint=2)
     oracle = ClosureOracle(num_chains, per_chain)
     for step, edge in enumerate(edges):
@@ -152,9 +248,27 @@ def test_shuffled_inserts_match_closure_oracle(backend, num_chains, per_chain,
         _assert_agrees(order, oracle, (backend, seed, step, edge))
 
 
+@pytest.mark.parametrize("seed", WIDE_SEEDS)
+@pytest.mark.parametrize("num_chains,per_chain", WIDE_SHAPES)
+def test_vector_clocks_match_closure_oracle_on_shuffled_inserts(
+        num_chains, per_chain, seed):
+    """Shuffled inserts often land behind clocks an earlier check already
+    materialised; each join must still reach every clock it changes."""
+    order = VectorClockOrder(num_chains, capacity_hint=2)
+    oracle = ClosureOracle(num_chains, per_chain)
+    for step, edge in enumerate(
+            _shuffled_dag_edges(num_chains, per_chain, seed)):
+        order.insert_edge(*edge)
+        oracle.edges.append(edge)
+        oracle.close()
+        _assert_clocks_agree(order, oracle, (seed, step, edge))
+        assert order.total_entries == \
+            order.materialised_clocks * num_chains
+
+
 def test_oracle_covers_both_families():
     dynamic = [name for name, cls in BACKENDS.items() if cls.supports_deletion]
     incremental = [name for name, cls in BACKENDS.items()
                    if not cls.supports_deletion]
     assert sorted(dynamic) == ["csst", "graph"]
-    assert sorted(incremental) == ["incremental-csst", "st", "vc", "vc-flat"]
+    assert sorted(incremental) == ["incremental-csst", "st", "vc-flat"]

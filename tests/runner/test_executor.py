@@ -33,20 +33,20 @@ class TestPlanning:
 
     def test_plan_expands_trace_x_analysis_x_backend(self):
         jobs = plan_jobs(tiny_suite())
-        # racy -> race-prediction on 4 incremental backends;
+        # racy -> race-prediction on 3 incremental backends;
         # history -> linearizability on 2 dynamic backends.
-        assert len(jobs) == 6
+        assert len(jobs) == 5
         assert [job.backend for job in jobs] == [
-            "vc", "st", "incremental-csst", "vc-flat", "graph", "csst"]
+            "st", "incremental-csst", "vc-flat", "graph", "csst"]
 
     def test_plan_is_deterministic(self):
         assert plan_jobs(tiny_suite()) == plan_jobs(tiny_suite())
 
     def test_backend_filter_is_scoped_per_analysis(self):
-        jobs = plan_jobs(tiny_suite(), backends=["vc", "csst"])
+        jobs = plan_jobs(tiny_suite(), backends=["vc-flat", "csst"])
         pairs = {(job.analysis, job.backend) for job in jobs}
-        # 'vc' cannot serve linearizability and is skipped there, not rejected.
-        assert pairs == {("race-prediction", "vc"), ("linearizability", "csst")}
+        # 'vc-flat' cannot serve linearizability and is skipped there, not rejected.
+        assert pairs == {("race-prediction", "vc-flat"), ("linearizability", "csst")}
 
     def test_analysis_filter(self):
         jobs = plan_jobs(tiny_suite(), analyses=["linearizability"])
@@ -98,7 +98,7 @@ class TestPlanning:
         # run on vc, so nothing would be planned.
         with pytest.raises(ReproError, match="sweep plan is empty"):
             plan_jobs(tiny_suite(), analyses=["linearizability"],
-                      backends=["vc"])
+                      backends=["vc-flat"])
 
     def test_partially_unsatisfiable_analysis_request_is_an_error(self):
         # 'scaling'-style suite with no history kind: race-prediction would
@@ -113,7 +113,7 @@ class TestPlanning:
 class TestExecuteJob:
     def test_successful_job_produces_full_record(self):
         job = SweepJob(suite="t", spec=TraceSpec(kind="racy", threads=2, events=20),
-                       analysis="race-prediction", backend="vc")
+                       analysis="race-prediction", backend="vc-flat")
         record = execute_job(job)
         assert record.status == STATUS_OK
         assert record.trace_id == "racy-t2-n20-s0"
@@ -124,7 +124,7 @@ class TestExecuteJob:
 
     def test_incompatible_backend_is_captured_not_raised(self):
         job = SweepJob(suite="t", spec=TraceSpec(kind="history", threads=2, events=6),
-                       analysis="linearizability", backend="vc")
+                       analysis="linearizability", backend="vc-flat")
         record = execute_job(job)
         assert record.status == STATUS_ERROR
         assert "deletion" in record.error
@@ -153,7 +153,7 @@ class TestRunJobs:
 
     def test_failures_do_not_sink_the_sweep(self):
         good = SweepJob(suite="t", spec=TraceSpec(kind="racy", threads=2, events=16),
-                        analysis="race-prediction", backend="vc")
+                        analysis="race-prediction", backend="vc-flat")
         bad = SweepJob(suite="t", spec=TraceSpec(kind="history", threads=2, events=6),
                        analysis="linearizability", backend="st")
         result = run_jobs([good, bad, good], workers=2)
@@ -189,22 +189,22 @@ class TestRunJobs:
 class TestRunSuite:
     def test_smoke_suite_runs_clean(self):
         result = run_suite("smoke", workers=2)
-        assert len(result.records) == 26  # 6 x 4 incremental + 2 dynamic
+        assert len(result.records) == 20  # 6 x 3 incremental + 2 dynamic
         assert not result.failures()
         analyses = {record.analysis for record in result.records}
         assert len(analyses) == 7  # every analysis of the paper
 
     def test_suite_respects_filters(self):
         result = run_suite("smoke", workers=1,
-                           analyses=["race-prediction"], backends=["vc", "st"])
+                           analyses=["race-prediction"], backends=["vc-flat", "st"])
         assert {record.analysis for record in result.records} == {"race-prediction"}
-        assert {record.backend for record in result.records} == {"vc", "st"}
+        assert {record.backend for record in result.records} == {"vc-flat", "st"}
 
 
 class TestSeedOverride:
     def test_run_suite_seed_rebinds_every_spec(self):
         result = run_suite("smoke", analyses=["race-prediction"],
-                           backends=["vc"], seed=17)
+                           backends=["vc-flat"], seed=17)
         assert result.records
         assert all(record.seed == 17 for record in result.records)
         assert all("-s17" in record.trace_id for record in result.records)
@@ -222,7 +222,7 @@ class TestSeedOverride:
 
     def test_seed_none_leaves_suite_untouched(self):
         baseline = run_suite("smoke", analyses=["race-prediction"],
-                             backends=["vc"])
+                             backends=["vc-flat"])
         seeds = {record.seed for record in baseline.records}
         assert seeds == {0}
 
@@ -230,14 +230,14 @@ class TestSeedOverride:
 class TestRepeats:
     def test_single_shot_defaults(self):
         job = plan_jobs(tiny_suite(), analyses=["race-prediction"],
-                        backends=["vc"])[0]
+                        backends=["vc-flat"])[0]
         record = execute_job(job)
         assert record.repeats == 1
         assert record.elapsed_median_seconds == record.elapsed_seconds
 
     def test_repeats_report_min_and_median(self):
         job = plan_jobs(tiny_suite(), analyses=["race-prediction"],
-                        backends=["vc"])[0]
+                        backends=["vc-flat"])[0]
         record = execute_job(job, repeats=3)
         assert record.status == STATUS_OK
         assert record.repeats == 3
@@ -255,7 +255,7 @@ class TestRepeats:
 
     def test_run_jobs_propagates_repeats_serial_and_parallel(self):
         jobs = plan_jobs(tiny_suite(), analyses=["race-prediction"],
-                         backends=["vc", "st"])
+                         backends=["vc-flat", "st"])
         serial = run_jobs(jobs, workers=1, repeats=2)
         parallel = run_jobs(jobs, workers=2, repeats=2)
         assert all(record.repeats == 2 for record in serial.records)

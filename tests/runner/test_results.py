@@ -15,7 +15,7 @@ from repro.runner.results import (
 )
 
 
-def record(trace="racy-t2-n16-s0", analysis="race-prediction", backend="vc",
+def record(trace="racy-t2-n16-s0", analysis="race-prediction", backend="vc-flat",
            elapsed=1.0, status=STATUS_OK, findings=2, error=None):
     return SweepRecord(suite="t", trace_id=trace, kind=trace.split("-")[0],
                        threads=2, events=16, seed=0, analysis=analysis,
@@ -38,15 +38,15 @@ class TestSweepRecord:
 class TestAggregation:
     def test_speedups_vs_explicit_baseline(self):
         result = SweepResult(suite="t", records=[
-            record(backend="vc", elapsed=2.0),
+            record(backend="vc-flat", elapsed=2.0),
             record(backend="incremental-csst", elapsed=0.5),
         ])
-        assert result.speedups(baseline="vc") == {"incremental-csst": 4.0}
+        assert result.speedups(baseline="vc-flat") == {"incremental-csst": 4.0}
 
     def test_speedups_default_baseline_is_per_group(self):
         result = SweepResult(suite="t", records=[
             # Incremental group: baseline vc.
-            record(backend="vc", elapsed=2.0),
+            record(backend="vc-flat", elapsed=2.0),
             record(backend="st", elapsed=1.0),
             # Dynamic group: no vc record, baseline falls back to graph.
             record(trace="history-t2-n6-s0", analysis="linearizability",
@@ -58,26 +58,26 @@ class TestAggregation:
 
     def test_speedups_geomean_across_groups(self):
         result = SweepResult(suite="t", records=[
-            record(trace="a", backend="vc", elapsed=2.0),
+            record(trace="a", backend="vc-flat", elapsed=2.0),
             record(trace="a", backend="st", elapsed=1.0),   # 2x
-            record(trace="b", backend="vc", elapsed=8.0),
+            record(trace="b", backend="vc-flat", elapsed=8.0),
             record(trace="b", backend="st", elapsed=1.0),   # 8x
         ])
-        assert result.speedups(baseline="vc") == {"st": 4.0}  # sqrt(2*8)
+        assert result.speedups(baseline="vc-flat") == {"st": 4.0}  # sqrt(2*8)
 
     def test_failed_records_are_excluded_from_aggregates(self):
         result = SweepResult(suite="t", records=[
-            record(backend="vc", elapsed=2.0),
+            record(backend="vc-flat", elapsed=2.0),
             record(backend="st", elapsed=0.1, status=STATUS_ERROR, error="boom"),
         ])
-        assert result.speedups(baseline="vc") == {}
-        assert result.totals() == {"vc": 2.0}
+        assert result.speedups(baseline="vc-flat") == {}
+        assert result.totals() == {"vc-flat": 2.0}
         assert len(result.failures()) == 1
 
     def test_backends_in_first_seen_order(self):
         result = SweepResult(suite="t", records=[
-            record(backend="st"), record(backend="vc"), record(backend="st")])
-        assert result.backends() == ["st", "vc"]
+            record(backend="st"), record(backend="vc-flat"), record(backend="st")])
+        assert result.backends() == ["st", "vc-flat"]
 
 
 class TestExport:
@@ -86,7 +86,7 @@ class TestExport:
         document = json.loads(result.to_json())
         assert document["suite"] == "t"
         assert document["jobs"] == 2 and document["failures"] == 0
-        assert document["records"][0]["backend"] == "vc"
+        assert document["records"][0]["backend"] == "vc-flat"
         assert set(document) == {"suite", "jobs", "failures", "records",
                                  "speedups"}
 
@@ -97,7 +97,7 @@ class TestExport:
         rows = list(csv.reader(io.StringIO(buffer.getvalue())))
         assert rows[0] == list(CSV_COLUMNS)
         assert len(rows) == 3
-        assert rows[1][CSV_COLUMNS.index("backend")] == "vc"
+        assert rows[1][CSV_COLUMNS.index("backend")] == "vc-flat"
 
     def test_csv_to_file(self, tmp_path):
         path = tmp_path / "sweep.csv"
@@ -116,5 +116,5 @@ class TestExport:
 
     def test_format_table_mentions_baseline(self):
         result = SweepResult(suite="t", records=[
-            record(backend="vc", elapsed=2.0), record(backend="st", elapsed=1.0)])
-        assert "geomean speedup vs vc" in result.format_table(baseline="vc")
+            record(backend="vc-flat", elapsed=2.0), record(backend="st", elapsed=1.0)])
+        assert "geomean speedup vs vc-flat" in result.format_table(baseline="vc-flat")

@@ -73,10 +73,10 @@ class TestMergeParity:
         pooled_shapes = sorted(shape(root)
                                for root in pooled_snapshot["spans"])
         assert inline_shapes == pooled_shapes
-        # One sweep root whose children are the six planned jobs.
+        # One sweep root whose children are the five planned jobs.
         (name, children), = inline_shapes
         assert name == "sweep"
-        assert [child[0] for child in children] == ["sweep_job"] * 6
+        assert [child[0] for child in children] == ["sweep_job"] * 5
 
     def test_job_spans_share_the_sweep_trace_id(self):
         snapshot, _ = run_traced(workers=2)
@@ -86,7 +86,7 @@ class TestMergeParity:
         span_ids = [child["labels"]["span"] for child in sweep["children"]]
         assert all(child["labels"]["trace"] == trace_id
                    for child in sweep["children"])
-        assert len(set(span_ids)) == len(span_ids) == 6
+        assert len(set(span_ids)) == len(span_ids) == 5
 
     def test_pooled_records_arrive_with_telemetry_stripped(self):
         # The snapshot rides SweepRecord.telemetry across the pool but is
@@ -112,7 +112,7 @@ class TestWorkerCapture:
     def _job(self, **overrides):
         base = SweepJob(suite="t",
                         spec=TraceSpec(kind="racy", threads=2, events=16),
-                        analysis="race-prediction", backend="vc",
+                        analysis="race-prediction", backend="vc-flat",
                         trace_id=new_trace_id(), span_id=new_span_id())
         return replace(base, **overrides)
 

@@ -151,6 +151,23 @@ class TestCheckpointRecovery:
         assert recovered["final"] == uninterrupted["final"]
         assert recovered["events"] == uninterrupted["events"]
 
+    def test_restore_rejects_unbuildable_backend(self, tmp_path):
+        import json
+
+        from repro.errors import CheckpointError
+
+        opts = ShardOptions(analyses=("race-prediction",), backend=None,
+                            checkpoint_dir=str(tmp_path))
+        shard = TenantShard(opts)
+        feed_all(shard, "t", trace_lines()[:10])
+        shard.end_tenant("t")
+        path = tmp_path / "t.json"
+        state = json.loads(path.read_text())
+        state["analyses"][0]["backend"] = "vc"
+        path.write_text(json.dumps(state))
+        with pytest.raises(CheckpointError, match="'vc'"):
+            TenantShard(opts).ensure_tenant("t")
+
     def test_end_writes_final_checkpoint(self, tmp_path):
         opts = ShardOptions(analyses=("race-prediction",), backend=None,
                             checkpoint_dir=str(tmp_path))

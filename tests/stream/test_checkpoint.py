@@ -220,12 +220,12 @@ class TestResume:
         assert result.results["race-prediction"].findings == batch.findings
 
     def test_restore_preserves_per_analysis_backend(self, trace):
-        engine = StreamEngine(["race-prediction"], backend="vc")
+        engine = StreamEngine(["race-prediction"], backend="vc-flat")
         engine.run(TraceSource(trace), max_events=30)
         rebuilt = StreamEngine.from_state(engine.state_dict())
-        assert rebuilt._attachments[0].analysis._backend_spec == "vc"
+        assert rebuilt._attachments[0].analysis._backend_spec == "vc-flat"
         result = rebuilt.run(TraceSource(trace), skip=rebuilt.cursor)
-        assert result.results["race-prediction"].backend == "vc"
+        assert result.results["race-prediction"].backend == "vc-flat"
 
     def test_native_restore_does_not_re_emit_during_replay(self, tmp_path):
         """Replaying the buffer rediscovers a native analysis's findings;
@@ -259,6 +259,43 @@ class TestResume:
         second_keys = {(item.analysis, str(item.finding))
                        for item in result.findings}
         assert not (first_keys & second_keys)
+
+
+class TestUnbuildableBackend:
+    """A checkpoint whose attachment names a backend the analysis cannot
+    run on (a removed name such as ``vc``, or one never known) is refused
+    at restore, naming both, instead of failing at every later flush or
+    mid-replay."""
+
+    @pytest.mark.parametrize("backend", ["vc", "no-such-backend"])
+    @pytest.mark.parametrize("analysis,kind", [
+        ("race-prediction", "racy"),  # batch fallback
+        ("c11-races", "c11"),         # streaming-native
+    ])
+    def test_restore_rejects_backend(self, analysis, kind, backend,
+                                     tmp_path):
+        trace = build_trace(kind, num_threads=3, events=40, seed=1)
+        engine = StreamEngine([analysis],
+                              window=UnboundedWindow(flush_every=25))
+        engine.run(TraceSource(trace), max_events=30)
+        state = json.loads(json.dumps(engine.state_dict()))
+        state["analyses"][0]["backend"] = backend
+        with pytest.raises(CheckpointError,
+                           match=f"{analysis!r} on backend {backend!r}"):
+            StreamEngine.from_state(state)
+        path = tmp_path / "checkpoint.json"
+        path.write_text(json.dumps(state))
+        with pytest.raises(CheckpointError, match=repr(backend)):
+            restore_engine(path)
+
+    def test_unresolved_auto_attachment_restores(self, trace):
+        engine = StreamEngine(["race-prediction"], backend="auto")
+        for event in trace.events[:10]:
+            engine.feed(event)
+        state = engine.state_dict()
+        assert state["analyses"][0]["backend"] == "auto"
+        rebuilt = StreamEngine.from_state(state)
+        assert rebuilt.cursor == engine.cursor
 
 
 class TestOlderCheckpoints:

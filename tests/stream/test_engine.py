@@ -23,7 +23,7 @@ class TestConstruction:
     def test_instances_need_named_backends(self):
         from repro.core import make_partial_order
 
-        backend = make_partial_order("vc", num_chains=2, capacity_hint=8)
+        backend = make_partial_order("vc-flat", num_chains=2, capacity_hint=8)
         analysis = Analysis.by_name("race-prediction")(backend)
         with pytest.raises(StreamError):
             StreamEngine([analysis])
@@ -35,7 +35,7 @@ class TestConstruction:
     def test_inapplicable_backend_falls_back_to_default(self):
         # linearizability cannot run on vc (needs deletion); forcing the
         # sweep-style backend must not break the attachment.
-        engine = StreamEngine(["linearizability"], backend="vc")
+        engine = StreamEngine(["linearizability"], backend="vc-flat")
         spec = engine._attachments[0].analysis._backend_spec
         assert spec == Analysis.by_name("linearizability").default_backend()
 
@@ -150,8 +150,8 @@ class TestEmission:
         (cover everything in the view) via the batch fallback, not return
         an empty online result."""
         trace = c11_trace(num_threads=3, events_per_thread=40, seed=1)
-        analysis = Analysis.by_name("c11-races")("vc")
-        batch = Analysis.by_name("c11-races")("vc").run(trace)
+        analysis = Analysis.by_name("c11-races")("vc-flat")
+        batch = Analysis.by_name("c11-races")("vc-flat").run(trace)
         analysis.begin(trace)
         result = analysis.flush()
         assert result.trace_events == len(trace)
@@ -161,7 +161,7 @@ class TestEmission:
         trace = c11_trace(num_threads=3, events_per_thread=60, seed=1)
         engine = StreamEngine(["c11-races"])  # no flush_every needed
         result = engine.run(TraceSource(trace))
-        batch = Analysis.by_name("c11-races")("vc").run(trace)
+        batch = Analysis.by_name("c11-races")("vc-flat").run(trace)
         assert result.findings_for("c11-races") == batch.findings
         positions = [item.position for item in result.findings]
         # Findings surface mid-stream, not only at the final flush.

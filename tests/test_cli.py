@@ -55,8 +55,8 @@ class TestAnalyze:
         assert "candidates" in output
 
     def test_analyze_with_explicit_backend(self, trace_file, capsys):
-        assert main(["analyze", "c11-races", str(trace_file), "--backend", "vc"]) == 0
-        assert "c11-races[vc]" in capsys.readouterr().out
+        assert main(["analyze", "c11-races", str(trace_file), "--backend", "vc-flat"]) == 0
+        assert "c11-races[vc-flat]" in capsys.readouterr().out
 
     def test_linearizability_defaults_to_dynamic_backend(self, tmp_path, capsys):
         path = tmp_path / "history.txt"
@@ -118,7 +118,7 @@ class TestCompare:
     def test_compare_lists_every_backend(self, trace_file, capsys):
         assert main(["compare", "memory-bugs", str(trace_file)]) == 0
         output = capsys.readouterr().out
-        for backend in ("vc", "st", "incremental-csst"):
+        for backend in ("vc-flat", "st", "incremental-csst"):
             assert backend in output
 
     def test_compare_linearizability_uses_dynamic_backends(self, tmp_path, capsys):
@@ -133,7 +133,7 @@ class TestCompare:
 class TestSweep:
     def test_sweep_repeat_reports_min_and_median(self, capsys):
         assert main(["sweep", "--suite", "smoke", "--analyses",
-                     "race-prediction", "--backends", "vc", "--repeat", "3",
+                     "race-prediction", "--backends", "vc-flat", "--repeat", "3",
                      "--format", "json"]) == 0
         document = json.loads(capsys.readouterr().out)
         for record in document["records"]:
@@ -147,7 +147,7 @@ class TestSweep:
 
     def test_sweep_table_output(self, capsys):
         assert main(["sweep", "--suite", "smoke", "--analyses",
-                     "race-prediction", "--backends", "vc,st"]) == 0
+                     "race-prediction", "--backends", "vc-flat,st"]) == 0
         output = capsys.readouterr().out
         assert "sweep[smoke]: 2 jobs" in output
         assert "racy-t3-n40-s0" in output
@@ -156,7 +156,7 @@ class TestSweep:
         assert main(["sweep", "--suite", "smoke", "--jobs", "2",
                      "--format", "json"]) == 0
         document = json.loads(capsys.readouterr().out)
-        assert document["jobs"] == 26 and document["failures"] == 0
+        assert document["jobs"] == 20 and document["failures"] == 0
         first = document["records"][0]
         for key in ("backend", "analysis", "trace_id", "kind", "threads",
                     "events", "seed", "elapsed_seconds", "finding_count",
@@ -179,10 +179,10 @@ class TestSweep:
         path = tmp_path / "sweep.csv"
         assert main(["sweep", "--suite", "smoke", "--analyses", "c11-races",
                      "--format", "csv", "--out", str(path)]) == 0
-        assert "wrote 4 records" in capsys.readouterr().out
+        assert "wrote 3 records" in capsys.readouterr().out
         lines = path.read_text().strip().splitlines()
         assert lines[0].startswith("suite,trace_id,kind")
-        assert len(lines) == 5
+        assert len(lines) == 4
 
     def test_sweep_unknown_suite_rejected(self):
         with pytest.raises(SystemExit):
@@ -200,21 +200,21 @@ class TestSweep:
 
     def test_sweep_absent_baseline_warns(self, capsys):
         assert main(["sweep", "--suite", "smoke", "--analyses",
-                     "race-prediction", "--backends", "vc,st",
+                     "race-prediction", "--backends", "vc-flat,st",
                      "--baseline", "graph"]) == 0
         assert "ran no job in this sweep" in capsys.readouterr().err
 
     def test_sweep_dropped_flags_warn(self, capsys):
         assert main(["sweep", "--suite", "smoke", "--analyses", "c11-races",
-                     "--backends", "vc", "--timeout", "5", "--format", "csv",
-                     "--baseline", "vc"]) == 0
+                     "--backends", "vc-flat", "--timeout", "5", "--format", "csv",
+                     "--baseline", "vc-flat"]) == 0
         captured = capsys.readouterr().err
         assert "timeout only applies to parallel runs" in captured
         assert "baseline has no effect with the csv format" in captured
 
     def test_sweep_empty_plan_is_a_clean_error(self, capsys):
         assert main(["sweep", "--suite", "smoke", "--analyses",
-                     "linearizability", "--backends", "vc"]) == 2
+                     "linearizability", "--backends", "vc-flat"]) == 2
         assert "sweep plan is empty" in capsys.readouterr().err
 
     def test_library_errors_exit_2_without_traceback(self, trace_file, capsys):
@@ -226,7 +226,7 @@ class TestSweep:
 class TestSweepSeedOverride:
     def test_seed_override_is_recorded_in_records(self, capsys):
         assert main(["sweep", "--suite", "smoke", "--analyses",
-                     "race-prediction", "--backends", "vc", "--seed", "42",
+                     "race-prediction", "--backends", "vc-flat", "--seed", "42",
                      "--format", "json"]) == 0
         document = json.loads(capsys.readouterr().out)
         assert document["records"], "expected at least one record"
@@ -236,7 +236,7 @@ class TestSweepSeedOverride:
 
     def test_seed_override_lands_in_csv_export(self, capsys):
         assert main(["sweep", "--suite", "smoke", "--analyses",
-                     "race-prediction", "--backends", "vc", "--seed", "7",
+                     "race-prediction", "--backends", "vc-flat", "--seed", "7",
                      "--format", "csv"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         header = lines[0].split(",")
@@ -246,7 +246,7 @@ class TestSweepSeedOverride:
 
     def test_seed_override_changes_the_workload(self, capsys):
         argv = ["sweep", "--suite", "smoke", "--analyses",
-                "race-prediction", "--backends", "vc", "--format", "json"]
+                "race-prediction", "--backends", "vc-flat", "--format", "json"]
         assert main(argv) == 0
         base = json.loads(capsys.readouterr().out)["records"]
         assert main(argv + ["--seed", "3"]) == 0
@@ -286,7 +286,7 @@ class TestGenCommand:
             # The registered suite sweeps immediately.
             assert main(["sweep", "--corpus", str(out / "manifest.json"),
                          "--analyses", "race-prediction", "--backends",
-                         "vc", "--format", "json"]) == 0
+                         "vc-flat", "--format", "json"]) == 0
             document = json.loads(capsys.readouterr().out)
             assert document["jobs"] == 2 and document["failures"] == 0
             # Each member doubles as a watch source via the manifest.
@@ -701,7 +701,7 @@ class TestMetricsFlag:
         path = tmp_path / "m.jsonl"
         for _ in range(2):
             assert main(["sweep", "--suite", "smoke", "--analyses",
-                         "race-prediction", "--backends", "vc",
+                         "race-prediction", "--backends", "vc-flat",
                          "--metrics", str(path)]) == 0
         capsys.readouterr()
         assert len(path.read_text().splitlines()) == 2

@@ -53,7 +53,7 @@ class TestAnalysisLayer:
 
     def test_static_backends_record_no_selection(self):
         trace = build_trace("racy", num_threads=3, events=40, seed=1)
-        result = Analysis.by_name("race-prediction")("vc").run(trace)
+        result = Analysis.by_name("race-prediction")("vc-flat").run(trace)
         assert "backend_selected" not in result.details
 
 
@@ -76,7 +76,7 @@ class TestSweepPlanning:
 
     def test_oracle_without_auto_rejected(self):
         with pytest.raises(ReproError, match="oracle"):
-            plan_jobs(SUITES["smoke"], backends=["vc"], oracle=True)
+            plan_jobs(SUITES["smoke"], backends=["vc-flat"], oracle=True)
 
     def test_unknown_backend_still_rejected(self):
         with pytest.raises(ReproError):
@@ -143,18 +143,18 @@ class TestStreamEngine:
     def test_fallback_emits_a_typed_warning(self):
         # linearizability cannot run on vc; the silent fallback of old
         # versions must now surface a StreamWarning.
-        engine = StreamEngine(["linearizability"], backend="vc")
+        engine = StreamEngine(["linearizability"], backend="vc-flat")
         assert len(engine.warnings) == 1
         warning = engine.warnings[0]
         assert warning.category == "backend-fallback"
         assert warning.analysis == "linearizability"
-        assert "vc" in warning.message
+        assert "vc-flat" in warning.message
         trace = build_trace("history", num_threads=2, events=10, seed=1)
         result = engine.run(trace)
         assert result.warnings == [warning]
 
     def test_applicable_backend_warns_nothing(self):
-        engine = StreamEngine(["race-prediction"], backend="vc")
+        engine = StreamEngine(["race-prediction"], backend="vc-flat")
         assert engine.warnings == []
 
 
@@ -171,8 +171,8 @@ class TestSessionFacade:
     def test_analyze_static_reports_itself_as_selected(self, tmp_path):
         _trace, path = write_trace(tmp_path)
         config = AnalyzeConfig(analysis="race-prediction", trace=str(path),
-                               backend="vc")
-        assert Session().run(config).to_dict()["backend_selected"] == "vc"
+                               backend="vc-flat")
+        assert Session().run(config).to_dict()["backend_selected"] == "vc-flat"
 
     def test_watch_auto_reports_selection(self, tmp_path):
         _trace, path = write_trace(tmp_path, events=60)
@@ -211,7 +211,7 @@ class TestConfigValidation:
 
     def test_oracle_requires_auto(self):
         with pytest.raises(ConfigError):
-            SweepConfig(oracle=True, backends="vc")
+            SweepConfig(oracle=True, backends="vc-flat")
 
     @pytest.mark.parametrize("command", ["analyze", "sweep", "watch",
                                          "serve"])
