@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design choices called out in DESIGN.md.
+"""Ablation benchmarks for three design choices of the CSST:
 
 * Block-size threshold ``b`` of the Sparse Segment Tree (the paper picks
   b = 32 via a randomised stress test; we sweep it).

@@ -4,7 +4,7 @@ The paper's advantage for CSSTs over Vector Clocks appears when traces are
 long relative to the thread count (insertions deep in the order then cost
 Vector Clocks O(n) each).  This benchmark measures the TSO consistency
 analysis over traces of growing length so the regime change is visible even
-in the scaled-down Python reproduction; EXPERIMENTS.md discusses the result.
+in the scaled-down Python reproduction.
 """
 
 import pytest

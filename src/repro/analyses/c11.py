@@ -19,17 +19,15 @@ For every plain access ``e`` the detector keeps, per other thread ``t``,
 at most two earlier accesses to the same variable (``t``'s latest read and
 latest write), and ``e`` races with one of them when at least one of the
 two writes and the earlier access does not reach ``e``.  These questions
-are not asked one access at a time.  The nodes of chain ``t`` that reach
-``e`` form a prefix of that chain: program order extends any path
-backwards, so if ``(t, i)`` reaches ``e`` then so does every ``(t, i')``
-with ``i' <= i``.  The prefix's last index is ``predecessor(e, t)`` -- the
-``predecessor`` operation of the dynamic-reachability problem
-(Section 2.2), one ``O(log n)`` lookup on a CSST -- so an access
-``(t, i)`` reaches ``e`` iff ``i <= predecessor(e, t)``.  One query per
-other thread, asked only when some retained access of that thread needs
-it, decides both of them exactly as two ``reachable`` calls would: the
-order does not change during the check, because race checks insert no
-edges.  Unless ``report_all`` is set, a thread whose race with ``e``'s
+are not asked one access at a time: an access ``(t, i)`` reaches ``e``
+iff ``i <= predecessor(e, t)`` (the frontier argument is in
+:class:`~repro.analyses.common.hb.Frontiers`).  One query per other
+thread, asked only when some retained access of that thread needs it,
+decides both of them exactly as two ``reachable`` calls would: the order
+does not change during the check, because race checks insert no edges.
+Each ``(access, thread)`` frontier is asked at most once, so a frontier
+memo would never be hit and the detector asks its order directly.
+Unless ``report_all`` is set, a thread whose race with ``e``'s
 thread on this variable is already reported is skipped without a query,
 since the detector would drop anything it found there.
 """

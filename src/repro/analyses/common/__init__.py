@@ -10,7 +10,11 @@ from repro.analyses.common.hb import (
     insert_ordering,
     lock_graph,
 )
-from repro.analyses.common.saturation import CycleDetected, SaturationEngine
+from repro.analyses.common.saturation import (
+    CycleDetected,
+    SaturationEngine,
+    saturate_trace,
+)
 
 __all__ = [
     "Analysis",
@@ -24,4 +28,5 @@ __all__ = [
     "events_between",
     "insert_ordering",
     "lock_graph",
+    "saturate_trace",
 ]

@@ -3,7 +3,9 @@
 Most predictive analyses start from a *sync order*: program order plus
 release-to-acquire edges over each lock (in the observed order) plus
 fork/join edges.  This module builds that backbone into any partial-order
-backend, and exposes small helpers for the orderings analyses add on top.
+backend, and exposes small helpers for the orderings analyses add on top,
+among them :class:`Frontiers`, the memo through which the saturation
+analyses ask and extend their order.
 """
 
 from __future__ import annotations
@@ -117,22 +119,58 @@ def conflicting_pairs(trace: Trace, max_pairs: Optional[int] = None,
 
 
 class Frontiers:
-    """Per-chain frontiers of a partial order that no longer changes.
+    """Per-chain frontiers of a partial order, kept until the order changes.
 
-    For a node ``e`` and a chain ``t``, the nodes of ``t`` that reach ``e``
-    form a prefix of ``t`` and the nodes ``e`` reaches form a suffix, so
-    ``predecessor(e, t)`` and ``successor(e, t)`` decide every reachability
-    question between ``e`` and ``t`` by an index comparison.  Each frontier
-    is queried on first use and kept, keyed by node and chain.  The memo is
-    exact only while no edge is inserted or deleted, so build one after the
-    last update (race prediction and use-after-free query generation build
-    theirs after saturation).
+    The analyses that saturate reads-from (race-prediction,
+    deadlock-prediction, memory-bugs, use-after-free, tso-consistency)
+    ask and extend their order only through one such memo once the sync
+    order is built (tso-consistency, which builds none, from its first
+    edge).
+
+    For a node ``e`` and a chain ``t``, the nodes of ``t`` that reach
+    ``e`` form a prefix of ``t`` (program order extends any path
+    backwards), and the nodes ``e`` reaches form a suffix.  The prefix's
+    last index, ``predecessor(e, t)``, and the suffix's first index,
+    ``successor(e, t)`` -- the two frontier operations of the
+    dynamic-reachability problem (Section 2.2), one ``O(log n)``
+    suffix-minima lookup on a CSST -- therefore decide every
+    reachability question between ``e`` and ``t`` by one integer
+    comparison: ``(t, i) ->* e`` iff ``i <= predecessor(e, t)``, and
+    ``e ->* (t, i)`` iff ``successor(e, t) <= i``.  A caller that asks
+    about many nodes of one chain pays one query, not one per node.
+
+    Each frontier is queried on first use and kept, keyed by node and
+    chain.  :meth:`insert` extends the order and drops every kept
+    frontier when an edge goes in, so each answer is the one a
+    ``reachable`` call would give at that moment.  Edges inserted or
+    deleted on the order directly are not seen; an analysis that deletes
+    edges (linearizability) asks its order directly.
     """
 
     def __init__(self, order: PartialOrder) -> None:
         self._order = order
         self._predecessors: Dict[Node, Dict[int, int]] = {}
         self._successors: Dict[Node, Dict[int, int]] = {}
+
+    @property
+    def order(self) -> PartialOrder:
+        """The partial order the frontiers are asked of."""
+        return self._order
+
+    def insert(self, source: Node, target: Node) -> bool:
+        """Insert ``source -> target`` unless it is already implied.
+
+        Same contract and return value as :func:`insert_ordering`; every
+        kept frontier is dropped when an edge goes in.
+        """
+        if source[0] == target[0]:
+            return source[1] <= target[1]
+        if self.reaches(source, target):
+            return False
+        self._order.insert_edge(source, target)
+        self._predecessors.clear()
+        self._successors.clear()
+        return True
 
     def predecessor(self, node: Node, chain: int) -> int:
         """Latest index of ``chain`` reaching ``node`` (``-1`` if none)."""

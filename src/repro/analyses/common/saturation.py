@@ -19,37 +19,25 @@ citations in Section 1.1 of the paper).  Because the inserted orderings land
 between arbitrary events of the trace, this is the archetypal *non-streaming*
 workload CSSTs were designed for.
 
-Frontier queries
-----------------
-Both rules ask reachability questions between one read ``r``, its writer
-``w`` and each competing write ``w'``.  They are not asked one competitor
-at a time.  For a fixed node ``e`` and a chain ``t``, the nodes of ``t``
-that reach ``e`` form a prefix of ``t`` (program order extends any path
-backwards), and the nodes ``e`` reaches form a suffix.  So the prefix's
-last index, ``predecessor(e, t)``, and the suffix's first index,
-``successor(e, t)``, decide the question for every node of ``t`` by one
-integer comparison: ``w' ->* e`` iff ``index(w') <= predecessor(e, t)``,
-and ``e ->* w'`` iff ``successor(e, t) <= index(w')``.  Four such
-*frontiers* per chain -- ``predecessor(r, t)``, ``predecessor(w, t)``,
-``successor(w, t)`` and ``successor(r, t)`` -- answer both rules for all
-competitors on ``t``; each is queried on first use (the per-chain form of
-the question that CSSTs answer in one ``O(log n)`` suffix-minima lookup).
-The answers are exact, not approximations: a frontier is a fact about the
-current order, and the engine drops every cached frontier whenever it
-inserts an edge.  Every test therefore comes out as a ``reachable`` call
-would answer it at that moment, and the engine inserts the same edges in
-the same order as a loop asking ``reachable`` per competitor.
+Both rules are asked of a :class:`~repro.analyses.common.hb.Frontiers`
+memo: four frontiers per chain -- ``predecessor`` of the read and of its
+writer, ``successor`` of the writer and of the read -- answer them for
+every competing write on that chain (the argument is in the ``Frontiers``
+docstring).  The memo drops every frontier when an edge goes in, so the
+engine inserts the same edges in the same order as a loop asking
+``reachable`` per competitor.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
+from repro.analyses.common.base import AnalysisResult
+from repro.analyses.common.hb import Frontiers, build_sync_order
 from repro.core.interface import PartialOrder
 from repro.errors import AnalysisError
 from repro.trace.event import Event
-from repro.analyses.common.hb import NO_SUCCESSOR, insert_ordering
+from repro.trace.trace import Trace
 
 
 class CycleDetected(AnalysisError):
@@ -70,25 +58,18 @@ class SaturationEngine:
 
     Parameters
     ----------
-    order:
-        The partial-order backend holding ``P``.
+    frontiers:
+        The frontier memo of the partial order holding ``P``; every
+        question and every insert goes through it.
     writes_by_variable:
         All write events, grouped by variable; used to locate competing
         writes for each saturated read.
-    track_insertions:
-        When ``True``, every edge inserted by the engine is recorded so a
-        caller can undo it later (only meaningful for fully dynamic
-        backends; used by the search-style analyses that explore reads-from
-        choices and backtrack).
     """
 
-    def __init__(self, order: PartialOrder,
-                 writes_by_variable: Mapping[object, List[Event]],
-                 track_insertions: bool = False) -> None:
-        self._order = order
+    def __init__(self, frontiers: Frontiers,
+                 writes_by_variable: Mapping[object, List[Event]]) -> None:
+        self._frontiers = frontiers
         self._writes_by_variable = writes_by_variable
-        self._track = track_insertions
-        self._inserted: List[Tuple[Event, Event]] = []
 
     # ------------------------------------------------------------------ #
     # Edge insertion with cycle detection
@@ -103,28 +84,9 @@ class SaturationEngine:
             if source.index > target.index:
                 raise CycleDetected(source, target)
             return False
-        if self._order.reachable(target.node, source.node):
+        if self._frontiers.reaches(target.node, source.node):
             raise CycleDetected(source, target)
-        if insert_ordering(self._order, source.node, target.node):
-            if self._track:
-                self._inserted.append((source, target))
-            return True
-        return False
-
-    def undo(self) -> int:
-        """Delete every tracked edge (most recent first) and return how many
-        were removed.  Requires a backend with deletion support."""
-        removed = 0
-        while self._inserted:
-            source, target = self._inserted.pop()
-            self._order.delete_edge(source.node, target.node)
-            removed += 1
-        return removed
-
-    @property
-    def inserted_edges(self) -> List[Tuple[Event, Event]]:
-        """Edges inserted so far (only populated when tracking is enabled)."""
-        return list(self._inserted)
+        return self._frontiers.insert(source.node, target.node)
 
     # ------------------------------------------------------------------ #
     # Saturation
@@ -171,69 +133,55 @@ class SaturationEngine:
                        competitors: List[Tuple[Event, int, int]]) -> int:
         """Apply the rules for one read against every competing write.
 
-        A competitor ``c`` on chain ``t`` reaches ``read`` iff its index is
-        at most ``predecessor(read, t)``, and ``write`` reaches ``c`` iff
-        its index is at least ``successor(write, t)``; likewise for the
-        other two tests.  So four frontiers per chain, each queried on
-        first use, answer every competitor on that chain.  They are exact
-        only for the current order, so every inserted edge drops them.
+        A competitor on chain ``t`` at ``index`` reaches ``read`` iff
+        ``index <= predecessor(read, t)``, and ``write`` reaches it iff
+        ``successor(write, t) <= index``; likewise for the other two tests.
         """
         inserted = 0
         if self.add_ordering(write, read):
             inserted += 1
-        write_chain, write_index = write.thread, write.index
-        # Per chain: [pred(read), pred(write), succ(write), succ(read)].
-        frontiers: Dict[int, List[Optional[int]]] = {}
+        frontiers = self._frontiers
+        read_node = read.node
+        write_node = write.node
+        write_chain, write_index = write_node
         for competitor, chain, index in competitors:
             if competitor is write or (chain == write_chain
                                        and index == write_index):
                 continue
-            bounds = frontiers.get(chain)
-            if bounds is None:
-                bounds = frontiers[chain] = [None, None, None, None]
             # Competing write already before the read: force it before the writer.
-            bound = bounds[0]
-            if bound is None:
-                bound = self._frontier(bounds, 0, read, chain)
-            if index <= bound:
-                bound = bounds[1]
-                if bound is None:
-                    bound = self._frontier(bounds, 1, write, chain)
-                if index > bound and self.add_ordering(competitor, write):
-                    inserted += 1
-                    frontiers.clear()
-                    bounds = frontiers[chain] = [None, None, None, None]
+            if (index <= frontiers.predecessor(read_node, chain)
+                    and index > frontiers.predecessor(write_node, chain)
+                    and self.add_ordering(competitor, write)):
+                inserted += 1
             # Writer already before the competing write: force the read before it.
-            bound = bounds[2]
-            if bound is None:
-                bound = self._frontier(bounds, 2, write, chain)
-            if index >= bound:
-                bound = bounds[3]
-                if bound is None:
-                    bound = self._frontier(bounds, 3, read, chain)
-                if index < bound and self.add_ordering(read, competitor):
-                    inserted += 1
-                    frontiers.clear()
+            if (frontiers.successor(write_node, chain) <= index
+                    and index < frontiers.successor(read_node, chain)
+                    and self.add_ordering(read, competitor)):
+                inserted += 1
         return inserted
 
-    def _frontier(self, bounds: List[Optional[int]], slot: int,
-                  event: Event, chain: int) -> int:
-        """Query, store and return ``bounds[slot]`` for ``event``.
 
-        Slots 0 and 1 hold the latest index of ``chain`` that reaches
-        ``event`` (``-1`` when none does); slots 2 and 3 the earliest index
-        of ``chain`` that ``event`` reaches (:data:`NO_SUCCESSOR` when
-        none).  On ``event``'s own chain both are its own index.
-        """
-        if event.thread == chain:
-            bound = event.index
-        elif slot < 2:
-            bound = self._order.predecessor(event.node, chain)
-            if bound is None:
-                bound = -1
-        else:
-            bound = self._order.successor(event.node, chain)
-            if bound is None:
-                bound = NO_SUCCESSOR
-        bounds[slot] = bound
-        return bound
+def saturate_trace(trace: Trace, order: PartialOrder, result: AnalysisResult,
+                   include_locks: bool = True) -> Frontiers:
+    """The closure phase of the saturation analyses.
+
+    Builds the sync order into ``order`` (lock edges only when
+    ``include_locks``), saturates the trace's observed reads-from over it,
+    and records ``sync_edges``, ``saturation_edges`` and, when the
+    observed assignment closes a cycle, ``closure_cycle`` in
+    ``result.details``.  Returns the frontier memo, exact for the
+    saturated order, for the analysis's own phase to ask.
+    """
+    sync_edges = build_sync_order(trace, order, include_locks=include_locks)
+    frontiers = Frontiers(order)
+    engine = SaturationEngine(frontiers, trace.writes_by_variable())
+    try:
+        saturation_edges = engine.saturate(trace.reads_from())
+    except CycleDetected:
+        # The observed trace itself is always feasible; a cycle can only
+        # mean the caller handed in an inconsistent synthetic trace.
+        result.details["closure_cycle"] = True
+        saturation_edges = 0
+    result.details["sync_edges"] = sync_edges
+    result.details["saturation_edges"] = saturation_edges
+    return frontiers

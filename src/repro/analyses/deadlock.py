@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.analyses.common.base import Analysis, AnalysisResult
-from repro.analyses.common.hb import build_sync_order, lock_graph
-from repro.analyses.common.saturation import CycleDetected, SaturationEngine
+from repro.analyses.common.hb import Frontiers, lock_graph
+from repro.analyses.common.saturation import saturate_trace
 from repro.core.instrumented import InstrumentedOrder
 from repro.trace.event import Event
 from repro.trace.trace import Trace
@@ -81,15 +81,7 @@ class DeadlockPredictionAnalysis(Analysis):
         # the candidate locks (the whole point is to reorder critical
         # sections), but keeps fork/join and the reads-from saturation that
         # any correct reordering must respect.
-        sync_edges = build_sync_order(trace, order, include_locks=False)
-        engine = SaturationEngine(order, trace.writes_by_variable())
-        try:
-            saturation_edges = engine.saturate(trace.reads_from())
-        except CycleDetected:
-            result.details["closure_cycle"] = True
-            saturation_edges = 0
-        result.details["sync_edges"] = sync_edges
-        result.details["saturation_edges"] = saturation_edges
+        frontiers = saturate_trace(trace, order, result, include_locks=False)
 
         graph = lock_graph(trace)
         candidates = self._candidate_cycles(graph)
@@ -97,7 +89,7 @@ class DeadlockPredictionAnalysis(Analysis):
         for pattern in candidates:
             if self._max_patterns is not None and len(result.findings) >= self._max_patterns:
                 break
-            if self._realisable(trace, order, pattern):
+            if self._realisable(trace, frontiers, pattern):
                 result.findings.append(DeadlockPattern(tuple(pattern)))
 
     # ------------------------------------------------------------------ #
@@ -127,7 +119,7 @@ class DeadlockPredictionAnalysis(Analysis):
     # ------------------------------------------------------------------ #
     # Feasibility
     # ------------------------------------------------------------------ #
-    def _realisable(self, trace: Trace, order: InstrumentedOrder,
+    def _realisable(self, trace: Trace, frontiers: Frontiers,
                     pattern: Sequence[Tuple[Event, Event]]) -> bool:
         """Can the candidate cycle be realised by a correct reordering?
 
@@ -144,7 +136,7 @@ class DeadlockPredictionAnalysis(Analysis):
         requests = [inner for _outer, inner in pattern]
         for i, first in enumerate(requests):
             for second in requests[i + 1 :]:
-                if order.ordered(first.node, second.node):
+                if frontiers.ordered(first.node, second.node):
                     return False
         held_sets = []
         cycle_locks = {outer.variable for outer, _inner in pattern}
@@ -159,7 +151,7 @@ class DeadlockPredictionAnalysis(Analysis):
             for _other_outer, other_inner in pattern:
                 if outer.thread == other_inner.thread:
                     continue
-                if order.reachable(other_inner.node, outer.node):
+                if frontiers.reaches(other_inner.node, outer.node):
                     return False
         return True
 

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.analyses.common.base import Analysis, AnalysisResult
-from repro.analyses.common.hb import build_sync_order
-from repro.analyses.common.saturation import CycleDetected, SaturationEngine
+from repro.analyses.common.hb import Frontiers
+from repro.analyses.common.saturation import saturate_trace
 from repro.core.instrumented import InstrumentedOrder
 from repro.trace.event import Event, EventKind
 from repro.trace.trace import Trace
@@ -71,15 +71,7 @@ class MemoryBugAnalysis(Analysis):
     # ------------------------------------------------------------------ #
     def _run(self, trace: Trace, order: InstrumentedOrder,
              result: AnalysisResult) -> None:
-        sync_edges = build_sync_order(trace, order)
-        engine = SaturationEngine(order, trace.writes_by_variable())
-        try:
-            saturation_edges = engine.saturate(trace.reads_from())
-        except CycleDetected:
-            result.details["closure_cycle"] = True
-            saturation_edges = 0
-        result.details["sync_edges"] = sync_edges
-        result.details["saturation_edges"] = saturation_edges
+        frontiers = saturate_trace(trace, order, result)
 
         frees, accesses = self._heap_events(trace)
         candidates = self._candidates(frees, accesses)
@@ -89,7 +81,8 @@ class MemoryBugAnalysis(Analysis):
         for kind, free, access in candidates:
             if self._max_candidates is not None and len(result.findings) >= self._max_candidates:
                 break
-            if self._feasible(trace, order, free, access, reads_from, locks_held):
+            if self._feasible(trace, frontiers, free, access, reads_from,
+                             locks_held):
                 result.findings.append(MemoryBug(kind, free, access))
 
     # ------------------------------------------------------------------ #
@@ -129,13 +122,13 @@ class MemoryBugAnalysis(Analysis):
     # ------------------------------------------------------------------ #
     # Feasibility
     # ------------------------------------------------------------------ #
-    def _feasible(self, trace: Trace, order: InstrumentedOrder, free: Event,
+    def _feasible(self, trace: Trace, frontiers: Frontiers, free: Event,
                   access: Event, reads_from, locks_held) -> bool:
         """The dangerous order ``free -> access`` is feasible when the access
         is not already forced before the free, the two events are not
         serialised by a common lock, and the enabling reads of the access's
         thread prefix can still observe their writers."""
-        if order.reachable(access.node, free.node):
+        if frontiers.reaches(access.node, free.node):
             # The access is forced before the free in every correct
             # reordering: no bug.
             return False
@@ -151,9 +144,8 @@ class MemoryBugAnalysis(Analysis):
             writer = reads_from.get(event)
             if writer is None or writer.thread == event.thread:
                 continue
-            if order.reachable(free.node, writer.node) and order.reachable(
-                access.node, writer.node
-            ):
+            if (frontiers.reaches(free.node, writer.node)
+                    and frontiers.reaches(access.node, writer.node)):
                 return False
         return True
 

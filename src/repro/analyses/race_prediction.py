@@ -21,12 +21,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.analyses.common.base import Analysis, AnalysisResult
-from repro.analyses.common.hb import (
-    Frontiers,
-    build_sync_order,
-    conflicting_pairs,
-)
-from repro.analyses.common.saturation import CycleDetected, SaturationEngine
+from repro.analyses.common.hb import Frontiers, conflicting_pairs
+from repro.analyses.common.saturation import saturate_trace
 from repro.core.instrumented import InstrumentedOrder
 from repro.trace.event import Event
 from repro.trace.trace import Trace
@@ -84,27 +80,15 @@ class RacePredictionAnalysis(Analysis):
              result: AnalysisResult) -> None:
         # Phase 1: sound closure of the observed trace -- sync order plus
         # reads-from saturation.
-        sync_edges = build_sync_order(trace, order)
-        engine = SaturationEngine(order, trace.writes_by_variable())
-        try:
-            saturation_edges = engine.saturate(trace.reads_from())
-        except CycleDetected:
-            # The observed trace itself is always feasible; a cycle can only
-            # mean the caller handed us an inconsistent synthetic trace.
-            result.details["closure_cycle"] = True
-            saturation_edges = 0
-        result.details["sync_edges"] = sync_edges
-        result.details["saturation_edges"] = saturation_edges
+        frontiers = saturate_trace(trace, order, result)
 
         # Phase 2: candidate enumeration and witness checks.  It inserts no
-        # edges, so every frontier queried from here on stays exact and is
-        # asked at most once.
+        # edges, so every frontier is asked at most once.
         candidates = conflicting_pairs(
             trace, max_pairs=self._max_candidates,
             same_variable_window=self._candidate_window,
         )
         result.details["candidates"] = len(candidates)
-        frontiers = Frontiers(order)
         witness = _WitnessCheck(trace, frontiers, self._witness_window)
         locks_held = trace.locks_held_map()
         checked = 0

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.analyses.common.base import Analysis, AnalysisResult
+from repro.analyses.common.hb import Frontiers
 from repro.core.instrumented import InstrumentedOrder
 from repro.errors import AnalysisError
 from repro.trace.event import Event
@@ -98,6 +99,7 @@ class TSOConsistencyAnalysis(Analysis):
                 flush_node[event] = (2 * position + 1, flush_counts[event.thread])
                 flush_counts[event.thread] += 1
 
+        frontiers = Frontiers(order)
         inserted = 0
         witness: Optional[InconsistencyWitness] = None
 
@@ -110,12 +112,12 @@ class TSOConsistencyAnalysis(Analysis):
                 if source[1] > target[1]:
                     witness = InconsistencyWitness(source, target, reason)
                 return False
-            if order.reachable(source, target):
+            if frontiers.reaches(source, target):
                 return False
-            if order.reachable(target, source):
+            if frontiers.reaches(target, source):
                 witness = InconsistencyWitness(source, target, reason)
                 return False
-            order.insert_edge(source, target)
+            frontiers.insert(source, target)
             inserted += 1
             return True
 
@@ -142,7 +144,7 @@ class TSOConsistencyAnalysis(Analysis):
                 if witness is not None:
                     break
                 changed += self._saturate_read(
-                    order, add, reads_from, writes_by_variable, flush_node,
+                    frontiers, add, reads_from, writes_by_variable, flush_node,
                     issue_node, read, write,
                 )
             if changed == 0 or witness is not None:
@@ -182,7 +184,7 @@ class TSOConsistencyAnalysis(Analysis):
     # ------------------------------------------------------------------ #
     # Saturation rules
     # ------------------------------------------------------------------ #
-    def _saturate_read(self, order, add, reads_from, writes_by_variable,
+    def _saturate_read(self, frontiers, add, reads_from, writes_by_variable,
                        flush_node, issue_node, read: Event,
                        write: Optional[Event]) -> int:
         """Coherence rules for one read (Roy et al. heuristic):
@@ -209,23 +211,17 @@ class TSOConsistencyAnalysis(Analysis):
                     changed += 1
                 continue
             writer_flush = flush_node[write]
-            before_read = self._ordered_before(order, competitor_flush, read_node) or \
-                self._ordered_before(order, competitor_issue, read_node)
-            if before_read and not self._ordered_before(order, competitor_flush,
-                                                        writer_flush):
+            before_read = frontiers.reaches(competitor_flush, read_node) or \
+                frontiers.reaches(competitor_issue, read_node)
+            if before_read and not frontiers.reaches(competitor_flush,
+                                                     writer_flush):
                 if add(competitor_flush, writer_flush, "coherence (write before read)"):
                     changed += 1
-            if self._ordered_before(order, writer_flush, competitor_flush):
-                if not self._ordered_before(order, read_node, competitor_flush):
+            if frontiers.reaches(writer_flush, competitor_flush):
+                if not frontiers.reaches(read_node, competitor_flush):
                     if add(read_node, competitor_flush, "coherence (read before write)"):
                         changed += 1
         return changed
-
-    @staticmethod
-    def _ordered_before(order, source: Node, target: Node) -> bool:
-        if source[0] == target[0]:
-            return source[1] <= target[1]
-        return order.reachable(source, target)
 
 
 def check_tso_consistency(trace: Trace, backend=None,

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.analyses.common.base import Analysis, AnalysisResult
-from repro.analyses.common.hb import Frontiers, build_sync_order
-from repro.analyses.common.saturation import CycleDetected, SaturationEngine
+from repro.analyses.common.hb import Frontiers
+from repro.analyses.common.saturation import saturate_trace
 from repro.core.instrumented import InstrumentedOrder
 from repro.trace.columns import ALLOC_CODE, FREE_CODE
 from repro.trace.event import Event
@@ -92,21 +92,12 @@ class UseAfterFreeAnalysis(Analysis):
     # ------------------------------------------------------------------ #
     def _run(self, trace: Trace, order: InstrumentedOrder,
              result: AnalysisResult) -> None:
-        sync_edges = build_sync_order(trace, order)
-        engine = SaturationEngine(order, trace.writes_by_variable())
-        try:
-            saturation_edges = engine.saturate(trace.reads_from())
-        except CycleDetected:
-            result.details["closure_cycle"] = True
-            saturation_edges = 0
-        result.details["sync_edges"] = sync_edges
-        result.details["saturation_edges"] = saturation_edges
+        frontiers = saturate_trace(trace, order, result)
 
         candidates = self._candidates(trace)
         result.details["candidates"] = len(candidates)
         reads_from = trace.reads_from()
         # Query generation inserts no edges: each frontier is asked once.
-        frontiers = Frontiers(order)
         total_constraints = 0
         for free, use in candidates:
             if self._max_candidates is not None and len(result.findings) >= self._max_candidates:

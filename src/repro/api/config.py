@@ -360,9 +360,10 @@ class WatchConfig(Config):
                      "multi-source watch needs explicit analyses")
             _require(not self.follow,
                      "--follow only applies to a single source")
-            _require(self.checkpoint is None,
-                     "checkpoint resume only applies to a single source; "
-                     "use serve's checkpoint_dir for multi-tenant state")
+            _require(self.checkpoint is None and self.checkpoint_every is None,
+                     "checkpoint and checkpoint_every only apply to a single "
+                     "source; use serve's checkpoint_dir for multi-tenant "
+                     "state")
             _require(self.max_events is None,
                      "max_events only applies to a single source")
         _coerce_numbers(self, int, flush_every=self.flush_every,
@@ -373,6 +374,8 @@ class WatchConfig(Config):
                  f"flush_every must be >= 1, got {self.flush_every}")
         _require(self.checkpoint_every is None or self.checkpoint_every >= 1,
                  f"checkpoint_every must be >= 1, got {self.checkpoint_every}")
+        _require(self.checkpoint_every is None or self.checkpoint is not None,
+                 "checkpoint_every needs a checkpoint path to save to")
         _require(self.max_events is None or self.max_events >= 0,
                  f"max_events must be >= 0, got {self.max_events}")
         _set(self, analyses=_name_tuple(self.analyses, "watch analyses"))
@@ -441,6 +444,9 @@ class ServeConfig(Config):
         _require(self.checkpoint_every is None or self.checkpoint_every >= 1,
                  f"checkpoint_every must be >= 1, got "
                  f"{self.checkpoint_every}")
+        _require(self.checkpoint_every is None
+                 or self.checkpoint_dir is not None,
+                 "checkpoint_every needs a checkpoint_dir to save to")
         _require(self.crash_worker is None or self.workers >= 1,
                  "crash_worker requires worker processes (workers >= 1)")
         _check_metrics_path(self.metrics, "serve")

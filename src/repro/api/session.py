@@ -295,7 +295,6 @@ class Session:
                     backend=config.backend,
                     window=config.window,
                     flush_every=config.flush_every,
-                    checkpoint_every=config.checkpoint_every,
                 ),
                 on_finding=on_finding, on_notice=on_notice)
         from repro.stream import (

@@ -4,10 +4,11 @@ Each paper table evaluates one analysis over a set of named benchmarks.  We
 mirror those datasets with synthetic workloads: every entry keeps the thread
 count of the corresponding paper benchmark and scales the event count down
 so that a pure-Python run completes in seconds rather than the 80 hours of
-the original artifact (see DESIGN.md, "Substitutions").  The *relative*
-behaviour of the data structures -- which is what Figure 10 and the tables
-compare -- is preserved because the structural trace characteristics
-(threads, synchronisation pattern, cross-chain density) are preserved.
+the original artifact (see README.md, "Reproducing the paper's tables").
+The *relative* behaviour of the data structures -- which is what Figure 10
+and the tables compare -- is preserved because the structural trace
+characteristics (threads, synchronisation pattern, cross-chain density) are
+preserved.
 
 All workloads are deterministic (fixed seeds) so repeated benchmark runs are
 comparable.

@@ -354,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "exists, saved on exit either way")
     watch.add_argument("--checkpoint-every", type=int, default=None,
                        help="also save the checkpoint every N consumed "
-                            "events")
+                            "events (needs --checkpoint)")
     watch.add_argument("--follow", action="store_true",
                        help="keep polling a file source for appended "
                             "events (tail -f)")
@@ -410,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "state recovery")
     serve.add_argument("--checkpoint-every", type=int, default=None,
                        help="checkpoint each tenant every N consumed "
-                            "events")
+                            "events (needs --checkpoint-dir)")
     serve.add_argument("--queue-size", type=int, default=256,
                        help="events that may wait per worker, sent in "
                             "frames of up to 64; a full queue pushes back "

@@ -158,6 +158,24 @@ class TestFrontiers:
             frontiers.predecessor((2, 0), 2)   # own chain: no query
         assert order.query_count == 2
 
+    def test_insert_skips_implied_edges_and_keeps_the_memo(self, order):
+        frontiers = Frontiers(order)
+        assert frontiers.predecessor((2, 0), 0) == 1
+        assert not frontiers.insert((0, 0), (2, 0))   # implied via (0, 1)
+        assert frontiers.predecessor((2, 0), 0) == 1
+        assert (order.insert_count, order.query_count) == (2, 1)
+
+    def test_insert_drops_every_frontier(self, order):
+        frontiers = Frontiers(order)
+        assert frontiers.predecessor((3, 0), 0) == -1
+        assert frontiers.successor((0, 2), 3) == NO_SUCCESSOR
+        assert frontiers.insert((0, 2), (3, 0))
+        assert order.insert_count == 3
+        queries = order.query_count
+        assert frontiers.predecessor((3, 0), 0) == 2
+        assert frontiers.successor((0, 2), 3) == 0
+        assert order.query_count == queries + 2
+
     def test_cone_own_thread_bound(self, order):
         frontiers = Frontiers(order)
         anchors = ((2, 0), (3, 4))

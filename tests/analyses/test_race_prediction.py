@@ -9,7 +9,7 @@ from repro.analyses.common.hb import (
     build_sync_order,
     conflicting_pairs,
 )
-from repro.analyses.common.saturation import CycleDetected, SaturationEngine
+from repro.analyses.common.saturation import saturate_trace
 from repro.analyses.race_prediction import (
     Race,
     RacePredictionAnalysis,
@@ -124,18 +124,11 @@ class _ReachableLoopRace(RacePredictionAnalysis):
     """Reference detector: the per-candidate ``reachable`` loop the
     frontier witness check replaced, kept here to pin that both answer
     alike.  Candidates come from ``Event.conflicts_with``, ordering from
-    ``order.ordered`` and every witness test from ``reachable``."""
+    ``order.ordered`` and every witness test from ``reachable``; the
+    closure phase is the analysis's own ``saturate_trace``."""
 
     def _run(self, trace, order, result):
-        sync_edges = build_sync_order(trace, order)
-        engine = SaturationEngine(order, trace.writes_by_variable())
-        try:
-            saturation_edges = engine.saturate(trace.reads_from())
-        except CycleDetected:
-            result.details["closure_cycle"] = True
-            saturation_edges = 0
-        result.details["sync_edges"] = sync_edges
-        result.details["saturation_edges"] = saturation_edges
+        saturate_trace(trace, order, result)
         candidates = self._conflicting_pairs(trace)
         result.details["candidates"] = len(candidates)
         reads_from = trace.reads_from()

@@ -1,13 +1,18 @@
 """Tests for the reads-from saturation engine."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
-from repro.analyses.common.hb import build_sync_order
-from repro.analyses.common.saturation import CycleDetected, SaturationEngine
+from repro.analyses.common.hb import Frontiers, build_sync_order, insert_ordering
+from repro.analyses.common.saturation import (
+    CycleDetected,
+    SaturationEngine,
+    saturate_trace,
+)
 from repro.analyses.race_prediction import RacePredictionAnalysis
-from repro.core import CSST, IncrementalCSST
+from repro.core import IncrementalCSST
 from repro.core.factory import incremental_backends, make_partial_order
 from repro.trace import Trace
 from repro.trace.generators import build_trace
@@ -26,14 +31,14 @@ class TestAddOrdering:
     def test_adds_cross_thread_edge(self):
         trace, writer, _competitor, reader = _simple_rf_trace()
         order = IncrementalCSST(3, 4)
-        engine = SaturationEngine(order, trace.writes_by_variable())
+        engine = SaturationEngine(Frontiers(order), trace.writes_by_variable())
         assert engine.add_ordering(writer, reader)
         assert order.reachable(writer.node, reader.node)
 
     def test_implied_ordering_not_reinserted(self):
         trace, writer, _competitor, reader = _simple_rf_trace()
         order = IncrementalCSST(3, 4)
-        engine = SaturationEngine(order, trace.writes_by_variable())
+        engine = SaturationEngine(Frontiers(order), trace.writes_by_variable())
         engine.add_ordering(writer, reader)
         assert not engine.add_ordering(writer, reader)
 
@@ -42,7 +47,7 @@ class TestAddOrdering:
         first = trace.write(0, "x", value=1)
         second = trace.read(0, "x", value=1)
         order = IncrementalCSST(1, 4)
-        engine = SaturationEngine(order, trace.writes_by_variable())
+        engine = SaturationEngine(Frontiers(order), trace.writes_by_variable())
         assert not engine.add_ordering(first, second)
 
     def test_reverse_program_order_is_a_cycle(self):
@@ -50,14 +55,14 @@ class TestAddOrdering:
         first = trace.write(0, "x", value=1)
         second = trace.write(0, "x", value=2)
         order = IncrementalCSST(1, 4)
-        engine = SaturationEngine(order, trace.writes_by_variable())
+        engine = SaturationEngine(Frontiers(order), trace.writes_by_variable())
         with pytest.raises(CycleDetected):
             engine.add_ordering(second, first)
 
     def test_cycle_across_threads_detected(self):
         trace, writer, _competitor, reader = _simple_rf_trace()
         order = IncrementalCSST(3, 4)
-        engine = SaturationEngine(order, trace.writes_by_variable())
+        engine = SaturationEngine(Frontiers(order), trace.writes_by_variable())
         engine.add_ordering(writer, reader)
         with pytest.raises(CycleDetected):
             engine.add_ordering(reader, writer)
@@ -67,7 +72,7 @@ class TestSaturate:
     def test_reads_from_edge_inserted(self):
         trace, writer, _competitor, reader = _simple_rf_trace()
         order = IncrementalCSST(3, 4)
-        engine = SaturationEngine(order, trace.writes_by_variable())
+        engine = SaturationEngine(Frontiers(order), trace.writes_by_variable())
         inserted = engine.saturate({reader: writer})
         assert inserted >= 1
         assert order.reachable(writer.node, reader.node)
@@ -77,7 +82,7 @@ class TestSaturate:
         order = IncrementalCSST(3, 4)
         # Force the competitor before the read first.
         order.insert_edge(competitor.node, reader.node)
-        engine = SaturationEngine(order, trace.writes_by_variable())
+        engine = SaturationEngine(Frontiers(order), trace.writes_by_variable())
         engine.saturate({reader: writer})
         assert order.reachable(competitor.node, writer.node)
 
@@ -85,7 +90,7 @@ class TestSaturate:
         trace, writer, competitor, reader = _simple_rf_trace()
         order = IncrementalCSST(3, 4)
         order.insert_edge(writer.node, competitor.node)
-        engine = SaturationEngine(order, trace.writes_by_variable())
+        engine = SaturationEngine(Frontiers(order), trace.writes_by_variable())
         engine.saturate({reader: writer})
         assert order.reachable(reader.node, competitor.node)
 
@@ -93,7 +98,7 @@ class TestSaturate:
         trace, writer, competitor, reader = _simple_rf_trace()
         order = IncrementalCSST(3, 4)
         order.insert_edge(writer.node, competitor.node)
-        engine = SaturationEngine(order, trace.writes_by_variable())
+        engine = SaturationEngine(Frontiers(order), trace.writes_by_variable())
         engine.saturate({reader: writer})
         # A second saturation must not add anything new.
         assert engine.saturate({reader: writer}) == 0
@@ -102,7 +107,7 @@ class TestSaturate:
         trace = Trace()
         reader = trace.read(0, "x")
         order = IncrementalCSST(1, 4)
-        engine = SaturationEngine(order, trace.writes_by_variable())
+        engine = SaturationEngine(Frontiers(order), trace.writes_by_variable())
         assert engine.saturate({reader: None}) == 0
 
     def test_infeasible_assignment_raises(self):
@@ -111,35 +116,52 @@ class TestSaturate:
         reader = trace.read(1, "x", value=1)
         order = IncrementalCSST(2, 4)
         order.insert_edge(reader.node, writer.node)   # read forced before writer
-        engine = SaturationEngine(order, trace.writes_by_variable())
+        engine = SaturationEngine(Frontiers(order), trace.writes_by_variable())
         with pytest.raises(CycleDetected):
             engine.saturate({reader: writer})
 
 
-class TestUndo:
-    def test_tracked_insertions_can_be_undone(self):
-        trace, writer, _competitor, reader = _simple_rf_trace()
-        order = CSST(3, 4)
-        engine = SaturationEngine(order, trace.writes_by_variable(),
-                                  track_insertions=True)
-        engine.saturate({reader: writer})
-        assert order.reachable(writer.node, reader.node)
-        removed = engine.undo()
-        assert removed >= 1
-        assert not order.reachable(writer.node, reader.node)
-        assert engine.inserted_edges == []
+class TestSaturateTrace:
+    def test_records_the_closure_and_returns_its_memo(self):
+        trace, writer, competitor, reader = _simple_rf_trace()
+        order = IncrementalCSST(3, 4)
+        result = SimpleNamespace(details={})
+        frontiers = saturate_trace(trace, order, result)
+        assert result.details == {"sync_edges": 0, "saturation_edges": 1}
+        # The observed writer is the write just before the read: the
+        # competitor.
+        assert frontiers.reaches(competitor.node, reader.node)
+        assert not frontiers.ordered(writer.node, reader.node)
 
-    def test_untracked_engine_has_nothing_to_undo(self):
-        trace, writer, _competitor, reader = _simple_rf_trace()
-        order = CSST(3, 4)
-        engine = SaturationEngine(order, trace.writes_by_variable())
-        engine.saturate({reader: writer})
-        assert engine.undo() == 0
+    def test_an_inconsistent_observed_trace_is_a_closure_cycle(self):
+        # The read observes a write of the thread it forks only later.
+        trace = Trace()
+        trace.write(1, "x", value=1)
+        trace.read(0, "x", value=1)
+        trace.fork(0, 1)
+        result = SimpleNamespace(details={})
+        saturate_trace(trace, IncrementalCSST(2, 4), result)
+        assert result.details == {"closure_cycle": True, "sync_edges": 1,
+                                  "saturation_edges": 0}
 
 
 class _PerCompetitorEngine(SaturationEngine):
     """The saturation loop before frontier queries: up to four
-    ``reachable`` questions per competing write.  Test-only reference."""
+    ``reachable`` questions per competing write, and a raw
+    ``reachable`` cycle check per insert, all asked of the order itself
+    and none of the frontier memo.  Test-only reference."""
+
+    def add_ordering(self, source, target):
+        if source.node == target.node:
+            return False
+        if source.thread == target.thread:
+            if source.index > target.index:
+                raise CycleDetected(source, target)
+            return False
+        order = self._frontiers.order
+        if order.reachable(target.node, source.node):
+            raise CycleDetected(source, target)
+        return insert_ordering(order, source.node, target.node)
 
     def _saturate_read(self, read, write, competitors):
         inserted = 0
@@ -163,7 +185,7 @@ class _PerCompetitorEngine(SaturationEngine):
     def _reaches(self, source, target):
         if source.thread == target.thread:
             return source.index <= target.index
-        return self._order.reachable(source.node, target.node)
+        return self._frontiers.order.reachable(source.node, target.node)
 
 
 def _assignments(trace, seed):
@@ -206,13 +228,15 @@ def _saturation_outcome(engine_cls, backend, trace, reads_from):
     order = make_partial_order(backend, max(trace.threads) + 1,
                                trace.max_thread_length)
     build_sync_order(trace, order)
-    engine = _recording(engine_cls)(order, trace.writes_by_variable(),
-                                    track_insertions=True)
+    engine = _recording(engine_cls)(Frontiers(order),
+                                    trace.writes_by_variable())
     try:
         outcome = engine.saturate(reads_from)
     except CycleDetected as cycle:
         outcome = ("cycle", cycle.source, cycle.target)
-    return outcome, engine.inserted_edges, engine.calls
+    inserted = [(source, target) for source, target, result in engine.calls
+                if result is True]
+    return outcome, inserted, engine.calls
 
 
 SHAPES = [("racy", 4, 60, 1), ("racy", 3, 90, 4), ("deadlock", 4, 50, 2),

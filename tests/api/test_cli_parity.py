@@ -219,6 +219,21 @@ class TestExitCodes:
         assert main(["watch", "--source", str(path), "--analyses",
                      "linearizability", "--max-events", "3"]) == 1
 
+    @pytest.mark.parametrize("argv, missing", [
+        (["watch", "--analyses", "race-prediction"], "checkpoint path"),
+        (["serve", "--analyses", "race-prediction", "--workers", "0"],
+         "checkpoint_dir"),
+    ], ids=["watch", "serve"])
+    def test_checkpoint_every_without_a_destination_exits_2(
+            self, trace_file, tmp_path, monkeypatch, capsys, argv, missing):
+        # Such a run could never save a checkpoint; it is refused before
+        # any event is consumed and writes nothing.
+        monkeypatch.chdir(tmp_path)
+        assert main(argv + ["--source", trace_file,
+                            "--checkpoint-every", "5"]) == 2
+        assert missing in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [tmp_path / "trace.std"]
+
     def test_os_errors_exit_2(self, capsys):
         assert main(["analyze", "race-prediction",
                      "/no/such/trace.std"]) == 2

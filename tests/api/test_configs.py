@@ -175,6 +175,14 @@ class TestValidation:
         (lambda: SweepConfig(timeout=0), "timeout must be > 0"),
         (lambda: WatchConfig(source=""), "source"),
         (lambda: WatchConfig(source="s", flush_every=0), "flush_every"),
+        (lambda: WatchConfig(source="s", checkpoint_every=5),
+         "checkpoint_every needs a checkpoint path"),
+        (lambda: WatchConfig(source="s", sources=("t",), analyses="race",
+                             checkpoint_every=5),
+         "checkpoint_every only apply to a single source"),
+        (lambda: ServeConfig(analyses="race", sources=("s",), workers=0,
+                             checkpoint_every=5),
+         "checkpoint_every needs a checkpoint_dir"),
         (lambda: GenConfig(out=""), "output directory"),
         (lambda: GenConfig(out="c", count=0), "count must be >= 1"),
         (lambda: FuzzConfig(seeds=0), "seeds must be >= 1"),

@@ -25,13 +25,21 @@ that earlier ones already ordered transitively (the rows the incremental
 CSST's insert closure skips).  The vector clocks are checked entry by
 entry on these DAGs too: there an insert often lands behind clocks that
 are already materialised and must be propagated into them.
+
+The frontier memo the saturation analyses share (``hb.Frontiers``) is
+checked on both families of DAGs as well: its inserts interleave with
+``predecessor``/``successor``/``reaches`` questions, every frontier is
+cached before the next insert, and every answer after it must match the
+closure, so a frontier kept across an insert shows.
 """
 
 import random
 
 import pytest
 
+from repro.analyses.common.hb import NO_SUCCESSOR, Frontiers
 from repro.core import BACKENDS, VectorClockOrder, make_partial_order
+from repro.core.factory import incremental_backends
 
 MAX_CHAINS = 5
 MAX_EVENTS = 8
@@ -264,6 +272,73 @@ def test_vector_clocks_match_closure_oracle_on_shuffled_inserts(
         _assert_clocks_agree(order, oracle, (seed, step, edge))
         assert order.total_entries == \
             order.materialised_clocks * num_chains
+
+
+#: The backends the saturation analyses run ``Frontiers`` over.
+FRONTIER_BACKENDS = sorted(incremental_backends() + ("csst",))
+
+
+def _assert_frontiers_agree(frontiers, oracle, context):
+    """Every frontier and every ``reaches`` pair, as the closure says."""
+    for u in oracle.nodes:
+        for chain in range(oracle.num_chains):
+            expected = oracle.predecessor(u, chain)
+            assert frontiers.predecessor(u, chain) == \
+                (-1 if expected is None else expected), \
+                (context, "predecessor", u, chain)
+            expected = oracle.successor(u, chain)
+            assert frontiers.successor(u, chain) == \
+                (NO_SUCCESSOR if expected is None else expected), \
+                (context, "successor", u, chain)
+        for v in oracle.nodes:
+            assert frontiers.reaches(u, v) == oracle.reach[u][v], \
+                (context, "reaches", u, v)
+
+
+def _frontier_insert(frontiers, oracle, edge, context):
+    """``Frontiers.insert`` of ``edge``: it goes in iff the closure does
+    not already imply it, and the oracle follows."""
+    implied = oracle.reach[edge[0]][edge[1]]
+    assert frontiers.insert(*edge) == (not implied), (context, edge)
+    if not implied:
+        oracle.edges.append(edge)
+        oracle.close()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("backend", FRONTIER_BACKENDS)
+def test_frontier_memo_matches_closure_oracle(backend, seed):
+    rng = random.Random(seed)
+    num_chains = rng.randint(2, MAX_CHAINS)
+    per_chain = rng.randint(1, MAX_EVENTS)
+    frontiers = Frontiers(make_partial_order(backend, num_chains,
+                                             capacity_hint=2))
+    oracle = ClosureOracle(num_chains, per_chain)
+    _assert_frontiers_agree(frontiers, oracle, (backend, seed, "empty"))
+    for step in range(3 * per_chain):
+        edge = _draw_insert(rng, oracle)
+        if edge is None:
+            continue
+        _frontier_insert(frontiers, oracle, edge, (backend, seed, step))
+        _assert_frontiers_agree(frontiers, oracle, (backend, seed, step, edge))
+
+
+@pytest.mark.parametrize("seed", WIDE_SEEDS)
+@pytest.mark.parametrize("num_chains,per_chain", WIDE_SHAPES)
+@pytest.mark.parametrize("backend", FRONTIER_BACKENDS)
+def test_frontier_memo_matches_closure_oracle_on_shuffled_inserts(
+        backend, num_chains, per_chain, seed):
+    """Shuffled inserts, each also offered a second time, when the memo
+    must answer that it is implied."""
+    frontiers = Frontiers(make_partial_order(backend, num_chains,
+                                             capacity_hint=2))
+    oracle = ClosureOracle(num_chains, per_chain)
+    for step, edge in enumerate(
+            _shuffled_dag_edges(num_chains, per_chain, seed)):
+        context = (backend, seed, step, edge)
+        _frontier_insert(frontiers, oracle, edge, context)
+        assert not frontiers.insert(*edge), context
+        _assert_frontiers_agree(frontiers, oracle, context)
 
 
 def test_oracle_covers_both_families():
