@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from repro.core import CSST, IncrementalCSST, SparseSegmentTree
+from repro.core import CSST, NO_SUCCESSOR, IncrementalCSST, SparseSegmentTree
 from repro.trace.generators import random_cross_edges
 
 ARRAY_SIZE = 4_096
@@ -40,10 +40,10 @@ def _run_array_workload(tree: SparseSegmentTree, operations) -> int:
             tree.update(first, second)
         elif kind == "suffix_min":
             value = tree.suffix_min(first)
-            checksum += 0 if value == float("inf") else int(value)
+            checksum += 0 if value == NO_SUCCESSOR else value
         else:
             result = tree.argleq(first)
-            checksum += 0 if result is None else result
+            checksum += max(result, 0)
     return checksum
 
 

@@ -293,8 +293,6 @@ class C11RaceAnalysis(Analysis):
                     continue
                 if frontier is None:
                     frontier = order.predecessor(event.node, other)
-                    if frontier is None:
-                        frontier = -1
                 if previous.index <= frontier:
                     continue
                 reported.add(key)

@@ -17,9 +17,6 @@ from repro.core.interface import Node, PartialOrder
 from repro.trace.event import WRITE_KINDS, Event, EventKind
 from repro.trace.trace import Trace
 
-#: Frontier value for "the node reaches no node of the chain".
-NO_SUCCESSOR = 1 << 62
-
 
 def insert_ordering(order: PartialOrder, source: Node, target: Node) -> bool:
     """Insert ``source -> target`` unless it is already implied.
@@ -181,15 +178,12 @@ class Frontiers:
             known = self._predecessors[node] = {}
         value = known.get(chain)
         if value is None:
-            value = self._order.predecessor(node, chain)
-            if value is None:
-                value = -1
-            known[chain] = value
+            value = known[chain] = self._order.predecessor(node, chain)
         return value
 
     def successor(self, node: Node, chain: int) -> int:
         """First index of ``chain`` that ``node`` reaches
-        (:data:`NO_SUCCESSOR` if none)."""
+        (:data:`~repro.core.interface.NO_SUCCESSOR` if none)."""
         if chain == node[0]:
             return node[1]
         known = self._successors.get(node)
@@ -197,10 +191,7 @@ class Frontiers:
             known = self._successors[node] = {}
         value = known.get(chain)
         if value is None:
-            value = self._order.successor(node, chain)
-            if value is None:
-                value = NO_SUCCESSOR
-            known[chain] = value
+            value = known[chain] = self._order.successor(node, chain)
         return value
 
     def reaches(self, source: Node, target: Node) -> bool:

@@ -103,8 +103,9 @@ class _Fig11Candidates:
         return "incremental-csst"
 
 
-#: Kernel runs per ``fig11/*`` and ``sst-ops/flat`` sample.  One quick
-#: run of most of them takes 5-10 ms, and the 2x gate judged them on host
+#: Kernel runs per ``fig11/*`` and ``sst-ops/flat`` sample, and analysis
+#: runs per sample of the analysis cases under 10 ms a run.  One quick
+#: run of most of them takes 4-10 ms, and the 2x gate judged them on host
 #: noise alone (up to 1.94x with no code change); five runs make a quick
 #: sample of ~20 ms or more.
 KERNEL_RUNS_PER_SAMPLE = 5
@@ -198,7 +199,7 @@ def _sst_kernel() -> Callable[[bool], Callable[[], object]]:
     """A scripted update/clear/suffix_min/argleq mix on the SST."""
 
     def setup(quick: bool) -> Callable[[], object]:
-        from repro.core import INF
+        from repro.core import NO_SUCCESSOR
 
         operations = 4_000 if quick else 16_000
         rng = random.Random(99)
@@ -227,14 +228,14 @@ def _sst_kernel() -> Callable[[bool], Callable[[], object]]:
                     if op == "u":
                         tree.update(first, second)
                     elif op == "c":
-                        tree.update(first, INF)
+                        tree.update(first, NO_SUCCESSOR)
                     elif op == "s":
                         value = tree.suffix_min(first)
-                        if value != INF:
-                            checksum += int(value)
+                        if value != NO_SUCCESSOR:
+                            checksum += value
                     else:
                         result = tree.argleq(first)
-                        if result is not None:
+                        if result >= 0:
                             checksum += result
             return checksum
 
@@ -244,8 +245,10 @@ def _sst_kernel() -> Callable[[bool], Callable[[], object]]:
 
 
 def _analysis_case(analysis: str, backend: str, generator: str,
+                   runs_per_sample: int = 1,
                    **generator_kwargs) -> Callable[[bool], Callable[[], object]]:
-    """One full analysis over a fixed synthetic workload."""
+    """One full analysis over a fixed synthetic workload, run
+    ``runs_per_sample`` times per timed sample."""
 
     def setup(quick: bool) -> Callable[[], object]:
         from repro.analyses.common.base import Analysis
@@ -258,7 +261,9 @@ def _analysis_case(analysis: str, backend: str, generator: str,
         cls = Analysis.by_name(analysis)
 
         def run() -> object:
-            return cls(backend).run(trace).finding_count
+            for _ in range(runs_per_sample):
+                findings = cls(backend).run(trace).finding_count
+            return findings
 
         return run
 
@@ -339,10 +344,12 @@ def default_cases() -> List[PerfCase]:
         cases.append(PerfCase(
             f"c11-races/{backend}",
             _analysis_case("c11-races", backend, "c11",
+                           runs_per_sample=KERNEL_RUNS_PER_SAMPLE,
                            num_threads=8, events=500, seed=12)))
     cases.append(PerfCase(
         "use-after-free/incremental-csst",
         _analysis_case("use-after-free", "incremental-csst", "memory",
+                       runs_per_sample=KERNEL_RUNS_PER_SAMPLE,
                        num_threads=5, events=400, seed=13)))
     # Scenario-program (repro.gen) workloads: schedule-driven interleavings
     # whose cross-chain shape the hand-rolled generators cannot produce.
@@ -354,6 +361,7 @@ def default_cases() -> List[PerfCase]:
     cases.append(PerfCase(
         "scn-mpmc-queue/vc-flat",
         _analysis_case("c11-races", "vc-flat", "mpmc-queue",
+                       runs_per_sample=KERNEL_RUNS_PER_SAMPLE,
                        num_threads=8, events=260, seed=22,
                        scheduler="weighted")))
     # The many-thread regime, on the default backend and on vc-flat: the

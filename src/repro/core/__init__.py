@@ -38,7 +38,7 @@ from repro.core.growable import GrowableOrder
 from repro.core.heap import DeletableMinHeap
 from repro.core.incremental_csst import IncrementalCSST
 from repro.core.instrumented import InstrumentedOrder
-from repro.core.interface import INF, Node, PartialOrder
+from repro.core.interface import NO_SUCCESSOR, Node, PartialOrder
 from repro.core.segment_tree import SegmentTree
 from repro.core.sparse_segment_tree import DEFAULT_BLOCK_SIZE, SparseSegmentTree
 from repro.core.st_partial_order import SegmentTreeOrder
@@ -55,9 +55,9 @@ __all__ = [
     "GraphOrder",
     "GrowableOrder",
     "INCREMENTAL_BACKENDS",
-    "INF",
     "IncrementalCSST",
     "InstrumentedOrder",
+    "NO_SUCCESSOR",
     "NaiveSuffixMinima",
     "Node",
     "PartialOrder",

@@ -6,8 +6,7 @@ suffix-minima array ``A[t1][t2]`` for every ordered pair of distinct chains
 flat Python list indexed ``t1 * k + t2``, each array created on first
 write, so the memory footprint tracks the chain pairs that actually
 interact (Section 3.3, "Space usage").  The kernels call the arrays'
-integer methods (``suffix_min_int`` / ``argleq_int`` / ``update_int``)
-directly.
+``suffix_min`` / ``argleq`` / ``update`` directly, on ints.
 
 The fully dynamic variant supports both edge insertions and deletions.  Each
 suffix-minima array ``A[t1][t2]`` stores only the *direct* edges from chain
@@ -28,9 +27,9 @@ from functools import partial
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.heap import DeletableMinHeap
-from repro.core.interface import INF, Node, PartialOrder
+from repro.core.interface import NO_SUCCESSOR, Node, PartialOrder
 from repro.core.sparse_segment_tree import DEFAULT_BLOCK_SIZE, SparseSegmentTree
-from repro.core.suffix_minima import INT_INF, SuffixMinima
+from repro.core.suffix_minima import SuffixMinima
 from repro.errors import InvalidEdgeError
 
 #: A callable building a fresh suffix-minima array with the given capacity.
@@ -133,7 +132,7 @@ class CSST(ChainMatrixOrder):
         if heap is None:
             heap = per_pair[j1] = DeletableMinHeap()
         if j2 < heap.min():
-            self._array(t1, t2).update_int(j1, j2)
+            self._array(t1, t2).update(j1, j2)
         heap.insert(j2)
 
     def delete_edge(self, source: Node, target: Node) -> None:
@@ -145,9 +144,7 @@ class CSST(ChainMatrixOrder):
             raise InvalidEdgeError(f"edge {source} -> {target} is not present")
         if j2 == heap.min():
             heap.delete(j2)
-            minimum = heap.min()
-            self._array(t1, t2).update_int(
-                j1, INT_INF if minimum == INF else minimum)
+            self._array(t1, t2).update(j1, heap.min())
         else:
             heap.delete(j2)
 
@@ -165,7 +162,7 @@ class CSST(ChainMatrixOrder):
         if t1 == t2:
             return j1 <= j2
         arrays = self._arrays
-        closure = [INT_INF] * num_chains
+        closure = [NO_SUCCESSOR] * num_chains
         row = t1 * num_chains
         seeded = False
         for chain in range(num_chains):
@@ -173,8 +170,8 @@ class CSST(ChainMatrixOrder):
                 continue
             array = arrays[row + chain]
             if array is not None:
-                value = array.suffix_min_int(j1)
-                if value < INT_INF:
+                value = array.suffix_min(j1)
+                if value < NO_SUCCESSOR:
                     closure[chain] = value
                     seeded = True
         if closure[t2] <= j2:
@@ -188,7 +185,7 @@ class CSST(ChainMatrixOrder):
                 if via == t1:
                     continue
                 bound = closure[via]
-                if bound >= INT_INF:
+                if bound >= NO_SUCCESSOR:
                     continue
                 via_row = via * num_chains
                 for dest in range(num_chains):
@@ -197,7 +194,7 @@ class CSST(ChainMatrixOrder):
                     array = arrays[via_row + dest]
                     if array is None:
                         continue
-                    candidate = array.suffix_min_int(bound)
+                    candidate = array.suffix_min(bound)
                     if candidate < closure[dest]:
                         # Closure values only decrease, so reaching the
                         # query bound is a final answer.
@@ -207,41 +204,35 @@ class CSST(ChainMatrixOrder):
                         changed = True
         return closure[t2] <= j2
 
-    def successor(self, node: Node, chain: int) -> Optional[int]:
-        self._check_node(node)
+    def successor(self, node: Node, chain: int) -> int:
+        self._check_query(node, chain)
         t1, j1 = node
         if chain == t1:
             return j1
-        if not 0 <= chain < self._num_chains:
-            return None
-        result = self._forward_closure(t1, j1)[chain]
-        return None if result >= INT_INF else result
+        return self._forward_closure(t1, j1)[chain]
 
-    def predecessor(self, node: Node, chain: int) -> Optional[int]:
-        self._check_node(node)
+    def predecessor(self, node: Node, chain: int) -> int:
+        self._check_query(node, chain)
         t1, j1 = node
         if chain == t1:
             return j1
-        if not 0 <= chain < self._num_chains:
-            return None
-        result = self._backward_closure(t1, j1)[chain]
-        return None if result < 0 else result
+        return self._backward_closure(t1, j1)[chain]
 
     # ------------------------------------------------------------------ #
     # Closure computations
     # ------------------------------------------------------------------ #
     def _forward_closure(self, t1: int, j1: int) -> List[int]:
-        """Earliest reachable index per chain (``INT_INF`` = unreachable)."""
+        """Earliest reachable index per chain (``NO_SUCCESSOR`` = unreachable)."""
         num_chains = self._num_chains
         arrays = self._arrays
-        closure = [INT_INF] * num_chains
+        closure = [NO_SUCCESSOR] * num_chains
         row = t1 * num_chains
         for chain in range(num_chains):
             if chain == t1:
                 continue
             array = arrays[row + chain]
             if array is not None:
-                closure[chain] = array.suffix_min_int(j1)
+                closure[chain] = array.suffix_min(j1)
         changed = True
         while changed:
             changed = False
@@ -249,7 +240,7 @@ class CSST(ChainMatrixOrder):
                 if via == t1:
                     continue
                 bound = closure[via]
-                if bound >= INT_INF:
+                if bound >= NO_SUCCESSOR:
                     continue
                 via_row = via * num_chains
                 for dest in range(num_chains):
@@ -258,7 +249,7 @@ class CSST(ChainMatrixOrder):
                     array = arrays[via_row + dest]
                     if array is None:
                         continue
-                    candidate = array.suffix_min_int(bound)
+                    candidate = array.suffix_min(bound)
                     if candidate < closure[dest]:
                         closure[dest] = candidate
                         changed = True
@@ -274,7 +265,7 @@ class CSST(ChainMatrixOrder):
                 continue
             array = arrays[chain * num_chains + t1]
             if array is not None:
-                closure[chain] = array.argleq_int(j1)
+                closure[chain] = array.argleq(j1)
         changed = True
         while changed:
             changed = False
@@ -290,7 +281,7 @@ class CSST(ChainMatrixOrder):
                     array = arrays[dest * num_chains + via]
                     if array is None:
                         continue
-                    candidate = array.argleq_int(bound)
+                    candidate = array.argleq(bound)
                     if candidate > closure[dest]:
                         closure[dest] = candidate
                         changed = True

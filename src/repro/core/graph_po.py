@@ -9,9 +9,9 @@ in the worst case -- the cost the paper's Table 7 demonstrates.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
-from repro.core.interface import Node, PartialOrder
+from repro.core.interface import NO_SUCCESSOR, Node, PartialOrder
 from repro.errors import InvalidEdgeError
 
 
@@ -80,19 +80,19 @@ class GraphOrder(PartialOrder):
             stack.extend(self._out_edges.get(node, ()))
         return False
 
-    def successor(self, node: Node, chain: int) -> Optional[int]:
-        self._check_node(node)
+    def successor(self, node: Node, chain: int) -> int:
+        self._check_query(node, chain)
         if chain == node[0]:
             return node[1]
         earliest = self._closure(node, forward=True)
-        return earliest.get(chain)
+        return earliest.get(chain, NO_SUCCESSOR)
 
-    def predecessor(self, node: Node, chain: int) -> Optional[int]:
-        self._check_node(node)
+    def predecessor(self, node: Node, chain: int) -> int:
+        self._check_query(node, chain)
         if chain == node[0]:
             return node[1]
         latest = self._closure(node, forward=False)
-        return latest.get(chain)
+        return latest.get(chain, -1)
 
     # ------------------------------------------------------------------ #
     # Traversal

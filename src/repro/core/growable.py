@@ -17,7 +17,7 @@ at most ``log2(k)`` rebuilds.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.core.factory import make_partial_order
 from repro.core.interface import Node, PartialOrder
@@ -108,11 +108,11 @@ class GrowableOrder(PartialOrder):
     # ------------------------------------------------------------------ #
     # Queries
     # ------------------------------------------------------------------ #
-    def successor(self, node: Node, chain: int) -> Optional[int]:
+    def successor(self, node: Node, chain: int) -> int:
         self.ensure_chain(max(node[0], chain))
         return self._delegate.successor(node, chain)
 
-    def predecessor(self, node: Node, chain: int) -> Optional[int]:
+    def predecessor(self, node: Node, chain: int) -> int:
         self.ensure_chain(max(node[0], chain))
         return self._delegate.predecessor(node, chain)
 

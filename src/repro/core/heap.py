@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
-from repro.core.interface import INF
+from repro.core.interface import NO_SUCCESSOR
 from repro.errors import ReproError
 
 
@@ -79,11 +79,12 @@ class DeletableMinHeap:
         self._size -= 1
         self._compact()
 
-    def min(self):
-        """Return the smallest live value, or ``INF`` if the heap is empty."""
+    def min(self) -> int:
+        """Return the smallest live value, or
+        :data:`~repro.core.interface.NO_SUCCESSOR` if the heap is empty."""
         self._compact()
         if not self._heap:
-            return INF
+            return NO_SUCCESSOR
         return self._heap[0]
 
     def pop_min(self) -> int:

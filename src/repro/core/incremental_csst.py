@@ -24,12 +24,11 @@ edge, so the sparse representation keeps paying off.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.csst import ArrayFactory, ChainMatrixOrder
-from repro.core.interface import Node
+from repro.core.interface import NO_SUCCESSOR, Node
 from repro.core.sparse_segment_tree import DEFAULT_BLOCK_SIZE
-from repro.core.suffix_minima import INT_INF
 
 
 class IncrementalCSST(ChainMatrixOrder):
@@ -65,51 +64,23 @@ class IncrementalCSST(ChainMatrixOrder):
         if t1 == t2:
             return j1 <= j2
         array = self._arrays[t1 * num_chains + t2]
-        return array is not None and array.suffix_min_int(j1) <= j2
+        return array is not None and array.suffix_min(j1) <= j2
 
-    def successor(self, node: Node, chain: int) -> Optional[int]:
-        self._check_node(node)
+    def successor(self, node: Node, chain: int) -> int:
+        self._check_query(node, chain)
         t1, j1 = node
         if chain == t1:
             return j1
-        if not 0 <= chain < self._num_chains:
-            return None
         array = self._arrays[t1 * self._num_chains + chain]
-        if array is None:
-            return None
-        result = array.suffix_min_int(j1)
-        return None if result >= INT_INF else result
+        return NO_SUCCESSOR if array is None else array.suffix_min(j1)
 
-    def predecessor(self, node: Node, chain: int) -> Optional[int]:
-        self._check_node(node)
+    def predecessor(self, node: Node, chain: int) -> int:
+        self._check_query(node, chain)
         t1, j1 = node
         if chain == t1:
             return j1
-        if not 0 <= chain < self._num_chains:
-            return None
         array = self._arrays[chain * self._num_chains + t1]
-        if array is None:
-            return None
-        result = array.argleq_int(j1)
-        return None if result < 0 else result
-
-    def query_many(self, pairs: Iterable[Tuple[Node, Node]]) -> List[bool]:
-        # The matrix locals are bound once per batch, not once per pair.
-        num_chains = self._num_chains
-        arrays = self._arrays
-        answers: List[bool] = []
-        append = answers.append
-        for (t1, j1), (t2, j2) in pairs:
-            if not (0 <= t1 < num_chains and 0 <= t2 < num_chains
-                    and j1 >= 0 and j2 >= 0):
-                self._check_node((t1, j1))
-                self._check_node((t2, j2))
-            if t1 == t2:
-                append(j1 <= j2)
-            else:
-                array = arrays[t1 * num_chains + t2]
-                append(array is not None and array.suffix_min_int(j1) <= j2)
-        return answers
+        return -1 if array is None else array.argleq(j1)
 
     # ------------------------------------------------------------------ #
     # Updates (Algorithm 3, arrays addressed directly)
@@ -138,8 +109,8 @@ class IncrementalCSST(ChainMatrixOrder):
             else:
                 array = arrays[row + target_chain]
                 if array is not None:
-                    target_index = array.suffix_min_int(j2)
-                    if target_index < INT_INF:
+                    target_index = array.suffix_min(j2)
+                    if target_index < NO_SUCCESSOR:
                         frontier.append((target_chain, target_index))
         for source_chain in range(num_chains):
             row = source_chain * num_chains
@@ -147,7 +118,7 @@ class IncrementalCSST(ChainMatrixOrder):
                 source_index = j1
             else:
                 array = arrays[row + t1]
-                source_index = array.argleq_int(j1) if array is not None else -1
+                source_index = array.argleq(j1) if array is not None else -1
                 if source_index < 0:
                     continue
             # A source node that already reaches (t2, j2) already reaches
@@ -159,17 +130,17 @@ class IncrementalCSST(ChainMatrixOrder):
             else:
                 array = arrays[row + t2]
                 if (array is not None
-                        and array.suffix_min_int(source_index) <= j2):
+                        and array.suffix_min(source_index) <= j2):
                     continue
             for target_chain, target_index in frontier:
                 if target_chain == source_chain:
                     continue
                 current_array = arrays[row + target_chain]
                 if current_array is None:
-                    self._array(source_chain, target_chain).update_int(
+                    self._array(source_chain, target_chain).update(
                         source_index, target_index)
-                elif current_array.suffix_min_int(source_index) > target_index:
-                    current_array.update_int(source_index, target_index)
+                elif current_array.suffix_min(source_index) > target_index:
+                    current_array.update(source_index, target_index)
 
     @property
     def edge_count(self) -> int:

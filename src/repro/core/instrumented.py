@@ -8,7 +8,7 @@ free of counting code.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Tuple
 
 from repro.core.interface import Node, PartialOrder
 
@@ -52,11 +52,11 @@ class InstrumentedOrder(PartialOrder):
         self.query_count += 1
         return self._delegate.reachable(source, target)
 
-    def successor(self, node: Node, chain: int) -> Optional[int]:
+    def successor(self, node: Node, chain: int) -> int:
         self.query_count += 1
         return self._delegate.successor(node, chain)
 
-    def predecessor(self, node: Node, chain: int) -> Optional[int]:
+    def predecessor(self, node: Node, chain: int) -> int:
         self.query_count += 1
         return self._delegate.predecessor(node, chain)
 

@@ -12,6 +12,11 @@ supported:
 * ``successor(u, chain)``   -- earliest node of ``chain`` reachable from ``u``
 * ``predecessor(u, chain)`` -- latest node of ``chain`` that reaches ``u``
 
+Answers are plain ints: a ``successor`` that finds no node is
+:data:`NO_SUCCESSOR`, a ``predecessor`` that finds none is ``-1``, so
+``u ->* (t, i)`` iff ``successor(u, t) <= i`` and ``(t, i) ->* u`` iff
+``i <= predecessor(u, t)`` hold without a special case.
+
 Every backend in :mod:`repro.core` (CSSTs, incremental CSSTs, Segment Trees,
 Vector Clocks, plain graphs) implements this interface, which is what makes
 CSSTs a drop-in replacement inside the dynamic analyses of
@@ -21,18 +26,17 @@ CSSTs a drop-in replacement inside the dynamic analyses of
 from __future__ import annotations
 
 import abc
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Tuple
 
 from repro.errors import InvalidEdgeError, InvalidNodeError
 
 #: A node of the chain DAG: ``(chain id, index within the chain)``.
 Node = Tuple[int, int]
 
-#: Sentinel used internally for "no successor" in suffix-minima arrays.
-INF = float("inf")
-
-#: Sentinel used internally for "no predecessor".
-NEG_INF = float("-inf")
+#: The paper's infinity: the ``successor`` answer when no node of the
+#: chain is reachable, and the value of an empty suffix-minima entry.
+#: Larger than any event index.
+NO_SUCCESSOR = 1 << 60
 
 
 class PartialOrder(abc.ABC):
@@ -108,18 +112,30 @@ class PartialOrder(abc.ABC):
     # Queries
     # ------------------------------------------------------------------ #
     @abc.abstractmethod
-    def successor(self, node: Node, chain: int) -> Optional[int]:
+    def successor(self, node: Node, chain: int) -> int:
         """Return the index of the earliest node of ``chain`` reachable from
-        ``node``, or ``None`` if no node of ``chain`` is reachable.
+        ``node``, or :data:`NO_SUCCESSOR` if no node of ``chain`` is
+        reachable.
 
         If ``chain`` equals the chain of ``node`` the answer is the node's
         own index (every node reaches itself reflexively).
+
+        Raises
+        ------
+        InvalidNodeError
+            If ``node`` or ``chain`` is out of range.
         """
 
     @abc.abstractmethod
-    def predecessor(self, node: Node, chain: int) -> Optional[int]:
+    def predecessor(self, node: Node, chain: int) -> int:
         """Return the index of the latest node of ``chain`` that reaches
-        ``node``, or ``None`` if no node of ``chain`` reaches it."""
+        ``node``, or ``-1`` if no node of ``chain`` reaches it.
+
+        Raises
+        ------
+        InvalidNodeError
+            If ``node`` or ``chain`` is out of range.
+        """
 
     def reachable(self, source: Node, target: Node) -> bool:
         """Return ``True`` iff ``source ->* target`` in the chain DAG."""
@@ -129,8 +145,7 @@ class PartialOrder(abc.ABC):
         self._check_node(target)
         if t1 == t2:
             return j1 <= j2
-        succ = self.successor(source, t2)
-        return succ is not None and succ <= j2
+        return self.successor(source, t2) <= j2
 
     def ordered(self, a: Node, b: Node) -> bool:
         """Return ``True`` iff ``a`` and ``b`` are ordered either way."""
@@ -145,9 +160,9 @@ class PartialOrder(abc.ABC):
     # ------------------------------------------------------------------ #
     # The per-operation methods dominate analysis code, but batch-oriented
     # callers (the benchmark kernels, bulk loaders) go through these so that
-    # backends can amortize per-call overhead.  The defaults simply loop;
-    # the incremental CSST and ``vc-flat`` override ``query_many`` with
-    # locally bound loops.
+    # wrappers can count a batch at once.  Both loop over the per-operation
+    # methods; only :class:`~repro.core.instrumented.InstrumentedOrder`
+    # overrides them.
     def insert_many(self, edges: Iterable[Tuple[Node, Node]]) -> None:
         """Insert every edge of ``edges`` (batch update API)."""
         for source, target in edges:
@@ -169,6 +184,14 @@ class PartialOrder(abc.ABC):
             )
         if index < 0:
             raise InvalidNodeError(f"negative index {index} in node {node}")
+
+    def _check_query(self, node: Node, chain: int) -> None:
+        """Validate the arguments of ``successor``/``predecessor``."""
+        self._check_node(node)
+        if not 0 <= chain < self._num_chains:
+            raise InvalidNodeError(
+                f"chain {chain} out of range [0, {self._num_chains})"
+            )
 
     def _check_edge(self, source: Node, target: Node) -> None:
         self._check_node(source)

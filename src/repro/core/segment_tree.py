@@ -10,10 +10,10 @@ Trees (:mod:`repro.core.sparse_segment_tree`) address.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Tuple
 
-from repro.core.interface import INF
-from repro.core.suffix_minima import INT_INF, SuffixMinima, Value
+from repro.core.interface import NO_SUCCESSOR
+from repro.core.suffix_minima import SuffixMinima
 from repro.errors import InvalidNodeError
 
 
@@ -30,9 +30,8 @@ class SegmentTree(SuffixMinima):
     The tree is stored implicitly in a flat list of ``2 * capacity`` slots:
     node ``i`` has children ``2i`` and ``2i + 1`` and the leaves occupy
     slots ``capacity .. 2 * capacity - 1``.  Each internal node stores the
-    minimum of its subtree.  Empty entries are
-    :data:`~repro.core.suffix_minima.INT_INF` internally, so the integer
-    methods the CSST kernels call need no translation.
+    minimum of its subtree.  Empty entries hold
+    :data:`~repro.core.interface.NO_SUCCESSOR`.
 
     The capacity grows automatically (by doubling and rebuilding the upper
     levels) when an update targets an index beyond the current capacity, so
@@ -43,7 +42,7 @@ class SegmentTree(SuffixMinima):
         if capacity < 1:
             raise InvalidNodeError(f"capacity must be >= 1, got {capacity}")
         self._capacity = _next_power_of_two(capacity)
-        self._tree: List[int] = [INT_INF] * (2 * self._capacity)
+        self._tree: List[int] = [NO_SUCCESSOR] * (2 * self._capacity)
         self._density = 0
 
     # ------------------------------------------------------------------ #
@@ -57,47 +56,19 @@ class SegmentTree(SuffixMinima):
     def density(self) -> int:
         return self._density
 
-    def update(self, index: int, value: Value) -> None:
-        self._check_index(index)
-        self.update_int(index, INT_INF if value == INF else value)
-
-    def get(self, index: int) -> Value:
-        self._check_index(index)
-        if index >= self._capacity:
-            return INF
-        value = self._tree[self._capacity + index]
-        return INF if value == INT_INF else value
-
-    def suffix_min(self, index: int) -> Value:
-        self._check_index(index)
-        value = self.suffix_min_int(index)
-        return INF if value == INT_INF else value
-
-    def argleq(self, value: Value) -> Optional[int]:
-        index = self.argleq_int(value)
-        return None if index < 0 else index
-
-    def items(self):
-        return [
-            (i, self._tree[self._capacity + i])
-            for i in range(self._capacity)
-            if self._tree[self._capacity + i] != INT_INF
-        ]
-
-    # ------------------------------------------------------------------ #
-    # Integer API (``INT_INF`` empty, ``-1`` for no index)
-    # ------------------------------------------------------------------ #
-    def update_int(self, index: int, value: int) -> None:
-        if index >= self._capacity:
+    def update(self, index: int, value: int) -> None:
+        if not 0 <= index < self._capacity:
+            if index < 0:
+                self._reject_index(index)
             self._grow(index + 1)
         tree = self._tree
         leaf = self._capacity + index
         old = tree[leaf]
         if old == value:
             return
-        if old == INT_INF:
+        if old == NO_SUCCESSOR:
             self._density += 1
-        elif value == INT_INF:
+        elif value == NO_SUCCESSOR:
             self._density -= 1
         tree[leaf] = value
         node = leaf // 2
@@ -108,12 +79,21 @@ class SegmentTree(SuffixMinima):
             tree[node] = new_min
             node //= 2
 
-    def suffix_min_int(self, index: int) -> int:
-        if index >= self._capacity:
-            return INT_INF
+    def get(self, index: int) -> int:
+        if not 0 <= index < self._capacity:
+            if index < 0:
+                self._reject_index(index)
+            return NO_SUCCESSOR
+        return self._tree[self._capacity + index]
+
+    def suffix_min(self, index: int) -> int:
+        if not 0 <= index < self._capacity:
+            if index < 0:
+                self._reject_index(index)
+            return NO_SUCCESSOR
         # Standard iterative range-minimum over [index, capacity).
         tree = self._tree
-        result = INT_INF
+        result = NO_SUCCESSOR
         left = self._capacity + index
         right = 2 * self._capacity
         while left < right:
@@ -129,7 +109,7 @@ class SegmentTree(SuffixMinima):
             right //= 2
         return result
 
-    def argleq_int(self, value) -> int:
+    def argleq(self, value: int) -> int:
         tree = self._tree
         if tree[1] > value:
             return -1
@@ -140,6 +120,13 @@ class SegmentTree(SuffixMinima):
             node = right if tree[right] <= value else 2 * node
         return node - self._capacity
 
+    def items(self) -> List[Tuple[int, int]]:
+        return [
+            (i, self._tree[self._capacity + i])
+            for i in range(self._capacity)
+            if self._tree[self._capacity + i] != NO_SUCCESSOR
+        ]
+
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
@@ -147,7 +134,7 @@ class SegmentTree(SuffixMinima):
         new_capacity = self._capacity
         while new_capacity < minimum_capacity:
             new_capacity *= 2
-        new_tree: List[int] = [INT_INF] * (2 * new_capacity)
+        new_tree: List[int] = [NO_SUCCESSOR] * (2 * new_capacity)
         # Copy the existing leaves and rebuild the internal levels.
         new_tree[new_capacity : new_capacity + self._capacity] = self._tree[
             self._capacity : 2 * self._capacity

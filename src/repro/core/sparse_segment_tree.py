@@ -28,12 +28,9 @@ entry of six parallel int lists (``start``, ``end``, ``pos``, ``min``,
 (regular node) or the block dictionary.  ``-1`` encodes a missing child,
 and removed nodes are pushed on a free list and recycled, so the structure
 stops allocating once it reaches its working-set size.  Empty entries are
-the integer sentinel :data:`~repro.core.suffix_minima.INT_INF` internally,
-so every hot comparison is int-vs-int; the public
-:class:`~repro.core.suffix_minima.SuffixMinima` methods translate to the
-``float('inf')`` convention at the boundary, and the ``*_int`` variants
-that the CSST kernels call skip that translation.  All traversals are
-iterative, so no Python frame is created per tree level.
+the integer sentinel :data:`~repro.core.interface.NO_SUCCESSOR`, so every
+comparison is int-vs-int.  All traversals are iterative, so no Python
+frame is created per tree level.
 
 The paper's pseudocode attaches freshly created nodes at the *lowest common
 ancestor* range of the new entry and the displaced subtree.  We instead
@@ -50,8 +47,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.interface import INF
-from repro.core.suffix_minima import INT_INF, SuffixMinima, Value
+from repro.core.interface import NO_SUCCESSOR
+from repro.core.suffix_minima import SuffixMinima
 from repro.errors import InvalidNodeError
 
 #: Default block-size threshold ``b``; the paper selects 32 via a stress test.
@@ -113,7 +110,7 @@ class SparseSegmentTree(SuffixMinima):
         self._free: List[int] = []
 
     # ------------------------------------------------------------------ #
-    # SuffixMinima interface (float-INF convention at the boundary)
+    # SuffixMinima interface
     # ------------------------------------------------------------------ #
     @property
     def capacity(self) -> int:
@@ -128,48 +125,29 @@ class SparseSegmentTree(SuffixMinima):
         """The block-size threshold ``b`` used by this tree."""
         return self._block_size
 
-    def update(self, index: int, value: Value) -> None:
-        self._check_index(index)
-        self.update_int(index, INT_INF if value == INF else int(value))
-
-    def get(self, index: int) -> Value:
-        self._check_index(index)
-        value = self.get_int(index)
-        return INF if value >= INT_INF else value
-
-    def suffix_min(self, index: int) -> Value:
-        self._check_index(index)
-        value = self.suffix_min_int(index)
-        return INF if value >= INT_INF else value
-
-    def argleq(self, value: Value) -> Optional[int]:
-        best = self.argleq_int(value)
-        return best if best >= 0 else None
-
     def items(self) -> List[Tuple[int, int]]:
         return sorted(self._entries())
 
-    # ------------------------------------------------------------------ #
-    # Integer fast-path API (used by the CSST kernels)
-    # ------------------------------------------------------------------ #
-    def update_int(self, index: int, value: int) -> None:
-        """Set ``A[index] = value`` (:data:`INT_INF` clears the entry)."""
-        if index >= self._capacity:
+    def update(self, index: int, value: int) -> None:
+        if not 0 <= index < self._capacity:
+            if index < 0:
+                self._reject_index(index)
             self._grow(index + 1)
-        current = self.get_int(index)
+        current = self.get(index)
         if current == value:
             return
-        if current != INT_INF:
+        if current != NO_SUCCESSOR:
             self._remove_entry(index)
             self._density -= 1
-        if value != INT_INF:
+        if value != NO_SUCCESSOR:
             self._insert(index, value)
             self._density += 1
 
-    def get_int(self, index: int) -> int:
-        """``A[index]`` with the :data:`INT_INF` empty convention."""
-        if index >= self._capacity:
-            return INT_INF
+    def get(self, index: int) -> int:
+        if not 0 <= index < self._capacity:
+            if index < 0:
+                self._reject_index(index)
+            return NO_SUCCESSOR
         pos_a = self._pos
         min_a = self._min
         block_a = self._block
@@ -181,23 +159,24 @@ class SparseSegmentTree(SuffixMinima):
         while node != _NIL:
             blk = block_a[node]
             if blk is not None:
-                return blk.get(index, INT_INF)
+                return blk.get(index, NO_SUCCESSOR)
             if pos_a[node] == index:
                 return min_a[node]
             start = mid_base[node]
             mid = start + (end_a[node] - start) // 2
             node = left_a[node] if index <= mid else right_a[node]
-        return INT_INF
+        return NO_SUCCESSOR
 
-    def suffix_min_int(self, index: int) -> int:
-        """``min(A[index:])`` with the :data:`INT_INF` empty convention."""
+    def suffix_min(self, index: int) -> int:
+        if index < 0:
+            self._reject_index(index)
         node = self._root
         if node == _NIL:
-            return INT_INF
+            return NO_SUCCESSOR
         start_a = self._start
         end_a = self._end
         if index > end_a[node]:
-            return INT_INF
+            return NO_SUCCESSOR
         pos_a = self._pos
         min_a = self._min
         left_a = self._left
@@ -207,14 +186,14 @@ class SparseSegmentTree(SuffixMinima):
         # One root-to-leaf walk towards ``index``: a right child wholly
         # inside the suffix contributes its entry, which is its subtree
         # minimum, and is never entered.
-        best = INT_INF
+        best = NO_SUCCESSOR
         while node != _NIL:
             blk = block_a[node]
             if blk is not None:
                 if pos_a[node] >= index:
                     candidate = min_a[node]
                 else:
-                    candidate = INT_INF
+                    candidate = NO_SUCCESSOR
                     for pos, value in blk.items():
                         if pos >= index and value < candidate:
                             candidate = value
@@ -239,8 +218,7 @@ class SparseSegmentTree(SuffixMinima):
                 node = right_a[node]
         return best
 
-    def argleq_int(self, value) -> int:
-        """Largest index with ``A[i] <= value`` (``-1`` when none)."""
+    def argleq(self, value: int) -> int:
         pos_a = self._pos
         min_a = self._min
         left_a = self._left
@@ -466,7 +444,7 @@ class SparseSegmentTree(SuffixMinima):
     def _refresh_block(self, node: int) -> None:
         """Recompute the mirrored ``(pos, min)`` of a block node."""
         best_pos = -1
-        best_value = INT_INF
+        best_value = NO_SUCCESSOR
         for pos, value in self._block[node].items():
             if value < best_value or (value == best_value and pos > best_pos):
                 best_pos, best_value = pos, value

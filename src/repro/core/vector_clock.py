@@ -23,9 +23,9 @@ vector clocks), matching the paper's characterisation of the structure.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List
 
-from repro.core.interface import Node, PartialOrder
+from repro.core.interface import NO_SUCCESSOR, Node, PartialOrder
 
 
 class VectorClockOrder(PartialOrder):
@@ -172,18 +172,16 @@ class VectorClockOrder(PartialOrder):
         # edges yet; they inherit the frontier clock.
         return length > 0 and clocks[(length - 1) * num_chains + t1] >= j1
 
-    def successor(self, node: Node, chain: int) -> Optional[int]:
-        self._check_node(node)
+    def successor(self, node: Node, chain: int) -> int:
+        self._check_query(node, chain)
         t1, j1 = node
         if chain == t1:
             return j1
-        if not 0 <= chain < self._num_chains:
-            return None
         clocks = self._clocks[chain]
         num_chains = self._num_chains
         # clock[j][t1] is non-decreasing in j: binary search the first event
         # of the chain whose backward set contains (t1, j1).
-        low, high, answer = 0, self._lengths[chain] - 1, None
+        low, high, answer = 0, self._lengths[chain] - 1, NO_SUCCESSOR
         while low <= high:
             mid = (low + high) // 2
             if clocks[mid * num_chains + t1] >= j1:
@@ -193,42 +191,17 @@ class VectorClockOrder(PartialOrder):
                 low = mid + 1
         return answer
 
-    def predecessor(self, node: Node, chain: int) -> Optional[int]:
-        self._check_node(node)
+    def predecessor(self, node: Node, chain: int) -> int:
+        self._check_query(node, chain)
         t1, j1 = node
         if chain == t1:
             return j1
-        if not 0 <= chain < self._num_chains:
-            return None
         length = self._lengths[t1]
         if length == 0:
-            return None
+            return -1
+        # An unreached chain entry of a clock is -1 already.
         index = min(j1, length - 1)
-        value = self._clocks[t1][index * self._num_chains + chain]
-        return value if value >= 0 else None
-
-    def query_many(self, pairs: Iterable[Tuple[Node, Node]]) -> List[bool]:
-        num_chains = self._num_chains
-        clocks_by_chain = self._clocks
-        lengths = self._lengths
-        answers: List[bool] = []
-        append = answers.append
-        for (t1, j1), (t2, j2) in pairs:
-            if not (0 <= t1 < num_chains and 0 <= t2 < num_chains
-                    and j1 >= 0 and j2 >= 0):
-                self._check_node((t1, j1))
-                self._check_node((t2, j2))
-            if t1 == t2:
-                append(j1 <= j2)
-                continue
-            clocks = clocks_by_chain[t2]
-            length = lengths[t2]
-            if j2 < length:
-                append(clocks[j2 * num_chains + t1] >= j1)
-            else:
-                append(length > 0
-                       and clocks[(length - 1) * num_chains + t1] >= j1)
-        return answers
+        return self._clocks[t1][index * self._num_chains + chain]
 
     # ------------------------------------------------------------------ #
     # Introspection

@@ -3,14 +3,13 @@
 import pytest
 
 from repro.analyses.common.hb import (
-    NO_SUCCESSOR,
     Frontiers,
     build_sync_order,
     conflicting_pairs,
     insert_ordering,
     lock_graph,
 )
-from repro.core import IncrementalCSST
+from repro.core import NO_SUCCESSOR, IncrementalCSST
 from repro.core.instrumented import InstrumentedOrder
 from repro.trace import Trace
 

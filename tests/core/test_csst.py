@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import CSST, GraphOrder
+from repro.core import CSST, NO_SUCCESSOR, GraphOrder
 from repro.errors import InvalidEdgeError
 
 
@@ -30,7 +30,7 @@ class TestEdgeHeaps:
         order.delete_edge((0, 1), (1, 2))
         assert order.successor((0, 1), 1) == 5
         order.delete_edge((0, 1), (1, 5))
-        assert order.successor((0, 1), 1) is None
+        assert order.successor((0, 1), 1) == NO_SUCCESSOR
 
     def test_deleting_non_minimum_keeps_minimum(self):
         order = CSST(3, 8)
@@ -112,7 +112,7 @@ class TestClosureQueries:
         order.insert_edge((0, 2), (1, 3))
         order.insert_edge((1, 4), (2, 1))
         assert order.predecessor((2, 5), 0) == 2
-        assert order.predecessor((2, 0), 0) is None
+        assert order.predecessor((2, 0), 0) == -1
 
     def test_deletion_invalidates_transitive_paths(self):
         order = CSST(3, 8)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import GraphOrder
+from repro.core import NO_SUCCESSOR, GraphOrder
 from repro.errors import InvalidEdgeError
 
 
@@ -19,14 +19,14 @@ class TestQueries:
         order.insert_edge((0, 2), (1, 4))
         order.insert_edge((1, 6), (2, 1))
         assert order.successor((0, 0), 2) == 1
-        assert order.successor((0, 3), 2) is None
+        assert order.successor((0, 3), 2) == NO_SUCCESSOR
 
     def test_predecessor_scans_reverse_closure(self):
         order = GraphOrder(3)
         order.insert_edge((0, 2), (1, 4))
         order.insert_edge((1, 6), (2, 1))
         assert order.predecessor((2, 3), 0) == 2
-        assert order.predecessor((1, 3), 0) is None
+        assert order.predecessor((1, 3), 0) == -1
 
     def test_diamond_shape(self):
         order = GraphOrder(4)

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core import GrowableOrder, make_partial_order
-from repro.errors import UnsupportedOperationError
+from repro.core import NO_SUCCESSOR, GrowableOrder, make_partial_order
+from repro.errors import InvalidNodeError, UnsupportedOperationError
 
 
 class TestGrowth:
@@ -32,8 +32,16 @@ class TestGrowth:
 
     def test_queries_grow_chains_too(self):
         order = GrowableOrder("vc-flat", num_chains=1)
-        assert order.successor((0, 0), 9) is None
+        assert order.successor((0, 0), 9) == NO_SUCCESSOR
         assert order.num_chains >= 10
+
+    def test_negative_query_chain_rejected(self):
+        order = GrowableOrder("incremental-csst", num_chains=2)
+        with pytest.raises(InvalidNodeError):
+            order.successor((0, 0), -1)
+        with pytest.raises(InvalidNodeError):
+            order.predecessor((0, 0), -1)
+        assert order.num_chains == 2
 
     def test_growth_is_amortised_doubling(self):
         order = GrowableOrder("incremental-csst", num_chains=1)

@@ -2,14 +2,13 @@
 
 import pytest
 
-from repro.core import DeletableMinHeap
-from repro.core.interface import INF
+from repro.core import NO_SUCCESSOR, DeletableMinHeap
 from repro.errors import ReproError
 
 
 class TestBasicOperations:
     def test_empty_heap_has_infinite_min(self):
-        assert DeletableMinHeap().min() == INF
+        assert DeletableMinHeap().min() == NO_SUCCESSOR
 
     def test_empty_heap_is_falsy(self):
         assert not DeletableMinHeap()
@@ -59,7 +58,7 @@ class TestDeletion:
         heap = DeletableMinHeap([4, 2])
         heap.delete(2)
         heap.delete(4)
-        assert heap.min() == INF
+        assert heap.min() == NO_SUCCESSOR
         assert len(heap) == 0
 
     def test_delete_missing_value_raises(self):

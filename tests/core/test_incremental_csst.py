@@ -119,7 +119,7 @@ class TestInsertCost:
     updates of the all-pairs sweep, one for one."""
 
     def test_tso_64_threads_counts(self, monkeypatch):
-        counts = {"update_int": 0, "suffix_min_int": 0}
+        counts = {"update": 0, "suffix_min": 0}
         inside = [False]
 
         def counting(name):
@@ -150,8 +150,8 @@ class TestInsertCost:
         result = analysis_cls("incremental-csst").run(trace)
         # The all-pairs sweep made the same 68,107 updates with 11.83M
         # suffix-minima lookups.
-        assert counts["update_int"] == 68_107
-        assert counts["suffix_min_int"] <= 600_000
+        assert counts["update"] == 68_107
+        assert counts["suffix_min"] <= 600_000
         assert result.insert_count == reference.insert_count == 2883
         assert [str(f) for f in result.findings] == \
             [str(f) for f in reference.findings]

@@ -1,6 +1,6 @@
-"""The array kernels: SST integer API and slot recycling, the CSSTs'
-``block_size`` forwarding, the int adapters of the other suffix-minima
-arrays, and the batch APIs of every backend."""
+"""The array kernels: SST operations and slot recycling, the CSSTs'
+``block_size`` forwarding and array factories, and the batch APIs of
+every backend."""
 
 import random
 
@@ -8,8 +8,8 @@ import pytest
 
 from repro.core import (
     BACKENDS,
-    INF,
     CSST,
+    NO_SUCCESSOR,
     GraphOrder,
     IncrementalCSST,
     InstrumentedOrder,
@@ -18,7 +18,6 @@ from repro.core import (
     SparseSegmentTree,
     make_partial_order,
 )
-from repro.core.suffix_minima import INT_INF
 from repro.errors import (
     InvalidEdgeError,
     InvalidNodeError,
@@ -35,9 +34,9 @@ def _random_cross_pair(rng, num_chains, per_chain):
 class TestSparseSegmentTree:
     def test_empty_tree(self):
         tree = SparseSegmentTree(8)
-        assert tree.suffix_min(0) == INF
-        assert tree.argleq(100) is None
-        assert tree.get(3) == INF
+        assert tree.suffix_min(0) == NO_SUCCESSOR
+        assert tree.argleq(100) == -1
+        assert tree.get(3) == NO_SUCCESSOR
         assert tree.density == 0
         assert tree.height == 0
 
@@ -47,10 +46,10 @@ class TestSparseSegmentTree:
         tree.update(9, 2)
         assert tree.get(3) == 7
         assert tree.get(9) == 2
-        assert tree.get(4) == INF
+        assert tree.get(4) == NO_SUCCESSOR
         assert tree.suffix_min(0) == 2
         assert tree.suffix_min(4) == 2
-        assert tree.suffix_min(10) == INF
+        assert tree.suffix_min(10) == NO_SUCCESSOR
         assert tree.argleq(7) == 9
         assert tree.items() == [(3, 7), (9, 2)]
 
@@ -82,7 +81,7 @@ class TestSparseSegmentTree:
             tree.update(index, index)
         allocated = tree.allocated_slots
         for index in range(32):
-            tree.update(index, INF)
+            tree.update(index, NO_SUCCESSOR)
         assert tree.density == 0
         for index in range(32):
             tree.update(index, 100 + index)
@@ -108,7 +107,7 @@ class TestSparseSegmentTree:
             elif roll < 0.7:
                 index = live.pop(rng.randrange(len(live)))
                 for array in (oracle, tree):
-                    array.update(index, INF)
+                    array.update(index, NO_SUCCESSOR)
             query = rng.randrange(200)
             assert tree.suffix_min(query) == oracle.suffix_min(query)
             value = rng.randrange(70)
@@ -118,35 +117,9 @@ class TestSparseSegmentTree:
             assert tree.density == oracle.density
         assert tree.items() == oracle.items()
 
-    def test_int_api_uses_int_sentinel(self):
-        tree = SparseSegmentTree(8)
-        assert tree.suffix_min_int(0) == INT_INF
-        assert tree.argleq_int(100) == -1
-        tree.update_int(3, 4)
-        assert tree.suffix_min_int(0) == 4
-        assert tree.argleq_int(4) == 3
-        tree.update_int(3, INT_INF)
-        assert tree.suffix_min_int(0) == INT_INF
-        assert tree.density == 0
 
-
-class TestIntAdapters:
-    """The integer API maps ``INF`` <-> ``INT_INF`` and ``None`` <-> ``-1``:
-    natively on ``SegmentTree``, through the ``SuffixMinima`` defaults on
-    the naive reference arrays."""
-
-    @pytest.mark.parametrize("array_cls", [SegmentTree, NaiveSuffixMinima])
-    def test_adapters_translate_sentinels(self, array_cls):
-        array = array_cls(8)
-        assert array.suffix_min_int(0) == INT_INF
-        assert array.argleq_int(100) == -1
-        array.update_int(5, 2)
-        assert array.get(5) == 2
-        assert array.suffix_min_int(0) == 2
-        assert array.argleq_int(2) == 5
-        array.update_int(5, INT_INF)
-        assert array.get(5) == INF
-        assert array.density == 0
+class TestArrayFactory:
+    """The CSST kernels run on any ``SuffixMinima`` implementation."""
 
     @pytest.mark.parametrize("array_cls", [SegmentTree, NaiveSuffixMinima])
     def test_incremental_csst_runs_on_any_suffix_minima(self, array_cls):

@@ -3,7 +3,13 @@ query helpers, and behaviours every backend must exhibit."""
 
 import pytest
 
-from repro.core import CSST, GraphOrder, IncrementalCSST, VectorClockOrder
+from repro.core import (
+    CSST,
+    NO_SUCCESSOR,
+    GraphOrder,
+    IncrementalCSST,
+    VectorClockOrder,
+)
 from repro.errors import InvalidEdgeError, InvalidNodeError, UnsupportedOperationError
 
 
@@ -32,6 +38,16 @@ class TestValidation:
         with pytest.raises(InvalidNodeError):
             any_backend.reachable((0, 0), (9, 0))
 
+    @pytest.mark.parametrize("chain", [-1, 4, 5])
+    def test_out_of_range_query_chain_rejected(self, any_backend, chain):
+        """An answer for a chain the order does not have would read as a
+        real frontier, so it is an error, as in ``reachable``."""
+        any_backend.insert_edge((0, 1), (1, 2))
+        with pytest.raises(InvalidNodeError):
+            any_backend.successor((0, 0), chain)
+        with pytest.raises(InvalidNodeError):
+            any_backend.predecessor((1, 3), chain)
+
 
 class TestProgramOrder:
     def test_same_chain_later_index_is_reachable(self, any_backend):
@@ -51,8 +67,8 @@ class TestProgramOrder:
 
     def test_no_cross_reachability_without_edges(self, any_backend):
         assert not any_backend.reachable((0, 0), (1, 10))
-        assert any_backend.successor((0, 0), 1) is None
-        assert any_backend.predecessor((0, 0), 1) is None
+        assert any_backend.successor((0, 0), 1) == NO_SUCCESSOR
+        assert any_backend.predecessor((0, 0), 1) == -1
 
 
 class TestSingleEdge:
@@ -70,12 +86,12 @@ class TestSingleEdge:
     def test_successor_after_edge(self, any_backend):
         any_backend.insert_edge((0, 3), (2, 7))
         assert any_backend.successor((0, 2), 2) == 7
-        assert any_backend.successor((0, 4), 2) is None
+        assert any_backend.successor((0, 4), 2) == NO_SUCCESSOR
 
     def test_predecessor_after_edge(self, any_backend):
         any_backend.insert_edge((0, 3), (2, 7))
         assert any_backend.predecessor((2, 8), 0) == 3
-        assert any_backend.predecessor((2, 6), 0) is None
+        assert any_backend.predecessor((2, 6), 0) == -1
 
     def test_ordered_and_concurrent_helpers(self, any_backend):
         any_backend.insert_edge((0, 3), (2, 7))

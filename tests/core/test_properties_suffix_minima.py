@@ -11,13 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.core import NaiveSuffixMinima, SegmentTree, SparseSegmentTree
-from repro.core.interface import INF
+from repro.core import (
+    NO_SUCCESSOR,
+    NaiveSuffixMinima,
+    SegmentTree,
+    SparseSegmentTree,
+)
 
 CAPACITY = 64
 
 indexes = st.integers(min_value=0, max_value=CAPACITY - 1)
-values = st.one_of(st.integers(min_value=0, max_value=200), st.just(INF))
+values = st.one_of(st.integers(min_value=0, max_value=200), st.just(NO_SUCCESSOR))
 operations = st.lists(st.tuples(indexes, values), max_size=80)
 block_sizes = st.sampled_from([0, 1, 4, 32, 128])
 
@@ -28,28 +32,39 @@ def _apply(operations_list, *arrays):
             array.update(index, value)
 
 
+def _final_entries(operations_list):
+    """The non-empty entries the operations leave behind."""
+    entries = {}
+    for index, value in operations_list:
+        if value == NO_SUCCESSOR:
+            entries.pop(index, None)
+        else:
+            entries[index] = value
+    return entries
+
+
 @settings(max_examples=60, deadline=None)
 @given(operations=operations, query=indexes, block_size=block_sizes,
        minima_indexing=st.booleans())
 def test_suffix_min_agrees_with_oracle(operations, query, block_size,
                                        minima_indexing):
     """Both walks of ``suffix_min`` (with and without the minima-indexing
-    early exit)."""
+    early exit); an empty suffix is ``NO_SUCCESSOR`` on every array."""
     oracle = NaiveSuffixMinima(CAPACITY)
     sparse = SparseSegmentTree(CAPACITY, block_size=block_size,
                                minima_indexing=minima_indexing)
     dense = SegmentTree(CAPACITY)
     _apply(operations, oracle, sparse, dense)
+    entries = _final_entries(operations)
     expected = oracle.suffix_min(query)
     assert sparse.suffix_min(query) == expected
     assert dense.suffix_min(query) == expected
     for index in range(CAPACITY):
-        expected = oracle.suffix_min(index)
+        expected = min((v for i, v in entries.items() if i >= index),
+                       default=NO_SUCCESSOR)
+        assert oracle.suffix_min(index) == expected
         assert sparse.suffix_min(index) == expected
-        # The integer API the CSST kernels call: native on the SST, the
-        # SuffixMinima default translation on the other two.
-        assert sparse.suffix_min_int(index) == dense.suffix_min_int(index) \
-            == oracle.suffix_min_int(index)
+        assert dense.suffix_min(index) == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -57,15 +72,16 @@ def test_suffix_min_agrees_with_oracle(operations, query, block_size,
        threshold=st.integers(min_value=-1, max_value=250),
        block_size=block_sizes)
 def test_argleq_agrees_with_oracle(operations, threshold, block_size):
+    """Every array answers ``-1`` when no entry qualifies."""
     oracle = NaiveSuffixMinima(CAPACITY)
     sparse = SparseSegmentTree(CAPACITY, block_size=block_size)
     dense = SegmentTree(CAPACITY)
     _apply(operations, oracle, sparse, dense)
-    expected = oracle.argleq(threshold)
+    expected = max((i for i, v in _final_entries(operations).items()
+                    if v <= threshold), default=-1)
+    assert oracle.argleq(threshold) == expected
     assert sparse.argleq(threshold) == expected
     assert dense.argleq(threshold) == expected
-    assert sparse.argleq_int(threshold) == dense.argleq_int(threshold) \
-        == oracle.argleq_int(threshold) == (-1 if expected is None else expected)
 
 
 @settings(max_examples=60, deadline=None)

@@ -37,8 +37,13 @@ import random
 
 import pytest
 
-from repro.analyses.common.hb import NO_SUCCESSOR, Frontiers
-from repro.core import BACKENDS, VectorClockOrder, make_partial_order
+from repro.analyses.common.hb import Frontiers
+from repro.core import (
+    BACKENDS,
+    NO_SUCCESSOR,
+    VectorClockOrder,
+    make_partial_order,
+)
 from repro.core.factory import incremental_backends
 
 MAX_CHAINS = 5
@@ -79,12 +84,12 @@ class ClosureOracle:
     def successor(self, node, chain):
         found = [index for index in range(self.per_chain)
                  if self.reach[node][(chain, index)]]
-        return min(found) if found else None
+        return min(found, default=NO_SUCCESSOR)
 
     def predecessor(self, node, chain):
         found = [index for index in range(self.per_chain)
                  if self.reach[(chain, index)][node]]
-        return max(found) if found else None
+        return max(found, default=-1)
 
 
 def _assert_agrees(order, oracle, context):
@@ -178,7 +183,6 @@ def _assert_clocks_agree(order, oracle, context):
     for node in oracle.nodes:
         expected = [oracle.predecessor(node, chain)
                     for chain in range(oracle.num_chains)]
-        expected = [-1 if index is None else index for index in expected]
         clock = order.clock_of(node)
         assert clock == expected, (context, node)
         assert clock[node[0]] == node[1], (context, node)
@@ -282,14 +286,10 @@ def _assert_frontiers_agree(frontiers, oracle, context):
     """Every frontier and every ``reaches`` pair, as the closure says."""
     for u in oracle.nodes:
         for chain in range(oracle.num_chains):
-            expected = oracle.predecessor(u, chain)
             assert frontiers.predecessor(u, chain) == \
-                (-1 if expected is None else expected), \
-                (context, "predecessor", u, chain)
-            expected = oracle.successor(u, chain)
+                oracle.predecessor(u, chain), (context, "predecessor", u, chain)
             assert frontiers.successor(u, chain) == \
-                (NO_SUCCESSOR if expected is None else expected), \
-                (context, "successor", u, chain)
+                oracle.successor(u, chain), (context, "successor", u, chain)
         for v in oracle.nodes:
             assert frontiers.reaches(u, v) == oracle.reach[u][v], \
                 (context, "reaches", u, v)

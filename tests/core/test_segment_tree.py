@@ -4,8 +4,7 @@ import random
 
 import pytest
 
-from repro.core import NaiveSuffixMinima, SegmentTree
-from repro.core.interface import INF
+from repro.core import NO_SUCCESSOR, NaiveSuffixMinima, SegmentTree
 
 
 class TestCapacity:
@@ -56,14 +55,14 @@ class TestOperations:
         for index, value in enumerate([5, 3, 9, 3, 7, 10, 3, 8]):
             tree.update(index, value)
         assert tree.argleq(3) == 6
-        assert tree.argleq(2) is None
+        assert tree.argleq(2) == -1
         assert tree.argleq(100) == 7
 
     def test_clearing_restores_infinity(self):
         tree = SegmentTree(8)
         tree.update(2, 4)
-        tree.update(2, INF)
-        assert tree.suffix_min(0) == INF
+        tree.update(2, NO_SUCCESSOR)
+        assert tree.suffix_min(0) == NO_SUCCESSOR
         assert tree.density == 0
 
     def test_items_lists_non_empty_entries(self):
@@ -79,7 +78,7 @@ class TestOperations:
         reference = NaiveSuffixMinima(32)
         for _ in range(400):
             index = rng.randrange(32)
-            value = rng.choice([INF, rng.randrange(100)])
+            value = rng.choice([NO_SUCCESSOR, rng.randrange(100)])
             tree.update(index, value)
             reference.update(index, value)
             query = rng.randrange(32)

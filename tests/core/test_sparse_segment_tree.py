@@ -7,8 +7,7 @@ import random
 
 import pytest
 
-from repro.core import SparseSegmentTree
-from repro.core.interface import INF
+from repro.core import NO_SUCCESSOR, SparseSegmentTree
 from repro.errors import InvalidNodeError
 
 
@@ -76,7 +75,7 @@ class TestHeightBound:
         for index in range(20):
             tree.update(index, 100 - index)
         for index in range(19):
-            tree.update(index, INF)
+            tree.update(index, NO_SUCCESSOR)
         assert tree.density == 1
         assert tree.height == 1
 
@@ -113,8 +112,8 @@ class TestBlockNodes:
         tree = SparseSegmentTree(32, block_size=32)
         tree.update(3, 5)
         tree.update(4, 6)
-        tree.update(3, INF)
-        assert tree.get(3) == INF
+        tree.update(3, NO_SUCCESSOR)
+        assert tree.get(3) == NO_SUCCESSOR
         assert tree.suffix_min(0) == 6
 
     def test_block_size_property(self):
@@ -141,7 +140,7 @@ class TestMinimaIndexingAblation:
         unindexed = SparseSegmentTree(128, minima_indexing=False)
         for _ in range(300):
             index = rng.randrange(128)
-            value = rng.choice([INF, rng.randrange(500)])
+            value = rng.choice([NO_SUCCESSOR, rng.randrange(500)])
             indexed.update(index, value)
             unindexed.update(index, value)
             query = rng.randrange(128)
@@ -176,7 +175,7 @@ class TestOverwriteSemantics:
 
     def test_clearing_missing_entry_is_noop(self):
         tree = SparseSegmentTree(16)
-        tree.update(3, INF)
+        tree.update(3, NO_SUCCESSOR)
         assert tree.density == 0
 
     def test_interleaved_insert_delete_stays_consistent(self):
@@ -187,14 +186,14 @@ class TestOverwriteSemantics:
             index = rng.randrange(64)
             if rng.random() < 0.3:
                 reference.pop(index, None)
-                tree.update(index, INF)
+                tree.update(index, NO_SUCCESSOR)
             else:
                 value = rng.randrange(200)
                 reference[index] = value
                 tree.update(index, value)
             query = rng.randrange(64)
             expected = min(
-                (v for i, v in reference.items() if i >= query), default=INF
+                (v for i, v in reference.items() if i >= query), default=NO_SUCCESSOR
             )
             assert tree.suffix_min(query) == expected
             assert tree.density == len(reference)

@@ -1,7 +1,7 @@
 """Randomized property tests for SparseSegmentTree entry *removal*.
 
 The original property suite exercised updates and queries but never removal
-(``update(i, INF)``), which is exactly the path fully dynamic CSSTs hit when
+(``update(i, NO_SUCCESSOR)``), which is exactly the path fully dynamic CSSTs hit when
 an edge deletion empties a heap.  These properties drive randomized
 insert/remove/query interleavings against the naive oracle -- including
 block-node boundaries (block sizes around the capacity, 0 disables blocks)
@@ -12,8 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.core import NaiveSuffixMinima, SparseSegmentTree
-from repro.core.interface import INF
+from repro.core import NO_SUCCESSOR, NaiveSuffixMinima, SparseSegmentTree
 
 CAPACITY = 64
 
@@ -43,7 +42,7 @@ def _apply(operation_list, *arrays):
         else:
             _op, index = operation
             for array in arrays:
-                array.update(index, INF)
+                array.update(index, NO_SUCCESSOR)
 
 
 @settings(max_examples=80, deadline=None)
@@ -79,10 +78,10 @@ def test_remove_everything_empties_the_tree(operations, block_size):
             sparse.update(index, value)
             touched.add(index)
     for index in touched:
-        sparse.update(index, INF)
+        sparse.update(index, NO_SUCCESSOR)
     assert sparse.density == 0
     assert sparse.node_count == 0
-    assert sparse.suffix_min(0) == INF
+    assert sparse.suffix_min(0) == NO_SUCCESSOR
 
 
 class RemovalMachine(RuleBasedStateMachine):
@@ -101,7 +100,7 @@ class RemovalMachine(RuleBasedStateMachine):
     @rule(index=indexes)
     def clear_entry(self, index):
         for array in (self.oracle, self.sparse):
-            array.update(index, INF)
+            array.update(index, NO_SUCCESSOR)
 
     @rule(index=indexes)
     def query_suffix(self, index):

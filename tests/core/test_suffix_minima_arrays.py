@@ -7,8 +7,12 @@ against all three via the parametrised fixture.
 
 import pytest
 
-from repro.core import NaiveSuffixMinima, SegmentTree, SparseSegmentTree
-from repro.core.interface import INF
+from repro.core import (
+    NO_SUCCESSOR,
+    NaiveSuffixMinima,
+    SegmentTree,
+    SparseSegmentTree,
+)
 from repro.errors import InvalidNodeError
 
 IMPLEMENTATIONS = {
@@ -25,13 +29,13 @@ def array(request):
 
 class TestEmptyArray:
     def test_suffix_min_of_empty_array_is_infinite(self, array):
-        assert array.suffix_min(0) == INF
+        assert array.suffix_min(0) == NO_SUCCESSOR
 
     def test_argleq_of_empty_array_is_none(self, array):
-        assert array.argleq(100) is None
+        assert array.argleq(100) == -1
 
     def test_get_of_empty_entry_is_infinite(self, array):
-        assert array.get(5) == INF
+        assert array.get(5) == NO_SUCCESSOR
 
     def test_density_of_empty_array_is_zero(self, array):
         assert array.density == 0
@@ -52,14 +56,9 @@ class TestUpdates:
 
     def test_update_with_infinity_clears(self, array):
         array.update(3, 42)
-        array.update(3, INF)
-        assert array.get(3) == INF
+        array.update(3, NO_SUCCESSOR)
+        assert array.get(3) == NO_SUCCESSOR
         assert array.density == 0
-
-    def test_clear_helper(self, array):
-        array.update(4, 9)
-        array.clear(4)
-        assert array.get(4) == INF
 
     def test_density_counts_non_empty_entries(self, array):
         array.update(0, 5)
@@ -72,19 +71,31 @@ class TestUpdates:
         array.update(2, 8)
         assert array.items() == [(2, 8), (9, 1)]
 
-    def test_to_list_materialises_array(self, array):
-        array.update(1, 4)
-        values = array.to_list()
-        assert values[1] == 4
-        assert values[0] == INF
-
     def test_negative_index_rejected(self, array):
+        array.update(3, 5)
         with pytest.raises(InvalidNodeError):
-            array.update(-1, 3)
+            array.update(-1, 2)
+        assert array.items() == [(3, 5)]
+        assert array.density == 1
+        assert array.suffix_min(0) == 5
 
     def test_negative_query_index_rejected(self, array):
+        array.update(3, 5)
         with pytest.raises(InvalidNodeError):
             array.suffix_min(-2)
+        with pytest.raises(InvalidNodeError):
+            array.get(-1)
+        assert array.items() == [(3, 5)]
+        assert array.density == 1
+
+    def test_negative_index_rejected_on_empty_array(self, array):
+        for operation in (array.get, array.suffix_min):
+            with pytest.raises(InvalidNodeError):
+                operation(-1)
+        with pytest.raises(InvalidNodeError):
+            array.update(-1, 2)
+        assert array.items() == []
+        assert array.density == 0
 
     def test_capacity_grows_on_demand(self, array):
         array.update(100, 3)
@@ -104,12 +115,12 @@ class TestSuffixMin:
         array.update(8, 4)
         assert array.suffix_min(0) == 4
         assert array.suffix_min(3) == 4
-        assert array.suffix_min(9) == INF
+        assert array.suffix_min(9) == NO_SUCCESSOR
 
     def test_suffix_min_at_exact_index(self, array):
         array.update(5, 7)
         assert array.suffix_min(5) == 7
-        assert array.suffix_min(6) == INF
+        assert array.suffix_min(6) == NO_SUCCESSOR
 
     def test_suffix_min_with_duplicate_values(self, array):
         array.update(1, 3)
@@ -119,7 +130,7 @@ class TestSuffixMin:
 
     def test_suffix_min_beyond_capacity_is_infinite(self, array):
         array.update(1, 3)
-        assert array.suffix_min(array.capacity + 10) == INF
+        assert array.suffix_min(array.capacity + 10) == NO_SUCCESSOR
 
     def test_example_1_from_paper(self, array):
         """Example 1 of the paper: A = [6, 9, 8, 10]."""
@@ -140,11 +151,11 @@ class TestArgleq:
 
     def test_argleq_below_all_values_is_none(self, array):
         array.update(4, 10)
-        assert array.argleq(9) is None
+        assert array.argleq(9) == -1
 
     def test_argleq_ignores_cleared_entries(self, array):
         array.update(9, 2)
-        array.update(9, INF)
+        array.update(9, NO_SUCCESSOR)
         array.update(1, 2)
         assert array.argleq(2) == 1
 

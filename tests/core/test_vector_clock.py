@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import VectorClockOrder
+from repro.core import NO_SUCCESSOR, VectorClockOrder
 from repro.errors import UnsupportedOperationError
 
 
@@ -65,13 +65,13 @@ class TestQueries:
         order.insert_edge((0, 4), (1, 9))
         assert order.successor((0, 2), 1) == 5
         assert order.successor((0, 3), 1) == 9
-        assert order.successor((0, 5), 1) is None
+        assert order.successor((0, 5), 1) == NO_SUCCESSOR
 
     def test_predecessor_reads_clock_entry(self):
         order = VectorClockOrder(3)
         order.insert_edge((0, 2), (1, 5))
         assert order.predecessor((1, 7), 0) == 2
-        assert order.predecessor((1, 3), 0) is None
+        assert order.predecessor((1, 3), 0) == -1
 
     def test_queries_beyond_materialised_frontier(self):
         order = VectorClockOrder(2)
