@@ -8,9 +8,10 @@ Either way the shard owns everything per-tenant:
 * lazily creating the engine on the tenant's first event -- restoring it
   from ``<checkpoint_dir>/<tenant>.json`` when a checkpoint exists, so a
   respawned worker resumes every tenant it hosted;
-* parsing STD payload lines into events with per-tenant index counters
-  (seeded from the restored engine after a recovery, so replayed lines
-  keep assigning the same indexes);
+* parsing STD payload lines into events with a per-tenant
+  :class:`~repro.trace.formats.LineDecoder`, whose index counters are
+  seeded from the restored engine after a recovery, so replayed lines
+  keep assigning the same indexes;
 * *sequence-skip* dedup for crash recovery: every event carries the
   supervisor's per-tenant sequence number, and a line whose sequence is
   ``<= engine.cursor`` was already consumed before the crash -- it is
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -33,7 +34,7 @@ from repro.serve.routing import validate_tenant
 from repro.stream.checkpoint import restore_engine, save_checkpoint
 from repro.stream.engine import StreamEngine, StreamFinding
 from repro.stream.window import parse_window
-from repro.trace.formats import parse_trace_line
+from repro.trace.formats import LineDecoder, parse_trace_line
 from repro.obs import metrics as obs_metrics
 
 #: ``on_finding`` callback signature: ``(tenant, StreamFinding)``.
@@ -61,10 +62,10 @@ class _Tenant:
     """Book-keeping for one hosted tenant."""
 
     engine: StreamEngine
-    #: Per-thread next-index counters for STD payload parsing.  Seeded
-    #: from the restored engine so post-recovery lines parse to the same
-    #: indexes they would have had in the uninterrupted run.
-    counters: Dict[int, int] = field(default_factory=dict)
+    #: Decodes the tenant's STD payload lines.  Its per-thread counters are
+    #: seeded from the restored engine so post-recovery lines parse to the
+    #: same indexes they would have had in the uninterrupted run.
+    decoder: LineDecoder
     since_checkpoint: int = 0
     restored_at: int = 0  #: engine cursor at restore time (0 = fresh)
 
@@ -111,7 +112,7 @@ class TenantShard:
         if path is not None and os.path.exists(path):
             engine = restore_engine(path, on_finding=emit)
             entry = _Tenant(engine=engine,
-                            counters=dict(engine._next_index),
+                            decoder=LineDecoder(dict(engine._next_index)),
                             restored_at=engine.cursor)
         else:
             engine = StreamEngine(
@@ -122,7 +123,7 @@ class TenantShard:
                 name=tenant,
                 on_finding=emit,
             )
-            entry = _Tenant(engine=engine)
+            entry = _Tenant(engine=engine, decoder=LineDecoder())
         self._tenants[tenant] = entry
         if self._registry is not None:
             self._registry.counter("serve_tenants_total").inc()
@@ -149,7 +150,7 @@ class TenantShard:
             raise ServeError(
                 f"tenant {tenant!r}: sequence gap (got {seq}, engine at "
                 f"{engine.cursor}) -- the journal replay is incomplete")
-        event = parse_trace_line(line, entry.counters, seq)
+        event = parse_trace_line(line, entry.decoder, seq)
         if event is None:
             raise ProtocolError(
                 f"tenant {tenant!r}: payload {line!r} is not an event line")

@@ -721,7 +721,7 @@ class StreamEngine:
         from repro.errors import CheckpointError
         from repro.stream.checkpoint import CHECKPOINT_VERSION
         from repro.stream.window import parse_window
-        from repro.trace.formats import parse_trace_line
+        from repro.trace.formats import LineDecoder, parse_trace_line
 
         if state.get("version") != CHECKPOINT_VERSION:
             raise CheckpointError(
@@ -754,9 +754,9 @@ class StreamEngine:
         engine._evicted_per_thread = dict(evicted)
         engine._next_index = dict(evicted)
         engine._cursor = state["cursor"]
-        counters = dict(evicted)
+        decoder = LineDecoder(dict(evicted))
         for line_number, line in enumerate(state.get("buffer", ()), start=1):
-            event = parse_trace_line(line, counters, line_number)
+            event = parse_trace_line(line, decoder, line_number)
             if event is not None:
                 engine._ingest(event)
         expected = {int(thread): count

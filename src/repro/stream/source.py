@@ -31,7 +31,8 @@ from typing import Callable, Dict, Iterable, Iterator, Optional, Union
 
 from repro.errors import FeedCancelledError, StreamError
 from repro.trace.event import Event, EventKind
-from repro.trace.formats import open_trace, parse_header, parse_trace_line
+from repro.trace.formats import (LineDecoder, open_trace, parse_header,
+                                 parse_trace_line)
 from repro.trace.generators import GENERATOR_REGISTRY, build_trace
 from repro.trace.trace import Trace
 
@@ -196,7 +197,7 @@ class FileSource(EventSource):
         self.name = name if name is not None else self._path.stem
 
     def events(self, skip: int = 0) -> Iterator[Event]:
-        next_index: Dict[int, int] = {}
+        decoder = LineDecoder()
         seen = 0
         pending = ""
         line_number = 0
@@ -216,7 +217,7 @@ class FileSource(EventSource):
                     if header is not None:
                         self.name = header
                         continue
-                    event = parse_trace_line(line, next_index, line_number)
+                    event = parse_trace_line(line, decoder, line_number)
                     if event is None:
                         continue
                     seen += 1
@@ -234,7 +235,7 @@ class FileSource(EventSource):
                     # path does an unterminated final line: parse it.
                     if pending:
                         line_number += 1
-                        event = parse_trace_line(pending, next_index,
+                        event = parse_trace_line(pending, decoder,
                                                  line_number)
                         if event is not None:
                             seen += 1

@@ -20,6 +20,12 @@ The view is *live* and append-only: it keeps a reference to the trace's
 event list and :meth:`sync` encodes only the events appended since the last
 call, so the streaming engine's growing trace pays O(new events) per flush
 instead of a rebuild.  Access it through :meth:`repro.trace.trace.Trace.columns`.
+
+The kind code and the six flags of an event are a function of its kind,
+its ``atomic`` field and its memory order, so both encoders -- :meth:`sync`
+and the STD loader, which builds the view while it parses -- first reduce
+each event to one *tag* byte (:func:`event_tag`) and then split a run of
+tags into the seven byte columns with ``bytearray.translate``.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from repro.trace.event import (
     WRITE_KINDS,
     Event,
     EventKind,
+    MemoryOrder,
 )
 
 #: Small-int code per event kind (dense; enum definition order, stable).
@@ -52,6 +59,37 @@ JOIN_CODE = KIND_CODES[EventKind.JOIN]
 _ACCESS_CODES = frozenset(KIND_CODES[kind] for kind in ACCESS_KINDS)
 _READ_CODES = frozenset(KIND_CODES[kind] for kind in READ_KINDS)
 _WRITE_CODES = frozenset(KIND_CODES[kind] for kind in WRITE_KINDS)
+
+#: A tag holds the kind code in its low four bits (14 kinds), then the
+#: atomic, acquire-order and release-order bits.
+_KIND_MASK = 15
+_ATOMIC_BIT, _ACQUIRE_BIT, _RELEASE_BIT = 16, 32, 64
+_TAGS = range(256)
+#: ``translate`` table per column, indexed by tag.
+_KIND_OF_TAG = bytes(tag & _KIND_MASK for tag in _TAGS)
+_ACCESS_OF_TAG = bytes(tag & _KIND_MASK in _ACCESS_CODES for tag in _TAGS)
+_READ_OF_TAG = bytes(tag & _KIND_MASK in _READ_CODES for tag in _TAGS)
+_WRITE_OF_TAG = bytes(tag & _KIND_MASK in _WRITE_CODES for tag in _TAGS)
+_ATOMIC_OF_TAG = bytes(bool(tag & _ATOMIC_BIT) for tag in _TAGS)
+_ACQUIRE_OF_TAG = bytes(bool(tag & _ACQUIRE_BIT) for tag in _TAGS)
+_RELEASE_OF_TAG = bytes(bool(tag & _RELEASE_BIT) for tag in _TAGS)
+_ORDER_BITS = {
+    order: (_ACQUIRE_BIT if order.is_acquire else 0)
+    | (_RELEASE_BIT if order.is_release else 0)
+    for order in MemoryOrder
+}
+
+
+def event_tag(kind: EventKind, atomic: Any, memory_order: Any) -> int:
+    """The byte that fixes an event's kind code and its six flags.
+
+    A memory order that is not a :class:`MemoryOrder` (a hand-written
+    ``memory_order=str:...`` field) sets neither order flag.
+    """
+    tag = KIND_CODES[kind] | (_ATOMIC_BIT if atomic else 0)
+    if isinstance(memory_order, MemoryOrder):
+        tag |= _ORDER_BITS[memory_order]
+    return tag
 
 
 class TraceColumns:
@@ -114,6 +152,35 @@ class TraceColumns:
         columns._built = len(kinds)
         return columns
 
+    @classmethod
+    def from_tags(cls, events: List[Event], tags: bytearray,
+                  threads: List[int], indexes: List[int], var_ids: List[int],
+                  intern: Dict[Any, int],
+                  thread_positions: Dict[int, List[int]]) -> "TraceColumns":
+        """Build a view over columns the STD loader encoded while it
+        parsed ``events``: one :func:`event_tag` per event, and ``intern``
+        mapping each variable to its id in first-seen order."""
+        columns = cls(events)
+        columns.threads = threads
+        columns.indexes = indexes
+        columns.var_ids = var_ids
+        columns.variables = list(intern)
+        columns._intern = intern
+        columns.thread_positions = thread_positions
+        columns._extend_tags(tags)
+        columns._built = len(tags)
+        return columns
+
+    def _extend_tags(self, tags: bytearray) -> None:
+        """Append the kind and flag columns of a run of tags."""
+        self.kinds += tags.translate(_KIND_OF_TAG)
+        self.access_flags += tags.translate(_ACCESS_OF_TAG)
+        self.read_flags += tags.translate(_READ_OF_TAG)
+        self.write_flags += tags.translate(_WRITE_OF_TAG)
+        self.atomic_flags += tags.translate(_ATOMIC_OF_TAG)
+        self.acquire_mo_flags += tags.translate(_ACQUIRE_OF_TAG)
+        self.release_mo_flags += tags.translate(_RELEASE_OF_TAG)
+
     def __len__(self) -> int:
         return self._built
 
@@ -134,27 +201,17 @@ class TraceColumns:
         built = self._built
         if built == total:
             return self
-        kinds = self.kinds
+        tags = bytearray()
         threads = self.threads
         indexes = self.indexes
         var_ids = self.var_ids
-        access_flags = self.access_flags
-        read_flags = self.read_flags
-        write_flags = self.write_flags
-        atomic_flags = self.atomic_flags
-        acquire_mo_flags = self.acquire_mo_flags
-        release_mo_flags = self.release_mo_flags
         variables = self.variables
         intern = self._intern
         thread_positions = self.thread_positions
-        kind_codes = KIND_CODES
-        access_codes = _ACCESS_CODES
-        read_codes = _READ_CODES
-        write_codes = _WRITE_CODES
         for position in range(built, total):
             event = events[position]
-            code = kind_codes[event.kind]
-            kinds.append(code)
+            tags.append(event_tag(event.kind, event.atomic,
+                                  event.memory_order))
             thread = event.thread
             threads.append(thread)
             indexes.append(event.index)
@@ -168,21 +225,11 @@ class TraceColumns:
                     intern[variable] = var_id
                     variables.append(variable)
                 var_ids.append(var_id)
-            access_flags.append(1 if code in access_codes else 0)
-            read_flags.append(1 if code in read_codes else 0)
-            write_flags.append(1 if code in write_codes else 0)
-            atomic_flags.append(1 if event.atomic else 0)
-            memory_order = event.memory_order
-            if memory_order is None:
-                acquire_mo_flags.append(0)
-                release_mo_flags.append(0)
-            else:
-                acquire_mo_flags.append(1 if memory_order.is_acquire else 0)
-                release_mo_flags.append(1 if memory_order.is_release else 0)
             positions = thread_positions.get(thread)
             if positions is None:
                 positions = thread_positions[thread] = []
             positions.append(position)
+        self._extend_tags(tags)
         self._built = total
         return self
 

@@ -36,6 +36,11 @@ class EventKind(enum.Enum):
     BEGIN = "begin"
     END = "end"
 
+    #: Members are singletons, so identity hashing agrees with ``Enum``
+    #: equality and skips the Python-level ``Enum.__hash__`` that every
+    #: ``kind in WRITE_KINDS`` test and kind-keyed dict lookup would run.
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
 
@@ -48,6 +53,9 @@ class MemoryOrder(enum.Enum):
     RELEASE = "release"
     ACQ_REL = "acq_rel"
     SEQ_CST = "seq_cst"
+
+    #: Identity hashing, as for :class:`EventKind`.
+    __hash__ = object.__hash__
 
     @property
     def is_acquire(self) -> bool:
@@ -127,6 +135,11 @@ class Event:
     # ------------------------------------------------------------------ #
     # Identification helpers
     # ------------------------------------------------------------------ #
+    def __hash__(self) -> int:
+        # Equal events have equal nodes, so hashing the node agrees with
+        # the field-wise ``__eq__`` and costs two ints, not eleven fields.
+        return hash((self.thread, self.index))
+
     @property
     def node(self) -> Tuple[int, int]:
         """The ``(chain, index)`` node handed to partial-order backends."""

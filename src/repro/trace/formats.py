@@ -21,10 +21,14 @@ function that accepts a path (``dump_trace``, ``load_trace``, and through
 them the ``analyze``/``sweep``/``watch`` CLI commands) reads and writes
 gzip when the suffix asks for it.
 
-Besides whole-trace (de)serialization this module exposes the line-level
-primitives -- :func:`format_event`, :func:`parse_trace_line`,
-:func:`open_trace` -- that the streaming layer (:mod:`repro.stream`) uses to
-tail files incrementally and to checkpoint event buffers.
+Every reader of event lines -- :func:`load_trace`, the streaming layer
+(:mod:`repro.stream`) tailing a file or restoring a checkpoint buffer, and
+the serve shard -- decodes them through one :class:`LineDecoder`.  The
+part of a line after the thread id repeats heavily in real traces (the
+same access to the same variable with the same value), so the decoder
+decodes each distinct tail once and builds later events from the memo.
+:func:`load_trace` also fills the trace's columnar view while it parses,
+so :meth:`~repro.trace.trace.Trace.columns` has nothing left to encode.
 """
 
 from __future__ import annotations
@@ -32,9 +36,10 @@ from __future__ import annotations
 import gzip
 import io
 from pathlib import Path
-from typing import Dict, List, Optional, TextIO, Union
+from typing import Any, Dict, List, Optional, TextIO, Tuple, Union
 
 from repro.errors import TraceError
+from repro.trace.columns import TraceColumns, event_tag
 from repro.trace.event import Event, EventKind, MemoryOrder
 from repro.trace.trace import Trace
 
@@ -217,44 +222,145 @@ def parse_header(line: str) -> Optional[str]:
     return None
 
 
-def parse_trace_line(line: str, next_index: Dict[int, int],
-                     line_number: int = 0) -> Optional[Event]:
-    """Parse one line into an :class:`Event`, or ``None`` for blank/comment.
+#: The most entries each memo of a :class:`LineDecoder` holds.  A full
+#: memo is cleared, not grown, so input whose lines never repeat costs one
+#: decode per line, as with no memo, in bounded memory.
+MEMO_CAP = 1 << 14
 
-    ``next_index`` maps thread id to the next per-thread sequence id and is
-    advanced in place, so a caller feeding consecutive lines (a whole file,
-    or a tailed stream) assigns the same indexes :func:`load_trace` would.
-    """
-    # Blank/comment detection ignores surrounding whitespace, but the event
-    # line itself only sheds its terminators: trailing spaces or tabs in
-    # the final field are string-value *data* and must survive.
+#: A memo entry: the kind, the decoded ``(field, value)`` pairs, the
+#: :func:`~repro.trace.columns.event_tag` and the variable (or ``None``).
+Entry = Tuple[EventKind, Tuple[Tuple[str, Any], ...], int, Any]
+
+_new_object = object.__new__
+_set_field = object.__setattr__
+
+
+def _build_event(thread: int, index: int, kind: EventKind,
+                 fields: Tuple[Tuple[str, Any], ...]) -> Event:
+    """The event ``Event(thread, index, kind, **dict(fields))``, built
+    without the frozen dataclass's eleven-field ``__init__``: a field the
+    line does not set reads its class-level default."""
+    event = _new_object(Event)
+    _set_field(event, "thread", thread)
+    _set_field(event, "index", index)
+    _set_field(event, "kind", kind)
+    for field, value in fields:
+        _set_field(event, field, value)
+    return event
+
+
+_TERMINATORS = "\r\n"
+
+
+def _not_an_event(line: str, line_number: int) -> None:
+    """Return ``None`` for a blank or comment line (surrounding whitespace
+    ignored); raise the parse error of any other line whose thread id does
+    not parse."""
     stripped = line.strip()
     if not stripped or stripped.startswith("#"):
         return None
-    line = line.strip("\r\n")
-    parts = line.split("|")
-    if len(parts) < 2:
+    line = line.strip(_TERMINATORS)
+    thread_text, bar, _ = line.partition("|")
+    if not bar:
         raise TraceError(f"malformed trace line {line_number}: {line!r}")
-    try:
-        thread = int(parts[0])
-    except ValueError:
-        raise TraceError(
-            f"malformed thread id {parts[0]!r} on line {line_number}"
-        ) from None
-    kind = _KIND_BY_VALUE.get(parts[1])
-    if kind is None:
-        raise TraceError(
-            f"unknown event kind {parts[1]!r} on line {line_number}"
-        )
-    metadata = {}
-    for part in parts[2:]:
-        field, _, encoded = part.partition("=")
-        if field not in _FIELDS:
-            raise TraceError(f"unknown field {field!r} on line {line_number}")
-        metadata[field] = _decode_value(encoded)
-    index = next_index.get(thread, 0)
-    next_index[thread] = index + 1
-    return Event(thread=thread, index=index, kind=kind, **metadata)
+    raise TraceError(
+        f"malformed thread id {thread_text!r} on line {line_number}")
+
+
+class LineDecoder:
+    """Decodes STD event lines, assigning per-thread indexes in order.
+
+    ``next_index`` maps thread id to the next per-thread sequence id and
+    is advanced by :meth:`decode`, so a caller feeding consecutive lines
+    (a whole file, a tailed stream, one serve tenant's payloads) assigns
+    the indexes :func:`load_trace` would; seed it to resume mid-stream.
+
+    ``memo`` maps a line's *tail* -- everything after the first ``|`` --
+    to its decoded :data:`Entry`, and ``parts`` maps each ``field=value``
+    part to its decoded pair, so a new tail made of parts seen before
+    decodes no value again.  Only what decodes is memoized, so a malformed
+    line raises the same :class:`~repro.errors.TraceError` (message and
+    line number) whether or not its tail was seen before.  Both memos are
+    cleared when they reach :data:`MEMO_CAP`.
+    """
+
+    __slots__ = ("next_index", "memo", "parts")
+
+    def __init__(self, next_index: Optional[Dict[int, int]] = None) -> None:
+        self.next_index: Dict[int, int] = (
+            {} if next_index is None else next_index)
+        self.memo: Dict[str, Entry] = {}
+        self.parts: Dict[str, Tuple[str, Any]] = {}
+
+    def entry(self, line: str,
+              line_number: int = 0) -> Optional[Tuple[int, Entry]]:
+        """The thread id and decoded entry of ``line``, or ``None`` for a
+        blank or comment line.  Assigns no index."""
+        thread_text, bar, tail = line.partition("|")
+        try:
+            thread = int(thread_text)
+        except ValueError:
+            return _not_an_event(line, line_number)
+        entry = self.memo.get(tail)
+        if entry is not None:
+            return thread, entry
+        if not bar:
+            raise TraceError(f"malformed trace line {line_number}: "
+                             f"{line.strip(_TERMINATORS)!r}")
+        # Only terminators are shed: trailing spaces or tabs in the final
+        # field are string-value *data* and must survive.
+        parts = tail.rstrip(_TERMINATORS).split("|")
+        kind = _KIND_BY_VALUE.get(parts[0])
+        if kind is None:
+            raise TraceError(
+                f"unknown event kind {parts[0]!r} on line {line_number}"
+            )
+        pairs = []
+        decoded_parts = self.parts
+        for part in parts[1:]:
+            decoded = decoded_parts.get(part)
+            if decoded is None:
+                field, _, encoded = part.partition("=")
+                if field not in _FIELDS:
+                    raise TraceError(
+                        f"unknown field {field!r} on line {line_number}")
+                decoded = (field, _decode_value(encoded))
+                if len(decoded_parts) >= MEMO_CAP:
+                    decoded_parts.clear()
+                decoded_parts[part] = decoded
+            pairs.append(decoded)
+        # A field given twice keeps its last value, here and when the
+        # event is built (its pairs are set in order).
+        fields = dict(pairs)
+        entry = (kind, tuple(pairs),
+                 event_tag(kind, fields.get("atomic"),
+                           fields.get("memory_order")),
+                 fields.get("variable"))
+        memo = self.memo
+        if len(memo) >= MEMO_CAP:
+            memo.clear()
+        memo[tail] = entry
+        return thread, entry
+
+    def decode(self, line: str, line_number: int = 0) -> Optional[Event]:
+        """The next event of ``line``'s thread, or ``None`` for a blank or
+        comment line."""
+        found = self.entry(line, line_number)
+        if found is None:
+            return None
+        thread, (kind, fields, _tag, _variable) = found
+        next_index = self.next_index
+        index = next_index.get(thread, 0)
+        next_index[thread] = index + 1
+        return _build_event(thread, index, kind, fields)
+
+
+def parse_trace_line(line: str, decoder: LineDecoder,
+                     line_number: int = 0) -> Optional[Event]:
+    """Parse one line into an :class:`Event`, or ``None`` for blank/comment
+    (``decoder.decode``: the decoder carries the per-thread indexes and the
+    tail memo from line to line)."""
+    return decoder.decode(line, line_number)
 
 
 # --------------------------------------------------------------------------- #
@@ -284,27 +390,57 @@ def dumps_trace(trace: Trace) -> str:
 def load_trace(source: Union[str, Path, TextIO], name: str = "trace") -> Trace:
     """Load a trace from a file path or text stream.
 
-    Paths ending in ``.gz`` are read gzip-compressed.
+    Paths ending in ``.gz`` are read gzip-compressed.  The trace's
+    columnar view is encoded in the same pass.
     """
     if isinstance(source, (str, Path)):
         with open_trace(source, "r") as stream:
             return load_trace(stream, name=name)
+    entry_of = LineDecoder().entry
+    build = _build_event
     events: List[Event] = []
-    next_index: Dict[int, int] = {}
+    # thread -> (its events, their positions in ``events``); the chain
+    # length is the thread's next index.
+    per_thread: Dict[int, Tuple[List[Event], List[int]]] = {}
+    tags = bytearray()
+    threads: List[int] = []
+    indexes: List[int] = []
+    var_ids: List[int] = []
+    intern: Dict[Any, int] = {}
     trace_name = name
     for line_number, raw_line in enumerate(source, start=1):
-        # Only a comment line, possibly indented, can be the header; an
-        # event line starts with its thread id.
-        first = raw_line[:1]
-        if first == "#" or first.isspace():
+        found = entry_of(raw_line, line_number)
+        if found is None:
             header = parse_header(raw_line)
             if header is not None:
                 trace_name = header
-                continue
-        event = parse_trace_line(raw_line, next_index, line_number)
-        if event is not None:
-            events.append(event)
-    return Trace(events, name=trace_name)
+            continue
+        thread, (kind, fields, tag, variable) = found
+        slot = per_thread.get(thread)
+        if slot is None:
+            slot = per_thread[thread] = ([], [])
+        chain, positions = slot
+        index = len(chain)
+        positions.append(len(events))
+        event = build(thread, index, kind, fields)
+        chain.append(event)
+        events.append(event)
+        tags.append(tag)
+        threads.append(thread)
+        indexes.append(index)
+        if variable is None:
+            var_ids.append(-1)
+        else:
+            var_id = intern.get(variable)
+            if var_id is None:
+                var_id = intern[variable] = len(intern)
+            var_ids.append(var_id)
+    columns = TraceColumns.from_tags(
+        events, tags, threads, indexes, var_ids, intern,
+        {thread: positions for thread, (_, positions) in per_thread.items()})
+    return Trace.from_chains(
+        events, {thread: chain for thread, (chain, _) in per_thread.items()},
+        columns, name=trace_name)
 
 
 def loads_trace(text: str, name: str = "trace") -> Trace:

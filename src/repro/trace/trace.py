@@ -98,6 +98,20 @@ class Trace:
     # ------------------------------------------------------------------ #
     # Construction
     # ------------------------------------------------------------------ #
+    @classmethod
+    def from_chains(cls, events: List[Event], chains: Dict[int, List[Event]],
+                    columns: TraceColumns, name: str = "trace") -> "Trace":
+        """A trace over ``events`` whose per-thread ``chains`` the caller
+        built with consecutive indexes (the STD loader), so no event is
+        checked again; ``columns`` must be a view over the same list."""
+        trace = cls(name=name)
+        trace._events = events
+        trace._per_thread.update(chains)
+        trace._next_index.update(
+            (thread, len(chain)) for thread, chain in chains.items())
+        trace._columns = columns
+        return trace
+
     def _append_existing(self, event: Event) -> None:
         expected = self._next_index[event.thread]
         if event.index != expected:

@@ -11,6 +11,7 @@ from repro.trace.columns import (
     TraceColumns,
 )
 from repro.trace.event import EventKind, MemoryOrder
+from repro.trace.formats import dumps_trace, loads_trace
 from repro.trace.generators import c11_trace, memory_trace, racy_trace
 
 
@@ -70,6 +71,14 @@ def test_columns_mirror_c11_trace():
 def test_columns_mirror_memory_trace():
     _assert_columns_mirror_events(memory_trace(num_threads=3,
                                                events_per_thread=50, seed=3))
+
+
+def test_columns_mirror_std_loaded_traces():
+    # The STD loader builds the view while it parses, not through sync().
+    for trace in (racy_trace(num_threads=3, events_per_thread=60, seed=1),
+                  c11_trace(num_threads=4, events_per_thread=50, seed=2),
+                  memory_trace(num_threads=3, events_per_thread=50, seed=3)):
+        _assert_columns_mirror_events(loads_trace(dumps_trace(trace)))
 
 
 def test_columns_view_is_cached_and_incremental():
