@@ -277,51 +277,29 @@ def _analysis_case(analysis: str, backend: str, generator: str,
 TRACE_LOADS_PER_SAMPLE = 20
 
 
-def _trace_load_case() -> Callable[[bool], Callable[[], object]]:
-    """STD-format ingest throughput: parse and columnar view, the same work
-    ``trace-load/stc`` times for the binary format (the STD loader builds
-    the columns while it parses, so timing the parse alone would compare
-    unlike work under ``speedups``)."""
+def _trace_load_case(binary: bool) -> Callable[[bool], Callable[[], object]]:
+    """Ingest throughput of one trace format: load, build the columnar
+    view, then read every event once.  ``trace-load/std`` (text) and
+    ``trace-load/stc`` (``binary``) do the same work on the same
+    workload, as every consumer of a loaded trace does, so their ratio
+    under ``speedups`` compares the two decoders alone."""
 
     def setup(quick: bool) -> Callable[[], object]:
+        from repro.trace.binfmt import decode_trace, encode_trace
         from repro.trace.formats import dumps_trace, loads_trace
         from repro.trace.generators import build_trace
 
         trace = build_trace("c11", num_threads=6,
                             events=150 if quick else 600, seed=5)
-        text = dumps_trace(trace)
+        load, payload = ((decode_trace, encode_trace(trace)) if binary
+                         else (loads_trace, dumps_trace(trace)))
 
         def run() -> object:
             for _ in range(TRACE_LOADS_PER_SAMPLE):
-                loaded = loads_trace(text)
+                loaded = load(payload)
                 loaded.columns()
-            return len(loaded)
-
-        return run
-
-    return setup
-
-
-def _stc_load_case() -> Callable[[bool], Callable[[], object]]:
-    """`.stc` binary-format ingest throughput on the same workload.
-
-    Decodes the blob and builds the columnar views without materializing
-    a single :class:`Event` -- the zero-copy fast path the format exists
-    for.  Paired with ``trace-load/std`` under ``speedups``.
-    """
-
-    def setup(quick: bool) -> Callable[[], object]:
-        from repro.trace.binfmt import decode_trace, encode_trace
-        from repro.trace.generators import build_trace
-
-        trace = build_trace("c11", num_threads=6,
-                            events=150 if quick else 600, seed=5)
-        blob = encode_trace(trace)
-
-        def run() -> object:
-            for _ in range(TRACE_LOADS_PER_SAMPLE):
-                loaded = decode_trace(blob)
-                loaded.columns()
+                for _event in loaded:
+                    pass
             return len(loaded)
 
         return run
@@ -382,8 +360,8 @@ def default_cases() -> List[PerfCase]:
                     _analysis_case(analysis, backend, generator,
                                    num_threads=threads, events=events,
                                    seed=1)))
-    cases.append(PerfCase("trace-load/std", _trace_load_case()))
-    cases.append(PerfCase("trace-load/stc", _stc_load_case()))
+    cases.append(PerfCase("trace-load/std", _trace_load_case(binary=False)))
+    cases.append(PerfCase("trace-load/stc", _trace_load_case(binary=True)))
     return cases
 
 

@@ -11,7 +11,7 @@ equivalence contracts:
   StreamEngine`'s final flush must equal a batch ``Analysis.run()``;
 * **format parity** -- the default backend must produce the same
   findings on the in-memory trace and on its ``.stc`` binary round trip
-  (``decode_trace(encode_trace(trace))``, analysed lazily).
+  (``decode_trace(encode_trace(trace))``).
 
 Each fuzz case deterministically derives a workload (kind round-robin
 over the unified generator registry, shape sampled per case, schedulers
@@ -212,7 +212,7 @@ def _run_findings(analysis: str, backend: str, trace: Trace) -> List[str]:
 
 
 def _stc_round_trip(trace: Trace) -> Trace:
-    """The trace after a ``.stc`` encode/decode cycle, still lazy."""
+    """The trace after a ``.stc`` encode/decode cycle."""
     from repro.trace.binfmt import decode_trace, encode_trace
 
     return decode_trace(encode_trace(trace), name=trace.name)

@@ -569,9 +569,6 @@ METRIC_CATALOG: Dict[str, Dict[str, str]] = {
         "help": "on-disk bytes of loaded traces (labelled by format)"},
     "trace_writes_total": {
         "type": "counter", "help": "traces written (labelled by format)"},
-    "stc_hydrations_total": {
-        "type": "counter",
-        "help": "Event objects inflated on demand from lazy .stc traces"},
     "analysis_run_seconds": {
         "type": "histogram",
         "help": "whole-analysis batch run time (labelled analysis, "

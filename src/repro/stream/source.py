@@ -390,9 +390,9 @@ def _binary_trace_source(path: Union[str, Path], follow: bool,
                          name: Optional[str] = None) -> "TraceSource":
     """A replayable source over a ``.stc`` binary trace.
 
-    The trace decodes lazily (columns only; events inflate as the engine
-    consumes them).  Following is refused like ``.gz``: a binary columnar
-    file has no notion of "lines appended since".
+    The whole trace decodes up front.  Following is refused like
+    ``.gz``: a binary columnar file has no notion of "lines appended
+    since".
     """
     if follow:
         raise StreamError("--follow is not supported for .stc traces")
@@ -407,8 +407,8 @@ def open_source(spec: str, follow: bool = False,
     """Resolve a CLI ``--source`` value into a source.
 
     An existing file path becomes a :class:`FileSource` for STD text
-    (``.std`` / ``.std.gz``) or a replayable :class:`TraceSource` over a
-    lazily decoded trace for ``.stc`` binary (sniffed by magic bytes, then
+    (``.std`` / ``.std.gz``) or a replayable :class:`TraceSource` over the
+    decoded trace for ``.stc`` binary (sniffed by magic bytes, then
     extension); a corpus manifest (``manifest.json`` or
     ``manifest.json#TRACE_ID``, see :mod:`repro.gen.corpus`) resolves to a
     source over the named member (first member by default); otherwise the

@@ -13,7 +13,6 @@ from repro.trace.event import (
 from repro.trace.binfmt import (
     STC_MAGIC,
     STC_VERSION,
-    LazyTrace,
     decode_trace,
     encode_trace,
     read_trace_stc,
@@ -45,7 +44,6 @@ __all__ = [
     "GENERATOR_REGISTRY",
     "KIND_BY_CODE",
     "KIND_CODES",
-    "LazyTrace",
     "MemoryOrder",
     "READ_KINDS",
     "STC_MAGIC",

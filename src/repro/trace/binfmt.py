@@ -3,11 +3,10 @@
 An ``.stc`` file is :class:`~repro.trace.columns.TraceColumns` on disk: a
 fixed prelude, a section table, then one section per column, each a typed
 :mod:`array` blob that loads with a single ``array.frombytes`` over a
-``memoryview`` slice.  Decoding builds the columnar view and the per-thread
-position lists directly from the mapped sections and materialises **zero**
-:class:`~repro.trace.event.Event` objects; the returned :class:`LazyTrace`
-inflates events on demand, one at a time, only when a consumer actually
-asks for them.
+``memoryview`` slice.  Decoding validates every section, builds all
+events in one pass and returns a plain :class:`~repro.trace.trace.Trace`
+whose columnar view and per-thread position lists come straight from the
+decoded sections -- the same object the STD loader returns.
 
 Layout (version 1, everything little-endian)::
 
@@ -61,9 +60,10 @@ import struct
 import sys
 from array import array
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from operator import lt as _lt
+from typing import Any, Dict, List, Optional, Tuple, Union
 
-from repro.errors import TraceError, TraceFormatError
+from repro.errors import TraceFormatError
 from repro.trace.columns import (
     _ACCESS_CODES,
     _READ_CODES,
@@ -72,7 +72,7 @@ from repro.trace.columns import (
     KIND_CODES,
     TraceColumns,
 )
-from repro.trace.event import Event, EventKind, MemoryOrder
+from repro.trace.event import Event, MemoryOrder
 from repro.trace.trace import Trace
 
 #: First bytes of every ``.stc`` file (high bit set, like PNG, so text
@@ -373,18 +373,6 @@ def encode_trace(trace: Trace) -> bytes:
 # --------------------------------------------------------------------------- #
 # Decoding
 # --------------------------------------------------------------------------- #
-class _Columns:
-    """Decoded column sections of one ``.stc`` payload (no events)."""
-
-    __slots__ = (
-        "event_count", "name", "pool", "variables", "kinds", "threads",
-        "indexes", "var_ids", "value_ids", "target_ids", "mo_codes",
-        "op_ids", "arg_ids", "result_ids", "atomic_flags", "access_flags",
-        "read_flags", "write_flags", "acquire_mo_flags", "release_mo_flags",
-        "thread_ids", "thread_positions",
-    )
-
-
 def _decode_pool(data, offset: int, length: int) -> List[Any]:
     end = offset + length
     if length < 4:
@@ -444,22 +432,24 @@ def _check_id_column(arr: array, label: str, limit: int,
             f"({limit_label})")
 
 
-def decode_trace(data, name: Optional[str] = None) -> "LazyTrace":
-    """Decode ``.stc`` bytes into a :class:`LazyTrace`.
+def decode_trace(data, name: Optional[str] = None) -> Trace:
+    """Decode ``.stc`` bytes into a :class:`~repro.trace.trace.Trace`.
 
     ``data`` is any bytes-like object (``bytes``, ``memoryview``, an
-    ``mmap``).  The columns are validated eagerly -- section bounds,
-    id ranges, flag-column consistency with the kind and memory-order
-    codes, thread-table totals -- but **no** :class:`Event` objects are
-    built; they inflate lazily on access.  ``name`` overrides the stored
-    trace name when given.
+    ``mmap``).  The columns are validated first -- section bounds, id
+    ranges, value types, flag-column consistency with the kind and
+    memory-order codes -- then every event is built in one pass and
+    every node of the thread table is checked against the THREADS and
+    INDEXES columns.  ``name`` overrides the stored trace name when
+    given.
 
     Raises
     ------
     TraceFormatError
         On any malformed input: wrong magic, unsupported version,
         truncated or overlapping sections, bad lengths, out-of-range ids,
-        inconsistent flag columns.
+        inconsistent flag columns, a thread table or position list that
+        disagrees with the THREADS and INDEXES columns.
     """
     view = memoryview(data)
     total = len(view)
@@ -501,13 +491,13 @@ def decode_trace(data, name: Optional[str] = None) -> "LazyTrace":
                 f"missing required section {SECTION_NAMES[section_id]}")
         return entry
 
-    def byte_column(section_id: int) -> bytes:
+    def byte_column(section_id: int) -> bytearray:
         offset, length = section(section_id)
         if length != count:
             raise TraceFormatError(
                 f"section {SECTION_NAMES[section_id]} holds {length} bytes "
                 f"for {count} events")
-        return bytes(view[offset:offset + length])
+        return bytearray(view[offset:offset + length])
 
     def array_column(section_id: int, typecode: str,
                      expected: int) -> array:
@@ -553,61 +543,61 @@ def decode_trace(data, name: Optional[str] = None) -> "LazyTrace":
             f"{max(var_pool_ids)} outside the {len(pool)}-entry pool")
     variables = [pool[pool_id] for pool_id in var_pool_ids]
 
-    columns = _Columns()
-    columns.event_count = count
-    columns.name = stored_name if name is None else name
-    columns.pool = pool
-    columns.variables = variables
-    columns.kinds = byte_column(SEC_KINDS)
-    columns.threads = array_column(SEC_THREADS, _I64, count)
-    columns.indexes = array_column(SEC_INDEXES, _I64, count)
-    columns.var_ids = array_column(SEC_VAR_IDS, _I32, count)
-    columns.value_ids = array_column(SEC_VALUE_IDS, _I32, count)
-    columns.target_ids = array_column(SEC_TARGET_IDS, _I32, count)
-    columns.mo_codes = byte_column(SEC_MO_CODES)
-    columns.op_ids = array_column(SEC_OP_IDS, _I32, count)
-    columns.arg_ids = array_column(SEC_ARG_IDS, _I32, count)
-    columns.result_ids = array_column(SEC_RESULT_IDS, _I32, count)
-    columns.atomic_flags = byte_column(SEC_ATOMIC)
-    columns.access_flags = byte_column(SEC_ACCESS)
-    columns.read_flags = byte_column(SEC_READ)
-    columns.write_flags = byte_column(SEC_WRITE)
-    columns.acquire_mo_flags = byte_column(SEC_ACQUIRE_MO)
-    columns.release_mo_flags = byte_column(SEC_RELEASE_MO)
+    kinds = byte_column(SEC_KINDS)
+    threads = array_column(SEC_THREADS, _I64, count)
+    indexes = array_column(SEC_INDEXES, _I64, count)
+    var_ids = array_column(SEC_VAR_IDS, _I32, count)
+    value_ids = array_column(SEC_VALUE_IDS, _I32, count)
+    target_ids = array_column(SEC_TARGET_IDS, _I32, count)
+    mo_codes = byte_column(SEC_MO_CODES)
+    op_ids = array_column(SEC_OP_IDS, _I32, count)
+    arg_ids = array_column(SEC_ARG_IDS, _I32, count)
+    result_ids = array_column(SEC_RESULT_IDS, _I32, count)
+    atomic_flags = byte_column(SEC_ATOMIC)
+    access_flags = byte_column(SEC_ACCESS)
+    read_flags = byte_column(SEC_READ)
+    write_flags = byte_column(SEC_WRITE)
+    acquire_mo_flags = byte_column(SEC_ACQUIRE_MO)
+    release_mo_flags = byte_column(SEC_RELEASE_MO)
 
     if count:
-        if max(columns.kinds) >= len(KIND_BY_CODE):
+        if max(kinds) >= len(KIND_BY_CODE):
             raise TraceFormatError(
-                f"KINDS section has code {max(columns.kinds)}; only "
+                f"KINDS section has code {max(kinds)}; only "
                 f"{len(KIND_BY_CODE)} event kinds exist")
-        if max(columns.mo_codes) >= len(_MO_BY_CODE):
+        if max(mo_codes) >= len(_MO_BY_CODE):
             raise TraceFormatError(
-                f"MO_CODES section has code {max(columns.mo_codes)}; only "
+                f"MO_CODES section has code {max(mo_codes)}; only "
                 f"{len(_MO_BY_CODE) - 1} memory orders exist")
-    _check_id_column(columns.var_ids, "VAR_IDS", len(variables),
+        if max(atomic_flags) > 1:
+            raise TraceFormatError(
+                f"ATOMIC section has flag {max(atomic_flags)}; flags are "
+                f"0 or 1")
+    _check_id_column(var_ids, "VAR_IDS", len(variables),
                      "the variable table size")
-    for section_id, arr in ((SEC_VALUE_IDS, columns.value_ids),
-                            (SEC_TARGET_IDS, columns.target_ids),
-                            (SEC_OP_IDS, columns.op_ids),
-                            (SEC_ARG_IDS, columns.arg_ids),
-                            (SEC_RESULT_IDS, columns.result_ids)):
+    for section_id, arr in ((SEC_VALUE_IDS, value_ids),
+                            (SEC_TARGET_IDS, target_ids),
+                            (SEC_OP_IDS, op_ids),
+                            (SEC_ARG_IDS, arg_ids),
+                            (SEC_RESULT_IDS, result_ids)):
         _check_id_column(arr, SECTION_NAMES[section_id], len(pool),
                          "the value pool size")
     for section_id, stored, derived in (
-            (SEC_ACCESS, columns.access_flags,
-             columns.kinds.translate(_ACCESS_TABLE)),
-            (SEC_READ, columns.read_flags,
-             columns.kinds.translate(_READ_TABLE)),
-            (SEC_WRITE, columns.write_flags,
-             columns.kinds.translate(_WRITE_TABLE)),
-            (SEC_ACQUIRE_MO, columns.acquire_mo_flags,
-             columns.mo_codes.translate(_ACQ_MO_TABLE)),
-            (SEC_RELEASE_MO, columns.release_mo_flags,
-             columns.mo_codes.translate(_REL_MO_TABLE))):
+            (SEC_ACCESS, access_flags, kinds.translate(_ACCESS_TABLE)),
+            (SEC_READ, read_flags, kinds.translate(_READ_TABLE)),
+            (SEC_WRITE, write_flags, kinds.translate(_WRITE_TABLE)),
+            (SEC_ACQUIRE_MO, acquire_mo_flags,
+             mo_codes.translate(_ACQ_MO_TABLE)),
+            (SEC_RELEASE_MO, release_mo_flags,
+             mo_codes.translate(_REL_MO_TABLE))):
         if stored != derived:
             raise TraceFormatError(
                 f"section {SECTION_NAMES[section_id]} disagrees with the "
                 f"flags derived from the kind/memory-order codes")
+
+    events = _decode_events(
+        pool, variables, kinds, threads, indexes, var_ids, value_ids,
+        target_ids, mo_codes, op_ids, arg_ids, result_ids, atomic_flags)
 
     table_offset, table_length = section(SEC_THREAD_TABLE)
     if table_length < 4:
@@ -622,273 +612,115 @@ def decode_trace(data, name: Optional[str] = None) -> "LazyTrace":
     if count and (min(positions_flat) < 0 or max(positions_flat) >= count):
         raise TraceFormatError(
             f"POSITIONS section has a position outside [0, {count})")
-    thread_ids: List[int] = []
+    chains: Dict[int, List[Event]] = {}
     thread_positions: Dict[int, array] = {}
     cursor = 0
     previous = None
     for entry in range(thread_count):
-        thread, events = _THREAD_ENTRY.unpack_from(
+        thread, length = _THREAD_ENTRY.unpack_from(
             view, table_offset + 4 + _THREAD_ENTRY.size * entry)
         if previous is not None and thread <= previous:
             raise TraceFormatError(
                 "THREAD_TABLE entries are not sorted by thread id")
         previous = thread
-        if events == 0 or cursor + events > count:
+        if length == 0 or cursor + length > count:
             raise TraceFormatError(
-                f"THREAD_TABLE entry for thread {thread} claims {events} "
+                f"THREAD_TABLE entry for thread {thread} claims {length} "
                 f"events; {count - cursor} positions remain")
-        positions = positions_flat[cursor:cursor + events]
-        # Spot-check the interlock between the position lists and the
-        # THREADS column (full verification happens lazily, event by
-        # event, when something inflates them).
-        if (columns.threads[positions[0]] != thread
-                or columns.threads[positions[-1]] != thread):
+        positions = positions_flat[cursor:cursor + length]
+        cursor += length
+        # Every node: the thread's positions run forward through the
+        # trace, each holds an event of this thread, and that event's
+        # index is its place in the chain.  With the total checked below,
+        # the chains then partition the events exactly as appending them
+        # in order would.
+        if not all(map(_lt, positions, positions[1:])):
+            raise TraceFormatError(
+                f"POSITIONS of thread {thread} are not strictly increasing")
+        if list(map(threads.__getitem__, positions)) != [thread] * length:
             raise TraceFormatError(
                 f"THREAD_TABLE entry for thread {thread} points at "
                 f"positions belonging to another thread")
-        thread_ids.append(thread)
+        if list(map(indexes.__getitem__, positions)) != list(range(length)):
+            raise TraceFormatError(
+                f"INDEXES of thread {thread} are not its chain positions "
+                f"0..{length - 1}")
+        chains[thread] = list(map(events.__getitem__, positions))
         thread_positions[thread] = positions
-        cursor += events
     if cursor != count:
         raise TraceFormatError(
             f"THREAD_TABLE entries cover {cursor} of {count} events")
-    columns.thread_ids = thread_ids
-    columns.thread_positions = thread_positions
-    return LazyTrace(columns)
+
+    columns = TraceColumns.from_dense(
+        events=events,
+        kinds=kinds,
+        threads=threads,
+        indexes=indexes,
+        var_ids=var_ids,
+        access_flags=access_flags,
+        read_flags=read_flags,
+        write_flags=write_flags,
+        atomic_flags=atomic_flags,
+        acquire_mo_flags=acquire_mo_flags,
+        release_mo_flags=release_mo_flags,
+        variables=variables,
+        thread_positions=thread_positions,
+    )
+    return Trace.from_chains(events, chains, columns,
+                             name=stored_name if name is None else name)
 
 
-# --------------------------------------------------------------------------- #
-# LazyTrace
-# --------------------------------------------------------------------------- #
-class _LazyEventSequence(Sequence):
-    """Event-list stand-in handed to :class:`TraceColumns`: indexing
-    routes through the owning :class:`LazyTrace` (inflating on demand),
-    and the length tracks the trace so post-load appends keep
-    ``TraceColumns.sync`` working."""
+def _decode_events(pool, variables, kinds, threads, indexes, var_ids,
+                   value_ids, target_ids, mo_codes, op_ids, arg_ids,
+                   result_ids, atomic_flags) -> List[Event]:
+    """Build every event of validated columns in one pass, as
+    :func:`~repro.trace.formats.load_trace` does: ``object.__new__`` and
+    only the fields the event sets, so unset fields read the
+    :class:`Event` class defaults.
 
-    __slots__ = ("_trace",)
-
-    def __init__(self, trace: "LazyTrace") -> None:
-        self._trace = trace
-
-    def __len__(self) -> int:
-        return len(self._trace)
-
-    def __getitem__(self, position):
-        return self._trace[position]
-
-
-class LazyTrace(Trace):
-    """A :class:`Trace` decoded from ``.stc`` columns that inflates
-    :class:`Event` objects only on demand.
-
-    Structural queries -- length, thread ids and lengths, per-thread
-    positions, the :meth:`columns` view -- are answered straight from the
-    decoded sections with no events built.  Accessing an event (indexing,
-    iteration, :meth:`event_at`) inflates exactly that event and caches
-    it.  Operations that need the full object-level index (the derived
-    maps, or appending new events) hydrate the whole trace first, after
-    which the instance behaves exactly like an eagerly built
-    :class:`Trace`.
+    Raises :class:`TraceFormatError` for a fork/join target that is not
+    an integer or an operation that is not a string.
     """
-
-    def __init__(self, columns: _Columns) -> None:
-        super().__init__(name=columns.name)
-        self._lazy = columns
-        self._cache: Dict[int, Event] = {}
-        self._hydrated = False
-        # Bound once at decode time; None keeps the per-event inflation
-        # path free of any telemetry cost when disabled.
-        from repro.obs import metrics as obs_metrics
-
-        active = obs_metrics.ACTIVE
-        self._m_hydrations = (active.counter("stc_hydrations_total")
-                              if active is not None else None)
-
-    # -------------------------------------------------------------- #
-    # Inflation machinery
-    # -------------------------------------------------------------- #
-    @property
-    def materialized_count(self) -> int:
-        """How many :class:`Event` objects this trace has built so far
-        (the zero-until-accessed contract is asserted against this)."""
-        return len(self._events) if self._hydrated else len(self._cache)
-
-    def _inflate(self, position: int) -> Event:
-        event = self._cache.get(position)
-        if event is not None:
-            return event
-        if self._m_hydrations is not None:
-            self._m_hydrations.inc()
-        lazy = self._lazy
-        pool = lazy.pool
-        value_id = lazy.value_ids[position]
-        target_id = lazy.target_ids[position]
-        op_id = lazy.op_ids[position]
-        arg_id = lazy.arg_ids[position]
-        result_id = lazy.result_ids[position]
-        var_id = lazy.var_ids[position]
-        target = None if target_id < 0 else pool[target_id]
-        if target is not None and (not isinstance(target, int)
-                                   or isinstance(target, bool)):
-            raise TraceFormatError(
-                f"event {position} has a non-integer fork/join target "
-                f"{target!r}")
-        operation = None if op_id < 0 else pool[op_id]
-        if operation is not None and not isinstance(operation, str):
-            raise TraceFormatError(
-                f"event {position} has a non-string operation {operation!r}")
-        # ``Event`` is looked up on the module (not closed over) so tests
-        # can substitute a counting stand-in and prove nothing inflates.
-        event = Event(
-            thread=lazy.threads[position],
-            index=lazy.indexes[position],
-            kind=KIND_BY_CODE[lazy.kinds[position]],
-            variable=None if var_id < 0 else lazy.variables[var_id],
-            value=None if value_id < 0 else pool[value_id],
-            target=target,
-            memory_order=_MO_BY_CODE[lazy.mo_codes[position]],
-            operation=operation,
-            argument=None if arg_id < 0 else pool[arg_id],
-            result=None if result_id < 0 else pool[result_id],
-            atomic=bool(lazy.atomic_flags[position]),
-        )
-        self._cache[position] = event
-        return event
-
-    def _hydrate(self) -> None:
-        """Inflate every event into the object-level ``Trace`` event list
-        and chains; afterwards the superclass handles everything."""
-        if self._hydrated:
-            return
-        append = Trace._append_existing
-        for position in range(self._lazy.event_count):
-            append(self, self._inflate(position))
-        self._hydrated = True
-        self._cache = {}
-
-    # -------------------------------------------------------------- #
-    # Lazy views (no events built)
-    # -------------------------------------------------------------- #
-    def __len__(self) -> int:
-        return len(self._events) if self._hydrated else self._lazy.event_count
-
-    def __getitem__(self, position):
-        if self._hydrated:
-            return self._events[position]
-        if isinstance(position, slice):
-            return [self._inflate(i)
-                    for i in range(*position.indices(self._lazy.event_count))]
-        if position < 0:
-            position += self._lazy.event_count
-        if not 0 <= position < self._lazy.event_count:
-            raise IndexError("trace index out of range")
-        return self._inflate(position)
-
-    def __iter__(self):
-        return self.iter_from(0)
-
-    def iter_from(self, position: int = 0):
-        while position < len(self):
-            yield self[position]
-            position += 1
-
-    @property
-    def events(self) -> Sequence[Event]:
-        if self._hydrated:
-            return tuple(self._events)
-        return tuple(self._inflate(i)
-                     for i in range(self._lazy.event_count))
-
-    @property
-    def threads(self) -> List[int]:
-        if self._hydrated:
-            return sorted(self._per_thread)
-        return list(self._lazy.thread_ids)
-
-    @property
-    def num_threads(self) -> int:
-        if self._hydrated:
-            return len(self._per_thread)
-        return len(self._lazy.thread_ids)
-
-    def thread_events(self, thread: int) -> Sequence[Event]:
-        if self._hydrated:
-            return super().thread_events(thread)
-        positions = self._lazy.thread_positions.get(thread)
-        if positions is None:
-            return ()
-        return tuple(self._inflate(position) for position in positions)
-
-    def thread_length(self, thread: int) -> int:
-        if self._hydrated:
-            return super().thread_length(thread)
-        positions = self._lazy.thread_positions.get(thread)
-        return 0 if positions is None else len(positions)
-
-    @property
-    def max_thread_length(self) -> int:
-        if self._hydrated:
-            return super().max_thread_length
-        return max((len(positions)
-                    for positions in self._lazy.thread_positions.values()),
-                   default=0)
-
-    def event_at(self, node) -> Event:
-        if self._hydrated:
-            return super().event_at(node)
-        thread, index = node
-        positions = self._lazy.thread_positions.get(thread)
-        if positions is None or not 0 <= index < len(positions):
-            raise TraceError(f"no event at node {node}")
-        return self._inflate(positions[index])
-
-    def columns(self) -> TraceColumns:
-        columns = self._columns
-        if columns is None:
-            lazy = self._lazy
-            columns = self._columns = TraceColumns.from_dense(
-                events=_LazyEventSequence(self),
-                kinds=bytearray(lazy.kinds),
-                threads=lazy.threads,
-                indexes=lazy.indexes,
-                var_ids=lazy.var_ids,
-                access_flags=bytearray(lazy.access_flags),
-                read_flags=bytearray(lazy.read_flags),
-                write_flags=bytearray(lazy.write_flags),
-                atomic_flags=bytearray(lazy.atomic_flags),
-                acquire_mo_flags=bytearray(lazy.acquire_mo_flags),
-                release_mo_flags=bytearray(lazy.release_mo_flags),
-                variables=list(lazy.variables),
-                thread_positions=dict(lazy.thread_positions),
-            )
-        return columns.sync()
-
-    # -------------------------------------------------------------- #
-    # Hydrating operations (need every Event object)
-    # -------------------------------------------------------------- #
-    def add(self, event: Event) -> Event:
-        self._hydrate()
-        return super().add(event)
-
-    def append(self, thread: int, kind: EventKind, **metadata) -> Event:
-        self._hydrate()
-        return super().append(thread, kind, **metadata)
-
-    def _sync_indexes(self) -> None:
-        # Every derived-index accessor of ``Trace`` syncs first, so this
-        # one override hydrates ahead of all of them.
-        self._hydrate()
-        super()._sync_indexes()
-
-    def fork_join_edges(self):
-        self._hydrate()
-        return super().fork_join_edges()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "hydrated" if self._hydrated else "lazy"
-        return (f"LazyTrace(name={self.name!r}, events={len(self)}, "
-                f"threads={self.num_threads}, {state})")
+    new, set_field = object.__new__, object.__setattr__
+    kind_by_code, mo_by_code = KIND_BY_CODE, _MO_BY_CODE
+    events: List[Event] = []
+    append = events.append
+    for (thread, index, code, var_id, value_id, target_id, mo_code, op_id,
+         arg_id, result_id, atomic) in zip(
+            threads, indexes, kinds, var_ids, value_ids, target_ids,
+            mo_codes, op_ids, arg_ids, result_ids, atomic_flags):
+        event = new(Event)
+        set_field(event, "thread", thread)
+        set_field(event, "index", index)
+        set_field(event, "kind", kind_by_code[code])
+        if var_id >= 0:
+            set_field(event, "variable", variables[var_id])
+        if value_id >= 0:
+            set_field(event, "value", pool[value_id])
+        if target_id >= 0:
+            target = pool[target_id]
+            if type(target) is not int:
+                raise TraceFormatError(
+                    f"event {len(events)} has a non-integer fork/join "
+                    f"target {target!r}")
+            set_field(event, "target", target)
+        if mo_code:
+            set_field(event, "memory_order", mo_by_code[mo_code])
+        if op_id >= 0:
+            operation = pool[op_id]
+            if type(operation) is not str:
+                raise TraceFormatError(
+                    f"event {len(events)} has a non-string operation "
+                    f"{operation!r}")
+            set_field(event, "operation", operation)
+        if arg_id >= 0:
+            set_field(event, "argument", pool[arg_id])
+        if result_id >= 0:
+            set_field(event, "result", pool[result_id])
+        if atomic:
+            set_field(event, "atomic", True)
+        append(event)
+    return events
 
 
 # --------------------------------------------------------------------------- #
@@ -910,8 +742,8 @@ def write_trace_stc(trace: Trace, path: Union[str, Path]) -> None:
 
 
 def read_trace_stc(path: Union[str, Path],
-                   name: Optional[str] = None) -> LazyTrace:
-    """Read an ``.stc`` file into a :class:`LazyTrace`.
+                   name: Optional[str] = None) -> Trace:
+    """Read an ``.stc`` file into a :class:`~repro.trace.trace.Trace`.
 
     Plain files are memory-mapped and the column blobs copied out with
     ``array.frombytes`` (the map is not held open); gzip members --

@@ -120,19 +120,14 @@ class TraceColumns:
         self._built = 0
 
     @classmethod
-    def from_dense(cls, events: Sequence[Event], kinds, threads, indexes,
+    def from_dense(cls, events: List[Event], kinds, threads, indexes,
                    var_ids, access_flags, read_flags, write_flags,
                    atomic_flags, acquire_mo_flags, release_mo_flags,
                    variables: List[Any],
                    thread_positions: Dict[int, List[int]]) -> "TraceColumns":
         """Build a view over columns encoded elsewhere (the ``.stc``
-        decoder) without re-scanning any events.
-
-        ``events`` may be a lazy stand-in; it is only indexed for events
-        appended *after* this point (``sync`` picks them up normally, so
-        the view stays live and append-only like one built event by
-        event).
-        """
+        decoder) without re-scanning ``events``; events appended later
+        are encoded by :meth:`sync` as usual."""
         columns = cls.__new__(cls)
         columns._events = events
         columns.kinds = kinds

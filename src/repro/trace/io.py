@@ -84,8 +84,9 @@ def read_trace(source: Union[str, Path, TextIO],
     """Load a trace from a path or text stream, sniffing the format.
 
     A path whose content (or, failing that, suffix) identifies the binary
-    format decodes to a :class:`~repro.trace.binfmt.LazyTrace` -- no
-    event objects until accessed; anything else parses as STD text.
+    format decodes with :func:`~repro.trace.binfmt.read_trace_stc`;
+    anything else parses as STD text.  Both return a
+    :class:`~repro.trace.trace.Trace` with its columnar view built.
     ``name`` is the fallback name, as in
     :func:`~repro.trace.formats.load_trace` (a stored name wins).
     """

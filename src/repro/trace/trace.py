@@ -102,8 +102,9 @@ class Trace:
     def from_chains(cls, events: List[Event], chains: Dict[int, List[Event]],
                     columns: TraceColumns, name: str = "trace") -> "Trace":
         """A trace over ``events`` whose per-thread ``chains`` the caller
-        built with consecutive indexes (the STD loader), so no event is
-        checked again; ``columns`` must be a view over the same list."""
+        built and checked for consecutive indexes (the STD loader and the
+        ``.stc`` decoder), so no event is checked again; ``columns`` must
+        be a view over the same list."""
         trace = cls(name=name)
         trace._events = events
         trace._per_thread.update(chains)

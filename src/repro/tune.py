@@ -3,9 +3,8 @@
 The ``auto`` pseudo-backend (:data:`repro.core.AUTO_BACKEND`) is resolved
 here instead of in :func:`repro.core.make_partial_order`: a caller
 extracts a :class:`TraceFeatures` vector from the trace's columns
-(:func:`extract_features`, zero ``Event`` materialisation even on lazy
-``.stc`` traces) and asks :func:`choose_backend` for one of the
-analysis's applicable backends.
+(:func:`extract_features`, which reads no ``Event``) and asks
+:func:`choose_backend` for one of the analysis's applicable backends.
 
 The rule is fixed: vector clocks (``vc-flat``) when more
 than :data:`ATOMIC_THRESHOLD` of the events are atomic, the incremental
@@ -17,14 +16,9 @@ per-job oracle of ``repro sweep --oracle``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.obs import metrics as obs_metrics
-from repro.trace.columns import (
-    ACQUIRE_CODE,
-    KIND_BY_CODE,
-    RELEASE_CODE,
-)
 
 __all__ = [
     "ATOMIC_THRESHOLD",
@@ -40,51 +34,17 @@ ATOMIC_THRESHOLD = 0.1
 #: Names of the scalar features, in the order :meth:`TraceFeatures.vector`
 #: emits them.  Exposed through ``Session.capabilities()["tuning"]`` so
 #: external tooling can interpret recorded feature vectors.
-FEATURE_NAMES: Tuple[str, ...] = (
-    "events",
-    "threads",
-    "variables",
-    "reads",
-    "writes",
-    "accesses",
-    "atomics",
-    "locks",
-    "read_write_ratio",
-    "lock_density",
-    "atomic_fraction",
-    "max_contention",
-    "mean_contention",
-)
+FEATURE_NAMES: Tuple[str, ...] = ("events", "threads", "atomic_fraction")
 
 
 @dataclass(frozen=True)
 class TraceFeatures:
-    """A fixed trace-shape feature vector (see :data:`FEATURE_NAMES`).
-
-    ``kind_hist`` is the per-:class:`~repro.trace.event.EventKind` event
-    count as a sorted tuple of ``(kind_name, count)`` pairs -- tuple, not
-    dict, so instances hash and compare by value.
-
-    Contention is per-variable: the fraction of all accesses landing on
-    the single hottest variable (``max_contention``) and the mean
-    accesses per touched variable normalised by total accesses
-    (``mean_contention``); both are 0.0 for traces without accesses.
-    """
+    """The trace shape the rule reads (see :data:`FEATURE_NAMES`): the
+    fraction of atomic events, plus the trace's size."""
 
     events: int
     threads: int
-    variables: int
-    reads: int
-    writes: int
-    accesses: int
-    atomics: int
-    locks: int
-    kind_hist: Tuple[Tuple[str, int], ...]
-    read_write_ratio: float
-    lock_density: float
     atomic_fraction: float
-    max_contention: float
-    mean_contention: float
 
     def vector(self) -> Tuple[float, ...]:
         """The scalar features as a tuple aligned with :data:`FEATURE_NAMES`."""
@@ -94,54 +54,17 @@ class TraceFeatures:
 def extract_features(trace) -> TraceFeatures:
     """Compute the :class:`TraceFeatures` of ``trace``.
 
-    Works on anything exposing ``columns()`` -- an eager ``Trace``, a
-    lazy ``.stc``-backed trace, or the streaming engine's growing
-    snapshot -- and reads only the int/byte columns, so no ``Event``
-    objects are inflated.
+    Works on anything exposing ``columns()`` -- a ``Trace`` or the
+    streaming engine's growing snapshot -- and reads only the columns'
+    sizes and the atomic flag column.
     """
     columns = trace.columns()
-    kinds = columns.kinds
     total = len(columns)
-
-    kind_hist = []
-    for code, kind in enumerate(KIND_BY_CODE):
-        count = kinds.count(code)
-        if count:
-            kind_hist.append((kind.name, count))
-    kind_hist.sort()
-
-    reads = sum(columns.read_flags)
-    writes = sum(columns.write_flags)
-    accesses = sum(columns.access_flags)
-    atomics = sum(columns.atomic_flags)
-    locks = kinds.count(ACQUIRE_CODE) + kinds.count(RELEASE_CODE)
-
-    per_variable: Dict[int, int] = {}
-    for var_id, flag in zip(columns.var_ids, columns.access_flags):
-        if flag and var_id >= 0:
-            per_variable[var_id] = per_variable.get(var_id, 0) + 1
-    if accesses and per_variable:
-        max_contention = max(per_variable.values()) / accesses
-        mean_contention = (accesses / len(per_variable)) / accesses
-    else:
-        max_contention = 0.0
-        mean_contention = 0.0
-
+    atomics = columns.atomic_flags.count(1)
     return TraceFeatures(
         events=total,
         threads=len(columns.thread_positions),
-        variables=len(columns.variables),
-        reads=reads,
-        writes=writes,
-        accesses=accesses,
-        atomics=atomics,
-        locks=locks,
-        kind_hist=tuple(kind_hist),
-        read_write_ratio=reads / writes if writes else float(reads),
-        lock_density=locks / total if total else 0.0,
         atomic_fraction=atomics / total if total else 0.0,
-        max_contention=max_contention,
-        mean_contention=mean_contention,
     )
 
 

@@ -5,11 +5,11 @@ reached it:
 
 * **std** -- the canonical text format round trip
   (``loads_trace(dumps_trace(t))``);
-* **stc-eager** -- the binary round trip, fully rebuilt into an
-  ordinary object-level :class:`Trace` before analysis;
-* **stc-lazy** -- the binary round trip analysed directly as a
-  :class:`LazyTrace` (events inflate on demand, columns come straight
-  from the mapped sections).
+* **stc-eager** -- the binary round trip, rebuilt event by event into
+  a new :class:`Trace` (the per-event construction check);
+* **stc** -- the binary round trip analysed directly: the
+  :class:`Trace` ``decode_trace`` returns, its columns straight from the
+  decoded sections.
 
 Each of the seven analyses runs in **batch** mode (``Analysis.run``) and
 **streaming** mode (:class:`StreamEngine` over a :class:`TraceSource`)
@@ -52,7 +52,7 @@ def normalize(findings):
 
 
 def eager_copy(trace: Trace) -> Trace:
-    """Rebuild an ordinary Trace from decoded events (no lazy machinery)."""
+    """Rebuild a Trace from decoded events, one ``append`` at a time."""
     copy = Trace(name=trace.name)
     for event in trace:
         copy.append(event.thread, event.kind, variable=event.variable,
@@ -68,7 +68,7 @@ def variants(trace: Trace):
     return {
         "std": loads_trace(dumps_trace(trace)),
         "stc-eager": eager_copy(decode_trace(blob)),
-        "stc-lazy": decode_trace(blob),
+        "stc": decode_trace(blob),
     }
 
 

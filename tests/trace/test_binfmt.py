@@ -1,4 +1,4 @@
-"""The ``.stc`` binary columnar format: round trips, laziness, integrity.
+"""The ``.stc`` binary columnar format: round trips, integrity.
 
 Four contracts under test:
 
@@ -6,13 +6,14 @@ Four contracts under test:
   event, every derived view, and the columnar encoding of ``t``;
 * **deterministic** -- the same trace always encodes to the same bytes
   (including through a decode/re-encode cycle);
-* **lazy** -- loading and columnar access materialize *zero*
-  :class:`Event` objects (proved by substituting a counting stand-in for
-  the module-level ``Event`` reference);
+* **one representation** -- decoding returns a plain :class:`Trace`
+  that indexes, slices, looks up nodes and grows like any other;
 * **safe** -- every malformed input (bad magic, bad version, truncation
   at *any* byte, lying section table, out-of-range interned ids,
-  inconsistent flag columns) raises :class:`TraceFormatError`, never an
-  ``IndexError``/``struct.error`` and never a silently wrong trace.
+  inconsistent flag columns, a thread table or position list that
+  disagrees with the THREADS and INDEXES columns) raises
+  :class:`TraceFormatError`, never an ``IndexError``/``struct.error``
+  and never a silently wrong trace.
 """
 
 from __future__ import annotations
@@ -39,10 +40,16 @@ from repro.trace import (
 )
 from repro.trace.binfmt import (
     SEC_ACCESS,
+    SEC_ARG_IDS,
+    SEC_ATOMIC,
+    SEC_INDEXES,
     SEC_KINDS,
     SEC_MO_CODES,
+    SEC_OP_IDS,
     SEC_POSITIONS,
+    SEC_TARGET_IDS,
     SEC_THREAD_TABLE,
+    SEC_THREADS,
     SEC_VALUE_IDS,
     SEC_VAR_IDS,
     SECTION_NAMES,
@@ -114,6 +121,14 @@ def patch_section(blob: bytes, section_id: int, position: int,
     assert position + len(replacement) <= length, "patch escapes section"
     start = offset + position
     return blob[:start] + replacement + blob[start + len(replacement):]
+
+
+def section_array(blob: bytes, section_id: int, fmt: str) -> list:
+    """One fixed-width column section as a list (``fmt`` is one item)."""
+    offset, length = section_table(blob)[section_id]
+    item = struct.Struct(fmt)
+    return [item.unpack_from(blob, offset + at)[0]
+            for at in range(0, length, item.size)]
 
 
 def assert_traces_equal(left: Trace, right: Trace) -> None:
@@ -199,17 +214,17 @@ class TestRoundTrip:
     def test_columns_match_eager_encoding(self):
         trace = generator_trace()
         eager = trace.columns()
-        lazy = decode_trace(encode_trace(trace)).columns()
-        assert bytes(lazy.kinds) == bytes(eager.kinds)
-        assert list(lazy.threads) == list(eager.threads)
-        assert list(lazy.var_ids) == list(eager.var_ids)
-        assert bytes(lazy.access_flags) == bytes(eager.access_flags)
-        assert bytes(lazy.read_flags) == bytes(eager.read_flags)
-        assert bytes(lazy.write_flags) == bytes(eager.write_flags)
-        assert bytes(lazy.acquire_mo_flags) == bytes(eager.acquire_mo_flags)
-        assert bytes(lazy.release_mo_flags) == bytes(eager.release_mo_flags)
+        decoded = decode_trace(encode_trace(trace)).columns()
+        assert bytes(decoded.kinds) == bytes(eager.kinds)
+        assert list(decoded.threads) == list(eager.threads)
+        assert list(decoded.var_ids) == list(eager.var_ids)
+        assert bytes(decoded.access_flags) == bytes(eager.access_flags)
+        assert bytes(decoded.read_flags) == bytes(eager.read_flags)
+        assert bytes(decoded.write_flags) == bytes(eager.write_flags)
+        assert bytes(decoded.acquire_mo_flags) == bytes(eager.acquire_mo_flags)
+        assert bytes(decoded.release_mo_flags) == bytes(eager.release_mo_flags)
         assert ({thread: list(positions)
-                 for thread, positions in lazy.thread_positions.items()}
+                 for thread, positions in decoded.thread_positions.items()}
                 == {thread: list(positions)
                     for thread, positions in eager.thread_positions.items()})
 
@@ -243,51 +258,29 @@ class TestDeterminism:
 
 
 # --------------------------------------------------------------------------- #
-# Laziness
+# The decoded trace
 # --------------------------------------------------------------------------- #
-class CountingEvent(Event):
-    """Stand-in for ``binfmt.Event`` that counts materializations."""
-
-    instances = 0
-
-    def __init__(self, *args, **kwargs):
-        type(self).instances += 1
-        super().__init__(*args, **kwargs)
-
-
-@pytest.fixture
-def counting_event(monkeypatch):
-    CountingEvent.instances = 0
-    monkeypatch.setattr("repro.trace.binfmt.Event", CountingEvent)
-    return CountingEvent
-
-
-class TestLaziness:
-    def test_load_and_columns_materialize_nothing(self, counting_event):
-        """The headline contract: decode + structural queries + the full
-        columnar view build ZERO Event objects."""
+class TestDecodedTrace:
+    def test_decode_returns_a_plain_trace(self):
         trace = generator_trace()
-        blob = encode_trace(trace)
-        loaded = decode_trace(blob)
+        loaded = decode_trace(encode_trace(trace))
+        assert type(loaded) is Trace
         assert len(loaded) == len(trace)
         assert loaded.threads == trace.threads
         assert loaded.num_threads == trace.num_threads
         assert loaded.max_thread_length == trace.max_thread_length
         for thread in trace.threads:
-            assert loaded.thread_length(thread) == trace.thread_length(thread)
+            assert loaded.thread_events(thread) == trace.thread_events(thread)
         columns = loaded.columns()
         assert len(columns.kinds) == len(trace)
         assert columns.sync() is columns
-        assert counting_event.instances == 0
-        assert loaded.materialized_count == 0
+        assert list(columns.events) == list(loaded)
 
-    def test_indexing_materializes_exactly_one(self, counting_event):
-        loaded = decode_trace(encode_trace(generator_trace()))
-        event = loaded[5]
-        assert counting_event.instances == 1
-        assert loaded.materialized_count == 1
-        assert loaded[5] is event  # cached, no second build
-        assert counting_event.instances == 1
+    def test_indexing(self):
+        trace = generator_trace()
+        loaded = decode_trace(encode_trace(trace))
+        assert loaded[5] == trace[5]
+        assert loaded[5] is loaded[5]
 
     def test_negative_and_slice_indexing(self):
         trace = generator_trace()
@@ -297,28 +290,21 @@ class TestLaziness:
         with pytest.raises(IndexError):
             loaded[len(trace)]
 
-    def test_event_at_inflates_on_demand(self, counting_event):
+    def test_event_at(self):
         trace = generator_trace()
         loaded = decode_trace(encode_trace(trace))
         node = (trace.threads[0], 2)
-        inflated, expected = loaded.event_at(node), trace.event_at(node)
-        # CountingEvent is a distinct dataclass, so compare field-wise.
-        assert (inflated.thread, inflated.index, inflated.kind,
-                inflated.variable, inflated.value) == (
-            expected.thread, expected.index, expected.kind,
-            expected.variable, expected.value)
-        assert counting_event.instances == 1
+        assert loaded.event_at(node) == trace.event_at(node)
+        for event in loaded:
+            assert loaded.event_at(event.node) is event
 
-    def test_hydrating_operations_still_work(self):
+    def test_derived_indexes(self):
         trace = generator_trace("racy")
         loaded = decode_trace(encode_trace(trace))
-        assert loaded.materialized_count == 0
         assert loaded.locks_held_map() == trace.locks_held_map()
-        # reads_from forced a hydration: now a full Trace.
-        assert loaded.materialized_count == len(trace)
         assert list(loaded) == list(trace)
 
-    def test_append_after_load_hydrates_and_extends_columns(self):
+    def test_append_after_load_extends_columns(self):
         trace = generator_trace()
         loaded = decode_trace(encode_trace(trace))
         columns = loaded.columns()
@@ -378,6 +364,11 @@ class TestCorruption:
         blob = patch_section(encode_trace(rich_trace()), SEC_MO_CODES, 0,
                              b"\x63")
         assert "memory order" in self.decode_error(blob).replace("-", " ")
+
+    def test_atomic_flag_out_of_range(self):
+        blob = patch_section(encode_trace(rich_trace()), SEC_ATOMIC, 0,
+                             b"\x07")
+        assert "ATOMIC" in self.decode_error(blob)
 
     def test_variable_id_out_of_range(self):
         blob = patch_section(encode_trace(rich_trace()), SEC_VAR_IDS, 4,
@@ -484,11 +475,79 @@ class TestCorruption:
                     + blob[entry_at + _TABLE_ENTRY.size:]
                 self.decode_error(mutated)
 
+    def test_every_node_is_checked(self):
+        """Two INDEXES entries rewritten to 0: each event's index no
+        longer matches its place in its thread's chain.  The thread
+        table's first and last positions still agree, so only a check of
+        every node catches it."""
+        trace = build_trace("c11", num_threads=3, events=20, seed=1)
+        blob = encode_trace(trace)
+        for position in (1, 2):
+            blob = patch_section(blob, SEC_INDEXES, 8 * position,
+                                 struct.pack("<q", 0))
+        assert "INDEXES" in self.decode_error(blob)
+
+    def test_positions_must_increase(self):
+        trace = Trace(name="order")
+        trace.append(0, EventKind.WRITE, variable="x", value=1)
+        trace.append(0, EventKind.WRITE, variable="x", value=2)
+        blob = encode_trace(trace)
+        mutated = patch_section(blob, SEC_POSITIONS, 0,
+                                struct.pack("<qq", 1, 0))
+        assert "increasing" in self.decode_error(mutated)
+
+    def test_fork_target_must_be_an_integer(self):
+        trace = Trace(name="fork")
+        trace.append(0, EventKind.WRITE, variable="x", value="text")
+        trace.append(0, EventKind.FORK, target=1)
+        blob = encode_trace(trace)
+        text_id = section_array(blob, SEC_VALUE_IDS, "<i")[0]
+        mutated = patch_section(blob, SEC_TARGET_IDS, 4,
+                                struct.pack("<i", text_id))
+        assert self.decode_error(mutated) == (
+            "event 1 has a non-integer fork/join target 'text'")
+
+    def test_operation_must_be_a_string(self):
+        trace = Trace(name="op")
+        trace.append(0, EventKind.BEGIN, operation="enqueue", argument=41)
+        blob = encode_trace(trace)
+        argument_id = section_array(blob, SEC_ARG_IDS, "<i")[0]
+        mutated = patch_section(blob, SEC_OP_IDS, 0,
+                                struct.pack("<i", argument_id))
+        assert self.decode_error(mutated) == (
+            "event 0 has a non-string operation 41")
+
     def test_encode_rejects_oversized_identifiers(self):
         trace = Trace(name="big")
         trace.append(2 ** 70, EventKind.WRITE, variable="x", value=1)
         with pytest.raises(TraceFormatError):
             encode_trace(trace)
+
+
+class TestNodeSectionMutations:
+    """Any single entry of INDEXES, THREADS or POSITIONS rewritten to any
+    nearby value: decoding raises :class:`TraceFormatError` or returns a
+    trace in which every event sits at its own node."""
+
+    @pytest.mark.parametrize("section_id",
+                             [SEC_INDEXES, SEC_THREADS, SEC_POSITIONS],
+                             ids=["INDEXES", "THREADS", "POSITIONS"])
+    def test_single_entry_changes(self, section_id):
+        trace = build_trace("fork-join", num_threads=3, events=12, seed=3)
+        blob = encode_trace(trace)
+        original = section_array(blob, section_id, "<q")
+        replacements = (set(range(-1, len(trace) + 1)) | set(trace.threads)
+                        | {max(trace.threads) + 1, 2 ** 40})
+        for entry, value in enumerate(original):
+            for replacement in sorted(replacements - {value}):
+                mutated = patch_section(blob, section_id, 8 * entry,
+                                        struct.pack("<q", replacement))
+                try:
+                    loaded = decode_trace(mutated)
+                except TraceFormatError:
+                    continue
+                for event in loaded:
+                    assert loaded.event_at(event.node) is event
 
 
 # --------------------------------------------------------------------------- #

@@ -1,16 +1,12 @@
-"""TraceFeatures extraction: determinism, representation-independence,
-and the zero-materialization contract.
+"""TraceFeatures extraction: determinism and representation-independence.
 
-Three contracts under test, the first two as hypothesis properties:
+Two contracts under test, as hypothesis properties:
 
 * **deterministic** -- extracting twice from the same trace yields an
   equal (and equally hashable) feature vector;
-* **representation-independent** -- an eager ``Trace``, the lazy trace
-  decoded from its ``.stc`` encoding, and an STD text round trip all
-  produce identical features;
-* **lazy** -- extraction from a ``.stc``-backed trace materializes zero
-  :class:`Event` objects (same counting stand-in as
-  ``tests/trace/test_binfmt.py``).
+* **representation-independent** -- a ``Trace`` built in memory, the
+  trace decoded from its ``.stc`` encoding, and an STD text round trip
+  all produce identical features.
 """
 
 from __future__ import annotations
@@ -22,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.trace import (
-    Event,
     EventKind,
     MemoryOrder,
     Trace,
@@ -32,11 +27,10 @@ from repro.trace import (
     loads_trace,
 )
 from repro.trace.generators import GENERATOR_REGISTRY, build_trace
-from repro.tune import FEATURE_NAMES, TraceFeatures, extract_features
+from repro.tune import FEATURE_NAMES, extract_features
 
 #: Event shapes the strategy can emit: (kind, needs_variable_prefix,
-#: needs_memory_order).  Locks get their own namespace so lock_density
-#: and contention are exercised independently.
+#: needs_memory_order).
 _SHAPES = [
     (EventKind.READ, "x", None),
     (EventKind.WRITE, "x", None),
@@ -83,25 +77,21 @@ class TestProperties:
 
     @settings(max_examples=60, deadline=None)
     @given(traces())
-    def test_eager_lazy_and_text_round_trip_agree(self, trace):
-        eager = extract_features(trace)
-        lazy = extract_features(decode_trace(encode_trace(trace)))
+    def test_memory_binary_and_text_round_trip_agree(self, trace):
+        memory = extract_features(trace)
+        binary = extract_features(decode_trace(encode_trace(trace)))
         text = extract_features(loads_trace(dumps_trace(trace)))
-        assert eager == lazy == text
+        assert memory == binary == text
 
     @settings(max_examples=60, deadline=None)
     @given(traces())
     def test_invariants(self, trace):
         features = extract_features(trace)
         assert features.events == len(trace)
-        assert features.accesses == features.reads + features.writes
-        assert features.atomics <= features.accesses
-        assert sum(count for _name, count in features.kind_hist) \
-            == features.events
-        assert 0.0 <= features.lock_density <= 1.0
-        assert 0.0 <= features.atomic_fraction <= 1.0
-        assert 0.0 <= features.mean_contention <= features.max_contention \
-            <= 1.0 or features.accesses == 0
+        assert features.threads == trace.num_threads
+        atomics = sum(1 for event in trace if event.atomic)
+        assert features.atomic_fraction == (
+            atomics / len(trace) if len(trace) else 0.0)
         vector = features.vector()
         assert len(vector) == len(FEATURE_NAMES)
         assert all(isinstance(value, float) and not math.isnan(value)
@@ -115,41 +105,10 @@ class TestGeneratorKinds:
         features = extract_features(trace)
         assert features.events == len(trace)
         assert features.threads <= trace.num_threads
-        lazy = extract_features(decode_trace(encode_trace(trace)))
-        assert features == lazy
+        assert features == extract_features(
+            decode_trace(encode_trace(trace)))
 
     def test_empty_trace(self):
         features = extract_features(Trace(name="empty"))
         assert features.events == 0
-        assert features.read_write_ratio == 0.0
-        assert features.max_contention == 0.0
-
-
-class CountingEvent(Event):
-    """Stand-in for ``binfmt.Event`` that counts materializations."""
-
-    instances = 0
-
-    def __init__(self, *args, **kwargs):
-        type(self).instances += 1
-        super().__init__(*args, **kwargs)
-
-
-@pytest.fixture
-def counting_event(monkeypatch):
-    CountingEvent.instances = 0
-    monkeypatch.setattr("repro.trace.binfmt.Event", CountingEvent)
-    return CountingEvent
-
-
-class TestLaziness:
-    def test_stc_extraction_materializes_zero_events(self, counting_event):
-        """The acceptance contract: feature extraction over a lazy
-        ``.stc`` trace inflates no Event objects at all."""
-        trace = build_trace("c11", num_threads=3, events=20, seed=7)
-        loaded = decode_trace(encode_trace(trace))
-        features = extract_features(loaded)
-        assert features == extract_features(trace)
-        assert counting_event.instances == 0
-        assert loaded.materialized_count == 0
-
+        assert features.atomic_fraction == 0.0
