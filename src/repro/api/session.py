@@ -335,11 +335,11 @@ class Session:
         if not analyses and not resuming:
             raise ReproError("no analyses selected")
 
-        skip = 0
+        resume_cursor = 0
         resumed_from = None
         if resuming:
             engine = restore_engine(config.checkpoint, on_finding=on_finding)
-            skip = engine.cursor
+            resume_cursor = engine.cursor
             resumed_from = config.checkpoint
             # The checkpoint's configuration wins on resume; say so whenever
             # an option passed this time disagrees with it.
@@ -368,7 +368,9 @@ class Session:
                        f"{engine.backend_option or 'per-analysis default'} "
                        f"(requested {config.backend}); the backend is fixed "
                        f"at checkpoint creation")
-            notice("info", f"resumed from {config.checkpoint} at event {skip}")
+            notice("info", f"resumed from {config.checkpoint} at event "
+                           f"{resume_cursor} (rebuilding from the source's "
+                           f"first {resume_cursor} events)")
         else:
             engine = StreamEngine(
                 analyses,
@@ -381,7 +383,7 @@ class Session:
         for item in engine.warnings:
             notice("warning", str(item))
 
-        result = engine.run(source, skip=skip, max_events=config.max_events,
+        result = engine.run(source, max_events=config.max_events,
                             checkpoint_path=config.checkpoint,
                             checkpoint_every=config.checkpoint_every)
 
@@ -391,7 +393,8 @@ class Session:
             notice("warning", f"{name}: last flush failed: {message}")
         return WatchResult(warnings=tuple(warnings), stream=result,
                            cursor=engine.cursor, checkpoint=config.checkpoint,
-                           resumed_from=resumed_from, resume_cursor=skip)
+                           resumed_from=resumed_from,
+                           resume_cursor=resume_cursor)
 
     def serve(self, config: ServeConfig,
               on_finding: Optional[Callable[[Any], None]] = None,

@@ -41,13 +41,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    NullRegistry,
-    NULL_CONTEXT,
-    NULL_COUNTER,
-    NULL_GAUGE,
-    NULL_HISTOGRAM,
-    NULL_REGISTRY,
-    get_registry,
     set_registry,
     use_registry,
 )
@@ -86,13 +79,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NullRegistry",
-    "NULL_CONTEXT",
-    "NULL_COUNTER",
-    "NULL_GAUGE",
-    "NULL_HISTOGRAM",
-    "NULL_REGISTRY",
-    "get_registry",
     "set_registry",
     "use_registry",
     "SINK_KINDS",

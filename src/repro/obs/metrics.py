@@ -8,9 +8,7 @@ Design constraints (see ``docs/observability.md``):
   instrumented hot paths bind their instruments once at construction time
   and guard the per-event work with a single ``is None`` check -- no dict
   lookups, no allocation, no call into this module per event while
-  telemetry is disabled.  The :data:`NULL_REGISTRY` fallback hands out
-  shared no-op singletons whose methods allocate nothing, so code that
-  *does* call through unconditionally still pays only a no-op method call.
+  telemetry is disabled.  ``ACTIVE is None`` is the one off switch.
 * **Thread-safe.**  Instrument creation and every update happen under a
   lock (one per registry, shared by its instruments); concurrent ``inc``
   from N threads never loses a count.
@@ -210,77 +208,6 @@ class _Timer:
 
 
 # --------------------------------------------------------------------------- #
-# No-op twins (shared singletons; methods must never allocate)
-# --------------------------------------------------------------------------- #
-class NullCounter:
-    kind = "counter"
-    __slots__ = ()
-    name = ""
-    labels: Labels = ()
-    value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        pass
-
-
-class NullGauge:
-    kind = "gauge"
-    __slots__ = ()
-    name = ""
-    labels: Labels = ()
-    value = 0.0
-
-    def set(self, value: float) -> None:
-        pass
-
-    def add(self, amount: float) -> None:
-        pass
-
-
-class _NullContext:
-    """Reusable no-op context manager (``span``/``time`` when disabled)."""
-
-    __slots__ = ()
-    name = ""
-    labels: Dict[str, str] = {}
-    start_ns = 0
-    duration_ns = 0
-    duration_seconds = 0.0
-    children: Tuple = ()
-
-    def __enter__(self) -> "_NullContext":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        return False
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"name": "", "labels": {}, "start_ns": 0, "duration_ns": 0}
-
-
-class NullHistogram:
-    kind = "histogram"
-    __slots__ = ()
-    name = ""
-    labels: Labels = ()
-    bounds: Tuple[float, ...] = ()
-    count = 0
-    sum = 0.0
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def time(self) -> "_NullContext":
-        return NULL_CONTEXT
-
-
-NULL_COUNTER = NullCounter()
-NULL_GAUGE = NullGauge()
-NULL_HISTOGRAM = NullHistogram()
-NULL_CONTEXT = _NullContext()
-
-
-# --------------------------------------------------------------------------- #
 # Registry
 # --------------------------------------------------------------------------- #
 class MetricsRegistry:
@@ -293,8 +220,6 @@ class MetricsRegistry:
     :class:`~repro.errors.ObservabilityError` -- silent type morphing
     would corrupt every sink downstream.
     """
-
-    enabled = True
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -414,53 +339,6 @@ class MetricsRegistry:
         }
 
 
-class NullRegistry(MetricsRegistry):
-    """The disabled registry: hands out shared no-op singletons.
-
-    There is one process-wide instance, :data:`NULL_REGISTRY`; comparing
-    ``registry.enabled`` (or binding instruments and checking ``is
-    NULL_COUNTER``) is how call sites stay allocation-free when telemetry
-    is off.
-    """
-
-    enabled = False
-
-    def __init__(self) -> None:  # no lock, no storage
-        pass
-
-    def counter(self, name: str, **labels: Any) -> NullCounter:
-        return NULL_COUNTER
-
-    def gauge(self, name: str, **labels: Any) -> NullGauge:
-        return NULL_GAUGE
-
-    def histogram(self, name: str, buckets=None, **labels: Any
-                  ) -> NullHistogram:
-        return NULL_HISTOGRAM
-
-    def span(self, name: str, **labels: Any) -> _NullContext:
-        return NULL_CONTEXT
-
-    def current_span(self) -> None:
-        return None
-
-    def record_span_document(self, document: Dict[str, Any]) -> None:
-        pass
-
-    @property
-    def spans(self) -> List[Dict[str, Any]]:
-        return []
-
-    def instruments(self) -> Iterator[Any]:
-        return iter(())
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {"version": SNAPSHOT_VERSION, "ts_ns": time.time_ns(),
-                "counters": [], "gauges": [], "histograms": [], "spans": []}
-
-
-NULL_REGISTRY = NullRegistry()
-
 # --------------------------------------------------------------------------- #
 # The process-wide active registry
 # --------------------------------------------------------------------------- #
@@ -472,12 +350,6 @@ ACTIVE: Optional[MetricsRegistry] = None
 _ACTIVE_LOCK = threading.Lock()
 
 
-def get_registry() -> MetricsRegistry:
-    """The active registry, or :data:`NULL_REGISTRY` when disabled."""
-    registry = ACTIVE
-    return registry if registry is not None else NULL_REGISTRY
-
-
 def set_registry(registry: Optional[MetricsRegistry]
                  ) -> Optional[MetricsRegistry]:
     """Install ``registry`` as the process-wide active registry
@@ -485,7 +357,7 @@ def set_registry(registry: Optional[MetricsRegistry]
     global ACTIVE
     with _ACTIVE_LOCK:
         previous = ACTIVE
-        ACTIVE = registry if registry is not NULL_REGISTRY else None
+        ACTIVE = registry
     return previous
 
 
@@ -495,16 +367,18 @@ class use_registry:
         with use_registry(MetricsRegistry()) as registry:
             session.analyze(config)
         print(registry.snapshot())
+
+    ``use_registry(None)`` turns telemetry off for the block and yields
+    ``None``.
     """
 
     def __init__(self, registry: Optional[MetricsRegistry]) -> None:
         self._registry = registry
         self._previous: Optional[MetricsRegistry] = None
 
-    def __enter__(self) -> MetricsRegistry:
+    def __enter__(self) -> Optional[MetricsRegistry]:
         self._previous = set_registry(self._registry)
-        return self._registry if self._registry is not None \
-            else NULL_REGISTRY
+        return self._registry
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         set_registry(self._previous)

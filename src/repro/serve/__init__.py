@@ -8,7 +8,8 @@ per tenant.  The supervisor applies per-tenant quotas, bounded-queue
 backpressure that pushes back on the ingest socket instead of buffering
 unboundedly, merges every worker's findings into one ordered feed, writes
 periodic per-tenant JSON checkpoints, and respawns crashed workers with
-tenant state recovered by checkpoint restore plus journal replay.
+tenant state rebuilt by replaying each tenant's journal (its one event
+history) into an engine restored from its checkpoint.
 
 Layering (each module usable on its own):
 

@@ -7,17 +7,18 @@ Either way the shard owns everything per-tenant:
 
 * lazily creating the engine on the tenant's first event -- restoring it
   from ``<checkpoint_dir>/<tenant>.json`` when a checkpoint exists, so a
-  respawned worker resumes every tenant it hosted;
+  respawned worker resumes every tenant it hosted.  The supervisor
+  replays the tenant's whole feed from sequence 1 (its journal is the
+  tenant's one event history); the restored engine rebuilds its state
+  from the first ``cursor`` of those events and then carries on;
 * parsing STD payload lines into events with a per-tenant
-  :class:`~repro.trace.formats.LineDecoder`, whose index counters are
-  seeded from the restored engine after a recovery, so replayed lines
-  keep assigning the same indexes;
-* *sequence-skip* dedup for crash recovery: every event carries the
-  supervisor's per-tenant sequence number, and a line whose sequence is
-  ``<= engine.cursor`` was already consumed before the crash -- it is
-  dropped without parsing.  This is what makes journal replay idempotent;
-* periodic checkpoints every ``checkpoint_every`` events, acknowledged
-  through ``on_checkpoint`` so the supervisor can trim its journal;
+  :class:`~repro.trace.formats.LineDecoder`, after checking that each
+  line carries the next per-tenant sequence number;
+* periodic checkpoints at every multiple of ``checkpoint_every``
+  events.  Before each
+  save, ``on_checkpoint`` lets the host ship the findings emitted so far:
+  once the checkpoint is published, a rebuild from it no longer
+  re-emits them;
 * the final flush and summary document on ``#end``.
 """
 
@@ -40,8 +41,9 @@ from repro.obs import metrics as obs_metrics
 #: ``on_finding`` callback signature: ``(tenant, StreamFinding)``.
 FindingHook = Callable[[str, StreamFinding], None]
 
-#: ``on_checkpoint`` callback signature: ``(tenant, cursor)``.
-CheckpointHook = Callable[[str, int], None]
+#: ``on_checkpoint`` callback signature: ``(tenant)``, called before the
+#: tenant's checkpoint is saved.
+CheckpointHook = Callable[[str], None]
 
 
 @dataclass(frozen=True)
@@ -62,12 +64,8 @@ class _Tenant:
     """Book-keeping for one hosted tenant."""
 
     engine: StreamEngine
-    #: Decodes the tenant's STD payload lines.  Its per-thread counters are
-    #: seeded from the restored engine so post-recovery lines parse to the
-    #: same indexes they would have had in the uninterrupted run.
     decoder: LineDecoder
-    since_checkpoint: int = 0
-    restored_at: int = 0  #: engine cursor at restore time (0 = fresh)
+    fed: int = 0  #: sequence number of the last line fed
 
 
 class TenantShard:
@@ -111,9 +109,6 @@ class TenantShard:
         path = self._checkpoint_path(tenant)
         if path is not None and os.path.exists(path):
             engine = restore_engine(path, on_finding=emit)
-            entry = _Tenant(engine=engine,
-                            decoder=LineDecoder(dict(engine._next_index)),
-                            restored_at=engine.cursor)
         else:
             engine = StreamEngine(
                 list(self.options.analyses),
@@ -123,7 +118,7 @@ class TenantShard:
                 name=tenant,
                 on_finding=emit,
             )
-            entry = _Tenant(engine=engine, decoder=LineDecoder())
+        entry = _Tenant(engine=engine, decoder=LineDecoder())
         self._tenants[tenant] = entry
         if self._registry is not None:
             self._registry.counter("serve_tenants_total").inc()
@@ -133,28 +128,24 @@ class TenantShard:
     # Ingest
     # ------------------------------------------------------------------ #
     def feed_line(self, tenant: str, seq: int, line: str,
-                  enqueued_at: Optional[float] = None) -> bool:
-        """Feed one STD payload line carrying sequence number ``seq``.
-
-        Returns ``True`` when the event was consumed, ``False`` when it
-        was skipped as a recovery duplicate (``seq <= engine.cursor``:
-        already consumed before the checkpoint this engine restored
-        from).  Skipped lines are not even parsed -- the restored parse
-        counters already account for them.
-        """
+                  enqueued_at: Optional[float] = None) -> None:
+        """Feed one STD payload line carrying sequence number ``seq``, the
+        one after the tenant's last (a restored tenant starts again at
+        1 and rebuilds from the lines its checkpoint covers)."""
         entry = self.ensure_tenant(tenant)
-        engine = entry.engine
-        if seq <= engine.cursor:
-            return False
-        if seq != engine.cursor + 1:
+        if seq != entry.fed + 1:
             raise ServeError(
-                f"tenant {tenant!r}: sequence gap (got {seq}, engine at "
-                f"{engine.cursor}) -- the journal replay is incomplete")
+                f"tenant {tenant!r}: sequence gap or repeat (got {seq}, "
+                f"expected {entry.fed + 1}) -- the journal replay is broken")
         event = parse_trace_line(line, entry.decoder, seq)
         if event is None:
             raise ProtocolError(
                 f"tenant {tenant!r}: payload {line!r} is not an event line")
-        engine.feed(event)
+        entry.fed = seq
+        rebuilding = entry.engine.restoring
+        entry.engine.feed(event)
+        if rebuilding:
+            return
         if self._registry is not None:
             self._registry.counter("serve_events_total",
                                    tenant=tenant).inc()
@@ -162,26 +153,20 @@ class TenantShard:
                 self._registry.gauge("serve_tenant_lag_seconds",
                                      tenant=tenant) \
                     .set(max(0.0, time.time() - enqueued_at))
-        entry.since_checkpoint += 1
         every = self.options.checkpoint_every
-        if every and entry.since_checkpoint >= every:
-            self.checkpoint_tenant(tenant)
-        return True
+        if every and entry.engine.cursor % every == 0:
+            self._checkpoint(tenant, entry.engine)
 
-    def checkpoint_tenant(self, tenant: str) -> Optional[str]:
-        """Save the tenant's checkpoint now (no-op without a directory).
-        Returns the path written, and acknowledges via ``on_checkpoint``
-        so the supervisor can trim its recovery journal."""
-        entry = self._tenants[tenant]
+    def _checkpoint(self, tenant: str, engine: StreamEngine) -> None:
+        """Save the tenant's checkpoint (no-op without a directory), once
+        ``on_checkpoint`` has shipped the findings it covers."""
         path = self._checkpoint_path(tenant)
         if path is None:
-            return None
-        path.parent.mkdir(parents=True, exist_ok=True)
-        save_checkpoint(entry.engine, path)
-        entry.since_checkpoint = 0
+            return
         if self.on_checkpoint is not None:
-            self.on_checkpoint(tenant, entry.engine.cursor)
-        return str(path)
+            self.on_checkpoint(tenant)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        save_checkpoint(engine, path)
 
     # ------------------------------------------------------------------ #
     # Completion
@@ -201,12 +186,7 @@ class TenantShard:
             entry = self.ensure_tenant(tenant)
             self._tenants.pop(tenant, None)
         result = entry.engine.finish()
-        path = self._checkpoint_path(tenant)
-        if path is not None:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            save_checkpoint(entry.engine, path)
-            if self.on_checkpoint is not None:
-                self.on_checkpoint(tenant, entry.engine.cursor)
+        self._checkpoint(tenant, entry.engine)
         summary: Dict[str, Any] = {
             "type": "summary",
             "name": result.name,

@@ -16,18 +16,17 @@ Workers answer with one results message per frame.
 
 **Delivery and recovery model.**  Every accepted event gets a per-tenant
 sequence number and is appended to that tenant's *journal* before it is
-buffered for the worker.  Workers acknowledge each checkpoint they write
-with the engine cursor it covers; the supervisor trims the journal up to
-that cursor.  The journal therefore always holds exactly the events that
-are not yet durably checkpointed -- which is precisely what a respawned
-worker needs.  When a worker dies (detected by a liveness check before
-each frame is queued and during drain), the supervisor abandons its
-command queue and its frame buffer (anything in them is a subset of the
-journals), spawns a fresh process on a fresh queue, and replays the
-journal of every tenant routed to that worker, in frames.  The worker's
-shard restores each tenant from its last checkpoint and skips replayed
-sequence numbers it already consumed, so replay is idempotent; findings
-re-emitted for post-checkpoint events are deduplicated here by ``(tenant, analysis, position, text)`` -- positions
+buffered for the worker.  The journal is the tenant's one event history:
+it is never trimmed, and it is freed when the tenant's summary arrives.
+When a worker dies (detected by a liveness check before each frame is
+queued and during drain), the supervisor abandons its command queue and
+its frame buffer (anything in them is a subset of the journals), spawns
+a fresh process on a fresh queue, and replays the journal of every
+tenant routed to that worker from sequence 1, in frames.  The worker's
+shard restores each tenant from its last checkpoint, if any, and
+rebuilds it from the first ``cursor`` replayed events, which emit
+nothing; findings re-emitted for post-checkpoint events are
+deduplicated here by ``(tenant, analysis, position, text)`` -- positions
 are deterministic cursor counts, so a re-discovered finding collides
 exactly with its first emission.
 
@@ -52,9 +51,7 @@ import signal
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
-
-from collections import deque
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.errors import ProtocolError, ServeError
 from repro.obs import metrics as obs_metrics
@@ -150,7 +147,8 @@ class Supervisor:
         # Tenant state, all guarded by _lock.
         self._state: Dict[str, str] = {}  # active | ending | done
         self._seq: Dict[str, int] = {}
-        self._journal: Dict[str, Deque[Tuple[int, str]]] = {}
+        #: Each tenant's accepted lines; line ``i`` has sequence ``i + 1``.
+        self._journal: Dict[str, List[str]] = {}
         self._owner: Dict[str, _Worker] = {}  #: the ring's pick, cached
         self._summaries: Dict[str, Dict[str, Any]] = {}
         self._errors: List[Tuple[str, str]] = []
@@ -196,8 +194,8 @@ class Supervisor:
             raise ServeError("supervisor already started")
         self._started = True
         # Workers write results synchronously (no feeder thread), so a
-        # batch put before a checkpoint ack has left the worker before
-        # it can die.
+        # batch put before a checkpoint is saved has left the worker
+        # before it can die.
         self._results = self._context.SimpleQueue()
         for index in range(self.worker_count):
             crash_after = None
@@ -271,7 +269,7 @@ class Supervisor:
                     f"({self.quota_events})")
             self._seq[tenant] += 1
             seq = self._seq[tenant]
-            self._journal[tenant].append((seq, std_line))
+            self._journal[tenant].append(std_line)
             worker = self._owner[tenant]
             worker.frame.append((tenant, seq, std_line, time.time()))
             full = len(worker.frame) >= self.frame_events
@@ -284,7 +282,7 @@ class Supervisor:
         owner = self._workers[self._ring.route(tenant)]  # validates the id
         self._state[tenant] = "active"
         self._seq[tenant] = 0
-        self._journal[tenant] = deque()
+        self._journal[tenant] = []
         self._owner[tenant] = owner
 
     def flush(self) -> None:
@@ -376,7 +374,7 @@ class Supervisor:
                 # survives a respawn).
                 worker.frame = []
                 self._spawn(worker, crash_after=None)
-                replay: List[Tuple[str, str, List[Tuple[int, str]]]] = []
+                replay: List[Tuple[str, str, List[str]]] = []
                 for tenant in sorted(self._state):
                     if self._state[tenant] == "done":
                         continue
@@ -386,7 +384,7 @@ class Supervisor:
                                    list(self._journal[tenant])))
             frame: List[FrameItem] = []
             for tenant, state, entries in replay:
-                for seq, line in entries:
+                for seq, line in enumerate(entries, start=1):
                     frame.append((tenant, seq, line, time.time()))
                     if len(frame) >= self.frame_events:
                         self._replay_put(worker, ("frame", frame))
@@ -439,8 +437,8 @@ class Supervisor:
                 return
 
     def _merge(self, records: List[Tuple]) -> None:
-        """Apply one results message (a frame's findings and acks, or a
-        command's summary/errors) under a single lock acquisition, then
+        """Apply one results message (a frame's findings, or a command's
+        summary/errors) under a single lock acquisition, then
         run the callbacks outside the lock in record order."""
         callbacks: List[Tuple[Callable, Tuple]] = []
         with self._lock:
@@ -457,11 +455,6 @@ class Supervisor:
                     self.findings.append(item)
                     if self.on_finding is not None:
                         callbacks.append((self.on_finding, (item,)))
-                elif kind == "ack":
-                    cursor = record[2]
-                    journal = self._journal.get(tenant)
-                    while journal and journal[0][0] <= cursor:
-                        journal.popleft()
                 elif kind == "summary":
                     doc = record[2]
                     self._summaries[tenant] = doc

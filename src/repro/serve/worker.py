@@ -7,7 +7,6 @@ Command messages (tuples, first element is the verb):
   event in order (see :data:`repro.serve.supervisor.FRAME_EVENTS`);
 * ``("end", tenant)``        -- final flush, reply with the tenant's
   summary;
-* ``("checkpoint", tenant)`` -- checkpoint now;
 * ``("stop",)``              -- drain-free shutdown: ship telemetry,
   reply ``stopped``, exit.
 
@@ -18,7 +17,6 @@ with the worker index so the collector can attribute it):
   order, as one message.  A record is one of
 
   - ``("finding", tenant, analysis, position, text)``;
-  - ``("ack", tenant, cursor)``   -- checkpoint written;
   - ``("summary", tenant, doc)``  -- tenant ended;
   - ``("error", tenant, message)`` -- the tenant's input failed (its
     feed is poisoned; subsequent events for it are dropped and
@@ -28,9 +26,9 @@ with the worker index so the collector can attribute it):
     :class:`~repro.errors.ReproError`: one tenant's input must not kill
     the worker hosting the others.
 
-  Records are also sent early, right after a checkpoint ack, so the
-  findings a checkpoint covers have left the process before anything
-  can lose them (a replay would not re-emit them);
+  Records are also sent early, right *before* a checkpoint is saved, so
+  the findings a checkpoint covers have left the process before it is
+  published (a rebuild from it would not re-emit them);
 * ``("telemetry", index, snapshot)`` -- the worker registry's snapshot,
   shipped once at shutdown;
 * ``("stopped", index)``          -- clean exit marker.
@@ -52,6 +50,7 @@ from __future__ import annotations
 
 import os
 import traceback
+from contextlib import ExitStack
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
@@ -74,12 +73,12 @@ class TenantGuard:
     """Tenant isolation around a :class:`TenantShard`, shared by the
     worker process and the inline (``workers=0``) service.
 
-    Any exception from one tenant's feed, checkpoint or end poisons that
-    tenant only: ``on_error(tenant, text)`` reports it, and every later
-    event for the tenant is dropped and reported again.  Its ``end``
-    still yields a summary (covering what it consumed before the bad
-    line, or a minimal one if ending itself failed) with the poison
-    recorded under ``errors.ingest``.
+    Any exception from one tenant's feed (its periodic checkpoints
+    included) or end poisons that tenant only: ``on_error(tenant,
+    text)`` reports it, and every later event for the tenant is dropped
+    and reported again.  Its ``end`` still yields a summary (covering
+    what it consumed before the bad line, or a minimal one if ending
+    itself failed) with the poison recorded under ``errors.ingest``.
     """
 
     def __init__(self, shard: TenantShard,
@@ -119,13 +118,6 @@ class TenantGuard:
             self._on_error(tenant, error)
         return doc
 
-    def checkpoint(self, tenant: str) -> None:
-        if tenant not in self._poisoned:
-            try:
-                self._shard.checkpoint_tenant(tenant)
-            except Exception as error:  # noqa: BLE001 - see class docstring
-                self._poison(tenant, error)
-
 
 def worker_main(index: int, commands, results, options: ShardOptions,
                 telemetry: bool = False,
@@ -134,13 +126,22 @@ def worker_main(index: int, commands, results, options: ShardOptions,
     from repro.obs import metrics as obs_metrics
 
     registry = None
-    root_span = None
-    if telemetry:
-        registry = obs_metrics.MetricsRegistry()
-        obs_metrics.set_registry(registry)
-        root_span = registry.span("serve_worker", worker=index)
-        root_span.__enter__()
+    with ExitStack() as root_span:
+        if telemetry:
+            registry = obs_metrics.MetricsRegistry()
+            obs_metrics.set_registry(registry)
+            root_span.enter_context(
+                registry.span("serve_worker", worker=index))
+        _serve_commands(index, commands, results, options, crash_after)
+    if registry is not None:
+        results.put(("telemetry", index, registry.snapshot()))
+        obs_metrics.set_registry(None)
+    results.put(("stopped", index))
 
+
+def _serve_commands(index: int, commands, results, options: ShardOptions,
+                    crash_after: Optional[int]) -> None:
+    """The worker's command loop, up to the ``stop`` command."""
     records: List[Tuple] = []
 
     def send() -> None:
@@ -152,12 +153,9 @@ def worker_main(index: int, commands, results, options: ShardOptions,
         records.append(("finding", tenant, item.analysis, item.position,
                         str(item.finding)))
 
-    def ack(tenant: str, cursor: int) -> None:
-        records.append(("ack", tenant, cursor))
-        send()
-
     guard = TenantGuard(
-        TenantShard(options, on_finding=emit, on_checkpoint=ack),
+        TenantShard(options, on_finding=emit,
+                    on_checkpoint=lambda tenant: send()),
         on_error=lambda tenant, text: records.append(("error", tenant, text)))
 
     consumed = 0
@@ -165,7 +163,7 @@ def worker_main(index: int, commands, results, options: ShardOptions,
         message = commands.get()
         verb = message[0]
         if verb == "stop":
-            break
+            return
         if verb == "frame":
             for tenant, seq, line, enqueued_at in message[1]:
                 if not guard.feed(tenant, seq, line, enqueued_at):
@@ -177,13 +175,4 @@ def worker_main(index: int, commands, results, options: ShardOptions,
         elif verb == "end":
             _, tenant = message
             records.append(("summary", tenant, guard.end(tenant)))
-        elif verb == "checkpoint":
-            guard.checkpoint(tenant=message[1])
         send()
-
-    if root_span is not None:
-        root_span.__exit__(None, None, None)
-    if registry is not None:
-        results.put(("telemetry", index, registry.snapshot()))
-        obs_metrics.set_registry(None)
-    results.put(("stopped", index))

@@ -1,58 +1,56 @@
 """Checkpoint/restore for the streaming engine.
 
-A checkpoint captures everything a monitor needs to resume after a
-restart: the *event cursor* (how many source events were consumed), the
-retained *window buffer* (as STD lines, with per-thread index bases), the
-per-analysis *dedup keys* of findings already emitted, and the engine
-configuration (analyses, backend, window policy).
+A checkpoint keeps what the stream *decided*, never its events: the engine
+configuration (analyses with the backend of each, window policy), the
+*event cursor* (how many source events were consumed), the per-thread
+``next_index``/``evicted`` counts, the per-analysis *dedup keys* of
+findings already emitted, and the run's stats.  Its size is proportional
+to the findings, not to the history, so each save costs O(findings).
 
-Derived state -- the live trace's indexes and every native analysis's
-internal state -- is deliberately **not** stored:
-it is reconstructed deterministically by replaying the buffered events
-through the normal ingestion path on restore.  That keeps checkpoints
-format-stable and independent of backend internals, at the cost of an
-O(buffer) replay on startup.
+The history already exists once outside the checkpoint -- the watched
+file or generator spec, the serve journal -- so a restored engine is fed
+it again from the start: the first ``cursor`` events rebuild the live
+trace (or window buffer) and every native analysis's state through the
+normal ingestion path, without flushing or re-emitting, and the rebuilt
+per-thread counts are checked against the checkpoint.  A feed whose
+counts disagree, or that ends before the cursor, raises
+:class:`~repro.errors.CheckpointError` instead of continuing on a mixed
+history.  See :meth:`StreamEngine.from_state`.
 
-A checkpoint's size is proportional to the *retained buffer*.  Under a
-bounded window that is at most the window size; under the default
-unbounded window the buffer is the entire history consumed so far -- the
-price of exact batch parity -- so each save is O(events) and a save every
-``checkpoint_every`` events costs O(events^2 / interval) cumulatively.
-Long-lived monitors that checkpoint frequently should use a bounded
-window, or accept that exact mode trades checkpoint cost for exactness.
-
-Checkpoints are JSON documents written atomically (temp file + rename), so
-a crash mid-save never corrupts the previous checkpoint.
+Checkpoints are JSON documents written atomically (temp file + fsync +
+rename), so a crash mid-save never corrupts the previous checkpoint.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from contextlib import ExitStack
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Union
 
 from repro.errors import CheckpointError
 from repro.stream.engine import StreamEngine, StreamFinding
 
-#: Format version stamped into (and required from) every checkpoint.
-CHECKPOINT_VERSION = 1
+#: Format version stamped into every checkpoint.
+CHECKPOINT_VERSION = 2
+
+#: Versions a restore accepts.  Version 1 also stored the events as STD
+#: lines (``buffer``); restoring ignores them and rebuilds from the feed.
+READABLE_VERSIONS = (1, CHECKPOINT_VERSION)
 
 
 def save_checkpoint(engine: StreamEngine, path: Union[str, Path]) -> None:
     """Write ``engine``'s state to ``path`` atomically."""
     engine.stats.checkpoints += 1
     registry = engine.metrics
-    timer = registry.histogram("checkpoint_seconds").time() \
-        if registry is not None else None
-    span = registry.span("checkpoint") if registry is not None else None
-    if timer is not None:
-        timer.__enter__()
-    if span is not None:
-        span.__enter__()
-    try:
+    path = Path(path)
+    with ExitStack() as telemetry:
+        if registry is not None:
+            telemetry.enter_context(
+                registry.histogram("checkpoint_seconds").time())
+            telemetry.enter_context(registry.span("checkpoint"))
         state = engine.state_dict()
-        path = Path(path)
         temp_path = path.with_name(path.name + ".tmp")
         try:
             with open(temp_path, "w", encoding="utf-8") as stream:
@@ -72,17 +70,8 @@ def save_checkpoint(engine: StreamEngine, path: Union[str, Path]) -> None:
                 os.unlink(temp_path)
             except OSError:
                 pass
-            if span is not None:
-                # Close by hand so the span records the error status.
-                span.__exit__(CheckpointError, error, None)
-                span = None
             raise CheckpointError(
                 f"cannot save checkpoint to {path}: {error}") from error
-    finally:
-        if span is not None:
-            span.__exit__(None, None, None)
-        if timer is not None:
-            timer.__exit__(None, None, None)
     if registry is not None:
         registry.counter("checkpoint_total").inc()
         registry.gauge("checkpoint_bytes").set(os.path.getsize(path))
@@ -98,7 +87,8 @@ def load_checkpoint(path: Union[str, Path]) -> Dict[str, Any]:
             from error
     except json.JSONDecodeError as error:
         raise CheckpointError(f"corrupt checkpoint {path}: {error}") from error
-    if not isinstance(state, dict) or state.get("version") != CHECKPOINT_VERSION:
+    if not isinstance(state, dict) \
+            or state.get("version") not in READABLE_VERSIONS:
         raise CheckpointError(
             f"checkpoint {path} has unsupported version "
             f"{state.get('version') if isinstance(state, dict) else state!r}")
@@ -110,9 +100,10 @@ def restore_engine(path: Union[str, Path],
                    = None) -> StreamEngine:
     """Rebuild a :class:`StreamEngine` from a checkpoint file.
 
-    The returned engine has replayed its buffered events (rebuilding all
-    derived state) and resumes consuming a source with
-    ``engine.run(source, skip=engine.cursor)``.
+    The returned engine reports the checkpoint's cursor and resumes by
+    being fed its source from the start, ``engine.run(source)``: the
+    first ``cursor`` events rebuild its state (see
+    :meth:`StreamEngine.from_state`).
     """
     return StreamEngine.from_state(load_checkpoint(path),
                                    on_finding=on_finding)

@@ -39,16 +39,16 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.analyses.common.base import Analysis, AnalysisResult
 from repro.core.factory import AUTO_BACKEND
-from repro.errors import StreamError
+from repro.errors import CheckpointError, ReproError, StreamError
 from repro.obs import metrics as obs_metrics
 from repro.trace.event import Event
 from repro.trace.trace import Trace
-from repro.stream.source import EventSource
 from repro.stream.window import UnboundedWindow, Window
 
 
@@ -290,6 +290,11 @@ class StreamEngine:
         self._snapshot_cache: Optional[Tuple[int, Trace, Dict[int, int]]] = None
         self._last_flush_cursor: Optional[int] = None
         self._finished = False
+        #: Set by :meth:`from_state` until the engine has been fed the
+        #: history its checkpoint covers again: the checkpoint's cursor and
+        #: the per-thread ``next_index``/``evicted`` counts to check.
+        self._restore: Optional[Tuple[int, Dict[int, int],
+                                      Dict[int, int]]] = None
 
         # Attach analyses.
         self._view = StreamView(self)
@@ -360,8 +365,16 @@ class StreamEngine:
     # ------------------------------------------------------------------ #
     @property
     def cursor(self) -> int:
-        """Total events consumed from the source so far."""
-        return self._cursor
+        """Total events consumed from the source so far (a restored engine
+        reports its checkpoint's cursor while it rebuilds)."""
+        return self._cursor if self._restore is None else self._restore[0]
+
+    @property
+    def restoring(self) -> bool:
+        """Whether this engine, restored from a checkpoint, still awaits
+        events of the history the checkpoint covers (see
+        :meth:`from_state`)."""
+        return self._restore is not None
 
     @property
     def analyses(self) -> List[str]:
@@ -390,11 +403,18 @@ class StreamEngine:
     # ------------------------------------------------------------------ #
     def feed(self, event: Event) -> None:
         """Consume one event: index it, give it to every native analysis,
-        and flush/evict at window boundaries."""
+        and flush/evict at window boundaries (a restored engine rebuilding
+        its history only evicts; see :meth:`from_state`)."""
         if self._finished:
             raise StreamError("stream already finished")
         self._cursor += 1
         self._ingest(event)
+        if self._restore is not None:
+            if self.window.boundary(self._cursor):
+                self._evict()
+            if self._cursor == self._restore[0]:
+                self._end_restore()
+            return
         if self._auto_pending and self._cursor >= self.AUTO_PREAMBLE_EVENTS:
             self._resolve_auto()
         self.stats.events = self._cursor
@@ -404,10 +424,27 @@ class StreamEngine:
             self._m_buffered.set(self.buffered_events)
         if self.window.boundary(self._cursor):
             self.flush()
-            self._evict()
+            evicted = self._evict()
+            self.stats.evicted += evicted
+            if self._m_evicted is not None and evicted:
+                self._m_evicted.inc(evicted)
+
+    def _end_restore(self) -> None:
+        """Check a restored engine's rebuilt counts against its checkpoint
+        once it has been fed the checkpoint's cursor of events."""
+        cursor, next_index, evicted = self._restore
+        self._restore = None
+        if self._next_index != next_index \
+                or self._evicted_per_thread != evicted:
+            raise CheckpointError(
+                f"the first {cursor} events fed do not rebuild the "
+                f"checkpointed stream: per-thread counts "
+                f"{self._next_index} (evicted {self._evicted_per_thread}), "
+                f"checkpoint {next_index} (evicted {evicted})")
 
     def _ingest(self, event: Event) -> None:
-        """Shared per-event bookkeeping (also used for checkpoint replay)."""
+        """Per-event bookkeeping shared by live events and the rebuild of a
+        restored engine."""
         expected = self._next_index.get(event.thread, 0)
         if event.index != expected:
             raise StreamError(
@@ -431,9 +468,9 @@ class StreamEngine:
                     found = attachment.analysis.feed(event)
                 for finding in found:
                     key = finding_key(finding)
-                    # The dedup check matters during checkpoint replay:
-                    # re-feeding the buffer rediscovers findings whose keys
-                    # were restored, and those must not re-emit.
+                    # The dedup check matters when a restored engine
+                    # rebuilds: re-feeding its history rediscovers findings
+                    # whose keys were restored, and those must not re-emit.
                     if key not in attachment.emitted:
                         self._emit(attachment, finding, key)
 
@@ -502,19 +539,18 @@ class StreamEngine:
         self._snapshot_cache = (self._cursor, trace, offsets)
         return trace, offsets
 
-    def _evict(self) -> None:
+    def _evict(self) -> int:
+        """Drop what the window no longer retains; returns how many."""
         retain = self.window.retain()
         if retain is None or len(self._buffer) <= retain:
-            return
+            return 0
         cut = len(self._buffer) - retain
         for event in self._buffer[:cut]:
             self._evicted_per_thread[event.thread] = (
                 self._evicted_per_thread.get(event.thread, 0) + 1)
         del self._buffer[:cut]
         self._snapshot_cache = None
-        self.stats.evicted += cut
-        if self._m_evicted is not None:
-            self._m_evicted.inc(cut)
+        return cut
 
     # ------------------------------------------------------------------ #
     # Flushing / emission
@@ -542,8 +578,6 @@ class StreamEngine:
         return self._flush_attachments()
 
     def _flush_attachments(self) -> Dict[str, AnalysisResult]:
-        from repro.errors import ReproError
-
         if self._auto_pending:
             self._resolve_auto()
         self.stats.flushes += 1
@@ -553,37 +587,23 @@ class StreamEngine:
         results: Dict[str, AnalysisResult] = {}
         offsets: Dict[int, int] = {}
         for attachment in self._attachments:
-            timer = attachment.m_flush.time() \
-                if attachment.m_flush is not None else None
-            span = (self._metrics.span("flush_analysis",
-                                       analysis=attachment.name)
-                    if self._metrics is not None else None)
             try:
-                if timer is not None:
-                    timer.__enter__()
-                if span is not None:
-                    span.__enter__()
-                try:
+                with ExitStack() as telemetry:
+                    if self._metrics is not None:
+                        telemetry.enter_context(attachment.m_flush.time())
+                        telemetry.enter_context(self._metrics.span(
+                            "flush_analysis", analysis=attachment.name))
                     if attachment.native:
                         result = attachment.analysis.flush()
                     else:
                         snapshot, offsets = self.snapshot()
                         result = attachment.analysis.run(snapshot)
-                except ReproError as error:
-                    if span is not None:
-                        # Close by hand so the span records error status.
-                        span.__exit__(ReproError, error, None)
-                        span = None
-                    attachment.last_error = str(error)
-                    self.stats.flush_errors += 1
-                    if self._m_flush_errors is not None:
-                        self._m_flush_errors.inc()
-                    continue
-            finally:
-                if span is not None:
-                    span.__exit__(None, None, None)
-                if timer is not None:
-                    timer.__exit__(None, None, None)
+            except ReproError as error:
+                attachment.last_error = str(error)
+                self.stats.flush_errors += 1
+                if self._m_flush_errors is not None:
+                    self._m_flush_errors.inc()
+                continue
             attachment.last_error = None
             for finding in result.findings:
                 key = finding_key(finding,
@@ -611,8 +631,13 @@ class StreamEngine:
         The final flush is skipped when a window boundary already flushed
         at the current cursor -- flushing again would evaluate the
         post-eviction (possibly empty) buffer and overwrite the results of
-        the complete window.
+        the complete window.  A restored engine whose feed ended before
+        its checkpoint's cursor raises :class:`CheckpointError`.
         """
+        if self._restore is not None:
+            raise CheckpointError(
+                f"the feed ended after {self._cursor} events, before the "
+                f"{self._restore[0]} its checkpoint covers")
         if not self._finished:
             if self._last_flush_cursor != self._cursor:
                 self.flush()
@@ -634,27 +659,26 @@ class StreamEngine:
     # ------------------------------------------------------------------ #
     # Driving
     # ------------------------------------------------------------------ #
-    def run(self, source: Union[EventSource, Iterable[Event]],
-            *, skip: int = 0, max_events: Optional[int] = None,
+    def run(self, source: Iterable[Event],
+            *, max_events: Optional[int] = None,
             checkpoint_path: Optional[str] = None,
             checkpoint_every: Optional[int] = None) -> StreamResult:
         """Consume ``source`` to exhaustion (or ``max_events``) and finish.
 
-        ``skip`` drops the first N source events (used when resuming from a
-        checkpoint whose cursor is N).  ``checkpoint_path`` +
-        ``checkpoint_every`` save the engine state every that many events
-        (and once more at the end).
+        A restored engine is fed the source from its start: the events its
+        checkpoint covers rebuild its state (see :meth:`from_state`) and
+        count toward neither ``max_events`` nor ``checkpoint_every``.
+        ``checkpoint_path`` + ``checkpoint_every`` save the engine state
+        every that many events (and once more at the end).
         """
         from repro.stream.checkpoint import save_checkpoint
 
-        if isinstance(source, EventSource):
-            iterator = source.events(skip)
-        else:
-            iterator = (event for position, event in enumerate(source)
-                        if position >= skip)
         consumed = 0
-        for event in iterator:
+        for event in source:
+            rebuilding = self._restore is not None
             self.feed(event)
+            if rebuilding:
+                continue
             consumed += 1
             if (checkpoint_path is not None and checkpoint_every
                     and consumed % checkpoint_every == 0):
@@ -671,12 +695,19 @@ class StreamEngine:
     # repro.stream.checkpoint)
     # ------------------------------------------------------------------ #
     def state_dict(self) -> Dict[str, Any]:
-        """Serializable engine state: cursor, window buffer, dedup keys."""
-        from repro.trace.formats import format_event
+        """Serializable engine state: what the stream decided (config,
+        backend per attachment, cursor, per-thread counts, dedup keys and
+        stats) -- never the events, which the feed holds."""
+        from repro.stream.checkpoint import CHECKPOINT_VERSION
 
+        if self._restore is not None:
+            raise CheckpointError(
+                f"cannot checkpoint an engine still rebuilding: it has been "
+                f"fed {self._cursor} of the {self._restore[0]} events its "
+                f"checkpoint covers")
         flush_every = getattr(self.window, "flush_every", None)
         return {
-            "version": 1,
+            "version": CHECKPOINT_VERSION,
             "name": self.name,
             "cursor": self._cursor,
             "window": self.window.spec(),
@@ -690,9 +721,6 @@ class StreamEngine:
                            for thread, count in self._next_index.items()},
             "evicted": {str(thread): count
                         for thread, count in self._evicted_per_thread.items()},
-            "buffer": [format_event(event) for event in
-                       (self._live_trace if self._live_trace is not None
-                        else self._buffer)],
             "emitted": {attachment.name: sorted(attachment.emitted)
                         for attachment in self._attachments},
             "stats": self.stats.as_dict(),
@@ -704,11 +732,16 @@ class StreamEngine:
                    = None) -> "StreamEngine":
         """Rebuild an engine from :meth:`state_dict` output.
 
-        The window buffer is replayed through the normal ingestion path, so
-        the live trace and every native analysis's state are reconstructed
-        deterministically; the restored
-        dedup keys suppress re-emission of findings already reported before
-        the checkpoint.
+        The engine reports the checkpoint's cursor at once, and rebuilds
+        its state -- the live trace or window buffer, and every native
+        analysis's state -- from the first ``cursor`` events it is fed
+        again, through the normal ingestion path plus eviction at window
+        boundaries (no flush; the restored dedup keys suppress findings
+        already reported).  It then checks the rebuilt per-thread counts
+        against the checkpoint and raises :class:`CheckpointError` on a
+        mismatch, as :meth:`finish` does when the feed ends before the
+        cursor.  A version-1 checkpoint restores the same way (its
+        ``buffer`` of events is ignored).
 
         Each analysis is rebuilt from its registry name and the *backend*
         recorded per attachment; a backend the analysis cannot run on
@@ -718,12 +751,10 @@ class StreamEngine:
         restarts should attach analyses by name (as the ``watch`` CLI
         does).
         """
-        from repro.errors import CheckpointError
-        from repro.stream.checkpoint import CHECKPOINT_VERSION
+        from repro.stream.checkpoint import READABLE_VERSIONS
         from repro.stream.window import parse_window
-        from repro.trace.formats import LineDecoder, parse_trace_line
 
-        if state.get("version") != CHECKPOINT_VERSION:
+        if state.get("version") not in READABLE_VERSIONS:
             raise CheckpointError(
                 f"unsupported checkpoint version {state.get('version')!r}")
         window = parse_window(state["window"],
@@ -749,25 +780,15 @@ class StreamEngine:
         for attachment in engine._attachments:
             attachment.emitted = set(
                 state.get("emitted", {}).get(attachment.name, ()))
-        evicted = {int(thread): count
-                   for thread, count in state.get("evicted", {}).items()}
-        engine._evicted_per_thread = dict(evicted)
-        engine._next_index = dict(evicted)
-        engine._cursor = state["cursor"]
-        decoder = LineDecoder(dict(evicted))
-        for line_number, line in enumerate(state.get("buffer", ()), start=1):
-            event = parse_trace_line(line, decoder, line_number)
-            if event is not None:
-                engine._ingest(event)
-        expected = {int(thread): count
-                    for thread, count in state.get("next_index", {}).items()}
-        if engine._next_index != expected:
-            raise CheckpointError(
-                f"checkpoint buffer does not reproduce its per-thread "
-                f"counters (got {engine._next_index}, expected {expected})")
+        next_index = {int(thread): count
+                      for thread, count in state.get("next_index", {}).items()}
+        engine._restore = (
+            state["cursor"], next_index,
+            {int(thread): count
+             for thread, count in state.get("evicted", {}).items()})
         stats = state.get("stats", {})
-        engine.stats.events = engine._cursor
-        engine.stats.threads = len(engine._next_index)
+        engine.stats.events = state["cursor"]
+        engine.stats.threads = len(next_index)
         engine.stats.flushes = stats.get("flushes", 0)
         engine.stats.flush_errors = stats.get("flush_errors", 0)
         engine.stats.evicted = stats.get("evicted", 0)
@@ -775,4 +796,6 @@ class StreamEngine:
         # Findings emitted before the checkpoint are represented by their
         # dedup keys; the emitted counter reflects the full history.
         engine.stats.emitted = stats.get("emitted", 0)
+        if not state["cursor"]:
+            engine._end_restore()
         return engine

@@ -3,9 +3,10 @@
 A source is anything that yields :class:`~repro.trace.event.Event` objects
 in observed (total) order, with per-thread indexes assigned consecutively
 from 0 -- exactly the invariant :class:`~repro.trace.trace.Trace` enforces.
-Sources support ``events(skip=N)`` so a restored monitor can resume mid-
-stream: the source re-derives (or re-reads) the first ``N`` events to keep
-index assignment identical, and yields only what comes after.
+A restored monitor resumes by reading its source again from the start
+(the first events rebuild its state, see :mod:`repro.stream.checkpoint`),
+so a source that can be opened again -- a file, a manifest member, a
+generator spec -- is all a resume needs.
 
 Four concrete sources ship:
 
@@ -43,12 +44,8 @@ class EventSource:
     #: Human-readable stream name (used as the trace name in results).
     name: str = "stream"
 
-    def events(self, skip: int = 0) -> Iterator[Event]:
-        """Yield events in observed order, skipping the first ``skip``.
-
-        Skipped events are still *processed* internally where index
-        assignment requires it (e.g. file parsing), just not yielded.
-        """
+    def events(self) -> Iterator[Event]:
+        """Yield events in observed order."""
         raise NotImplementedError
 
     def __iter__(self) -> Iterator[Event]:
@@ -59,8 +56,8 @@ class IterableSource(EventSource):
     """Source over an in-memory iterable of events.
 
     Pass a zero-argument callable returning a fresh iterator to make the
-    source *replayable* (required when resuming from a checkpoint more than
-    once); a plain iterable/iterator supports a single pass.
+    source *replayable* (iterable more than once); a plain
+    iterable/iterator supports a single pass.
     """
 
     def __init__(self, events: Union[Iterable[Event], Callable[[], Iterable[Event]]],
@@ -73,17 +70,14 @@ class IterableSource(EventSource):
             self._factory = None
             self._iterable = events
 
-    def events(self, skip: int = 0) -> Iterator[Event]:
+    def events(self) -> Iterator[Event]:
         if self._factory is not None:
-            iterable: Iterable[Event] = self._factory()
-        else:
-            if self._iterable is None:
-                raise StreamError(
-                    f"source {self.name!r} is single-pass and already consumed")
-            iterable, self._iterable = self._iterable, None
-        for position, event in enumerate(iterable):
-            if position >= skip:
-                yield event
+            return iter(self._factory())
+        if self._iterable is None:
+            raise StreamError(
+                f"source {self.name!r} is single-pass and already consumed")
+        iterable, self._iterable = self._iterable, None
+        return iter(iterable)
 
 
 class TraceSource(EventSource):
@@ -93,15 +87,15 @@ class TraceSource(EventSource):
         self._trace = trace
         self.name = name if name is not None else trace.name
 
-    def events(self, skip: int = 0) -> Iterator[Event]:
-        return self._trace.iter_from(skip)
+    def events(self) -> Iterator[Event]:
+        return iter(self._trace)
 
 
 class GeneratorSource(EventSource):
     """Regenerate a registered synthetic workload and stream it.
 
     The trace is deterministic given its parameters, so the source is
-    replayable for free -- a restored monitor simply rebuilds it and skips.
+    replayable for free -- a restored monitor simply rebuilds it.
     """
 
     def __init__(self, kind: str, threads: int = 4, events: int = 200,
@@ -160,8 +154,8 @@ class GeneratorSource(EventSource):
                     f"{error}") from error
         return self._trace
 
-    def events(self, skip: int = 0) -> Iterator[Event]:
-        return self._materialize().iter_from(skip)
+    def events(self) -> Iterator[Event]:
+        return iter(self._materialize())
 
 
 class FileSource(EventSource):
@@ -196,9 +190,8 @@ class FileSource(EventSource):
         self.idle_timeout = idle_timeout
         self.name = name if name is not None else self._path.stem
 
-    def events(self, skip: int = 0) -> Iterator[Event]:
+    def events(self) -> Iterator[Event]:
         decoder = LineDecoder()
-        seen = 0
         pending = ""
         line_number = 0
         last_data = time.monotonic()
@@ -218,10 +211,7 @@ class FileSource(EventSource):
                         self.name = header
                         continue
                     event = parse_trace_line(line, decoder, line_number)
-                    if event is None:
-                        continue
-                    seen += 1
-                    if seen > skip:
+                    if event is not None:
                         yield event
                     continue
                 if not self.follow:
@@ -238,9 +228,7 @@ class FileSource(EventSource):
                         event = parse_trace_line(pending, decoder,
                                                  line_number)
                         if event is not None:
-                            seen += 1
-                            if seen > skip:
-                                yield event
+                            yield event
                     return
                 time.sleep(self.poll_interval)
 
@@ -351,15 +339,7 @@ class FeedSource(EventSource):
         with self._condition:
             return len(self._buffer)
 
-    def events(self, skip: int = 0) -> Iterator[Event]:
-        if skip:
-            # A push feed carries *live* data: unlike files or generators,
-            # there is no recorded prefix to re-derive, so "skipping" would
-            # silently drop fresh events.  Resume a checkpointed monitor
-            # from a replayable source instead.
-            raise StreamError(
-                f"feed {self.name!r} cannot skip {skip} events: a push "
-                "feed has no replayable prefix")
+    def events(self) -> Iterator[Event]:
         try:
             while True:
                 with self._condition:

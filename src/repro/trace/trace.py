@@ -241,19 +241,6 @@ class Trace:
         """Events in observed (total) order."""
         return tuple(self._events)
 
-    def iter_from(self, position: int = 0) -> Iterator[Event]:
-        """Iterate events in observed order starting at ``position``.
-
-        The iterator is *live*: it indexes into the growing event list, so a
-        consumer may interleave iteration with appends and will see events
-        appended after it was created.  (It stops when it catches up; the
-        tail-following loop belongs to the stream sources, which know how to
-        wait for more input.)
-        """
-        while position < len(self._events):
-            yield self._events[position]
-            position += 1
-
     @property
     def threads(self) -> List[int]:
         """Sorted list of thread identifiers appearing in the trace."""

@@ -128,6 +128,48 @@ class TestStreamEngine:
         assert _value(snapshot, "histograms",
                       "checkpoint_seconds")["count"] == 1
 
+    def test_failed_save_records_one_error_span(self, tmp_path):
+        from repro.errors import CheckpointError
+        from repro.stream.checkpoint import save_checkpoint
+        from repro.stream.engine import StreamEngine
+
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            engine = StreamEngine(["race-prediction"])
+            with pytest.raises(CheckpointError):
+                save_checkpoint(engine, tmp_path / "absent" / "ck.json")
+        snapshot = registry.snapshot()
+        spans = [span for span in snapshot["spans"]
+                 if span["name"] == "checkpoint"]
+        assert len(spans) == 1
+        assert spans[0]["status"] == "error"
+        assert spans[0]["error_type"] == "CheckpointError"
+        assert _value(snapshot, "histograms",
+                      "checkpoint_seconds")["count"] == 1
+
+    def test_failed_flush_records_one_error_span(self):
+        from repro.errors import AnalysisError
+        from repro.stream.engine import StreamEngine
+        from repro.trace.event import Event, EventKind
+
+        def fail(_trace):
+            raise AnalysisError("boom")
+
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            engine = StreamEngine(["race-prediction"])
+            engine._attachments[0].analysis.run = fail
+            engine.feed(Event(thread=0, index=0, kind=EventKind.READ,
+                              variable="x"))
+            engine.flush()
+        assert engine.stats.flush_errors == 1
+        (flush,) = [span for span in registry.snapshot()["spans"]
+                    if span["name"] == "stream_flush"]
+        (child,) = flush["children"]
+        assert child["name"] == "flush_analysis"
+        assert child["status"] == "error"
+        assert child["error_type"] == "AnalysisError"
+
 
 class TestTraceIO:
     def test_load_and_write_counters_by_format(self, tmp_path):

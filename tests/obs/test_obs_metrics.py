@@ -9,14 +9,8 @@ from repro.errors import ObservabilityError
 from repro.obs import (
     DEFAULT_TIME_BUCKETS,
     METRIC_CATALOG,
-    NULL_CONTEXT,
-    NULL_COUNTER,
-    NULL_GAUGE,
-    NULL_HISTOGRAM,
-    NULL_REGISTRY,
     SNAPSHOT_VERSION,
     MetricsRegistry,
-    get_registry,
     set_registry,
     use_registry,
 )
@@ -156,7 +150,6 @@ class TestActiveRegistry:
         from repro.obs import metrics
 
         assert metrics.ACTIVE is None
-        assert get_registry() is NULL_REGISTRY
 
     def test_use_registry_installs_and_restores(self):
         from repro.obs import metrics
@@ -165,53 +158,35 @@ class TestActiveRegistry:
         with use_registry(registry) as active:
             assert active is registry
             assert metrics.ACTIVE is registry
-            assert get_registry() is registry
         assert metrics.ACTIVE is None
 
     def test_use_registry_nests(self):
+        from repro.obs import metrics
+
         outer, inner = MetricsRegistry(), MetricsRegistry()
         with use_registry(outer):
             with use_registry(inner):
-                assert get_registry() is inner
-            assert get_registry() is outer
+                assert metrics.ACTIVE is inner
+            assert metrics.ACTIVE is outer
 
     def test_set_registry_returns_previous(self):
+        from repro.obs import metrics
+
         registry = MetricsRegistry()
         assert set_registry(registry) is None
         try:
-            assert get_registry() is registry
+            assert metrics.ACTIVE is registry
         finally:
             assert set_registry(None) is registry
 
-    def test_installing_null_registry_means_disabled(self):
+    def test_use_registry_none_disables_and_yields_none(self):
         from repro.obs import metrics
 
-        with use_registry(NULL_REGISTRY):
-            assert metrics.ACTIVE is None  # hot paths stay on the fast path
-            assert get_registry() is NULL_REGISTRY
-
-
-class TestNullRegistry:
-    def test_hands_out_shared_singletons(self):
-        assert NULL_REGISTRY.counter("c", a=1) is NULL_COUNTER
-        assert NULL_REGISTRY.gauge("g") is NULL_GAUGE
-        assert NULL_REGISTRY.histogram("h", buckets=(1.0,)) is NULL_HISTOGRAM
-        assert NULL_REGISTRY.span("s", k="v") is NULL_CONTEXT
-        assert NULL_HISTOGRAM.time() is NULL_CONTEXT
-
-    def test_noop_operations_record_nothing(self):
-        NULL_COUNTER.inc(5)
-        NULL_GAUGE.set(3)
-        NULL_HISTOGRAM.observe(1.0)
-        with NULL_REGISTRY.span("s"):
-            pass
-        assert NULL_COUNTER.value == 0
-        assert NULL_REGISTRY.current_span() is None
-        snapshot = NULL_REGISTRY.snapshot()
-        assert snapshot["counters"] == []
-        assert snapshot["spans"] == []
-        assert not NULL_REGISTRY.enabled
-        assert MetricsRegistry().enabled
+        with use_registry(MetricsRegistry()):
+            with use_registry(None) as active:
+                assert active is None
+                assert metrics.ACTIVE is None  # hot paths on the fast path
+            assert metrics.ACTIVE is not None
 
 
 class TestCatalog:

@@ -1,4 +1,4 @@
-"""TenantShard: many engines in one process, sequence-skip recovery."""
+"""TenantShard: many engines in one process, rebuild-from-feed recovery."""
 
 import pytest
 
@@ -100,20 +100,14 @@ class TestSequenceNumbers:
         with pytest.raises(ServeError, match="sequence gap"):
             shard.feed_line("t", 3, lines[1])
 
-    def test_replayed_sequences_are_skipped_without_duplicates(self,
-                                                              options):
-        emitted = []
-        shard = TenantShard(options,
-                            on_finding=lambda t, f: emitted.append(f))
+    def test_repeated_sequence_is_rejected(self, options):
+        """A journal replay only ever reaches a fresh shard, which starts
+        at sequence 1; a repeat on a live tenant is a broken replay."""
+        shard = TenantShard(options)
         lines = trace_lines()
-        feed_all(shard, "t", lines)
-        count = len(emitted)
-        # A journal replay re-delivers everything; consumed sequence
-        # numbers are dropped unparsed.
-        for offset, line in enumerate(lines):
-            assert shard.feed_line("t", offset + 1, line) is False
-        assert len(emitted) == count
-        assert shard.end_tenant("t")["events"] == len(lines)
+        feed_all(shard, "t", lines[:5])
+        with pytest.raises(ServeError, match="sequence gap or repeat"):
+            shard.feed_line("t", 5, lines[4])
 
     def test_non_event_payload_rejected(self, options):
         shard = TenantShard(options)
@@ -128,20 +122,22 @@ class TestCheckpointRecovery:
         opts = ShardOptions(analyses=("race-prediction",), backend=None,
                             checkpoint_dir=str(tmp_path),
                             checkpoint_every=10)
-        acked = []
-        first = TenantShard(opts, on_checkpoint=lambda t, c:
-                            acked.append((t, c)))
+        hooked = []
+        first = TenantShard(opts, on_checkpoint=hooked.append)
         feed_all(first, "t", lines[:cut])
-        assert acked, "periodic checkpoints never acked"
+        assert hooked == ["t"] * (cut // 10), "checkpoint hook never fired"
         # A fresh shard (a respawned worker) restores from the checkpoint
-        # and receives the FULL feed replayed from seq 1.
+        # and receives the FULL feed replayed from seq 1: the events the
+        # checkpoint covers rebuild the engine and emit nothing.
         emitted = []
         second = TenantShard(opts,
                              on_finding=lambda t, f: emitted.append(f))
-        consumed = [second.feed_line("t", offset + 1, line)
-                    for offset, line in enumerate(lines)]
-        assert not all(consumed), "no replayed line was skip-deduplicated"
-        assert consumed[-1] is True
+        cursor = second.ensure_tenant("t").engine.cursor
+        assert cursor == cut // 10 * 10
+        feed_all(second, "t", lines[:cursor])
+        assert emitted == []
+        assert not second.ensure_tenant("t").engine.restoring
+        feed_all(second, "t", lines[cursor:], start=cursor + 1)
         recovered = second.end_tenant("t")
 
         solo = TenantShard(ShardOptions(analyses=("race-prediction",),
@@ -175,3 +171,18 @@ class TestCheckpointRecovery:
         feed_all(shard, "t", trace_lines()[:10])
         shard.end_tenant("t")
         assert (tmp_path / "t.json").exists()
+
+    def test_restore_against_another_feed_is_refused(
+            self, tmp_path):
+        """A checkpoint rebuilt from a feed whose per-thread counts differ
+        raises CheckpointError when the cursor is reached."""
+        from repro.errors import CheckpointError
+
+        opts = ShardOptions(analyses=("race-prediction",), backend=None,
+                            checkpoint_dir=str(tmp_path),
+                            checkpoint_every=10)
+        feed_all(TenantShard(opts), "t", trace_lines(threads=3)[:25])
+        other = trace_lines(threads=2, seed=4)
+        shard = TenantShard(opts)
+        with pytest.raises(CheckpointError, match="per-thread counts"):
+            feed_all(shard, "t", other[:20])

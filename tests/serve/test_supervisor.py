@@ -209,26 +209,41 @@ class TestFrames:
         assert [record[0] for record in end_records] == ["summary"]
         assert end_records[0][2]["emitted"] == 2
 
-    def test_checkpoint_ack_sends_the_findings_it_covers(self, tmp_path):
-        """A checkpoint mid-frame ships the records so far at once: a
-        crash later in the frame must not lose findings that a replay
-        from that checkpoint would never re-emit."""
-        commands, results = queue.Queue(), queue.Queue()
+    def test_findings_leave_before_the_checkpoint_that_covers_them(
+            self, tmp_path):
+        """At every results put, the checkpoint on disk does not yet cover
+        the findings in that message: a worker killed right after a save
+        must not lose findings that a rebuild from it would never
+        re-emit."""
+        path = tmp_path / "t.json"
+        shipped = []
+
+        class Results(queue.Queue):
+            def put(self, message, *args, **kwargs):
+                if message[0] == "results":
+                    positions = [record[3] for record in message[2]
+                                 if record[0] == "finding"]
+                    cursor = json.loads(path.read_text())["cursor"] \
+                        if path.exists() else 0
+                    assert all(position > cursor for position in positions), \
+                        (cursor, positions)
+                    shipped.extend(positions)
+                super().put(message, *args, **kwargs)
+
+        commands, results = queue.Queue(), Results()
         lines = ["0|write|variable=str:x|value=int:1",
                  "1|read|variable=str:x",
                  "2|read|variable=str:x"]
         commands.put(("frame", [("t", seq, line, 0.0) for seq, line
                                 in enumerate(lines, start=1)]))
+        commands.put(("end", "t"))
         commands.put(("stop",))
         worker_main(0, commands, results,
                     ShardOptions(analyses=("c11-races",), backend=None,
                                  checkpoint_dir=str(tmp_path),
                                  checkpoint_every=2))
-        first, second = results.get()[2], results.get()[2]
-        assert [record[0] for record in first] == ["finding", "ack"]
-        assert first[1] == ("ack", "t", 2)
-        assert [record[0] for record in second] == ["finding"]
-        assert results.get() == ("stopped", 0)
+        assert shipped == [2, 3]
+        assert json.loads(path.read_text())["cursor"] == 3
 
     def test_partial_frame_waits_for_flush(self):
         supervisor = Supervisor(ShardOptions(analyses=ANALYSES,

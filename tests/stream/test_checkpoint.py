@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import threading
 from pathlib import Path
 
@@ -16,13 +17,22 @@ from repro.stream.checkpoint import (
 )
 from repro.stream.engine import StreamEngine
 from repro.stream.source import TraceSource
-from repro.stream.window import TumblingWindow, UnboundedWindow
+from repro.stream.window import SlidingWindow, TumblingWindow, UnboundedWindow
 from repro.trace.generators import build_trace, racy_trace
 
 
 @pytest.fixture
 def trace():
     return racy_trace(num_threads=3, events_per_thread=40, seed=3)
+
+
+def rebuild(engine, trace):
+    """Feed a restored engine the history its checkpoint covers."""
+    cursor = engine.cursor
+    for event in trace.events[:cursor]:
+        engine.feed(event)
+    assert not engine.restoring
+    return engine
 
 
 class TestStateRoundTrip:
@@ -34,13 +44,24 @@ class TestStateRoundTrip:
         restored_state = json.loads(json.dumps(state))
         rebuilt = StreamEngine.from_state(restored_state)
         assert rebuilt.cursor == engine.cursor
-        assert rebuilt.buffered_events == engine.buffered_events
+        assert rebuilt.restoring
         assert rebuilt.analyses == engine.analyses
+        rebuild(rebuilt, trace)
+        assert rebuilt.cursor == engine.cursor
+        assert rebuilt.buffered_events == engine.buffered_events
+
+    def test_state_holds_no_events(self, trace):
+        engine = StreamEngine(["race-prediction"])
+        engine.run(TraceSource(trace), max_events=30)
+        state = engine.state_dict()
+        assert state["version"] == CHECKPOINT_VERSION == 2
+        assert "buffer" not in state
 
     def test_restored_engine_reproduces_live_trace(self, trace):
         engine = StreamEngine(["race-prediction"])
         engine.run(TraceSource(trace), max_events=60)
-        rebuilt = StreamEngine.from_state(engine.state_dict())
+        rebuilt = rebuild(StreamEngine.from_state(engine.state_dict()),
+                          trace)
         original, _ = engine.snapshot()
         restored, _ = rebuilt.snapshot()
         assert list(original) == list(restored)
@@ -49,16 +70,64 @@ class TestStateRoundTrip:
         engine = StreamEngine(["race-prediction"],
                               window=TumblingWindow(25))
         engine.run(TraceSource(trace), max_events=60)
-        rebuilt = StreamEngine.from_state(engine.state_dict())
+        rebuilt = rebuild(StreamEngine.from_state(engine.state_dict()),
+                          trace)
         assert rebuilt.buffered_events == engine.buffered_events
 
-    def test_tampered_buffer_detected(self, trace):
+    def test_sliding_window_rebuilds_snapshot_and_offsets(self, trace):
+        """Rebuilding evicts at the same boundaries as the uninterrupted
+        run, so the window, its re-based trace and the offsets agree."""
+        live = StreamEngine(["race-prediction"],
+                            window=SlidingWindow(30, slide=10))
+        for event in trace.events[:67]:
+            live.feed(event)
+        rebuilt = rebuild(StreamEngine.from_state(
+            json.loads(json.dumps(live.state_dict()))), trace)
+        (live_trace, live_offsets), (trace_back, offsets_back) = \
+            live.snapshot(), rebuilt.snapshot()
+        assert live_offsets and offsets_back == live_offsets
+        assert list(trace_back) == list(live_trace)
+        assert rebuilt.stats == live.stats
+        for event in trace.events[67:]:
+            live.feed(event)
+            rebuilt.feed(event)
+        assert [str(item) for item in rebuilt.finish().findings] == \
+            [str(item) for item in live.finish().findings
+             if item.position > 67]
+
+    def test_tampered_counts_detected(self, trace):
         engine = StreamEngine(["race-prediction"])
         engine.run(TraceSource(trace), max_events=30)
         state = engine.state_dict()
-        state["buffer"] = state["buffer"][:-1]  # lose an event
-        with pytest.raises(CheckpointError):
-            StreamEngine.from_state(state)
+        state["next_index"]["0"] -= 1  # claim one event fewer
+        restored = StreamEngine.from_state(state)
+        with pytest.raises(CheckpointError, match="per-thread counts"):
+            rebuild(restored, trace)
+
+    def test_size_does_not_grow_with_the_history(self, tmp_path):
+        """Without findings, a checkpoint after 1,600 events differs from
+        one after 200 only in the digits of its counters."""
+        from repro.trace.event import Event, EventKind
+        from repro.trace.trace import Trace
+
+        quiet = Trace(name="quiet")
+        for index in range(400):
+            for thread in range(4):
+                quiet.add(Event(thread=thread, index=index,
+                                kind=EventKind.WRITE,
+                                variable=f"x{thread}", value=index))
+        documents = []
+        for events in (200, 1600):
+            path = tmp_path / f"ck{events}.json"
+            engine = StreamEngine(["race-prediction"],
+                                  window=UnboundedWindow(flush_every=100))
+            engine.run(TraceSource(quiet), max_events=events,
+                       checkpoint_path=str(path))
+            assert engine.stats.emitted == 0
+            documents.append(path.read_text())
+        short, long = (re.sub(r"[0-9]+", "N", text) for text in documents)
+        assert short == long
+        assert len(documents[1]) - len(documents[0]) < 32
 
 
 class TestFiles:
@@ -216,7 +285,7 @@ class TestResume:
                   checkpoint_path=str(path))
         resumed = restore_engine(path)
         assert resumed.cursor == len(trace) // 2
-        result = resumed.run(TraceSource(trace), skip=resumed.cursor)
+        result = resumed.run(TraceSource(trace))
         assert result.results["race-prediction"].findings == batch.findings
 
     def test_restore_preserves_per_analysis_backend(self, trace):
@@ -224,12 +293,13 @@ class TestResume:
         engine.run(TraceSource(trace), max_events=30)
         rebuilt = StreamEngine.from_state(engine.state_dict())
         assert rebuilt._attachments[0].analysis._backend_spec == "vc-flat"
-        result = rebuilt.run(TraceSource(trace), skip=rebuilt.cursor)
+        result = rebuilt.run(TraceSource(trace))
         assert result.results["race-prediction"].backend == "vc-flat"
 
     def test_native_restore_does_not_re_emit_during_replay(self, tmp_path):
-        """Replaying the buffer rediscovers a native analysis's findings;
-        the restored dedup keys must suppress their re-emission."""
+        """Rebuilding from the feed rediscovers a native analysis's
+        findings; the restored dedup keys must suppress their
+        re-emission."""
         from repro.trace.generators import c11_trace
 
         trace = c11_trace(num_threads=3, events_per_thread=40, seed=1)
@@ -239,9 +309,10 @@ class TestResume:
                   checkpoint_path=str(path))
         assert first.findings, "fixture must emit before the checkpoint"
         replay_emissions = []
-        resumed = restore_engine(path, on_finding=replay_emissions.append)
-        assert replay_emissions == []  # nothing re-emitted by the replay
-        result = resumed.run(TraceSource(trace), skip=resumed.cursor)
+        resumed = rebuild(
+            restore_engine(path, on_finding=replay_emissions.append), trace)
+        assert replay_emissions == []  # nothing re-emitted by the rebuild
+        result = resumed.run(trace.events[resumed.cursor:])
         first_keys = {str(item.finding) for item in first.findings}
         second_keys = {str(item.finding) for item in result.findings}
         assert not (first_keys & second_keys)
@@ -255,10 +326,50 @@ class TestResume:
         first_keys = {(item.analysis, str(item.finding))
                       for item in first.findings}
         resumed = restore_engine(path)
-        result = resumed.run(TraceSource(trace), skip=resumed.cursor)
+        result = resumed.run(TraceSource(trace))
         second_keys = {(item.analysis, str(item.finding))
                        for item in result.findings}
         assert not (first_keys & second_keys)
+
+
+class TestResumeAgainstAnotherFeed:
+    """A restored engine is fed its source from the start; a source that
+    does not reproduce the checkpoint's history is refused, never run on
+    as a mixed history."""
+
+    @pytest.fixture
+    def checkpoint(self, trace, tmp_path):
+        path = tmp_path / "ck.json"
+        StreamEngine(["race-prediction"]).run(
+            TraceSource(trace), max_events=60, checkpoint_path=str(path))
+        return path
+
+    def test_other_per_thread_counts_raise(self, checkpoint):
+        other = racy_trace(num_threads=2, events_per_thread=60, seed=3)
+        with pytest.raises(CheckpointError, match="per-thread counts"):
+            restore_engine(checkpoint).run(TraceSource(other))
+
+    def test_feed_shorter_than_the_cursor_raises(self, checkpoint, trace):
+        short = trace.events[:59]
+        with pytest.raises(CheckpointError, match="feed ended after 59"):
+            restore_engine(checkpoint).run(short)
+
+    @pytest.mark.parametrize("source", [
+        "racy:threads=2,events=60,seed=3",   # other per-thread counts
+        "racy:threads=3,events=10,seed=3",   # 30 events, cursor is 60
+    ])
+    def test_session_watch_raises(self, checkpoint, source):
+        from repro.api import Session, WatchConfig
+
+        with pytest.raises(CheckpointError):
+            Session().watch(WatchConfig(source=source,
+                                        checkpoint=str(checkpoint)))
+
+    def test_no_checkpoint_while_rebuilding(self, checkpoint, trace):
+        resumed = restore_engine(checkpoint)
+        resumed.feed(trace.events[0])
+        with pytest.raises(CheckpointError, match="still rebuilding"):
+            save_checkpoint(resumed, checkpoint)
 
 
 class TestUnbuildableBackend:
@@ -317,7 +428,7 @@ class TestOlderCheckpoints:
         trace = build_trace("racy", num_threads=3, events=40, seed=3)
         resumed = restore_engine(self.DATA / "parent_checkpoint.json")
         assert resumed.cursor == 60
-        result = resumed.run(TraceSource(trace), skip=resumed.cursor)
+        result = resumed.run(TraceSource(trace))
         assert [str(item) for item in result.findings] == \
             expected["emitted_after_restore"]
         assert {name: [str(finding) for finding in res.findings]
@@ -325,3 +436,4 @@ class TestOlderCheckpoints:
             expected["results"]
         assert "backbone_edges" not in result.stats.as_dict()
         assert "backbone" not in resumed.state_dict()
+        assert "buffer" not in resumed.state_dict()

@@ -93,7 +93,7 @@ class TestStreamingBatchParity:
         first.run(TraceSource(trace), max_events=max(1, len(trace) // 2),
                   checkpoint_path=str(path))
         resumed = restore_engine(path)
-        result = resumed.run(TraceSource(trace), skip=resumed.cursor)
+        result = resumed.run(TraceSource(trace))
         assert result.results[analysis].findings == batch.findings
 
 

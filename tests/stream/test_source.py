@@ -41,19 +41,20 @@ class TestIterableSource:
         with pytest.raises(StreamError):
             list(source.events())
 
-    def test_factory_is_replayable_and_skips(self):
+    def test_factory_is_replayable(self):
         trace = small_trace()
         source = IterableSource(lambda: iter(trace))
         assert list(source.events()) == list(trace)
-        assert list(source.events(skip=2)) == list(trace)[2:]
+        assert list(source.events()) == list(trace)
 
 
 class TestTraceSource:
-    def test_name_and_skip(self):
+    def test_name_and_replay(self):
         trace = small_trace()
         source = TraceSource(trace)
         assert source.name == "small"
-        assert list(source.events(skip=1)) == list(trace)[1:]
+        assert list(source.events()) == list(trace)
+        assert list(source.events()) == list(trace)
 
 
 class TestGeneratorSource:
@@ -131,12 +132,6 @@ class TestFileSource:
         with pytest.raises(StreamError):
             FileSource(tmp_path / "t.std.gz", follow=True)
 
-    def test_skip(self, tmp_path):
-        trace = small_trace()
-        path = tmp_path / "t.std"
-        dump_trace(trace, path)
-        assert list(FileSource(path).events(skip=3)) == list(trace)[3:]
-
     def test_follow_sees_appended_events(self, tmp_path):
         trace = small_trace()
         text = dumps_trace(trace)
@@ -212,11 +207,6 @@ class TestFeedSource:
         indexes = [event.index for event in feed.events()]
         assert indexes == sorted(indexes)
         assert len(indexes) == 2000
-
-    def test_skip_rejected_on_push_feed(self):
-        feed = FeedSource()
-        with pytest.raises(StreamError, match="no replayable prefix"):
-            next(feed.events(skip=5))
 
     def test_threaded_producer_consumer(self):
         feed = FeedSource(maxsize=4)

@@ -361,7 +361,7 @@ class TestBoundedMemo:
         for seq, line in enumerate(lines[:35], start=1):
             first.feed_line("t", seq, line)
         # A respawned worker restores the checkpoint taken after line 30
-        # and is replayed the whole feed; lines up to 30 are skipped.
+        # and is replayed the whole feed; lines up to 30 rebuild it.
         second = TenantShard(options)
         for seq, line in enumerate(lines, start=1):
             second.feed_line("t", seq, line)
