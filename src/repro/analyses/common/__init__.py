@@ -12,6 +12,8 @@ from repro.analyses.common.hb import (
 )
 from repro.analyses.common.saturation import (
     CycleDetected,
+    SaturatedOrder,
+    SaturationAnalysis,
     SaturationEngine,
     saturate_trace,
 )
@@ -22,6 +24,8 @@ __all__ = [
     "BackendSpec",
     "CycleDetected",
     "Frontiers",
+    "SaturatedOrder",
+    "SaturationAnalysis",
     "SaturationEngine",
     "build_sync_order",
     "conflicting_pairs",

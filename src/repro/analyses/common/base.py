@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Type, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Type, Union
 
 from repro.core import (
     AUTO_BACKEND,
@@ -106,12 +106,18 @@ class Analysis:
     #: linearizability root-causing analysis does).
     requires_deletion: bool = False
 
-    #: Whether the analysis implements a genuinely incremental
-    #: :meth:`feed` (findings surface while events arrive).  Analyses that
-    #: leave this ``False`` still work on a stream through the default
-    #: micro-batch fallback: :meth:`flush` re-runs the batch analysis over
-    #: the events buffered so far, which yields the identical findings at
-    #: every flush point at the cost of recomputation.
+    #: Whether the analysis keeps state across the online protocol's
+    #: calls, so the stream engine drives it through :meth:`feed` and
+    #: :meth:`flush` under an unbounded window.  c11-races reports each
+    #: finding from :meth:`feed`; the saturation analyses
+    #: (:class:`~repro.analyses.common.saturation.SaturationAnalysis`)
+    #: keep their saturated order and extend it at each :meth:`flush`.
+    #: Either way every flush's findings equal a batch :meth:`run` over the
+    #: events streamed so far.  Analyses that leave this ``False`` still
+    #: work on a stream through the micro-batch fallback: :meth:`flush`
+    #: re-runs the batch analysis over the events buffered so far, with
+    #: the same findings at the cost of recomputation.  Bounded windows
+    #: always use the fallback.
     streaming_native: bool = False
 
     def __init_subclass__(cls, **kwargs) -> None:
@@ -184,7 +190,14 @@ class Analysis:
     # ------------------------------------------------------------------ #
     def run(self, trace: Trace) -> AnalysisResult:
         """Run the analysis over ``trace`` and return its result."""
-        order = self._make_order(trace)
+        return self._measured(trace, self._make_order(trace), self._run)
+
+    def _measured(self, trace: Trace, order: InstrumentedOrder,
+                  body: Callable[[Trace, InstrumentedOrder, AnalysisResult],
+                                 None]) -> AnalysisResult:
+        """Time ``body(trace, order, result)``, read the operation counts
+        off ``order``, report them to the active metrics registry, and
+        return the result."""
         result = AnalysisResult(
             analysis=self.name,
             trace_name=trace.name,
@@ -195,7 +208,7 @@ class Analysis:
         if self._resolved_backend is not None:
             result.details["backend_selected"] = self._resolved_backend
         start = time.perf_counter()
-        self._run(trace, order, result)
+        body(trace, order, result)
         result.elapsed_seconds = time.perf_counter() - start
         result.insert_count = order.insert_count
         result.delete_count = order.delete_count
@@ -225,8 +238,8 @@ class Analysis:
     # fallback*: ``feed`` does nothing (the view buffers the events) and
     # ``flush`` re-runs the batch analysis over the current snapshot, so
     # every existing analysis works on a stream unchanged.  Analyses that
-    # can compute incrementally override ``feed`` (and usually ``flush``)
-    # and set ``streaming_native = True``.
+    # can compute incrementally override ``feed``, ``flush`` or both, and
+    # set ``streaming_native = True``.
 
     def begin(self, view) -> None:
         """Attach to a growing trace.
@@ -253,12 +266,15 @@ class Analysis:
         May be called repeatedly (the engine flushes at every window
         boundary); each call covers everything currently in the view.
         """
+        return self.run(self._stream_trace())
+
+    def _stream_trace(self) -> Trace:
+        """The events streamed so far, as a trace (see :meth:`begin`)."""
         view = getattr(self, "_stream_view", None)
         if view is None:
             raise AnalysisError(
                 f"analysis {self.name!r}: flush() called before begin()")
-        trace = view.snapshot() if hasattr(view, "snapshot") else view
-        return self.run(trace)
+        return view.snapshot() if hasattr(view, "snapshot") else view
 
     # ------------------------------------------------------------------ #
     # Hooks

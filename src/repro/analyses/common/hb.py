@@ -11,6 +11,7 @@ analyses ask and extend their order.
 from __future__ import annotations
 
 from collections import defaultdict
+from itertools import islice
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.interface import Node, PartialOrder
@@ -35,7 +36,10 @@ def insert_ordering(order: PartialOrder, source: Node, target: Node) -> bool:
 def build_sync_order(trace: Trace, order: PartialOrder,
                      include_locks: bool = True,
                      include_fork_join: bool = True,
-                     include_reads_from: bool = False) -> int:
+                     include_reads_from: bool = False,
+                     start: int = 0,
+                     last_release: Optional[Dict[object, Event]] = None
+                     ) -> int:
     """Populate ``order`` with the trace's synchronisation backbone.
 
     Parameters
@@ -53,6 +57,12 @@ def build_sync_order(trace: Trace, order: PartialOrder,
     include_reads_from:
         Add write -> read edges of the observed reads-from map (used by the
         consistency-style analyses).
+    start / last_release:
+        Resume the lock walk at trace position ``start``: the lock edges
+        of the events before it are in ``order`` already, and
+        ``last_release`` maps each lock to its last release among them
+        (updated in place).  Fork/join and reads-from edges are walked
+        over the whole trace; the implied ones are skipped.
 
     Returns
     -------
@@ -61,8 +71,9 @@ def build_sync_order(trace: Trace, order: PartialOrder,
     """
     inserted = 0
     if include_locks:
-        last_release: Dict[object, Event] = {}
-        for event in trace:
+        if last_release is None:
+            last_release = {}
+        for event in islice(trace, start, None):
             if event.kind is EventKind.ACQUIRE:
                 previous = last_release.get(event.variable)
                 if previous is not None and previous.thread != event.thread:

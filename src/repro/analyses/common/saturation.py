@@ -26,13 +26,19 @@ every competing write on that chain (the argument is in the ``Frontiers``
 docstring).  The memo drops every frontier when an edge goes in, so the
 engine inserts the same edges in the same order as a loop asking
 ``reachable`` per competitor.
+
+:class:`SaturatedOrder` keeps a saturated order so that a longer prefix of
+the trace extends it instead of starting over, and
+:class:`SaturationAnalysis` is the base of the four analyses built on it,
+which keep one such order across the flushes of a stream.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.analyses.common.base import AnalysisResult
+from repro.analyses.common.base import Analysis, AnalysisResult
 from repro.analyses.common.hb import Frontiers, build_sync_order
 from repro.core.interface import PartialOrder
 from repro.errors import AnalysisError
@@ -91,9 +97,8 @@ class SaturationEngine:
     # ------------------------------------------------------------------ #
     # Saturation
     # ------------------------------------------------------------------ #
-    def saturate(self, reads_from: Mapping[Event, Optional[Event]],
-                 max_rounds: int = 16) -> int:
-        """Apply the saturation rules until a fixed point (or ``max_rounds``).
+    def saturate(self, reads_from: Mapping[Event, Optional[Event]]) -> int:
+        """Apply the saturation rules until a round inserts nothing.
 
         Saturation proceeds one memory location at a time (all reads of a
         variable are handled before moving to the next), as location-centric
@@ -101,6 +106,10 @@ class SaturationEngine:
         between arbitrary events of the trace rather than following the
         trace order -- the non-streaming insertion pattern the paper's
         motivating example describes.
+
+        The loop ends: a round that changes the order inserts a new
+        cross-chain ordering, and there are finitely many.  So it stops at
+        the least fixpoint of the rules over the order it started from.
 
         Returns the number of orderings inserted.  Raises
         :class:`CycleDetected` if the assignment is infeasible.
@@ -119,7 +128,7 @@ class SaturationEngine:
                     for event in self._writes_by_variable.get(read.variable, ())
                     if event.is_write]
         inserted = 0
-        for _ in range(max_rounds):
+        while True:
             changed = 0
             for read, write in by_location:
                 changed += self._saturate_read(read, write,
@@ -127,7 +136,6 @@ class SaturationEngine:
             inserted += changed
             if changed == 0:
                 return inserted
-        return inserted
 
     def _saturate_read(self, read: Event, write: Event,
                        competitors: List[Tuple[Event, int, int]]) -> int:
@@ -161,27 +169,142 @@ class SaturationEngine:
         return inserted
 
 
+class SaturatedOrder:
+    """A partial order holding the saturated sync order of a trace prefix.
+
+    :meth:`extend` takes the order from the prefix it holds to the whole
+    of a trace that extends that prefix.  It inserts the sync edges of the
+    new events only (the lock walk resumes where it stopped), then
+    saturates every read of the trace again over the kept order.  A fresh
+    ``SaturatedOrder`` extended once is the closure phase of a batch run,
+    operation for operation (:func:`saturate_trace`).
+
+    Why extending is exact: every rule that builds the sync order or
+    saturates it is monotone in the trace prefix.  A prefix's lock and fork
+    edges are the longer trace's; its join edges leave the child's last
+    event so far, which program order places before the child's last
+    event later.  Each read keeps its writer, and each competing write
+    stays one.  So the least fixpoint of a prefix is contained in the
+    least fixpoint of any longer trace, and saturating on from it reaches
+    that fixpoint: the relation a batch run on the longer trace reaches,
+    whatever edges each inserted to get there.  An extension that meets a
+    cycle (:attr:`cyclic`) leaves a partly saturated order that depends on
+    insertion order, so it is not extended again.
+    """
+
+    def __init__(self, order: PartialOrder, include_locks: bool = True) -> None:
+        self.order = order
+        self.include_locks = include_locks
+        #: The trace last extended to, and how many of its events' sync
+        #: edges are in the order.
+        self.trace: Optional[Trace] = None
+        self.synced = 0
+        self.sync_edges = 0
+        self.saturation_edges = 0
+        #: Whether the observed reads-from closed a cycle.
+        self.cyclic = False
+        self._last_release: Dict[object, Event] = {}
+
+    def extends(self, trace: Trace) -> bool:
+        """Whether :meth:`extend` may resume on ``trace``: it is the trace
+        extended so far, or the first one, and has not shrunk."""
+        return (self.trace is None or self.trace is trace) \
+            and len(trace) >= self.synced
+
+    def extend(self, trace: Trace, result: AnalysisResult) -> Frontiers:
+        """Insert the sync edges of the events added since the last call and
+        saturate the trace's observed reads-from.
+
+        Records ``sync_edges`` and ``saturation_edges`` (the edges the
+        order holds) and, when the observed assignment closes a cycle,
+        ``closure_cycle`` in ``result.details``.  Returns a frontier memo,
+        exact for the order, for the analysis's own phase to ask.
+        """
+        self.sync_edges += build_sync_order(
+            trace, self.order, include_locks=self.include_locks,
+            start=self.synced, last_release=self._last_release)
+        self.trace = trace
+        self.synced = len(trace)
+        # A fresh memo per call, not kept: the kept order outlives the
+        # flush, and the memo would be its largest part.
+        frontiers = Frontiers(self.order)
+        engine = SaturationEngine(frontiers, trace.writes_by_variable())
+        try:
+            self.saturation_edges += engine.saturate(trace.reads_from())
+        except CycleDetected:
+            # The observed trace itself is always feasible; a cycle can
+            # only mean the caller handed in an inconsistent synthetic
+            # trace.
+            self.cyclic = True
+            result.details["closure_cycle"] = True
+        result.details["sync_edges"] = self.sync_edges
+        result.details["saturation_edges"] = self.saturation_edges
+        return frontiers
+
+
 def saturate_trace(trace: Trace, order: PartialOrder, result: AnalysisResult,
                    include_locks: bool = True) -> Frontiers:
-    """The closure phase of the saturation analyses.
+    """The closure phase of the saturation analyses: the sync order of
+    ``trace`` built into ``order`` (lock edges only when
+    ``include_locks``), then saturated (see :meth:`SaturatedOrder.extend`,
+    which records the details and returns the memo)."""
+    return SaturatedOrder(order, include_locks).extend(trace, result)
 
-    Builds the sync order into ``order`` (lock edges only when
-    ``include_locks``), saturates the trace's observed reads-from over it,
-    and records ``sync_edges``, ``saturation_edges`` and, when the
-    observed assignment closes a cycle, ``closure_cycle`` in
-    ``result.details``.  Returns the frontier memo, exact for the
-    saturated order, for the analysis's own phase to ask.
+
+class SaturationAnalysis(Analysis):
+    """Base of the analyses whose closure phase is :func:`saturate_trace`:
+    race-prediction, deadlock-prediction, memory-bugs and use-after-free.
+
+    A subclass implements :meth:`_analyse`, its own phase over the
+    saturated order, which asks frontiers and inserts no edges.
+
+    On an unbounded stream the analysis is native: it keeps one
+    :class:`SaturatedOrder` across flushes, and each flush extends it to
+    the events streamed so far, then runs :meth:`_analyse` on it.  The
+    findings equal a batch :meth:`run` on that prefix (the argument is in
+    the ``SaturatedOrder`` docstring).  The result's insert, query and edge
+    counts are those of the kept order since it was built.  A flush
+    rebuilds the kept order from scratch when the view's trace is not the
+    one it extended, or when a thread id is at or beyond its chain count.
+    An order whose saturation met a cycle is dropped: the flush that met
+    it in a kept order answers with a batch run, whose ``closure_cycle``
+    findings depend on its own insertion order, and every later flush
+    builds afresh, as batch does.
     """
-    sync_edges = build_sync_order(trace, order, include_locks=include_locks)
-    frontiers = Frontiers(order)
-    engine = SaturationEngine(frontiers, trace.writes_by_variable())
-    try:
-        saturation_edges = engine.saturate(trace.reads_from())
-    except CycleDetected:
-        # The observed trace itself is always feasible; a cycle can only
-        # mean the caller handed in an inconsistent synthetic trace.
-        result.details["closure_cycle"] = True
-        saturation_edges = 0
-    result.details["sync_edges"] = sync_edges
-    result.details["saturation_edges"] = saturation_edges
-    return frontiers
+
+    streaming_native = True
+
+    #: Whether the sync order holds the observed lock order.
+    include_locks = True
+
+    def _run(self, trace: Trace, order: PartialOrder,
+             result: AnalysisResult) -> None:
+        frontiers = saturate_trace(trace, order, result, self.include_locks)
+        self._analyse(trace, frontiers, result)
+
+    def _analyse(self, trace: Trace, frontiers: Frontiers,
+                 result: AnalysisResult) -> None:
+        raise NotImplementedError
+
+    def begin(self, view) -> None:
+        super().begin(view)
+        self._kept: Optional[SaturatedOrder] = None
+
+    def flush(self) -> AnalysisResult:
+        trace = self._stream_trace()
+        kept, self._kept = self._kept, None
+        resumed = kept is not None and kept.extends(trace) \
+            and self._num_chains(trace) <= kept.order.num_chains
+        if not resumed:
+            kept = SaturatedOrder(self._make_order(trace), self.include_locks)
+        result = self._measured(trace, kept.order,
+                                partial(self._extend, kept))
+        if not kept.cyclic:
+            self._kept = kept
+        elif resumed:
+            return self.run(trace)
+        return result
+
+    def _extend(self, kept: SaturatedOrder, trace: Trace,
+                order: PartialOrder, result: AnalysisResult) -> None:
+        self._analyse(trace, kept.extend(trace, result), result)

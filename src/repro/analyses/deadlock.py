@@ -18,10 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from repro.analyses.common.base import Analysis, AnalysisResult
+from repro.analyses.common.base import AnalysisResult
 from repro.analyses.common.hb import Frontiers, lock_graph
-from repro.analyses.common.saturation import saturate_trace
-from repro.core.instrumented import InstrumentedOrder
+from repro.analyses.common.saturation import SaturationAnalysis
 from repro.trace.event import Event
 from repro.trace.trace import Trace
 
@@ -56,7 +55,7 @@ class DeadlockPattern:
         return f"deadlock: {parts}"
 
 
-class DeadlockPredictionAnalysis(Analysis):
+class DeadlockPredictionAnalysis(SaturationAnalysis):
     """SeqCheck-style predictive deadlock detection.
 
     Parameters
@@ -69,20 +68,20 @@ class DeadlockPredictionAnalysis(Analysis):
 
     name = "deadlock-prediction"
 
+    # The predictive order deliberately omits the observed lock order of
+    # the candidate locks (the whole point is to reorder critical
+    # sections), but keeps fork/join and the reads-from saturation that
+    # any correct reordering must respect.
+    include_locks = False
+
     def __init__(self, backend=None,
                  max_patterns: Optional[int] = None, **backend_kwargs) -> None:
         super().__init__(backend, **backend_kwargs)
         self._max_patterns = max_patterns
 
     # ------------------------------------------------------------------ #
-    def _run(self, trace: Trace, order: InstrumentedOrder,
-             result: AnalysisResult) -> None:
-        # The predictive order deliberately omits the observed lock order of
-        # the candidate locks (the whole point is to reorder critical
-        # sections), but keeps fork/join and the reads-from saturation that
-        # any correct reordering must respect.
-        frontiers = saturate_trace(trace, order, result, include_locks=False)
-
+    def _analyse(self, trace: Trace, frontiers: Frontiers,
+                 result: AnalysisResult) -> None:
         graph = lock_graph(trace)
         candidates = self._candidate_cycles(graph)
         result.details["candidates"] = len(candidates)

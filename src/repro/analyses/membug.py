@@ -19,10 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.analyses.common.base import Analysis, AnalysisResult
+from repro.analyses.common.base import AnalysisResult
 from repro.analyses.common.hb import Frontiers
-from repro.analyses.common.saturation import saturate_trace
-from repro.core.instrumented import InstrumentedOrder
+from repro.analyses.common.saturation import SaturationAnalysis
 from repro.trace.event import Event, EventKind
 from repro.trace.trace import Trace
 
@@ -44,7 +43,7 @@ class MemoryBug:
         return f"{self.kind} on {self.address}: {self.free} / {self.access}"
 
 
-class MemoryBugAnalysis(Analysis):
+class MemoryBugAnalysis(SaturationAnalysis):
     """ConVulPOE-style prediction of use-after-free and double-free bugs.
 
     Parameters
@@ -69,10 +68,8 @@ class MemoryBugAnalysis(Analysis):
         self._enabling_window = enabling_window
 
     # ------------------------------------------------------------------ #
-    def _run(self, trace: Trace, order: InstrumentedOrder,
-             result: AnalysisResult) -> None:
-        frontiers = saturate_trace(trace, order, result)
-
+    def _analyse(self, trace: Trace, frontiers: Frontiers,
+                 result: AnalysisResult) -> None:
         frees, accesses = self._heap_events(trace)
         candidates = self._candidates(frees, accesses)
         result.details["candidates"] = len(candidates)

@@ -20,10 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.analyses.common.base import Analysis, AnalysisResult
+from repro.analyses.common.base import AnalysisResult
 from repro.analyses.common.hb import Frontiers, conflicting_pairs
-from repro.analyses.common.saturation import saturate_trace
-from repro.core.instrumented import InstrumentedOrder
+from repro.analyses.common.saturation import SaturationAnalysis
 from repro.trace.event import Event
 from repro.trace.trace import Trace
 
@@ -44,7 +43,7 @@ class Race:
         return f"race on {self.variable}: {self.first} || {self.second}"
 
 
-class RacePredictionAnalysis(Analysis):
+class RacePredictionAnalysis(SaturationAnalysis):
     """M2-style predictive race detection.
 
     Parameters
@@ -76,14 +75,11 @@ class RacePredictionAnalysis(Analysis):
         self._witness_window = witness_window
 
     # ------------------------------------------------------------------ #
-    def _run(self, trace: Trace, order: InstrumentedOrder,
-             result: AnalysisResult) -> None:
-        # Phase 1: sound closure of the observed trace -- sync order plus
-        # reads-from saturation.
-        frontiers = saturate_trace(trace, order, result)
-
-        # Phase 2: candidate enumeration and witness checks.  It inserts no
-        # edges, so every frontier is asked at most once.
+    def _analyse(self, trace: Trace, frontiers: Frontiers,
+                 result: AnalysisResult) -> None:
+        # Phase 2, after the closure of the observed trace (sync order plus
+        # reads-from saturation): candidate enumeration and witness checks.
+        # It inserts no edges, so every frontier is asked at most once.
         candidates = conflicting_pairs(
             trace, max_pairs=self._max_candidates,
             same_variable_window=self._candidate_window,

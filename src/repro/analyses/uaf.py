@@ -19,10 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.analyses.common.base import Analysis, AnalysisResult
+from repro.analyses.common.base import AnalysisResult
 from repro.analyses.common.hb import Frontiers
-from repro.analyses.common.saturation import saturate_trace
-from repro.core.instrumented import InstrumentedOrder
+from repro.analyses.common.saturation import SaturationAnalysis
 from repro.trace.columns import ALLOC_CODE, FREE_CODE
 from repro.trace.event import Event
 from repro.trace.trace import Trace
@@ -65,7 +64,7 @@ class ConstraintQuery:
         )
 
 
-class UseAfterFreeAnalysis(Analysis):
+class UseAfterFreeAnalysis(SaturationAnalysis):
     """UFO-style use-after-free query generation.
 
     Parameters
@@ -90,10 +89,8 @@ class UseAfterFreeAnalysis(Analysis):
         self._cone_window = cone_window
 
     # ------------------------------------------------------------------ #
-    def _run(self, trace: Trace, order: InstrumentedOrder,
-             result: AnalysisResult) -> None:
-        frontiers = saturate_trace(trace, order, result)
-
+    def _analyse(self, trace: Trace, frontiers: Frontiers,
+                 result: AnalysisResult) -> None:
         candidates = self._candidates(trace)
         result.details["candidates"] = len(candidates)
         reads_from = trace.reads_from()

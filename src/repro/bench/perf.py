@@ -15,7 +15,8 @@ Two kinds of cases:
   still had an object twin, so its trend keeps its history).
 * **Analysis cases** run whole analyses over fixed synthetic workloads on
   several backends, so the columnar-trace fast paths are measured end to
-  end.
+  end.  ``stream/race-prediction`` runs one of them on a stream that
+  flushes every 50 events.
 
 Every case exists in a ``quick`` and a ``full`` size; regression checks only
 compare like with like (the baseline file records both modes).  Absolute
@@ -78,6 +79,10 @@ SPEEDUP_PAIRS: Sequence[Tuple[str, str, str]] = (
      "deadlock-64t-incremental-csst-over-vc-flat"),
     ("race-prediction-64t/vc-flat", "race-prediction-64t/incremental-csst",
      "race-64t-incremental-csst-over-vc-flat"),
+    # A stream flushing every 50 events over one batch run of the same
+    # trace: what answering at every flush costs.
+    ("race-prediction/incremental-csst", "stream/race-prediction",
+     "stream-over-batch"),
 )
 
 
@@ -270,6 +275,35 @@ def _analysis_case(analysis: str, backend: str, generator: str,
     return setup
 
 
+def _stream_case(analysis: str, generator: str, flush_every: int,
+                 **generator_kwargs) -> Callable[[bool], Callable[[], object]]:
+    """One analysis on a stream over a fixed synthetic workload: the
+    trace fed event by event through a
+    :class:`~repro.stream.engine.StreamEngine` that flushes every
+    ``flush_every`` events (quick mode shrinks the trace as
+    :func:`_analysis_case` does)."""
+
+    def setup(quick: bool) -> Callable[[], object]:
+        from repro.stream.engine import StreamEngine
+        from repro.stream.source import TraceSource
+        from repro.stream.window import UnboundedWindow
+        from repro.trace.generators import build_trace
+
+        kwargs = dict(generator_kwargs)
+        if quick:
+            kwargs["events"] = max(8, kwargs["events"] // 4)
+        trace = build_trace(generator, **kwargs)
+
+        def run() -> object:
+            engine = StreamEngine(
+                [analysis], window=UnboundedWindow(flush_every=flush_every))
+            return engine.run(TraceSource(trace)).finding_count
+
+        return run
+
+    return setup
+
+
 #: Loads per ``trace-load/*`` sample, the same for both formats so their
 #: ratio stays a per-load ratio.  One quick ``.stc`` load is ~0.5 ms,
 #: timer- and host-noise bound against the 2x gate; 20 make a sample of
@@ -322,6 +356,10 @@ def default_cases() -> List[PerfCase]:
             f"race-prediction/{backend}",
             _analysis_case("race-prediction", backend, "racy",
                            num_threads=4, events=400, seed=11)))
+    cases.append(PerfCase(
+        "stream/race-prediction",
+        _stream_case("race-prediction", "racy", flush_every=50,
+                     num_threads=4, events=400, seed=11)))
     for backend in ("vc-flat", "auto"):
         cases.append(PerfCase(
             f"c11-races/{backend}",
@@ -402,8 +440,8 @@ def run_perf(quick: bool = False, repeats: int = DEFAULT_REPEATS,
 def compute_speedups(results: Dict[str, Dict[str, object]]) -> Dict[str, float]:
     """Slow-over-fast ratios for every pair present in ``results``:
     ``.stc`` parse over STD parse, ``auto`` over its best static backend
-    (selection overhead), and ``incremental-csst`` over ``vc-flat`` at 64
-    threads."""
+    (selection overhead), ``incremental-csst`` over ``vc-flat`` at 64
+    threads, and a flushing stream over one batch run."""
     speedups: Dict[str, float] = {}
     for fast, slow, label in SPEEDUP_PAIRS:
         fast_entry = results.get(fast)

@@ -346,9 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "windows bound memory but only see buffered "
                             "events")
     watch.add_argument("--flush-every", type=int, default=None,
-                       help="with the unbounded window, re-evaluate batch-"
-                            "fallback analyses every N events so findings "
-                            "surface incrementally")
+                       help="with the unbounded window, flush every N "
+                            "events so findings surface incrementally")
     watch.add_argument("--checkpoint", default=None,
                        help="engine state file; resumed from when it "
                             "exists, saved on exit either way")
@@ -402,8 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="event window per tenant engine (see 'repro "
                             "watch --window')")
     serve.add_argument("--flush-every", type=int, default=None,
-                       help="re-evaluate batch-fallback analyses every N "
-                            "events per tenant")
+                       help="flush every N events per tenant (see 'repro "
+                            "watch --flush-every')")
     serve.add_argument("--checkpoint-dir", default=None, metavar="DIR",
                        help="directory for per-tenant checkpoints "
                             "(<tenant>.json); enables crashed-worker "

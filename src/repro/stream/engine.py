@@ -10,29 +10,37 @@ lock-order omission), so a shared order would change their answers.
 
 Analyses consume the stream through the online protocol of
 :class:`~repro.analyses.common.base.Analysis` (``begin``/``feed``/
-``flush``).  *Streaming-native* analyses (``streaming_native = True``)
-report findings from ``feed`` the moment they are discovered;
-batch-fallback analyses are re-evaluated at every flush point (window
-boundaries, ``flush_every`` marks, end of stream) over the events currently
-buffered, and the engine deduplicates so every finding is **emitted
-exactly once**, the first time some flush discovers it.  (Under
-*overlapping bounded windows*, findings that embed bare node tuples
-instead of events -- see :func:`finding_key` -- can evade the dedup and
-repeat.)
+``flush``).  Under an unbounded window, *streaming-native* analyses
+(``streaming_native = True``) keep state across calls: the C11 detector
+reports findings from ``feed`` the moment they are discovered, and the
+saturation analyses (race-prediction, deadlock-prediction, memory-bugs,
+use-after-free) keep their saturated order and extend it at each flush.
+Batch-fallback analyses, and every analysis under a bounded window, are
+re-evaluated at every flush point (window boundaries, ``flush_every``
+marks, end of stream) over the events currently buffered.  The engine
+deduplicates, so every finding is **emitted exactly once**, the first time
+some flush discovers it.  (Under *overlapping bounded windows*, findings
+that embed bare node tuples instead of events -- see :func:`finding_key`
+-- can evade the dedup and repeat.)
 
-Exactness contract (unbounded window): the **final flush** sees the whole
-trace, so ``StreamResult.results`` is identical to a batch
-``Analysis.run()`` -- streaming changes *when* findings surface, never the
-final answer.  The emission log (``StreamResult.findings``) has *alarm*
-semantics: each entry was a true finding of the trace consumed up to its
-position.  For monotone analyses (e.g. the streaming-native C11 detector)
-alarms and final findings coincide exactly; predictive analyses are
-non-monotone -- a reordering witness valid for a prefix can be invalidated
-by later events -- so a mid-stream alarm is occasionally absent from the
-final set.  Bounded windows (tumbling/sliding) additionally trade
-completeness for bounded memory: each flush only sees the buffered window
-(re-indexed to a fresh trace), so findings whose evidence spans evicted
-events are missed by construction.
+Exactness contract (unbounded window): every flush gives, for every
+analysis, the findings and verdicts of a batch ``Analysis.run()`` over
+the events consumed so far, native or not.  The final flush sees the
+whole trace, so the findings of ``StreamResult.results`` are identical to
+batch -- streaming changes *when* findings surface, never the answer.  A
+native analysis's insert, query and edge counts (``insert_count``,
+``query_count``, ``sync_edges``, ``saturation_edges``) report the work
+done incrementally on the order it kept, not a batch run's.  The emission
+log (``StreamResult.findings``) has *alarm* semantics: each entry was a
+true finding of the trace consumed up to its position.  For monotone
+analyses (e.g. the C11 detector) alarms and final findings coincide
+exactly; predictive analyses are non-monotone -- a reordering witness
+valid for a prefix can be invalidated by later events -- so a mid-stream
+alarm is occasionally absent from the final set.  Bounded windows
+(tumbling/sliding) additionally trade completeness for bounded memory:
+each flush only sees the buffered window (re-indexed to a fresh trace),
+so findings whose evidence spans evicted events are missed by
+construction.
 """
 
 from __future__ import annotations
@@ -558,7 +566,7 @@ class StreamEngine:
     def flush(self) -> Dict[str, AnalysisResult]:
         """Flush every attachment over the current window contents.
 
-        Native analyses report their accumulated state (cheap); batch
+        Native analyses report or extend the state they keep; batch
         fallbacks re-run over the snapshot.  Findings not yet emitted are
         emitted now.  Returns the per-analysis results of this flush.
 

@@ -8,6 +8,7 @@ import pytest
 from repro.analyses.common.hb import Frontiers, build_sync_order, insert_ordering
 from repro.analyses.common.saturation import (
     CycleDetected,
+    SaturatedOrder,
     SaturationEngine,
     saturate_trace,
 )
@@ -283,3 +284,43 @@ class TestFrontierEquivalence:
         assert result.query_count < 411_374 // 2
         assert result.insert_count == 987
         assert len(result.findings) == 64
+
+
+class TestFixpoint:
+    """``saturate`` loops until a round inserts nothing, so its order is
+    the least fixpoint, and the kept order of a stream reaches it too."""
+
+    @pytest.mark.parametrize("backend", incremental_backends())
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "-".join(map(str, s)))
+    def test_a_second_saturate_inserts_nothing(self, backend, shape):
+        kind, threads, events, seed = shape
+        trace = build_trace(kind, threads, events, seed=seed)
+        order = make_partial_order(backend, max(trace.threads) + 1,
+                                   trace.max_thread_length)
+        build_sync_order(trace, order)
+        engine = SaturationEngine(Frontiers(order), trace.writes_by_variable())
+        assert engine.saturate(trace.reads_from()) > 0
+        assert engine.saturate(trace.reads_from()) == 0
+
+    @pytest.mark.parametrize("include_locks", (True, False))
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "-".join(map(str, s)))
+    def test_extending_a_prefix_reaches_the_batch_relation(self, shape,
+                                                           include_locks):
+        kind, threads, events, seed = shape
+        full = build_trace(kind, threads, events, seed=seed)
+        chains, capacity = max(full.threads) + 1, full.max_thread_length
+        live = Trace()
+        kept = SaturatedOrder(make_partial_order("vc-flat", chains, capacity),
+                              include_locks)
+        for position, event in enumerate(full, 1):
+            live.add(event)
+            if position % 37 == 0 or position == len(full):
+                kept.extend(live, SimpleNamespace(details={}))
+        batch = make_partial_order("incremental-csst", chains, capacity)
+        saturate_trace(full, batch, SimpleNamespace(details={}),
+                       include_locks)
+        nodes = [event.node for event in full]
+        for source in nodes:
+            for chain in range(chains):
+                assert kept.order.successor(source, chain) \
+                    == batch.successor(source, chain), (source, chain)

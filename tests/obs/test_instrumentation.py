@@ -152,13 +152,13 @@ class TestStreamEngine:
         from repro.stream.engine import StreamEngine
         from repro.trace.event import Event, EventKind
 
-        def fail(_trace):
+        def fail():
             raise AnalysisError("boom")
 
         registry = MetricsRegistry()
         with use_registry(registry):
             engine = StreamEngine(["race-prediction"])
-            engine._attachments[0].analysis.run = fail
+            engine._attachments[0].analysis.flush = fail
             engine.feed(Event(thread=0, index=0, kind=EventKind.READ,
                               variable="x"))
             engine.flush()

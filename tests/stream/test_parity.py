@@ -12,6 +12,7 @@ from repro.analyses.common.base import Analysis
 from repro.stream.engine import StreamEngine
 from repro.stream.source import TraceSource
 from repro.stream.window import UnboundedWindow
+from repro.trace import Trace
 from repro.trace.generators import build_trace
 
 #: One representative workload per analysis (kind, per-thread size, seed).
@@ -107,3 +108,119 @@ def test_all_analyses_attached_concurrently_keep_parity(traces):
     for name in names:
         batch = Analysis.by_name(name)().run(trace)
         assert result.results[name].findings == batch.findings
+
+
+# --------------------------------------------------------------------------- #
+# The saturation analyses keep their order across flushes: every flush, not
+# only the last, must equal a batch run over the prefix streamed so far.
+# --------------------------------------------------------------------------- #
+#: ``(analysis, generator kind, extra generator arguments)``; inverted
+#: lock orders make the small deadlock traces find something.
+SATURATION = [
+    ("race-prediction", "racy", {}),
+    ("deadlock-prediction", "deadlock", {"inversion_fraction": 0.5}),
+    ("memory-bugs", "memory", {}),
+    ("use-after-free", "memory", {}),
+]
+FLUSH_EVERY = (1, 17)
+
+
+def _generated(kind, extra):
+    return build_trace(kind, num_threads=3, events=36, seed=0, **extra)
+
+
+def _late_thread_trace(kind, extra):
+    """A 4-thread trace whose thread 3 first appears after 20 events,
+    past a first flush at either ``flush_every``."""
+    events = build_trace(kind, num_threads=4, events=16, seed=4,
+                         **extra).events
+    early = [event for event in events if event.thread != 3][:20]
+    late = [event for event in events if event not in early]
+    return Trace(early + late)
+
+
+def _cyclic_trace(kind, extra):
+    """A generated trace followed by a read that observes a write of the
+    thread it forks only afterwards: the observed reads-from assignment
+    closes a cycle mid-stream."""
+    trace = Trace(build_trace(kind, num_threads=3, events=12, seed=2,
+                              **extra).events)
+    trace.write(2, "cyc", value=1)
+    trace.read(0, "cyc", value=1)
+    trace.fork(0, 2)
+    trace.write(1, "cyc", value=2)
+    trace.read(1, "cyc", value=2)
+    return trace
+
+
+def _flushes(analysis, trace, flush_every):
+    """Every flush of a stream over ``trace``: ``(prefix, result)``."""
+    engine = StreamEngine([analysis])
+    events = trace.events
+    out = []
+    for position, event in enumerate(events, 1):
+        engine.feed(event)
+        if position % flush_every == 0 or position == len(events):
+            out.append((Trace(events[:position]),
+                        engine.flush()[analysis]))
+    return out
+
+
+def _assert_every_flush_equals_batch(analysis, trace, flush_every):
+    flushes = _flushes(analysis, trace, flush_every)
+    for prefix, result in flushes:
+        batch = Analysis.by_name(analysis)().run(prefix)
+        assert result.findings == batch.findings, len(prefix)
+        assert result.details.get("closure_cycle") \
+            == batch.details.get("closure_cycle"), len(prefix)
+    return flushes
+
+
+@pytest.mark.parametrize("flush_every", FLUSH_EVERY)
+@pytest.mark.parametrize("analysis, kind, extra", SATURATION,
+                         ids=[name for name, _kind, _extra in SATURATION])
+class TestEveryFlushEqualsBatch:
+    def test_generated_trace(self, analysis, kind, extra, flush_every):
+        flushes = _assert_every_flush_equals_batch(
+            analysis, _generated(kind, extra), flush_every)
+        assert flushes[-1][1].findings
+
+    def test_thread_first_seen_after_the_first_flush(self, analysis, kind,
+                                                     extra, flush_every):
+        trace = _late_thread_trace(kind, extra)
+        assert 3 not in {event.thread for event in trace.events[:20]}
+        _assert_every_flush_equals_batch(analysis, trace, flush_every)
+
+    def test_cycle_mid_stream(self, analysis, kind, extra, flush_every):
+        trace = _cyclic_trace(kind, extra)
+        flushes = _assert_every_flush_equals_batch(analysis, trace,
+                                                   flush_every)
+        cyclic = [result.details.get("closure_cycle", False)
+                  for _prefix, result in flushes]
+        assert not cyclic[0] and cyclic[-1]
+
+    def test_checkpoint_restore_keeps_the_emission_log(self, tmp_path,
+                                                       analysis, kind, extra,
+                                                       flush_every):
+        from repro.stream.checkpoint import restore_engine
+        from repro.stream.engine import finding_key
+
+        trace = _generated(kind, extra)
+        window = UnboundedWindow(flush_every=flush_every)
+
+        def log(findings):
+            return [(item.analysis, item.position, finding_key(item.finding))
+                    for item in findings]
+
+        whole = StreamEngine([analysis], window=window).run(
+            TraceSource(trace))
+        # Stop at a flush boundary, so the stopped run's own final flush
+        # emits nothing the uninterrupted run would not.
+        half = len(trace) // 2 // flush_every * flush_every
+        path = tmp_path / "ck.json"
+        first = StreamEngine([analysis], window=window).run(
+            TraceSource(trace), max_events=half, checkpoint_path=str(path))
+        resumed = restore_engine(path).run(TraceSource(trace))
+        assert log(first.findings) + log(resumed.findings) \
+            == log(whole.findings)
+        assert whole.findings
