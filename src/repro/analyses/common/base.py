@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Type, Union
+from typing import Any, Dict, List, Optional, Sequence, Type, Union
 
 from repro.core import (
     AUTO_BACKEND,
@@ -188,16 +188,20 @@ class Analysis:
     # ------------------------------------------------------------------ #
     # Public entry point
     # ------------------------------------------------------------------ #
-    def run(self, trace: Trace) -> AnalysisResult:
-        """Run the analysis over ``trace`` and return its result."""
-        return self._measured(trace, self._make_order(trace), self._run)
+    def run(self, trace: Trace,
+            order: Optional[InstrumentedOrder] = None) -> AnalysisResult:
+        """Run the analysis over ``trace`` and return its result.
 
-    def _measured(self, trace: Trace, order: InstrumentedOrder,
-                  body: Callable[[Trace, InstrumentedOrder, AnalysisResult],
-                                 None]) -> AnalysisResult:
-        """Time ``body(trace, order, result)``, read the operation counts
-        off ``order``, report them to the active metrics registry, and
-        return the result."""
+        ``order`` is the partial order to work on, by default a fresh one
+        of the analysis's backend.  A streaming-native flush passes the
+        order it keeps across flushes: the result's operation counts are
+        then the order's since it was built, while the ``po_ops_total``
+        metric counts only the operations this run issued.
+        """
+        if order is None:
+            order = self._make_order(trace)
+        issued_before = (order.insert_count, order.delete_count,
+                         order.query_count)
         result = AnalysisResult(
             analysis=self.name,
             trace_name=trace.name,
@@ -208,7 +212,7 @@ class Analysis:
         if self._resolved_backend is not None:
             result.details["backend_selected"] = self._resolved_backend
         start = time.perf_counter()
-        body(trace, order, result)
+        self._run(trace, order, result)
         result.elapsed_seconds = time.perf_counter() - start
         result.insert_count = order.insert_count
         result.delete_count = order.delete_count
@@ -220,12 +224,13 @@ class Analysis:
                 .observe(result.elapsed_seconds)
             registry.counter("analysis_findings_total", analysis=self.name) \
                 .inc(result.finding_count)
-            for op, count in (("insert", result.insert_count),
-                              ("delete", result.delete_count),
-                              ("query", result.query_count)):
-                if count:
+            for op, count, before in zip(
+                    ("insert", "delete", "query"),
+                    (result.insert_count, result.delete_count,
+                     result.query_count), issued_before):
+                if count > before:
                     registry.counter("po_ops_total", op=op,
-                                     analysis=self.name).inc(count)
+                                     analysis=self.name).inc(count - before)
         return result
 
     # ------------------------------------------------------------------ #

@@ -35,7 +35,6 @@ which keep one such order across the flushes of a stream.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.analyses.common.base import Analysis, AnalysisResult
@@ -259,17 +258,18 @@ class SaturationAnalysis(Analysis):
     saturated order, which asks frontiers and inserts no edges.
 
     On an unbounded stream the analysis is native: it keeps one
-    :class:`SaturatedOrder` across flushes, and each flush extends it to
-    the events streamed so far, then runs :meth:`_analyse` on it.  The
-    findings equal a batch :meth:`run` on that prefix (the argument is in
-    the ``SaturatedOrder`` docstring).  The result's insert, query and edge
-    counts are those of the kept order since it was built.  A flush
-    rebuilds the kept order from scratch when the view's trace is not the
-    one it extended, or when a thread id is at or beyond its chain count.
-    An order whose saturation met a cycle is dropped: the flush that met
-    it in a kept order answers with a batch run, whose ``closure_cycle``
-    findings depend on its own insertion order, and every later flush
-    builds afresh, as batch does.
+    :class:`SaturatedOrder` across flushes, and each flush is a
+    :meth:`run` on it that extends it to the events streamed so far, then
+    runs :meth:`_analyse`.  The findings equal a batch :meth:`run` on that
+    prefix (the argument is in the ``SaturatedOrder`` docstring).  The
+    result's insert, query and edge counts are those of the kept order
+    since it was built.  A flush rebuilds the kept order from scratch when
+    the view's trace is not the one it extended, when a thread id is at or
+    beyond its chain count, or after a flush that raised.  An order whose saturation met a cycle is
+    dropped, and every later flush builds afresh, as batch does.  When a
+    kept order meets the cycle while resuming, its run skips
+    :meth:`_analyse` and the flush answers with a batch run, whose
+    ``closure_cycle`` findings depend on its own insertion order.
     """
 
     streaming_native = True
@@ -277,10 +277,18 @@ class SaturationAnalysis(Analysis):
     #: Whether the sync order holds the observed lock order.
     include_locks = True
 
+    #: The order kept across the flushes of a stream.
+    _kept: Optional[SaturatedOrder] = None
+
     def _run(self, trace: Trace, order: PartialOrder,
              result: AnalysisResult) -> None:
-        frontiers = saturate_trace(trace, order, result, self.include_locks)
-        self._analyse(trace, frontiers, result)
+        kept = self._kept
+        if kept is None or kept.order is not order:
+            kept = SaturatedOrder(order, self.include_locks)
+        resumed = kept.synced > 0
+        frontiers = kept.extend(trace, result)
+        if not (resumed and kept.cyclic):
+            self._analyse(trace, frontiers, result)
 
     def _analyse(self, trace: Trace, frontiers: Frontiers,
                  result: AnalysisResult) -> None:
@@ -288,23 +296,24 @@ class SaturationAnalysis(Analysis):
 
     def begin(self, view) -> None:
         super().begin(view)
-        self._kept: Optional[SaturatedOrder] = None
+        self._kept = None
 
     def flush(self) -> AnalysisResult:
         trace = self._stream_trace()
-        kept, self._kept = self._kept, None
-        resumed = kept is not None and kept.extends(trace) \
-            and self._num_chains(trace) <= kept.order.num_chains
-        if not resumed:
-            kept = SaturatedOrder(self._make_order(trace), self.include_locks)
-        result = self._measured(trace, kept.order,
-                                partial(self._extend, kept))
-        if not kept.cyclic:
-            self._kept = kept
-        elif resumed:
-            return self.run(trace)
+        kept = self._kept
+        if kept is None or not kept.extends(trace) \
+                or self._num_chains(trace) > kept.order.num_chains:
+            kept = self._kept = SaturatedOrder(self._make_order(trace),
+                                               self.include_locks)
+        resumed = kept.synced > 0
+        try:
+            result = self.run(trace, kept.order)
+        except Exception:
+            # A run cut short leaves the order partly extended.
+            self._kept = None
+            raise
+        if kept.cyclic:
+            self._kept = None
+            if resumed:
+                return self.run(trace)
         return result
-
-    def _extend(self, kept: SaturatedOrder, trace: Trace,
-                order: PartialOrder, result: AnalysisResult) -> None:
-        self._analyse(trace, kept.extend(trace, result), result)

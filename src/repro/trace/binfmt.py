@@ -206,6 +206,10 @@ def _zigzag(value: int) -> int:
     return (value << 1) if value >= 0 else ((-value << 1) - 1)
 
 
+def _unzigzag(value: int) -> int:
+    return (value >> 1) if not value & 1 else -((value + 1) >> 1)
+
+
 # --------------------------------------------------------------------------- #
 # Encoding
 # --------------------------------------------------------------------------- #
@@ -376,7 +380,6 @@ def _decode_pool(data, offset: int, length: int) -> List[Any]:
     (count,) = _U32_STRUCT.unpack_from(data, offset)
     offset += 4
     pool: List[Any] = []
-    append = pool.append
     for _ in range(count):
         if offset >= end:
             raise TraceFormatError(
@@ -385,29 +388,12 @@ def _decode_pool(data, offset: int, length: int) -> List[Any]:
         tag = data[offset]
         offset += 1
         if tag == _TAG_INT:
-            # _read_uvarint inline, then the zigzag decode: the pool is
-            # mostly ints, and most fit one byte.
-            if offset >= end:
-                raise TraceFormatError("truncated varint in POOL int entry")
-            byte = data[offset]
-            offset += 1
-            raw = byte & 0x7F
-            shift = 0
-            while byte & 0x80:
-                shift += 7
-                if shift > 1024:
-                    raise TraceFormatError("runaway varint in POOL int entry")
-                if offset >= end:
-                    raise TraceFormatError(
-                        "truncated varint in POOL int entry")
-                byte = data[offset]
-                offset += 1
-                raw |= (byte & 0x7F) << shift
-            append(-((raw + 1) >> 1) if raw & 1 else raw >> 1)
+            raw, offset = _read_uvarint(data, offset, end, "POOL int entry")
+            pool.append(_unzigzag(raw))
         elif tag == _TAG_FALSE:
-            append(False)
+            pool.append(False)
         elif tag == _TAG_TRUE:
-            append(True)
+            pool.append(True)
         elif tag == _TAG_STR:
             size, offset = _read_uvarint(data, offset, end, "POOL string entry")
             if offset + size > end:
@@ -415,7 +401,7 @@ def _decode_pool(data, offset: int, length: int) -> List[Any]:
                     f"POOL string entry overruns the section by "
                     f"{offset + size - end} bytes")
             try:
-                append(bytes(data[offset:offset + size]).decode("utf-8"))
+                pool.append(bytes(data[offset:offset + size]).decode("utf-8"))
             except UnicodeDecodeError as error:
                 raise TraceFormatError(
                     f"POOL string entry is not valid UTF-8: {error}") from None
@@ -428,7 +414,7 @@ def _decode_pool(data, offset: int, length: int) -> List[Any]:
             if not 1 <= code < len(_MO_BY_CODE):
                 raise TraceFormatError(
                     f"POOL memory-order code {code} out of range")
-            append(_MO_BY_CODE[code])
+            pool.append(_MO_BY_CODE[code])
         else:
             raise TraceFormatError(f"unknown POOL entry tag {tag}")
     if offset != end:

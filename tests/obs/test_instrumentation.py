@@ -79,6 +79,32 @@ class TestStreamEngine:
                                analysis="race-prediction")
         assert flush_seconds["count"] == engine.stats.flushes
 
+    def test_native_flush_counts_each_operation_once(self):
+        # A kept order's counts grow across flushes; the counter adds only
+        # what each flush issued, so it ends at the kept order's totals.
+        from repro.stream.engine import StreamEngine
+        from repro.trace.generators import racy_trace
+
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            engine = StreamEngine(["race-prediction"])
+            for index, event in enumerate(racy_trace(num_threads=3,
+                                                     events_per_thread=60,
+                                                     seed=5)):
+                engine.feed(event)
+                if (index + 1) % 30 == 0:
+                    last = engine.flush()["race-prediction"]
+        snapshot = registry.snapshot()
+        for op, count in (("insert", last.insert_count),
+                          ("query", last.query_count)):
+            total = _value(snapshot, "counters", "po_ops_total",
+                           analysis="race-prediction", op=op)
+            assert total["value"] == count > 0
+        runs = _value(snapshot, "histograms", "analysis_run_seconds",
+                      analysis="race-prediction",
+                      backend="incremental-csst")
+        assert runs["count"] == engine.stats.flushes == 6
+
     def test_native_analysis_feed_latency(self):
         from repro.stream.engine import StreamEngine
         from repro.trace.event import Event, EventKind

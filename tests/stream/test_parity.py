@@ -224,3 +224,32 @@ class TestEveryFlushEqualsBatch:
         assert log(first.findings) + log(resumed.findings) \
             == log(whole.findings)
         assert whole.findings
+
+
+@pytest.mark.parametrize("analysis, kind, extra", SATURATION,
+                         ids=[name for name, _kind, _extra in SATURATION])
+def test_a_failed_flush_rebuilds_the_kept_order(analysis, kind, extra):
+    """A flush that raises leaves no kept order behind: the next flush
+    builds afresh, so its counts are a batch run's on the same prefix."""
+    from repro.errors import AnalysisError
+
+    def fail(*_args):
+        raise AnalysisError("boom")
+
+    events = _generated(kind, extra).events
+    instance = Analysis.by_name(analysis)()
+    engine = StreamEngine([instance])
+    for position, event in enumerate(events[:36], 1):
+        engine.feed(event)
+        if position == 24:
+            instance._analyse = fail
+        if position % 12 == 0:
+            result = engine.flush().get(analysis)
+            if position == 24:
+                assert result is None
+                del instance._analyse
+    assert engine.stats.flush_errors == 1
+    batch = Analysis.by_name(analysis)().run(Trace(events[:36]))
+    assert result.findings == batch.findings
+    assert (result.insert_count, result.query_count) \
+        == (batch.insert_count, batch.query_count)
