@@ -1,10 +1,19 @@
-"""Crossover experiment: analysis time versus trace length.
+"""Crossover experiment: TSO consistency time versus trace length.
 
 The paper's advantage for CSSTs over Vector Clocks appears when traces are
 long relative to the thread count (insertions deep in the order then cost
 Vector Clocks O(n) each).  This benchmark measures the TSO consistency
-analysis over traces of growing length so the regime change is visible even
-in the scaled-down Python reproduction.
+analysis over 3-thread traces of growing length on every incremental
+backend, so the regime change is visible in the scaled-down reproduction.
+
+The full grid -- every analysis, every applicable backend, 4/16/64
+threads at two lengths plus one long 4-thread cell, min and median of 5
+runs -- is the committed crossover table, ``docs/tables/crossover.md``
+(``repro sweep --suite crossover --repeat 5``, rendered by
+``repro report crossover``).  Each analysis's default backend is that
+table's pick.  The table shows tso-consistency as the analysis where the
+CSST advantage reproduces, on long few-thread traces; it also shows where
+it does not (race-prediction and c11-races, whose default is ``vc-flat``).
 """
 
 import pytest

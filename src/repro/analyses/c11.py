@@ -107,6 +107,13 @@ class C11RaceAnalysis(Analysis):
     name = "c11-races"
     streaming_native = True
 
+    @classmethod
+    def default_backend(cls) -> str:
+        """``vc-flat``: the crossover table's pick
+        (``docs/tables/crossover.md``).  The incremental CSST is more than
+        1.5x slower than ``vc-flat`` at 16 and 64 threads."""
+        return "vc-flat"
+
     def __init__(self, backend=None, report_all: bool = False,
                  **backend_kwargs) -> None:
         super().__init__(backend, **backend_kwargs)

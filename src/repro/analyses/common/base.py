@@ -162,7 +162,13 @@ class Analysis:
 
     @classmethod
     def default_backend(cls) -> str:
-        """The backend this analysis runs on when none is requested."""
+        """The backend this analysis runs on when none is requested, and
+        the ``auto`` pick (:func:`repro.tune.choose_backend`).
+
+        Each built-in analysis's default is the pick of the measured
+        crossover table, ``docs/tables/crossover.json``
+        (``tests/tune/test_crossover_table.py`` holds the two equal).
+        """
         return "csst" if cls.requires_deletion else "incremental-csst"
 
     @classmethod
@@ -179,11 +185,20 @@ class Analysis:
 
     def __init__(self, backend: Optional[BackendSpec] = None,
                  **backend_kwargs) -> None:
-        self._backend_spec = (type(self).default_backend()
-                              if backend is None else backend)
+        if backend is None:
+            backend = type(self).default_backend()
+        #: The backend the ``auto`` pseudo-backend resolved to (``None``
+        #: when a backend was named).  The ``auto`` rule reads no trace,
+        #: so it resolves here, once, and :meth:`run` records the pick.
+        self._resolved_backend: Optional[str] = None
+        if isinstance(backend, str) and backend == AUTO_BACKEND:
+            from repro import tune
+
+            backend = self._resolved_backend = tune.choose_backend(
+                type(self))
+        self._backend_spec = backend
         self._backend_kwargs = backend_kwargs
         self._stream_view = None
-        self._resolved_backend: Optional[str] = None
 
     # ------------------------------------------------------------------ #
     # Public entry point
@@ -315,11 +330,8 @@ class Analysis:
         if isinstance(self._backend_spec, PartialOrder):
             backend = self._backend_spec
         else:
-            spec = self._backend_spec
-            if str(spec) == AUTO_BACKEND:
-                spec = self._resolve_auto(trace)
             backend = make_partial_order(
-                spec,
+                self._backend_spec,
                 num_chains=self._num_chains(trace),
                 capacity_hint=capacity,
                 **self._backend_kwargs,
@@ -331,26 +343,7 @@ class Analysis:
             )
         return InstrumentedOrder(backend)
 
-    def _resolve_auto(self, trace: Trace) -> str:
-        """Resolve the ``auto`` pseudo-backend for ``trace``.
-
-        Extracts the trace's shape features and applies the ``auto``
-        rule (:mod:`repro.tune`, imported lazily to keep the analyses
-        importable without it) to pick among :meth:`applicable_backends`.
-        The pick is kept so :meth:`run` can record it in the result
-        details.
-        """
-        from repro import tune
-
-        chosen = tune.choose_backend(type(self),
-                                     tune.extract_features(trace))
-        self._resolved_backend = chosen
-        return chosen
-
     def _backend_name(self) -> str:
         if isinstance(self._backend_spec, PartialOrder):
             return type(self._backend_spec).__name__
-        if self._resolved_backend is not None \
-                and str(self._backend_spec) == AUTO_BACKEND:
-            return self._resolved_backend
         return str(self._backend_spec)

@@ -65,6 +65,13 @@ class RacePredictionAnalysis(SaturationAnalysis):
 
     name = "race-prediction"
 
+    @classmethod
+    def default_backend(cls) -> str:
+        """``vc-flat``: the crossover table's pick
+        (``docs/tables/crossover.md``).  The incremental CSST is more than
+        1.5x slower than ``vc-flat`` at 64 threads."""
+        return "vc-flat"
+
     def __init__(self, backend=None,
                  max_candidates: Optional[int] = None,
                  candidate_window: Optional[int] = 25,

@@ -63,11 +63,6 @@ class TSOConsistencyAnalysis(Analysis):
 
     name = "tso-consistency"
 
-    def __init__(self, backend=None, max_rounds: int = 16,
-                 **backend_kwargs) -> None:
-        super().__init__(backend, **backend_kwargs)
-        self._max_rounds = max_rounds
-
     # Two chains per thread: program order and store buffer.
     def _num_chains(self, trace: Trace) -> int:
         return max(2 * trace.num_threads, 2)
@@ -135,9 +130,11 @@ class TSOConsistencyAnalysis(Analysis):
             # Same-thread early reads (store-to-load forwarding) need no edge:
             # program order already orders the write before the read.
 
-        # Saturation: coherence-driven inference until a fixed point.
+        # Saturation: coherence-driven inference until a round inserts
+        # nothing (every rule only adds edges, so the loop terminates).
         rounds = 0
-        for _ in range(self._max_rounds):
+        changed = 1
+        while changed and witness is None:
             rounds += 1
             changed = 0
             for read, write in reads_from.items():
@@ -147,8 +144,6 @@ class TSOConsistencyAnalysis(Analysis):
                     frontiers, add, reads_from, writes_by_variable, flush_node,
                     issue_node, read, write,
                 )
-            if changed == 0 or witness is not None:
-                break
 
         result.details["consistent"] = witness is None
         result.details["inserted"] = inserted

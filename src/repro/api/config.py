@@ -659,29 +659,56 @@ class TimelineConfig(Config):
 
 @dataclass(frozen=True)
 class ReportConfig(Config):
-    """Longitudinal report generation (CLI: ``repro report trend``).
+    """Report generation (CLI: ``repro report trend|crossover``).
 
-    ``mode`` selects the report (only ``"trend"`` today); ``dir`` is the
-    directory holding ``BENCH_*.json`` documents, ``out`` the directory
-    receiving the rendered markdown + JSON pair.
+    ``mode`` selects the report:
+
+    * ``"trend"``: ``dir`` (default ``.``) holds the ``BENCH_*.json``
+      documents;
+    * ``"crossover"``: ``dir`` (default ``docs/tables``) holds the
+      backend crossover table ``crossover.json``, or raw
+      ``repro sweep --suite crossover --format json`` documents named
+      ``crossover-sweep*.json``, which are merged into a table first.
+
+    ``out`` is the directory receiving the rendered markdown + JSON pair,
+    named ``<basename>.md``/``.json`` (default: the mode's own name,
+    ``perf_trend`` or ``crossover``).
     """
 
     command: ClassVar[str] = "report"
 
-    MODES: ClassVar[Tuple[str, ...]] = ("trend",)
+    MODES: ClassVar[Tuple[str, ...]] = ("trend", "crossover")
+
+    #: Per mode: (default source directory, default basename).
+    DEFAULTS: ClassVar[Dict[str, Tuple[str, str]]] = {
+        "trend": (".", "perf_trend"),
+        "crossover": ("docs/tables", "crossover"),
+    }
 
     mode: str = "trend"
-    dir: str = "."
+    dir: Optional[str] = None
     out: str = "docs/tables"
-    basename: str = "perf_trend"
+    basename: Optional[str] = None
 
     def __post_init__(self) -> None:
         _require(self.mode in self.MODES,
                  f"unknown report mode {self.mode!r}; "
                  f"known: {', '.join(self.MODES)}")
-        _require(bool(self.dir), "report config needs a source directory")
+        _require(self.dir is None or bool(self.dir),
+                 "report config needs a source directory")
         _require(bool(self.out), "report config needs an output directory")
-        _require(bool(self.basename), "report config needs a basename")
+        _require(self.basename is None or bool(self.basename),
+                 "report config needs a basename")
+
+    @property
+    def source_dir(self) -> str:
+        """``dir``, or the mode's default source directory."""
+        return self.dir or self.DEFAULTS[self.mode][0]
+
+    @property
+    def stem(self) -> str:
+        """``basename``, or the mode's default file stem."""
+        return self.basename or self.DEFAULTS[self.mode][1]
 
 
 #: Every request config, in CLI-subcommand order.

@@ -537,6 +537,17 @@ class ReportResult(Result):
         return self.document
 
     def to_table(self) -> str:
+        if self.mode == "crossover":
+            from repro.runner.crossover import picks
+
+            chosen = picks(self.document)
+            lines = [f"crossover table: {len(self.document['records'])} "
+                     f"records, {len(chosen)} analyses"]
+            lines += [f"  {name}: {entry['pick']} (worst cell "
+                      f"{entry['worst_ratio']:.2f}x the best)"
+                      for name, entry in chosen.items()]
+            return "\n".join(lines + [f"wrote {self.markdown_path}",
+                                      f"wrote {self.json_path}"])
         modes = self.document.get("modes", {})
         cases = sum(len(section.get("cases", {}))
                     for section in modes.values())

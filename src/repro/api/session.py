@@ -612,12 +612,19 @@ class Session:
                               out_path=out_path)
 
     def report(self, config: ReportConfig) -> ReportResult:
-        """Generate a longitudinal report (``trend``: every
-        ``BENCH_*.json`` in ``config.dir`` rendered into ``config.out``)."""
-        from repro.obs.trend import write_trend
+        """Generate a report into ``config.out``: ``trend`` renders every
+        ``BENCH_*.json`` in the source directory; ``crossover`` renders
+        the backend crossover table (see :mod:`repro.runner.crossover`)."""
+        if config.mode == "crossover":
+            from repro.runner.crossover import write_crossover
 
-        document, markdown_path, json_path = write_trend(
-            config.dir, config.out, basename=config.basename)
+            document, markdown_path, json_path = write_crossover(
+                config.source_dir, config.out, basename=config.stem)
+        else:
+            from repro.obs.trend import write_trend
+
+            document, markdown_path, json_path = write_trend(
+                config.source_dir, config.out, basename=config.stem)
         return ReportResult(mode=config.mode, document=document,
                             markdown_path=markdown_path,
                             json_path=json_path)

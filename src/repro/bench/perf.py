@@ -67,7 +67,7 @@ SPEEDUP_PAIRS: Sequence[Tuple[str, str, str]] = (
     # overhead of the `auto` pseudo-backend (target: < 1.05x).
     ("fig11/incremental-csst", "fig11/auto",
      "fig11-auto-over-best-static"),
-    ("race-prediction/incremental-csst", "race-prediction/auto",
+    ("race-prediction/vc-flat", "race-prediction/auto",
      "race-prediction-auto-over-best-static"),
     ("c11-races/vc-flat", "c11-races/auto", "c11-auto-over-best-static"),
     # The default incremental CSST over vc-flat at 64 threads (target:
@@ -80,8 +80,9 @@ SPEEDUP_PAIRS: Sequence[Tuple[str, str, str]] = (
     ("race-prediction-64t/vc-flat", "race-prediction-64t/incremental-csst",
      "race-64t-incremental-csst-over-vc-flat"),
     # A stream flushing every 50 events over one batch run of the same
-    # trace: what answering at every flush costs.
-    ("race-prediction/incremental-csst", "stream/race-prediction",
+    # trace on the same (default) backend: what answering at every flush
+    # costs.
+    ("race-prediction/vc-flat", "stream/race-prediction",
      "stream-over-batch"),
 )
 
@@ -174,24 +175,18 @@ def _fig11_kernel(backend: str) -> Callable[[bool], Callable[[], object]]:
 def _fig11_auto_kernel() -> Callable[[bool], Callable[[], object]]:
     """Figure 11 with the backend picked per run by the ``auto`` rule.
 
-    A proxy trace of the protocol's shape is generated in setup; the
-    timed region covers feature extraction + the pick + the chosen
-    kernel, so the ``*-auto-over-best-static`` speedup pair measures pure
-    selection overhead (the pick lands on the best static backend)."""
+    The timed region covers the pick + the chosen kernel, so the
+    ``*-auto-over-best-static`` speedup pair measures pure selection
+    overhead (the pick lands on the best static backend)."""
 
     def setup(quick: bool) -> Callable[[], object]:
         from repro import tune
-        from repro.trace.generators import build_trace
 
         protocol = _fig11_protocol(quick)
-        chain_length = protocol[1]
-        proxy = build_trace("racy", num_threads=10, events=chain_length,
-                            seed=7)
 
         def run() -> object:
             for _ in range(KERNEL_RUNS_PER_SAMPLE):
-                chosen = tune.choose_backend(_Fig11Candidates,
-                                             tune.extract_features(proxy))
+                chosen = tune.choose_backend(_Fig11Candidates)
                 outcome = _fig11_run(chosen, protocol)
             return outcome
 
@@ -349,9 +344,9 @@ def default_cases() -> List[PerfCase]:
     ]
     cases.append(PerfCase("fig11/auto", _fig11_auto_kernel()))
     cases.append(PerfCase("sst-ops/flat", _sst_kernel()))
-    # "auto" analysis cases resolve the backend inside run(), so their
-    # seconds include the per-run feature extraction + pick.
-    for backend in ("incremental-csst", "auto"):
+    # "auto" analysis cases build the analysis inside the timed run, so
+    # their seconds include the pick.
+    for backend in ("incremental-csst", "vc-flat", "auto"):
         cases.append(PerfCase(
             f"race-prediction/{backend}",
             _analysis_case("race-prediction", backend, "racy",

@@ -20,6 +20,7 @@ typical workflow does not require writing Python:
     python -m repro sweep --suite smoke --metrics metrics.jsonl
     python -m repro stats metrics.jsonl --format prom
     python -m repro report trend
+    python -m repro report crossover
     python -m repro capabilities
 
 Anything printed here can be obtained programmatically from the same
@@ -121,9 +122,10 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("analysis", choices=sorted(_analyses()))
     analyze.add_argument("trace", help="trace file produced by 'generate'")
     analyze.add_argument("--backend", default=None,
-                         help="partial-order backend (default depends on the "
-                              "analysis); 'auto' picks one from the trace's "
-                              "shape")
+                         help="partial-order backend (default: the "
+                              "analysis's pick in the crossover table, "
+                              "docs/tables/crossover.md); 'auto' is that "
+                              "same pick")
     analyze.add_argument("--max-findings", type=int, default=20,
                          help="number of findings to print (0 prints none)")
     analyze.add_argument("--format", choices=RESULT_FORMATS, default="text",
@@ -338,8 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     watch.add_argument("--backend", default=None,
                        help="partial-order backend forced on every attached "
                             "analysis (default: per-analysis default); "
-                            "'auto' picks one per analysis from the shape of "
-                            "a preamble of streamed events")
+                            "'auto' resolves to that default when each "
+                            "analysis is attached")
     watch.add_argument("--window", default=None,
                        help="event window: 'none' (default, exact), SIZE "
                             "(tumbling), or SIZE/SLIDE (sliding); bounded "
@@ -395,8 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "recovery)")
     serve.add_argument("--backend", default="auto",
                        help="partial-order backend for every engine "
-                            "(default: auto -- picked per tenant and "
-                            "analysis from the stream's shape)")
+                            "(default: auto -- each analysis's default, "
+                            "resolved when a tenant's engine is built)")
     serve.add_argument("--window", default=None,
                        help="event window per tenant engine (see 'repro "
                             "watch --window')")
@@ -475,21 +477,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     report = subparsers.add_parser(
         "report",
-        help="longitudinal reports over committed artifacts (trend: "
-             "per-case perf history from BENCH_*.json)")
+        help="reports over committed artifacts (trend: per-case perf "
+             "history from BENCH_*.json; crossover: the backend table "
+             "behind each analysis's default)")
     report.add_argument("mode", choices=ReportConfig.MODES,
                         help="'trend': markdown + JSON per-case timing "
                              "history over BENCH_baseline.json and dated "
-                             "BENCH_<date>.json reports")
-    report.add_argument("--dir", default=".",
-                        help="directory scanned for BENCH_*.json "
-                             "(default: .)")
+                             "BENCH_<date>.json reports; 'crossover': "
+                             "markdown + JSON of the backend crossover "
+                             "table (crossover.json)")
+    report.add_argument("--dir", default=None,
+                        help="source directory: BENCH_*.json for trend "
+                             "(default: .), crossover.json for crossover "
+                             "(default: docs/tables)")
     report.add_argument("--out", default="docs/tables",
                         help="output directory for the rendered report "
                              "(default: docs/tables)")
-    report.add_argument("--basename", default="perf_trend",
+    report.add_argument("--basename", default=None,
                         help="output file stem: <out>/<basename>.md and "
-                             ".json (default: perf_trend)")
+                             ".json (default: perf_trend or crossover)")
 
     subparsers.add_parser(
         "capabilities",

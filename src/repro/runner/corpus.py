@@ -168,6 +168,39 @@ register_suite(Suite(
 ))
 
 
+#: The crossover grid, per workload kind: (threads, events per thread)
+#: cells at two lengths for each of 4, 16 and 64 threads, then one long
+#: 4-thread cell (the paper's k << n regime).  Lengths are per kind, so
+#: that a short cell takes ~20 ms on the fastest backend (13-20 ms for
+#: the shortest ones in the committed table).
+#: Linearizability's commit-order search is exponential in the number of
+#: concurrent operations (one 16 x 1 history takes 5-10 s), so its
+#: histories run at 2, 3 and 4 threads, with 2 x 48 as the long cell.
+CROSSOVER_CELLS: Dict[str, Tuple[Tuple[int, int], ...]] = {
+    "racy": ((4, 300), (4, 600), (16, 50), (16, 100), (64, 25), (64, 50),
+             (4, 1500)),
+    "deadlock": ((4, 300), (4, 400), (16, 50), (16, 100), (64, 25),
+                 (64, 50), (4, 1500)),
+    "tso": ((4, 300), (4, 600), (16, 50), (16, 100), (64, 25), (64, 50),
+            (4, 1500)),
+    "c11": ((4, 2500), (4, 5000), (16, 200), (16, 400), (64, 50),
+            (64, 100), (4, 10000)),
+    "memory": ((4, 6000), (4, 10000), (16, 1500), (16, 2000), (64, 300),
+               (64, 500), (4, 16000)),
+    "history": ((2, 32), (3, 10), (3, 12), (4, 4), (4, 6), (2, 48)),
+}
+
+register_suite(Suite(
+    name="crossover",
+    description="Backend crossover grid behind each analysis's default "
+                "(docs/tables/crossover.md): every kind at 4/16/64 threads "
+                "x two lengths, plus one long 4-thread cell.",
+    specs=tuple(TraceSpec(kind=kind, threads=threads, events=events)
+                for kind, cells in CROSSOVER_CELLS.items()
+                for threads, events in cells),
+))
+
+
 @dataclass
 class TraceCorpus:
     """Lazy, cached materialization of trace specs.

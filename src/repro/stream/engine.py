@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import weakref
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -196,10 +197,23 @@ class StreamResult:
 
 class StreamView:
     """What an attached analysis sees of the stream: a name and a snapshot
-    of the currently buffered events (memoised per flush point)."""
+    of the currently buffered events (memoised per flush point).
+
+    The view holds its engine through a weak reference: the engine holds
+    the view (and every attached analysis holds it too), so a strong one
+    would make a cycle that only the cyclic garbage collector frees.  A
+    view outliving its engine raises :class:`StreamError`.
+    """
 
     def __init__(self, engine: "StreamEngine") -> None:
-        self._engine = engine
+        self._engine_ref = weakref.ref(engine)
+
+    @property
+    def _engine(self) -> "StreamEngine":
+        engine = self._engine_ref()
+        if engine is None:
+            raise StreamError("the stream engine of this view is gone")
+        return engine
 
     @property
     def name(self) -> str:
@@ -222,10 +236,6 @@ class _Attachment:
     analysis: Analysis
     name: str
     native: bool
-    #: Native attachment whose ``auto`` backend is not yet resolved: its
-    #: per-event ``feed`` is held back (the lazy online order would try to
-    #: build a backend named "auto") and replayed at resolution time.
-    held: bool = False
     emitted: set = field(default_factory=set)
     last_result: Optional[AnalysisResult] = None
     last_error: Optional[str] = None
@@ -251,19 +261,14 @@ class StreamEngine:
     backend:
         Backend name forced on analyses constructed from names (default:
         each analysis's own default backend).  The ``auto`` pseudo-backend
-        defers the choice to the ``auto`` rule (:mod:`repro.tune`): the
-        engine extracts trace-shape features from the stream's preamble
-        (the first :data:`AUTO_PREAMBLE_EVENTS` events, or whatever has
-        arrived by the first flush) and pins one concrete backend per
-        attachment for the rest of the run.
+        is resolved by the ``auto`` rule (:mod:`repro.tune`) when each
+        analysis is attached; the picks are reported in
+        ``StreamResult.backends_selected``.
     window:
         A :class:`~repro.stream.window.Window` policy (default unbounded).
     on_finding:
         Callback invoked with each :class:`StreamFinding` as it is emitted.
     """
-
-    #: Events of stream preamble observed before resolving ``auto`` picks.
-    AUTO_PREAMBLE_EVENTS = 64
 
     def __init__(self, analyses: Sequence[Union[str, Analysis]],
                  *, backend: Optional[str] = None,
@@ -307,19 +312,15 @@ class StreamEngine:
         # Attach analyses.
         self._view = StreamView(self)
         self._attachments: List[_Attachment] = []
-        self._auto_pending: List[_Attachment] = []
         for spec in analyses:
             analysis = self._build_analysis(spec)
             native = bool(analysis.streaming_native) and not self.window.bounded
-            pending = isinstance(analysis._backend_spec, str) \
-                and analysis._backend_spec == AUTO_BACKEND
             analysis.begin(self._view)
-            attachment = _Attachment(analysis=analysis, name=analysis.name,
-                                     native=native,
-                                     held=native and pending)
-            self._attachments.append(attachment)
-            if pending:
-                self._auto_pending.append(attachment)
+            self._attachments.append(_Attachment(
+                analysis=analysis, name=analysis.name, native=native))
+            if analysis._resolved_backend is not None:
+                self.backends_selected[analysis.name] = \
+                    analysis._resolved_backend
         names = [attachment.name for attachment in self._attachments]
         if len(set(names)) != len(names):
             raise StreamError(f"duplicate analyses attached: {names}")
@@ -423,8 +424,6 @@ class StreamEngine:
             if self._cursor == self._restore[0]:
                 self._end_restore()
             return
-        if self._auto_pending and self._cursor >= self.AUTO_PREAMBLE_EVENTS:
-            self._resolve_auto()
         self.stats.events = self._cursor
         self.stats.threads = len(self._next_index)
         if self._metrics is not None:
@@ -468,7 +467,7 @@ class StreamEngine:
             self._buffer.append(event)
             self._snapshot_cache = None
         for attachment in self._attachments:
-            if attachment.native and not attachment.held:
+            if attachment.native:
                 if attachment.m_feed is not None:
                     with attachment.m_feed.time():
                         found = list(attachment.analysis.feed(event))
@@ -481,44 +480,6 @@ class StreamEngine:
                     # whose keys were restored, and those must not re-emit.
                     if key not in attachment.emitted:
                         self._emit(attachment, finding, key)
-
-    # ------------------------------------------------------------------ #
-    # Auto-backend resolution
-    # ------------------------------------------------------------------ #
-    def _resolve_auto(self) -> None:
-        """Pin a concrete backend on every pending ``auto`` attachment.
-
-        Runs once, over whatever preamble has arrived (the feed path
-        triggers it at :data:`AUTO_PREAMBLE_EVENTS`; a flush on a shorter
-        stream triggers it with what there is).  The pick is pinned by
-        rewriting the attachment's backend spec, so later flushes never
-        flip-flop, checkpoints record the concrete name, and the lazy
-        online order of native analyses builds against a real backend.
-        Events already ingested are replayed into natives that were held
-        back, with the usual exactly-once emission.
-        """
-        if not self._auto_pending:
-            return
-        from repro import tune
-
-        snapshot, _ = self.snapshot()
-        features = tune.extract_features(snapshot)
-        pending, self._auto_pending = self._auto_pending, []
-        for attachment in pending:
-            analysis = attachment.analysis
-            chosen = tune.choose_backend(type(analysis), features)
-            analysis._backend_spec = chosen
-            analysis._resolved_backend = chosen
-            self.backends_selected[attachment.name] = chosen
-            if attachment.held:
-                attachment.held = False
-                replay = self._live_trace if self._live_trace is not None \
-                    else self._buffer
-                for event in replay:
-                    for finding in analysis.feed(event):
-                        key = finding_key(finding)
-                        if key not in attachment.emitted:
-                            self._emit(attachment, finding, key)
 
     # ------------------------------------------------------------------ #
     # Windowing
@@ -586,8 +547,6 @@ class StreamEngine:
         return self._flush_attachments()
 
     def _flush_attachments(self) -> Dict[str, AnalysisResult]:
-        if self._auto_pending:
-            self._resolve_auto()
         self.stats.flushes += 1
         if self._m_flushes is not None:
             self._m_flushes.inc()

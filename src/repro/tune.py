@@ -1,35 +1,31 @@
 """The ``auto`` backend rule: the layer between analyses and the factory.
 
 The ``auto`` pseudo-backend (:data:`repro.core.AUTO_BACKEND`) is resolved
-here instead of in :func:`repro.core.make_partial_order`: a caller
-extracts a :class:`TraceFeatures` vector from the trace's columns
-(:func:`extract_features`, which reads no ``Event``) and asks
-:func:`choose_backend` for one of the analysis's applicable backends.
+here instead of in :func:`repro.core.make_partial_order`.  The rule is the
+measured crossover table, ``docs/tables/crossover.json`` (rendered as
+``crossover.md`` by ``repro report crossover``): each analysis's
+``default_backend()`` is the table's pick, and :func:`choose_backend`
+returns it.  The pick reads no trace, so an analysis resolves ``auto``
+once, when it is constructed.  See ``docs/tuning.md``.
 
-The rule is fixed: vector clocks (``vc-flat``) when more
-than :data:`ATOMIC_THRESHOLD` of the events are atomic, the incremental
-CSST otherwise, and ``csst`` for deletion-based analyses.  See
-``docs/tuning.md`` for the evidence and for re-checking it against the
-per-job oracle of ``repro sweep --oracle``.
+:func:`extract_features` and :class:`TraceFeatures` describe a trace's
+shape (events, threads, atomic fraction) for tooling; the rule does not
+read them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 from repro.obs import metrics as obs_metrics
 
 __all__ = [
-    "ATOMIC_THRESHOLD",
     "FEATURE_NAMES",
     "TraceFeatures",
     "choose_backend",
     "extract_features",
 ]
-
-#: Atomic-event fraction above which vector clocks are preferred.
-ATOMIC_THRESHOLD = 0.1
 
 #: Names of the scalar features, in the order :meth:`TraceFeatures.vector`
 #: emits them.  Exposed through ``Session.capabilities()["tuning"]`` so
@@ -39,8 +35,8 @@ FEATURE_NAMES: Tuple[str, ...] = ("events", "threads", "atomic_fraction")
 
 @dataclass(frozen=True)
 class TraceFeatures:
-    """The trace shape the rule reads (see :data:`FEATURE_NAMES`): the
-    fraction of atomic events, plus the trace's size."""
+    """A trace's shape (see :data:`FEATURE_NAMES`): its size and the
+    fraction of atomic events."""
 
     events: int
     threads: int
@@ -68,31 +64,17 @@ def extract_features(trace) -> TraceFeatures:
     )
 
 
-def choose_backend(analysis_cls, features: TraceFeatures) -> str:
-    """Pick a concrete backend for ``analysis_cls`` on a trace with
-    ``features``.
+def choose_backend(analysis_cls) -> str:
+    """The ``auto`` pick for ``analysis_cls``: its ``default_backend()``,
+    which is the crossover table's pick (``docs/tables/crossover.json``).
 
-    The first of the rule's preferences that
-    ``analysis_cls.applicable_backends()`` offers wins; when none is
-    offered, the class default (or the first candidate).  The result is
-    always a backend the analysis accepts.  Emits
-    ``tune_pick_total{backend=}`` when metrics are active.
-
-    ``BENCH_baseline.json`` (full mode) shows the incremental CSST ahead
-    on the lock-structured figure-11 workload (0.060s vs ``vc-flat``
-    0.081s), while on atomic-heavy C11 traces vector clocks win
-    (``vc-flat`` 0.031s on c11-races).
+    When the default is not among ``analysis_cls.applicable_backends()``
+    (a runtime-registered backend set), the first applicable backend.
+    Emits ``tune_pick_total{backend=}`` when metrics are active.
     """
     candidates = analysis_cls.applicable_backends()
-    preferences: List[str] = []
-    if features.atomic_fraction > ATOMIC_THRESHOLD:
-        preferences += ["vc-flat"]
-    preferences += ["incremental-csst", "csst"]
-    chosen = next((backend for backend in preferences
-                   if backend in candidates), None)
-    if chosen is None:
-        default = analysis_cls.default_backend()
-        chosen = default if default in candidates else candidates[0]
+    default = analysis_cls.default_backend()
+    chosen = default if default in candidates else candidates[0]
     registry = obs_metrics.ACTIVE
     if registry is not None:
         registry.counter("tune_pick_total", backend=chosen).inc()

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.analyses.tso import TSOConsistencyAnalysis, check_tso_consistency
+from repro.core import INCREMENTAL_BACKENDS
 from repro.errors import AnalysisError
 from repro.trace import MemoryOrder, Trace
-from repro.trace.generators import tso_trace
+from repro.trace.generators import build_trace, tso_trace
 
 
 def _sb_litmus_trace():
@@ -100,3 +101,34 @@ class TestBackendIndependence:
         result = check_tso_consistency(trace, backend=backend)
         assert result.details["consistent"] == reference.details["consistent"]
         assert result.insert_count == reference.insert_count
+
+
+class TestFixpoint:
+    """Saturation runs until a round inserts nothing; there is no round
+    cap that could end it on a non-fixpoint verdict."""
+
+    @pytest.mark.parametrize("backend", INCREMENTAL_BACKENDS)
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_consistent_multi_round_traces_reach_a_fixpoint(
+            self, backend, seed, monkeypatch):
+        trace = build_trace("tso", num_threads=4, events=50, seed=seed,
+                            stale_read_fraction=0.0)
+        inserted_per_read = []
+        original = TSOConsistencyAnalysis._saturate_read
+
+        def recording(self, *args):
+            inserted = original(self, *args)
+            inserted_per_read.append(inserted)
+            return inserted
+
+        monkeypatch.setattr(TSOConsistencyAnalysis, "_saturate_read",
+                            recording)
+        result = TSOConsistencyAnalysis(backend).run(trace)
+        details = result.details
+        assert details["consistent"]
+        assert details["rounds"] >= 2
+        # Every round visits every read once, in the same order; the last
+        # round is the final ``reads`` visits and inserts nothing.
+        assert len(inserted_per_read) == details["rounds"] * details["reads"]
+        assert sum(inserted_per_read[-details["reads"]:]) == 0
+        assert sum(inserted_per_read) > 0

@@ -15,6 +15,7 @@ from repro.api import (
     SweepConfig,
     WatchConfig,
 )
+from repro.analyses.common.base import Analysis
 from repro.errors import ConfigError, ReproError
 from repro.trace import dump_trace
 
@@ -53,7 +54,8 @@ class TestAnalyze:
     def test_analyze_from_file(self, session, trace_file):
         result = session.run(AnalyzeConfig(analysis="race-prediction",
                                            trace=trace_file))
-        assert result.raw.backend == "incremental-csst"
+        assert result.raw.backend \
+            == Analysis.by_name("race-prediction").default_backend()
         assert result.raw.finding_count >= 1
         assert result.exit_code == 0
 

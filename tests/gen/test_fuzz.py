@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from repro.analyses.common.base import Analysis
+from repro.core import INCREMENTAL_BACKENDS
 from repro.errors import FuzzError
 from repro.gen import fuzz as fuzz_module
 from repro.gen.fuzz import (
@@ -65,10 +67,13 @@ class TestComparisonPlan:
     def test_covers_every_other_applicable_backend(self):
         plans = comparison_plan("racy")
         pairs = {(left, right) for _a, left, right in plans}
-        # The default backend is incremental-csst; the baselines and both
-        # vector-clock representations are compared against it.
-        for backend in ("st", "vc-flat"):
-            assert ("incremental-csst", backend) in pairs
+        # Every other incremental backend is compared against the default.
+        reference = Analysis.by_name("race-prediction").default_backend()
+        others = [backend for backend in INCREMENTAL_BACKENDS
+                  if backend != reference]
+        assert len(others) == len(INCREMENTAL_BACKENDS) - 1
+        for backend in others:
+            assert (reference, backend) in pairs
 
     def test_covers_streaming_vs_batch(self):
         plans = comparison_plan("racy")
@@ -154,13 +159,19 @@ class TestInjectedDivergence:
     """End-to-end divergence path: a deliberately broken backend must be
     caught, delta-debugged, and written to disk."""
 
+    #: The broken backend: one the plan compares against race-prediction's
+    #: default.
+    BROKEN = "st"
+
     @pytest.fixture
     def broken_flat(self, monkeypatch):
+        assert (Analysis.by_name("race-prediction").default_backend()
+                != self.BROKEN)
         real = fuzz_module._run_findings
 
         def buggy(analysis, backend, trace):
             findings = real(analysis, backend, trace)
-            if backend.endswith("-flat") and findings:
+            if backend == self.BROKEN and findings:
                 return findings[:-1]  # silently drop one finding
             return findings
 
@@ -172,7 +183,7 @@ class TestInjectedDivergence:
                           out_dir=tmp_path / "cex", max_checks=120)
         assert not report.ok
         divergence = report.divergences[0]
-        assert divergence.right.endswith("-flat")
+        assert divergence.right == self.BROKEN
         assert divergence.counterexample is not None
         assert divergence.minimized_events is not None
         assert divergence.minimized_events <= divergence.case.events * \

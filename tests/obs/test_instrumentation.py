@@ -16,6 +16,7 @@ from repro.api import (
     TimelineConfig,
     WatchConfig,
 )
+from repro.analyses.common.base import Analysis
 from repro.errors import ReproError
 from repro.obs import (
     METRIC_CATALOG,
@@ -38,6 +39,10 @@ def trace_file(tmp_path, session):
     path = tmp_path / "trace.std"
     dump_trace(result.trace, path)
     return str(path)
+
+
+def _default(analysis):
+    return Analysis.by_name(analysis).default_backend()
 
 
 def _value(snapshot, kind, name, **labels):
@@ -102,7 +107,7 @@ class TestStreamEngine:
             assert total["value"] == count > 0
         runs = _value(snapshot, "histograms", "analysis_run_seconds",
                       analysis="race-prediction",
-                      backend="incremental-csst")
+                      backend=_default("race-prediction"))
         assert runs["count"] == engine.stats.flushes == 6
 
     def test_native_analysis_feed_latency(self):
@@ -236,7 +241,7 @@ class TestAnalysisRun:
         snapshot = registry.snapshot()
         run = _value(snapshot, "histograms", "analysis_run_seconds",
                      analysis="race-prediction",
-                     backend="incremental-csst")
+                     backend=_default("race-prediction"))
         assert run["count"] == 1
         assert run["sum"] == pytest.approx(raw.elapsed_seconds)
         findings = _value(snapshot, "counters", "analysis_findings_total",

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.analyses.common.base import Analysis
 from repro.errors import CheckpointError
 from repro.stream.checkpoint import (
     CHECKPOINT_VERSION,
@@ -400,13 +401,18 @@ class TestUnbuildableBackend:
             restore_engine(path)
 
     def test_unresolved_auto_attachment_restores(self, trace):
+        # ``auto`` resolves at attach, so a checkpoint records the pick;
+        # one written before that recorded "auto", and still restores.
         engine = StreamEngine(["race-prediction"], backend="auto")
         for event in trace.events[:10]:
             engine.feed(event)
         state = engine.state_dict()
-        assert state["analyses"][0]["backend"] == "auto"
+        pick = Analysis.by_name("race-prediction").default_backend()
+        assert state["analyses"][0]["backend"] == pick
+        state["analyses"][0]["backend"] = "auto"
         rebuilt = StreamEngine.from_state(state)
         assert rebuilt.cursor == engine.cursor
+        assert rebuilt.backends_selected == {"race-prediction": pick}
 
 
 class TestOlderCheckpoints:

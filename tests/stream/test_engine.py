@@ -1,5 +1,8 @@
 """StreamEngine: ingestion, windows, emission semantics."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.analyses.common.base import Analysis
@@ -233,3 +236,34 @@ class TestFindingKey:
         b = Event(thread=1, index=7, kind=EventKind.READ, variable="x")
         c = Event(thread=1, index=8, kind=EventKind.READ, variable="x")
         assert finding_key(Race(a, b)) != finding_key(Race(a, c))
+
+
+class TestLifetime:
+    """A finished engine is freed by reference counting alone: its view
+    holds it weakly, so engine, view and analyses form no cycle."""
+
+    def test_engine_and_analysis_die_without_the_cycle_collector(self):
+        trace = racy_trace(num_threads=3, events_per_thread=20, seed=1)
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            engine = StreamEngine(["race-prediction", "c11-races"],
+                                  window=UnboundedWindow(
+                flush_every=17))
+            engine.run(TraceSource(trace))
+            engine_ref = weakref.ref(engine)
+            analysis_ref = weakref.ref(engine._attachments[0].analysis)
+            del engine
+            assert engine_ref() is None
+            assert analysis_ref() is None
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    def test_a_view_outliving_its_engine_raises(self):
+        engine = StreamEngine(["race-prediction"])
+        view = engine._view
+        del engine
+        with pytest.raises(StreamError, match="gone"):
+            view.snapshot()

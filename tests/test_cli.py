@@ -1,9 +1,11 @@
 """Tests for the command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from repro.analyses.common.base import Analysis
 from repro.cli import ANALYSES, GENERATORS, build_parser, main
 from repro.trace import load_trace
 
@@ -51,7 +53,8 @@ class TestAnalyze:
     def test_analyze_prints_summary_and_findings(self, trace_file, capsys):
         assert main(["analyze", "race-prediction", str(trace_file)]) == 0
         output = capsys.readouterr().out
-        assert "race-prediction[incremental-csst]" in output
+        default = Analysis.by_name("race-prediction").default_backend()
+        assert f"race-prediction[{default}]" in output
         assert "candidates" in output
 
     def test_analyze_with_explicit_backend(self, trace_file, capsys):
@@ -769,6 +772,34 @@ class TestReportCommand:
         assert "perf_trend.md" in output
         assert "fig11/csst" in (out / "perf_trend.md").read_text()
         assert json.loads((out / "perf_trend.json").read_text())["modes"]
+
+    def test_crossover_report_re_renders_the_committed_table(self, tmp_path,
+                                                            capsys):
+        tables = Path(__file__).resolve().parent.parent / "docs" / "tables"
+        out = tmp_path / "tables"
+        assert main(["report", "crossover", "--dir", str(tables),
+                     "--out", str(out)]) == 0
+        assert "race-prediction: vc-flat" in capsys.readouterr().out
+        for name in ("crossover.md", "crossover.json"):
+            assert (out / name).read_bytes() == (tables / name).read_bytes()
+
+    def test_crossover_report_merges_raw_sweeps(self, tmp_path, capsys):
+        records = [{"suite": "crossover", "trace_id": "racy-t4-n200-s0",
+                    "kind": "racy", "threads": 4, "events": 200, "seed": 0,
+                    "analysis": "race-prediction", "backend": backend,
+                    "status": "ok", "elapsed_seconds": seconds,
+                    "elapsed_median_seconds": seconds, "repeats": 5}
+                   for backend, seconds in (("incremental-csst", 0.4),
+                                            ("vc-flat", 0.2))]
+        for run in (1, 2):
+            (tmp_path / f"crossover-sweep-{run}.json").write_text(
+                json.dumps({"suite": "crossover", "records": records}))
+        assert main(["report", "crossover", "--dir", str(tmp_path),
+                     "--out", str(tmp_path)]) == 0
+        table = json.loads((tmp_path / "crossover.json").read_text())
+        assert table["sweeps"] == 2
+        assert "race-prediction: vc-flat (worst cell 1.00x" \
+            in capsys.readouterr().out
 
     def test_empty_directory_is_a_clean_error(self, tmp_path, capsys):
         assert main(["report", "trend", "--dir", str(tmp_path),

@@ -5,12 +5,13 @@ For every registered analysis, every generator kind that feeds it
 2 and 8 threads, the golden records the backend ``auto`` resolves to on
 each of the three paths that resolve it:
 
-* ``batch``: ``Analysis(AUTO_BACKEND).run(trace)``, which picks on the
-  whole trace;
-* ``stream``: ``StreamEngine([name], backend="auto")``, which picks on
-  the first ``AUTO_PREAMBLE_EVENTS`` events (the 2-thread traces are
-  shorter than that, so they resolve at the final flush);
+* ``batch``: ``Analysis(AUTO_BACKEND).run(trace)``;
+* ``stream``: ``StreamEngine([name], backend="auto")``;
 * ``serve``: the inline ``workers=0`` service, one tenant per trace.
+
+The rule reads no trace (the pick is the analysis's default, from the
+crossover table), so every path resolves when the analysis is built and
+all three agree on every trace; the golden pins that.
 
 It also covers the empty trace for every analysis and the
 ``serve-saturate`` tenant shape (c11, 8 threads x 125 events).
@@ -42,8 +43,7 @@ GOLDEN_PATH = Path(__file__).resolve().parent / "data" / "auto_picks.json"
 
 SEEDS = (1, 2, 3)
 THREADS = (2, 8)
-#: Events per thread: 2 x 24 stays below the stream preamble, 8 x 24
-#: exceeds it.
+#: Events per thread.
 EVENTS = 24
 #: The linearizability search is exponential in concurrent operations.
 HISTORY_EVENTS = 1

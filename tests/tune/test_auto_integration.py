@@ -124,12 +124,33 @@ class TestStreamEngine:
         assert len(result.final_findings_for("race-prediction")) \
             == len(batch.findings)
 
-    def test_short_stream_resolves_at_flush(self):
-        trace = build_trace("racy", num_threads=2, events=8, seed=3)
-        assert len(trace) < StreamEngine.AUTO_PREAMBLE_EVENTS
+    def test_auto_resolves_when_attached(self):
+        # The pick reads no trace, so there is no preamble to wait for:
+        # the engine knows it before the first event, and a stream of one
+        # event reports the same pick.
+        engine = StreamEngine(["race-prediction", "c11-races"],
+                              backend=AUTO_BACKEND)
+        expected = {name: Analysis.by_name(name).default_backend()
+                    for name in ("race-prediction", "c11-races")}
+        assert engine.backends_selected == expected
+        assert not hasattr(StreamEngine, "AUTO_PREAMBLE_EVENTS")
+        trace = build_trace("racy", num_threads=1, events=1, seed=3)
+        assert engine.run(trace).backends_selected == expected
+
+    def test_checkpoint_records_the_concrete_pick(self, tmp_path):
+        from repro.stream.checkpoint import load_checkpoint, save_checkpoint
+
+        trace = build_trace("racy", num_threads=3, events=20, seed=1)
         engine = StreamEngine(["race-prediction"], backend=AUTO_BACKEND)
-        result = engine.run(trace)
-        assert result.backends_selected["race-prediction"] in BACKENDS
+        for event in list(trace)[:10]:
+            engine.feed(event)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(engine, str(path))
+        state = load_checkpoint(str(path))
+        assert state["analyses"] == [
+            {"name": "race-prediction",
+             "backend": Analysis.by_name("race-prediction")
+             .default_backend()}]
 
     def test_native_analysis_resolves_before_first_feed(self):
         trace = build_trace("c11", num_threads=3, events=40, seed=2)

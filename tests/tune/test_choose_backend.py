@@ -1,20 +1,17 @@
-"""The ``auto`` rule of :func:`repro.tune.choose_backend`."""
+"""The ``auto`` rule of :func:`repro.tune.choose_backend`: the crossover
+table's pick, which is each analysis's default backend."""
 
 from __future__ import annotations
+
+import pytest
 
 from repro import tune
 from repro.analyses.common.base import Analysis
 from repro.obs.metrics import MetricsRegistry, use_registry
-from repro.trace.generators import build_trace
-
-
-def features(kind):
-    return tune.extract_features(build_trace(kind, num_threads=3, events=30,
-                                             seed=1))
 
 
 class _GraphOnly:
-    """An analysis-class stand-in offering none of the rule's picks."""
+    """An analysis-class stand-in whose default it does not offer."""
 
     @staticmethod
     def applicable_backends():
@@ -22,32 +19,26 @@ class _GraphOnly:
 
     @staticmethod
     def default_backend():
-        return "st"
+        return "incremental-csst"
 
 
-def test_atomic_heavy_prefers_vector_clocks():
-    c11 = features("c11")
-    assert c11.atomic_fraction > tune.ATOMIC_THRESHOLD
-    cls = Analysis.by_name("race-prediction")
-    assert tune.choose_backend(cls, c11) == "vc-flat"
+@pytest.mark.parametrize("name", sorted(Analysis.registered()))
+def test_pick_is_the_default_backend(name):
+    cls = Analysis.by_name(name)
+    assert tune.choose_backend(cls) == cls.default_backend()
+    assert cls.default_backend() in cls.applicable_backends()
 
 
-def test_lock_structured_prefers_incremental_csst():
-    racy = features("racy")
-    assert racy.atomic_fraction <= tune.ATOMIC_THRESHOLD
-    cls = Analysis.by_name("race-prediction")
-    assert tune.choose_backend(cls, racy) == "incremental-csst"
-
-
-def test_falls_back_to_the_class_default():
-    assert tune.choose_backend(_GraphOnly, features("racy")) == "st"
+def test_falls_back_to_the_first_applicable_backend():
+    assert tune.choose_backend(_GraphOnly) == "graph"
 
 
 def test_pick_counter_is_labelled_by_backend_only():
     cls = Analysis.by_name("c11-races")
     with use_registry(MetricsRegistry()) as registry:
-        tune.choose_backend(cls, features("c11"))
+        tune.choose_backend(cls)
         counters = registry.snapshot()["counters"]
     picks = [item for item in counters if item["name"] == "tune_pick_total"]
     assert picks == [{"name": "tune_pick_total",
-                      "labels": {"backend": "vc-flat"}, "value": 1}]
+                      "labels": {"backend": cls.default_backend()},
+                      "value": 1}]
