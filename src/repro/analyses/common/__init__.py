@@ -9,9 +9,12 @@ from repro.analyses.common.hb import (
     events_between,
     insert_ordering,
     lock_graph,
+    sync_edges,
+    variable_conflicts,
 )
 from repro.analyses.common.saturation import (
     CycleDetected,
+    KeptCandidates,
     SaturatedOrder,
     SaturationAnalysis,
     SaturationEngine,
@@ -24,6 +27,7 @@ __all__ = [
     "BackendSpec",
     "CycleDetected",
     "Frontiers",
+    "KeptCandidates",
     "SaturatedOrder",
     "SaturationAnalysis",
     "SaturationEngine",
@@ -33,4 +37,6 @@ __all__ = [
     "insert_ordering",
     "lock_graph",
     "saturate_trace",
+    "sync_edges",
+    "variable_conflicts",
 ]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from itertools import islice
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.interface import Node, PartialOrder
 from repro.trace.event import WRITE_KINDS, Event, EventKind
@@ -33,43 +33,32 @@ def insert_ordering(order: PartialOrder, source: Node, target: Node) -> bool:
     return True
 
 
-def build_sync_order(trace: Trace, order: PartialOrder,
-                     include_locks: bool = True,
-                     include_fork_join: bool = True,
-                     include_reads_from: bool = False,
-                     start: int = 0,
-                     last_release: Optional[Dict[object, Event]] = None
-                     ) -> int:
-    """Populate ``order`` with the trace's synchronisation backbone.
+def sync_edges(trace: Trace, include_locks: bool = True,
+               include_fork_join: bool = True,
+               include_reads_from: bool = False, start: int = 0,
+               last_release: Optional[Dict[object, Event]] = None
+               ) -> Iterator[Tuple[Node, Node]]:
+    """The cross-chain edges of the trace's synchronisation backbone.
 
     Parameters
     ----------
     trace:
         The analysed trace.
-    order:
-        Any partial-order backend; edges are inserted through the generic
-        interface.
     include_locks:
-        Add release(l) -> acquire(l) edges between consecutive critical
+        Yield release(l) -> acquire(l) edges between consecutive critical
         sections of the same lock, in observed order.
     include_fork_join:
-        Add fork -> first-child-event and last-child-event -> join edges.
+        Yield fork -> first-child-event and last-child-event -> join edges.
     include_reads_from:
-        Add write -> read edges of the observed reads-from map (used by the
-        consistency-style analyses).
+        Yield write -> read edges of the observed reads-from map (used by
+        the consistency-style analyses).
     start / last_release:
         Resume the lock walk at trace position ``start``: the lock edges
-        of the events before it are in ``order`` already, and
+        of the events before it were yielded already, and
         ``last_release`` maps each lock to its last release among them
         (updated in place).  Fork/join and reads-from edges are walked
-        over the whole trace; the implied ones are skipped.
-
-    Returns
-    -------
-    int
-        Number of cross-chain edges inserted.
+        over the whole trace, so a caller resuming meets old ones again.
     """
-    inserted = 0
     if include_locks:
         if last_release is None:
             last_release = {}
@@ -77,19 +66,31 @@ def build_sync_order(trace: Trace, order: PartialOrder,
             if event.kind is EventKind.ACQUIRE:
                 previous = last_release.get(event.variable)
                 if previous is not None and previous.thread != event.thread:
-                    if insert_ordering(order, previous.node, event.node):
-                        inserted += 1
+                    yield previous.node, event.node
             elif event.kind is EventKind.RELEASE:
                 last_release[event.variable] = event
     if include_fork_join:
         for source, target in trace.fork_join_edges():
-            if source[0] != target[0] and insert_ordering(order, source, target):
-                inserted += 1
+            if source[0] != target[0]:
+                yield source, target
     if include_reads_from:
         for read, write in trace.reads_from().items():
             if write is not None and write.thread != read.thread:
-                if insert_ordering(order, write.node, read.node):
-                    inserted += 1
+                yield write.node, read.node
+
+
+def build_sync_order(trace: Trace, order: PartialOrder,
+                     include_locks: bool = True,
+                     include_fork_join: bool = True,
+                     include_reads_from: bool = False) -> int:
+    """Populate ``order`` with the trace's synchronisation backbone (the
+    edges of :func:`sync_edges`, same options) and return the number of
+    cross-chain edges inserted; implied ones are skipped."""
+    inserted = 0
+    for source, target in sync_edges(trace, include_locks,
+                                     include_fork_join, include_reads_from):
+        if insert_ordering(order, source, target):
+            inserted += 1
     return inserted
 
 
@@ -105,24 +106,45 @@ def conflicting_pairs(trace: Trace, max_pairs: Optional[int] = None,
     ``max_pairs`` of zero or less yields no pairs.
     """
     pairs: List[Tuple[Event, Event]] = []
-    if max_pairs is not None and max_pairs <= 0:
-        return pairs
     for accesses in trace.accesses_by_variable().values():
-        # Thread and write flag read once per access, not once per pair.
-        threads = [event.thread for event in accesses]
-        writes = [event.kind in WRITE_KINDS for event in accesses]
-        count = len(accesses)
-        for i, first in enumerate(accesses):
-            thread = threads[i]
-            writes_first = writes[i]
-            upper = count
-            if same_variable_window is not None:
-                upper = min(upper, i + 1 + same_variable_window)
-            for j in range(i + 1, upper):
-                if threads[j] != thread and (writes_first or writes[j]):
-                    pairs.append((first, accesses[j]))
-                    if max_pairs is not None and len(pairs) >= max_pairs:
-                        return pairs
+        limit = None if max_pairs is None else max_pairs - len(pairs)
+        if limit is not None and limit <= 0:
+            break
+        pairs.extend((accesses[i], accesses[j]) for i, j in
+                     variable_conflicts(accesses, 0, same_variable_window,
+                                        limit))
+    return pairs
+
+
+def variable_conflicts(accesses: Sequence[Event], start: int = 0,
+                       window: Optional[int] = None,
+                       limit: Optional[int] = None) -> List[Tuple[int, int]]:
+    """The conflicting pairs ``(i, j)``, ``i < j``, of one variable's
+    access list whose later access ``j`` is at position ``start`` or
+    beyond, in ``(i, j)`` order (see :func:`conflicting_pairs` for
+    ``window``).  At most ``limit`` pairs, when given.
+
+    A growing access list only ever gains pairs whose later access is
+    new, so a caller that remembers ``start`` enumerates each pair once.
+    """
+    pairs: List[Tuple[int, int]] = []
+    if limit is not None and limit <= 0:
+        return pairs
+    count = len(accesses)
+    low = 0 if window is None else max(0, start - window)
+    # Thread and write flag read once per access, not once per pair.
+    threads = [event.thread for event in accesses[low:]]
+    writes = [event.kind in WRITE_KINDS for event in accesses[low:]]
+    for i in range(low, count):
+        thread = threads[i - low]
+        writes_first = writes[i - low]
+        upper = count if window is None else min(count, i + 1 + window)
+        for j in range(max(i + 1, start), upper):
+            if threads[j - low] != thread and (writes_first
+                                               or writes[j - low]):
+                pairs.append((i, j))
+                if limit is not None and len(pairs) >= limit:
+                    return pairs
     return pairs
 
 

@@ -19,26 +19,39 @@ citations in Section 1.1 of the paper).  Because the inserted orderings land
 between arbitrary events of the trace, this is the archetypal *non-streaming*
 workload CSSTs were designed for.
 
-Both rules are asked of a :class:`~repro.analyses.common.hb.Frontiers`
-memo: four frontiers per chain -- ``predecessor`` of the read and of its
-writer, ``successor`` of the writer and of the read -- answer them for
-every competing write on that chain (the argument is in the ``Frontiers``
-docstring).  The memo drops every frontier when an edge goes in, so the
-engine inserts the same edges in the same order as a loop asking
-``reachable`` per competitor.
+The engine saturates semi-naively.  A competing write on chain ``t`` at
+index ``i`` meets a premise iff ``i <= predecessor(r, t)`` (first rule)
+or ``successor(rf(r), t) <= i`` (second rule): on each chain, the writes
+that meet the first form a prefix and those that meet the second a
+suffix.  Each read keeps how far both reached at its last check.  The
+order only grows, so a conclusion once drawn stays true, and a rule can
+fire again only for a write that the read's predecessor frontier
+(``PartialOrder.frontier``) or its writer's successor frontier newly
+covers, or for a write that is new; program order then needs at most
+one insert per chain and rule.  A read is checked again only after an
+edge went in since its last check (one that lands at or before what it
+depends on, when trace positions are known), or when its variable has
+new writes.  Different visit orders insert different but equivalent
+edge sets: the least fixpoint, its reachability relation and whether it
+has a cycle do not depend on them.
 
-:class:`SaturatedOrder` keeps a saturated order so that a longer prefix of
-the trace extends it instead of starting over, and
-:class:`SaturationAnalysis` is the base of the four analyses built on it,
-which keep one such order across the flushes of a stream.
+:class:`SaturatedOrder` keeps a saturated order, the engine's per-read
+state and the analysis's live candidates (:class:`KeptCandidates`),
+so that a longer prefix of the trace extends them instead of starting
+over, and :class:`SaturationAnalysis` is the base of the four analyses
+built on it, which keep one such order across the flushes of a stream.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Tuple
+from bisect import bisect_left, bisect_right
+from itertools import islice
+from operator import attrgetter
+from typing import (Any, Callable, Dict, Iterator, List, Mapping, Optional,
+                    Sequence)
 
 from repro.analyses.common.base import Analysis, AnalysisResult
-from repro.analyses.common.hb import Frontiers, build_sync_order
+from repro.analyses.common.hb import Frontiers, sync_edges
 from repro.core.interface import PartialOrder
 from repro.errors import AnalysisError
 from repro.trace.event import Event
@@ -58,8 +71,70 @@ class CycleDetected(AnalysisError):
         self.target = target
 
 
+#: A position after every event of any trace.
+_NO_POSITION = 1 << 60
+
+
+class _Writes:
+    """The writes of one variable, per chain, in program order: each
+    entry of ``chains`` is ``(chain, indices, events)``."""
+
+    __slots__ = ("chains", "by_chain", "count")
+
+    def __init__(self) -> None:
+        self.chains: List[tuple] = []
+        self.by_chain: Dict[int, tuple] = {}
+        self.count = 0
+
+
+class _Read:
+    """A read's saturation state: its writer, its variable's writes, and
+    how far its last check got.
+
+    On each chain of competing writes, those that reach the read form a
+    prefix (their indices are at most ``predecessor(read, t)``) and those
+    the writer reaches form a suffix (at least ``successor(write, t)``).
+    ``cover`` holds per chain ``[prefix end, suffix start, writes seen]``:
+    the rules are applied to every write of both.
+    """
+
+    __slots__ = ("key", "read", "write", "writes", "cover", "count",
+                 "stamp", "reach")
+
+    def __init__(self, read: Event, write: Event, writes: _Writes) -> None:
+        self.key = (str(read.variable), read.thread, read.index)
+        self.read = read
+        self.write = write
+        self.writes = writes
+        self.cover: List[List[int]] = []
+        #: ``writes.count`` at the last check.
+        self.count = 0
+        #: ``SaturationEngine.inserted`` when the last check began
+        #: (``-1`` before the first).
+        self.stamp = -1
+        #: The latest trace position whose predecessors the last check
+        #: read: the read's own, or a suffix's next write's.
+        self.reach = 0
+
+
 class SaturationEngine:
     """Applies the reads-from saturation rules over a partial order.
+
+    The engine keeps every read it has saturated, with how far its last
+    check got, so that a later :meth:`saturate` over a longer trace takes
+    the new reads and writes and re-checks the old reads only where their
+    frontiers moved.
+
+    When :attr:`positions` gives each event's trace position, the engine
+    also skips reads that no edge since their last check can affect.  If
+    every edge of the order leads forward in the trace, as the sync and
+    saturation edges of an observed trace do, every path into an event ``x`` uses only edges
+    whose target is at or before ``x``; so an event's predecessors, and
+    with them both premises of a check, move only when an edge lands at
+    or before it.  A read is skipped while every edge inserted since its
+    check lands after :attr:`_Read.reach`.  The first edge that leads
+    backwards turns the skip off for good.  Only an engine that inserts
+    every edge of its order may be given positions.
 
     Parameters
     ----------
@@ -68,13 +143,28 @@ class SaturationEngine:
         question and every insert goes through it.
     writes_by_variable:
         All write events, grouped by variable; used to locate competing
-        writes for each saturated read.
+        writes for each saturated read.  :meth:`saturate` takes the
+        writes of a longer trace.
     """
 
     def __init__(self, frontiers: Frontiers,
-                 writes_by_variable: Mapping[object, List[Event]]) -> None:
-        self._frontiers = frontiers
-        self._writes_by_variable = writes_by_variable
+                 writes_by_variable: Optional[
+                     Mapping[object, List[Event]]] = None) -> None:
+        self.frontiers = frontiers
+        #: Edges inserted through :meth:`add_ordering` so far.
+        self.inserted = 0
+        #: Per chain, the trace position of each event (optional, see
+        #: above).
+        self.positions: Optional[Mapping[int, Sequence[int]]] = None
+        #: Target positions of the edges inserted since the last
+        #: :meth:`saturate` ended, and whether any edge led backwards.
+        self._targets: List[int] = []
+        self._backward = False
+        self._writes: Dict[object, _Writes] = {}
+        self._reads: List[_Read] = []
+        self._read_count = 0
+        if writes_by_variable is not None:
+            self._add_writes(writes_by_variable)
 
     # ------------------------------------------------------------------ #
     # Edge insertion with cycle detection
@@ -89,83 +179,252 @@ class SaturationEngine:
             if source.index > target.index:
                 raise CycleDetected(source, target)
             return False
-        if self._frontiers.reaches(target.node, source.node):
+        if self.frontiers.reaches(target.node, source.node):
             raise CycleDetected(source, target)
-        return self._frontiers.insert(source.node, target.node)
+        if not self.frontiers.insert(source.node, target.node):
+            return False
+        self.inserted += 1
+        positions = self.positions
+        if positions is not None:
+            target_position = positions[target.thread][target.index]
+            self._targets.append(target_position)
+            if positions[source.thread][source.index] > target_position:
+                self._backward = True
+        return True
 
     # ------------------------------------------------------------------ #
     # Saturation
     # ------------------------------------------------------------------ #
-    def saturate(self, reads_from: Mapping[Event, Optional[Event]]) -> int:
-        """Apply the saturation rules until a round inserts nothing.
+    def saturate(self, reads_from: Mapping[Event, Optional[Event]],
+                 writes_by_variable: Optional[
+                     Mapping[object, List[Event]]] = None) -> int:
+        """Apply the saturation rules until no read's premises can change.
 
-        Saturation proceeds one memory location at a time (all reads of a
-        variable are handled before moving to the next), as location-centric
-        predictive analyses do.  The orderings this derives therefore land
-        between arbitrary events of the trace rather than following the
-        trace order -- the non-streaming insertion pattern the paper's
-        motivating example describes.
+        ``reads_from`` and ``writes_by_variable`` extend (or equal) the
+        ones of the previous call: their new entries come last.  New reads
+        get one full visit, and every read whose variable has new writes
+        one check.  Then every read that an edge inserted since its last
+        check may affect (see above) is checked again, until none is.
+        Reads go in location order (by variable, then
+        thread and index), as location-centric predictive analyses visit
+        them, so the orderings land between arbitrary events of the trace
+        -- the non-streaming insertion pattern the paper's motivating
+        example describes.
 
-        The loop ends: a round that changes the order inserts a new
-        cross-chain ordering, and there are finitely many.  So it stops at
-        the least fixpoint of the rules over the order it started from.
+        The loop ends: each pass either inserts an edge, of which there
+        are finitely many, or leaves no read to check.  It stops at the least fixpoint of the rules over the
+        order it started from.
 
         Returns the number of orderings inserted.  Raises
         :class:`CycleDetected` if the assignment is infeasible.
         """
-        by_location = sorted(
-            (item for item in reads_from.items() if item[1] is not None),
-            key=lambda item: (str(item[0].variable), item[0].thread, item[0].index),
-        )
-        # The competing writes of each variable, as ``(event, chain,
-        # index)``, built once per call.
-        competitors: Dict[object, List[Tuple[Event, int, int]]] = {}
-        for read, _write in by_location:
-            if read.variable not in competitors:
-                competitors[read.variable] = [
-                    (event, event.thread, event.index)
-                    for event in self._writes_by_variable.get(read.variable, ())
-                    if event.is_write]
-        inserted = 0
-        while True:
-            changed = 0
-            for read, write in by_location:
-                changed += self._saturate_read(read, write,
-                                               competitors[read.variable])
-            inserted += changed
-            if changed == 0:
-                return inserted
+        if writes_by_variable is not None:
+            self._add_writes(writes_by_variable)
+        reads = self._reads
+        known = len(reads)
+        for read, write in islice(reads_from.items(), self._read_count, None):
+            if write is not None:
+                writes = self._writes.get(read.variable)
+                if writes is None:
+                    writes = self._writes[read.variable] = _Writes()
+                reads.append(_Read(read, write, writes))
+        self._read_count = len(reads_from)
+        if len(reads) > known:
+            reads.sort(key=attrgetter("key"))
+        before = self.inserted
+        check = self._check
+        work = self._stale(fresh_writes=True)
+        while work:
+            for state in work:
+                check(state)
+            work = self._stale(fresh_writes=False)
+        # Every read is now at the fixpoint: skipped ones were untouched
+        # by the edges since their check.
+        current = self.inserted
+        for state in reads:
+            state.stamp = current
+        self._targets.clear()
+        return self.inserted - before
 
-    def _saturate_read(self, read: Event, write: Event,
-                       competitors: List[Tuple[Event, int, int]]) -> int:
-        """Apply the rules for one read against every competing write.
+    def _stale(self, fresh_writes: bool) -> List[_Read]:
+        """The reads, in location order, that an edge inserted since their
+        last check may affect, or (when ``fresh_writes``) whose variable
+        has new writes."""
+        current = self.inserted
+        reads = self._reads
+        if self.positions is None or self._backward:
+            return [state for state in reads if state.stamp != current
+                    or fresh_writes and state.count != state.writes.count]
+        # lowest[i]: the earliest target of the edges from the i-th of
+        # the log on.
+        targets = self._targets
+        base = current - len(targets)
+        lowest = targets + [_NO_POSITION]
+        for position in range(len(targets) - 1, -1, -1):
+            if lowest[position + 1] < lowest[position]:
+                lowest[position] = lowest[position + 1]
+        return [state for state in reads
+                if state.stamp < 0
+                or state.stamp != current
+                and lowest[state.stamp - base] <= state.reach
+                or fresh_writes and state.count != state.writes.count]
 
-        A competitor on chain ``t`` at ``index`` reaches ``read`` iff
-        ``index <= predecessor(read, t)``, and ``write`` reaches it iff
-        ``successor(write, t) <= index``; likewise for the other two tests.
+    def _add_writes(self, writes_by_variable: Mapping[object, List[Event]]
+                    ) -> None:
+        """Append, per chain, the writes beyond those seen so far."""
+        table = self._writes
+        for variable, events in writes_by_variable.items():
+            writes = table.get(variable)
+            if writes is None:
+                writes = table[variable] = _Writes()
+            if len(events) == writes.count:
+                continue
+            by_chain = writes.by_chain
+            for event in islice(events, writes.count, None):
+                chain, index = event.node
+                entry = by_chain.get(chain)
+                if entry is None:
+                    entry = by_chain[chain] = (chain, [], [])
+                    writes.chains.append(entry)
+                entry[1].append(index)
+                entry[2].append(event)
+            writes.count = len(events)
+
+    def _check(self, state: _Read) -> None:
+        """Apply the rules for one read to the competing writes that its
+        prefixes and suffixes (see :class:`_Read`) newly cover.
+
+        Each rule needs one insert per chain at most.  The newly covered
+        writes of a prefix all reach the read and must reach the writer:
+        once the latest of them does, program order orders the rest.  The
+        read must reach the newly covered writes of a suffix, and the
+        writes new since the last check if the suffix held one already:
+        once it reaches the earliest of them, program order does the rest.
+        A prefix grows to the read's predecessor frontier; a suffix grows
+        when the writer reaches the write just before it.  An unchanged
+        read costs one ``frontier`` call, or a memo question per chain
+        when the variable is written on few of them, and a memo question
+        per chain for its suffix.
         """
-        inserted = 0
-        if self.add_ordering(write, read):
-            inserted += 1
-        frontiers = self._frontiers
+        read = state.read
+        write = state.write
+        if state.stamp < 0:
+            self.add_ordering(write, read)
+        state.stamp = self.inserted
+        writes = state.writes
+        state.count = writes.count
+        cover = state.cover
+        while len(cover) < len(writes.chains):
+            cover.append([0, 0, 0])
+        frontiers = self.frontiers
+        reaches = frontiers.reaches
         read_node = read.node
         write_node = write.node
-        write_chain, write_index = write_node
-        for competitor, chain, index in competitors:
-            if competitor is write or (chain == write_chain
-                                       and index == write_index):
-                continue
-            # Competing write already before the read: force it before the writer.
-            if (index <= frontiers.predecessor(read_node, chain)
-                    and index > frontiers.predecessor(write_node, chain)
-                    and self.add_ordering(competitor, write)):
-                inserted += 1
-            # Writer already before the competing write: force the read before it.
-            if (frontiers.successor(write_node, chain) <= index
-                    and index < frontiers.successor(read_node, chain)
-                    and self.add_ordering(read, competitor)):
-                inserted += 1
-        return inserted
+        positions = self.positions
+        if positions is not None:
+            reach = positions[read.thread][read.index]
+        # The read's predecessor frontier: one call when the variable is
+        # written on a third of the chains or more, else a memo question
+        # per chain that needs it (a CSST answers a frontier chain by
+        # chain).
+        order = frontiers.order
+        predecessors = None
+        if 3 * len(writes.chains) >= order.num_chains:
+            predecessors = order.frontier(read_node, "predecessor")
+        for (chain, indices, events), entry in zip(writes.chains, cover):
+            prefix, suffix, seen = entry
+            count = len(indices)
+            # Competing writes now before the read: force them before the
+            # writer.
+            if prefix < count:
+                limit = (frontiers.predecessor(read_node, chain)
+                         if predecessors is None else predecessors[chain])
+                if indices[prefix] <= limit:
+                    prefix = bisect_right(indices, limit, prefix)
+                    competitor = events[prefix - 1]
+                    if competitor is not write \
+                            and not reaches(competitor.node, write_node):
+                        self.add_ordering(competitor, write)
+            # Writes now after the writer: force the read before them.
+            first = count
+            if seen < count:
+                if suffix < seen:
+                    first = seen
+                else:
+                    suffix = count
+                seen = count
+            if suffix and reaches(write_node, events[suffix - 1].node):
+                suffix = first = bisect_left(
+                    indices, frontiers.successor(write_node, chain), 0,
+                    suffix)
+            if first < count and events[first] is write:
+                first += 1
+            if first < count and not reaches(read_node,
+                                             events[first].node):
+                self.add_ordering(read, events[first])
+            entry[0] = prefix
+            entry[1] = suffix
+            entry[2] = seen
+            if positions is not None and suffix:
+                boundary = positions[chain][indices[suffix - 1]]
+                if boundary > reach:
+                    reach = boundary
+        if positions is not None:
+            state.reach = reach
+
+
+class KeptCandidates:
+    """The candidate pairs of a growing trace that its analysis checks.
+
+    race-prediction pairs conflicting accesses, memory-bugs and
+    use-after-free pair a free with an access.  A pair the order rules out
+    (ordered, or its access forced before its free) stays ruled out as the
+    order grows, and so does a lock-protected pair; other verdicts, such as
+    a witness whose cone window slides, do not.  So an analysis adds only
+    the pairs with an event new since its last call, :meth:`sweep` drops
+    the ruled-out ones for good, and the rest are checked again.  A batch
+    run is the same path on a fresh instance.
+
+    Candidates are tuples grouped by a key (a variable or a heap address);
+    each group is kept sorted, and groups keep the order of their first
+    :meth:`add`.  When each tuple starts with its rank in the batch
+    enumeration and the groups are added in the batch's group order,
+    :meth:`sweep` yields candidates in batch order.
+    """
+
+    def __init__(self) -> None:
+        #: Candidates enumerated so far, dropped ones included.
+        self.total = 0
+        #: How far each group's enumeration has got, in the analysis's
+        #: own terms.
+        self.seen: Dict[object, Any] = {}
+        #: The analysis's own index of the trace's first ``position``
+        #: events, extended by the events after them at the next call.
+        self.index: Any = None
+        self.position = 0
+        self._live: Dict[object, List[tuple]] = {}
+
+    def add(self, group: object, items: List[tuple]) -> None:
+        """Register ``group`` (on its first call) and merge ``items``,
+        sorted, into its live candidates."""
+        live = self._live.get(group)
+        if live is None:
+            self._live[group] = list(items)
+        elif items:
+            live.extend(items)
+            live.sort()
+
+    def sweep(self, ruled_out: Callable[[tuple], bool]) -> Iterator[tuple]:
+        """Yield the live candidates in order, dropping for good each one
+        that ``ruled_out`` holds for."""
+        live_groups = self._live
+        for group, items in live_groups.items():
+            live = []
+            for item in items:
+                if not ruled_out(item):
+                    live.append(item)
+                    yield item
+            live_groups[group] = live
 
 
 class SaturatedOrder:
@@ -174,9 +433,12 @@ class SaturatedOrder:
     :meth:`extend` takes the order from the prefix it holds to the whole
     of a trace that extends that prefix.  It inserts the sync edges of the
     new events only (the lock walk resumes where it stopped), then
-    saturates every read of the trace again over the kept order.  A fresh
+    saturates on: new reads get a full visit, old reads are checked
+    against new writes and where their frontiers moved.  A fresh
     ``SaturatedOrder`` extended once is the closure phase of a batch run,
-    operation for operation (:func:`saturate_trace`).
+    operation for operation (:func:`saturate_trace`).  The analysis's
+    :class:`KeptCandidates` live here too, so that they go with the order
+    they were checked against.
 
     Why extending is exact: every rule that builds the sync order or
     saturates it is monotone in the trace prefix.  A prefix's lock and fork
@@ -186,9 +448,14 @@ class SaturatedOrder:
     stays one.  So the least fixpoint of a prefix is contained in the
     least fixpoint of any longer trace, and saturating on from it reaches
     that fixpoint: the relation a batch run on the longer trace reaches,
-    whatever edges each inserted to get there.  An extension that meets a
-    cycle (:attr:`cyclic`) leaves a partly saturated order that depends on
-    insertion order, so it is not extended again.
+    whatever edges each inserted to get there.  Every sync edge is checked
+    for a cycle before it goes in, as every saturation edge is, so a cycle
+    is found whichever of its edges comes last.  Every edge of the order
+    goes in through the engine, which is therefore given the trace
+    positions (the order must be empty when this object is made).  An
+    extension that meets a cycle (:attr:`cyclic`) leaves a partly
+    saturated order that depends on insertion order, so it is not
+    extended again.
     """
 
     def __init__(self, order: PartialOrder, include_locks: bool = True) -> None:
@@ -202,7 +469,10 @@ class SaturatedOrder:
         self.saturation_edges = 0
         #: Whether the observed reads-from closed a cycle.
         self.cyclic = False
+        #: The analysis's candidates, checked against this order.
+        self.candidates = KeptCandidates()
         self._last_release: Dict[object, Event] = {}
+        self._engine = SaturationEngine(Frontiers(order))
 
     def extends(self, trace: Trace) -> bool:
         """Whether :meth:`extend` may resume on ``trace``: it is the trace
@@ -215,27 +485,35 @@ class SaturatedOrder:
         saturate the trace's observed reads-from.
 
         Records ``sync_edges`` and ``saturation_edges`` (the edges the
-        order holds) and, when the observed assignment closes a cycle,
-        ``closure_cycle`` in ``result.details``.  Returns a frontier memo,
-        exact for the order, for the analysis's own phase to ask.
+        order holds) and, when the sync order or the observed assignment
+        closes a cycle, ``closure_cycle`` in ``result.details``.  Returns a
+        frontier memo, exact for the order, for the analysis's own phase
+        to ask.
         """
-        self.sync_edges += build_sync_order(
-            trace, self.order, include_locks=self.include_locks,
-            start=self.synced, last_release=self._last_release)
-        self.trace = trace
-        self.synced = len(trace)
         # A fresh memo per call, not kept: the kept order outlives the
         # flush, and the memo would be its largest part.
-        frontiers = Frontiers(self.order)
-        engine = SaturationEngine(frontiers, trace.writes_by_variable())
+        engine = self._engine
+        frontiers = engine.frontiers = Frontiers(self.order)
+        engine.positions = trace.columns().thread_positions
+        self.trace = trace
         try:
-            self.saturation_edges += engine.saturate(trace.reads_from())
+            for source, target in sync_edges(
+                    trace, include_locks=self.include_locks,
+                    start=self.synced, last_release=self._last_release):
+                if engine.add_ordering(trace.event_at(source),
+                                       trace.event_at(target)):
+                    self.sync_edges += 1
+            self.synced = len(trace)
+            self.saturation_edges += engine.saturate(
+                trace.reads_from(), trace.writes_by_variable())
         except CycleDetected:
             # The observed trace itself is always feasible; a cycle can
             # only mean the caller handed in an inconsistent synthetic
             # trace.
             self.cyclic = True
             result.details["closure_cycle"] = True
+        finally:
+            engine.frontiers = None
         result.details["sync_edges"] = self.sync_edges
         result.details["saturation_edges"] = self.saturation_edges
         return frontiers
@@ -255,7 +533,9 @@ class SaturationAnalysis(Analysis):
     race-prediction, deadlock-prediction, memory-bugs and use-after-free.
 
     A subclass implements :meth:`_analyse`, its own phase over the
-    saturated order, which asks frontiers and inserts no edges.
+    saturated order, which asks frontiers and inserts no edges.  It is
+    handed the order's :class:`KeptCandidates` to keep its candidate
+    pairs in.
 
     On an unbounded stream the analysis is native: it keeps one
     :class:`SaturatedOrder` across flushes, and each flush is a
@@ -265,8 +545,8 @@ class SaturationAnalysis(Analysis):
     result's insert, query and edge counts are those of the kept order
     since it was built.  A flush rebuilds the kept order from scratch when
     the view's trace is not the one it extended, when a thread id is at or
-    beyond its chain count, or after a flush that raised.  An order whose saturation met a cycle is
-    dropped, and every later flush builds afresh, as batch does.  When a
+    beyond its chain count, or after a flush that raised.  An order
+    whose saturation met a cycle is dropped, and every later flush builds afresh, as batch does.  When a
     kept order meets the cycle while resuming, its run skips
     :meth:`_analyse` and the flush answers with a batch run, whose
     ``closure_cycle`` findings depend on its own insertion order.
@@ -288,9 +568,10 @@ class SaturationAnalysis(Analysis):
         resumed = kept.synced > 0
         frontiers = kept.extend(trace, result)
         if not (resumed and kept.cyclic):
-            self._analyse(trace, frontiers, result)
+            self._analyse(trace, frontiers, kept.candidates, result)
 
     def _analyse(self, trace: Trace, frontiers: Frontiers,
+                 candidates: KeptCandidates,
                  result: AnalysisResult) -> None:
         raise NotImplementedError
 

@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.analyses.common.base import AnalysisResult
 from repro.analyses.common.hb import Frontiers, lock_graph
-from repro.analyses.common.saturation import SaturationAnalysis
+from repro.analyses.common.saturation import KeptCandidates, SaturationAnalysis
 from repro.trace.event import Event
 from repro.trace.trace import Trace
 
@@ -81,7 +81,9 @@ class DeadlockPredictionAnalysis(SaturationAnalysis):
 
     # ------------------------------------------------------------------ #
     def _analyse(self, trace: Trace, frontiers: Frontiers,
+                 candidates: KeptCandidates,
                  result: AnalysisResult) -> None:
+        # Lock cycles are few; each flush enumerates them afresh.
         graph = lock_graph(trace)
         candidates = self._candidate_cycles(graph)
         result.details["candidates"] = len(candidates)

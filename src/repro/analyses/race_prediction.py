@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.analyses.common.base import AnalysisResult
-from repro.analyses.common.hb import Frontiers, conflicting_pairs
-from repro.analyses.common.saturation import SaturationAnalysis
+from repro.analyses.common.hb import Frontiers, variable_conflicts
+from repro.analyses.common.saturation import KeptCandidates, SaturationAnalysis
 from repro.trace.event import Event
 from repro.trace.trace import Trace
 
@@ -83,27 +83,43 @@ class RacePredictionAnalysis(SaturationAnalysis):
 
     # ------------------------------------------------------------------ #
     def _analyse(self, trace: Trace, frontiers: Frontiers,
+                 candidates: KeptCandidates,
                  result: AnalysisResult) -> None:
         # Phase 2, after the closure of the observed trace (sync order plus
         # reads-from saturation): candidate enumeration and witness checks.
         # It inserts no edges, so every frontier is asked at most once.
-        candidates = conflicting_pairs(
-            trace, max_pairs=self._max_candidates,
-            same_variable_window=self._candidate_window,
-        )
-        result.details["candidates"] = len(candidates)
-        witness = _WitnessCheck(trace, frontiers, self._witness_window)
+        # Only pairs whose later access is new since the last call are
+        # enumerated; lock-protected pairs never go in, and ordered ones
+        # leave for good.
+        cap = self._max_candidates
+        if cap is not None:
+            # A cap keeps the first pairs in batch order, which new events
+            # can change: enumerate afresh.
+            candidates = KeptCandidates()
         locks_held = trace.locks_held_map()
-        checked = 0
-        for first, second in candidates:
-            checked += 1
-            if locks_held[first.node] & locks_held[second.node]:
-                continue
-            if frontiers.ordered(first.node, second.node):
-                continue
+        for variable, accesses in trace.accesses_by_variable().items():
+            start = candidates.seen.get(variable, 0)
+            limit = None if cap is None else cap - candidates.total
+            pairs = variable_conflicts(accesses, start,
+                                       self._candidate_window, limit)
+            candidates.seen[variable] = len(accesses)
+            candidates.total += len(pairs)
+            new = []
+            for i, j in pairs:
+                first, second = accesses[i], accesses[j]
+                if not locks_held[first.node] & locks_held[second.node]:
+                    new.append((i, j, first, second))
+            candidates.add(variable, new)
+        result.details["candidates"] = candidates.total
+        witness = _WitnessCheck(
+            trace, frontiers, self._witness_window,
+            saturated="closure_cycle" not in result.details)
+        ordered = frontiers.ordered
+        for _i, _j, first, second in candidates.sweep(
+                lambda pair: ordered(pair[2].node, pair[3].node)):
             if witness.feasible(first, second):
                 result.findings.append(Race(first, second))
-        result.details["checked"] = checked
+        result.details["checked"] = candidates.total
 
 
 #: Verdict slot not computed yet.
@@ -126,19 +142,25 @@ class _WitnessCheck:
     comparisons against the frontiers ``successor(writer, t)`` and
     ``predecessor(read, t)``, and kept per trace position.  A candidate
     then costs one cone and a scan of its window.
+
+    On a ``saturated`` order (the rules at their fixpoint, no cycle) no
+    read is blocked: a competitor that reaches the read reaches its writer
+    too, so one the writer reaches would close a cycle.  The check then
+    skips the competitor scan.
     """
 
     def __init__(self, trace: Trace, frontiers: Frontiers,
-                 window: int) -> None:
+                 window: int, saturated: bool = False) -> None:
         columns = trace.columns()
         self._read_flags = columns.read_flags
         self._events = columns.events
         self._positions = columns.thread_positions
         self._threads = trace.threads
         self._reads_from = trace.reads_from()
-        self._writes = trace.writes_by_variable()
+        self._writes = None if saturated else trace.writes_by_variable()
         self._frontiers = frontiers
         self._window = window
+        self._saturated = saturated
         # Per trace position: _UNSEEN, None (no writer) or
         # (writer thread, writer index, blocked).
         self._verdicts: List[object] = [_UNSEEN] * len(columns)
@@ -176,6 +198,8 @@ class _WitnessCheck:
         writer = self._reads_from.get(read)
         if writer is None:
             return None
+        if self._saturated:
+            return writer.thread, writer.index, False
         frontiers = self._frontiers
         read_node = read.node
         writer_node = writer.node

@@ -218,6 +218,19 @@ class CSST(ChainMatrixOrder):
             return j1
         return self._backward_closure(t1, j1)[chain]
 
+    def frontier(self, node: Node, direction: str) -> List[int]:
+        """One closure sweep answers every chain."""
+        self._check_node(node)
+        t1, j1 = node
+        if direction == "predecessor":
+            frontier = self._backward_closure(t1, j1)
+        elif direction == "successor":
+            frontier = self._forward_closure(t1, j1)
+        else:
+            return super().frontier(node, direction)
+        frontier[t1] = j1
+        return frontier
+
     # ------------------------------------------------------------------ #
     # Closure computations
     # ------------------------------------------------------------------ #

@@ -116,6 +116,10 @@ class GrowableOrder(PartialOrder):
         self.ensure_chain(max(node[0], chain))
         return self._delegate.predecessor(node, chain)
 
+    def frontier(self, node: Node, direction: str) -> List[int]:
+        self.ensure_chain(node[0])
+        return self._delegate.frontier(node, direction)
+
     def reachable(self, source: Node, target: Node) -> bool:
         self.ensure_chain(max(source[0], target[0]))
         return self._delegate.reachable(source, target)

@@ -12,7 +12,8 @@ supported:
 * ``successor(u, chain)``   -- earliest node of ``chain`` reachable from ``u``
 * ``predecessor(u, chain)`` -- latest node of ``chain`` that reaches ``u``
 
-Answers are plain ints: a ``successor`` that finds no node is
+``frontier(u, direction)`` answers one of the last two for every chain at
+once.  Answers are plain ints: a ``successor`` that finds no node is
 :data:`NO_SUCCESSOR`, a ``predecessor`` that finds none is ``-1``, so
 ``u ->* (t, i)`` iff ``successor(u, t) <= i`` and ``(t, i) ->* u`` iff
 ``i <= predecessor(u, t)`` hold without a special case.
@@ -136,6 +137,25 @@ class PartialOrder(abc.ABC):
         InvalidNodeError
             If ``node`` or ``chain`` is out of range.
         """
+
+    def frontier(self, node: Node, direction: str) -> List[int]:
+        """Every chain's frontier of ``node`` in one call.
+
+        ``direction`` is ``"predecessor"`` or ``"successor"``: entry ``t``
+        of the returned list is ``predecessor(node, t)`` or
+        ``successor(node, t)``, so the entry of the node's own chain is its
+        index.  This loops over the chains; backends that hold a node's
+        frontier in one place (a vector clock, a closure sweep) override
+        it.  The caller owns the returned list.
+        """
+        self._check_node(node)
+        if direction == "predecessor":
+            query = self.predecessor
+        elif direction == "successor":
+            query = self.successor
+        else:
+            raise ValueError(f"unknown frontier direction {direction!r}")
+        return [query(node, chain) for chain in range(self._num_chains)]
 
     def reachable(self, source: Node, target: Node) -> bool:
         """Return ``True`` iff ``source ->* target`` in the chain DAG."""

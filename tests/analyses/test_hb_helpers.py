@@ -8,10 +8,12 @@ from repro.analyses.common.hb import (
     conflicting_pairs,
     insert_ordering,
     lock_graph,
+    variable_conflicts,
 )
 from repro.core import NO_SUCCESSOR, IncrementalCSST
 from repro.core.instrumented import InstrumentedOrder
 from repro.trace import Trace
+from repro.trace.generators import build_trace
 
 
 @pytest.fixture
@@ -127,6 +129,22 @@ class TestConflictingPairs:
         windowed = conflicting_pairs(trace, same_variable_window=1)
         unwindowed = conflicting_pairs(trace)
         assert len(windowed) < len(unwindowed)
+
+    @pytest.mark.parametrize("window", [None, 1, 4])
+    @pytest.mark.parametrize("step", [1, 3, 7])
+    def test_a_growing_list_yields_each_pair_once(self, window, step):
+        """Resumed at the old length, a growing access list yields exactly
+        the pairs whose later access is new, in ``(i, j)`` order."""
+        trace = build_trace("racy", num_threads=3, events=40, seed=5)
+        for accesses in trace.accesses_by_variable().values():
+            pieces, start = [], 0
+            for end in range(step, len(accesses) + step, step):
+                piece = variable_conflicts(accesses[:end], start, window)
+                assert piece == sorted(piece)
+                assert all(j >= start for _i, j in piece)
+                pieces.extend(piece)
+                start = min(end, len(accesses))
+            assert sorted(pieces) == variable_conflicts(accesses, 0, window)
 
 
 class TestFrontiers:

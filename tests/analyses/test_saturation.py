@@ -5,15 +5,16 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.analyses.common.hb import Frontiers, build_sync_order, insert_ordering
+from repro.analyses.common.hb import Frontiers, build_sync_order, sync_edges
 from repro.analyses.common.saturation import (
     CycleDetected,
+    KeptCandidates,
     SaturatedOrder,
     SaturationEngine,
     saturate_trace,
 )
 from repro.analyses.race_prediction import RacePredictionAnalysis
-from repro.core import IncrementalCSST
+from repro.core import NO_SUCCESSOR, IncrementalCSST
 from repro.core.factory import incremental_backends, make_partial_order
 from repro.trace import Trace
 from repro.trace.generators import build_trace
@@ -146,47 +147,90 @@ class TestSaturateTrace:
                                   "saturation_edges": 0}
 
 
-class _PerCompetitorEngine(SaturationEngine):
-    """The saturation loop before frontier queries: up to four
-    ``reachable`` questions per competing write, and a raw
-    ``reachable`` cycle check per insert, all asked of the order itself
-    and none of the frontier memo.  Test-only reference."""
+class SaturationOracle:
+    """Reads-from saturation over an explicit reachability relation.
 
-    def add_ordering(self, source, target):
-        if source.node == target.node:
+    Shares no code with the engine or any backend: ``reach[u]`` is the
+    bitset of trace positions ``u`` reaches, closed after every edge.  The
+    rules run in rounds, as the engine once did: every read in location
+    order, every competing write in trace order, each insert visible at
+    once, until a round inserts nothing.  Test-only reference.
+    """
+
+    def __init__(self, trace, reads_from, include_locks=True):
+        self.trace = trace
+        events = list(trace)
+        self.position = {event.node: position
+                         for position, event in enumerate(events)}
+        self.reach = [1 << position for position in range(len(events))]
+        for chain in trace.threads:
+            chain_events = trace.thread_events(chain)
+            for earlier, later in zip(chain_events, chain_events[1:]):
+                self._close(self.position[earlier.node],
+                            self.position[later.node])
+        #: Productive rounds until the fixpoint, and whether an insert
+        #: closed a cycle (the rules stop there).
+        self.rounds = 0
+        self.cyclic = False
+        try:
+            for source, target in sync_edges(trace, include_locks):
+                self._insert(self.position[source], self.position[target])
+            self._saturate(reads_from)
+        except CycleDetected:
+            self.cyclic = True
+
+    def _close(self, source, target):
+        added = self.reach[target]
+        bit = 1 << source
+        for node, reached in enumerate(self.reach):
+            if reached & bit:
+                self.reach[node] = reached | added
+
+    def reaches(self, source, target):
+        return bool(self.reach[source] >> target & 1)
+
+    def _insert(self, source, target):
+        if self.reaches(source, target):
             return False
-        if source.thread == target.thread:
-            if source.index > target.index:
-                raise CycleDetected(source, target)
-            return False
-        order = self._frontiers.order
-        if order.reachable(target.node, source.node):
+        if self.reaches(target, source):
             raise CycleDetected(source, target)
-        return insert_ordering(order, source.node, target.node)
+        self._close(source, target)
+        return True
 
-    def _saturate_read(self, read, write, competitors):
-        inserted = 0
-        if self.add_ordering(write, read):
-            inserted += 1
-        for competitor in self._writes_by_variable.get(read.variable, ()):
-            if competitor is write or not competitor.is_write:
-                continue
-            if competitor.node == write.node:
-                continue
-            if self._reaches(competitor, read) and \
-                    not self._reaches(competitor, write):
-                if self.add_ordering(competitor, write):
-                    inserted += 1
-            if self._reaches(write, competitor) and \
-                    not self._reaches(read, competitor):
-                if self.add_ordering(read, competitor):
-                    inserted += 1
-        return inserted
+    def _saturate(self, reads_from):
+        writes = self.trace.writes_by_variable()
+        position = self.position
+        reads = sorted((read for read, write in reads_from.items()
+                        if write is not None),
+                       key=lambda read: (str(read.variable), read.thread,
+                                         read.index))
+        while True:
+            changed = False
+            for read in reads:
+                r = position[read.node]
+                w = position[reads_from[read].node]
+                changed |= self._insert(w, r)
+                for competitor in writes.get(read.variable, ()):
+                    c = position[competitor.node]
+                    if c == w:
+                        continue
+                    if self.reaches(c, r) and not self.reaches(c, w):
+                        changed |= self._insert(c, w)
+                    if self.reaches(w, c) and not self.reaches(r, c):
+                        changed |= self._insert(r, c)
+            if not changed:
+                return
+            self.rounds += 1
 
-    def _reaches(self, source, target):
-        if source.thread == target.thread:
-            return source.index <= target.index
-        return self._frontiers.order.reachable(source.node, target.node)
+    def successors(self, num_chains):
+        """``successor(e, t)`` for every event ``e`` and chain ``t``."""
+        chains = [self.trace.thread_events(chain)
+                  for chain in range(num_chains)]
+        return [min((other.index for other in chains[chain]
+                     if self.reaches(self.position[event.node],
+                                     self.position[other.node])),
+                    default=NO_SUCCESSOR)
+                for event in self.trace for chain in range(num_chains)]
 
 
 def _assignments(trace, seed):
@@ -202,79 +246,66 @@ def _assignments(trace, seed):
                for read in observed}
 
 
-def _recording(engine_cls):
-    """``engine_cls`` with every ``add_ordering`` call and its result
-    logged.  An engine acting on a stale frontier would make calls the
-    reference does not (ones that find the ordering already implied), so
-    comparing the logs checks the frontiers, not only the edges."""
-
-    class Recording(engine_cls):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            self.calls = []
-
-        def add_ordering(self, source, target):
-            try:
-                result = super().add_ordering(source, target)
-            except CycleDetected:
-                self.calls.append((source.node, target.node, "cycle"))
-                raise
-            self.calls.append((source.node, target.node, result))
-            return result
-
-    return Recording
-
-
-def _saturation_outcome(engine_cls, backend, trace, reads_from):
-    order = make_partial_order(backend, max(trace.threads) + 1,
-                               trace.max_thread_length)
-    build_sync_order(trace, order)
-    engine = _recording(engine_cls)(Frontiers(order),
-                                    trace.writes_by_variable())
+def _engine_outcome(backend, trace, reads_from, positions):
+    """The engine's saturation of ``reads_from`` over the sync order:
+    ``(cyclic, successor of every event on every chain)``, the relation
+    only when acyclic.  With ``positions`` the sync edges go through the
+    engine, which then skips reads by trace position, as
+    :class:`SaturatedOrder` does."""
+    chains = max(trace.threads) + 1
+    order = make_partial_order(backend, chains, trace.max_thread_length)
+    engine = SaturationEngine(Frontiers(order), trace.writes_by_variable())
     try:
-        outcome = engine.saturate(reads_from)
-    except CycleDetected as cycle:
-        outcome = ("cycle", cycle.source, cycle.target)
-    inserted = [(source, target) for source, target, result in engine.calls
-                if result is True]
-    return outcome, inserted, engine.calls
+        if positions:
+            engine.positions = trace.columns().thread_positions
+            for source, target in sync_edges(trace):
+                engine.add_ordering(trace.event_at(source),
+                                    trace.event_at(target))
+        else:
+            build_sync_order(trace, order)
+        engine.saturate(reads_from)
+    except CycleDetected:
+        return True, None
+    return False, [order.successor(event.node, chain)
+                   for event in trace for chain in range(chains)]
 
 
 SHAPES = [("racy", 4, 60, 1), ("racy", 3, 90, 4), ("deadlock", 4, 50, 2),
           ("deadlock", 3, 70, 5), ("memory", 4, 60, 3), ("memory", 5, 40, 6)]
 
 
-class TestFrontierEquivalence:
-    """Frontier queries insert exactly the per-competitor loop's edges,
-    in the same order, with the same return values and cycles, through
-    the same sequence of ``add_ordering`` calls."""
+class TestClosureOracle:
+    """The semi-naive engine reaches the oracle's fixpoint: the same
+    reachability relation and the same cycle verdict, on observed and on
+    reshuffled (often infeasible) assignments.  The edges it inserts to
+    get there may differ."""
 
+    @pytest.mark.parametrize("positions", (False, True),
+                             ids=("plain", "positions"))
     @pytest.mark.parametrize("backend", incremental_backends() + ("csst",))
     @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "-".join(map(str, s)))
-    def test_matches_per_competitor_reference(self, backend, shape):
+    def test_matches_closure_oracle(self, backend, shape, positions):
         kind, threads, events, seed = shape
         trace = build_trace(kind, threads, events, seed=seed)
         cycles = 0
         for reads_from in _assignments(trace, seed):
-            expected = _saturation_outcome(_PerCompetitorEngine, backend,
-                                           trace, reads_from)
-            actual = _saturation_outcome(SaturationEngine, backend, trace,
-                                         reads_from)
-            assert actual == expected
-            cycles += isinstance(expected[0], tuple)
+            oracle = SaturationOracle(trace, reads_from)
+            cyclic, relation = _engine_outcome(backend, trace, reads_from,
+                                               positions)
+            assert cyclic == oracle.cyclic
+            if not cyclic:
+                assert relation == oracle.successors(max(trace.threads) + 1)
+            cycles += cyclic
         assert cycles < 4  # the observed assignment is always feasible
 
     def test_reshuffled_assignments_reach_cycles(self):
         """The reshuffled assignments exercise the CycleDetected path."""
         outcomes = [
-            _saturation_outcome(SaturationEngine, "incremental-csst",
-                                trace, reads_from)[0]
+            _engine_outcome("incremental-csst", trace, reads_from, False)[0]
             for kind, threads, events, seed in SHAPES
             for trace in [build_trace(kind, threads, events, seed=seed)]
             for reads_from in _assignments(trace, seed)]
-        assert any(isinstance(outcome, tuple) for outcome in outcomes)
-        assert any(isinstance(outcome, int) and outcome > 0
-                   for outcome in outcomes)
+        assert True in outcomes and False in outcomes
 
     def test_race_prediction_query_count_is_pinned(self):
         """Frontiers answer every competitor on a chain: on racy 4x800
@@ -282,13 +313,130 @@ class TestFrontierEquivalence:
         trace = build_trace("racy", 4, 800, seed=1)
         result = RacePredictionAnalysis(backend="vc-flat").run(trace)
         assert result.query_count < 411_374 // 2
-        assert result.insert_count == 987
+        assert result.insert_count == INSERTS_RACY_4X800
         assert len(result.findings) == 64
 
 
+def _deep_trace(gadgets):
+    """A trace whose fixpoint the round loop reaches one gadget per round.
+
+    Gadget ``i`` is a write ``w_i`` and its read ``r_i`` on thread 0, and
+    a competing write ``c_i`` on thread 1 after both.  Its second rule
+    fires once ``w_i ->* c_i`` and inserts ``r_i -> c_i``.  Thread 0 runs
+    ``w_{i+1}`` between ``w_i`` and ``r_i`` and ``w_{i+2}`` after ``r_i``,
+    so that edge gives ``w_{i+1} ->* r_i -> c_i ->* c_{i+1}``: gadget
+    ``i + 1``'s premise, and no later gadget's.  A lock handed from thread
+    0 to 1 right after ``w_0`` starts the chain.  Variables sort in
+    reverse gadget order, so each round visits gadget ``i + 1`` before
+    the edge of gadget ``i`` goes in.
+    """
+    names = [f"v{gadgets - i:03d}" for i in range(gadgets)]
+    trace = Trace(name="deep")
+    trace.acquire(0, "l")
+    trace.write(0, names[0], value=0)
+    trace.release(0, "l")
+    trace.acquire(1, "l")
+    trace.release(1, "l")
+    trace.write(0, names[1], value=0)
+    for i in range(gadgets):
+        trace.read(0, names[i], value=0)
+        if i + 2 < gadgets:
+            trace.write(0, names[i + 2], value=0)
+    for name in names:
+        trace.write(1, name, value=1)
+    return trace
+
+
+class TestDeepFixpoint:
+    """A fixpoint more than 16 rounds deep."""
+
+    GADGETS = 24
+
+    def test_the_round_loop_needs_a_round_per_gadget(self):
+        trace = _deep_trace(self.GADGETS)
+        oracle = SaturationOracle(trace, trace.reads_from())
+        assert not oracle.cyclic
+        assert oracle.rounds == self.GADGETS > 16
+
+    @pytest.mark.parametrize("backend", incremental_backends())
+    def test_engine_reaches_the_oracle_fixpoint(self, backend):
+        trace = _deep_trace(self.GADGETS)
+        oracle = SaturationOracle(trace, trace.reads_from())
+        order = make_partial_order(backend, 2, trace.max_thread_length)
+        result = SimpleNamespace(details={})
+        saturate_trace(trace, order, result)
+        assert "closure_cycle" not in result.details
+        assert result.details["saturation_edges"] == self.GADGETS
+        assert [order.successor(event.node, chain)
+                for event in trace for chain in range(2)] \
+            == oracle.successors(2)
+
+    @pytest.mark.parametrize("backend", incremental_backends())
+    def test_a_stream_reaches_it_too(self, backend):
+        full = _deep_trace(self.GADGETS)
+        oracle = SaturationOracle(full, full.reads_from())
+        live = Trace()
+        kept = SaturatedOrder(make_partial_order(backend, 2,
+                                                 full.max_thread_length))
+        for position, event in enumerate(full, 1):
+            live.add(event)
+            if position % 7 == 0 or position == len(full):
+                kept.extend(live, SimpleNamespace(details={}))
+        assert [kept.order.successor(event.node, chain)
+                for event in full for chain in range(2)] \
+            == oracle.successors(2)
+
+
+class TestResumedSyncCycle:
+    def test_a_resumed_fork_edge_closing_a_cycle_is_recorded(self):
+        # Thread 0 reads a write of thread 1, then forks thread 1: the
+        # fork edge arrives after the reads-from edge it closes a cycle
+        # with, and no read is new.
+        trace = Trace()
+        trace.write(1, "x", value=1)
+        trace.read(0, "x", value=1)
+        kept = SaturatedOrder(IncrementalCSST(2, 4))
+        first = SimpleNamespace(details={})
+        kept.extend(trace, first)
+        assert "closure_cycle" not in first.details and not kept.cyclic
+        trace.fork(0, 1)
+        second = SimpleNamespace(details={})
+        kept.extend(trace, second)
+        assert second.details["closure_cycle"] and kept.cyclic
+        batch = SimpleNamespace(details={})
+        saturate_trace(trace, IncrementalCSST(2, 4), batch)
+        assert batch.details["closure_cycle"]
+
+
+class TestKeptCandidates:
+    def test_groups_keep_first_add_order_and_items_merge_sorted(self):
+        kept = KeptCandidates()
+        kept.add("b", [(2, "b2")])
+        kept.add("a", [])
+        kept.add("b", [(1, "b1"), (3, "b3")])
+        kept.add("a", [(0, "a0")])
+        assert list(kept.sweep(lambda item: False)) == [
+            (1, "b1"), (2, "b2"), (3, "b3"), (0, "a0")]
+
+    def test_ruled_out_candidates_leave_for_good(self):
+        kept = KeptCandidates()
+        kept.add("x", [(0, "keep"), (1, "drop")])
+        assert list(kept.sweep(lambda item: item[1] == "drop")) \
+            == [(0, "keep")]
+        seen = []
+        assert list(kept.sweep(lambda item: seen.append(item))) \
+            == [(0, "keep")]
+        assert seen == [(0, "keep")]
+
+
+#: Edges race-prediction inserts on racy 4x800 seed 1 (sync plus
+#: saturation).
+INSERTS_RACY_4X800 = 984
+
+
 class TestFixpoint:
-    """``saturate`` loops until a round inserts nothing, so its order is
-    the least fixpoint, and the kept order of a stream reaches it too."""
+    """``saturate`` checks reads until none is stale, so its order is the
+    least fixpoint, and the kept order of a stream reaches it too."""
 
     @pytest.mark.parametrize("backend", incremental_backends())
     @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "-".join(map(str, s)))

@@ -7,7 +7,9 @@ from repro.core import (
     CSST,
     NO_SUCCESSOR,
     GraphOrder,
+    GrowableOrder,
     IncrementalCSST,
+    InstrumentedOrder,
     VectorClockOrder,
 )
 from repro.errors import InvalidEdgeError, InvalidNodeError, UnsupportedOperationError
@@ -176,3 +178,38 @@ class TestDeletionSupport:
         dynamic_backend.delete_edge((1, 2), (3, 4))
         dynamic_backend.insert_edge((1, 2), (3, 4))
         assert dynamic_backend.reachable((1, 0), (3, 4))
+
+
+class TestFrontier:
+    """``frontier(node, direction)``: every chain's answer in one call."""
+
+    def test_matches_the_per_chain_queries(self, any_backend):
+        any_backend.insert_edge((0, 1), (1, 2))
+        any_backend.insert_edge((1, 3), (2, 0))
+        for node in [(0, 0), (0, 1), (1, 2), (1, 4), (2, 0), (3, 5)]:
+            for direction in ("predecessor", "successor"):
+                expected = [getattr(any_backend, direction)(node, chain)
+                            for chain in range(any_backend.num_chains)]
+                assert any_backend.frontier(node, direction) == expected
+
+    def test_own_chain_entry_is_the_node_index(self, any_backend):
+        assert any_backend.frontier((2, 7), "predecessor")[2] == 7
+        assert any_backend.frontier((2, 7), "successor")[2] == 7
+        assert any_backend.frontier((2, 7), "successor")[0] == NO_SUCCESSOR
+
+    def test_invalid_arguments_raise(self, any_backend):
+        with pytest.raises(InvalidNodeError):
+            any_backend.frontier((9, 0), "predecessor")
+        with pytest.raises(ValueError):
+            any_backend.frontier((0, 0), "sideways")
+
+    def test_instrumented_order_counts_one_query(self, any_backend):
+        order = InstrumentedOrder(any_backend)
+        order.frontier((0, 0), "successor")
+        assert order.query_count == 1
+
+    def test_growable_order_grows_to_the_node(self):
+        order = GrowableOrder("vc-flat", num_chains=1)
+        order.insert_edge((0, 1), (1, 0))
+        assert order.frontier((2, 0), "predecessor")[:3] == [-1, -1, 0]
+        assert order.frontier((0, 1), "successor")[:2] == [1, 0]

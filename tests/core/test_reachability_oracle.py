@@ -26,6 +26,9 @@ CSST's insert closure skips).  The vector clocks are checked entry by
 entry on these DAGs too: there an insert often lands behind clocks that
 are already materialised and must be propagated into them.
 
+Every check also asks ``frontier(node, direction)``, each backend's
+one-call answer for all chains, which must equal the per-chain answers.
+
 The frontier memo the saturation analyses share (``hb.Frontiers``) is
 checked on both families of DAGs as well: its inserts interleave with
 ``predecessor``/``successor``/``reaches`` questions, every frontier is
@@ -102,6 +105,11 @@ def _assert_agrees(order, oracle, context):
                 (context, "successor", u, chain)
             assert order.predecessor(u, chain) == \
                 oracle.predecessor(u, chain), (context, "predecessor", u, chain)
+        for direction in ("predecessor", "successor"):
+            expected = [getattr(oracle, direction)(u, chain)
+                        for chain in range(oracle.num_chains)]
+            assert order.frontier(u, direction) == expected, \
+                (context, "frontier", direction, u)
 
 
 def _draw_insert(rng, oracle):
