@@ -4,8 +4,6 @@ saturation, result containers)."""
 from repro.analyses.common.base import Analysis, AnalysisResult, BackendSpec
 from repro.analyses.common.hb import (
     Frontiers,
-    build_sync_order,
-    conflicting_pairs,
     events_between,
     insert_ordering,
     lock_graph,
@@ -31,8 +29,6 @@ __all__ = [
     "SaturatedOrder",
     "SaturationAnalysis",
     "SaturationEngine",
-    "build_sync_order",
-    "conflicting_pairs",
     "events_between",
     "insert_ordering",
     "lock_graph",

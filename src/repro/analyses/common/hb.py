@@ -2,10 +2,10 @@
 
 Most predictive analyses start from a *sync order*: program order plus
 release-to-acquire edges over each lock (in the observed order) plus
-fork/join edges.  This module builds that backbone into any partial-order
-backend, and exposes small helpers for the orderings analyses add on top,
-among them :class:`Frontiers`, the memo through which the saturation
-analyses ask and extend their order.
+fork/join edges.  This module yields the edges of that backbone
+(:func:`sync_edges`), and exposes small helpers for the orderings
+analyses add on top, among them :class:`Frontiers`, the memo through
+which the saturation analyses ask and extend their order.
 """
 
 from __future__ import annotations
@@ -79,50 +79,17 @@ def sync_edges(trace: Trace, include_locks: bool = True,
                 yield write.node, read.node
 
 
-def build_sync_order(trace: Trace, order: PartialOrder,
-                     include_locks: bool = True,
-                     include_fork_join: bool = True,
-                     include_reads_from: bool = False) -> int:
-    """Populate ``order`` with the trace's synchronisation backbone (the
-    edges of :func:`sync_edges`, same options) and return the number of
-    cross-chain edges inserted; implied ones are skipped."""
-    inserted = 0
-    for source, target in sync_edges(trace, include_locks,
-                                     include_fork_join, include_reads_from):
-        if insert_ordering(order, source, target):
-            inserted += 1
-    return inserted
-
-
-def conflicting_pairs(trace: Trace, max_pairs: Optional[int] = None,
-                      same_variable_window: Optional[int] = None
-                      ) -> List[Tuple[Event, Event]]:
-    """Enumerate conflicting access pairs (same variable, different threads,
-    at least one write), in trace order.
-
-    ``same_variable_window`` optionally restricts pairs to accesses that are
-    at most that many positions apart in the per-variable access list, which
-    is how practical race detectors bound their candidate set.  A
-    ``max_pairs`` of zero or less yields no pairs.
-    """
-    pairs: List[Tuple[Event, Event]] = []
-    for accesses in trace.accesses_by_variable().values():
-        limit = None if max_pairs is None else max_pairs - len(pairs)
-        if limit is not None and limit <= 0:
-            break
-        pairs.extend((accesses[i], accesses[j]) for i, j in
-                     variable_conflicts(accesses, 0, same_variable_window,
-                                        limit))
-    return pairs
-
-
 def variable_conflicts(accesses: Sequence[Event], start: int = 0,
                        window: Optional[int] = None,
                        limit: Optional[int] = None) -> List[Tuple[int, int]]:
     """The conflicting pairs ``(i, j)``, ``i < j``, of one variable's
     access list whose later access ``j`` is at position ``start`` or
-    beyond, in ``(i, j)`` order (see :func:`conflicting_pairs` for
-    ``window``).  At most ``limit`` pairs, when given.
+    beyond, in ``(i, j)`` order.  A pair conflicts when its accesses are
+    on different threads and at least one writes.  ``window`` optionally
+    restricts pairs to accesses at most that many positions apart in the
+    list, which is how practical race detectors bound their candidate
+    set.  At most ``limit`` pairs, when given; none when it is zero or
+    less.
 
     A growing access list only ever gains pairs whose later access is
     new, so a caller that remembers ``start`` enumerates each pair once.

@@ -29,11 +29,11 @@ fire again only for a write that the read's predecessor frontier
 (``PartialOrder.frontier``) or its writer's successor frontier newly
 covers, or for a write that is new; program order then needs at most
 one insert per chain and rule.  A read is checked again only after an
-edge went in since its last check (one that lands at or before what it
-depends on, when trace positions are known), or when its variable has
-new writes.  Different visit orders insert different but equivalent
-edge sets: the least fixpoint, its reachability relation and whether it
-has a cycle do not depend on them.
+edge went in since its last check that lands at or before what it
+depends on in the trace, or when its variable has new writes.
+Different visit orders insert different but equivalent edge sets: the
+least fixpoint, its reachability relation and whether it has a cycle
+do not depend on them.
 
 :class:`SaturatedOrder` keeps a saturated order, the engine's per-read
 state and the analysis's live candidates (:class:`KeptCandidates`),
@@ -125,22 +125,26 @@ class SaturationEngine:
     the new reads and writes and re-checks the old reads only where their
     frontiers moved.
 
-    When :attr:`positions` gives each event's trace position, the engine
-    also skips reads that no edge since their last check can affect.  If
-    every edge of the order leads forward in the trace, as the sync and
-    saturation edges of an observed trace do, every path into an event ``x`` uses only edges
+    Every cross-chain edge of the order goes in through
+    :meth:`add_ordering`, so the engine knows where each lands and skips
+    reads that no edge since their last check can affect.  If every edge
+    leads forward in the trace, as the sync and saturation edges of an
+    observed trace do, every path into an event ``x`` uses only edges
     whose target is at or before ``x``; so an event's predecessors, and
     with them both premises of a check, move only when an edge lands at
     or before it.  A read is skipped while every edge inserted since its
     check lands after :attr:`_Read.reach`.  The first edge that leads
-    backwards turns the skip off for good.  Only an engine that inserts
-    every edge of its order may be given positions.
+    backwards turns the skip off for good.
 
     Parameters
     ----------
     frontiers:
-        The frontier memo of the partial order holding ``P``; every
-        question and every insert goes through it.
+        The frontier memo of the partial order holding ``P``, which holds
+        no cross-chain edge yet; every question and every insert goes
+        through it.
+    positions:
+        Per chain, the trace position of each event.  The engine reads
+        it at each call, so it may grow with the trace.
     writes_by_variable:
         All write events, grouped by variable; used to locate competing
         writes for each saturated read.  :meth:`saturate` takes the
@@ -148,14 +152,13 @@ class SaturationEngine:
     """
 
     def __init__(self, frontiers: Frontiers,
+                 positions: Mapping[int, Sequence[int]],
                  writes_by_variable: Optional[
                      Mapping[object, List[Event]]] = None) -> None:
         self.frontiers = frontiers
         #: Edges inserted through :meth:`add_ordering` so far.
         self.inserted = 0
-        #: Per chain, the trace position of each event (optional, see
-        #: above).
-        self.positions: Optional[Mapping[int, Sequence[int]]] = None
+        self._positions = positions
         #: Target positions of the edges inserted since the last
         #: :meth:`saturate` ended, and whether any edge led backwards.
         self._targets: List[int] = []
@@ -184,12 +187,11 @@ class SaturationEngine:
         if not self.frontiers.insert(source.node, target.node):
             return False
         self.inserted += 1
-        positions = self.positions
-        if positions is not None:
-            target_position = positions[target.thread][target.index]
-            self._targets.append(target_position)
-            if positions[source.thread][source.index] > target_position:
-                self._backward = True
+        positions = self._positions
+        target_position = positions[target.thread][target.index]
+        self._targets.append(target_position)
+        if positions[source.thread][source.index] > target_position:
+            self._backward = True
         return True
 
     # ------------------------------------------------------------------ #
@@ -252,7 +254,7 @@ class SaturationEngine:
         has new writes."""
         current = self.inserted
         reads = self._reads
-        if self.positions is None or self._backward:
+        if self._backward:
             return [state for state in reads if state.stamp != current
                     or fresh_writes and state.count != state.writes.count]
         # lowest[i]: the earliest target of the edges from the i-th of
@@ -302,9 +304,8 @@ class SaturationEngine:
         once it reaches the earliest of them, program order does the rest.
         A prefix grows to the read's predecessor frontier; a suffix grows
         when the writer reaches the write just before it.  An unchanged
-        read costs one ``frontier`` call, or a memo question per chain
-        when the variable is written on few of them, and a memo question
-        per chain for its suffix.
+        read costs one ``frontier`` call and a memo question per chain for
+        its suffix.
         """
         read = state.read
         write = state.write
@@ -320,25 +321,16 @@ class SaturationEngine:
         reaches = frontiers.reaches
         read_node = read.node
         write_node = write.node
-        positions = self.positions
-        if positions is not None:
-            reach = positions[read.thread][read.index]
-        # The read's predecessor frontier: one call when the variable is
-        # written on a third of the chains or more, else a memo question
-        # per chain that needs it (a CSST answers a frontier chain by
-        # chain).
-        order = frontiers.order
-        predecessors = None
-        if 3 * len(writes.chains) >= order.num_chains:
-            predecessors = order.frontier(read_node, "predecessor")
+        positions = self._positions
+        reach = positions[read.thread][read.index]
+        predecessors = frontiers.order.frontier(read_node, "predecessor")
         for (chain, indices, events), entry in zip(writes.chains, cover):
             prefix, suffix, seen = entry
             count = len(indices)
             # Competing writes now before the read: force them before the
             # writer.
             if prefix < count:
-                limit = (frontiers.predecessor(read_node, chain)
-                         if predecessors is None else predecessors[chain])
+                limit = predecessors[chain]
                 if indices[prefix] <= limit:
                     prefix = bisect_right(indices, limit, prefix)
                     competitor = events[prefix - 1]
@@ -365,28 +357,25 @@ class SaturationEngine:
             entry[0] = prefix
             entry[1] = suffix
             entry[2] = seen
-            if positions is not None and suffix:
+            if suffix:
                 boundary = positions[chain][indices[suffix - 1]]
                 if boundary > reach:
                     reach = boundary
-        if positions is not None:
-            state.reach = reach
+        state.reach = reach
 
 
 class KeptCandidates:
     """The candidate pairs of a growing trace that its analysis checks.
 
-    race-prediction pairs conflicting accesses, memory-bugs and
-    use-after-free pair a free with an access.  A pair the order rules out
-    (ordered, or its access forced before its free) stays ruled out as the
-    order grows, and so does a lock-protected pair; other verdicts, such as
-    a witness whose cone window slides, do not.  So an analysis adds only
+    race-prediction pairs conflicting accesses.  A pair the order rules
+    out (ordered) stays ruled out as the order grows, and so does a
+    lock-protected pair; other verdicts, such as a witness whose cone
+    window slides, do not.  So an analysis adds only
     the pairs with an event new since its last call, :meth:`sweep` drops
     the ruled-out ones for good, and the rest are checked again.  A batch
     run is the same path on a fresh instance.
 
-    Candidates are tuples grouped by a key (a variable or a heap address);
-    each group is kept sorted, and groups keep the order of their first
+    Candidates are tuples grouped by a key (a variable); each group is kept sorted, and groups keep the order of their first
     :meth:`add`.  When each tuple starts with its rank in the batch
     enumeration and the groups are added in the batch's group order,
     :meth:`sweep` yields candidates in batch order.
@@ -398,10 +387,6 @@ class KeptCandidates:
         #: How far each group's enumeration has got, in the analysis's
         #: own terms.
         self.seen: Dict[object, Any] = {}
-        #: The analysis's own index of the trace's first ``position``
-        #: events, extended by the events after them at the next call.
-        self.index: Any = None
-        self.position = 0
         self._live: Dict[object, List[tuple]] = {}
 
     def add(self, group: object, items: List[tuple]) -> None:
@@ -472,7 +457,7 @@ class SaturatedOrder:
         #: The analysis's candidates, checked against this order.
         self.candidates = KeptCandidates()
         self._last_release: Dict[object, Event] = {}
-        self._engine = SaturationEngine(Frontiers(order))
+        self._engine: Optional[SaturationEngine] = None
 
     def extends(self, trace: Trace) -> bool:
         """Whether :meth:`extend` may resume on ``trace``: it is the trace
@@ -492,9 +477,13 @@ class SaturatedOrder:
         """
         # A fresh memo per call, not kept: the kept order outlives the
         # flush, and the memo would be its largest part.
+        frontiers = Frontiers(self.order)
+        # The trace's columns grow in place, and its positions with them.
+        positions = trace.columns().thread_positions
         engine = self._engine
-        frontiers = engine.frontiers = Frontiers(self.order)
-        engine.positions = trace.columns().thread_positions
+        if engine is None:
+            engine = self._engine = SaturationEngine(frontiers, positions)
+        engine.frontiers = frontiers
         self.trace = trace
         try:
             for source, target in sync_edges(
@@ -571,7 +560,7 @@ class SaturationAnalysis(Analysis):
             self._analyse(trace, frontiers, kept.candidates, result)
 
     def _analyse(self, trace: Trace, frontiers: Frontiers,
-                 candidates: KeptCandidates,
+                 kept: KeptCandidates,
                  result: AnalysisResult) -> None:
         raise NotImplementedError
 

@@ -81,7 +81,7 @@ class DeadlockPredictionAnalysis(SaturationAnalysis):
 
     # ------------------------------------------------------------------ #
     def _analyse(self, trace: Trace, frontiers: Frontiers,
-                 candidates: KeptCandidates,
+                 kept: KeptCandidates,
                  result: AnalysisResult) -> None:
         # Lock cycles are few; each flush enumerates them afresh.
         graph = lock_graph(trace)

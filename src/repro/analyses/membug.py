@@ -17,8 +17,7 @@ queries -- the non-streaming pattern CSSTs target.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.analyses.common.base import AnalysisResult
 from repro.analyses.common.hb import Frontiers
@@ -70,92 +69,70 @@ class MemoryBugAnalysis(SaturationAnalysis):
 
     # ------------------------------------------------------------------ #
     def _analyse(self, trace: Trace, frontiers: Frontiers,
-                 candidates: KeptCandidates,
+                 kept: KeptCandidates,
                  result: AnalysisResult) -> None:
-        if self._max_candidates is not None:
-            # A cap stops the sweep at the first findings: a capped run
-            # enumerates afresh, exactly as a batch run does.
-            candidates = KeptCandidates()
-        frees, accesses = self._heap_events(trace, candidates)
-        locks_held = trace.locks_held_map()
-        for address, free_events in frees.items():
-            address_accesses = accesses.get(address, ())
-            seen = candidates.seen.get(address, (0, 0))
-            new = self._candidates(free_events, address_accesses, *seen)
-            candidates.seen[address] = (len(free_events),
-                                        len(address_accesses))
-            candidates.total += len(new)
-            # A common lock serialises the pair for good.
-            candidates.add(address, [
-                item for item in new
-                if not locks_held[item[4].node] & locks_held[item[5].node]])
-        result.details["candidates"] = candidates.total
+        # Each run enumerates and checks its candidates afresh.
+        frees, accesses = self._heap_events(trace)
+        candidates = self._candidates(frees, accesses)
+        result.details["candidates"] = len(candidates)
         reads_from = trace.reads_from()
-        reaches = frontiers.reaches
-        # An access forced before its free stays so: no bug, for good.
-        ruled_out = lambda item: reaches(item[5].node, item[4].node)
-        for *_ranks, kind, free, access in candidates.sweep(ruled_out):
+        locks_held = trace.locks_held_map()
+        for kind, free, access in candidates:
             if self._max_candidates is not None and len(result.findings) >= self._max_candidates:
                 break
-            if self._enabled(trace, frontiers, free, access, reads_from):
+            if self._feasible(trace, frontiers, free, access, reads_from,
+                             locks_held):
                 result.findings.append(MemoryBug(kind, free, access))
 
     # ------------------------------------------------------------------ #
     # Candidate enumeration
     # ------------------------------------------------------------------ #
     @staticmethod
-    def _heap_events(trace: Trace, candidates: KeptCandidates
-                     ) -> Tuple[Dict[object, List[Event]],
-                                Dict[object, List[Event]]]:
-        """Free events and (non-alloc) accesses, grouped by heap address
-        in ``candidates.index``; only the events new since the last call
-        are scanned."""
-        if candidates.index is None:
-            candidates.index = ({}, {}, set())
-        frees, accesses, allocated = candidates.index
-        for event in islice(trace, candidates.position, None):
+    def _heap_events(trace: Trace) -> Tuple[Dict[object, List[Event]],
+                                            Dict[object, List[Event]]]:
+        """Group free events and (non-alloc) accesses by heap address."""
+        frees: Dict[object, List[Event]] = {}
+        accesses: Dict[object, List[Event]] = {}
+        allocated = set()
+        for event in trace:
             if event.kind is EventKind.ALLOC:
                 allocated.add(event.variable)
             elif event.kind is EventKind.FREE:
                 frees.setdefault(event.variable, []).append(event)
             elif event.is_access and event.variable in allocated:
                 accesses.setdefault(event.variable, []).append(event)
-        candidates.position = len(trace)
         return frees, accesses
 
-    @staticmethod
-    def _candidates(frees: List[Event], accesses: Sequence[Event],
-                    seen_frees: int, seen_accesses: int) -> List[tuple]:
-        """One address's candidates with an event beyond the first
-        ``seen_frees`` frees and ``seen_accesses`` accesses, as
-        ``(free rank, 0 or 1, rank, kind, free, access)`` in batch order:
-        per free, its use-after-free accesses, then its double frees."""
-        candidates: List[tuple] = []
-        for rank, free in enumerate(frees):
-            old = rank < seen_frees
-            for other_rank in range(seen_accesses if old else 0,
-                                    len(accesses)):
-                access = accesses[other_rank]
-                if access.thread != free.thread:
-                    candidates.append((rank, 0, other_rank, "use-after-free",
-                                       free, access))
-            for other_rank in range(seen_frees if old else 0, len(frees)):
-                other = frees[other_rank]
-                if other is not free and other.thread != free.thread:
-                    if (free.index, free.thread) < (other.index, other.thread):
-                        candidates.append((rank, 1, other_rank, "double-free",
-                                           free, other))
+    def _candidates(self, frees: Dict[object, List[Event]],
+                    accesses: Dict[object, List[Event]]
+                    ) -> List[Tuple[str, Event, Event]]:
+        candidates: List[Tuple[str, Event, Event]] = []
+        for address, free_events in frees.items():
+            for free in free_events:
+                for access in accesses.get(address, ()):
+                    if access.thread != free.thread:
+                        candidates.append(("use-after-free", free, access))
+                for other in free_events:
+                    if other is not free and other.thread != free.thread:
+                        if (free.index, free.thread) < (other.index, other.thread):
+                            candidates.append(("double-free", free, other))
         return candidates
 
     # ------------------------------------------------------------------ #
     # Feasibility
     # ------------------------------------------------------------------ #
-    def _enabled(self, trace: Trace, frontiers: Frontiers, free: Event,
-                 access: Event, reads_from) -> bool:
-        """The dangerous order ``free -> access`` is feasible, once the
-        access is not forced before the free and no common lock serialises
-        the two, when the enabling reads of the access's thread prefix can
-        still observe their writers."""
+    def _feasible(self, trace: Trace, frontiers: Frontiers, free: Event,
+                  access: Event, reads_from, locks_held) -> bool:
+        """The dangerous order ``free -> access`` is feasible when the access
+        is not already forced before the free, the two events are not
+        serialised by a common lock, and the enabling reads of the access's
+        thread prefix can still observe their writers."""
+        if frontiers.reaches(access.node, free.node):
+            # The access is forced before the free in every correct
+            # reordering: no bug.
+            return False
+        if locks_held[free.node] & locks_held[access.node]:
+            return False
         # Enabling condition: every read of the access's thread prefix (up
         # to the access) whose writer lies in another thread must be able to
         # keep its writer before it even when the free is moved earlier.

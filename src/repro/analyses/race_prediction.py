@@ -83,7 +83,7 @@ class RacePredictionAnalysis(SaturationAnalysis):
 
     # ------------------------------------------------------------------ #
     def _analyse(self, trace: Trace, frontiers: Frontiers,
-                 candidates: KeptCandidates,
+                 kept: KeptCandidates,
                  result: AnalysisResult) -> None:
         # Phase 2, after the closure of the observed trace (sync order plus
         # reads-from saturation): candidate enumeration and witness checks.
@@ -95,31 +95,31 @@ class RacePredictionAnalysis(SaturationAnalysis):
         if cap is not None:
             # A cap keeps the first pairs in batch order, which new events
             # can change: enumerate afresh.
-            candidates = KeptCandidates()
+            kept = KeptCandidates()
         locks_held = trace.locks_held_map()
         for variable, accesses in trace.accesses_by_variable().items():
-            start = candidates.seen.get(variable, 0)
-            limit = None if cap is None else cap - candidates.total
+            start = kept.seen.get(variable, 0)
+            limit = None if cap is None else cap - kept.total
             pairs = variable_conflicts(accesses, start,
                                        self._candidate_window, limit)
-            candidates.seen[variable] = len(accesses)
-            candidates.total += len(pairs)
+            kept.seen[variable] = len(accesses)
+            kept.total += len(pairs)
             new = []
             for i, j in pairs:
                 first, second = accesses[i], accesses[j]
                 if not locks_held[first.node] & locks_held[second.node]:
                     new.append((i, j, first, second))
-            candidates.add(variable, new)
-        result.details["candidates"] = candidates.total
+            kept.add(variable, new)
+        result.details["candidates"] = kept.total
         witness = _WitnessCheck(
             trace, frontiers, self._witness_window,
             saturated="closure_cycle" not in result.details)
         ordered = frontiers.ordered
-        for _i, _j, first, second in candidates.sweep(
+        for _i, _j, first, second in kept.sweep(
                 lambda pair: ordered(pair[2].node, pair[3].node)):
             if witness.feasible(first, second):
                 result.findings.append(Race(first, second))
-        result.details["checked"] = candidates.total
+        result.details["checked"] = kept.total
 
 
 #: Verdict slot not computed yet.

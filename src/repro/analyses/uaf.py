@@ -90,34 +90,15 @@ class UseAfterFreeAnalysis(SaturationAnalysis):
 
     # ------------------------------------------------------------------ #
     def _analyse(self, trace: Trace, frontiers: Frontiers,
-                 candidates: KeptCandidates,
+                 kept: KeptCandidates,
                  result: AnalysisResult) -> None:
-        if self._max_candidates is not None:
-            # A cap stops the sweep at the first queries: a capped run
-            # enumerates afresh, exactly as a batch run does.
-            candidates = KeptCandidates()
-        frees, uses = self._heap_events(trace, candidates)
-        for address_id, free_events in frees.items():
-            use_events = uses.get(address_id, ())
-            seen_frees, seen_uses = candidates.seen.get(address_id, (0, 0))
-            new = []
-            for rank, free in enumerate(free_events):
-                for use_rank in range(seen_uses if rank < seen_frees else 0,
-                                      len(use_events)):
-                    use = use_events[use_rank]
-                    if use.thread != free.thread:
-                        new.append((rank, use_rank, free, use))
-            candidates.seen[address_id] = (len(free_events), len(use_events))
-            candidates.total += len(new)
-            candidates.add(address_id, new)
-        result.details["candidates"] = candidates.total
+        # Each run enumerates and checks its candidates afresh.
+        candidates = self._candidates(trace)
+        result.details["candidates"] = len(candidates)
         reads_from = trace.reads_from()
-        reaches = frontiers.reaches
         # Query generation inserts no edges: each frontier is asked once.
-        # A use forced before its free stays so: no query, for good.
         total_constraints = 0
-        for _rank, _use_rank, free, use in candidates.sweep(
-                lambda item: reaches(item[3].node, item[2].node)):
+        for free, use in candidates:
             if self._max_candidates is not None and len(result.findings) >= self._max_candidates:
                 break
             query = self._encode(trace, frontiers, free, use, reads_from)
@@ -130,25 +111,19 @@ class UseAfterFreeAnalysis(SaturationAnalysis):
     # Candidate enumeration
     # ------------------------------------------------------------------ #
     @staticmethod
-    def _heap_events(trace: Trace, candidates: KeptCandidates
-                     ) -> Tuple[Dict[int, List[Event]],
-                                Dict[int, List[Event]]]:
-        """Frees and uses of allocated addresses, by interned address id,
-        in ``candidates.index``; only the events new since the last call
-        are scanned.
-
-        The scan runs over the columnar view: kind codes and interned
-        address ids classify each event without touching its Event object;
-        only frees and uses of allocated addresses materialise one."""
+    def _candidates(trace: Trace) -> List[Tuple[Event, Event]]:
+        # The scan runs over the columnar view: kind codes and interned
+        # address ids classify each event without touching its Event object;
+        # only allocs, frees and uses of allocated addresses materialise one.
         columns = trace.columns()
         kinds = columns.kinds
         var_ids = columns.var_ids
         access_flags = columns.access_flags
         events = columns.events
-        if candidates.index is None:
-            candidates.index = ({}, {}, set())
-        frees, uses, allocated = candidates.index
-        for position in range(candidates.position, len(columns)):
+        frees: Dict[int, List[Event]] = {}
+        uses: Dict[int, List[Event]] = {}
+        allocated = set()
+        for position in range(len(columns)):
             code = kinds[position]
             if code == ALLOC_CODE:
                 allocated.add(var_ids[position])
@@ -156,17 +131,24 @@ class UseAfterFreeAnalysis(SaturationAnalysis):
                 frees.setdefault(var_ids[position], []).append(events[position])
             elif access_flags[position] and var_ids[position] in allocated:
                 uses.setdefault(var_ids[position], []).append(events[position])
-        candidates.position = len(columns)
-        return frees, uses
+        pairs: List[Tuple[Event, Event]] = []
+        for address_id, free_events in frees.items():
+            use_events = uses.get(address_id, ())
+            for free in free_events:
+                for use in use_events:
+                    if use.thread != free.thread:
+                        pairs.append((free, use))
+        return pairs
 
     # ------------------------------------------------------------------ #
     # Query encoding
     # ------------------------------------------------------------------ #
     def _encode(self, trace: Trace, frontiers: Frontiers, free: Event,
                 use: Event, reads_from) -> Optional[ConstraintQuery]:
-        """Encode the candidate, whose use is not forced before its free,
-        as a constraint query, or return ``None`` if a read of the witness
-        cone cannot observe its writer."""
+        """Encode the candidate as a constraint query, or return ``None`` if
+        the partial order already rules the candidate out."""
+        if frontiers.reaches(use.node, free.node):
+            return None
         # The witness executes both events themselves, hence ``inclusive``.
         cone = frontiers.cone((free.node, use.node), trace.threads,
                               inclusive=True)

@@ -219,15 +219,12 @@ class CSST(ChainMatrixOrder):
         return self._backward_closure(t1, j1)[chain]
 
     def frontier(self, node: Node, direction: str) -> List[int]:
-        """One closure sweep answers every chain."""
+        """One backward closure sweep answers every chain's predecessor."""
+        if direction != "predecessor":
+            return super().frontier(node, direction)
         self._check_node(node)
         t1, j1 = node
-        if direction == "predecessor":
-            frontier = self._backward_closure(t1, j1)
-        elif direction == "successor":
-            frontier = self._forward_closure(t1, j1)
-        else:
-            return super().frontier(node, direction)
+        frontier = self._backward_closure(t1, j1)
         frontier[t1] = j1
         return frontier
 

@@ -95,15 +95,12 @@ class GraphOrder(PartialOrder):
         return latest.get(chain, -1)
 
     def frontier(self, node: Node, direction: str) -> List[int]:
-        """One traversal answers every chain."""
-        self._check_node(node)
-        if direction == "predecessor":
-            best, missing = self._closure(node, forward=False), -1
-        elif direction == "successor":
-            best, missing = self._closure(node, forward=True), NO_SUCCESSOR
-        else:
+        """One backward traversal answers every chain's predecessor."""
+        if direction != "predecessor":
             return super().frontier(node, direction)
-        return [best.get(chain, missing) for chain in range(self._num_chains)]
+        self._check_node(node)
+        latest = self._closure(node, forward=False)
+        return [latest.get(chain, -1) for chain in range(self._num_chains)]
 
     # ------------------------------------------------------------------ #
     # Traversal

@@ -83,28 +83,20 @@ class IncrementalCSST(ChainMatrixOrder):
         return -1 if array is None else array.argleq(j1)
 
     def frontier(self, node: Node, direction: str) -> List[int]:
-        """``k`` suffix-minima lookups, one per chain, behind one node
-        check: the node's column (predecessors) or row (successors) of
-        the transitively closed matrix."""
+        """The predecessor frontier is ``k`` lookups, one per chain, behind
+        one node check: the node's column of the transitively closed
+        matrix."""
+        if direction != "predecessor":
+            return super().frontier(node, direction)
         self._check_node(node)
         t1, j1 = node
         num_chains = self._num_chains
         arrays = self._arrays
-        if direction == "predecessor":
-            frontier = [-1] * num_chains
-            for chain in range(num_chains):
-                array = arrays[chain * num_chains + t1]
-                if array is not None:
-                    frontier[chain] = array.argleq(j1)
-        elif direction == "successor":
-            frontier = [NO_SUCCESSOR] * num_chains
-            row = t1 * num_chains
-            for chain in range(num_chains):
-                array = arrays[row + chain]
-                if array is not None:
-                    frontier[chain] = array.suffix_min(j1)
-        else:
-            return super().frontier(node, direction)
+        frontier = [-1] * num_chains
+        for chain in range(num_chains):
+            array = arrays[chain * num_chains + t1]
+            if array is not None:
+                frontier[chain] = array.argleq(j1)
         frontier[t1] = j1
         return frontier
 

@@ -145,8 +145,8 @@ class PartialOrder(abc.ABC):
         of the returned list is ``predecessor(node, t)`` or
         ``successor(node, t)``, so the entry of the node's own chain is its
         index.  This loops over the chains; backends that hold a node's
-        frontier in one place (a vector clock, a closure sweep) override
-        it.  The caller owns the returned list.
+        predecessors in one place (a vector clock, a closure sweep)
+        override that direction.  The caller owns the returned list.
         """
         self._check_node(node)
         if direction == "predecessor":

@@ -204,37 +204,21 @@ class VectorClockOrder(PartialOrder):
         return self._clocks[t1][index * self._num_chains + chain]
 
     def frontier(self, node: Node, direction: str) -> List[int]:
-        """The predecessor frontier is the node's clock, one slice; the
-        successor frontier binary-searches each chain as :meth:`successor`
-        does."""
+        """The predecessor frontier is the node's clock, one slice."""
+        if direction != "predecessor":
+            return super().frontier(node, direction)
         t1, j1 = node
         num_chains = self._num_chains
         if not (0 <= t1 < num_chains and j1 >= 0):
             self._check_node(node)
-        if direction == "predecessor":
-            length = self._lengths[t1]
-            if length == 0:
-                clock = [-1] * num_chains
-            else:
-                offset = min(j1, length - 1) * num_chains
-                clock = self._clocks[t1][offset:offset + num_chains]
-            clock[t1] = j1
-            return clock
-        if direction != "successor":
-            return super().frontier(node, direction)
-        frontier = [NO_SUCCESSOR] * num_chains
-        for chain in range(num_chains):
-            clocks = self._clocks[chain]
-            low, high = 0, self._lengths[chain] - 1
-            while low <= high:
-                mid = (low + high) // 2
-                if clocks[mid * num_chains + t1] >= j1:
-                    frontier[chain] = mid
-                    high = mid - 1
-                else:
-                    low = mid + 1
-        frontier[t1] = j1
-        return frontier
+        length = self._lengths[t1]
+        if length == 0:
+            clock = [-1] * num_chains
+        else:
+            offset = min(j1, length - 1) * num_chains
+            clock = self._clocks[t1][offset:offset + num_chains]
+        clock[t1] = j1
+        return clock
 
     # ------------------------------------------------------------------ #
     # Introspection

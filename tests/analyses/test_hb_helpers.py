@@ -4,10 +4,9 @@ import pytest
 
 from repro.analyses.common.hb import (
     Frontiers,
-    build_sync_order,
-    conflicting_pairs,
     insert_ordering,
     lock_graph,
+    sync_edges,
     variable_conflicts,
 )
 from repro.core import NO_SUCCESSOR, IncrementalCSST
@@ -44,33 +43,38 @@ class TestInsertOrdering:
         assert order.edge_count == 0
 
 
-class TestBuildSyncOrder:
+def _build(trace, order, **options):
+    """Insert the edges of ``sync_edges(trace, **options)`` that the
+    order does not imply yet; return how many went in."""
+    return sum(insert_ordering(order, source, target)
+               for source, target in sync_edges(trace, **options))
+
+
+class TestSyncEdges:
     def test_lock_edges(self, sync_trace):
         order = IncrementalCSST(2, 8)
-        build_sync_order(sync_trace, order, include_fork_join=False)
+        _build(sync_trace, order, include_fork_join=False)
         # release(0, l) happens before acquire(1, l)
         assert order.reachable((0, 3), (1, 0))
 
     def test_fork_join_edges(self, sync_trace):
         order = IncrementalCSST(2, 8)
-        build_sync_order(sync_trace, order, include_locks=False)
+        _build(sync_trace, order, include_locks=False)
         assert order.reachable((0, 0), (1, 0))   # fork before first child event
         assert order.reachable((1, 2), (0, 4))   # last child event before join
 
     def test_reads_from_edges_optional(self, sync_trace):
-        without = IncrementalCSST(2, 8)
-        build_sync_order(sync_trace, without, include_locks=False,
-                         include_fork_join=False)
-        assert without.edge_count == 0
+        assert list(sync_edges(sync_trace, include_locks=False,
+                               include_fork_join=False)) == []
         with_rf = IncrementalCSST(2, 8)
-        build_sync_order(sync_trace, with_rf, include_locks=False,
-                         include_fork_join=False, include_reads_from=True)
+        _build(sync_trace, with_rf, include_locks=False,
+               include_fork_join=False, include_reads_from=True)
         assert with_rf.reachable((0, 2), (1, 1))
 
-    def test_returns_number_of_inserted_edges(self, sync_trace):
-        order = IncrementalCSST(2, 8)
-        inserted = build_sync_order(sync_trace, order)
-        assert inserted == order.edge_count > 0
+    def test_every_edge_is_cross_chain(self, sync_trace):
+        edges = list(sync_edges(sync_trace, include_reads_from=True))
+        assert edges and all(source[0] != target[0]
+                             for source, target in edges)
 
     def test_same_thread_lock_transfer_adds_no_edge(self):
         trace = Trace()
@@ -78,32 +82,50 @@ class TestBuildSyncOrder:
         trace.release(0, "l")
         trace.acquire(0, "l")
         trace.release(0, "l")
-        order = IncrementalCSST(1, 8)
-        assert build_sync_order(trace, order) == 0
+        assert list(sync_edges(trace)) == []
+
+    def test_a_resumed_lock_walk_yields_the_rest(self, sync_trace):
+        whole = list(sync_edges(sync_trace, include_fork_join=False))
+        last_release = {}
+        prefix = Trace()
+        for event in list(sync_trace)[:4]:
+            prefix.add(event)
+        head = list(sync_edges(prefix, include_fork_join=False,
+                               last_release=last_release))
+        tail = list(sync_edges(sync_trace, include_fork_join=False, start=4,
+                               last_release=last_release))
+        assert head == [] and tail == whole
 
 
-class TestConflictingPairs:
+def _pairs(trace, window=None, limit=None):
+    """The conflicting pairs of every variable of ``trace``, as events."""
+    return [(accesses[i], accesses[j])
+            for accesses in trace.accesses_by_variable().values()
+            for i, j in variable_conflicts(accesses, 0, window, limit)]
+
+
+class TestVariableConflicts:
     def test_pairs_require_conflict(self):
         trace = Trace()
         trace.write(0, "x")
         trace.read(1, "x")
         trace.read(1, "y")
-        pairs = conflicting_pairs(trace)
+        pairs = _pairs(trace)
         assert len(pairs) == 1
         assert pairs[0][0].variable == "x"
 
-    def test_max_pairs_cap(self):
+    def test_limit_caps_pairs(self):
         trace = Trace()
         for index in range(6):
             trace.write(index % 2, "x", value=index)
-        assert len(conflicting_pairs(trace, max_pairs=3)) == 3
+        assert len(_pairs(trace, limit=3)) == 3
 
     @pytest.mark.parametrize("cap", [0, -1, -10])
-    def test_non_positive_cap_yields_no_pairs(self, cap):
+    def test_non_positive_limit_yields_no_pairs(self, cap):
         trace = Trace()
         for index in range(6):
             trace.write(index % 2, "x", value=index)
-        assert conflicting_pairs(trace, max_pairs=cap) == []
+        assert _pairs(trace, limit=cap) == []
 
     def test_pairs_match_conflicts_with(self):
         trace = Trace()
@@ -120,14 +142,14 @@ class TestConflictingPairs:
             for second in accesses[i + 1 :]
             if first.conflicts_with(second)
         ]
-        assert conflicting_pairs(trace) == expected
+        assert _pairs(trace) == expected
 
     def test_window_limits_pair_distance(self):
         trace = Trace()
         for index in range(10):
             trace.write(index % 2, "x", value=index)
-        windowed = conflicting_pairs(trace, same_variable_window=1)
-        unwindowed = conflicting_pairs(trace)
+        windowed = _pairs(trace, window=1)
+        unwindowed = _pairs(trace)
         assert len(windowed) < len(unwindowed)
 
     @pytest.mark.parametrize("window", [None, 1, 4])

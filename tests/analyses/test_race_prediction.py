@@ -4,11 +4,7 @@ import random
 
 import pytest
 
-from repro.analyses.common.hb import (
-    Frontiers,
-    build_sync_order,
-    conflicting_pairs,
-)
+from repro.analyses.common.hb import Frontiers, insert_ordering, sync_edges
 from repro.analyses.common.saturation import saturate_trace
 from repro.analyses.race_prediction import (
     Race,
@@ -255,7 +251,8 @@ class TestFrontierWitness:
         trace = build_trace("racy", num_threads=4, events=30, seed=seed)
         order = make_partial_order(backend, trace.num_threads,
                                    capacity_hint=32)
-        build_sync_order(trace, order)
+        for source, target in sync_edges(trace):
+            insert_ordering(order, source, target)
         rng = random.Random(seed)
         nodes = [event.node for event in trace]
         for _ in range(60):
@@ -269,7 +266,7 @@ class TestFrontierWitness:
         reads_from = trace.reads_from()
         writes = trace.writes_by_variable()
         verdicts = []
-        for first, second in conflicting_pairs(trace):
+        for first, second in reference._conflicting_pairs(trace):
             expected = reference._witness_feasible(trace, order, first, second,
                                                    reads_from, writes)
             assert check.feasible(first, second) == expected, (first, second)

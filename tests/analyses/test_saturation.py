@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.analyses.common.hb import Frontiers, build_sync_order, sync_edges
+from repro.analyses.common.hb import Frontiers, sync_edges
 from repro.analyses.common.saturation import (
     CycleDetected,
     KeptCandidates,
@@ -29,18 +29,30 @@ def _simple_rf_trace():
     return trace, writer, competitor, reader
 
 
+def _engine(trace, order):
+    """An engine over ``order``, which holds no cross-chain edge yet."""
+    return SaturationEngine(Frontiers(order), trace.columns().thread_positions,
+                            trace.writes_by_variable())
+
+
+def _sync(engine, trace, include_locks=True):
+    """Insert the trace's sync edges through the engine."""
+    for source, target in sync_edges(trace, include_locks):
+        engine.add_ordering(trace.event_at(source), trace.event_at(target))
+
+
 class TestAddOrdering:
     def test_adds_cross_thread_edge(self):
         trace, writer, _competitor, reader = _simple_rf_trace()
         order = IncrementalCSST(3, 4)
-        engine = SaturationEngine(Frontiers(order), trace.writes_by_variable())
+        engine = _engine(trace, order)
         assert engine.add_ordering(writer, reader)
         assert order.reachable(writer.node, reader.node)
 
     def test_implied_ordering_not_reinserted(self):
         trace, writer, _competitor, reader = _simple_rf_trace()
         order = IncrementalCSST(3, 4)
-        engine = SaturationEngine(Frontiers(order), trace.writes_by_variable())
+        engine = _engine(trace, order)
         engine.add_ordering(writer, reader)
         assert not engine.add_ordering(writer, reader)
 
@@ -49,7 +61,7 @@ class TestAddOrdering:
         first = trace.write(0, "x", value=1)
         second = trace.read(0, "x", value=1)
         order = IncrementalCSST(1, 4)
-        engine = SaturationEngine(Frontiers(order), trace.writes_by_variable())
+        engine = _engine(trace, order)
         assert not engine.add_ordering(first, second)
 
     def test_reverse_program_order_is_a_cycle(self):
@@ -57,14 +69,14 @@ class TestAddOrdering:
         first = trace.write(0, "x", value=1)
         second = trace.write(0, "x", value=2)
         order = IncrementalCSST(1, 4)
-        engine = SaturationEngine(Frontiers(order), trace.writes_by_variable())
+        engine = _engine(trace, order)
         with pytest.raises(CycleDetected):
             engine.add_ordering(second, first)
 
     def test_cycle_across_threads_detected(self):
         trace, writer, _competitor, reader = _simple_rf_trace()
         order = IncrementalCSST(3, 4)
-        engine = SaturationEngine(Frontiers(order), trace.writes_by_variable())
+        engine = _engine(trace, order)
         engine.add_ordering(writer, reader)
         with pytest.raises(CycleDetected):
             engine.add_ordering(reader, writer)
@@ -74,7 +86,7 @@ class TestSaturate:
     def test_reads_from_edge_inserted(self):
         trace, writer, _competitor, reader = _simple_rf_trace()
         order = IncrementalCSST(3, 4)
-        engine = SaturationEngine(Frontiers(order), trace.writes_by_variable())
+        engine = _engine(trace, order)
         inserted = engine.saturate({reader: writer})
         assert inserted >= 1
         assert order.reachable(writer.node, reader.node)
@@ -82,25 +94,25 @@ class TestSaturate:
     def test_competing_write_before_read_forced_before_writer(self):
         trace, writer, competitor, reader = _simple_rf_trace()
         order = IncrementalCSST(3, 4)
+        engine = _engine(trace, order)
         # Force the competitor before the read first.
-        order.insert_edge(competitor.node, reader.node)
-        engine = SaturationEngine(Frontiers(order), trace.writes_by_variable())
+        engine.add_ordering(competitor, reader)
         engine.saturate({reader: writer})
         assert order.reachable(competitor.node, writer.node)
 
     def test_writer_before_competitor_forces_read_before_competitor(self):
         trace, writer, competitor, reader = _simple_rf_trace()
         order = IncrementalCSST(3, 4)
-        order.insert_edge(writer.node, competitor.node)
-        engine = SaturationEngine(Frontiers(order), trace.writes_by_variable())
+        engine = _engine(trace, order)
+        engine.add_ordering(writer, competitor)
         engine.saturate({reader: writer})
         assert order.reachable(reader.node, competitor.node)
 
     def test_saturate_reaches_fixed_point(self):
         trace, writer, competitor, reader = _simple_rf_trace()
         order = IncrementalCSST(3, 4)
-        order.insert_edge(writer.node, competitor.node)
-        engine = SaturationEngine(Frontiers(order), trace.writes_by_variable())
+        engine = _engine(trace, order)
+        engine.add_ordering(writer, competitor)
         engine.saturate({reader: writer})
         # A second saturation must not add anything new.
         assert engine.saturate({reader: writer}) == 0
@@ -109,7 +121,7 @@ class TestSaturate:
         trace = Trace()
         reader = trace.read(0, "x")
         order = IncrementalCSST(1, 4)
-        engine = SaturationEngine(Frontiers(order), trace.writes_by_variable())
+        engine = _engine(trace, order)
         assert engine.saturate({reader: None}) == 0
 
     def test_infeasible_assignment_raises(self):
@@ -117,10 +129,32 @@ class TestSaturate:
         writer = trace.write(0, "x", value=1)
         reader = trace.read(1, "x", value=1)
         order = IncrementalCSST(2, 4)
-        order.insert_edge(reader.node, writer.node)   # read forced before writer
-        engine = SaturationEngine(Frontiers(order), trace.writes_by_variable())
+        engine = _engine(trace, order)
+        engine.add_ordering(reader, writer)   # read forced before writer
         with pytest.raises(CycleDetected):
             engine.saturate({reader: writer})
+
+    @pytest.mark.parametrize("backend", incremental_backends())
+    def test_an_edge_against_trace_order_turns_the_position_skip_off(
+            self, backend):
+        # ``a`` reads ``b``, a later write: the edge b -> a leads backwards.
+        # At the next call ``r`` is checked before ``r2`` inserts u -> b,
+        # which lands after ``r`` and after every write ``r`` depends on,
+        # yet gives competitor -> u -> b -> a -> r: ``r`` must be checked
+        # again and force the competitor before its writer.
+        trace = Trace()
+        competitor = trace.write(2, "x", value=3)
+        writer = trace.write(0, "x", value=1)
+        a = trace.read(0, "y", value=2)
+        r = trace.read(0, "x", value=1)
+        b = trace.write(1, "y", value=2)
+        trace.write(2, "y", value=4)   # u
+        r2 = trace.read(2, "y", value=2)
+        order = make_partial_order(backend, 3, trace.max_thread_length)
+        engine = _engine(trace, order)
+        engine.saturate({a: b})
+        engine.saturate({a: b, r: writer, r2: b})
+        assert order.reachable(competitor.node, writer.node)
 
 
 class TestSaturateTrace:
@@ -246,23 +280,17 @@ def _assignments(trace, seed):
                for read in observed}
 
 
-def _engine_outcome(backend, trace, reads_from, positions):
+def _engine_outcome(backend, trace, reads_from):
     """The engine's saturation of ``reads_from`` over the sync order:
     ``(cyclic, successor of every event on every chain)``, the relation
-    only when acyclic.  With ``positions`` the sync edges go through the
-    engine, which then skips reads by trace position, as
-    :class:`SaturatedOrder` does."""
+    only when acyclic.  Reshuffled assignments insert edges that lead
+    backwards in the trace, which turns the engine's skip by trace
+    position off."""
     chains = max(trace.threads) + 1
     order = make_partial_order(backend, chains, trace.max_thread_length)
-    engine = SaturationEngine(Frontiers(order), trace.writes_by_variable())
+    engine = _engine(trace, order)
     try:
-        if positions:
-            engine.positions = trace.columns().thread_positions
-            for source, target in sync_edges(trace):
-                engine.add_ordering(trace.event_at(source),
-                                    trace.event_at(target))
-        else:
-            build_sync_order(trace, order)
+        _sync(engine, trace)
         engine.saturate(reads_from)
     except CycleDetected:
         return True, None
@@ -280,28 +308,47 @@ class TestClosureOracle:
     reshuffled (often infeasible) assignments.  The edges it inserts to
     get there may differ."""
 
-    @pytest.mark.parametrize("positions", (False, True),
-                             ids=("plain", "positions"))
     @pytest.mark.parametrize("backend", incremental_backends() + ("csst",))
     @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "-".join(map(str, s)))
-    def test_matches_closure_oracle(self, backend, shape, positions):
+    def test_matches_closure_oracle(self, backend, shape):
         kind, threads, events, seed = shape
         trace = build_trace(kind, threads, events, seed=seed)
         cycles = 0
         for reads_from in _assignments(trace, seed):
             oracle = SaturationOracle(trace, reads_from)
-            cyclic, relation = _engine_outcome(backend, trace, reads_from,
-                                               positions)
+            cyclic, relation = _engine_outcome(backend, trace, reads_from)
             assert cyclic == oracle.cyclic
             if not cyclic:
                 assert relation == oracle.successors(max(trace.threads) + 1)
             cycles += cyclic
         assert cycles < 4  # the observed assignment is always feasible
 
+    @pytest.mark.parametrize("backend", incremental_backends())
+    def test_edges_against_trace_order_match_the_oracle(self, backend):
+        """A feasible assignment whose writer follows its read in the trace
+        inserts an edge that leads backwards, after which the engine checks
+        reads without its skip by trace position."""
+        backward = 0
+        for seed in range(20):
+            trace = build_trace("racy", 3, 8, seed=seed)
+            positions = trace.columns().thread_positions
+            for reads_from in _assignments(trace, seed):
+                oracle = SaturationOracle(trace, reads_from)
+                cyclic, relation = _engine_outcome(backend, trace, reads_from)
+                assert cyclic == oracle.cyclic
+                if cyclic:
+                    continue
+                assert relation == oracle.successors(max(trace.threads) + 1)
+                backward += any(
+                    positions[write.thread][write.index]
+                    > positions[read.thread][read.index]
+                    for read, write in reads_from.items() if write is not None)
+        assert backward
+
     def test_reshuffled_assignments_reach_cycles(self):
         """The reshuffled assignments exercise the CycleDetected path."""
         outcomes = [
-            _engine_outcome("incremental-csst", trace, reads_from, False)[0]
+            _engine_outcome("incremental-csst", trace, reads_from)[0]
             for kind, threads, events, seed in SHAPES
             for trace in [build_trace(kind, threads, events, seed=seed)]
             for reads_from in _assignments(trace, seed)]
@@ -445,8 +492,8 @@ class TestFixpoint:
         trace = build_trace(kind, threads, events, seed=seed)
         order = make_partial_order(backend, max(trace.threads) + 1,
                                    trace.max_thread_length)
-        build_sync_order(trace, order)
-        engine = SaturationEngine(Frontiers(order), trace.writes_by_variable())
+        engine = _engine(trace, order)
+        _sync(engine, trace)
         assert engine.saturate(trace.reads_from()) > 0
         assert engine.saturate(trace.reads_from()) == 0
 
