@@ -4,7 +4,6 @@ saturation, result containers)."""
 from repro.analyses.common.base import Analysis, AnalysisResult, BackendSpec
 from repro.analyses.common.hb import (
     Frontiers,
-    events_between,
     insert_ordering,
     lock_graph,
     sync_edges,
@@ -29,7 +28,6 @@ __all__ = [
     "SaturatedOrder",
     "SaturationAnalysis",
     "SaturationEngine",
-    "events_between",
     "insert_ordering",
     "lock_graph",
     "saturate_trace",

@@ -136,18 +136,32 @@ class Frontiers:
     ``e ->* (t, i)`` iff ``successor(e, t) <= i``.  A caller that asks
     about many nodes of one chain pays one query, not one per node.
 
-    Each frontier is queried on first use and kept, keyed by node and
-    chain.  :meth:`insert` extends the order and drops every kept
-    frontier when an edge goes in, so each answer is the one a
-    ``reachable`` call would give at that moment.  Edges inserted or
-    deleted on the order directly are not seen; an analysis that deletes
-    edges (linearizability) asks its order directly.
+    Two kinds of question are kept.  :meth:`predecessor` and
+    :meth:`successor` (and :meth:`reaches` and :meth:`ordered` on top)
+    ask one chain at a time, keyed by node and chain.  :meth:`row` asks
+    one node's predecessor frontier on every chain at once, through
+    ``PartialOrder.frontier`` (one clock slice on ``vc-flat``, one lookup
+    per chain behind one node check on the incremental CSST).  A row pays
+    off where a node is asked about many chains between inserts: the
+    witness cones (:meth:`cone`) and race-prediction's candidate filter,
+    which run after saturation and insert nothing.  Saturation asks one
+    or two chains of a node between inserts, and every insert drops the
+    rows: served from rows, it got 2-5x slower at 64 threads
+    (``docs/performance.md``), so it stays on the per-chain questions.
+
+    Each answer is queried on first use and kept.  :meth:`insert` extends
+    the order and drops every kept answer when an edge goes in, so each
+    answer is the one a ``reachable`` call would give at that moment.
+    Edges inserted or deleted on the order directly are not seen; an
+    analysis that deletes edges (linearizability) asks its order
+    directly.
     """
 
     def __init__(self, order: PartialOrder) -> None:
         self._order = order
         self._predecessors: Dict[Node, Dict[int, int]] = {}
         self._successors: Dict[Node, Dict[int, int]] = {}
+        self._rows: Dict[Node, List[int]] = {}
 
     @property
     def order(self) -> PartialOrder:
@@ -167,6 +181,7 @@ class Frontiers:
         self._order.insert_edge(source, target)
         self._predecessors.clear()
         self._successors.clear()
+        self._rows.clear()
         return True
 
     def predecessor(self, node: Node, chain: int) -> int:
@@ -194,6 +209,15 @@ class Frontiers:
             value = known[chain] = self._order.successor(node, chain)
         return value
 
+    def row(self, node: Node) -> List[int]:
+        """``predecessor(node, t)`` for every chain ``t``, in one
+        ``frontier`` call; entry ``node[0]`` is the node's index.  The
+        list is shared: read it, do not change it."""
+        row = self._rows.get(node)
+        if row is None:
+            row = self._rows[node] = self._order.frontier(node, "predecessor")
+        return row
+
     def reaches(self, source: Node, target: Node) -> bool:
         """Whether ``source`` happens before (or is) ``target``."""
         return source[1] <= self.predecessor(target, source[0])
@@ -204,36 +228,23 @@ class Frontiers:
 
     def cone(self, anchors: Sequence[Node], threads: Iterable[int],
              inclusive: bool) -> Dict[int, int]:
-        """Latest index per thread that happens before some anchor.
+        """Latest index per thread that happens before some anchor (one
+        or more), read off the anchors' rows.
 
         On an anchor's own thread the bound is the anchor itself when
         ``inclusive``, else the event just before it.  Threads with no
         such event are left out.
         """
-        own_offset = 0 if inclusive else 1
-        cone: Dict[int, int] = {}
-        for thread in threads:
-            best = -1
-            for anchor in anchors:
-                if thread == anchor[0]:
-                    value = anchor[1] - own_offset
-                else:
-                    value = self.predecessor(anchor, thread)
-                if value > best:
-                    best = value
-            if best >= 0:
-                cone[thread] = best
-        return cone
-
-
-def events_between(trace: Trace, thread: int, start_index: int,
-                   end_index: int) -> Iterable[Event]:
-    """Events of ``thread`` with index in ``[start_index, end_index]``."""
-    events = trace.thread_events(thread)
-    start = max(start_index, 0)
-    end = min(end_index, len(events) - 1)
-    for index in range(start, end + 1):
-        yield events[index]
+        rows = []
+        for node in anchors:
+            row = self.row(node)
+            if not inclusive:
+                row = row.copy()
+                row[node[0]] -= 1
+            rows.append(row)
+        bounds = rows[0] if len(rows) == 1 else list(map(max, *rows))
+        return {thread: bounds[thread] for thread in threads
+                if bounds[thread] >= 0}
 
 
 def lock_graph(trace: Trace) -> Dict[object, Dict[object, List[Tuple[Event, Event]]]]:

@@ -136,10 +136,16 @@ class MemoryBugAnalysis(SaturationAnalysis):
         # Enabling condition: every read of the access's thread prefix (up
         # to the access) whose writer lies in another thread must be able to
         # keep its writer before it even when the free is moved earlier.
+        columns = trace.columns()
+        read_flags = columns.read_flags
+        events = columns.events
         window_start = max(0, access.index - self._enabling_window)
-        for event in trace.thread_events(access.thread)[window_start : access.index]:
-            if not event.is_read:
+        positions = columns.thread_positions.get(access.thread, ())
+        for position in positions[window_start : access.index]:
+            # Non-reads drop on the one-byte flag, no Event touched.
+            if not read_flags[position]:
                 continue
+            event = events[position]
             writer = reads_from.get(event)
             if writer is None or writer.thread == event.thread:
                 continue

@@ -87,10 +87,17 @@ class RacePredictionAnalysis(SaturationAnalysis):
                  result: AnalysisResult) -> None:
         # Phase 2, after the closure of the observed trace (sync order plus
         # reads-from saturation): candidate enumeration and witness checks.
-        # It inserts no edges, so every frontier is asked at most once.
-        # Only pairs whose later access is new since the last call are
-        # enumerated; lock-protected pairs never go in, and ordered ones
-        # leave for good.
+        # It inserts no edges, so one predecessor row per event, read once,
+        # decides whether each of its pairs is ordered either way.  Only
+        # pairs whose later access is new since the last call are
+        # enumerated; ordered and lock-protected pairs never go in, and
+        # pairs the grown order rules out leave for good.
+        row = frontiers.row
+
+        def ordered(first: Event, second: Event) -> bool:
+            return (first.index <= row(second.node)[first.thread]
+                    or second.index <= row(first.node)[second.thread])
+
         cap = self._max_candidates
         if cap is not None:
             # A cap keeps the first pairs in batch order, which new events
@@ -107,16 +114,16 @@ class RacePredictionAnalysis(SaturationAnalysis):
             new = []
             for i, j in pairs:
                 first, second = accesses[i], accesses[j]
-                if not locks_held[first.node] & locks_held[second.node]:
+                if not (ordered(first, second)
+                        or locks_held[first.node] & locks_held[second.node]):
                     new.append((i, j, first, second))
             kept.add(variable, new)
         result.details["candidates"] = kept.total
         witness = _WitnessCheck(
             trace, frontiers, self._witness_window,
             saturated="closure_cycle" not in result.details)
-        ordered = frontiers.ordered
         for _i, _j, first, second in kept.sweep(
-                lambda pair: ordered(pair[2].node, pair[3].node)):
+                lambda pair: ordered(pair[2], pair[3])):
             if witness.feasible(first, second):
                 result.findings.append(Race(first, second))
         result.details["checked"] = kept.total

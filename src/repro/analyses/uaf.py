@@ -96,7 +96,8 @@ class UseAfterFreeAnalysis(SaturationAnalysis):
         candidates = self._candidates(trace)
         result.details["candidates"] = len(candidates)
         reads_from = trace.reads_from()
-        # Query generation inserts no edges: each frontier is asked once.
+        # Query generation inserts no edges: each event's predecessor row
+        # is asked once.
         total_constraints = 0
         for free, use in candidates:
             if self._max_candidates is not None and len(result.findings) >= self._max_candidates:
@@ -147,7 +148,9 @@ class UseAfterFreeAnalysis(SaturationAnalysis):
                 use: Event, reads_from) -> Optional[ConstraintQuery]:
         """Encode the candidate as a constraint query, or return ``None`` if
         the partial order already rules the candidate out."""
-        if frontiers.reaches(use.node, free.node):
+        # The free's predecessor row answers this and is read again by the
+        # cone.
+        if use.index <= frontiers.row(free.node)[use.thread]:
             return None
         # The witness executes both events themselves, hence ``inclusive``.
         cone = frontiers.cone((free.node, use.node), trace.threads,

@@ -237,6 +237,9 @@ class _Attachment:
     name: str
     native: bool
     emitted: set = field(default_factory=set)
+    # A native analysis rediscovers its findings at every flush: each one
+    # is keyed once (finding -> finding_key), not walked again.
+    keys: dict = field(default_factory=dict)
     last_result: Optional[AnalysisResult] = None
     last_error: Optional[str] = None
     # Telemetry instruments, bound once at engine construction when a
@@ -245,6 +248,19 @@ class _Attachment:
     m_feed: Any = None
     m_flush: Any = None
     m_findings: Any = None
+
+
+def _native_key(attachment: _Attachment, finding: Any) -> str:
+    """``finding_key(finding)``, kept per native attachment; a finding
+    that cannot be hashed is walked every time."""
+    keys = attachment.keys
+    try:
+        key = keys.get(finding)
+    except TypeError:
+        return finding_key(finding)
+    if key is None:
+        key = keys[finding] = finding_key(finding)
+    return key
 
 
 # --------------------------------------------------------------------------- #
@@ -474,7 +490,7 @@ class StreamEngine:
                 else:
                     found = attachment.analysis.feed(event)
                 for finding in found:
-                    key = finding_key(finding)
+                    key = _native_key(attachment, finding)
                     # The dedup check matters when a restored engine
                     # rebuilds: re-feeding its history rediscovers findings
                     # whose keys were restored, and those must not re-emit.
@@ -573,8 +589,8 @@ class StreamEngine:
                 continue
             attachment.last_error = None
             for finding in result.findings:
-                key = finding_key(finding,
-                                  None if attachment.native else offsets)
+                key = _native_key(attachment, finding) if attachment.native \
+                    else finding_key(finding, offsets)
                 if key not in attachment.emitted:
                     self._emit(attachment, finding, key)
             attachment.last_result = result

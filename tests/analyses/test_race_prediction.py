@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.analyses.common.hb import Frontiers, insert_ordering, sync_edges
-from repro.analyses.common.saturation import saturate_trace
+from repro.analyses.common.saturation import SaturatedOrder, saturate_trace
 from repro.analyses.race_prediction import (
     Race,
     RacePredictionAnalysis,
@@ -13,6 +13,7 @@ from repro.analyses.race_prediction import (
     predict_races,
 )
 from repro.core import make_partial_order
+from repro.core.factory import incremental_backends
 from repro.trace import Trace
 from repro.trace.generators import build_trace, racy_trace
 
@@ -294,3 +295,128 @@ class TestFrontierWitness:
             trace.writes_by_variable())
         check = _WitnessCheck(trace, Frontiers(order), window=40)
         assert not check.feasible(first, second)
+
+
+class _AssignedTrace(Trace):
+    """A growing trace whose reads observe ``assignment`` (read -> writer
+    or ``None``).  A read's entry appears once the read and its writer
+    are both in the trace, after the entries before it, so an entry whose
+    writer follows its read is an edge that leads backwards in the
+    trace."""
+
+    def __init__(self, assignment):
+        super().__init__(name="assigned")
+        self._assignment = assignment
+        self._present = set()
+        self._waiting = {}
+        self._entries = {}
+
+    def add(self, event):
+        super().add(event)
+        self._present.add(event)
+        if event in self._assignment:
+            writer = self._assignment[event]
+            if writer is None or writer in self._present:
+                self._entries[event] = writer
+            else:
+                self._waiting.setdefault(writer, []).append(event)
+        for read in self._waiting.pop(event, ()):
+            self._entries[read] = event
+        return event
+
+    def reads_from(self):
+        return dict(self._entries)
+
+
+def _reshuffled(trace, rng):
+    """Each read of ``trace`` observes a random other write of its
+    variable, wherever it sits in the trace."""
+    writes = trace.writes_by_variable()
+    assignment = {}
+    for read in trace.reads_from():
+        others = [write for write in writes.get(read.variable, ())
+                  if write is not read]
+        assignment[read] = rng.choice(others) if others else None
+    return assignment
+
+
+def _flushed_candidates(backend, events, grown, flush_every):
+    """Feed ``events`` into the empty trace ``grown`` and run
+    race-prediction on its kept order every ``flush_every`` events, as a
+    stream flush does.  Yields, after each flush that met no cycle, the
+    trace, the order and the live candidates as node pairs."""
+    analysis = RacePredictionAnalysis(backend)
+    full = Trace()
+    for event in events:
+        full.add(event)
+    order = analysis._make_order(full)
+    analysis._kept = SaturatedOrder(order)
+    for position, event in enumerate(events, 1):
+        grown.add(event)
+        if position % flush_every and position != len(events):
+            continue
+        result = analysis.run(grown, order)
+        if "closure_cycle" in result.details:
+            return
+        yield grown, order, {
+            (first.node, second.node) for _i, _j, first, second
+            in analysis._kept.candidates.sweep(lambda pair: False)}
+
+
+def _reference_candidates(trace, order):
+    """The conflicting pairs of ``trace`` in the default window that no
+    common lock protects and ``reachable`` orders neither way, and how
+    many pairs only the later access's path to the earlier one orders."""
+    locks_held = trace.locks_held_map()
+    live, backwards = set(), 0
+    for first, second in _ReachableLoopRace()._conflicting_pairs(trace):
+        if locks_held[first.node] & locks_held[second.node]:
+            continue
+        if order.reachable(first.node, second.node):
+            continue
+        if order.reachable(second.node, first.node):
+            backwards += 1
+            continue
+        live.add((first.node, second.node))
+    return live, backwards
+
+
+class TestLiveCandidates:
+    """After every flush the kept candidates are exactly the unprotected
+    conflicting pairs that pairwise ``reachable`` leaves unordered, on the
+    observed assignment and on reshuffled ones whose edges lead
+    backwards in the trace, where the reverse test decides."""
+
+    KINDS = [("racy", 3, 14), ("locked-mix", 3, 24), ("racy", 6, 10)]
+
+    @pytest.mark.parametrize("backend", incremental_backends())
+    @pytest.mark.parametrize("kind,threads,events", KINDS)
+    def test_observed_assignment(self, backend, kind, threads, events):
+        for seed in range(4):
+            trace = build_trace(kind, num_threads=threads, events=events,
+                                seed=seed)
+            flushes = 0
+            for prefix, order, live in _flushed_candidates(
+                    backend, list(trace), Trace(), flush_every=7):
+                assert live == _reference_candidates(prefix, order)[0]
+                flushes += 1
+            assert flushes == -(-len(trace) // 7)
+
+    @pytest.mark.parametrize("backend", incremental_backends())
+    def test_reshuffled_assignments(self, backend):
+        backwards = flushes = 0
+        for kind, threads, events in self.KINDS:
+            for seed in range(6):
+                trace = build_trace(kind, num_threads=threads,
+                                    events=events, seed=seed)
+                rng = random.Random(seed)
+                for _ in range(3):
+                    grown = _AssignedTrace(_reshuffled(trace, rng))
+                    for prefix, order, live in _flushed_candidates(
+                            backend, list(trace), grown, flush_every=7):
+                        expected, reverse = _reference_candidates(prefix,
+                                                                  order)
+                        assert live == expected
+                        backwards += reverse
+                        flushes += 1
+        assert flushes and backwards

@@ -33,7 +33,9 @@ The frontier memo the saturation analyses share (``hb.Frontiers``) is
 checked on both families of DAGs as well: its inserts interleave with
 ``predecessor``/``successor``/``reaches`` questions, every frontier is
 cached before the next insert, and every answer after it must match the
-closure, so a frontier kept across an insert shows.
+closure, so a frontier kept across an insert shows.  Its witness cone
+(``Frontiers.cone``), read off one predecessor row per anchor, is
+checked against the closure the same way, inclusive and exclusive.
 """
 
 import random
@@ -347,6 +349,68 @@ def test_frontier_memo_matches_closure_oracle_on_shuffled_inserts(
         _frontier_insert(frontiers, oracle, edge, context)
         assert not frontiers.insert(*edge), context
         _assert_frontiers_agree(frontiers, oracle, context)
+
+
+def _oracle_cone(oracle, anchors, inclusive):
+    """Per chain, the latest node that reaches some anchor (the anchor
+    itself only when ``inclusive``), as the closure says."""
+    cone = {}
+    for node in oracle.nodes:
+        if any(oracle.reach[node][anchor] and (inclusive or node != anchor)
+               for anchor in anchors):
+            chain, index = node
+            cone[chain] = max(cone.get(chain, -1), index)
+    return cone
+
+
+def _assert_cones_agree(frontiers, oracle, rng, context):
+    """Cones of every single node and of random sets of two and three
+    anchors, inclusive and exclusive."""
+    nodes = oracle.nodes
+    anchor_sets = [(node,) for node in nodes]
+    anchor_sets += [tuple(rng.sample(nodes, size))
+                    for size in (2, 2, 2, 3) for _ in range(len(nodes) // 4)]
+    threads = range(oracle.num_chains)
+    for anchors in anchor_sets:
+        for inclusive in (True, False):
+            assert frontiers.cone(anchors, threads, inclusive) == \
+                _oracle_cone(oracle, anchors, inclusive), \
+                (context, "cone", anchors, inclusive)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("backend", FRONTIER_BACKENDS)
+def test_row_cone_matches_closure_oracle(backend, seed):
+    """Every cone is asked before the next insert, so rows kept across
+    an insert would show."""
+    rng = random.Random(seed)
+    num_chains = rng.randint(2, MAX_CHAINS)
+    per_chain = rng.randint(1, MAX_EVENTS)
+    frontiers = Frontiers(make_partial_order(backend, num_chains,
+                                             capacity_hint=2))
+    oracle = ClosureOracle(num_chains, per_chain)
+    _assert_cones_agree(frontiers, oracle, rng, (backend, seed, "empty"))
+    for step in range(3 * per_chain):
+        edge = _draw_insert(rng, oracle)
+        if edge is None:
+            continue
+        _frontier_insert(frontiers, oracle, edge, (backend, seed, step))
+        _assert_cones_agree(frontiers, oracle, rng, (backend, seed, step))
+
+
+@pytest.mark.parametrize("seed", WIDE_SEEDS)
+@pytest.mark.parametrize("num_chains,per_chain", WIDE_SHAPES)
+@pytest.mark.parametrize("backend", FRONTIER_BACKENDS)
+def test_row_cone_matches_closure_oracle_on_shuffled_inserts(
+        backend, num_chains, per_chain, seed):
+    rng = random.Random(seed)
+    frontiers = Frontiers(make_partial_order(backend, num_chains,
+                                             capacity_hint=2))
+    oracle = ClosureOracle(num_chains, per_chain)
+    for step, edge in enumerate(
+            _shuffled_dag_edges(num_chains, per_chain, seed)):
+        _frontier_insert(frontiers, oracle, edge, (backend, seed, step))
+        _assert_cones_agree(frontiers, oracle, rng, (backend, seed, step))
 
 
 def test_oracle_covers_both_families():

@@ -237,6 +237,35 @@ class TestFindingKey:
         c = Event(thread=1, index=8, kind=EventKind.READ, variable="x")
         assert finding_key(Race(a, b)) != finding_key(Race(a, c))
 
+    def test_native_findings_are_keyed_once(self, monkeypatch):
+        import repro.stream.engine as engine_module
+
+        walked = []
+
+        def counting_key(finding, base=None):
+            walked.append(finding)
+            return finding_key(finding, base)
+
+        monkeypatch.setattr(engine_module, "finding_key", counting_key)
+        trace = racy_trace(num_threads=3, events_per_thread=40, seed=1)
+        engine = StreamEngine(["race-prediction"],
+                              window=UnboundedWindow(flush_every=10))
+        result = engine.run(TraceSource(trace))
+        attachment = engine._attachments[0]
+        assert attachment.native
+        assert result.stats.flushes > 2
+        assert len(walked) == len(attachment.keys) == len(attachment.emitted)
+        assert set(attachment.keys.values()) == attachment.emitted
+
+    def test_unhashable_findings_are_walked(self):
+        from repro.stream.engine import _Attachment, _native_key
+
+        attachment = _Attachment(analysis=None, name="x", native=True)
+        finding = [Event(thread=0, index=1, kind=EventKind.WRITE,
+                         variable="x")]
+        assert _native_key(attachment, finding) == finding_key(finding)
+        assert attachment.keys == {}
+
 
 class TestLifetime:
     """A finished engine is freed by reference counting alone: its view
