@@ -5,34 +5,23 @@ chain, random windowed cross-chain edges between unordered endpoints, then
 random reachability queries.  The paper's expectation -- linear insertion
 cost for Vector Clocks versus logarithmic for STs/CSSTs, and near-constant
 queries for Vector Clocks -- should be visible in the per-operation times.
+The inputs come from the one Figure 11 protocol builder,
+:func:`repro.bench.perf.fig11_protocol`, seeded as ``run_figure11`` seeds it.
 """
-
-import random
 
 import pytest
 
+from repro.bench.perf import fig11_protocol
 from repro.core import INCREMENTAL_BACKENDS, make_partial_order
-from repro.trace.generators import random_cross_edges
 
 CHAIN_COUNTS = (10, 20)
 CHAIN_LENGTHS = (250, 500, 1000)
-WINDOW = 200
 QUERIES = 2_000
 
 
 def _prepare(num_chains: int, chain_length: int):
-    candidates = random_cross_edges(
-        num_chains, chain_length, count=chain_length, window=WINDOW, seed=7,
-    )
-    rng = random.Random(7 + chain_length)
-    queries = [
-        (
-            (rng.randrange(num_chains), rng.randrange(chain_length)),
-            (rng.randrange(num_chains), rng.randrange(chain_length)),
-        )
-        for _ in range(QUERIES)
-    ]
-    return candidates, queries
+    return fig11_protocol(num_chains, chain_length, edges=chain_length,
+                          queries=QUERIES, query_seed=7 + chain_length)
 
 
 def _build_order(backend: str, num_chains: int, chain_length: int, candidates):

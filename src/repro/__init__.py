@@ -34,11 +34,11 @@ Sub-packages
     The seven dynamic analyses of the paper's evaluation, written against
     the generic partial-order interface.
 ``repro.bench``
-    Benchmark harness used by the ``benchmarks/`` suites to regenerate the
-    paper's tables and figures.
+    The paper's tables and figures (``python -m repro.bench``) and the
+    perf-regression ledger (``python -m repro bench perf``).
 ``repro.runner``
-    Sweep runner: named trace suites fanned out over parallel worker
-    processes (``python -m repro sweep``).
+    Sweep runner: named trace suites, the paper's tables among them,
+    fanned out over parallel worker processes (``python -m repro sweep``).
 ``repro.stream``
     Streaming engine: online event ingestion, windowed incremental
     analyses, checkpoint/restore (``python -m repro watch``).

@@ -1,84 +1,33 @@
-"""Benchmark harness: measurement helpers, workload configurations, the
-functions that regenerate the paper's tables and figures, and the
-perf-regression suite (:mod:`repro.bench.perf`, ``repro bench perf``)."""
+"""Benchmark harness: the paper's tables and figures
+(``python -m repro.bench``: Tables 1-7 run as sweep suites, Figure 10 from
+their records, Figure 11's kernel protocol) and the perf-regression suite
+(:mod:`repro.bench.perf`, ``repro bench perf``)."""
 
-from repro.bench.export import (
-    crossover_to_csv,
-    figure11_to_csv,
-    rows_to_csv,
-    table_to_csv,
-    table_to_csv_string,
-)
-from repro.bench.harness import (
-    BenchmarkRow,
-    MeasuredRun,
-    TableResult,
-    geometric_mean,
-    measure,
-    render_table,
-)
-from repro.bench.tables import (
-    ALL_TABLE_RUNNERS,
-    BACKEND_LABELS,
-    CrossoverResult,
-    Figure10Result,
-    Figure11Result,
-    ScalabilityPoint,
-    run_analysis_table,
-    run_crossover,
-    run_figure10,
-    run_figure11,
-    run_table1,
-    run_table2,
-    run_table3,
-    run_table4,
-    run_table5,
-    run_table6,
-    run_table7,
-)
 from repro.bench.perf import (
+    BACKEND_LABELS,
     DEFAULT_THRESHOLD,
+    Figure11Result,
     PerfCase,
+    ScalabilityPoint,
     build_baseline,
     compare_documents,
+    fig11_protocol,
+    run_figure11,
     run_perf,
 )
-from repro.bench.workloads import ALL_TABLES, Workload
+from repro.bench.tables import TABLE_SUITES, format_figure10
 
 __all__ = [
-    "ALL_TABLES",
-    "ALL_TABLE_RUNNERS",
     "BACKEND_LABELS",
-    "BenchmarkRow",
-    "CrossoverResult",
     "DEFAULT_THRESHOLD",
-    "Figure10Result",
     "Figure11Result",
-    "MeasuredRun",
     "PerfCase",
     "ScalabilityPoint",
-    "TableResult",
-    "Workload",
+    "TABLE_SUITES",
     "build_baseline",
     "compare_documents",
-    "run_perf",
-    "crossover_to_csv",
-    "figure11_to_csv",
-    "geometric_mean",
-    "measure",
-    "render_table",
-    "rows_to_csv",
-    "run_analysis_table",
-    "run_crossover",
-    "run_figure10",
+    "fig11_protocol",
+    "format_figure10",
     "run_figure11",
-    "table_to_csv",
-    "table_to_csv_string",
-    "run_table1",
-    "run_table2",
-    "run_table3",
-    "run_table4",
-    "run_table5",
-    "run_table6",
-    "run_table7",
+    "run_perf",
 ]

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Dict
 
-from repro.bench.harness import TableResult
-from repro.bench.tables import ALL_TABLE_RUNNERS, run_figure10, run_figure11
+from repro.bench.perf import run_figure11
+from repro.bench.tables import TABLE_SUITES, format_figure10
 from repro.errors import ReproError, exit_code_for
+from repro.runner.corpus import get_suite
+from repro.runner.executor import run_suite
 
 
 def main(argv=None) -> int:
@@ -52,25 +53,26 @@ def _main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.tables == "all":
-        selected = list(ALL_TABLE_RUNNERS)
+        selected = list(TABLE_SUITES)
     else:
         selected = [name.strip() for name in args.tables.split(",") if name.strip()]
-        unknown = [name for name in selected if name not in ALL_TABLE_RUNNERS]
+        unknown = [name for name in selected if name not in TABLE_SUITES]
         if unknown:
             parser.error(f"unknown tables: {', '.join(unknown)}")
 
-    results: Dict[str, TableResult] = {}
+    results = {}
     for name in selected:
-        table = ALL_TABLE_RUNNERS[name](scale=args.scale)
-        results[name] = table
-        print(table.format())
+        result = results[name] = run_suite(name, scale=args.scale,
+                                           memory=True)
+        title = get_suite(name).description
+        print(result.format_pivot(title))
         if args.memory:
-            print(table.format(metric="memory"))
+            print(result.format_pivot(title, metric="peak_bytes"))
         print()
 
     if not args.skip_figures:
-        if set(selected) == set(ALL_TABLE_RUNNERS):
-            print(run_figure10(tables=results).format())
+        if set(selected) == set(TABLE_SUITES):
+            print(format_figure10(results))
             print()
         print(run_figure11().format())
     return 0

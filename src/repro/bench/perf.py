@@ -8,9 +8,10 @@ regression threshold.
 
 Two kinds of cases:
 
-* **Kernel cases** replay the Figure 11 scalability protocol (insert random
-  windowed cross-chain edges between unordered endpoints, then issue batch
-  reachability queries) against the paper's backends, plus a raw
+* **Kernel cases** replay the Figure 11 scalability protocol
+  (:func:`fig11_protocol`: insert random windowed cross-chain edges
+  between unordered endpoints, then issue batch reachability queries)
+  against the paper's backends, plus a raw
   suffix-minima op mix on the SST (``sst-ops/flat``, named when the SST
   still had an object twin, so its trend keeps its history).
 * **Analysis cases** run whole analyses over fixed synthetic workloads on
@@ -24,6 +25,10 @@ seconds are machine-dependent -- the committed baseline anchors *this*
 repo's reference machine and CI, and the default threshold (2x) absorbs
 machine-to-machine variance; the ``speedups`` section (ratios of two cases
 on the same machine, same run) is the machine-independent signal.
+
+The paper's Figure 11 (:func:`run_figure11`, printed by ``python -m
+repro.bench``) replays the same protocol over a grid of chain counts and
+lengths and reports mean seconds per insert and per query.
 """
 
 from __future__ import annotations
@@ -33,12 +38,13 @@ import json
 import os
 import platform
 import random
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.bench.harness import measure, render_table
-from repro.bench.workloads import FIGURE11_WINDOW
+from repro.core import INCREMENTAL_BACKENDS
 from repro.errors import BenchmarkError
+from repro.runner.results import render_table
 
 PERF_FORMAT_VERSION = 1
 DEFAULT_REPEATS = 3
@@ -117,25 +123,38 @@ class _Fig11Candidates:
 KERNEL_RUNS_PER_SAMPLE = 5
 
 
-def _fig11_protocol(quick: bool):
-    """Backend-independent setup of the Figure 11 protocol: the candidate
-    cross-chain edges and the batch query mix, shared by every
-    ``fig11/*`` case (all seeds are fixed, so every backend replays the
-    identical protocol)."""
+#: Cross-edge window of the Figure 11 protocol.
+FIGURE11_WINDOW = 200
+
+
+def fig11_protocol(num_chains: int, chain_length: int, edges: int,
+                   queries: int, query_seed: int, window: int = FIGURE11_WINDOW,
+                   seed: int = 7):
+    """The Figure 11 protocol's inputs: ``edges`` candidate windowed
+    cross-chain edges (seeded by ``seed``) and ``queries`` random query
+    pairs (``random.Random(query_seed)``).  All seeds are fixed, so every
+    backend replays the identical protocol."""
     from repro.trace.generators import random_cross_edges
 
-    num_chains = 10
-    chain_length = 250 if quick else 1000
-    queries = 400 if quick else 2000
-    candidates = random_cross_edges(
-        num_chains, chain_length, count=chain_length,
-        window=FIGURE11_WINDOW, seed=7)
-    rng = random.Random(1234)
+    candidates = random_cross_edges(num_chains, chain_length, count=edges,
+                                    window=window, seed=seed)
+    rng = random.Random(query_seed)
     query_pairs = [
         ((rng.randrange(num_chains), rng.randrange(chain_length)),
          (rng.randrange(num_chains), rng.randrange(chain_length)))
         for _ in range(queries)
     ]
+    return candidates, query_pairs
+
+
+def _fig11_protocol(quick: bool):
+    """The ``fig11/*`` ledger cases' protocol: 10 chains, one candidate
+    edge per event of a chain, query pairs from ``Random(1234)``."""
+    num_chains = 10
+    chain_length = 250 if quick else 1000
+    candidates, query_pairs = fig11_protocol(
+        num_chains, chain_length, edges=chain_length,
+        queries=400 if quick else 2000, query_seed=1234)
     return num_chains, chain_length, candidates, query_pairs
 
 
@@ -399,6 +418,123 @@ def default_cases() -> List[PerfCase]:
 
 
 # --------------------------------------------------------------------------- #
+# Figure 11: controlled scalability experiment
+# --------------------------------------------------------------------------- #
+#: Human-readable labels for backend names (column headers in the paper).
+BACKEND_LABELS = {
+    "vc-flat": "VCs",
+    "st": "STs",
+    "incremental-csst": "CSSTs",
+    "csst": "CSSTs (dyn)",
+    "graph": "Graphs",
+}
+
+#: The Figure 11 grid, scaled down from the paper's (4-8)x10^4 and
+#: (0.25-1)x10^6 events per chain.
+FIGURE11_CHAIN_LENGTHS: Sequence[int] = (250, 500, 1000, 2000)
+FIGURE11_CHAIN_COUNTS: Sequence[int] = (10, 20)
+
+
+@dataclass
+class ScalabilityPoint:
+    """One data point of Figure 11."""
+
+    backend: str
+    num_chains: int
+    chain_length: int
+    insert_seconds: float     #: mean seconds per successful edge insertion
+    query_seconds: float      #: mean seconds per reachability query
+    inserted_edges: int
+    queries: int
+
+
+@dataclass
+class Figure11Result:
+    """All measured points of the scalability experiment."""
+
+    points: List[ScalabilityPoint] = field(default_factory=list)
+
+    def series(self, backend: str, num_chains: int, metric: str = "insert_seconds"
+               ) -> List[Tuple[int, float]]:
+        """The (chain length, value) series for one backend and chain count."""
+        return sorted(
+            (point.chain_length, getattr(point, metric))
+            for point in self.points
+            if point.backend == backend and point.num_chains == num_chains
+        )
+
+    def format(self) -> str:
+        lines = ["Figure 11: scalability (mean seconds per operation)", "-" * 78]
+        lines.append(
+            f"{'backend':18s} {'k':>3s} {'len':>7s} {'insert (us)':>12s} {'query (us)':>12s}"
+        )
+        for point in sorted(self.points, key=lambda p: (p.backend, p.num_chains,
+                                                        p.chain_length)):
+            lines.append(
+                f"{BACKEND_LABELS.get(point.backend, point.backend):18s} "
+                f"{point.num_chains:>3d} {point.chain_length:>7d} "
+                f"{point.insert_seconds * 1e6:>12.2f} {point.query_seconds * 1e6:>12.2f}"
+            )
+        lines.append("-" * 78)
+        return "\n".join(lines)
+
+
+def run_figure11(backends: Sequence[str] = INCREMENTAL_BACKENDS,
+                 chain_lengths: Sequence[int] = FIGURE11_CHAIN_LENGTHS,
+                 chain_counts: Sequence[int] = FIGURE11_CHAIN_COUNTS,
+                 edges_per_length: float = 1.0, queries: int = 2_000,
+                 window: int = FIGURE11_WINDOW, seed: int = 7) -> Figure11Result:
+    """Reproduce the Figure 11 protocol.
+
+    For every combination of backend, chain count ``k`` and chain length
+    ``l``: start from an empty order of ``k`` chains, attempt to insert
+    ``edges_per_length * l`` random windowed cross-chain edges between
+    unordered endpoints (measuring mean insertion time), then issue
+    ``queries`` random reachability queries (measuring mean query time).
+    The paper attempts ``20 l`` edges; the default here is ``1 l`` to keep
+    the pure-Python Vector Clock baseline (linear-time insertions) from
+    dominating the benchmark wall-clock.
+    """
+    from repro.core import make_partial_order
+
+    figure = Figure11Result()
+    for num_chains in chain_counts:
+        for chain_length in chain_lengths:
+            candidates, query_pairs = fig11_protocol(
+                num_chains, chain_length,
+                edges=max(1, int(edges_per_length * chain_length)),
+                queries=queries, query_seed=seed + chain_length,
+                window=window, seed=seed)
+            for backend in backends:
+                order = make_partial_order(backend, num_chains, chain_length)
+                inserted = 0
+                insert_time = 0.0
+                for source, target in candidates:
+                    if order.reachable(source, target) or order.reachable(target, source):
+                        continue
+                    start = time.perf_counter()
+                    order.insert_edge(source, target)
+                    insert_time += time.perf_counter() - start
+                    inserted += 1
+                query_start = time.perf_counter()
+                for source, target in query_pairs:
+                    order.reachable(source, target)
+                query_time = time.perf_counter() - query_start
+                figure.points.append(
+                    ScalabilityPoint(
+                        backend=backend,
+                        num_chains=num_chains,
+                        chain_length=chain_length,
+                        insert_seconds=insert_time / max(inserted, 1),
+                        query_seconds=query_time / max(queries, 1),
+                        inserted_edges=inserted,
+                        queries=queries,
+                    )
+                )
+    return figure
+
+
+# --------------------------------------------------------------------------- #
 # Running
 # --------------------------------------------------------------------------- #
 def run_perf(quick: bool = False, repeats: int = DEFAULT_REPEATS,
@@ -418,8 +554,7 @@ def run_perf(quick: bool = False, repeats: int = DEFAULT_REPEATS,
         runnable = case.setup(quick)
         for _ in range(warmup):
             runnable()
-        runs = [measure(runnable, track_memory=False).seconds
-                for _ in range(repeats)]
+        runs = [time_run(runnable) for _ in range(repeats)]
         results[case.name] = {"seconds": min(runs), "runs": runs}
     return {
         "version": PERF_FORMAT_VERSION,
@@ -430,6 +565,13 @@ def run_perf(quick: bool = False, repeats: int = DEFAULT_REPEATS,
         "results": results,
         "speedups": compute_speedups(results),
     }
+
+
+def time_run(runnable: Callable[[], object]) -> float:
+    """Wall-clock seconds of one call of ``runnable``."""
+    start = time.perf_counter()
+    runnable()
+    return time.perf_counter() - start
 
 
 def compute_speedups(results: Dict[str, Dict[str, object]]) -> Dict[str, float]:

@@ -165,17 +165,17 @@ def build_parser() -> argparse.ArgumentParser:
                        help="baseline backend for speedups (default: vc-flat, or "
                             "graph for deletion-based analyses)")
     sweep.add_argument("--timeout", type=float, default=None,
-                       help="seconds to wait for each job's result when "
+                       help="seconds to wait for each run of a job when "
                             "collecting, in submission order (parallel runs "
                             "only); overrunning jobs are recorded as "
-                            "timeouts; the budget covers ALL repeats of a "
-                            "job, so scale it when combining with --repeat")
+                            "timeouts; with --repeat the budget covers one "
+                            "run, not all of a job's repeats")
     sweep.add_argument("--repeat", type=int, default=1,
                        help="run each job's analysis N times over the same "
                             "trace and report min (elapsed_seconds) and "
                             "median (elapsed_median_seconds) so numbers "
                             "stop being single-shot noise (default: 1); "
-                            "a --timeout budget covers all N runs of a job")
+                            "round r of every job runs before round r+1")
     sweep.add_argument("--seed", type=int, default=None,
                        help="override the seed pinned in every suite spec; "
                             "the effective seed is recorded per job in the "

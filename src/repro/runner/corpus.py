@@ -11,17 +11,27 @@ thousands of events across the process boundary).
 is generated the first time it is requested and reused afterwards, which
 matters when several (analysis, backend) jobs share one trace in a serial
 (``--jobs 1``) sweep.
+
+The paper's Tables 1-7 are registered here too (``table1`` ...
+``table7``): each restates one table's benchmarks as named specs and
+declares the table's analysis with its constructor options.
+``python -m repro.bench`` runs them and renders each as a paper table.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
 from repro.trace.generators import build_trace, get_generator
 from repro.trace.trace import Trace
+
+
+#: Keyword arguments as a sorted tuple of ``(key, value)`` pairs: hashable
+#: and picklable, unlike a dict.
+Options = Tuple[Tuple[str, object], ...]
 
 
 @dataclass(frozen=True)
@@ -30,13 +40,16 @@ class TraceSpec:
 
     ``params`` holds extra generator keyword arguments as a sorted tuple of
     ``(key, value)`` pairs so the spec stays hashable and picklable.
+    ``name`` (a paper benchmark name such as ``clean``) replaces the
+    shape-derived :attr:`trace_id`.
     """
 
     kind: str
     threads: int
     events: int
     seed: int = 0
-    params: Tuple[Tuple[str, object], ...] = ()
+    params: Options = ()
+    name: Optional[str] = None
 
     def __post_init__(self) -> None:
         get_generator(self.kind)  # fail fast on unknown kinds
@@ -44,6 +57,8 @@ class TraceSpec:
     @property
     def trace_id(self) -> str:
         """Stable identifier used as the trace name and in sweep records."""
+        if self.name is not None:
+            return self.name
         identifier = f"{self.kind}-t{self.threads}-n{self.events}-s{self.seed}"
         if self.params:
             identifier += "-" + "-".join(f"{k}={v}" for k, v in self.params)
@@ -58,11 +73,18 @@ class TraceSpec:
 
 @dataclass(frozen=True)
 class Suite:
-    """A named, ordered collection of trace specs."""
+    """A named, ordered collection of trace specs.
+
+    ``analyses`` optionally pins the suite to some analyses, each with its
+    constructor options: ``(("race-prediction", (("candidate_window",
+    8),)),)``.  Empty means every analysis each trace kind feeds, on
+    default options.
+    """
 
     name: str
     description: str
     specs: Tuple[TraceSpec, ...]
+    analyses: Tuple[Tuple[str, Options], ...] = ()
 
     def __len__(self) -> int:
         return len(self.specs)
@@ -85,7 +107,20 @@ def override_seed(suite: Suite, seed: int) -> Suite:
     """
     specs = tuple(dict.fromkeys(
         replace(spec, seed=seed) for spec in suite.specs))
-    return Suite(name=suite.name, description=suite.description, specs=specs)
+    return replace(suite, specs=specs)
+
+
+def scale_suite(suite: Suite, scale: float) -> Suite:
+    """Scale every spec's per-thread size by ``scale`` (the ``python -m
+    repro.bench --scale`` path), to no fewer than 8 events -- or the
+    spec's own size, if that is smaller, so scaling down never grows a
+    trace."""
+    if scale == 1.0:
+        return suite
+    # Short cells can collapse onto one size; keep one job per trace.
+    return replace(suite, specs=tuple(dict.fromkeys(
+        replace(spec, events=max(min(spec.events, 8), int(spec.events * scale)))
+        for spec in suite.specs)))
 
 
 def grid(kinds: Iterable[str], threads: Iterable[int], events: Iterable[int],
@@ -199,6 +234,103 @@ register_suite(Suite(
                 for kind, cells in CROSSOVER_CELLS.items()
                 for threads, events in cells),
 ))
+
+
+# --------------------------------------------------------------------------- #
+# The paper's Tables 1-7.
+#
+# Synthetic stand-ins for the paper's benchmarks: each keeps the thread
+# count of the benchmark it is named after and scales the event count down
+# so that a pure-Python run takes seconds (README.md, "Reproducing the
+# paper's tables").  Every spec pins its seed.
+# --------------------------------------------------------------------------- #
+def _paper_table(number: int, title: str, kind: str, analysis: str,
+                 options: Dict[str, object], keys: Sequence[str],
+                 rows: Sequence[tuple], **shared) -> Suite:
+    """Register ``table<number>``.  Each row is ``(benchmark, threads,
+    events, seed, *values)``, ``values`` naming the generator arguments
+    ``keys``; ``shared`` arguments go to every row."""
+    specs = tuple(
+        TraceSpec(kind=kind, threads=threads, events=events, seed=seed,
+                  params=tuple(sorted({**shared,
+                                       **dict(zip(keys, values))}.items())),
+                  name=name)
+        for name, threads, events, seed, *values in rows)
+    return register_suite(Suite(
+        name=f"table{number}", description=f"Table {number}: {title}",
+        specs=specs, analyses=((analysis, tuple(sorted(options.items()))),)))
+
+
+# The regime that matters for the data-structure comparison is long chains
+# relative to the number of threads (n >> k): the saturation orderings then
+# land deep inside the chains.
+_paper_table(1, "race prediction", "racy", "race-prediction",
+             {"candidate_window": 8}, ("num_variables", "num_locks"), (
+                 ("clean", 4, 350, 101, 24, 3),
+                 ("bubblesort", 5, 500, 102, 30, 2),
+                 ("lang", 4, 700, 103, 40, 3),
+                 ("readerswriters", 6, 600, 104, 36, 2),
+                 ("raytracer", 4, 900, 105, 48, 4),
+                 ("bufwriter", 5, 1000, 106, 56, 3),
+                 ("ftpserver", 6, 1100, 107, 64, 5)))
+
+_paper_table(2, "deadlock prediction", "deadlock", "deadlock-prediction",
+             {}, ("num_locks",), (
+                 ("jigsaw", 6, 300, 201, 10),
+                 ("elevator", 5, 400, 202, 6),
+                 ("hedc", 5, 500, 203, 8),
+                 ("JDBCMySQL", 3, 700, 204, 4),
+                 ("cache4j", 2, 900, 205, 4),
+                 ("Swing", 6, 650, 206, 10)))
+
+_paper_table(3, "memory-bug prediction", "memory", "memory-bugs",
+             {"max_candidates": 400}, ("num_objects",), (
+                 ("pbzip2", 5, 400, 301, 60),
+                 ("pigz", 5, 550, 302, 80),
+                 ("xz", 2, 900, 303, 60),
+                 ("lbzip2", 6, 600, 304, 100),
+                 ("x264", 5, 800, 305, 110)))
+
+# The chain DAG has two chains per thread (program order + store buffer).
+_paper_table(4, "x86-TSO consistency checking", "tso", "tso-consistency",
+             {}, ("num_variables",), (
+                 ("dekker", 3, 350, 401, 20),
+                 ("peterson", 3, 450, 402, 24),
+                 ("lamport", 3, 550, 403, 28),
+                 ("dq", 4, 450, 404, 28),
+                 ("chase-lev", 5, 400, 405, 32),
+                 ("mcs-lock", 5, 550, 406, 40)),
+             stale_read_fraction=0.0)
+
+_paper_table(5, "use-after-free prediction", "memory", "use-after-free",
+             {"max_candidates": 400}, ("num_objects",), (
+                 ("bbuf", 3, 550, 501, 50),
+                 ("BoundedBuffer", 6, 400, 502, 70),
+                 ("DiningPhil", 8, 350, 503, 80),
+                 ("fanger01-ok", 5, 500, 504, 70),
+                 ("qtsort", 6, 550, 505, 90)))
+
+# A streaming workload, which is why the paper finds VCs competitive.
+_paper_table(6, "C11 race detection", "c11", "c11-races", {},
+             ("num_atomic_variables", "num_plain_variables"), (
+                 ("dq", 5, 700, 601, 4, 8),
+                 ("mabain", 7, 600, 602, 5, 10),
+                 ("seqlock", 8, 500, 603, 4, 8),
+                 ("iris-1", 13, 400, 604, 6, 12),
+                 ("readerswriters", 13, 400, 605, 4, 8),
+                 ("atomicblocks", 16, 300, 606, 6, 10)))
+
+# Three concurrent sets, each accessed an increasing number of times.  The
+# seeds make the commit-order search explore and backtrack; the step bound
+# keeps one search from running away.
+_paper_table(7, "linearizability root-causing", "history", "linearizability",
+             {"spec": "set", "max_steps": 30_000}, (), tuple(
+                 (f"{structure}-{size}", 3, operations, seed)
+                 for structure, seed in (("LogicalOrderingAVL", 701),
+                                         ("OptimisticList", 704),
+                                         ("RWLockCoarseList", 705))
+                 for size, operations in (("s", 14), ("m", 20), ("l", 26))),
+             data_structure="set", inject_violation=True)
 
 
 @dataclass

@@ -8,24 +8,75 @@ same sweep, which is what the regression tests pin down.
 Aggregation follows the paper's methodology: per (trace, analysis) group the
 baseline backend's time is divided by each backend's time, and the per-group
 ratios are combined with a geometric mean (the Figure 10 quantity).
-Export reuses the benchmark layer: CSV via
-:func:`repro.bench.export.rows_to_csv`, text tables via
-:func:`repro.bench.harness.render_table`.
+Export: JSON, CSV (:func:`rows_to_csv`), a per-job text table, and a
+paper-style pivot (:meth:`SweepResult.format_pivot`: one row per trace,
+one column per backend), all through :func:`render_table`.
 """
 
 from __future__ import annotations
 
+import csv
 import json
+import math
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, Optional, Tuple
+from pathlib import Path
+from typing import Dict, Iterable, List, Optional, Sequence, TextIO, Tuple, Union
 
-from repro.bench.export import Destination, rows_to_csv
-from repro.bench.harness import geometric_mean, render_table
+from repro.errors import BenchmarkError
+
+Destination = Union[str, Path, TextIO]
 
 #: Job status values.
 STATUS_OK = "ok"
 STATUS_ERROR = "error"
 STATUS_TIMEOUT = "timeout"
+
+
+def geometric_mean(values: Iterable[float]) -> float:
+    """Geometric mean of positive values (0.0 for an empty sequence)."""
+    values = [v for v in values if v > 0]
+    if not values:
+        return 0.0
+    return math.exp(sum(math.log(v) for v in values) / len(values))
+
+
+def render_table(title: str, headers: Sequence[str],
+                 rows: Sequence[Sequence[str]]) -> str:
+    """Render a fixed-width text table in the style of the paper's tables."""
+    widths = [len(header) for header in headers]
+    for row in rows:
+        if len(row) != len(headers):
+            raise BenchmarkError("row width does not match header width")
+        for column, cell in enumerate(row):
+            widths[column] = max(widths[column], len(cell))
+
+    def render_row(cells: Sequence[str]) -> str:
+        return "  ".join(cell.ljust(width) for cell, width in zip(cells, widths))
+    separator = "-" * (sum(widths) + 2 * (len(widths) - 1))
+    lines = [title, separator, render_row(headers), separator]
+    lines.extend(render_row(row) for row in rows)
+    lines.append(separator)
+    return "\n".join(lines)
+
+
+def rows_to_csv(header: Sequence, rows: Iterable[Sequence],
+                destination: Destination) -> None:
+    """Write a plain header + rows table as CSV to a path or an open
+    stream."""
+
+    def write(stream: TextIO) -> None:
+        # '\n' instead of the csv default '\r\n': the destination may be an
+        # already-open newline-translating stream (e.g. sys.stdout), where
+        # '\r\n' would come out as '\r\r\n' on Windows.
+        writer = csv.writer(stream, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+    if isinstance(destination, (str, Path)):
+        with open(destination, "w", encoding="utf-8", newline="") as stream:
+            write(stream)
+    else:
+        write(destination)
 
 #: Column order for CSV export (matches ``SweepRecord`` field names).
 CSV_COLUMNS: Tuple[str, ...] = (
@@ -71,6 +122,11 @@ class SweepRecord:
     #: The concrete backend that actually ran.  For ``auto`` jobs this is
     #: the ``auto`` rule's pick; for static jobs it equals ``backend``.
     backend_selected: str = ""
+    #: Peak ``tracemalloc`` bytes of one run, measured only by a sweep
+    #: with ``memory=True`` (``None`` otherwise, and then left out of
+    #: ``to_dict`` so record documents keep their shape).  Not a CSV
+    #: column.
+    peak_bytes: Optional[int] = None
     #: Worker-local telemetry snapshot (metric deltas + finished span
     #: trees) for jobs that ran in a pool worker with tracing on; ``None``
     #: otherwise.  Collector-side transport only: the collector merges it
@@ -99,7 +155,8 @@ class SweepRecord:
 
     def to_dict(self) -> Dict[str, object]:
         return {spec.name: getattr(self, spec.name)
-                for spec in fields(self) if spec.name != "telemetry"}
+                for spec in fields(self) if spec.name != "telemetry"
+                and not (spec.name == "peak_bytes" and self.peak_bytes is None)}
 
     def to_row(self) -> List[object]:
         data = self.to_dict()
@@ -144,7 +201,8 @@ class SweepResult:
                 record.backend] = record
         return groups
 
-    def speedups(self, baseline: Optional[str] = None) -> Dict[str, float]:
+    def speedups(self, baseline: Optional[str] = None,
+                 metric: str = "elapsed_seconds") -> Dict[str, float]:
         """Geometric-mean speedup of each backend over a baseline backend.
 
         A speedup above 1.0 means the backend is faster than the baseline.
@@ -152,6 +210,8 @@ class SweepResult:
         reference: ``"vc-flat"`` when present (the incremental analyses),
         otherwise ``"graph"`` (the fully dynamic ones) -- the two
         conventional baselines of the paper's tables.
+        ``metric="peak_bytes"`` compares peak memory instead (a sweep
+        with ``memory=True``); above 1.0 the backend needs less.
         """
         ratios: Dict[str, List[float]] = {}
         for per_backend in self._groups().values():
@@ -159,13 +219,15 @@ class SweepResult:
             if reference is None:
                 reference = "vc-flat" if "vc-flat" in per_backend else "graph"
             reference_record = per_backend.get(reference)
-            if reference_record is None or reference_record.elapsed_seconds <= 0:
+            reference_value = (getattr(reference_record, metric)
+                               if reference_record is not None else None)
+            if not reference_value or reference_value <= 0:
                 continue
             for backend, record in per_backend.items():
-                if backend == reference or record.elapsed_seconds <= 0:
+                value = getattr(record, metric)
+                if backend == reference or not value or value <= 0:
                     continue
-                ratios.setdefault(backend, []).append(
-                    reference_record.elapsed_seconds / record.elapsed_seconds)
+                ratios.setdefault(backend, []).append(reference_value / value)
         return {backend: geometric_mean(values)
                 for backend, values in sorted(ratios.items())}
 
@@ -265,6 +327,42 @@ class SweepResult:
         :mod:`repro.api.results`."""
         return self.format_table(baseline)
 
+    def format_pivot(self, title: Optional[str] = None,
+                     metric: str = "elapsed_seconds") -> str:
+        """The sweep as a paper table: one row per trace in suite order
+        (benchmark, ``T`` threads, ``N`` = threads x per-thread size), one
+        column per backend with its min seconds -- or, with
+        ``metric="peak_bytes"``, its peak KiB -- and, for seconds, a Total
+        row.  A failed job shows as ``-``."""
+        backends = self.backends()
+        seconds = metric == "elapsed_seconds"
+        rows: Dict[Tuple[str, str], Dict[str, SweepRecord]] = {}
+        for record in self.records:
+            rows.setdefault((record.trace_id, record.analysis), {})[
+                record.backend] = record
+        lines = []
+        for per_backend in rows.values():
+            first = next(iter(per_backend.values()))
+            cells = [first.trace_id, str(first.threads),
+                     _format_count(first.threads * first.events)]
+            for backend in backends:
+                record = per_backend.get(backend)
+                value = getattr(record, metric) \
+                    if record is not None and record.ok else None
+                if value is not None and not seconds:
+                    value /= 1024.0
+                cells.append(_format_number(value))
+            lines.append(cells)
+        if seconds:
+            totals = self.totals()
+            lines.append(["Total", "-", "-"] + [
+                _format_number(totals.get(backend)) for backend in backends])
+        unit = "s" if seconds else "KiB"
+        return render_table(
+            title if title is not None else f"sweep[{self.suite}]",
+            ["benchmark", "T", "N"]
+            + [f"{backend} ({unit})" for backend in backends], lines)
+
     def format_table(self, baseline: Optional[str] = None) -> str:
         """Human-readable report: per-job table plus speedup summary."""
         headers = ["trace", "analysis", "backend", "status", "seconds",
@@ -302,3 +400,21 @@ class SweepResult:
                            f"[{record.backend}]: {record.status}"
                            + (f" -- {message[-1]}" if message else ""))
         return report
+
+
+def _format_count(value: int) -> str:
+    if value >= 1_000_000:
+        return f"{value / 1_000_000:.1f}M"
+    if value >= 1_000:
+        return f"{value / 1_000:.1f}K"
+    return str(value)
+
+
+def _format_number(value: Optional[float]) -> str:
+    if value is None:
+        return "-"
+    if value >= 100:
+        return f"{value:.0f}"
+    if value >= 1:
+        return f"{value:.2f}"
+    return f"{value:.3f}"

@@ -10,7 +10,6 @@ import json
 import pytest
 
 from repro.bench import perf
-from repro.bench.harness import MeasuredRun
 from repro.cli import main
 from repro.errors import BenchmarkError
 
@@ -143,10 +142,7 @@ class TestBenchCli:
         # perf_counter delta is sub-microsecond noise, which the 2x gate
         # between two runs would judge.
         monkeypatch.setattr(perf, "default_cases", _tiny_cases)
-        monkeypatch.setattr(
-            perf, "measure",
-            lambda func, track_memory=True: MeasuredRun(
-                seconds=0.001, peak_memory_bytes=0, value=func()))
+        monkeypatch.setattr(perf, "time_run", lambda func: (func(), 0.001)[1])
 
     def test_bench_perf_writes_dated_json(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

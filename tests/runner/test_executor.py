@@ -228,27 +228,26 @@ class TestSeedOverride:
 
 
 class TestRepeats:
+    def _job(self, backend="vc-flat"):
+        return plan_jobs(tiny_suite(), analyses=["race-prediction"],
+                         backends=[backend])[0]
+
     def test_single_shot_defaults(self):
-        job = plan_jobs(tiny_suite(), analyses=["race-prediction"],
-                        backends=["vc-flat"])[0]
-        record = execute_job(job)
+        record = execute_job(self._job())
         assert record.repeats == 1
         assert record.elapsed_median_seconds == record.elapsed_seconds
 
     def test_repeats_report_min_and_median(self):
-        job = plan_jobs(tiny_suite(), analyses=["race-prediction"],
-                        backends=["vc-flat"])[0]
-        record = execute_job(job, repeats=3)
+        record, = run_jobs([self._job()], repeats=3).records
         assert record.status == STATUS_OK
         assert record.repeats == 3
         # min <= median by construction, and both are real measurements.
         assert 0 <= record.elapsed_seconds <= record.elapsed_median_seconds
 
     def test_repeats_keep_findings_deterministic(self):
-        job = plan_jobs(tiny_suite(), analyses=["race-prediction"],
-                        backends=["incremental-csst"])[0]
-        single = execute_job(job, repeats=1)
-        repeated = execute_job(job, repeats=4)
+        job = self._job("incremental-csst")
+        single = execute_job(job)
+        repeated, = run_jobs([job], repeats=4).records
         assert repeated.finding_count == single.finding_count
         assert repeated.insert_count == single.insert_count
         assert repeated.query_count == single.query_count
@@ -260,7 +259,72 @@ class TestRepeats:
         parallel = run_jobs(jobs, workers=2, repeats=2)
         assert all(record.repeats == 2 for record in serial.records)
         assert all(record.repeats == 2 for record in parallel.records)
+        for left, right in zip(serial.records, parallel.records):
+            left_data, right_data = left.to_dict(), right.to_dict()
+            for timing_field in ("elapsed_seconds", "elapsed_median_seconds"):
+                left_data.pop(timing_field)
+                right_data.pop(timing_field)
+            assert left_data == right_data
 
     def test_repeats_must_be_positive(self):
         with pytest.raises(ReproError, match="repeats"):
             run_jobs([], workers=1, repeats=0)
+
+    def test_a_failed_job_is_not_run_again(self, monkeypatch):
+        import repro.runner.executor as executor
+
+        bad = SweepJob(suite="t", spec=TraceSpec(kind="history", threads=2,
+                                                 events=6),
+                       analysis="linearizability", backend="st")
+        runs = []
+        real = executor._run_job
+        monkeypatch.setattr(executor, "_run_job", lambda job, corpus, memory:
+                            runs.append(job.backend) or real(job, corpus,
+                                                             memory))
+        record, = run_jobs([bad], repeats=3, memory=True).records
+        assert record.status == STATUS_ERROR
+        assert runs == ["st"]
+
+
+class TestRunOrder:
+    """Repeat round r of every job runs before round r + 1 of any, so a
+    slow spell of the host is spread over many jobs' repeats."""
+
+    def _jobs(self):
+        return plan_jobs(tiny_suite(), analyses=["race-prediction"],
+                         backends=["vc-flat", "st"])
+
+    def _expected(self):
+        backends = [job.backend for job in self._jobs()]
+        assert backends == ["st", "vc-flat"]
+        return [(backend, memory) for memory in (False, False, True)
+                for backend in backends]
+
+    def test_inline_runs_go_round_by_round(self, monkeypatch):
+        import repro.runner.executor as executor
+
+        order = []
+        real = executor._run_job
+
+        def recording(job, corpus, memory):
+            order.append((job.backend, memory))
+            return real(job, corpus, memory)
+
+        monkeypatch.setattr(executor, "_run_job", recording)
+        run_jobs(self._jobs(), workers=1, repeats=2, memory=True)
+        assert order == self._expected()
+
+    def test_pooled_runs_are_submitted_round_by_round(self, monkeypatch):
+        import repro.runner.executor as executor
+
+        order = []
+
+        class RecordingPool(executor.ProcessPoolExecutor):
+            def submit(self, fn, job, *args):
+                order.append((job.backend, args[-1]))
+                return super().submit(fn, job, *args)
+
+        monkeypatch.setattr(executor, "ProcessPoolExecutor", RecordingPool)
+        result = run_jobs(self._jobs(), workers=2, repeats=2, memory=True)
+        assert not result.failures()
+        assert order == self._expected()

@@ -3,15 +3,21 @@
 import csv
 import io
 import json
+import math
+from dataclasses import replace
 
 import pytest
 
+from repro.errors import BenchmarkError
 from repro.runner.results import (
     CSV_COLUMNS,
     STATUS_ERROR,
     STATUS_OK,
     SweepRecord,
     SweepResult,
+    geometric_mean,
+    render_table,
+    rows_to_csv,
 )
 
 
@@ -118,3 +124,88 @@ class TestExport:
         result = SweepResult(suite="t", records=[
             record(backend="vc-flat", elapsed=2.0), record(backend="st", elapsed=1.0)])
         assert "geomean speedup vs vc-flat" in result.format_table(baseline="vc-flat")
+
+
+class TestPivot:
+    def _result(self):
+        result = SweepResult(suite="t")
+        for trace, threads in (("alpha", 2), ("beta", 4)):
+            for backend, seconds in (("vc-flat", 2.0), ("incremental-csst", 1.0)):
+                result.records.append(replace(
+                    record(trace=trace, backend=backend, elapsed=seconds),
+                    threads=threads, events=300, peak_bytes=2048))
+        result.records[-1] = replace(result.records[-1], status=STATUS_ERROR,
+                                     error="boom")
+        return result
+
+    def test_rows_follow_the_suite_with_one_column_per_backend(self):
+        text = self._result().format_pivot("Table X")
+        lines = text.splitlines()
+        assert lines[0] == "Table X"
+        assert lines[2].split() == ["benchmark", "T", "N", "vc-flat", "(s)",
+                                    "incremental-csst", "(s)"]
+        assert lines[4].split() == ["alpha", "2", "600", "2.00", "1.00"]
+        # A failed job shows as '-'; the total sums the jobs that finished.
+        assert lines[5].split() == ["beta", "4", "1.2K", "2.00", "-"]
+        assert lines[6].split() == ["Total", "-", "-", "4.00", "1.00"]
+
+    def test_memory_pivot_shows_peak_kib_without_total(self):
+        text = self._result().format_pivot(metric="peak_bytes")
+        assert text.splitlines()[0] == "sweep[t]"
+        assert "vc-flat (KiB)" in text
+        assert "2.00" in text and "Total" not in text
+
+
+class TestPeakBytesExport:
+    def test_peak_bytes_appears_only_when_measured(self):
+        assert "peak_bytes" not in record().to_dict()
+        measured = replace(record(), peak_bytes=4096)
+        assert measured.to_dict()["peak_bytes"] == 4096
+        assert "peak_bytes" not in CSV_COLUMNS
+
+    def test_memory_speedups(self):
+        result = SweepResult(suite="t", records=[
+            replace(record(backend="csst"), peak_bytes=1000),
+            replace(record(backend="graph"), peak_bytes=4000),
+        ])
+        assert result.speedups("csst", metric="peak_bytes") == \
+            pytest.approx({"graph": 0.25})
+
+
+class TestGeometricMean:
+    def test_of_identical_values(self):
+        assert geometric_mean([2.0, 2.0, 2.0]) == pytest.approx(2.0)
+
+    def test_of_reciprocal_values_is_one(self):
+        assert geometric_mean([4.0, 0.25]) == pytest.approx(1.0)
+
+    def test_ignores_non_positive_values(self):
+        assert geometric_mean([0.0, -1.0, 8.0]) == pytest.approx(8.0)
+
+    def test_empty_sequence_is_zero(self):
+        assert geometric_mean([]) == 0.0
+
+    def test_matches_closed_form(self):
+        values = [1.0, 2.0, 4.0]
+        assert geometric_mean(values) == pytest.approx(math.exp(
+            sum(math.log(v) for v in values) / 3))
+
+
+class TestRenderTable:
+    def test_render_rejects_ragged_rows(self):
+        with pytest.raises(BenchmarkError):
+            render_table("t", ["a", "b"], [["only-one"]])
+
+
+class TestRowsToCsv:
+    def test_rows_to_csv_to_stream(self):
+        buffer = io.StringIO()
+        rows_to_csv(["a", "b"], [[1, 2], [3, 4]], buffer)
+        rows = list(csv.reader(io.StringIO(buffer.getvalue())))
+        assert rows == [["a", "b"], ["1", "2"], ["3", "4"]]
+        assert "\r" not in buffer.getvalue()  # stream-safe line endings
+
+    def test_rows_to_csv_to_path(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        rows_to_csv(["x"], [["y"]], path)
+        assert path.read_bytes() == b"x\ny\n"
