@@ -164,9 +164,10 @@ class TestRunJobs:
     def test_timeout_records_and_does_not_hang_pool_shutdown(self):
         import time
 
-        # ~6s of real analysis work; the collector only waits 0.2s for it.
+        # Several seconds of real analysis work (race prediction on ``st``
+        # runs ~0.2 ms per event); the collector only waits 0.2s for it.
         slow = SweepJob(suite="t",
-                        spec=TraceSpec(kind="racy", threads=4, events=1500),
+                        spec=TraceSpec(kind="racy", threads=4, events=30000),
                         analysis="race-prediction", backend="st")
         start = time.perf_counter()
         result = run_jobs([slow], workers=1 + 1, timeout_seconds=0.2)

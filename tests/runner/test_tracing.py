@@ -157,8 +157,9 @@ class TestWorkerCapture:
 
 class TestTimeouts:
     def test_timed_out_job_emits_counter_and_synthetic_span(self):
+        # Several seconds of analysis work against a 0.2s window.
         slow = SweepJob(suite="t",
-                        spec=TraceSpec(kind="racy", threads=4, events=1500),
+                        spec=TraceSpec(kind="racy", threads=4, events=30000),
                         analysis="race-prediction", backend="st")
         registry = MetricsRegistry()
         with use_registry(registry):
