@@ -27,11 +27,11 @@ PINNED = {
     "table1": (21, 843, 3687),
     "table2": (18, 216, 1536),
     "table3": (15, 438, 2928),
-    "table4": (18, 1233, 5160),
+    "table4": (18, 1389, 4731),
     "table5": (15, 516, 3495),
     "table6": (18, 309, 4077),
     "table7": (18, 34764, 262890),
-    "crossover": (113, 20283, 163899),
+    "crossover": (113, 20256, 166113),
 }
 
 

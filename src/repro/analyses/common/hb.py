@@ -33,31 +33,19 @@ def insert_ordering(order: PartialOrder, source: Node, target: Node) -> bool:
     return True
 
 
-def sync_edges(trace: Trace, include_locks: bool = True,
-               include_fork_join: bool = True,
-               include_reads_from: bool = False, start: int = 0,
+def sync_edges(trace: Trace, include_locks: bool = True, start: int = 0,
                last_release: Optional[Dict[object, Event]] = None
                ) -> Iterator[Tuple[Node, Node]]:
-    """The cross-chain edges of the trace's synchronisation backbone.
+    """The cross-chain edges of the trace's synchronisation backbone:
+    fork -> first-child-event and last-child-event -> join, and (when
+    ``include_locks``) release(l) -> acquire(l) between consecutive
+    critical sections of the same lock, in observed order.
 
-    Parameters
-    ----------
-    trace:
-        The analysed trace.
-    include_locks:
-        Yield release(l) -> acquire(l) edges between consecutive critical
-        sections of the same lock, in observed order.
-    include_fork_join:
-        Yield fork -> first-child-event and last-child-event -> join edges.
-    include_reads_from:
-        Yield write -> read edges of the observed reads-from map (used by
-        the consistency-style analyses).
-    start / last_release:
-        Resume the lock walk at trace position ``start``: the lock edges
-        of the events before it were yielded already, and
-        ``last_release`` maps each lock to its last release among them
-        (updated in place).  Fork/join and reads-from edges are walked
-        over the whole trace, so a caller resuming meets old ones again.
+    ``start`` and ``last_release`` resume the lock walk at trace position
+    ``start``: the lock edges of the events before it were yielded
+    already, and ``last_release`` maps each lock to its last release
+    among them (updated in place).  Fork/join edges are walked over the
+    whole trace, so a caller resuming meets old ones again.
     """
     if include_locks:
         if last_release is None:
@@ -69,14 +57,9 @@ def sync_edges(trace: Trace, include_locks: bool = True,
                     yield previous.node, event.node
             elif event.kind is EventKind.RELEASE:
                 last_release[event.variable] = event
-    if include_fork_join:
-        for source, target in trace.fork_join_edges():
-            if source[0] != target[0]:
-                yield source, target
-    if include_reads_from:
-        for read, write in trace.reads_from().items():
-            if write is not None and write.thread != read.thread:
-                yield write.node, read.node
+    for source, target in trace.fork_join_edges():
+        if source[0] != target[0]:
+            yield source, target
 
 
 def variable_conflicts(accesses: Sequence[Event], start: int = 0,
@@ -120,9 +103,9 @@ class Frontiers:
 
     The analyses that saturate reads-from (race-prediction,
     deadlock-prediction, memory-bugs, use-after-free, tso-consistency)
-    ask and extend their order only through one such memo once the sync
-    order is built (tso-consistency, which builds none, from its first
-    edge).
+    ask and extend their order only through one such memo, held by their
+    :class:`~repro.analyses.common.saturation.SaturationEngine`, from
+    their first edge on.
 
     For a node ``e`` and a chain ``t``, the nodes of ``t`` that reach
     ``e`` form a prefix of ``t`` (program order extends any path

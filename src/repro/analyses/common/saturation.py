@@ -19,9 +19,17 @@ citations in Section 1.1 of the paper).  Because the inserted orderings land
 between arbitrary events of the trace, this is the archetypal *non-streaming*
 workload CSSTs were designed for.
 
-The engine saturates semi-naively.  A competing write on chain ``t`` at
-index ``i`` meets a premise iff ``i <= predecessor(r, t)`` (first rule)
-or ``successor(rf(r), t) <= i`` (second rule): on each chain, the writes
+A write's *premise* node (the one whose reaching ``r`` makes it compete)
+may differ from its *conclusion* node (the one the rules order): x86-TSO
+(``tso.py``) issues a write on its thread's chain and flushes it on a
+store-buffer chain.  ``rf(r) -> r`` then starts at the writer's premise
+node when ``r`` is on its chain, at its conclusion node otherwise.  For
+an event of the trace both are the event itself.
+
+The engine saturates semi-naively.  A competing write whose premise
+(first rule) or conclusion (second rule) is node ``(t, i)`` meets the
+rule's premise iff ``i <= predecessor(r, t)`` or
+``successor(rf(r), t) <= i``, respectively: on each chain, the writes
 that meet the first form a prefix and those that meet the second a
 suffix.  Each read keeps how far both reached at its last check.  The
 order only grows, so a conclusion once drawn stays true, and a rule can
@@ -77,7 +85,8 @@ _NO_POSITION = 1 << 60
 
 class _Writes:
     """The writes of one variable, per chain, in program order: each
-    entry of ``chains`` is ``(chain, indices, events)``."""
+    entry of ``chains`` is ``(premise chain, premise indices, chain,
+    indices, writes)``, ``chain`` holding their conclusion nodes."""
 
     __slots__ = ("chains", "by_chain", "count")
 
@@ -87,24 +96,33 @@ class _Writes:
         self.count = 0
 
 
+def _premise(write: Event) -> Event:
+    """A write's premise node: its ``premise``, if it has one, else
+    itself."""
+    return getattr(write, "premise", write)
+
+
 class _Read:
     """A read's saturation state: its writer, its variable's writes, and
     how far its last check got.
 
-    On each chain of competing writes, those that reach the read form a
-    prefix (their indices are at most ``predecessor(read, t)``) and those
-    the writer reaches form a suffix (at least ``successor(write, t)``).
-    ``cover`` holds per chain ``[prefix end, suffix start, writes seen]``:
-    the rules are applied to every write of both.
+    On each chain of competing writes, those whose premise nodes reach
+    the read form a prefix (their premise indices are at most
+    ``predecessor(read, t)``) and those the writer reaches form a suffix
+    (at least ``successor(write, t)``).  ``cover`` holds per chain
+    ``[prefix end, suffix start, writes seen]``: the rules are applied to
+    every write of both.  The reads-from edge starts at ``source``.
     """
 
-    __slots__ = ("key", "read", "write", "writes", "cover", "count",
-                 "stamp", "reach")
+    __slots__ = ("key", "read", "write", "source", "writes", "cover",
+                 "count", "stamp", "reach")
 
     def __init__(self, read: Event, write: Event, writes: _Writes) -> None:
         self.key = (str(read.variable), read.thread, read.index)
         self.read = read
         self.write = write
+        premise = _premise(write)
+        self.source = premise if premise.thread == read.thread else write
         self.writes = writes
         self.cover: List[List[int]] = []
         #: ``writes.count`` at the last check.
@@ -136,6 +154,11 @@ class SaturationEngine:
     check lands after :attr:`_Read.reach`.  The first edge that leads
     backwards turns the skip off for good.
 
+    Nodes are asked only for ``node``, ``thread`` (the chain) and
+    ``index``, reads also for ``variable``, so an analysis may hand in
+    nodes of its own; a write whose premise node is another carries it
+    as ``premise``.
+
     Parameters
     ----------
     frontiers:
@@ -143,12 +166,12 @@ class SaturationEngine:
         no cross-chain edge yet; every question and every insert goes
         through it.
     positions:
-        Per chain, the trace position of each event.  The engine reads
+        Per chain, the trace position of each node.  The engine reads
         it at each call, so it may grow with the trace.
     writes_by_variable:
-        All write events, grouped by variable; used to locate competing
-        writes for each saturated read.  :meth:`saturate` takes the
-        writes of a longer trace.
+        All writes, grouped by variable, each list in trace order; used
+        to locate competing writes for each saturated read.
+        :meth:`saturate` takes the writes of a longer trace.
     """
 
     def __init__(self, frontiers: Frontiers,
@@ -282,14 +305,17 @@ class SaturationEngine:
             if len(events) == writes.count:
                 continue
             by_chain = writes.by_chain
-            for event in islice(events, writes.count, None):
-                chain, index = event.node
+            for write in islice(events, writes.count, None):
+                premise = _premise(write)
+                chain, index = write.node
                 entry = by_chain.get(chain)
                 if entry is None:
-                    entry = by_chain[chain] = (chain, [], [])
+                    entry = by_chain[chain] = (premise.thread, [], chain,
+                                               [], [])
                     writes.chains.append(entry)
-                entry[1].append(index)
-                entry[2].append(event)
+                entry[1].append(premise.index)
+                entry[3].append(index)
+                entry[4].append(write)
             writes.count = len(events)
 
     def _check(self, state: _Read) -> None:
@@ -310,7 +336,7 @@ class SaturationEngine:
         read = state.read
         write = state.write
         if state.stamp < 0:
-            self.add_ordering(write, read)
+            self.add_ordering(state.source, read)
         state.stamp = self.inserted
         writes = state.writes
         state.count = writes.count
@@ -324,15 +350,16 @@ class SaturationEngine:
         positions = self._positions
         reach = positions[read.thread][read.index]
         predecessors = frontiers.order.frontier(read_node, "predecessor")
-        for (chain, indices, events), entry in zip(writes.chains, cover):
+        for (premise_chain, premises, chain, indices, events), entry \
+                in zip(writes.chains, cover):
             prefix, suffix, seen = entry
             count = len(indices)
             # Competing writes now before the read: force them before the
             # writer.
             if prefix < count:
-                limit = predecessors[chain]
-                if indices[prefix] <= limit:
-                    prefix = bisect_right(indices, limit, prefix)
+                limit = predecessors[premise_chain]
+                if premises[prefix] <= limit:
+                    prefix = bisect_right(premises, limit, prefix)
                     competitor = events[prefix - 1]
                     if competitor is not write \
                             and not reaches(competitor.node, write_node):
@@ -520,6 +547,8 @@ def saturate_trace(trace: Trace, order: PartialOrder, result: AnalysisResult,
 class SaturationAnalysis(Analysis):
     """Base of the analyses whose closure phase is :func:`saturate_trace`:
     race-prediction, deadlock-prediction, memory-bugs and use-after-free.
+    (tso-consistency saturates through the same engine but builds no
+    sync order, and on a stream re-runs in batch at each flush.)
 
     A subclass implements :meth:`_analyse`, its own phase over the
     saturated order, which asks frontiers and inserts no edges.  It is

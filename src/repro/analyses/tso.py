@@ -9,13 +9,24 @@ inconsistency when they form a cycle.
 
 The store-buffer semantics of TSO is modelled exactly as in the paper's
 evaluation setup: the chain DAG has **two chains per thread** -- the
-program-order chain holding every event the thread issues, and a
-store-buffer chain holding one flush pseudo-event per write (flushes are
-FIFO, hence totally ordered within the chain).  Cross-chain edges express
+program-order chain ``2p`` holding every event the thread issues, and a
+store-buffer chain ``2p + 1`` holding one flush pseudo-event per write
+(flushes are FIFO, hence totally ordered within the chain).  Cross-chain
+edges express
 
 * a write being ordered before its own flush,
-* reads-from edges ``flush(w) -> r`` for cross-thread observations, and
+* a read of the initial value being ordered before every flush of its
+  variable,
+* reads-from edges ``flush(w) -> r`` across threads, and ``issue(w) -> r``
+  within one (store forwarding), and
 * the coherence orderings inferred by saturation.
+
+Saturation is :class:`~repro.analyses.common.saturation.SaturationEngine`'s:
+Roy et al.'s two coherence rules are the engine's, with each write's
+issue as its premise node and its flush (at the write's trace position)
+as its conclusion node.  A read of a write its own thread issues only
+later therefore closes a cycle: a store buffer forwards only writes
+already issued.
 
 Those inferred orderings land between arbitrary events of the trace, which
 is why this analysis stresses partial-order updates deep inside the order --
@@ -29,6 +40,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.analyses.common.base import Analysis, AnalysisResult
 from repro.analyses.common.hb import Frontiers
+from repro.analyses.common.saturation import CycleDetected, SaturationEngine
 from repro.core.instrumented import InstrumentedOrder
 from repro.errors import AnalysisError
 from repro.trace.event import Event
@@ -53,6 +65,30 @@ class InconsistencyWitness:
         return f"cycle when ordering {self.source} -> {self.target} ({self.reason})"
 
 
+class _Flush:
+    """The flush of a write from its thread's store buffer: node
+    ``(2p + 1, k)`` for the ``k``-th write of the thread on chains
+    ``2p``/``2p + 1``.  Its ``premise`` is the write's issue."""
+
+    __slots__ = ("thread", "index", "node", "premise")
+
+    def __init__(self, chain: int, index: int, premise: Event) -> None:
+        self.thread = chain
+        self.index = index
+        self.node = (chain, index)
+        self.premise = premise
+
+
+def _reason(source, target) -> str:
+    """The rule behind an ordering that closed a cycle, named from the
+    kinds of its nodes: issues on even chains, flushes on odd ones."""
+    if target.thread % 2 == 0:
+        return "reads-from"
+    if source.thread % 2:
+        return "coherence (write before read)"
+    return "coherence (read before write)"
+
+
 class TSOConsistencyAnalysis(Analysis):
     """Saturation-based x86-TSO consistency checking.
 
@@ -70,84 +106,62 @@ class TSOConsistencyAnalysis(Analysis):
     # ------------------------------------------------------------------ #
     def _run(self, trace: Trace, order: InstrumentedOrder,
              result: AnalysisResult) -> None:
-        threads = trace.threads
-        thread_position = {thread: position for position, thread in enumerate(threads)}
-        writes_by_value: Dict[object, Event] = {}
-        writes_by_variable: Dict[object, List[Event]] = {}
-        flush_node: Dict[Event, Node] = {}
-        issue_node: Dict[Event, Node] = {}
-        flush_counts = {thread: 0 for thread in threads}
-
+        thread_positions = trace.columns().thread_positions
+        chain_of: Dict[int, int] = {}
+        positions: Dict[int, List[int]] = {}
+        for position, thread in enumerate(trace.threads):
+            chain = chain_of[thread] = 2 * position
+            positions[chain] = thread_positions[thread]
+            positions[chain + 1] = []
+        writes_by_value: Dict[object, _Flush] = {}
+        writes_by_variable: Dict[object, List[_Flush]] = {}
+        reads: List[Tuple[Event, Event]] = []
         for event in trace:
             if not event.is_access:
                 continue
-            position = thread_position[event.thread]
-            issue_node[event] = (2 * position, event.index)
+            chain = chain_of[event.thread]
+            issue = Event(chain, event.index, event.kind, event.variable,
+                          event.value)
             if event.is_write:
                 if event.value in writes_by_value:
                     raise AnalysisError(
                         f"duplicate written value {event.value!r}; the TSO checker "
                         "requires unique write values to recover reads-from"
                     )
-                writes_by_value[event.value] = event
-                writes_by_variable.setdefault(event.variable, []).append(event)
-                flush_node[event] = (2 * position + 1, flush_counts[event.thread])
-                flush_counts[event.thread] += 1
+                buffer = positions[chain + 1]
+                flush = _Flush(chain + 1, len(buffer), issue)
+                buffer.append(positions[chain][event.index])
+                writes_by_value[event.value] = flush
+                writes_by_variable.setdefault(event.variable, []).append(flush)
+            if event.is_read:
+                reads.append((event, issue))
+        reads_from = self._recover_reads_from(reads, writes_by_value)
 
-        frontiers = Frontiers(order)
-        inserted = 0
+        engine = SaturationEngine(Frontiers(order), positions)
         witness: Optional[InconsistencyWitness] = None
-
-        def add(source: Node, target: Node, reason: str) -> bool:
-            """Insert ``source -> target``; record a witness on cycles."""
-            nonlocal inserted, witness
-            if witness is not None:
-                return False
-            if source[0] == target[0]:
-                if source[1] > target[1]:
-                    witness = InconsistencyWitness(source, target, reason)
-                return False
-            if frontiers.reaches(source, target):
-                return False
-            if frontiers.reaches(target, source):
-                witness = InconsistencyWitness(source, target, reason)
-                return False
-            frontiers.insert(source, target)
-            inserted += 1
-            return True
-
-        # Base orderings: every write precedes its own flush.
-        for write, flush in flush_node.items():
-            add(issue_node[write], flush, "write before flush")
-
-        # Reads-from edges.
-        reads_from = self._recover_reads_from(trace, writes_by_value)
-        for read, write in reads_from.items():
-            if write is None:
-                continue
-            if write.thread != read.thread:
-                add(flush_node[write], issue_node[read], "reads-from")
-            # Same-thread early reads (store-to-load forwarding) need no edge:
-            # program order already orders the write before the read.
-
-        # Saturation: coherence-driven inference until a round inserts
-        # nothing (every rule only adds edges, so the loop terminates).
-        rounds = 0
-        changed = 1
-        while changed and witness is None:
-            rounds += 1
-            changed = 0
+        try:
+            # Every write precedes its own flush.
+            for flushes in writes_by_variable.values():
+                for flush in flushes:
+                    engine.add_ordering(flush.premise, flush)
+            # A read of the initial value precedes every flush of its
+            # variable: the first of each store buffer, and program order
+            # the rest.
             for read, write in reads_from.items():
-                if witness is not None:
-                    break
-                changed += self._saturate_read(
-                    frontiers, add, reads_from, writes_by_variable, flush_node,
-                    issue_node, read, write,
-                )
+                if write is None:
+                    first = {}
+                    for flush in writes_by_variable.get(read.variable, ()):
+                        first.setdefault(flush.thread, flush)
+                    for flush in first.values():
+                        engine.add_ordering(read, flush)
+            engine.saturate(reads_from, writes_by_variable)
+        except CycleDetected as cycle:
+            witness = InconsistencyWitness(
+                cycle.source.node, cycle.target.node,
+                _reason(cycle.source, cycle.target))
 
         result.details["consistent"] = witness is None
-        result.details["inserted"] = inserted
-        result.details["rounds"] = rounds
+        result.details["inserted"] = engine.inserted
         result.details["reads"] = len(reads_from)
         result.details["writes"] = len(writes_by_value)
         if witness is not None:
@@ -157,66 +171,24 @@ class TSOConsistencyAnalysis(Analysis):
     # Reads-from recovery
     # ------------------------------------------------------------------ #
     @staticmethod
-    def _recover_reads_from(trace: Trace, writes_by_value: Dict[object, Event]
-                            ) -> Dict[Event, Optional[Event]]:
-        """Map every read to its writer using the written values."""
-        mapping: Dict[Event, Optional[Event]] = {}
-        for event in trace:
-            if not event.is_read:
+    def _recover_reads_from(reads: List[Tuple[Event, Event]],
+                            writes_by_value: Dict[object, _Flush]
+                            ) -> Dict[Event, Optional[_Flush]]:
+        """Map every read's issue to its writer's flush using the written
+        values; ``reads`` pairs each read with its issue."""
+        mapping: Dict[Event, Optional[_Flush]] = {}
+        for read, issue in reads:
+            if read.value == INITIAL_VALUE or read.value is None:
+                mapping[issue] = None
                 continue
-            if event.value == INITIAL_VALUE or event.value is None:
-                mapping[event] = None
-                continue
-            writer = writes_by_value.get(event.value)
-            if writer is None or writer.variable != event.variable:
+            writer = writes_by_value.get(read.value)
+            if writer is None or writer.premise.variable != read.variable:
                 raise AnalysisError(
-                    f"read {event} observes value {event.value!r} that no write "
+                    f"read {read} observes value {read.value!r} that no write "
                     "to the same variable produced"
                 )
-            mapping[event] = writer
+            mapping[issue] = writer
         return mapping
-
-    # ------------------------------------------------------------------ #
-    # Saturation rules
-    # ------------------------------------------------------------------ #
-    def _saturate_read(self, frontiers, add, reads_from, writes_by_variable,
-                       flush_node, issue_node, read: Event,
-                       write: Optional[Event]) -> int:
-        """Coherence rules for one read (Roy et al. heuristic):
-
-        for every other write ``w'`` to the same variable,
-
-        * if ``w'`` is (already) ordered before the read, its flush must be
-          ordered before the writer's flush (otherwise the read would have
-          observed ``w'``);
-        * if the writer's flush is ordered before ``w'``'s flush, the read
-          must be ordered before ``w'``'s flush.
-        """
-        changed = 0
-        read_node = issue_node[read]
-        for competitor in writes_by_variable.get(read.variable, ()):
-            if competitor is write:
-                continue
-            competitor_flush = flush_node[competitor]
-            competitor_issue = issue_node[competitor]
-            if write is None:
-                # Read of the initial value: no write to the variable may be
-                # flushed before the read in any witness order.
-                if add(read_node, competitor_flush, "initial-value read"):
-                    changed += 1
-                continue
-            writer_flush = flush_node[write]
-            before_read = frontiers.reaches(competitor_flush, read_node) or \
-                frontiers.reaches(competitor_issue, read_node)
-            if before_read and not frontiers.reaches(competitor_flush,
-                                                     writer_flush):
-                if add(competitor_flush, writer_flush, "coherence (write before read)"):
-                    changed += 1
-            if frontiers.reaches(writer_flush, competitor_flush):
-                if not frontiers.reaches(read_node, competitor_flush):
-                    if add(read_node, competitor_flush, "coherence (read before write)"):
-                        changed += 1
-        return changed
 
 
 def check_tso_consistency(trace: Trace, backend=None,

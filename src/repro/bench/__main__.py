@@ -60,20 +60,23 @@ def _main(argv=None) -> int:
         if unknown:
             parser.error(f"unknown tables: {', '.join(unknown)}")
 
+    # Figure 10 needs every table and each job's peak; a peak costs an
+    # extra, traced run per job, so only a printed peak pays for it.
+    figure10 = not args.skip_figures and set(selected) == set(TABLE_SUITES)
     results = {}
     for name in selected:
-        result = results[name] = run_suite(name, scale=args.scale,
-                                           memory=True)
+        result = results[name] = run_suite(
+            name, scale=args.scale, memory=args.memory or figure10)
         title = get_suite(name).description
         print(result.format_pivot(title))
         if args.memory:
             print(result.format_pivot(title, metric="peak_bytes"))
         print()
 
+    if figure10:
+        print(format_figure10(results))
+        print()
     if not args.skip_figures:
-        if set(selected) == set(TABLE_SUITES):
-            print(format_figure10(results))
-            print()
         print(run_figure11().format())
     return 0
 

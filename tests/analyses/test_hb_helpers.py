@@ -15,18 +15,26 @@ from repro.trace import Trace
 from repro.trace.generators import build_trace
 
 
-@pytest.fixture
-def sync_trace():
+def _sync_trace(fork_join=True):
+    """Two critical sections of one lock, the second reading the first's
+    write, optionally inside a fork/join of thread 1."""
     trace = Trace(name="sync")
-    trace.fork(0, 1)
+    if fork_join:
+        trace.fork(0, 1)
     trace.acquire(0, "l")
     trace.write(0, "x", value=1)
     trace.release(0, "l")
     trace.acquire(1, "l")
     trace.read(1, "x", value=1)
     trace.release(1, "l")
-    trace.join(0, 1)
+    if fork_join:
+        trace.join(0, 1)
     return trace
+
+
+@pytest.fixture
+def sync_trace():
+    return _sync_trace()
 
 
 class TestInsertOrdering:
@@ -51,11 +59,11 @@ def _build(trace, order, **options):
 
 
 class TestSyncEdges:
-    def test_lock_edges(self, sync_trace):
+    def test_lock_edges(self):
         order = IncrementalCSST(2, 8)
-        _build(sync_trace, order, include_fork_join=False)
+        assert _build(_sync_trace(fork_join=False), order) == 1
         # release(0, l) happens before acquire(1, l)
-        assert order.reachable((0, 3), (1, 0))
+        assert order.reachable((0, 2), (1, 0))
 
     def test_fork_join_edges(self, sync_trace):
         order = IncrementalCSST(2, 8)
@@ -63,18 +71,18 @@ class TestSyncEdges:
         assert order.reachable((0, 0), (1, 0))   # fork before first child event
         assert order.reachable((1, 2), (0, 4))   # last child event before join
 
-    def test_reads_from_edges_optional(self, sync_trace):
-        assert list(sync_edges(sync_trace, include_locks=False,
-                               include_fork_join=False)) == []
-        with_rf = IncrementalCSST(2, 8)
-        _build(sync_trace, with_rf, include_locks=False,
-               include_fork_join=False, include_reads_from=True)
-        assert with_rf.reachable((0, 2), (1, 1))
+    def test_no_reads_from_edges(self, sync_trace):
+        # The write (0, 2) and its read (1, 1) are ordered only through
+        # the lock.
+        assert list(sync_edges(sync_trace, include_locks=False)) \
+            == [((0, 0), (1, 0)), ((1, 2), (0, 4))]
+        assert list(sync_edges(_sync_trace(fork_join=False),
+                               include_locks=False)) == []
 
     def test_every_edge_is_cross_chain(self, sync_trace):
-        edges = list(sync_edges(sync_trace, include_reads_from=True))
-        assert edges and all(source[0] != target[0]
-                             for source, target in edges)
+        edges = list(sync_edges(sync_trace))
+        assert len(edges) == 3 and all(source[0] != target[0]
+                                       for source, target in edges)
 
     def test_same_thread_lock_transfer_adds_no_edge(self):
         trace = Trace()
@@ -84,17 +92,16 @@ class TestSyncEdges:
         trace.release(0, "l")
         assert list(sync_edges(trace)) == []
 
-    def test_a_resumed_lock_walk_yields_the_rest(self, sync_trace):
-        whole = list(sync_edges(sync_trace, include_fork_join=False))
+    def test_a_resumed_lock_walk_yields_the_rest(self):
+        trace = _sync_trace(fork_join=False)
+        whole = list(sync_edges(trace))
         last_release = {}
         prefix = Trace()
-        for event in list(sync_trace)[:4]:
+        for event in list(trace)[:3]:
             prefix.add(event)
-        head = list(sync_edges(prefix, include_fork_join=False,
-                               last_release=last_release))
-        tail = list(sync_edges(sync_trace, include_fork_join=False, start=4,
-                               last_release=last_release))
-        assert head == [] and tail == whole
+        head = list(sync_edges(prefix, last_release=last_release))
+        tail = list(sync_edges(trace, start=3, last_release=last_release))
+        assert head == [] and tail == whole == [((0, 2), (1, 0))]
 
 
 def _pairs(trace, window=None, limit=None):

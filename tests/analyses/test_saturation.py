@@ -14,6 +14,7 @@ from repro.analyses.common.saturation import (
     saturate_trace,
 )
 from repro.analyses.race_prediction import RacePredictionAnalysis
+from repro.analyses.tso import TSOConsistencyAnalysis
 from repro.core import NO_SUCCESSOR, IncrementalCSST
 from repro.core.factory import incremental_backends, make_partial_order
 from repro.trace import Trace
@@ -267,6 +268,106 @@ class SaturationOracle:
                 for event in self.trace for chain in range(num_chains)]
 
 
+class TSOSaturationOracle(SaturationOracle):
+    """tso-consistency's saturation over an explicit reachability
+    relation, on the analysis's nodes: on chain ``2p`` the events of the
+    ``p``-th thread, on chain ``2p + 1`` one flush per write of it.
+
+    The edges: each write's issue before its flush; reads-from edges
+    from the writer's flush, or from its issue within one thread; and
+    per read, in rounds until one inserts nothing, its initial-value and
+    coherence rules over every competing write, each premise asked of
+    the competitor's issue.  Test-only reference.
+    """
+
+    def __init__(self, trace):
+        self.trace = trace
+        chains = {thread: 2 * position
+                  for position, thread in enumerate(trace.threads)}
+        self.nodes = []
+        issue, flush = {}, {}
+        for thread, chain in chains.items():
+            writes = 0
+            for event in trace.thread_events(thread):
+                issue[event] = (chain, event.index)
+                self.nodes.append(issue[event])
+                if event.is_write:
+                    flush[event] = (chain + 1, writes)
+                    self.nodes.append(flush[event])
+                    writes += 1
+        self.position = {node: position
+                         for position, node in enumerate(self.nodes)}
+        self.reach = [1 << position for position in range(len(self.nodes))]
+        ordered = sorted(self.nodes)
+        for earlier, later in zip(ordered, ordered[1:]):
+            if earlier[0] == later[0]:
+                self._close(self.position[earlier], self.position[later])
+        self.rounds = 0
+        self.cyclic = False
+        by_value = {event.value: event for event in flush}
+        reads_from = {event: by_value.get(event.value)
+                      for event in issue if event.is_read}
+        try:
+            for write, node in flush.items():
+                self._edge(issue[write], node)
+            for read, write in reads_from.items():
+                if write is not None:
+                    self._edge(issue[write] if write.thread == read.thread
+                               else flush[write], issue[read])
+            self._rounds(reads_from, issue, flush)
+        except CycleDetected:
+            self.cyclic = True
+
+    def _edge(self, source, target):
+        return self._insert(self.position[source], self.position[target])
+
+    def _reaches(self, source, target):
+        return self.reaches(self.position[source], self.position[target])
+
+    def _rounds(self, reads_from, issue, flush):
+        writes = {}
+        for write in flush:
+            writes.setdefault(write.variable, []).append(write)
+        while True:
+            changed = False
+            for read, write in reads_from.items():
+                node = issue[read]
+                for competitor in writes.get(read.variable, ()):
+                    if competitor is write:
+                        continue
+                    if write is None:
+                        changed |= self._edge(node, flush[competitor])
+                        continue
+                    if self._reaches(issue[competitor], node) \
+                            and not self._reaches(flush[competitor],
+                                                  flush[write]):
+                        changed |= self._edge(flush[competitor], flush[write])
+                    if self._reaches(flush[write], flush[competitor]):
+                        changed |= self._edge(node, flush[competitor])
+            if not changed:
+                return
+            self.rounds += 1
+
+    def successors(self, num_chains):
+        """``successor(v, t)`` for every node ``v`` and chain ``t``."""
+        return [min((other[1] for other in self.nodes
+                     if other[0] == chain and self._reaches(node, other)),
+                    default=NO_SUCCESSOR)
+                for node in self.nodes for chain in range(num_chains)]
+
+
+def tso_outcome(backend, trace, nodes):
+    """tso-consistency's verdict on ``trace`` over a fresh ``backend``
+    order, and the order's ``successor`` of each of ``nodes`` on every
+    chain."""
+    chains = 2 * len(trace.threads)
+    order = make_partial_order(backend, chains, trace.max_thread_length)
+    result = TSOConsistencyAnalysis(order).run(trace)
+    return result.details["consistent"], [
+        order.successor(node, chain) for node in nodes
+        for chain in range(chains)]
+
+
 def _assignments(trace, seed):
     """The observed reads-from map, then reshuffled ones (each read picks
     a random write of its variable) that are often infeasible."""
@@ -300,6 +401,11 @@ def _engine_outcome(backend, trace, reads_from):
 
 SHAPES = [("racy", 4, 60, 1), ("racy", 3, 90, 4), ("deadlock", 4, 50, 2),
           ("deadlock", 3, 70, 5), ("memory", 4, 60, 3), ("memory", 5, 40, 6)]
+
+
+#: tso traces: (threads, events per thread, seed, stale-read fraction).
+TSO_SHAPES = [(2, 30, 1, 0.0), (3, 24, 2, 0.0), (4, 40, 3, 0.0),
+              (4, 30, 4, 0.15), (3, 16, 5, 0.5), (8, 10, 6, 0.05)]
 
 
 class TestClosureOracle:
@@ -344,6 +450,22 @@ class TestClosureOracle:
                     > positions[read.thread][read.index]
                     for read, write in reads_from.items() if write is not None)
         assert backward
+
+    @pytest.mark.parametrize("backend", incremental_backends() + ("csst",))
+    def test_tso_matches_closure_oracle(self, backend):
+        """tso-consistency reaches the oracle's verdict, and on consistent
+        traces its relation, over issue and flush nodes."""
+        verdicts = []
+        for threads, events, seed, stale in TSO_SHAPES:
+            trace = build_trace("tso", threads, events, seed=seed,
+                                stale_read_fraction=stale)
+            oracle = TSOSaturationOracle(trace)
+            consistent, relation = tso_outcome(backend, trace, oracle.nodes)
+            assert consistent == (not oracle.cyclic)
+            if consistent:
+                assert relation == oracle.successors(2 * len(trace.threads))
+            verdicts.append(consistent)
+        assert True in verdicts and False in verdicts
 
     def test_reshuffled_assignments_reach_cycles(self):
         """The reshuffled assignments exercise the CycleDetected path."""

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+import repro.bench.__main__ as bench_cli
 from repro.bench.__main__ import main as bench_main
 from repro.bench.perf import fig11_protocol, run_figure11
 from repro.bench.tables import TABLE_SUITES, format_figure10
@@ -17,7 +18,7 @@ from repro.runner.corpus import (
     register_suite,
     scale_suite,
 )
-from repro.runner.executor import plan_jobs, run_jobs
+from repro.runner.executor import plan_jobs, run_jobs, run_suite
 from repro.runner.results import STATUS_OK, SweepRecord, SweepResult
 
 TINY = 0.05
@@ -199,6 +200,23 @@ class TestBenchCli:
         assert lines[4].split()[:3] == ["clean", "4", "68"]
         assert "Total" in out and "KiB" in out
         assert " q " not in lines[2]
+
+    @pytest.mark.parametrize("flags, memory", [
+        (["--skip-figures"], False),
+        (["--skip-figures", "--memory"], True)])
+    def test_a_memory_pass_runs_only_for_a_printed_peak(
+            self, monkeypatch, capsys, flags, memory):
+        passes = []
+
+        def recording(name, scale, memory):
+            passes.append(memory)
+            return run_suite(name, scale=scale, memory=memory)
+
+        monkeypatch.setattr(bench_cli, "run_suite", recording)
+        assert bench_main(["--tables", "table1", "--scale", str(TINY)]
+                          + flags) == 0
+        assert passes == [memory]
+        assert ("KiB" in capsys.readouterr().out) is memory
 
     def test_unknown_table_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit):

@@ -1,6 +1,8 @@
 """Tests specific to incremental CSSTs (Algorithm 3) and the Segment Tree
 baseline that shares their transitive-closure logic."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.analyses.common.base import Analysis
@@ -113,6 +115,12 @@ class TestSparsity:
         assert order.reachable((0, 50), (1, 300))
 
 
+#: The insert_edge sequence of the round loop tso-consistency once ran,
+#: on tso 64 threads x 50 events, seed 1 (2,883 edges).
+TSO_64X50_EDGES = Path(__file__).resolve().parent / "data" \
+    / "tso_64x50_seed1_edges.txt"
+
+
 class TestInsertCost:
     """The insert closure reads one target frontier per insert and skips
     source rows that already reach the target; it must still make the
@@ -120,39 +128,37 @@ class TestInsertCost:
 
     def test_tso_64_threads_counts(self, monkeypatch):
         counts = {"update": 0, "suffix_min": 0}
-        inside = [False]
 
         def counting(name):
             method = getattr(SparseSegmentTree, name)
 
             def wrapper(self, *args):
-                if inside[0]:
-                    counts[name] += 1
+                counts[name] += 1
                 return method(self, *args)
 
             return wrapper
 
-        insert_edge = IncrementalCSST.insert_edge
-
-        def counted_insert(self, source, target):
-            inside[0] = True
-            try:
-                insert_edge(self, source, target)
-            finally:
-                inside[0] = False
-
+        edges = [tuple(map(int, line.split()))
+                 for line in TSO_64X50_EDGES.read_text().splitlines()
+                 if not line.startswith("#")]
+        assert len(edges) == 2883
         trace = build_trace("tso", num_threads=64, events=50, seed=1)
-        analysis_cls = Analysis.by_name("tso-consistency")
-        reference = analysis_cls("vc-flat").run(trace)
+        order = IncrementalCSST(128, trace.max_thread_length)
         for name in counts:
             monkeypatch.setattr(SparseSegmentTree, name, counting(name))
-        monkeypatch.setattr(IncrementalCSST, "insert_edge", counted_insert)
-        result = analysis_cls("incremental-csst").run(trace)
+        for source_chain, source, target_chain, target in edges:
+            order.insert_edge((source_chain, source), (target_chain, target))
         # The all-pairs sweep made the same 68,107 updates with 11.83M
         # suffix-minima lookups.
         assert counts["update"] == 68_107
         assert counts["suffix_min"] <= 600_000
-        assert result.insert_count == reference.insert_count == 2883
+
+    def test_tso_64_threads_agrees_with_vc_flat(self):
+        trace = build_trace("tso", num_threads=64, events=50, seed=1)
+        analysis_cls = Analysis.by_name("tso-consistency")
+        reference = analysis_cls("vc-flat").run(trace)
+        result = analysis_cls("incremental-csst").run(trace)
+        assert result.insert_count == reference.insert_count
         assert [str(f) for f in result.findings] == \
             [str(f) for f in reference.findings]
         assert result.details == reference.details
