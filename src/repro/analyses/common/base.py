@@ -21,6 +21,7 @@ from repro.core import (
     incremental_backends,
     make_partial_order,
 )
+from repro.core.factory import backend_options
 from repro.errors import AnalysisError
 from repro.obs import metrics as obs_metrics
 from repro.trace.trace import Trace
@@ -196,6 +197,15 @@ class Analysis:
 
             backend = self._resolved_backend = tune.choose_backend(
                 type(self))
+        if backend_kwargs and isinstance(backend, str):
+            accepted = backend_options(backend)
+            unknown = ([] if accepted is None
+                       else sorted(set(backend_kwargs) - accepted))
+            if unknown:
+                raise AnalysisError(
+                    f"analysis {self.name!r}: backend {backend!r} does not "
+                    f"accept {', '.join(map(repr, unknown))} (accepted: "
+                    f"{', '.join(sorted(accepted)) or 'none'})")
         self._backend_spec = backend
         self._backend_kwargs = backend_kwargs
         self._stream_view = None

@@ -213,7 +213,10 @@ class AnalyzeConfig(Config):
     shows; the result object always carries the full list.  ``params``
     forwards extra keyword arguments to the analysis constructor --
     analysis tunables (e.g. ``candidate_window`` for race prediction) and
-    backend construction knobs (e.g. ``block_size``) alike.
+    backend construction knobs (e.g. ``block_size``, which only the
+    ``csst`` backend takes) alike.  A keyword that neither the analysis
+    nor its backend takes raises :class:`~repro.errors.AnalysisError` when
+    the analysis is built, before the trace is read.
     """
 
     command: ClassVar[str] = "analyze"

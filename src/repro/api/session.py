@@ -198,10 +198,11 @@ class Session:
         from repro.trace import read_trace
 
         cls = self.registry.analysis(config.analysis)
-        backend = config.backend or cls.default_backend()
+        analysis = cls(config.backend or cls.default_backend(),
+                       **dict(config.params))
         if trace is None:
             trace = read_trace(config.trace)
-        raw = cls(backend, **dict(config.params)).run(trace)
+        raw = analysis.run(trace)
         return AnalyzeResult(raw=raw, max_findings=config.max_findings)
 
     def compare(self, config: CompareConfig,
@@ -211,8 +212,6 @@ class Session:
 
         name = self.registry.resolve_analysis(config.analysis)
         cls = self.registry.analyses()[name]
-        if trace is None:
-            trace = read_trace(config.trace)
         applicable = list(cls.applicable_backends())
         if config.backends is None:
             selected = applicable
@@ -231,8 +230,11 @@ class Session:
         if not selected:
             raise ReproError(f"no backends selected for {name} "
                              f"(applicable: {', '.join(applicable)})")
-        runs = [cls(backend, **dict(config.params)).run(trace)
-                for backend in selected]
+        analyses = [cls(backend, **dict(config.params))
+                    for backend in selected]
+        if trace is None:
+            trace = read_trace(config.trace)
+        runs = [analysis.run(trace) for analysis in analyses]
         return CompareResult(analysis=name, trace_name=trace.name, runs=runs)
 
     def sweep(self, config: SweepConfig) -> SweepRunResult:

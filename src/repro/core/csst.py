@@ -46,21 +46,16 @@ class ChainMatrixOrder(PartialOrder):
     capacity_hint:
         Expected number of events per chain; arrays grow beyond it
         automatically.
-    block_size:
-        Block-node threshold of the default
-        :class:`~repro.core.sparse_segment_tree.SparseSegmentTree` arrays.
     array_factory:
-        Override for the per-chain-pair suffix-minima arrays: the ``st``
-        baseline passes dense segment trees, and the test-suite the naive
-        reference arrays.
+        Builds the per-chain-pair suffix-minima arrays.  Each subclass
+        passes its default: :class:`CSST` sparse segment trees, the
+        incremental CSST its staircases, the ``st`` baseline dense segment
+        trees, and the test-suite the naive reference arrays.
     """
 
-    def __init__(self, num_chains: int, capacity_hint: int = 1024, *,
-                 block_size: int = DEFAULT_BLOCK_SIZE,
-                 array_factory: Optional[ArrayFactory] = None) -> None:
+    def __init__(self, num_chains: int, capacity_hint: int,
+                 array_factory: ArrayFactory) -> None:
         super().__init__(num_chains, capacity_hint)
-        if array_factory is None:
-            array_factory = partial(SparseSegmentTree, block_size=block_size)
         self._array_factory = array_factory
         self._arrays: List[Optional[SuffixMinima]] = (
             [None] * (num_chains * num_chains))
@@ -103,8 +98,10 @@ class ChainMatrixOrder(PartialOrder):
 class CSST(ChainMatrixOrder):
     """Fully dynamic CSST: insertions, deletions, and reachability queries.
 
-    Direct edges per source node live in lazily deletable min-heaps;
-    parameters are those of :class:`ChainMatrixOrder`.
+    Direct edges per source node live in lazily deletable min-heaps.
+    ``block_size`` is the block-node threshold of the default
+    :class:`~repro.core.sparse_segment_tree.SparseSegmentTree` arrays; the
+    other parameters are those of :class:`ChainMatrixOrder`.
     """
 
     supports_deletion = True
@@ -112,8 +109,9 @@ class CSST(ChainMatrixOrder):
     def __init__(self, num_chains: int, capacity_hint: int = 1024, *,
                  block_size: int = DEFAULT_BLOCK_SIZE,
                  array_factory: Optional[ArrayFactory] = None) -> None:
-        super().__init__(num_chains, capacity_hint, block_size=block_size,
-                         array_factory=array_factory)
+        if array_factory is None:
+            array_factory = partial(SparseSegmentTree, block_size=block_size)
+        super().__init__(num_chains, capacity_hint, array_factory)
         # slot (t1 * k + t2) -> {j1: multiset of j2 targets}
         self._heaps: List[Optional[Dict[int, DeletableMinHeap]]] = (
             [None] * (num_chains * num_chains))

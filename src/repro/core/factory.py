@@ -8,7 +8,8 @@ paper's tables) into a concrete instance.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Type
+import inspect
+from typing import Dict, FrozenSet, List, Optional, Tuple, Type
 
 from repro.core.csst import CSST
 from repro.core.graph_po import GraphOrder
@@ -125,6 +126,27 @@ def unregister_backend(name: str) -> None:
             extras.remove(name)
 
 
+def backend_options(kind: str) -> Optional[FrozenSet[str]]:
+    """The keyword options the constructor of backend ``kind`` takes
+    besides ``num_chains`` and ``capacity_hint`` (which the analyses pass
+    themselves).
+
+    ``None`` when any keyword may pass: the constructor takes
+    ``**kwargs``, or ``kind`` names no backend (which
+    :func:`make_partial_order` reports).
+    """
+    backend_cls = BACKENDS.get(kind)
+    if backend_cls is None:
+        return None
+    parameters = inspect.signature(backend_cls).parameters.values()
+    if any(p.kind is p.VAR_KEYWORD for p in parameters):
+        return None
+    return frozenset(
+        p.name for p in parameters
+        if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)
+        and p.name not in ("num_chains", "capacity_hint"))
+
+
 def make_partial_order(kind: str, num_chains: int, capacity_hint: int = 1024,
                        **kwargs) -> PartialOrder:
     """Instantiate a partial-order backend by name.
@@ -141,7 +163,7 @@ def make_partial_order(kind: str, num_chains: int, capacity_hint: int = 1024,
         Expected number of events per chain.
     kwargs:
         Extra keyword arguments forwarded to the backend constructor (e.g.
-        ``block_size`` for the CSST variants).
+        ``block_size`` for ``csst``; see :func:`backend_options`).
 
     Raises
     ------

@@ -20,32 +20,122 @@ Crucially, the density of each array never exceeds the cross-chain density
 ``d`` of the underlying chain DAG (Lemma 7): transitive entries are only
 ever written at source indices that already have an outgoing cross-chain
 edge, so the sparse representation keeps paying off.
+
+Departure from the paper: staircases instead of SSTs
+----------------------------------------------------
+The paper stores each closed array ``A[t1][t2]`` in a Sparse Segment Tree.
+Here the default array is a *staircase* (:class:`_Staircase`), which keeps
+only the entries no other entry dominates.  An entry ``(p, x)`` is
+dominated when some ``(p', x')`` has ``p' >= p`` and ``x' <= x``.  Both
+queries stay exact without it: ``suffix_min(i)`` for ``i <= p`` also sees
+the smaller ``x'`` at ``p' >= i``, and ``argleq(v)`` for ``v >= x`` also
+finds the later ``p'``.  The closure is what makes dropping it final: a
+node reaches everything a later node of its chain reaches, so the first
+node of ``t2`` that ``(t1, p)`` reaches never decreases with ``p``.  That
+function is the array's ``suffix_min``, the insert writes only where an
+entry lowers it, and no entry is ever raised or cleared, so a dominated
+entry stays dominated.  What is left is increasing in both
+coordinates: two sorted int lists, where each query is one ``bisect`` and
+each update one slice assignment, inside C instead of a Python tree walk.
+
+Lemma 7's density bound still holds, because the stored entries are a
+subset of the SST's.  The fully dynamic :class:`~repro.core.csst.CSST`
+stores direct edges, whose arrays are not monotone, so it keeps the SST;
+the ``st`` baseline passes dense segment trees through ``array_factory``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import List, Optional, Tuple
 
 from repro.core.csst import ArrayFactory, ChainMatrixOrder
 from repro.core.interface import NO_SUCCESSOR, Node
-from repro.core.sparse_segment_tree import DEFAULT_BLOCK_SIZE
+from repro.core.suffix_minima import SuffixMinima
+
+
+class _Staircase(SuffixMinima):
+    """The non-dominated entries of a closed array, as two sorted lists.
+
+    ``positions`` and ``values`` are both strictly increasing, between a
+    leading ``(-1, -1)`` and a trailing ``(NO_SUCCESSOR, NO_SUCCESSOR)``
+    sentinel, so every query is one ``bisect`` and one list read.
+
+    The contract is insert-only, as :meth:`IncrementalCSST.insert_edge`
+    uses it: :meth:`update` is only called where ``suffix_min(index) >
+    value``, with ``0 <= value < NO_SUCCESSOR``.  It is not a general
+    suffix-minima array: it cannot raise or clear an entry, and ``get`` and
+    ``items`` report only the entries that no later, smaller entry
+    dominates.
+    """
+
+    __slots__ = ("_positions", "_values", "_capacity")
+
+    def __init__(self, capacity: int = 1) -> None:
+        self._positions = [-1, NO_SUCCESSOR]
+        self._values = [-1, NO_SUCCESSOR]
+        self._capacity = capacity
+
+    @property
+    def capacity(self) -> int:
+        return self._capacity
+
+    @property
+    def density(self) -> int:
+        return len(self._positions) - 2
+
+    def update(self, index: int, value: int) -> None:
+        # The new entry dominates every entry at or before ``index`` whose
+        # value is at least ``value``: the tail of that prefix, since the
+        # values increase.  Nothing after ``index`` dominates it, because
+        # ``suffix_min(index) > value``.
+        if index < 0:
+            self._reject_index(index)
+        if index >= self._capacity:
+            self._capacity = index + 1
+        positions = self._positions
+        values = self._values
+        end = bisect_right(positions, index)
+        start = bisect_left(values, value, 0, end)
+        positions[start:end] = (index,)
+        values[start:end] = (value,)
+
+    def get(self, index: int) -> int:
+        if index < 0:
+            self._reject_index(index)
+        slot = bisect_left(self._positions, index)
+        return (self._values[slot] if self._positions[slot] == index
+                else NO_SUCCESSOR)
+
+    def suffix_min(self, index: int) -> int:
+        if index < 0:
+            self._reject_index(index)
+        return self._values[bisect_left(self._positions, index)]
+
+    def argleq(self, value: int) -> int:
+        if value >= NO_SUCCESSOR:
+            return self._positions[-2]
+        return self._positions[bisect_right(self._values, value) - 1]
+
+    def items(self) -> List[Tuple[int, int]]:
+        return list(zip(self._positions[1:-1], self._values[1:-1]))
 
 
 class IncrementalCSST(ChainMatrixOrder):
     """Insert-only CSST with eagerly maintained transitive closure.
 
     Edge deletion is not supported; use :class:`~repro.core.csst.CSST` for
-    fully dynamic workloads.  Parameters are those of
-    :class:`~repro.core.csst.ChainMatrixOrder`.
+    fully dynamic workloads.  The arrays are staircases (see the module
+    docstring) unless ``array_factory`` builds others; the parameters are
+    those of :class:`~repro.core.csst.ChainMatrixOrder`.
     """
 
     supports_deletion = False
 
     def __init__(self, num_chains: int, capacity_hint: int = 1024, *,
-                 block_size: int = DEFAULT_BLOCK_SIZE,
                  array_factory: Optional[ArrayFactory] = None) -> None:
-        super().__init__(num_chains, capacity_hint, block_size=block_size,
-                         array_factory=array_factory)
+        super().__init__(num_chains, capacity_hint,
+                         array_factory or _Staircase)
         self._edge_count = 0
 
     # ------------------------------------------------------------------ #

@@ -163,3 +163,27 @@ class TestDefaultBackend:
         trace = build_trace(kind, num_threads=2, events=4, seed=1)
         assert cls().run(trace).backend == cls.default_backend()
         assert _WRAPPERS[name](trace).backend == cls.default_backend()
+
+
+class TestBackendOptions:
+    """A keyword no backend constructor takes is a typed error when the
+    analysis is built, not a ``TypeError`` from the backend at run time."""
+
+    @pytest.mark.parametrize("backend", ["vc-flat", "incremental-csst"])
+    def test_block_size_rejected_by_backends_without_blocks(self, backend):
+        cls = Analysis.by_name("deadlock-prediction")
+        with pytest.raises(AnalysisError,
+                           match=f"backend '{backend}' does not accept "
+                                 f"'block_size'"):
+            cls(backend, block_size=4)
+
+    def test_capacity_hint_is_not_an_option(self):
+        with pytest.raises(AnalysisError, match="'capacity_hint'"):
+            Analysis.by_name("deadlock-prediction")("csst", capacity_hint=8)
+
+    def test_csst_takes_block_size(self):
+        cls = Analysis.by_name("linearizability")
+        trace = build_trace("history", num_threads=2, events=8, seed=1)
+        assert cls.default_backend() == "csst"
+        assert (cls(block_size=4).run(trace).findings
+                == cls().run(trace).findings)

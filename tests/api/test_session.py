@@ -16,7 +16,7 @@ from repro.api import (
     WatchConfig,
 )
 from repro.analyses.common.base import Analysis
-from repro.errors import ConfigError, ReproError
+from repro.errors import AnalysisError, ConfigError, ReproError
 from repro.trace import dump_trace
 
 
@@ -85,6 +85,18 @@ class TestAnalyze:
         with pytest.raises(ReproError, match="unknown partial-order backend"):
             session.run(AnalyzeConfig(analysis="race-prediction",
                                       trace=trace_file, backend="vcc"))
+
+
+    @pytest.mark.parametrize("backend", ["vc-flat", "incremental-csst"])
+    def test_unknown_backend_keyword_is_an_error_before_the_read(
+            self, session, tmp_path, backend):
+        config = AnalyzeConfig(analysis="deadlock-prediction",
+                               trace=str(tmp_path / "never-read.std"),
+                               backend=backend, params=(("block_size", 4),))
+        with pytest.raises(AnalysisError,
+                           match=f"backend '{backend}' does not accept "
+                                 f"'block_size'"):
+            session.run(config)
 
 
 class TestCompare:

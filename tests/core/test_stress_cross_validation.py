@@ -93,16 +93,27 @@ def test_fully_dynamic_backends_agree_under_churn(seed):
 
 @pytest.mark.parametrize("block_size", [0, 2, 32])
 def test_csst_block_size_variants_agree(block_size):
+    """``block_size`` is a knob of the fully dynamic CSST's sparse segment
+    trees; every setting answers like the default under inserts and
+    deletes."""
     rng = random.Random(99)
     num_chains, per_chain = 4, 30
-    reference = IncrementalCSST(num_chains, per_chain)
-    variant = IncrementalCSST(num_chains, per_chain, block_size=block_size)
+    reference = CSST(num_chains, per_chain)
+    variant = CSST(num_chains, per_chain, block_size=block_size)
+    live = []
     for _ in range(150):
-        source, target = _random_cross_pair(rng, num_chains, per_chain)
-        if not reference.reachable(target, source):
-            if not reference.reachable(source, target):
+        if live and rng.random() < 0.3:
+            source, target = live.pop(rng.randrange(len(live)))
+            reference.delete_edge(source, target)
+            variant.delete_edge(source, target)
+        else:
+            source, target = _random_cross_pair(rng, num_chains, per_chain)
+            if not reference.reachable(target, source):
+                live.append((source, target))
                 reference.insert_edge(source, target)
                 variant.insert_edge(source, target)
         a = _random_node(rng, num_chains, per_chain)
         b = _random_node(rng, num_chains, per_chain)
         assert variant.reachable(a, b) == reference.reachable(a, b)
+        assert variant.successor(a, b[0]) == reference.successor(a, b[0])
+        assert variant.predecessor(a, b[0]) == reference.predecessor(a, b[0])
