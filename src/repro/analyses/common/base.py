@@ -21,8 +21,8 @@ from repro.core import (
     incremental_backends,
     make_partial_order,
 )
-from repro.core.factory import backend_options
-from repro.errors import AnalysisError
+from repro.core.factory import check_backend_options
+from repro.errors import AnalysisError, ReproError
 from repro.obs import metrics as obs_metrics
 from repro.trace.trace import Trace
 
@@ -197,15 +197,17 @@ class Analysis:
 
             backend = self._resolved_backend = tune.choose_backend(
                 type(self))
-        if backend_kwargs and isinstance(backend, str):
-            accepted = backend_options(backend)
-            unknown = ([] if accepted is None
-                       else sorted(set(backend_kwargs) - accepted))
-            if unknown:
+        if backend_kwargs and not isinstance(backend, str):
+            raise AnalysisError(
+                f"analysis {self.name!r}: backend keywords "
+                f"{', '.join(map(repr, sorted(backend_kwargs)))} given with "
+                f"an already built {type(backend).__name__}")
+        if backend_kwargs:
+            try:
+                check_backend_options(backend, backend_kwargs)
+            except ReproError as error:
                 raise AnalysisError(
-                    f"analysis {self.name!r}: backend {backend!r} does not "
-                    f"accept {', '.join(map(repr, unknown))} (accepted: "
-                    f"{', '.join(sorted(accepted)) or 'none'})")
+                    f"analysis {self.name!r}: {error}") from None
         self._backend_spec = backend
         self._backend_kwargs = backend_kwargs
         self._stream_view = None

@@ -9,7 +9,7 @@ paper's tables) into a concrete instance.
 from __future__ import annotations
 
 import inspect
-from typing import Dict, FrozenSet, List, Optional, Tuple, Type
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Type
 
 from repro.core.csst import CSST
 from repro.core.graph_po import GraphOrder
@@ -147,6 +147,19 @@ def backend_options(kind: str) -> Optional[FrozenSet[str]]:
         and p.name not in ("num_chains", "capacity_hint"))
 
 
+def check_backend_options(kind: str, options: Iterable[str]) -> None:
+    """Raise :class:`ReproError` naming ``kind`` and every one of
+    ``options`` its constructor does not take (see
+    :func:`backend_options`)."""
+    accepted = backend_options(kind)
+    unknown = [] if accepted is None else sorted(set(options) - accepted)
+    if unknown:
+        raise ReproError(
+            f"backend {kind!r} does not accept "
+            f"{', '.join(map(repr, unknown))} (accepted: "
+            f"{', '.join(sorted(accepted)) or 'none'})")
+
+
 def make_partial_order(kind: str, num_chains: int, capacity_hint: int = 1024,
                        **kwargs) -> PartialOrder:
     """Instantiate a partial-order backend by name.
@@ -168,11 +181,14 @@ def make_partial_order(kind: str, num_chains: int, capacity_hint: int = 1024,
     Raises
     ------
     ReproError
-        If ``kind`` does not name a known backend.
+        If ``kind`` does not name a known backend, or its constructor
+        does not take one of ``kwargs``.
     """
     try:
         backend_cls = BACKENDS[kind]
     except KeyError:
         known = ", ".join(sorted(BACKENDS))
         raise ReproError(f"unknown partial-order backend {kind!r}; known: {known}")
+    if kwargs:
+        check_backend_options(kind, kwargs)
     return backend_cls(num_chains, capacity_hint, **kwargs)

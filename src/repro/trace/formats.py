@@ -25,10 +25,17 @@ Every reader of event lines -- :func:`load_trace`, the streaming layer
 (:mod:`repro.stream`) tailing a file or restoring a checkpoint buffer, and
 the serve shard -- decodes them through one :class:`LineDecoder`.  The
 part of a line after the thread id repeats heavily in real traces (the
-same access to the same variable with the same value), so the decoder
-decodes each distinct tail once and builds later events from the memo.
-:func:`load_trace` also fills the trace's columnar view while it parses,
-so :meth:`~repro.trace.trace.Trace.columns` has nothing left to encode.
+same access to the same variable), so the decoder decodes each distinct
+thread spelling and tail once and builds later events from its memos.
+Where lines differ only in the value written or read, it decodes each
+line *shape* -- the tail with its encoded value cut out -- once, and
+then only the value of each line.  :func:`load_trace` runs the memo-hit
+path inline and fills the trace's columnar view while it parses, so
+:meth:`~repro.trace.trace.Trace.columns` has nothing left to encode.
+
+A malformed line -- an unknown kind or field, a value that does not
+decode, or a fork/join target or operation the ``.stc`` format would
+refuse -- raises :class:`~repro.errors.TraceError` naming its line.
 """
 
 from __future__ import annotations
@@ -105,24 +112,28 @@ def _encode_value(value) -> str:
     return "str:" + _escape(str(value))
 
 
-def _decode_value(text: str):
+def _decode_value(text: str, line_number: int):
+    """The value a field's ``text`` encodes; a :class:`TraceError` naming
+    ``line_number`` when it encodes none."""
     prefix, _, payload = text.partition(":")
     # Typed payloads tolerate incidental whitespace (e.g. a hand-edited
     # line with trailing spaces); ``str`` payloads are taken verbatim --
     # their whitespace is data.
-    if prefix == "int":
-        return int(payload)
-    if prefix == "bool":
-        return bool(int(payload))
-    if prefix == "mo":
-        stripped = payload.strip()
-        order = _MEMORY_ORDER_BY_VALUE.get(stripped)
-        # Fall back to the enum call for unknown payloads so the error
-        # behaviour (ValueError) is unchanged.
-        return order if order is not None else MemoryOrder(stripped)
-    if prefix == "str":
-        return _unescape(payload)
-    raise TraceError(f"cannot decode field value {text!r}")
+    try:
+        if prefix == "int":
+            return int(payload)
+        if prefix == "bool":
+            return bool(int(payload))
+        if prefix == "mo":
+            order = _MEMORY_ORDER_BY_VALUE.get(payload.strip())
+            if order is not None:
+                return order
+        elif prefix == "str":
+            return _unescape(payload)
+    except ValueError:
+        pass
+    raise TraceError(
+        f"cannot decode field value {text!r} on line {line_number}")
 
 
 def _is_gzip_path(path: Union[str, Path]) -> bool:
@@ -227,16 +238,27 @@ def parse_header(line: str) -> Optional[str]:
 #: decode per line, as with no memo, in bounded memory.
 MEMO_CAP = 1 << 14
 
-#: A memo entry: the kind, the decoded ``(field, value)`` pairs, the
-#: :func:`~repro.trace.columns.event_tag` and the variable (or ``None``).
-Entry = Tuple[EventKind, Tuple[Tuple[str, Any], ...], int, Any]
+#: A ``(field, value)`` pair of a decoded line.
+Pair = Tuple[str, Any]
+
+#: A memo entry: the kind, the decoded pairs in line order, the
+#: :func:`~repro.trace.columns.event_tag` and the variable's interned id
+#: (``-1`` without a variable or an intern table).
+Entry = Tuple[EventKind, Tuple[Pair, ...], int, int]
+
+#: A shape entry: an :data:`Entry` of a line with a ``value=`` part, its
+#: pairs split around the first such part -- the kind, the pairs before
+#: it, the pairs after it, the tag and the variable id.
+Shape = Tuple[EventKind, Tuple[Pair, ...], Tuple[Pair, ...], int, int]
+
+_VALUE_PART = "|value="
 
 _new_object = object.__new__
 _set_field = object.__setattr__
 
 
 def _build_event(thread: int, index: int, kind: EventKind,
-                 fields: Tuple[Tuple[str, Any], ...]) -> Event:
+                 fields: Tuple[Pair, ...]) -> Event:
     """The event ``Event(thread, index, kind, **dict(fields))``, built
     without the frozen dataclass's eleven-field ``__init__``: a field the
     line does not set reads its class-level default."""
@@ -247,6 +269,13 @@ def _build_event(thread: int, index: int, kind: EventKind,
     for field, value in fields:
         _set_field(event, field, value)
     return event
+
+
+def _remember(memo: Dict[str, Any], key: str, value: Any) -> None:
+    """Store ``key`` in ``memo``, clearing it first if it is full."""
+    if len(memo) >= MEMO_CAP:
+        memo.clear()
+    memo[key] = value
 
 
 _TERMINATORS = "\r\n"
@@ -274,39 +303,84 @@ class LineDecoder:
     is advanced by :meth:`decode`, so a caller feeding consecutive lines
     (a whole file, a tailed stream, one serve tenant's payloads) assigns
     the indexes :func:`load_trace` would; seed it to resume mid-stream.
+    ``variables``, when given, is the intern table each entry's variable
+    id indexes: a variable gets the next id when a line first names it.
 
-    ``memo`` maps a line's *tail* -- everything after the first ``|`` --
-    to its decoded :data:`Entry`, and ``parts`` maps each ``field=value``
-    part to its decoded pair, so a new tail made of parts seen before
-    decodes no value again.  Only what decodes is memoized, so a malformed
-    line raises the same :class:`~repro.errors.TraceError` (message and
-    line number) whether or not its tail was seen before.  Both memos are
-    cleared when they reach :data:`MEMO_CAP`.
+    A line is its thread id, a ``|`` and its *tail*.  Four memos, each
+    cleared when it reaches :data:`MEMO_CAP`, let a line that repeats
+    what came before skip the work:
+
+    * ``threads`` maps thread-id text to the thread, so ``int`` runs once
+      per spelling;
+    * ``memo`` maps a tail to its decoded :data:`Entry`;
+    * ``shapes`` maps a tail with its (first) encoded value cut out to
+      its :data:`Shape`, so a line that differs from one seen before only
+      in its value decodes that value alone;
+    * ``parts`` maps each ``field=value`` part to its decoded pair, so a
+      new tail made of parts seen before decodes no value again.
+
+    Only what decodes is memoized, so a malformed line raises the same
+    :class:`~repro.errors.TraceError` (message and line number) whether or
+    not it repeats a thread id, tail, shape or part seen before.
     """
 
-    __slots__ = ("next_index", "memo", "parts")
+    __slots__ = ("next_index", "variables", "threads", "memo", "shapes",
+                 "parts")
 
-    def __init__(self, next_index: Optional[Dict[int, int]] = None) -> None:
+    def __init__(self, next_index: Optional[Dict[int, int]] = None,
+                 variables: Optional[Dict[Any, int]] = None) -> None:
         self.next_index: Dict[int, int] = (
             {} if next_index is None else next_index)
+        self.variables = variables
+        self.threads: Dict[str, int] = {}
         self.memo: Dict[str, Entry] = {}
-        self.parts: Dict[str, Tuple[str, Any]] = {}
+        self.shapes: Dict[str, Shape] = {}
+        self.parts: Dict[str, Pair] = {}
 
     def entry(self, line: str,
               line_number: int = 0) -> Optional[Tuple[int, Entry]]:
         """The thread id and decoded entry of ``line``, or ``None`` for a
         blank or comment line.  Assigns no index."""
         thread_text, bar, tail = line.partition("|")
-        try:
-            thread = int(thread_text)
-        except ValueError:
-            return _not_an_event(line, line_number)
+        thread = self.threads.get(thread_text)
+        if thread is None:
+            try:
+                thread = int(thread_text)
+            except ValueError:
+                return _not_an_event(line, line_number)
+            _remember(self.threads, thread_text, thread)
         entry = self.memo.get(tail)
-        if entry is not None:
-            return thread, entry
-        if not bar:
-            raise TraceError(f"malformed trace line {line_number}: "
-                             f"{line.strip(_TERMINATORS)!r}")
+        if entry is None:
+            if not bar:
+                raise TraceError(f"malformed trace line {line_number}: "
+                                 f"{line.strip(_TERMINATORS)!r}")
+            entry = self._decode_tail(tail, line_number)
+        return thread, entry
+
+    def _decode_tail(self, tail: str, line_number: int) -> Entry:
+        shape_key = None
+        start = tail.find(_VALUE_PART)
+        if start >= 0:
+            end = tail.find("|", start + 1)
+            if end < 0:
+                end = len(tail)
+            # The key keeps the ``|value=`` marker, so the key and the cut
+            # value give back the tail.  A second ``value=`` part stays in
+            # the key, and its pair after the cut one, so it still wins.
+            value_at = start + len(_VALUE_PART)
+            shape_key = tail[:value_at] + tail[end:]
+            shape = self.shapes.get(shape_key)
+            if shape is not None:
+                # Every other part of the shape decoded when it was
+                # stored, so only the value can be malformed.
+                kind, before, after, tag, var_id = shape
+                encoded = tail[value_at:end]
+                if end == len(tail):
+                    encoded = encoded.rstrip(_TERMINATORS)
+                value = ("value", _decode_value(encoded, line_number))
+                entry = kind, before + (value,) + after, tag, var_id
+                _remember(self.memo, tail, entry)
+                return entry
         # Only terminators are shed: trailing spaces or tabs in the final
         # field are string-value *data* and must survive.
         parts = tail.rstrip(_TERMINATORS).split("|")
@@ -315,32 +389,51 @@ class LineDecoder:
             raise TraceError(
                 f"unknown event kind {parts[0]!r} on line {line_number}"
             )
-        pairs = []
         decoded_parts = self.parts
+        pairs = []
         for part in parts[1:]:
-            decoded = decoded_parts.get(part)
-            if decoded is None:
-                field, _, encoded = part.partition("=")
-                if field not in _FIELDS:
-                    raise TraceError(
-                        f"unknown field {field!r} on line {line_number}")
-                decoded = (field, _decode_value(encoded))
-                if len(decoded_parts) >= MEMO_CAP:
-                    decoded_parts.clear()
-                decoded_parts[part] = decoded
-            pairs.append(decoded)
+            pair = decoded_parts.get(part)
+            if pair is None:
+                pair = self._decode_part(part, line_number)
+            pairs.append(pair)
+        pairs = tuple(pairs)
         # A field given twice keeps its last value, here and when the
         # event is built (its pairs are set in order).
         fields = dict(pairs)
-        entry = (kind, tuple(pairs),
-                 event_tag(kind, fields.get("atomic"),
-                           fields.get("memory_order")),
-                 fields.get("variable"))
-        memo = self.memo
-        if len(memo) >= MEMO_CAP:
-            memo.clear()
-        memo[tail] = entry
-        return thread, entry
+        tag = event_tag(kind, fields.get("atomic"),
+                        fields.get("memory_order"))
+        variable = fields.get("variable")
+        intern = self.variables
+        var_id = -1
+        if variable is not None and intern is not None:
+            var_id = intern.get(variable, -1)
+            if var_id < 0:
+                var_id = intern[variable] = len(intern)
+        if shape_key is not None:
+            at = tail.count("|", 0, start)
+            _remember(self.shapes, shape_key,
+                      (kind, pairs[:at], pairs[at + 1:], tag, var_id))
+        entry = kind, pairs, tag, var_id
+        _remember(self.memo, tail, entry)
+        return entry
+
+    def _decode_part(self, part: str, line_number: int) -> Pair:
+        """Decode and memoize one ``field=value`` part."""
+        field, _, encoded = part.partition("=")
+        if field not in _FIELDS:
+            raise TraceError(f"unknown field {field!r} on line {line_number}")
+        value = _decode_value(encoded, line_number)
+        # The .stc decoder refuses these, so a trace loaded here always
+        # converts to a file that reads back.
+        if field == "target" and type(value) is not int:
+            raise TraceError(f"non-integer fork/join target {value!r} "
+                             f"on line {line_number}")
+        if field == "operation" and type(value) is not str:
+            raise TraceError(
+                f"non-string operation {value!r} on line {line_number}")
+        pair = (field, value)
+        _remember(self.parts, part, pair)
+        return pair
 
     def decode(self, line: str, line_number: int = 0) -> Optional[Event]:
         """The next event of ``line``'s thread, or ``None`` for a blank or
@@ -348,7 +441,7 @@ class LineDecoder:
         found = self.entry(line, line_number)
         if found is None:
             return None
-        thread, (kind, fields, _tag, _variable) = found
+        thread, (kind, fields, _tag, _var_id) = found
         next_index = self.next_index
         index = next_index.get(thread, 0)
         next_index[thread] = index + 1
@@ -359,7 +452,7 @@ def parse_trace_line(line: str, decoder: LineDecoder,
                      line_number: int = 0) -> Optional[Event]:
     """Parse one line into an :class:`Event`, or ``None`` for blank/comment
     (``decoder.decode``: the decoder carries the per-thread indexes and the
-    tail memo from line to line)."""
+    memos from line to line)."""
     return decoder.decode(line, line_number)
 
 
@@ -396,30 +489,45 @@ def load_trace(source: Union[str, Path, TextIO], name: str = "trace") -> Trace:
     if isinstance(source, (str, Path)):
         with open_trace(source, "r") as stream:
             return load_trace(stream, name=name)
-    entry_of = LineDecoder().entry
-    build = _build_event
     events: List[Event] = []
-    # thread -> (its events, their positions in ``events``); the chain
-    # length is the thread's next index.
-    per_thread: Dict[int, Tuple[List[Event], List[int]]] = {}
     tags = bytearray()
     threads: List[int] = []
     indexes: List[int] = []
     var_ids: List[int] = []
     intern: Dict[Any, int] = {}
+    decoder = LineDecoder(variables=intern)
+    entry_of, decode_tail = decoder.entry, decoder._decode_tail
+    memo = decoder.memo
+    build = _build_event
+    # thread -> (its events, their positions in ``events``); the chain
+    # length is the thread's next index.
+    per_thread: Dict[int, Tuple[List[Event], List[int]]] = {}
+    # thread-id text -> (thread, its events, their positions).
+    slots: Dict[str, Tuple[int, List[Event], List[int]]] = {}
     trace_name = name
     for line_number, raw_line in enumerate(source, start=1):
-        found = entry_of(raw_line, line_number)
-        if found is None:
-            header = parse_header(raw_line)
-            if header is not None:
-                trace_name = header
-            continue
-        thread, (kind, fields, tag, variable) = found
-        slot = per_thread.get(thread)
-        if slot is None:
-            slot = per_thread[thread] = ([], [])
-        chain, positions = slot
+        thread_text, bar, tail = raw_line.partition("|")
+        slot = slots.get(thread_text)
+        entry = memo.get(tail)
+        if entry is None and slot is not None and bar:
+            entry = decode_tail(tail, line_number)
+        if entry is None or slot is None:
+            # A new thread spelling, a blank, comment or header line, or
+            # a line with no tail (which raises).
+            found = entry_of(raw_line, line_number)
+            if found is None:
+                header = parse_header(raw_line)
+                if header is not None:
+                    trace_name = header
+                continue
+            thread, entry = found
+            chain_slot = per_thread.get(thread)
+            if chain_slot is None:
+                chain_slot = per_thread[thread] = ([], [])
+            slot = (thread, *chain_slot)
+            _remember(slots, thread_text, slot)
+        thread, chain, positions = slot
+        kind, fields, tag, var_id = entry
         index = len(chain)
         positions.append(len(events))
         event = build(thread, index, kind, fields)
@@ -428,13 +536,7 @@ def load_trace(source: Union[str, Path, TextIO], name: str = "trace") -> Trace:
         tags.append(tag)
         threads.append(thread)
         indexes.append(index)
-        if variable is None:
-            var_ids.append(-1)
-        else:
-            var_id = intern.get(variable)
-            if var_id is None:
-                var_id = intern[variable] = len(intern)
-            var_ids.append(var_id)
+        var_ids.append(var_id)
     columns = TraceColumns.from_tags(
         events, tags, threads, indexes, var_ids, intern,
         {thread: positions for thread, (_, positions) in per_thread.items()})

@@ -177,6 +177,11 @@ class TestBackendOptions:
                                  f"'block_size'"):
             cls(backend, block_size=4)
 
+    def test_keywords_with_a_built_order_rejected(self):
+        cls = Analysis.by_name("deadlock-prediction")
+        with pytest.raises(AnalysisError, match="'block_size', 'bogus'"):
+            cls(IncrementalCSST(2, 20), block_size=4, bogus=1)
+
     def test_capacity_hint_is_not_an_option(self):
         with pytest.raises(AnalysisError, match="'capacity_hint'"):
             Analysis.by_name("deadlock-prediction")("csst", capacity_hint=8)

@@ -39,6 +39,13 @@ class TestFactory:
         order.insert_edge((0, 1), (1, 1))
         assert order.reachable((0, 0), (1, 3))
 
+    def test_unknown_kwarg_rejected(self):
+        with pytest.raises(ReproError,
+                           match="backend 'vc-flat' does not accept "
+                                 "'block_size'") as caught:
+            make_partial_order("vc-flat", 3, block_size=4)
+        assert type(caught.value) is ReproError
+
     def test_one_vector_clock_backend(self):
         with pytest.raises(ReproError, match="unknown partial-order backend"):
             make_partial_order("vc", 2)

@@ -71,6 +71,14 @@ class TestAnalyze:
     def test_all_registered_analyses_have_classes(self):
         assert len(ANALYSES) == 7
 
+    @pytest.mark.parametrize("bad", ["0|write|variable=str:x|value=int:abc",
+                                     "0|fork|target=str:x"])
+    def test_malformed_field_is_a_clean_error(self, bad, tmp_path, capsys):
+        path = tmp_path / "bad.std"
+        path.write_text("0|write|variable=str:x|value=int:1\n" + bad + "\n")
+        assert main(["analyze", "race-prediction", str(path)]) == 2
+        assert "on line 2" in capsys.readouterr().err
+
     def test_unknown_analysis_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["analyze", "fuzzing", "trace.txt"])
@@ -341,6 +349,15 @@ class TestConvert:
         back = tmp_path / "back.std"
         assert main(["convert", str(stc), str(back)]) == 0
         assert list(load_trace(back)) == list(load_trace(trace_file))
+
+    def test_convert_refuses_a_target_stc_cannot_hold(self, tmp_path,
+                                                      capsys):
+        source = tmp_path / "bad.std"
+        source.write_text("0|write|variable=str:x\n0|fork|target=str:x\n")
+        out = tmp_path / "bad.stc"
+        assert main(["convert", str(source), str(out)]) == 2
+        assert "on line 2" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_convert_json_document(self, trace_file, tmp_path, capsys):
         stc = tmp_path / "t.stc"

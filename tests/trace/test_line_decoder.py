@@ -16,10 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import TraceError
+from repro.errors import TraceError, TraceFormatError
 from repro.serve.shard import ShardOptions, TenantShard
 from repro.stream.source import FileSource
 from repro.trace import EventKind, MemoryOrder, Trace, load_trace, loads_trace
+from repro.trace.binfmt import decode_trace, encode_trace
 from repro.trace.columns import TraceColumns
 from repro.trace.event import Event
 from repro.trace.formats import (
@@ -50,17 +51,21 @@ def reference_unescape(text: str) -> str:
     return "".join(out)
 
 
-def reference_decode_value(text: str):
+def reference_decode_value(text: str, line_number: int):
     prefix, _, payload = text.partition(":")
-    if prefix == "int":
-        return int(payload)
-    if prefix == "bool":
-        return bool(int(payload))
-    if prefix == "mo":
-        return MemoryOrder(payload.strip())
-    if prefix == "str":
-        return reference_unescape(payload)
-    raise TraceError(f"cannot decode field value {text!r}")
+    try:
+        if prefix == "int":
+            return int(payload)
+        if prefix == "bool":
+            return bool(int(payload))
+        if prefix == "mo":
+            return MemoryOrder(payload.strip())
+        if prefix == "str":
+            return reference_unescape(payload)
+    except ValueError:
+        pass
+    raise TraceError(
+        f"cannot decode field value {text!r} on line {line_number}")
 
 
 def reference_parse_line(line: str, next_index: Dict[int, int],
@@ -88,7 +93,14 @@ def reference_parse_line(line: str, next_index: Dict[int, int],
         field, _, encoded = part.partition("=")
         if field not in FIELDS:
             raise TraceError(f"unknown field {field!r} on line {line_number}")
-        metadata[field] = reference_decode_value(encoded)
+        value = reference_decode_value(encoded, line_number)
+        if field == "target" and type(value) is not int:
+            raise TraceError(f"non-integer fork/join target {value!r} "
+                             f"on line {line_number}")
+        if field == "operation" and type(value) is not str:
+            raise TraceError(
+                f"non-string operation {value!r} on line {line_number}")
+        metadata[field] = value
     index = next_index.get(thread, 0)
     next_index[thread] = index + 1
     return Event(thread=thread, index=index, kind=kind, **metadata)
@@ -163,11 +175,18 @@ def bodies(draw):
     return kind, fields
 
 
+#: Encoded values a line may give a second time.
+second_values = st.sampled_from(["int:7", "str:a|b", "mo:relaxed", "bool:1",
+                                 "str:"])
+
+
 @st.composite
 def trace_texts(draw):
     """STD text: events drawn from a small pool of bodies (so tails
-    repeat), mixed with blank and comment lines, an indented header, and
-    CRLF endings on some lines."""
+    repeat, some with only their value changed, so shapes repeat), some
+    with ``value=`` given twice, threads spelled several ways, mixed with
+    blank and comment lines, an indented header, and CRLF endings on some
+    lines."""
     pool = draw(st.lists(bodies(), min_size=1, max_size=6))
     name = draw(texts)
     lines = []
@@ -185,9 +204,17 @@ def trace_texts(draw):
             continue
         thread = draw(st.integers(0, 3))
         kind, fields = draw(st.sampled_from(pool))
+        if draw(st.booleans()):
+            fields = dict(fields, value=draw(st.one_of(scalars, orders)))
         index = next_index.get(thread, 0)
         next_index[thread] = index + 1
-        lines.append(format_event(Event(thread, index, kind, **fields)))
+        line = format_event(Event(thread, index, kind, **fields))
+        spelling = draw(st.sampled_from(["{}", " {}", "+{}", "0{}", "{} "]))
+        line = spelling.format(thread) + line[len(str(thread)):]
+        if draw(st.integers(0, 4)) == 0:
+            # Escaped like format_event would: the value is a last part.
+            line += "|value=" + draw(second_values).replace("|", "\\p")
+        lines.append(line)
     endings = draw(st.lists(st.sampled_from(["\n", "\r\n"]),
                             min_size=len(lines), max_size=len(lines)))
     return "".join(line + end for line, end in zip(lines, endings))
@@ -222,6 +249,8 @@ class TestLoadEquivalence:
 
     @pytest.mark.parametrize("text", [
         "0|write|variable=str:a|variable=str:b\n",    # last value wins
+        "0|write|value=int:1|value=int:2\n0|write|value=int:3|value=int:2\n"
+        "0|write|value=int:3|value=int:4\n",
         "0|write|value=int:1|variable=str:a\n"
         "0|write|variable=str:a|value=int:1\n",
         "0|read|variable=str:a  \n0|read|variable=str:a\n",  # data spaces
@@ -238,6 +267,26 @@ class TestLoadEquivalence:
         assert loaded.name == expected.name
         assert_same_events(loaded, expected)
         assert_same_columns(loaded)
+
+    @pytest.mark.parametrize("lines", [
+        # Same shape key if the cut dropped the ``|value=`` marker.
+        ["0|write|value=int:1|variable=str:x\n",
+         "0|write|variable=str:x\n|value=int:1"],
+        # A raw CR ends a value that is not the last part: it is data.
+        ["0|write|value=str:b|variable=str:x\n",
+         "0|write|value=str:a\r|variable=str:x\n",
+         "0|write|variable=str:x|value=str:a\r\n",
+         "0|write|variable=str:x|value=str:a"],
+    ])
+    def test_decoder_lines_match_reference(self, lines):
+        # Lines handed to the decoder one by one (a serve tenant's
+        # payloads) may hold what a file's lines cannot.
+        decoder = LineDecoder()
+        next_index: Dict[int, int] = {}
+        for number, line in enumerate(lines, start=1):
+            assert_same_events(
+                [decoder.decode(line, number)],
+                [reference_parse_line(line, next_index, number)])
 
     def test_columns_need_no_sync_after_load(self):
         text = "".join(format_event(Event(thread % 3, thread // 3,
@@ -263,6 +312,14 @@ class TestMalformedLines:
         "0|read|colour=str:a",           # unknown field
         "0|read|variable=float:1.5",     # bad value prefix
         "0",                             # no kind at all
+        "0|write|variable=str:x|value=int:abc",   # bad typed payloads
+        "0|write|variable=str:x|value=mo:bogus",
+        "0|write|variable=str:x|value=bool:x",
+        "0|write|variable=str:x|value=zz:1",
+        "0|write|variable=str:x|value=int:",
+        "0|fork|target=str:x",           # refused by the .stc decoder
+        "0|fork|target=bool:1",
+        "0|begin|operation=int:3|argument=int:1",
     )
 
     @staticmethod
@@ -293,6 +350,26 @@ class TestMalformedLines:
             return
         with pytest.raises(TraceError) as caught:
             loads_trace(text)
+        assert str(caught.value) == expected
+
+    @pytest.mark.parametrize("value", [
+        "int:abc", "mo:bogus", "bool:x", "zz:1", "int:", "float:1.5"])
+    def test_bad_value_on_a_memoized_shape(self, value):
+        # Line 1 stores the shape; line 2 differs from it only in a value
+        # that does not decode.
+        good = "0|write|variable=str:a|value=int:1|atomic=bool:1"
+        bad = f"1|write|variable=str:a|value={value}|atomic=bool:1"
+        text = good + "\n" + bad + "\n"
+        expected = self.reference_error(text)
+        assert expected.endswith("on line 2")
+        with pytest.raises(TraceError) as caught:
+            loads_trace(text)
+        assert str(caught.value) == expected
+        decoder = LineDecoder()
+        decoder.decode(good, 1)
+        assert len(decoder.shapes) == 1
+        with pytest.raises(TraceError) as caught:
+            decoder.decode(bad, 2)
         assert str(caught.value) == expected
 
     def test_error_line_numbers_count_every_line(self):
@@ -336,6 +413,44 @@ class TestIngestSites:
 
 
 # --------------------------------------------------------------------------- #
+# STD to .stc
+# --------------------------------------------------------------------------- #
+@st.composite
+def loose_bodies(draw):
+    """A body whose target, operation and memory order may be of any
+    type the STD format can spell."""
+    kind, fields = draw(bodies())
+    if draw(st.booleans()):
+        fields["target"] = draw(st.one_of(scalars, orders))
+    if draw(st.booleans()):
+        fields["operation"] = draw(st.one_of(scalars, orders))
+    if draw(st.integers(0, 3)) == 0:
+        fields["memory_order"] = draw(texts)
+    return kind, fields
+
+
+class TestConvertToStc:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(loose_bodies(), min_size=1, max_size=4))
+    def test_a_converted_file_always_reads_back(self, pool):
+        text = "".join(
+            format_event(Event(number % 2, number // 2, kind, **fields))
+            + "\n" for number, (kind, fields) in enumerate(pool))
+        try:
+            expected = reference_load(text)
+        except TraceError:
+            with pytest.raises(TraceError):
+                loads_trace(text)
+            return
+        trace = loads_trace(text)
+        try:
+            blob = encode_trace(trace)
+        except TraceFormatError:
+            return  # refused before any file is written
+        assert_same_events(decode_trace(blob), expected)
+
+
+# --------------------------------------------------------------------------- #
 # Bounded memo
 # --------------------------------------------------------------------------- #
 class TestBoundedMemo:
@@ -343,12 +458,15 @@ class TestBoundedMemo:
         decoder = LineDecoder()
         high = 0
         for number in range(100_000):
+            # 20,000 thread spellings; every shape, tail and part is new.
             event = decoder.decode(
-                f"{number % 4}|write|variable=str:v{number}|value=int:{number}",
+                f"{' ' * (number // 4 % 5000)}{number % 4}|write"
+                f"|variable=str:v{number}|value=int:{number}",
                 number + 1)
-            high = max(high, len(decoder.memo), len(decoder.parts))
+            high = max(high, len(decoder.threads), len(decoder.memo),
+                       len(decoder.shapes), len(decoder.parts))
             assert event.value == number
-        assert high <= MEMO_CAP
+        assert high == MEMO_CAP
         assert decoder.next_index == {thread: 25_000 for thread in range(4)}
 
     def test_restored_tenant_decodes_the_rest_identically(self, tmp_path):
